@@ -21,8 +21,8 @@
 //! number[i] := 0
 //! ```
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::native::Derived;
+use crate::{LockSpec, LockStep, Progress};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId};
@@ -33,11 +33,7 @@ fn ticket_less(na: u64, a: usize, nb: u64, b: usize) -> bool {
     na < nb || (na == nb && a < b)
 }
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// The bakery algorithm in specification form.
+/// The bakery algorithm: the step machine both drivers execute.
 ///
 /// Register layout (from `base`): `choosing[j]` at `base + j`,
 /// `number[j]` at `base + n + j` — `2n` registers total.
@@ -137,6 +133,7 @@ impl LockSpec for BakerySpec {
         s.pc = Pc::SetChoosing;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -154,6 +151,7 @@ impl LockSpec for BakerySpec {
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         let i = s.pid.0;
         s.pc = match s.pc {
@@ -233,17 +231,9 @@ impl LockSpec for BakerySpec {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// The bakery algorithm over real atomics.
-#[derive(Debug)]
-pub struct Bakery {
-    n: usize,
-    choosing: Vec<AtomicU64>,
-    number: Vec<AtomicU64>,
-}
+/// The bakery algorithm on real threads: [`BakerySpec`] under the native
+/// driver, over registers of its own.
+pub type Bakery = Derived<BakerySpec>;
 
 impl Bakery {
     /// A lock for `n` processes.
@@ -252,54 +242,7 @@ impl Bakery {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Bakery {
-        assert!(n > 0, "at least one process is required");
-        Bakery {
-            n,
-            choosing: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            number: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-impl RawLock for Bakery {
-    fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        let i = pid.0;
-        self.choosing[i].store(1, Ordering::SeqCst);
-        let mut max = 0;
-        for j in 0..self.n {
-            max = max.max(self.number[j].load(Ordering::SeqCst));
-        }
-        let my = max + 1;
-        self.number[i].store(my, Ordering::SeqCst);
-        self.choosing[i].store(0, Ordering::SeqCst);
-        for j in 0..self.n {
-            if j == i {
-                continue;
-            }
-            while self.choosing[j].load(Ordering::SeqCst) != 0 {
-                std::thread::yield_now();
-            }
-            loop {
-                let nj = self.number[j].load(Ordering::SeqCst);
-                if nj == 0 || ticket_less(my, i, nj, j) {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn unlock(&self, pid: ProcId) {
-        self.number[pid.0].store(0, Ordering::SeqCst);
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "bakery"
+        Derived::of(BakerySpec::new(n, 0))
     }
 }
 

@@ -48,18 +48,17 @@
 //! The gate costs 3 extra shared accesses on entry and 3–4 on exit — the
 //! fast path stays constant, so the transformation preserves *fast*.
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::lamport_fast::{LamportFast, LamportFastSpec};
+use crate::native::{Derived, Opaque};
+use crate::{LockSpec, LockStep, Progress, RawLock, StepLabel};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId};
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// The starvation-free transformation in specification form, generic over
-/// the inner lock.
+/// The starvation-free transformation, generic over the inner lock: the
+/// step machine both drivers execute. Over a spec-form inner lock it is a
+/// closed automaton for the simulator and the model checker; over
+/// [`Opaque`] its own steps run natively around any [`RawLock`].
 ///
 /// Register layout (from `base`): `interested[j]` at `base + j`, `turn` at
 /// `base + n`; the inner lock's registers start at `base + n + 1`
@@ -90,11 +89,8 @@ impl<L: LockSpec> StarvationFreeSpec<L> {
 
     /// Convenience: the paper's recommended `A` — Lamport's fast mutex
     /// under this transformation — with registers from `base`.
-    pub fn over_lamport_fast(
-        n: usize,
-        base: u64,
-    ) -> StarvationFreeSpec<crate::lamport_fast::LamportFastSpec> {
-        let inner = crate::lamport_fast::LamportFastSpec::new(n, base + n as u64 + 1);
+    pub fn over_lamport_fast(n: usize, base: u64) -> StarvationFreeSpec<LamportFastSpec> {
+        let inner = LamportFastSpec::new(n, base + n as u64 + 1);
         StarvationFreeSpec::new(inner, n, base)
     }
 
@@ -159,6 +155,7 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
         s.pc = Pc::SetInterested;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -171,14 +168,11 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
                 LockStep::Act(Action::Write(self.turn(), ((t + 1) % self.n) as u64))
             }
             Pc::ClearInterested => LockStep::Act(Action::Write(self.interested(s.pid.0), 0)),
-            Pc::Inner | Pc::InnerExit => match self.inner.step(&s.inner) {
-                LockStep::Act(a) => LockStep::Act(a),
-                LockStep::Entered => LockStep::Entered,
-                LockStep::Done => LockStep::Done,
-            },
+            Pc::Inner | Pc::InnerExit => self.inner.step(&s.inner),
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         match s.pc {
             Pc::SetInterested => s.pc = Pc::GateReadTurn,
@@ -264,87 +258,47 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
     fn name(&self) -> &'static str {
         "sf-transform"
     }
+
+    #[inline]
+    fn label(&self, s: &Self::State) -> StepLabel {
+        match s.pc {
+            Pc::Inner | Pc::InnerExit => self.inner.label(&s.inner),
+            _ => StepLabel::default(),
+        }
+    }
+
+    fn opaque(&self) -> Option<&dyn RawLock> {
+        self.inner.opaque()
+    }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
+/// The starvation-free transformation on real threads:
+/// [`StarvationFreeSpec`]'s own steps under the native driver, over gate
+/// registers of its own, around any native inner lock.
+pub type StarvationFree<A> = Derived<StarvationFreeSpec<Opaque<A>>>;
 
-/// The starvation-free transformation over a native inner lock.
-#[derive(Debug)]
-pub struct StarvationFree<L> {
-    inner: L,
-    n: usize,
-    interested: Vec<AtomicU64>,
-    turn: AtomicU64,
-}
-
-impl<L: RawLock> StarvationFree<L> {
+impl<A: RawLock> StarvationFree<A> {
     /// Wraps `inner` (which must support the same `n`).
     ///
     /// # Panics
     ///
     /// Panics if `inner.n() != n` or `n == 0`.
-    pub fn new(inner: L, n: usize) -> StarvationFree<L> {
-        assert!(n > 0, "at least one process is required");
-        assert_eq!(
-            inner.n(),
-            n,
-            "inner lock must be configured for the same process count"
-        );
-        StarvationFree {
-            inner,
-            n,
-            interested: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            turn: AtomicU64::new(0),
-        }
+    pub fn new(inner: A, n: usize) -> StarvationFree<A> {
+        Derived::of(StarvationFreeSpec::new(Opaque(inner), n, 0))
     }
 }
 
-impl StarvationFree<crate::lamport_fast::LamportFast> {
+impl StarvationFree<LamportFast> {
     /// The paper's recommended `A`: Lamport's fast mutex made
     /// starvation-free.
     pub fn over_lamport_fast(n: usize) -> Self {
-        StarvationFree::new(crate::lamport_fast::LamportFast::new(n), n)
-    }
-}
-
-impl<L: RawLock> RawLock for StarvationFree<L> {
-    fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        self.interested[pid.0].store(1, Ordering::SeqCst);
-        loop {
-            let t = self.turn.load(Ordering::SeqCst) as usize % self.n;
-            if t == pid.0 || self.interested[t].load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        self.inner.lock(pid);
-    }
-
-    fn unlock(&self, pid: ProcId) {
-        self.interested[pid.0].store(0, Ordering::SeqCst);
-        let t = self.turn.load(Ordering::SeqCst) as usize % self.n;
-        if self.interested[t].load(Ordering::SeqCst) == 0 {
-            self.turn.store(((t + 1) % self.n) as u64, Ordering::SeqCst);
-        }
-        self.inner.unlock(pid);
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "sf-transform"
+        StarvationFree::new(LamportFast::new(n), n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lamport_fast::{LamportFast, LamportFastSpec};
     use crate::testutil;
     use crate::workload::LockLoop;
     use std::sync::Arc;

@@ -32,9 +32,10 @@
 //! alternative inner `A` for Algorithm 3 (converges, but with a larger ψ
 //! than the fast transformed lock).
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::native::Derived;
+use crate::{LockSpec, LockStep, Progress};
 use tfr_registers::accounting::RegisterCount;
+use tfr_registers::space::RegisterSpace;
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId};
 
@@ -60,11 +61,7 @@ fn ticket_less(na: u64, a: usize, nb: u64, b: usize) -> bool {
     na < nb || (na == nb && a < b)
 }
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// The black-white bakery in specification form.
+/// The black-white bakery: the step machine both drivers execute.
 ///
 /// Register layout (from `base`): shared `color` at `base`,
 /// `choosing[j]` at `base + 1 + j`, `ticket[j]` at `base + 1 + n + j` —
@@ -186,6 +183,7 @@ impl LockSpec for BwBakerySpec {
         s.pc = Pc::SetChoosing;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -206,6 +204,7 @@ impl LockSpec for BwBakerySpec {
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         let i = s.pid.0;
         s.pc = match s.pc {
@@ -327,18 +326,9 @@ impl BwBakerySpec {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// The black-white bakery over real atomics.
-#[derive(Debug)]
-pub struct BwBakery {
-    n: usize,
-    color: AtomicU64,
-    choosing: Vec<AtomicU64>,
-    ticket: Vec<AtomicU64>,
-}
+/// The black-white bakery on real threads: [`BwBakerySpec`] under the
+/// native driver, over registers of its own.
+pub type BwBakery = Derived<BwBakerySpec>;
 
 impl BwBakery {
     /// A lock for `n` processes.
@@ -347,83 +337,17 @@ impl BwBakery {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> BwBakery {
-        assert!(n > 0, "at least one process is required");
-        BwBakery {
-            n,
-            color: AtomicU64::new(0),
-            choosing: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            ticket: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
+        Derived::of(BwBakerySpec::new(n, 0))
     }
 
     /// Largest ticket number currently outstanding (for the
     /// bounded-registers test).
     pub fn max_outstanding_number(&self) -> u64 {
-        self.ticket
-            .iter()
-            .filter_map(|t| unpack(t.load(Ordering::SeqCst)))
+        (0..self.spec().n)
+            .filter_map(|j| unpack(self.space().read(self.spec().ticket(j).0)))
             .map(|(_, n)| n)
             .max()
             .unwrap_or(0)
-    }
-}
-
-impl RawLock for BwBakery {
-    fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        let i = pid.0;
-        self.choosing[i].store(1, Ordering::SeqCst);
-        let c = self.color.load(Ordering::SeqCst) & 1;
-        let mut max = 0;
-        for t in &self.ticket {
-            if let Some((tc, tn)) = unpack(t.load(Ordering::SeqCst)) {
-                if tc == c {
-                    max = max.max(tn);
-                }
-            }
-        }
-        let my = max + 1;
-        self.ticket[i].store(pack(c, my), Ordering::SeqCst);
-        self.choosing[i].store(0, Ordering::SeqCst);
-        for j in 0..self.n {
-            if j == i {
-                continue;
-            }
-            while self.choosing[j].load(Ordering::SeqCst) != 0 {
-                std::thread::yield_now();
-            }
-            loop {
-                match unpack(self.ticket[j].load(Ordering::SeqCst)) {
-                    None => break,
-                    Some((tc, tn)) => {
-                        if tc == c {
-                            if ticket_less(my, i, tn, j) {
-                                break;
-                            }
-                        } else if self.color.load(Ordering::SeqCst) & 1 != c {
-                            break;
-                        }
-                    }
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn unlock(&self, pid: ProcId) {
-        let i = pid.0;
-        if let Some((c, _)) = unpack(self.ticket[i].load(Ordering::SeqCst)) {
-            self.color.store(1 - c, Ordering::SeqCst);
-        }
-        self.ticket[i].store(0, Ordering::SeqCst);
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "bw-bakery"
     }
 }
 
@@ -431,6 +355,8 @@ impl RawLock for BwBakery {
 mod tests {
     use super::*;
     use crate::testutil;
+    use crate::RawLock;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]

@@ -24,17 +24,13 @@
 //!        b[i] := false
 //! ```
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::native::Derived;
+use crate::{LockSpec, LockStep, Progress};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId};
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// Lamport's fast mutex in specification form.
+/// Lamport's fast mutex: the step machine both drivers execute.
 ///
 /// Register layout (from `base`): `x` at `base`, `y` at `base+1`,
 /// `b[j]` at `base+2+j` — `n + 2` registers total.
@@ -119,6 +115,7 @@ impl LockSpec for LamportFastSpec {
         s.pc = Pc::SetB;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         let tok = s.pid.token();
         match s.pc {
@@ -139,6 +136,7 @@ impl LockSpec for LamportFastSpec {
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         let tok = s.pid.token();
         s.pc = match s.pc {
@@ -230,11 +228,8 @@ impl LockSpec for LamportFastSpec {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// Lamport's fast mutex over real atomics.
+/// Lamport's fast mutex on real threads: [`LamportFastSpec`] under the
+/// native driver, over registers of its own.
 ///
 /// # Example
 ///
@@ -254,13 +249,7 @@ impl LockSpec for LamportFastSpec {
 /// lock.unlock(ProcId(0));
 /// t.join().unwrap();
 /// ```
-#[derive(Debug)]
-pub struct LamportFast {
-    n: usize,
-    x: AtomicU64,
-    y: AtomicU64,
-    b: Vec<AtomicU64>,
-}
+pub type LamportFast = Derived<LamportFastSpec>;
 
 impl LamportFast {
     /// A lock for `n` processes.
@@ -269,60 +258,7 @@ impl LamportFast {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> LamportFast {
-        assert!(n > 0, "at least one process is required");
-        LamportFast {
-            n,
-            x: AtomicU64::new(0),
-            y: AtomicU64::new(0),
-            b: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-impl RawLock for LamportFast {
-    fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        let tok = pid.token();
-        loop {
-            self.b[pid.0].store(1, Ordering::SeqCst);
-            self.x.store(tok, Ordering::SeqCst);
-            if self.y.load(Ordering::SeqCst) != 0 {
-                self.b[pid.0].store(0, Ordering::SeqCst);
-                while self.y.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            self.y.store(tok, Ordering::SeqCst);
-            if self.x.load(Ordering::SeqCst) != tok {
-                self.b[pid.0].store(0, Ordering::SeqCst);
-                for j in 0..self.n {
-                    while self.b[j].load(Ordering::SeqCst) != 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                if self.y.load(Ordering::SeqCst) != tok {
-                    while self.y.load(Ordering::SeqCst) != 0 {
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-            }
-            return;
-        }
-    }
-
-    fn unlock(&self, pid: ProcId) {
-        self.y.store(0, Ordering::SeqCst);
-        self.b[pid.0].store(0, Ordering::SeqCst);
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "lamport-fast"
+        Derived::of(LamportFastSpec::new(n, 0))
     }
 }
 

@@ -1,5 +1,5 @@
-//! Asynchronous mutual exclusion algorithms, in both *native* (real
-//! threads and atomics) and *specification* (register automaton) forms.
+//! Asynchronous mutual exclusion algorithms, each defined **once** as a
+//! register automaton and executed by two drivers.
 //!
 //! Algorithm 3 of the paper ("Computing in the Presence of Timing
 //! Failures") wraps Fischer's timing-based lock around an asynchronous
@@ -17,22 +17,33 @@
 //! bakery with bounded registers ([`bw_bakery`]), and a Peterson
 //! tournament tree ([`peterson`]).
 //!
-//! # The two forms
+//! # One definition, two drivers
 //!
-//! * [`LockSpec`] — the lock as a register automaton fragment. It is
-//!   *composable*: Algorithm 3 embeds a `LockSpec` inside its own
-//!   automaton, and [`workload::LockLoop`] turns any `LockSpec` into a
-//!   complete [`tfr_registers::spec::Automaton`] (non-critical section →
-//!   entry → critical section → exit, repeated) for the simulator and the
-//!   model checker.
-//! * [`RawLock`] — the lock as a real synchronization object
-//!   (`lock(pid)` / `unlock(pid)`) over `std::sync::atomic`, for Criterion
-//!   benchmarks and downstream use.
+//! [`LockSpec`] is the only definition of a lock: a per-process step
+//! machine that names the next read, write or delay and advances on its
+//! result. It is *composable* — Algorithm 3 and the starvation-free
+//! transformation embed an inner `LockSpec` inside their own. Two drivers
+//! execute it:
+//!
+//! * [`workload::LockLoop`] turns a `LockSpec` into a complete
+//!   [`tfr_registers::spec::Automaton`] (non-critical section → entry →
+//!   critical section → exit, repeated) for the simulator and the model
+//!   checker;
+//! * [`native::Derived`] implements [`RawLock`] (`lock(pid)` /
+//!   `unlock(pid)` on real threads) for any `LockSpec` by executing the
+//!   same steps against a [`tfr_registers::space::RegisterSpace`], firing
+//!   the injection points, trace events and `delay(Δ)` feedback the spec's
+//!   [`StepLabel`]s name.
+//!
+//! So the explorer, the simulator, the chaos nemesis and the benchmarks all
+//! run the same automaton. The native names (`LamportFast`, `Bakery`, …)
+//! are aliases of `Derived` over the matching spec.
 
 pub mod bakery;
 pub mod bar_david;
 pub mod bw_bakery;
 pub mod lamport_fast;
+pub mod native;
 pub mod peterson;
 pub mod workload;
 
@@ -41,6 +52,8 @@ use core::hash::Hash;
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::spec::{Action, Perm};
 use tfr_registers::{ProcId, RegId};
+
+pub use native::DelaySource;
 
 /// The progress property a mutual exclusion algorithm guarantees (in a
 /// fair asynchronous system).
@@ -67,6 +80,14 @@ pub enum LockStep {
     /// Perform this shared-memory action (or delay), then call
     /// [`LockSpec::apply`].
     Act(Action),
+    /// Run the whole entry protocol of an inner lock held as a black box
+    /// ([`native::Opaque`]), then call [`LockSpec::apply`] with `None`.
+    /// Only the native driver can answer it; specs over a spec-form inner
+    /// lock never yield it.
+    EnterInner,
+    /// Run the black-box inner lock's whole exit protocol, then call
+    /// [`LockSpec::apply`] with `None`.
+    ExitInner,
     /// The entry protocol has completed: the process holds the lock. The
     /// driver acknowledges with [`LockSpec::begin_exit`] once the critical
     /// section is over.
@@ -74,6 +95,41 @@ pub enum LockStep {
     /// The exit protocol has completed. The driver acknowledges with
     /// [`LockSpec::reset`] before the next acquisition.
     Done,
+}
+
+/// What the native driver fires around one protocol step. The spec names
+/// the step; the driver, at the effect boundary, does the firing — so
+/// injection points and feedback sit at the same protocol position in
+/// every execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StepLabel {
+    /// A named injection point (`tfr_registers::chaos::points`, doubling
+    /// as a trace point) fired immediately before the step's effect.
+    pub point: Option<&'static str>,
+    /// Set on the read that judges the preceding `delay(Δ)`.
+    pub verdict: Option<Verdict>,
+}
+
+impl StepLabel {
+    /// A step with injection point `point` before it and no verdict.
+    pub fn at(point: &'static str) -> StepLabel {
+        StepLabel {
+            point: Some(point),
+            verdict: None,
+        }
+    }
+}
+
+/// The outcome a timing-based check reads for: observing `expect` means
+/// the delay sufficed (`DelaySource::on_uncontended`); anything else is a
+/// retry (a `Retry` trace event at `retry_point`, then
+/// `DelaySource::on_contended`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// The value a passing check observes.
+    pub expect: u64,
+    /// The point a failed check's `Retry` event names.
+    pub retry_point: &'static str,
 }
 
 /// A mutual exclusion algorithm as a composable register-automaton
@@ -136,6 +192,19 @@ pub trait LockSpec {
 
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
+
+    /// What the native driver fires around the step [`LockSpec::step`]
+    /// currently returns. Asynchronous locks have nothing to name.
+    fn label(&self, _state: &Self::State) -> StepLabel {
+        StepLabel::default()
+    }
+
+    /// The black-box inner lock behind [`LockStep::EnterInner`] /
+    /// [`LockStep::ExitInner`], if this spec (or the spec it wraps) has
+    /// one.
+    fn opaque(&self) -> Option<&dyn RawLock> {
+        None
+    }
 }
 
 /// Blanket impl so `&L` composes like `L`.
@@ -173,6 +242,12 @@ impl<L: LockSpec + ?Sized> LockSpec for &L {
     }
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+    fn label(&self, state: &Self::State) -> StepLabel {
+        (**self).label(state)
+    }
+    fn opaque(&self) -> Option<&dyn RawLock> {
+        (**self).opaque()
     }
 }
 

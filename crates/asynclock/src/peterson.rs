@@ -15,8 +15,8 @@
 //! await want[1−s] = false ∨ turn ≠ s
 //! ```
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::native::Derived;
+use crate::{LockSpec, LockStep, Progress};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId};
@@ -30,11 +30,7 @@ fn levels(n: usize) -> u32 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// The Peterson tournament lock in specification form.
+/// The Peterson tournament lock: the step machine both drivers execute.
 ///
 /// Register layout (from `base`), for internal node `v ∈ 1..2^L`:
 /// `want[v]\[0\]` at `base + 3(v−1)`, `want[v]\[1\]` at `base + 3(v−1) + 1`,
@@ -128,6 +124,7 @@ impl LockSpec for PetersonSpec {
         };
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -156,6 +153,7 @@ impl LockSpec for PetersonSpec {
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         let advance = |level: u32| {
             if level + 1 == self.levels {
@@ -230,18 +228,9 @@ impl LockSpec for PetersonSpec {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// The Peterson tournament lock over real atomics.
-#[derive(Debug)]
-pub struct Peterson {
-    n: usize,
-    levels: u32,
-    /// `want[node][side]` and `turn[node]` flattened as in the spec form.
-    cells: Vec<AtomicU64>,
-}
+/// The Peterson tournament lock on real threads: [`PetersonSpec`] under
+/// the native driver, over registers of its own.
+pub type Peterson = Derived<PetersonSpec>;
 
 impl Peterson {
     /// A lock for `n` processes.
@@ -250,61 +239,7 @@ impl Peterson {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Peterson {
-        assert!(n > 0, "at least one process is required");
-        let l = levels(n);
-        let cells = (0..3 * ((1usize << l) - 1))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        Peterson {
-            n,
-            levels: l,
-            cells,
-        }
-    }
-
-    fn seat(&self, pid: ProcId, level: u32) -> (usize, u64) {
-        let leaf = (1usize << self.levels) + pid.0;
-        let node = leaf >> (level + 1);
-        let side = (leaf >> level) as u64 & 1;
-        (node, side)
-    }
-
-    fn want(&self, node: usize, side: u64) -> &AtomicU64 {
-        &self.cells[3 * (node - 1) + side as usize]
-    }
-    fn turn(&self, node: usize) -> &AtomicU64 {
-        &self.cells[3 * (node - 1) + 2]
-    }
-}
-
-impl RawLock for Peterson {
-    fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        for level in 0..self.levels {
-            let (node, side) = self.seat(pid, level);
-            self.want(node, side).store(1, Ordering::SeqCst);
-            self.turn(node).store(side, Ordering::SeqCst);
-            while self.want(node, 1 - side).load(Ordering::SeqCst) != 0
-                && self.turn(node).load(Ordering::SeqCst) == side
-            {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn unlock(&self, pid: ProcId) {
-        for level in (0..self.levels).rev() {
-            let (node, side) = self.seat(pid, level);
-            self.want(node, side).store(0, Ordering::SeqCst);
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "peterson-tournament"
+        Derived::of(PetersonSpec::new(n, 0))
     }
 }
 
@@ -327,29 +262,27 @@ mod tests {
 
     #[test]
     fn seats_are_disjoint_sides() {
-        // At every node, the two children map to different sides.
+        // At every node, the two children map to different sides: two
+        // processes meeting there sit on the same side iff they arrive
+        // from the same child subtree.
         let p = PetersonSpec::new(8, 0);
         for level in 0..3 {
             for i in 0..8 {
                 let (node, side) = p.seat(ProcId(i), level);
                 for j in 0..8 {
-                    if i == j {
+                    let (nj, sj) = p.seat(ProcId(j), level);
+                    if i == j || node != nj {
                         continue;
                     }
-                    let (nj, sj) = p.seat(ProcId(j), level);
-                    if node == nj {
-                        // Same node at this level: sides must differ iff
-                        // their subtrees differ.
-                        let _ = (sj, side);
-                    }
+                    let same_subtree = i >> level == j >> level;
+                    assert_eq!(
+                        side == sj,
+                        same_subtree,
+                        "level {level}: p{i} (side {side}) and p{j} (side {sj}) at node {node}"
+                    );
                 }
             }
         }
-        // Two processes sharing a level-0 node always take opposite sides.
-        let (n0, s0) = p.seat(ProcId(0), 0);
-        let (n1, s1) = p.seat(ProcId(1), 0);
-        assert_eq!(n0, n1);
-        assert_ne!(s0, s1);
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl<L: LockSpec> Automaton for LockLoop<L> {
                 LockStep::Entered | LockStep::Done => {
                     unreachable!("lock phase markers must be consumed in apply")
                 }
+                LockStep::EnterInner | LockStep::ExitInner => {
+                    panic!("an opaque inner lock has no register automaton to step")
+                }
             },
         }
     }

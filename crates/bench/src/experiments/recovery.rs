@@ -67,7 +67,7 @@ pub fn recovery() -> Vec<Table> {
             action: FaultAction::CrashRecover(down),
         }];
         let lock = RecoverableMutex::standard(4, delta);
-        let report = run_recovery_chaos(&lock, &cfg(4, 12), &faults);
+        let report = run_recovery_chaos(&lock, &cfg(4, 12), &faults, None);
         assert!(!report.mutual_exclusion_violated(), "safety at {label}");
         let repaired = report.recoveries.iter().filter(|r| r.repaired).count();
         let latency_us: Vec<f64> = report
@@ -174,7 +174,7 @@ pub fn recovery() -> Vec<Table> {
             .count();
         let run = |faults: &[Fault]| {
             let lock = RecoverableMutex::standard(8, delta);
-            run_recovery_chaos(&lock, &cfg(8, 10), faults)
+            run_recovery_chaos(&lock, &cfg(8, 10), faults, None)
         };
         let report = run(&faults);
         assert!(!report.mutual_exclusion_violated(), "seed {seed}");

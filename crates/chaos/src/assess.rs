@@ -8,7 +8,7 @@
 //! [`convergence_target`] — so a simulator report and a native report for
 //! the same algorithm are directly comparable.
 
-use crate::nemesis::{run_mutex_chaos, run_mutex_chaos_traced, EntrySample, MutexChaosConfig};
+use crate::nemesis::{run_mutex_chaos, EntrySample, MutexChaosConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfr_asynclock::RawLock;
@@ -142,8 +142,12 @@ fn convergence_from_samples(
 /// fault-free run, inject a stall burst, check safety and liveness across
 /// it, and find the measured convergence point after the last fault.
 ///
-/// `make_lock` is called once per run (each run needs a fresh lock).
-/// Returns the same [`ResilienceReport`] the simulator assessment
+/// `make_lock` is called once per run (each run needs a fresh lock) with
+/// the [`Trace`] to build into it: disabled for the clean ψ-measurement
+/// run, and for the burst run attached to `tracer` when there is one — in
+/// which case the convergence time is *also* measured from the event
+/// stream, directly exportable next to the timeline it was read off.
+/// The report is the same [`ResilienceReport`] the simulator assessment
 /// produces, in µs ticks.
 ///
 /// # Panics
@@ -166,18 +170,19 @@ fn convergence_from_samples(
 /// let delta = Duration::from_micros(100);
 /// let mut cfg = NativeAssessConfig::new(2, delta);
 /// cfg.iterations = 10; // a quick smoke-sized assessment
-/// let report = assess_native_mutex(|| ResilientMutex::standard(2, delta), &cfg);
+/// let report = assess_native_mutex(|_| ResilientMutex::standard(2, delta), &cfg, None).report;
 /// assert!(report.safe_during_failures, "exclusive even mid-burst");
 /// assert!(report.live_after_failures, "every thread finishes");
 /// assert!(report.psi.0 >= 1, "ψ is a measured, positive latency");
 /// ```
 pub fn assess_native_mutex<L: RawLock>(
-    mut make_lock: impl FnMut() -> L,
+    mut make_lock: impl FnMut(Trace) -> L,
     cfg: &NativeAssessConfig,
-) -> ResilienceReport {
+    tracer: Option<&Arc<Tracer>>,
+) -> NativeAssessment {
     // Requirement 2: ψ from a fault-free run (still under a session, for
     // isolation from concurrent chaos in the process).
-    let clean = run_mutex_chaos(&make_lock(), &cfg.workload(), &[]);
+    let clean = run_mutex_chaos(&make_lock(Trace::disabled()), &cfg.workload(), &[], None);
     assert!(
         !clean.mutual_exclusion_violated() && clean.crashed.is_empty(),
         "the fault-free run must be clean"
@@ -195,76 +200,18 @@ pub fn assess_native_mutex<L: RawLock>(
     );
 
     // Requirements 1 + 3: the burst run.
-    let burst = run_mutex_chaos(&make_lock(), &cfg.workload(), &burst_schedule(cfg));
-    let safe_during_failures = !burst.mutual_exclusion_violated();
-    let live_after_failures = burst.completed.len() == cfg.n;
-    let delta = Delta::from_ticks((cfg.delta.as_micros() as u64).max(1));
-    let target = convergence_target(psi, delta, cfg.tolerance_num, cfg.tolerance_den);
-    let convergence = convergence_from_samples(&burst.entries, burst.last_fault_at, target);
-
-    ResilienceReport {
-        psi,
-        safe_during_failures,
-        live_after_failures,
-        convergence,
-    }
-}
-
-/// A [`assess_native_mutex_traced`] result: the standard three-part
-/// report plus the event-stream convergence measurement and the target it
-/// was measured against.
-#[derive(Debug)]
-pub struct TracedAssessment {
-    /// The §1.3 report, identical in meaning to [`assess_native_mutex`]'s.
-    pub report: ResilienceReport,
-    /// Convergence measured from the burst run's telemetry events: time
-    /// from the last fired fault to the first acquisition whose traced
-    /// entry wait meets the target.
-    pub event_convergence: ConvergenceReport,
-    /// The entry-wait target used, in nanoseconds
-    /// (`convergence_target(ψ, Δ, num, den)` converted from µs ticks).
-    pub target_wait_ns: u64,
-}
-
-/// [`assess_native_mutex`] with the burst run traced: `make_lock`
-/// receives the [`Trace`] to build into the lock (disabled for the clean
-/// ψ-measurement run, attached to `tracer` for the burst run), and the
-/// convergence time is *also* measured from the event stream — the
-/// trace-level counterpart of the sample-based measurement, directly
-/// exportable next to the timeline it was read off.
-pub fn assess_native_mutex_traced<L: RawLock>(
-    mut make_lock: impl FnMut(Trace) -> L,
-    cfg: &NativeAssessConfig,
-    tracer: &Arc<Tracer>,
-) -> TracedAssessment {
-    let clean = run_mutex_chaos(&make_lock(Trace::disabled()), &cfg.workload(), &[]);
-    assert!(
-        !clean.mutual_exclusion_violated() && clean.crashed.is_empty(),
-        "the fault-free run must be clean"
-    );
-    assert_eq!(
-        clean.completed.len(),
-        cfg.n,
-        "the fault-free run must complete"
-    );
-    let psi = Ticks(
-        clean
-            .max_latency()
-            .map_or(1, |d| d.as_micros() as u64)
-            .max(1),
-    );
-
-    let burst_lock = make_lock(Trace::attached(Arc::clone(tracer)));
-    let burst = run_mutex_chaos_traced(&burst_lock, &cfg.workload(), &burst_schedule(cfg), tracer);
+    let burst_lock =
+        make_lock(tracer.map_or_else(Trace::disabled, |t| Trace::attached(Arc::clone(t))));
+    let burst = run_mutex_chaos(&burst_lock, &cfg.workload(), &burst_schedule(cfg), tracer);
     let safe_during_failures = !burst.mutual_exclusion_violated();
     let live_after_failures = burst.completed.len() == cfg.n;
     let delta = Delta::from_ticks((cfg.delta.as_micros() as u64).max(1));
     let target = convergence_target(psi, delta, cfg.tolerance_num, cfg.tolerance_den);
     let convergence = convergence_from_samples(&burst.entries, burst.last_fault_at, target);
     let target_wait_ns = target.0.saturating_mul(1_000);
-    let event_convergence = convergence_from_events(&tracer.events(), target_wait_ns);
+    let event_convergence = tracer.map(|t| convergence_from_events(&t.events(), target_wait_ns));
 
-    TracedAssessment {
+    NativeAssessment {
         report: ResilienceReport {
             psi,
             safe_during_failures,
@@ -274,6 +221,22 @@ pub fn assess_native_mutex_traced<L: RawLock>(
         event_convergence,
         target_wait_ns,
     }
+}
+
+/// An [`assess_native_mutex`] result: the standard three-part report
+/// plus, for a traced assessment, the event-stream convergence
+/// measurement and the target it was measured against.
+#[derive(Debug)]
+pub struct NativeAssessment {
+    /// The §1.3 report.
+    pub report: ResilienceReport,
+    /// Convergence measured from the burst run's telemetry events: time
+    /// from the last fired fault to the first acquisition whose traced
+    /// entry wait meets the target. `None` without a tracer.
+    pub event_convergence: Option<ConvergenceReport>,
+    /// The entry-wait target used, in nanoseconds
+    /// (`convergence_target(ψ, Δ, num, den)` converted from µs ticks).
+    pub target_wait_ns: u64,
 }
 
 #[cfg(test)]
@@ -325,15 +288,15 @@ mod tests {
         let mut cfg = NativeAssessConfig::new(2, delta);
         cfg.iterations = 10;
         let tracer = Arc::new(Tracer::new(2));
-        let a = assess_native_mutex_traced(
+        let a = assess_native_mutex(
             |trace| ResilientMutex::standard(2, delta).with_trace(trace),
             &cfg,
-            &tracer,
+            Some(&tracer),
         );
         assert!(a.report.safe_during_failures && a.report.live_after_failures);
         assert!(a.report.psi.0 >= 1);
         assert!(
-            a.event_convergence.faults >= 1,
+            a.event_convergence.expect("traced").faults >= 1,
             "the burst must fire at least one fault into the trace"
         );
         assert!(a.target_wait_ns >= 1_000, "target is ψ-derived, in ns");

@@ -109,7 +109,7 @@ pub struct CompiledViolation {
 /// let compiled =
 ///     fischer_faults_from_counterexample(&cex, 2, x, Duration::from_micros(500));
 /// let lock = Fischer::new(2, compiled.delta);
-/// let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults);
+/// let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults, None);
 /// assert!(report.mutual_exclusion_violated());
 /// ```
 pub fn fischer_faults_from_counterexample(
@@ -377,7 +377,7 @@ mod tests {
         let cex = tfr_core::verify::fischer_counterexample(2).expect("Fischer must break");
         let c = fischer_faults_from_counterexample(&cex, 2, X, D);
         let lock = Fischer::new(2, c.delta);
-        let report = run_mutex_chaos(&lock, &c.config, &c.faults);
+        let report = run_mutex_chaos(&lock, &c.config, &c.faults, None);
         assert!(
             report.mutual_exclusion_violated(),
             "native replay must reproduce the model violation: {report:?}"

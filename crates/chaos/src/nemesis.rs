@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 use tfr_asynclock::RawLock;
 use tfr_core::consensus::NativeConsensus;
 use tfr_core::mutex::fischer::Fischer;
-use tfr_obs::{Collector, CollectorConfig, ObsReport};
 use tfr_registers::chaos::{
     self, install_point_observer, points, ChaosSession, Fault, FaultAction, FiredFault,
 };
@@ -125,8 +124,19 @@ impl MutexChaosReport {
 /// Installs a [`ChaosSession`] for the duration of the run — *also when
 /// `faults` is empty*, so baseline runs are isolated from any concurrent
 /// chaos activity in the process. Each worker registers with
-/// [`chaos::run_as`]; a crash-stopped worker simply stops, and the report
-/// says so.
+/// [`chaos::run_as`] and `tfr_telemetry::with_pid` (so
+/// `emit_current`-based layers like `AdaptiveDelta` attribute events
+/// correctly); a crash-stopped worker simply stops, and the report says
+/// so.
+///
+/// With `Some(tracer)`, a [`ChaosTraceObserver`] is installed for the
+/// run, turning every injection-point visit and fired fault into trace
+/// events in `tracer`. Build the lock with its own
+/// `with_trace(Trace::attached(...))` on the same tracer to get
+/// lock-level spans on the same timeline — and spawn a
+/// `tfr_obs::Collector` on it around the call to have the online monitors
+/// stream the rings *while the nemesis fires*, independently of the
+/// workload's own `in_cs` accounting.
 ///
 /// # Panics
 ///
@@ -157,59 +167,13 @@ impl MutexChaosReport {
 /// }];
 /// let mut cfg = MutexChaosConfig::new(2);
 /// cfg.iterations = 3;
-/// let report = run_mutex_chaos(&lock, &cfg, &faults);
+/// let report = run_mutex_chaos(&lock, &cfg, &faults, None);
 /// assert!(!report.mutual_exclusion_violated());
 /// assert_eq!(report.max_in_cs, 1);
 /// assert_eq!(report.completed.len(), 2, "stalls never kill a thread");
 /// assert_eq!(report.entries.len(), 2 * 3);
 /// ```
 pub fn run_mutex_chaos<L: RawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-) -> MutexChaosReport {
-    run_mutex_chaos_inner(lock, cfg, faults, None)
-}
-
-/// [`run_mutex_chaos`] with telemetry: workers register with
-/// `tfr_telemetry::with_pid` (so `emit_current`-based layers like
-/// `AdaptiveDelta` attribute events correctly) and a
-/// [`ChaosTraceObserver`] is installed for the run, turning every
-/// injection-point visit and fired fault into trace events in `tracer`.
-///
-/// Build the lock with its own `with_trace(Trace::attached(...))` on the
-/// same tracer to get lock-level spans on the same timeline.
-pub fn run_mutex_chaos_traced<L: RawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> MutexChaosReport {
-    run_mutex_chaos_inner(lock, cfg, faults, Some(tracer))
-}
-
-/// [`run_mutex_chaos_traced`] with a live [`Collector`] attached for the
-/// duration of the run: the online monitors stream `tracer`'s rings
-/// *while the nemesis fires* and the returned [`ObsReport`] says whether
-/// (and when) an invariant broke — independently of the workload's own
-/// `in_cs` accounting.
-///
-/// Build the lock with `with_trace(Trace::attached(...))` on the same
-/// tracer; the mutex monitor watches the lock's own
-/// `LockAcquired`/`LockReleased` events.
-pub fn run_mutex_chaos_observed<L: RawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-    obs: CollectorConfig,
-) -> (MutexChaosReport, ObsReport) {
-    let collector = Collector::spawn(Arc::clone(tracer), obs);
-    let report = run_mutex_chaos_inner(lock, cfg, faults, Some(tracer));
-    (report, collector.finish())
-}
-
-fn run_mutex_chaos_inner<L: RawLock>(
     lock: &L,
     cfg: &MutexChaosConfig,
     faults: &[Fault],
@@ -248,8 +212,6 @@ fn run_mutex_chaos_inner<L: RawLock>(
                 let (in_cs, max_in_cs, intrusions, entries) =
                     (&in_cs, &max_in_cs, &intrusions, &entries);
                 s.spawn(move || {
-                    // Registering the pid is cheap and harmless untraced;
-                    // doing it unconditionally keeps one worker body.
                     chaos::run_as(ProcId(i), || {
                         with_pid(ProcId(i), || {
                             for _ in 0..cfg.iterations {
@@ -329,6 +291,12 @@ pub struct ConsensusChaosReport {
 /// crash-stops are legal at *any* point, including between observing
 /// `x[r, v̄] = 0` and writing `decide`.
 ///
+/// With `Some(tracer)`, the consensus object is built with a trace on it
+/// and a [`ChaosTraceObserver`] turns injection-point traffic and fired
+/// faults into events on the same timeline (proposers always register
+/// with `tfr_telemetry::with_pid`: Algorithm 1's `propose` carries no
+/// process id).
+///
 /// # Example
 ///
 /// Crash one of three proposers mid-round: the survivors still agree on
@@ -346,50 +314,13 @@ pub struct ConsensusChaosReport {
 ///     nth: 1,
 ///     action: FaultAction::Crash,
 /// }];
-/// let report = run_consensus_chaos(Duration::from_micros(50), &[true, false, true], &faults);
+/// let inputs = [true, false, true];
+/// let report = run_consensus_chaos(Duration::from_micros(50), &inputs, &faults, None);
 /// assert!(report.agreement && report.validity);
 /// assert_eq!(report.crashed, vec![ProcId(2)]);
 /// assert_eq!(report.decisions.len(), 2, "the two survivors return");
 /// ```
 pub fn run_consensus_chaos(
-    delta: Duration,
-    inputs: &[bool],
-    faults: &[Fault],
-) -> ConsensusChaosReport {
-    run_consensus_chaos_inner(delta, inputs, faults, None)
-}
-
-/// [`run_consensus_chaos`] with telemetry: the consensus object is built
-/// with a trace on `tracer`, proposers register with
-/// `tfr_telemetry::with_pid` (Algorithm 1's `propose` carries no process
-/// id), and a [`ChaosTraceObserver`] turns injection-point traffic and
-/// fired faults into events on the same timeline.
-pub fn run_consensus_chaos_traced(
-    delta: Duration,
-    inputs: &[bool],
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> ConsensusChaosReport {
-    run_consensus_chaos_inner(delta, inputs, faults, Some(tracer))
-}
-
-/// [`run_consensus_chaos_traced`] with a live [`Collector`]: the online
-/// monitors stream the run's events while the schedule fires, and the
-/// returned [`ObsReport`] carries fault counts, stage tracks, and any
-/// flagged invariant violations.
-pub fn run_consensus_chaos_observed(
-    delta: Duration,
-    inputs: &[bool],
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-    obs: CollectorConfig,
-) -> (ConsensusChaosReport, ObsReport) {
-    let collector = Collector::spawn(Arc::clone(tracer), obs);
-    let report = run_consensus_chaos_inner(delta, inputs, faults, Some(tracer));
-    (report, collector.finish())
-}
-
-fn run_consensus_chaos_inner(
     delta: Duration,
     inputs: &[bool],
     faults: &[Fault],
@@ -546,7 +477,7 @@ pub fn violation_setup_from_seed(seed: u64) -> ViolationSetup {
 pub fn run_fischer_violation(seed: u64) -> (ViolationSetup, MutexChaosReport) {
     let setup = violation_setup_from_seed(seed);
     let lock = Fischer::new(2, setup.delta);
-    let report = run_mutex_chaos(&lock, &setup.config, &setup.faults);
+    let report = run_mutex_chaos(&lock, &setup.config, &setup.faults, None);
     (setup, report)
 }
 
@@ -585,7 +516,7 @@ pub fn run_resilient_under_violation_schedule(seed: u64) -> MutexChaosReport {
         })
         .collect();
     let lock = tfr_core::mutex::resilient::ResilientMutex::standard(2, setup.delta);
-    run_mutex_chaos(&lock, &setup.config, &faults)
+    run_mutex_chaos(&lock, &setup.config, &faults, None)
 }
 
 /// Convenience: a seeded random mutex schedule via
@@ -608,7 +539,7 @@ mod tests {
     #[test]
     fn fault_free_baseline_is_clean() {
         let lock = ResilientMutex::standard(3, Duration::from_micros(100));
-        let report = run_mutex_chaos(&lock, &MutexChaosConfig::new(3), &[]);
+        let report = run_mutex_chaos(&lock, &MutexChaosConfig::new(3), &[], None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.max_in_cs, 1);
         assert_eq!(report.completed.len(), 3);
@@ -637,12 +568,12 @@ mod tests {
             nth: 1,
             action: FaultAction::Crash,
         }];
-        let _ = run_mutex_chaos(&lock, &MutexChaosConfig::new(2), &faults);
+        let _ = run_mutex_chaos(&lock, &MutexChaosConfig::new(2), &faults, None);
     }
 
     #[test]
     fn consensus_solo_under_no_faults() {
-        let report = run_consensus_chaos(Duration::from_micros(50), &[true], &[]);
+        let report = run_consensus_chaos(Duration::from_micros(50), &[true], &[], None);
         assert_eq!(report.final_decision, Some(true));
         assert!(report.agreement && report.validity);
         assert!(report.crashed.is_empty());
@@ -663,7 +594,7 @@ mod tests {
         }];
         let mut cfg = MutexChaosConfig::new(2);
         cfg.iterations = 3;
-        let report = run_mutex_chaos_traced(&lock, &cfg, &faults, &tracer);
+        let report = run_mutex_chaos(&lock, &cfg, &faults, Some(&tracer));
         assert!(!report.mutual_exclusion_violated());
         let events = tracer.events();
         let fired: Vec<_> = events
@@ -693,11 +624,11 @@ mod tests {
     fn traced_consensus_run_records_rounds_and_decision() {
         use tfr_telemetry::EventKind;
         let tracer = Arc::new(Tracer::new(3));
-        let report = run_consensus_chaos_traced(
+        let report = run_consensus_chaos(
             Duration::from_micros(50),
             &[true, false, true],
             &[],
-            &tracer,
+            Some(&tracer),
         );
         assert!(report.agreement && report.validity);
         let events = tracer.events();

@@ -103,6 +103,13 @@ impl RecoveryChaosReport {
 /// worker never returns and the injector deregisters its pid, so no later
 /// fault is wasted on it.
 ///
+/// With `Some(tracer)`, a [`ChaosTraceObserver`] turns point visits,
+/// fired faults, and crash-recoveries into events on `tracer`. Build the
+/// lock with `with_trace(Trace::attached(...))` on the same tracer and
+/// each `CrashRecover` event pairs with the `Recovered` the lock emits,
+/// giving `tfr_telemetry::recovery_spans_from_events` full down+repair
+/// spans.
+///
 /// # Panics
 ///
 /// Panics if a `CrashRecover` fault targets a point outside
@@ -132,35 +139,12 @@ impl RecoveryChaosReport {
 /// }];
 /// let mut cfg = MutexChaosConfig::new(2);
 /// cfg.iterations = 3;
-/// let report = run_recovery_chaos(&lock, &cfg, &faults);
+/// let report = run_recovery_chaos(&lock, &cfg, &faults, None);
 /// assert!(!report.mutual_exclusion_violated());
 /// assert_eq!(report.completed.len(), 2, "the crashed process rejoined");
 /// assert_eq!(report.cs_repairs(), 1, "its recovery released the CS");
 /// ```
 pub fn run_recovery_chaos<L: RecoverableRawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-) -> RecoveryChaosReport {
-    run_recovery_chaos_inner(lock, cfg, faults, None)
-}
-
-/// [`run_recovery_chaos`] with telemetry: a [`ChaosTraceObserver`] turns
-/// point visits, fired faults, and crash-recoveries into events on
-/// `tracer`. Build the lock with `with_trace(Trace::attached(...))` on
-/// the same tracer and each `CrashRecover` event pairs with the
-/// `Recovered` the lock emits, giving
-/// `tfr_telemetry::recovery_spans_from_events` full down+repair spans.
-pub fn run_recovery_chaos_traced<L: RecoverableRawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> RecoveryChaosReport {
-    run_recovery_chaos_inner(lock, cfg, faults, Some(tracer))
-}
-
-fn run_recovery_chaos_inner<L: RecoverableRawLock>(
     lock: &L,
     cfg: &MutexChaosConfig,
     faults: &[Fault],
@@ -324,7 +308,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(300)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(3), &faults);
+        let report = run_recovery_chaos(&lock, &quick_cfg(3), &faults, None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.max_in_cs, 1);
         assert_eq!(report.completed.len(), 3, "everyone rejoins and finishes");
@@ -346,7 +330,7 @@ mod tests {
             nth: 2,
             action: FaultAction::CrashRecover(Duration::from_micros(200)),
         }];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults, None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.completed.len(), 2);
         assert_eq!(report.recoveries.len(), 1);
@@ -373,7 +357,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(100)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults, None);
         assert_eq!(report.crashed, vec![ProcId(0)]);
         assert_eq!(report.completed, vec![ProcId(1)]);
         assert_eq!(report.fired.len(), 1, "only the crash-stop fired");
@@ -398,7 +382,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(100)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults, None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.completed.len(), 2);
         let incs: Vec<u64> = report.recoveries.iter().map(|r| r.incarnation).collect();
@@ -416,7 +400,7 @@ mod tests {
             nth: 1,
             action: FaultAction::CrashRecover(Duration::from_micros(100)),
         }];
-        let _ = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let _ = run_recovery_chaos(&lock, &quick_cfg(2), &faults, None);
     }
 
     /// Satellite pin: the paper's crash-stop lock, *without* the

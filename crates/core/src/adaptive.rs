@@ -18,55 +18,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+pub use tfr_asynclock::DelaySource;
 use tfr_registers::chaos;
 use tfr_telemetry::{EventKind, Trace};
-
-/// Where a native timing-based algorithm gets its `delay(Δ)` from.
-///
-/// `Duration` itself implements this (a fixed estimate); pass an
-/// [`AdaptiveDelta`] (by reference) for the adaptive behaviour. The two
-/// feedback methods are called by the algorithm: `on_contended` when it
-/// observed evidence its estimate may be too small (it lost a Fischer
-/// check, it needed another round), `on_uncontended` when an operation
-/// completed cleanly.
-pub trait DelaySource: Send + Sync {
-    /// The current `delay(Δ)` estimate.
-    fn current_delay(&self) -> Duration;
-    /// Feedback: an operation had to retry (estimate possibly too small).
-    fn on_contended(&self) {}
-    /// Feedback: an operation completed on its fast path.
-    fn on_uncontended(&self) {}
-}
-
-impl DelaySource for Duration {
-    fn current_delay(&self) -> Duration {
-        *self
-    }
-}
-
-impl<D: DelaySource + ?Sized> DelaySource for &D {
-    fn current_delay(&self) -> Duration {
-        (**self).current_delay()
-    }
-    fn on_contended(&self) {
-        (**self).on_contended()
-    }
-    fn on_uncontended(&self) {
-        (**self).on_uncontended()
-    }
-}
-
-impl<D: DelaySource + ?Sized> DelaySource for std::sync::Arc<D> {
-    fn current_delay(&self) -> Duration {
-        (**self).current_delay()
-    }
-    fn on_contended(&self) {
-        (**self).on_contended()
-    }
-    fn on_uncontended(&self) {
-        (**self).on_uncontended()
-    }
-}
 
 /// Pure AIMD-style estimator over abstract units (ticks or nanoseconds).
 ///

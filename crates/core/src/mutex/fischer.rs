@@ -20,20 +20,17 @@
 
 use crate::adaptive::DelaySource;
 use std::time::Duration;
-use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock, SymmetricLockSpec};
+use tfr_asynclock::native::Derived;
+use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock, StepLabel, SymmetricLockSpec, Verdict};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::chaos;
-use tfr_registers::native::precise_delay;
-use tfr_registers::space::{NativeSpace, RegisterSpace, SharedRegister};
+use tfr_registers::chaos::points;
+use tfr_registers::space::{DenseSpace, RegisterSpace};
 use tfr_registers::spec::{Action, Perm};
 use tfr_registers::{ProcId, RegId, Ticks};
-use tfr_telemetry::{EventKind, Trace};
+use tfr_telemetry::Trace;
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// Fischer's lock in specification form: one register, `x`, at `base`.
+/// Fischer's lock — the step machine both drivers execute: one register,
+/// `x`, at `base`.
 #[derive(Debug, Clone)]
 pub struct FischerSpec {
     n: usize,
@@ -95,6 +92,7 @@ impl LockSpec for FischerSpec {
         s.pc = Pc::AwaitZero;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -107,6 +105,7 @@ impl LockSpec for FischerSpec {
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         s.pc = match s.pc {
             Pc::AwaitZero => {
@@ -162,6 +161,24 @@ impl LockSpec for FischerSpec {
     fn name(&self) -> &'static str {
         "fischer"
     }
+
+    #[inline]
+    fn label(&self, s: &Self::State) -> StepLabel {
+        match s.pc {
+            // The read→write window: a stall injected here models the
+            // §3.1 timing failure that breaks Fischer's argument.
+            Pc::WriteX => StepLabel::at(points::FISCHER_WRITE_X),
+            Pc::CheckX => StepLabel {
+                point: Some(points::FISCHER_CHECK_X),
+                verdict: Some(Verdict {
+                    expect: s.pid.token(),
+                    retry_point: points::FISCHER_CHECK_X,
+                }),
+            },
+            Pc::ExitX => StepLabel::at(points::FISCHER_EXIT),
+            _ => StepLabel::default(),
+        }
+    }
 }
 
 /// Fischer is fully pid-symmetric: the single register `x` is shared
@@ -189,15 +206,11 @@ impl SymmetricLockSpec for FischerSpec {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// Fischer's lock over one shared register — a real atomic by default,
-/// any [`RegisterSpace`] backend (e.g. the `tfr-net` quorum registers)
-/// via [`Fischer::on`] — with a pluggable `delay(Δ)` source (fixed or
-/// adaptive). The algorithm text is backend-independent: it only ever
-/// reads and writes the single register `x`.
+/// Fischer's lock on real threads: [`FischerSpec`] under the native
+/// driver, over one shared register — a real atomic by default, any
+/// [`RegisterSpace`] backend (e.g. the `tfr-net` quorum registers) via
+/// [`Fischer::on`] — with a pluggable `delay(Δ)` source (fixed or
+/// adaptive).
 ///
 /// **Caution**: this lock's mutual exclusion is only guaranteed when every
 /// store to `x` completes within the configured Δ — on a real machine,
@@ -205,12 +218,8 @@ impl SymmetricLockSpec for FischerSpec {
 /// [`crate::mutex::resilient::ResilientMutex`] instead). On a quorum
 /// backend a "store" is a whole two-phase round, so Δ must cover the
 /// round trip.
-pub struct Fischer<D = Duration, S: RegisterSpace = NativeSpace> {
-    n: usize,
-    x: SharedRegister<S>,
-    delay: D,
-    trace: Trace,
-}
+#[derive(Debug)]
+pub struct Fischer<D = Duration, S = DenseSpace>(Derived<FischerSpec, D, S>);
 
 impl Fischer<Duration> {
     /// A lock for `n` processes with a fixed `delay(Δ)` of `delta`.
@@ -219,7 +228,7 @@ impl Fischer<Duration> {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize, delta: Duration) -> Fischer<Duration> {
-        Fischer::on(NativeSpace::new(), n, delta)
+        Fischer::with_delay_source(n, delta)
     }
 }
 
@@ -231,7 +240,7 @@ impl<D: DelaySource> Fischer<D> {
     ///
     /// Panics if `n == 0`.
     pub fn with_delay_source(n: usize, source: D) -> Fischer<D> {
-        Fischer::on_with_delay_source(NativeSpace::new(), n, source)
+        Fischer::on_with_delay_source(DenseSpace::new(1), n, source)
     }
 }
 
@@ -254,93 +263,33 @@ impl<D: DelaySource, S: RegisterSpace> Fischer<D, S> {
     ///
     /// Panics if `n == 0`.
     pub fn on_with_delay_source(space: S, n: usize, source: D) -> Fischer<D, S> {
-        assert!(n > 0, "at least one process is required");
-        Fischer {
-            n,
-            x: SharedRegister::new(space, 0),
-            delay: source,
-            trace: Trace::disabled(),
-        }
+        // Natively `delay(Δ)` lasts what `source` says; the spec's tick
+        // count is never read.
+        Fischer(Derived::on(FischerSpec::new(n, 0, Ticks(1)), space, source))
     }
 
     /// Attaches a telemetry trace: entry waits, `delay(Δ)` spans, retries
     /// and acquire/release become events on the calling process's track.
-    pub fn with_trace(mut self, trace: Trace) -> Fischer<D, S> {
-        self.trace = trace;
-        self
-    }
-}
-
-impl<D: std::fmt::Debug, S: RegisterSpace> std::fmt::Debug for Fischer<D, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fischer")
-            .field("n", &self.n)
-            .field("delay", &self.delay)
-            .finish()
+    pub fn with_trace(self, trace: Trace) -> Fischer<D, S> {
+        Fischer(self.0.with_trace(trace))
     }
 }
 
 impl<D: DelaySource, S: RegisterSpace> RawLock for Fischer<D, S> {
     fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        let tok = pid.token();
-        // `wait_t0` is Some only when tracing, so the disabled cost stays
-        // at one Option check per hook.
-        let wait_t0 = self.trace.now_ns();
-        self.trace.emit(pid, EventKind::LockWaitStart);
-        loop {
-            while self.x.read() != 0 {
-                std::thread::yield_now();
-            }
-            // The read→write window: a stall injected here models the
-            // §3.1 timing failure that breaks Fischer's argument.
-            chaos::point(chaos::points::FISCHER_WRITE_X);
-            self.x.write(tok);
-            let d = self.delay.current_delay();
-            self.trace.emit(
-                pid,
-                EventKind::DelayStart {
-                    requested_ns: d.as_nanos() as u64,
-                },
-            );
-            precise_delay(d);
-            self.trace.emit(pid, EventKind::DelayEnd);
-            chaos::point(chaos::points::FISCHER_CHECK_X);
-            if self.x.read() == tok {
-                self.delay.on_uncontended();
-                if let Some(t0) = wait_t0 {
-                    let now = self.trace.now_ns().unwrap_or(t0);
-                    self.trace.emit(
-                        pid,
-                        EventKind::LockAcquired {
-                            wait_ns: now.saturating_sub(t0),
-                        },
-                    );
-                }
-                return;
-            }
-            self.trace.emit(
-                pid,
-                EventKind::Retry {
-                    point: chaos::points::FISCHER_CHECK_X,
-                },
-            );
-            self.delay.on_contended();
-        }
+        self.0.lock(pid)
     }
 
     fn unlock(&self, pid: ProcId) {
-        chaos::point(chaos::points::FISCHER_EXIT);
-        self.x.write(0);
-        self.trace.emit(pid, EventKind::LockReleased);
+        self.0.unlock(pid)
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.0.n()
     }
 
     fn name(&self) -> &'static str {
-        "fischer"
+        self.0.name()
     }
 }
 

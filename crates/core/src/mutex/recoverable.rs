@@ -551,6 +551,9 @@ impl<L: LockSpec> Automaton for RecoverableLoop<L> {
                 LockStep::Entered | LockStep::Done => {
                     unreachable!("lock phase markers must be consumed in apply")
                 }
+                LockStep::EnterInner | LockStep::ExitInner => {
+                    panic!("an opaque inner lock has no register automaton to step")
+                }
             },
             RecPhase::Finished => Action::Halt,
         }

@@ -35,20 +35,19 @@ use crate::adaptive::DelaySource;
 use std::time::Duration;
 use tfr_asynclock::bar_david::{StarvationFree, StarvationFreeSpec};
 use tfr_asynclock::lamport_fast::{LamportFast, LamportFastSpec};
-use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock};
+use tfr_asynclock::native::{Derived, Opaque};
+use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock, StepLabel, Verdict};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::chaos;
-use tfr_registers::native::precise_delay;
-use tfr_registers::space::{NativeSpace, RegisterSpace, SharedRegister};
+use tfr_registers::chaos::points;
+use tfr_registers::space::{DenseSpace, RegisterSpace};
 use tfr_registers::spec::Action;
 use tfr_registers::{ProcId, RegId, Ticks};
-use tfr_telemetry::{EventKind, Trace};
+use tfr_telemetry::Trace;
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// Algorithm 3 in specification form, generic over the inner lock `A`.
+/// Algorithm 3, generic over the inner lock `A`: the step machine both
+/// drivers execute. Over a spec-form `A` it is a closed automaton for the
+/// simulator and the model checker; over [`Opaque`] its own steps run
+/// natively around any [`RawLock`].
 ///
 /// Register layout (from `base`): Fischer's `x` at `base`; `A`'s registers
 /// from `base + 1` (construct `A` with that base).
@@ -161,6 +160,7 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
         s.pc = Pc::AwaitZero;
     }
 
+    #[inline]
     fn step(&self, s: &Self::State) -> LockStep {
         match s.pc {
             Pc::Idle => LockStep::Done,
@@ -169,17 +169,17 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
             Pc::DelayStep => LockStep::Act(Action::Delay(self.delta)),
             Pc::ExitClearX => LockStep::Act(Action::Write(self.x(), 0)),
             Pc::Inner | Pc::InnerExit => match self.inner.step(&s.inner) {
-                LockStep::Act(a) => LockStep::Act(a),
-                LockStep::Entered => LockStep::Entered,
                 // A's exit finishing does NOT finish our exit (line 8
                 // remains); `apply` advances past this marker, so `step`
                 // never observes it here.
                 LockStep::Done => unreachable!("inner Done is consumed in apply"),
+                step => step,
             },
             Pc::Done => LockStep::Done,
         }
     }
 
+    #[inline]
     fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
         match s.pc {
             Pc::AwaitZero => {
@@ -257,15 +257,43 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
     fn name(&self) -> &'static str {
         "resilient-mutex"
     }
+
+    #[inline]
+    fn label(&self, s: &Self::State) -> StepLabel {
+        match s.pc {
+            // Same read→write window as plain Fischer — a stall here must
+            // NOT break mutual exclusion (that is what resilience means).
+            Pc::WriteX => StepLabel::at(points::RESILIENT_WRITE_X),
+            Pc::CheckX => StepLabel {
+                point: None,
+                verdict: Some(Verdict {
+                    expect: s.pid.token(),
+                    retry_point: points::RESILIENT_WRITE_X,
+                }),
+            },
+            // Before each step of A's entry — natively A is opaque, so
+            // once, ahead of `A.lock`.
+            Pc::Inner => StepLabel {
+                point: Some(points::RESILIENT_INNER),
+                ..self.inner.label(&s.inner)
+            },
+            Pc::InnerExit => self.inner.label(&s.inner),
+            // Line 8: the conditional reset — of all processes stranded in
+            // A by a timing failure, at most one reopens the wrapper.
+            Pc::ExitReadX => StepLabel::at(points::RESILIENT_EXIT),
+            _ => StepLabel::default(),
+        }
+    }
+
+    fn opaque(&self) -> Option<&dyn RawLock> {
+        self.inner.opaque()
+    }
 }
 
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// Algorithm 3 in native form, generic over the inner lock `A`, the
-/// `delay(Δ)` source, and the [`RegisterSpace`] backing Fischer's `x`
-/// (real atomics by default; a `tfr-net` quorum space via
+/// Algorithm 3 on real threads: [`ResilientMutexSpec`]'s own steps under
+/// the native driver, around any native inner lock `A`, generic over the
+/// `delay(Δ)` source and the [`RegisterSpace`] backing Fischer's `x`
+/// (a real atomic by default; a `tfr-net` quorum space via
 /// [`ResilientMutex::standard_on`]).
 ///
 /// Unlike [`crate::mutex::fischer::Fischer`], this lock's mutual exclusion
@@ -291,13 +319,12 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
 /// lock.unlock(ProcId(0));
 /// t.join().unwrap();
 /// ```
-pub struct ResilientMutex<A, D = Duration, S: RegisterSpace = NativeSpace> {
-    inner: A,
-    n: usize,
-    x: SharedRegister<S>,
-    delay: D,
-    trace: Trace,
-}
+#[derive(Debug)]
+pub struct ResilientMutex<A, D = Duration, S = DenseSpace>(
+    Derived<ResilientMutexSpec<Opaque<A>>, D, S>,
+)
+where
+    A: RawLock;
 
 impl ResilientMutex<StarvationFree<LamportFast>, Duration> {
     /// The paper's recommended instantiation with a fixed Δ estimate.
@@ -345,7 +372,7 @@ impl<A: RawLock, D: DelaySource> ResilientMutex<A, D> {
     ///
     /// Panics if `n == 0` or `inner.n() != n`.
     pub fn with_delay_source(inner: A, n: usize, source: D) -> ResilientMutex<A, D> {
-        Self::on_with_delay_source(NativeSpace::new(), inner, n, source)
+        Self::on_with_delay_source(DenseSpace::new(1), inner, n, source)
     }
 }
 
@@ -362,109 +389,35 @@ impl<A: RawLock, D: DelaySource, S: RegisterSpace> ResilientMutex<A, D, S> {
         n: usize,
         source: D,
     ) -> ResilientMutex<A, D, S> {
-        assert!(n > 0, "at least one process is required");
-        assert_eq!(
-            inner.n(),
-            n,
-            "inner lock must be configured for the same process count"
-        );
-        ResilientMutex {
-            inner,
-            n,
-            x: SharedRegister::new(space, 0),
-            delay: source,
-            trace: Trace::disabled(),
-        }
+        // Natively `delay(Δ)` lasts what `source` says; the spec's tick
+        // count is never read.
+        let spec = ResilientMutexSpec::new(Opaque(inner), n, 0, Ticks(1));
+        ResilientMutex(Derived::on(spec, space, source))
     }
 
     /// Attaches a telemetry trace: entry waits, `delay(Δ)` spans, Fischer
     /// retries and acquire/release become events on the calling process's
     /// track.
-    pub fn with_trace(mut self, trace: Trace) -> ResilientMutex<A, D, S> {
-        self.trace = trace;
-        self
-    }
-}
-
-impl<A: std::fmt::Debug, D: std::fmt::Debug, S: RegisterSpace> std::fmt::Debug
-    for ResilientMutex<A, D, S>
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientMutex")
-            .field("inner", &self.inner)
-            .field("n", &self.n)
-            .field("delay", &self.delay)
-            .finish()
+    pub fn with_trace(self, trace: Trace) -> ResilientMutex<A, D, S> {
+        ResilientMutex(self.0.with_trace(trace))
     }
 }
 
 impl<A: RawLock, D: DelaySource, S: RegisterSpace> RawLock for ResilientMutex<A, D, S> {
     fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.n, "pid out of range");
-        let tok = pid.token();
-        // `wait_t0` is Some only when tracing, so the disabled cost stays
-        // at one Option check per hook.
-        let wait_t0 = self.trace.now_ns();
-        self.trace.emit(pid, EventKind::LockWaitStart);
-        loop {
-            while self.x.read() != 0 {
-                std::thread::yield_now();
-            }
-            // Same read→write window as plain Fischer — a stall here must
-            // NOT break mutual exclusion (that is what resilience means).
-            chaos::point(chaos::points::RESILIENT_WRITE_X);
-            self.x.write(tok);
-            let d = self.delay.current_delay();
-            self.trace.emit(
-                pid,
-                EventKind::DelayStart {
-                    requested_ns: d.as_nanos() as u64,
-                },
-            );
-            precise_delay(d);
-            self.trace.emit(pid, EventKind::DelayEnd);
-            if self.x.read() == tok {
-                self.delay.on_uncontended();
-                break;
-            }
-            self.trace.emit(
-                pid,
-                EventKind::Retry {
-                    point: chaos::points::RESILIENT_WRITE_X,
-                },
-            );
-            self.delay.on_contended();
-        }
-        chaos::point(chaos::points::RESILIENT_INNER);
-        self.inner.lock(pid);
-        if let Some(t0) = wait_t0 {
-            let now = self.trace.now_ns().unwrap_or(t0);
-            self.trace.emit(
-                pid,
-                EventKind::LockAcquired {
-                    wait_ns: now.saturating_sub(t0),
-                },
-            );
-        }
+        self.0.lock(pid)
     }
 
     fn unlock(&self, pid: ProcId) {
-        self.inner.unlock(pid);
-        chaos::point(chaos::points::RESILIENT_EXIT);
-        // Line 8: conditional reset — of all processes stranded in A by a
-        // timing failure, at most one reopens the wrapper.
-        if self.x.read() == pid.token() {
-            self.x.write(0);
-        }
-        self.trace.emit(pid, EventKind::LockReleased);
+        self.0.unlock(pid)
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.0.n()
     }
 
     fn name(&self) -> &'static str {
-        "resilient-mutex"
+        self.0.name()
     }
 }
 

@@ -25,6 +25,7 @@
 //! as a standalone handle.
 
 use crate::native::UnboundedAtomicArray;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An unbounded, zero-initialized array of atomic `u64` read/write
@@ -121,6 +122,50 @@ impl RegisterSpace for NativeSpace {
     }
     fn write(&self, index: u64, value: u64) {
         self.cells.store_quiet(index as usize, value)
+    }
+}
+
+/// A fixed number of shared-memory registers in one flat allocation.
+///
+/// For algorithms whose register count is known up front (every lock's
+/// `LockSpec::registers()`): an access is one bounds check and one
+/// `SeqCst` atomic, with none of [`NativeSpace`]'s chunk-directory
+/// lookup. Like [`NativeSpace`], it fires no injection points.
+///
+/// # Panics
+///
+/// `read` and `write` panic on an index at or past the length.
+///
+/// # Example
+///
+/// ```
+/// use tfr_registers::space::{DenseSpace, RegisterSpace};
+///
+/// let space = DenseSpace::new(4);
+/// assert_eq!(space.read(3), 0);
+/// space.write(3, 7);
+/// assert_eq!(space.read(3), 7);
+/// ```
+#[derive(Debug)]
+pub struct DenseSpace {
+    cells: Box<[AtomicU64]>,
+}
+
+impl DenseSpace {
+    /// `len` zero-initialized registers, indices `0..len`.
+    pub fn new(len: usize) -> DenseSpace {
+        DenseSpace {
+            cells: (0..len).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+}
+
+impl RegisterSpace for DenseSpace {
+    fn read(&self, index: u64) -> u64 {
+        self.cells[index as usize].load(Ordering::SeqCst)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.cells[index as usize].store(value, Ordering::SeqCst)
     }
 }
 

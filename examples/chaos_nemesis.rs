@@ -65,7 +65,7 @@ fn main() {
     println!("== 3. Shrinking the failing schedule ==");
     let still_fails = |faults: &[Fault]| {
         let lock = Fischer::new(2, setup.delta);
-        run_mutex_chaos(&lock, &setup.config, faults).mutual_exclusion_violated()
+        run_mutex_chaos(&lock, &setup.config, faults, None).mutual_exclusion_violated()
     };
     let minimal = shrink(setup.faults.clone(), still_fails);
     println!(
@@ -98,7 +98,7 @@ fn main() {
     let delta = Duration::from_micros(200);
     for s in seed..seed + 4 {
         let faults = nemesis::random_consensus_schedule(s, 3, delta);
-        let r = run_consensus_chaos(delta, &[true, false, true], &faults);
+        let r = run_consensus_chaos(delta, &[true, false, true], &faults, None);
         println!(
             "   seed {s}: {} fault(s) installed, {} fired, {} crashed → decision {:?}, \
              agreement {}, validity {}",
@@ -115,7 +115,7 @@ fn main() {
     // ── 6. Native resilience report ────────────────────────────────────
     println!("== 6. Native §1.3 resilience assessment of Algorithm 3 ==");
     let cfg = NativeAssessConfig::new(3, delta);
-    let assessment = assess_native_mutex(|| ResilientMutex::standard(3, delta), &cfg);
+    let assessment = assess_native_mutex(|_| ResilientMutex::standard(3, delta), &cfg, None).report;
     println!("   {assessment}");
     println!(
         "   → {}",

@@ -102,7 +102,7 @@ fn main() {
     // network *is* the adversary here), with its online intruder counter.
     let mut mutex_cfg = MutexChaosConfig::new(LOCK_WORKERS);
     mutex_cfg.iterations = 4;
-    let report = run_mutex_chaos(&lock, &mutex_cfg, &[]);
+    let report = run_mutex_chaos(&lock, &mutex_cfg, &[], None);
 
     let decisions: Vec<bool> = proposer_handles
         .into_iter()

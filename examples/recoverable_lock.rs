@@ -27,10 +27,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::chaos::recovery::RecoveryChaosReport;
-use tfr::chaos::{
-    random_schedule, run_recovery_chaos, run_recovery_chaos_traced, MutexChaosConfig,
-    ScheduleConfig,
-};
+use tfr::chaos::{random_schedule, run_recovery_chaos, MutexChaosConfig, ScheduleConfig};
 use tfr::core::mutex::recoverable::RecoverableMutex;
 use tfr::registers::chaos::{points, Fault, FaultAction};
 use tfr::registers::ProcId;
@@ -72,7 +69,7 @@ fn main() {
     let tracer = Arc::new(Tracer::new(n));
     let lock =
         RecoverableMutex::standard(n, delta).with_trace(Trace::attached(Arc::clone(&tracer)));
-    let report = run_recovery_chaos_traced(&lock, &cfg, &faults, &tracer);
+    let report = run_recovery_chaos(&lock, &cfg, &faults, Some(&tracer));
 
     assert!(
         !report.mutual_exclusion_violated(),
@@ -124,7 +121,7 @@ fn main() {
     assert!(crash_recovers >= 1, "the seed must draw crash-recoveries");
     let run = |faults: &[Fault]| -> RecoveryChaosReport {
         let lock = RecoverableMutex::standard(n, delta);
-        run_recovery_chaos(&lock, &cfg, faults)
+        run_recovery_chaos(&lock, &cfg, faults, None)
     };
     let first = run(&schedule);
     let replay_schedule = random_schedule(seed, &schedule_cfg);

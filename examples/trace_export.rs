@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::asynclock::bar_david::StarvationFree;
-use tfr::chaos::{run_mutex_chaos_traced, MutexChaosConfig};
+use tfr::chaos::{run_mutex_chaos, MutexChaosConfig};
 use tfr::core::adaptive::AdaptiveDelta;
 use tfr::core::consensus::ConsensusSpec;
 use tfr::core::mutex::resilient::ResilientMutex;
@@ -86,7 +86,7 @@ fn main() {
         cs_hold: Duration::from_micros(20),
         ncs_hold: Duration::from_micros(20),
     };
-    let report = run_mutex_chaos_traced(&lock, &cfg, &faults, &tracer);
+    let report = run_mutex_chaos(&lock, &cfg, &faults, Some(&tracer));
     assert!(
         !report.mutual_exclusion_violated(),
         "Algorithm 3 stays exclusive under timing failures"

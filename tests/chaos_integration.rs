@@ -75,7 +75,7 @@ fn consensus_safe_under_random_fault_schedules() {
         let n = 2 + (seed as usize % 3);
         let inputs: Vec<bool> = (0..n).map(|i| (seed >> i) & 1 == 1).collect();
         let faults = random_schedule(seed, &ScheduleConfig::consensus(n, delta));
-        let report = run_consensus_chaos(delta, &inputs, &faults);
+        let report = run_consensus_chaos(delta, &inputs, &faults, None);
         assert!(
             report.agreement,
             "seed {seed}: agreement violated: {report:?}"
@@ -110,7 +110,7 @@ fn crashed_mutex_threads_never_poison_survivors() {
         let mut cfg = MutexChaosConfig::new(n);
         cfg.iterations = 12;
         let faults = random_schedule(seed, &ScheduleConfig::mutex(n, delta));
-        let report = run_mutex_chaos(&lock, &cfg, &faults);
+        let report = run_mutex_chaos(&lock, &cfg, &faults, None);
         assert!(!report.mutual_exclusion_violated(), "seed {seed}");
         assert_eq!(
             report.completed.len() + report.crashed.len(),
@@ -154,7 +154,7 @@ fn shrinking_reduces_a_violating_schedule_to_its_essence() {
 
     let still_fails = |faults: &[Fault]| {
         let lock = tfr::core::mutex::fischer::Fischer::new(2, setup.delta);
-        run_mutex_chaos(&lock, &setup.config, faults).mutual_exclusion_violated()
+        run_mutex_chaos(&lock, &setup.config, faults, None).mutual_exclusion_violated()
     };
     assert!(
         still_fails(&padded),
@@ -179,7 +179,7 @@ fn shrinking_reduces_a_violating_schedule_to_its_essence() {
 fn native_assessment_reports_algorithm_3_resilient() {
     let delta = Duration::from_micros(200);
     let cfg = NativeAssessConfig::new(3, delta);
-    let report = assess_native_mutex(|| ResilientMutex::standard(3, delta), &cfg);
+    let report = assess_native_mutex(|_| ResilientMutex::standard(3, delta), &cfg, None).report;
     assert!(report.safe_during_failures, "{report}");
     assert!(report.live_after_failures, "{report}");
     assert!(report.convergence.is_some(), "{report}");
@@ -199,7 +199,7 @@ fn crash_at_the_decide_write_cannot_break_agreement() {
             nth,
             action: FaultAction::Crash,
         }];
-        let report = run_consensus_chaos(delta, &[true, false, false], &faults);
+        let report = run_consensus_chaos(delta, &[true, false, false], &faults, None);
         assert!(report.agreement, "nth={nth}: {report:?}");
         assert!(report.validity, "nth={nth}: {report:?}");
         assert_eq!(report.decisions.len() + report.crashed.len(), 3);
@@ -236,7 +236,7 @@ fn model_counterexample_replays_on_the_native_stack() {
     let compiled = fischer_faults_from_counterexample(&cex, 2, x, Duration::from_micros(500));
     for run in 0..2 {
         let lock = Fischer::new(2, compiled.delta);
-        let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults);
+        let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults, None);
         assert!(
             report.mutual_exclusion_violated(),
             "run {run}: native replay must reproduce the model violation"

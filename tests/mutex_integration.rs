@@ -3,12 +3,13 @@
 //! the Theorem 3.2 starvation contrast.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tfr::asynclock::bakery::BakerySpec;
 use tfr::asynclock::bar_david::StarvationFreeSpec;
 use tfr::asynclock::bw_bakery::BwBakerySpec;
 use tfr::asynclock::lamport_fast::LamportFastSpec;
+use tfr::asynclock::native::Derived;
 use tfr::asynclock::peterson::PetersonSpec;
 use tfr::asynclock::workload::LockLoop;
 use tfr::asynclock::{LockSpec, RawLock};
@@ -17,8 +18,10 @@ use tfr::core::mutex::resilient::{
     deadlock_free_resilient_spec, standard_resilient_spec, ResilientMutex, ResilientMutexSpec,
 };
 use tfr::modelcheck::{Explorer, SafetySpec};
-use tfr::registers::spec::Obs;
-use tfr::registers::{Delta, ProcId, Ticks};
+use tfr::registers::bank::RegisterBank;
+use tfr::registers::space::{NativeSpace, RegisterSpace};
+use tfr::registers::spec::{run_solo, Action, Obs};
+use tfr::registers::{Delta, ProcId, RegId, Ticks};
 use tfr::sim::metrics::mutex_stats;
 use tfr::sim::timing::{standard_no_failures, PerProcess, UniformAccess};
 use tfr::sim::{RunConfig, Sim};
@@ -290,4 +293,112 @@ fn long_lived_stability_under_periodic_bursts() {
     let stats = mutex_stats(&result, Ticks::ZERO);
     assert!(!stats.mutual_exclusion_violated);
     assert_eq!(stats.cs_entries, 4 * 80);
+}
+
+/// Registers that keep a tape of every access, usable both as the native
+/// driver's space and as the solo runner's bank.
+#[derive(Default)]
+struct Taped {
+    cells: NativeSpace,
+    tape: Mutex<Vec<Action>>,
+}
+
+impl Taped {
+    fn tape(self) -> Vec<Action> {
+        self.tape.into_inner().unwrap()
+    }
+}
+
+impl RegisterSpace for Taped {
+    fn read(&self, index: u64) -> u64 {
+        self.tape.lock().unwrap().push(Action::Read(RegId(index)));
+        self.cells.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        let access = Action::Write(RegId(index), value);
+        self.tape.lock().unwrap().push(access);
+        self.cells.write(index, value)
+    }
+}
+
+impl RegisterBank for Taped {
+    fn read(&self, reg: RegId) -> u64 {
+        RegisterSpace::read(self, reg.0)
+    }
+    fn write(&mut self, reg: RegId, value: u64) {
+        RegisterSpace::write(self, reg.0, value)
+    }
+}
+
+/// The single-source guarantee, lock by lock: the native lock *is* the
+/// spec under another driver. For each of the seven, (1) one solo native
+/// passage touches the registers in exactly the order the simulator's
+/// solo run of the same spec does, (2) the native driver survives a
+/// two-thread hammer over a torn-counter critical section, and (3) the
+/// spec model-checks at n = 2 — to "safe" for the six asynchronous locks
+/// and Algorithm 3, and to the §3.1 violation for Fischer, whose native
+/// hammer therefore asserts progress only.
+#[test]
+fn every_native_lock_is_its_spec_under_one_driver() {
+    fn battery<L>(name: &str, safe: bool, make: impl Fn() -> L)
+    where
+        L: LockSpec + Send + Sync,
+        L::State: Send,
+    {
+        let pid = ProcId(1);
+        let mut bank = Taped::default();
+        run_solo(&LockLoop::new(make(), 1), pid, &mut bank, 1_000);
+        let space = Taped::default();
+        let lock = Derived::on(make(), &space, Duration::ZERO);
+        lock.lock(pid);
+        lock.unlock(pid);
+        drop(lock);
+        assert_eq!(space.tape(), bank.tape(), "{name}: access sequences");
+
+        // Fischer gets a Δ that covers real store latency and few enough
+        // passages to stay quick; the safe locks get a hopeless one.
+        let (delta, passages) = if safe {
+            (Duration::from_nanos(1), 2_000)
+        } else {
+            (Duration::from_micros(200), 50)
+        };
+        let lock = Derived::on(make(), NativeSpace::new(), delta);
+        let (a, b) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for i in 0..2 {
+                let (lock, a, b) = (&lock, &a, &b);
+                s.spawn(move || {
+                    for _ in 0..passages {
+                        lock.lock(ProcId(i));
+                        let (va, vb) = (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+                        if safe {
+                            assert_eq!(va, vb, "{name}: torn critical section");
+                        }
+                        a.store(va + 1, Ordering::Relaxed);
+                        b.store(vb + 1, Ordering::Relaxed);
+                        lock.unlock(ProcId(i));
+                    }
+                });
+            }
+        });
+        if safe {
+            assert_eq!(a.into_inner(), 2 * passages, "{name}: lost update");
+        }
+
+        let report = Explorer::new(LockLoop::new(make(), 1), 2).check(&SafetySpec::mutex());
+        if safe {
+            assert!(report.proven_safe(), "{name}: {:?}", report.violation);
+        } else {
+            assert!(report.violation.is_some(), "{name} must be unsafe");
+        }
+    }
+    battery("lamport-fast", true, || LamportFastSpec::new(2, 0));
+    battery("sf-lamport", true, || {
+        StarvationFreeSpec::<LamportFastSpec>::over_lamport_fast(2, 0)
+    });
+    battery("bakery", true, || BakerySpec::new(2, 0));
+    battery("bw-bakery", true, || BwBakerySpec::new(2, 0));
+    battery("peterson", true, || PetersonSpec::new(2, 0));
+    battery("fischer", false, || FischerSpec::new(2, 0, Ticks(100)));
+    battery("alg3", true, || standard_resilient_spec(2, 0, Ticks(100)));
 }

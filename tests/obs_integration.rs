@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::chaos::nemesis::violation_setup_from_seed;
-use tfr::chaos::{run_mutex_chaos_observed, MutexChaosConfig};
+use tfr::chaos::{run_mutex_chaos, MutexChaosConfig};
 use tfr::core::mutex::fischer::Fischer;
 use tfr::net::{NetConfig, Network};
 use tfr::obs::{Collector, CollectorConfig};
@@ -208,16 +208,15 @@ fn mutex_monitor_redetects_the_fischer_violation() {
         let tracer = Arc::new(Tracer::new(setup.config.n));
         let lock = Fischer::new(setup.config.n, setup.delta)
             .with_trace(Trace::attached(Arc::clone(&tracer)));
-        let (report, obs) = run_mutex_chaos_observed(
-            &lock,
-            &setup.config,
-            &setup.faults,
-            &tracer,
+        let collector = Collector::spawn(
+            Arc::clone(&tracer),
             CollectorConfig {
                 poll_interval: Duration::from_millis(1),
                 window: Duration::from_millis(100),
             },
         );
+        let report = run_mutex_chaos(&lock, &setup.config, &setup.faults, Some(&tracer));
+        let obs = collector.finish();
         if !report.mutual_exclusion_violated() {
             continue; // this seed's schedule lost the race — try the next
         }
@@ -292,8 +291,9 @@ fn observed_wrapper_is_clean_on_a_fault_free_mutex_run() {
         cs_hold: Duration::from_micros(50),
         ncs_hold: Duration::from_micros(50),
     };
-    let (report, obs) =
-        run_mutex_chaos_observed(&lock, &cfg, &[], &tracer, CollectorConfig::default());
+    let collector = Collector::spawn(Arc::clone(&tracer), CollectorConfig::default());
+    let report = run_mutex_chaos(&lock, &cfg, &[], Some(&tracer));
+    let obs = collector.finish();
     assert!(!report.mutual_exclusion_violated());
     assert!(obs.clean(), "no faults, no flags: {:?}", obs.violations);
     assert_eq!(obs.events as usize, tracer.events().len());

@@ -30,7 +30,7 @@ fn cfg() -> MutexChaosConfig {
 fn run_seed(seed: u64) -> (Vec<Fault>, RecoveryChaosReport) {
     let faults = random_schedule(seed, &ScheduleConfig::recoverable_mutex(N, delta()));
     let lock = RecoverableMutex::standard(N, delta());
-    let report = run_recovery_chaos(&lock, &cfg(), &faults);
+    let report = run_recovery_chaos(&lock, &cfg(), &faults, None);
     (faults, report)
 }
 
