@@ -3,12 +3,70 @@
 //!
 //! The paper's Algorithm 1 uses the infinite register arrays
 //! `x[1..∞, 0..1]` and `y[1..∞]`; a native implementation needs an array of
-//! atomics that can grow without ever blocking readers for long or moving
+//! atomics that can grow without ever making a reader wait or moving
 //! existing elements (a relocated atomic would not be a register).
 //! [`UnboundedAtomicArray`] provides that: a chunked, append-only array
-//! where indexing takes a brief shared lock and growth takes an exclusive
-//! lock, while the atomics themselves live at stable addresses inside
-//! reference-counted chunks.
+//! under a lock-free, two-level directory.
+//!
+//! # The directory
+//!
+//! Register `i` lives in chunk `c = i / CHUNK_LEN`. Chunks are found
+//! through a fixed top-level array of *buckets* of geometrically growing
+//! size — bucket `b` holds the chunk ids `2^b − 1 .. 2^(b+1) − 1`, so
+//! `b = ⌊log2(c + 1)⌋` — and each bucket is a boxed slice of chunk slots.
+//! Buckets and chunks are published lazily, at most once, and are never
+//! moved, replaced or freed before the array is dropped. A store at a
+//! huge index therefore backs its own chunk and its bucket's slots (24
+//! bytes per chunk id, at most twice the touched id range), never the
+//! chunks below it.
+//!
+//! **What an access costs.** A load is two dependent loads — the bucket's
+//! slice pointer from the top-level array, the chunk pointer from the
+//! bucket — and then the `SeqCst` load of the cell; it returns 0 at the
+//! first level it finds unpublished. It performs *no store to shared
+//! memory* (no lock word, no reference count), so readers share every
+//! line they touch, and it has no loop and waits for nothing: its step
+//! count is a constant, whatever other threads do, including a thread
+//! halted halfway through a publication. That is the register the paper
+//! assumes — one access, bounded by Δ — and what Theorem 2.4's
+//! wait-freedom needs from the substrate. A store to a published chunk
+//! walks the same two levels and does the `SeqCst` store. Only the first
+//! store into a fresh chunk does more: it allocates the missing bucket
+//! or chunk and publishes it; of several racing publishers one wins and
+//! the others drop their allocation and use the winner's (a loser may
+//! wait for the winner to finish moving one pointer into place, nothing
+//! longer — allocation happens before the race).
+//!
+//! **Why a missed lookup is still atomic.** The cells are `SeqCst`, but a
+//! load that finds its chunk unpublished never reaches a cell, so the
+//! directory itself must not let it slip out of the sequentially
+//! consistent order: with `x` and `y` in two fresh chunks,
+//! `x := 1; read y` ‖ `y := 1; read x` must not yield 0/0 (Fischer,
+//! Algorithm 1 and the bakery family are all built from that shape).
+//! An `Acquire` look at the directory does not give this — in the
+//! language's memory model it is ordered against nothing the other
+//! thread did, and a `SeqCst` fence on the miss path orders it only
+//! against a publisher that fenced too, not against a third thread that
+//! merely found the chunk published. So every slot carries a `SeqCst`
+//! flag `ready` beside its value, and:
+//!
+//! * a writer executes, before its cell store `W`, a `SeqCst` operation
+//!   `Q` on the slot's `ready` that reads or writes `true`;
+//! * a reader that misses returns 0 only after a `SeqCst` load `R` of
+//!   `ready` that read `false`.
+//!
+//! `R`, `Q`, and all cell accesses are `SeqCst`, hence in the single
+//! total order *S*, which agrees with each thread's program order. `R`
+//! read `false`, so it precedes in *S* the first store of `true`, which
+//! precedes or is `Q`, which precedes `W`: a missed load precedes in *S*
+//! every store to any cell of its chunk, and 0 — the initial value — is
+//! exactly what a read at that position returns. Loads that *find* the
+//! chunk (an `Acquire` look suffices for a hit: it makes the zeroed
+//! cells visible) read the cell with `SeqCst` and sit in *S* on their
+//! own. So all loads and stores of the array are totally ordered
+//! consistently with program order and with what each load returned,
+//! which is the atomic-register contract. On x86-64 a `ready` load is a
+//! plain `mov` of the byte beside the pointer the lookup reads anyway.
 //!
 //! [`precise_delay`] implements the `delay(d)` statement for native runs: a
 //! hybrid sleep/spin wait that does not return before the deadline.
@@ -16,29 +74,86 @@
 //! Both primitives carry [`crate::chaos`] injection points
 //! ([`crate::chaos::points::ARRAY_LOAD`], [`ARRAY_STORE`][apt],
 //! [`DELAY`][dpt]), so the chaos harness can stall or crash-stop a thread
-//! at any shared-memory access of the native stack.
+//! at any shared-memory access of the native stack. The points fire
+//! before the directory is touched and nothing in this module is held
+//! across one, so a crash-unwound thread leaves nothing behind.
 //!
 //! [apt]: crate::chaos::points::ARRAY_STORE
 //! [dpt]: crate::chaos::points::DELAY
 
 use crate::chaos;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Number of registers per chunk (must be a power of two).
 const CHUNK_LEN: usize = 1024;
 
-struct Chunk {
-    cells: Box<[AtomicU64]>,
+/// Number of buckets: enough for every chunk id a `usize` index can name.
+const BUCKETS: usize = (usize::MAX / CHUNK_LEN).ilog2() as usize + 2;
+
+type Chunk = Box<[AtomicU64; CHUNK_LEN]>;
+type Bucket = Box<[Published<Chunk>]>;
+
+fn new_chunk() -> Chunk {
+    let cells: Box<[AtomicU64]> = (0..CHUNK_LEN).map(|_| AtomicU64::new(0)).collect();
+    cells.try_into().expect("collected CHUNK_LEN cells")
 }
 
-impl Chunk {
-    fn new() -> Arc<Chunk> {
-        let cells: Vec<AtomicU64> = (0..CHUNK_LEN).map(|_| AtomicU64::new(0)).collect();
-        Arc::new(Chunk {
-            cells: cells.into_boxed_slice(),
-        })
+/// The slots of bucket `b`, all unpublished.
+fn new_bucket(b: usize) -> Bucket {
+    (0..1usize << b).map(|_| Published::empty()).collect()
+}
+
+/// Where `index`'s chunk sits in the directory: `(bucket, slot in it)`.
+fn locate(index: usize) -> (usize, usize) {
+    let n = index / CHUNK_LEN + 1;
+    let b = n.ilog2() as usize;
+    (b, n - (1 << b))
+}
+
+/// A directory slot: a value published at most once and then immutable,
+/// whose *absence* is observed in `SeqCst` order (see the module docs).
+///
+/// Invariant: `ready` is stored `true` only after `value` is set.
+struct Published<T> {
+    ready: AtomicBool,
+    value: OnceLock<T>,
+}
+
+// The directory's cost per chunk id, as the module docs state it.
+const _: () = assert!(std::mem::size_of::<Published<Chunk>>() <= 24);
+
+impl<T> Published<T> {
+    const fn empty() -> Published<T> {
+        Published {
+            ready: AtomicBool::new(false),
+            value: OnceLock::new(),
+        }
+    }
+
+    /// The value, or `None` if — in `SeqCst` order — no writer has got
+    /// past this slot yet. Never waits: `OnceLock::get` is one load.
+    fn get(&self) -> Option<&T> {
+        match self.value.get() {
+            Some(value) => Some(value),
+            None if self.ready.load(Ordering::SeqCst) => self.value.get(),
+            None => None,
+        }
+    }
+
+    /// The value, publishing `make()` if there is none. Losers of a
+    /// publication race drop what they made and use the winner's.
+    fn get_or_publish(&self, make: impl FnOnce() -> T) -> &T {
+        if !self.ready.load(Ordering::SeqCst) {
+            // Made before the race, so the cell is claimed only for the
+            // move of one pointer. `Err` is the loser's own value back.
+            let _ = self.value.set(make());
+            self.ready.store(true, Ordering::SeqCst);
+        }
+        self.value
+            .get()
+            .expect("`ready` is stored only after the value is set")
     }
 }
 
@@ -56,10 +171,9 @@ impl Chunk {
 /// * Cells never move once allocated, so loads and stores are genuine
 ///   single-register atomic operations (`SeqCst`, matching the atomic
 ///   register model).
-///
-/// The internal `RwLock` guards only the chunk *directory*; it is never
-/// held across an injection point or user-visible call, so a crash-stopped
-/// thread cannot poison it (and a poisoned guard is recovered anyway).
+/// * A load takes no lock and writes nothing shared: two dependent
+///   directory loads, then the cell (see the [module docs](self) for the
+///   directory and why it keeps the array linearizable).
 ///
 /// # Example
 ///
@@ -72,48 +186,39 @@ impl Chunk {
 /// assert_eq!(arr.load(1_000_000), 7);
 /// ```
 pub struct UnboundedAtomicArray {
-    /// Sparse chunk directory: `None` entries cost a directory slot, not
-    /// a chunk.
-    chunks: RwLock<Vec<Option<Arc<Chunk>>>>,
+    /// Bucket `b` holds the slots of chunk ids `2^b − 1 .. 2^(b+1) − 1`.
+    buckets: [Published<Bucket>; BUCKETS],
 }
 
 impl UnboundedAtomicArray {
     /// Creates an empty array (no chunks allocated).
     pub fn new() -> UnboundedAtomicArray {
         UnboundedAtomicArray {
-            chunks: RwLock::new(Vec::new()),
+            buckets: [const { Published::empty() }; BUCKETS],
         }
     }
 
-    /// Creates an array with capacity for `n` registers pre-allocated, so
-    /// the first `n` accesses never take the exclusive lock.
+    /// Creates an array with the first `n` registers backed, so their
+    /// first accesses allocate and publish nothing.
     pub fn with_capacity(n: usize) -> UnboundedAtomicArray {
-        let chunks = (0..n.div_ceil(CHUNK_LEN))
-            .map(|_| Some(Chunk::new()))
-            .collect();
-        UnboundedAtomicArray {
-            chunks: RwLock::new(chunks),
+        let arr = UnboundedAtomicArray::new();
+        for chunk in 0..n.div_ceil(CHUNK_LEN) {
+            arr.chunk_or_publish(chunk * CHUNK_LEN);
         }
+        arr
     }
 
-    fn chunk_for(&self, index: usize) -> Option<Arc<Chunk>> {
-        self.chunks
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(index / CHUNK_LEN)
-            .and_then(Option::clone)
+    /// The chunk backing `index`, if published.
+    fn chunk_of(&self, index: usize) -> Option<&[AtomicU64; CHUNK_LEN]> {
+        let (b, slot) = locate(index);
+        Some(self.buckets[b].get()?[slot].get()?)
     }
 
-    fn ensure_chunk(&self, index: usize) -> Arc<Chunk> {
-        if let Some(c) = self.chunk_for(index) {
-            return c;
-        }
-        let want = index / CHUNK_LEN;
-        let mut chunks = self.chunks.write().unwrap_or_else(|e| e.into_inner());
-        if chunks.len() <= want {
-            chunks.resize(want + 1, None);
-        }
-        chunks[want].get_or_insert_with(Chunk::new).clone()
+    /// The chunk backing `index`, published now if it was not.
+    fn chunk_or_publish(&self, index: usize) -> &[AtomicU64; CHUNK_LEN] {
+        let (b, slot) = locate(index);
+        let bucket = self.buckets[b].get_or_publish(|| new_bucket(b));
+        bucket[slot].get_or_publish(new_chunk)
     }
 
     /// Atomically reads register `index` (0 if never stored).
@@ -136,8 +241,8 @@ impl UnboundedAtomicArray {
     /// points must live above the [`crate::space::RegisterSpace`] seam);
     /// [`crate::space::NativeSpace`] therefore uses the quiet accessors.
     pub fn load_quiet(&self, index: usize) -> u64 {
-        match self.chunk_for(index) {
-            Some(chunk) => chunk.cells[index % CHUNK_LEN].load(Ordering::SeqCst),
+        match self.chunk_of(index) {
+            Some(chunk) => chunk[index % CHUNK_LEN].load(Ordering::SeqCst),
             None => 0,
         }
     }
@@ -145,18 +250,18 @@ impl UnboundedAtomicArray {
     /// [`UnboundedAtomicArray::store`] without the chaos injection point
     /// (see [`UnboundedAtomicArray::load_quiet`]).
     pub fn store_quiet(&self, index: usize, value: u64) {
-        let chunk = self.ensure_chunk(index);
-        chunk.cells[index % CHUNK_LEN].store(value, Ordering::SeqCst);
+        self.chunk_or_publish(index)[index % CHUNK_LEN].store(value, Ordering::SeqCst);
     }
 
-    /// Number of registers currently backed by allocated chunks (`None`
-    /// directory slots are not counted — they back nothing).
+    /// Number of registers currently backed by allocated chunks
+    /// (unpublished directory slots are not counted — they back nothing).
+    /// Walks the published buckets; takes no lock.
     pub fn capacity(&self) -> usize {
-        self.chunks
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
+        self.buckets
             .iter()
-            .filter(|c| c.is_some())
+            .filter_map(Published::get)
+            .flat_map(|bucket| bucket.iter())
+            .filter(|slot| slot.get().is_some())
             .count()
             * CHUNK_LEN
     }
@@ -166,8 +271,8 @@ impl UnboundedAtomicArray {
     /// the observable contract the growth path must preserve, and the
     /// stress tests pin it down.
     pub fn cell_addr(&self, index: usize) -> Option<*const AtomicU64> {
-        self.chunk_for(index)
-            .map(|c| &c.cells[index % CHUNK_LEN] as *const AtomicU64)
+        self.chunk_of(index)
+            .map(|chunk| &chunk[index % CHUNK_LEN] as *const AtomicU64)
     }
 }
 
@@ -240,6 +345,22 @@ mod tests {
         assert_eq!(arr.load(12345678), 0);
         assert_eq!(arr.capacity(), 0, "loads must not allocate");
         assert!(arr.cell_addr(0).is_none(), "no chunk, no address");
+    }
+
+    /// Bucket `b` holds chunk ids `2^b − 1 .. 2^(b+1) − 1`, and the last
+    /// index a `usize` can name still lands inside the top-level array.
+    #[test]
+    fn directory_geometry() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(CHUNK_LEN - 1), (0, 0));
+        assert_eq!(locate(CHUNK_LEN), (1, 0));
+        assert_eq!(locate(3 * CHUNK_LEN - 1), (1, 1));
+        assert_eq!(locate(3 * CHUNK_LEN), (2, 0));
+        assert_eq!(locate(40_000_000), (15, 39_062 + 1 - (1 << 15)));
+        assert_eq!(locate(usize::MAX), (BUCKETS - 1, 0));
+        let arr = UnboundedAtomicArray::new();
+        assert_eq!(arr.load(usize::MAX), 0);
+        assert_eq!(arr.capacity(), 0);
     }
 
     #[test]
@@ -356,6 +477,112 @@ mod tests {
             if idx != index_of(0, 0) {
                 assert_eq!(arr.load(idx), 999);
             }
+        }
+    }
+
+    /// Two threads leave `pass` together. It spins: a parked waiter wakes
+    /// microseconds after its peer, and the accesses under test would
+    /// never overlap. (It yields now and then, for a host with one core.)
+    struct SpinGate(std::sync::atomic::AtomicUsize);
+
+    impl SpinGate {
+        fn pass(&self, round: usize) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            let mut spins = 0u32;
+            while self.0.load(Ordering::SeqCst) < 2 * (round + 1) {
+                spins += 1;
+                if spins.is_multiple_of(4096) {
+                    std::thread::yield_now();
+                }
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// Dekker over the directory: in a fresh array each thread stores 1
+    /// into a chunk nobody has touched, then loads the other's register.
+    /// Both loads may race the other thread's *publication* and miss the
+    /// chunk, but one of the two stores is first in the `SeqCst` order
+    /// and the other thread's load comes after it: 0/0 means a missed
+    /// lookup escaped that order (see the module docs).
+    #[test]
+    fn fresh_chunk_dekker_never_reads_zero_zero() {
+        // Chunk-id pairs: same bucket, neighbouring buckets, bucket 0
+        // against a far one, and two far buckets (nothing is published
+        // in a fresh array, so every pair starts with both levels missing).
+        const PAIRS: [(usize, usize); 6] = [(3, 5), (1, 2), (0, 9), (7, 8), (40, 3_000), (0, 1)];
+        let (batches, per_batch) = (20, 1_000);
+        for batch in 0..batches {
+            let arrays: Vec<UnboundedAtomicArray> = (0..per_batch)
+                .map(|_| UnboundedAtomicArray::new())
+                .collect();
+            let gate = SpinGate(std::sync::atomic::AtomicUsize::new(0));
+            let run = |me: usize| {
+                let (arrays, gate) = (&arrays, &gate);
+                move || -> Vec<u64> {
+                    (0..per_batch)
+                        .map(|i| {
+                            let (a, b) = PAIRS[(batch + i) % PAIRS.len()];
+                            let cell = (batch * per_batch + i) % CHUNK_LEN;
+                            let (mine, theirs) = if me == 0 { (a, b) } else { (b, a) };
+                            gate.pass(i);
+                            arrays[i].store_quiet(mine * CHUNK_LEN + cell, 1);
+                            arrays[i].load_quiet(theirs * CHUNK_LEN + cell)
+                        })
+                        .collect()
+                }
+            };
+            let (saw0, saw1) = std::thread::scope(|s| {
+                let (t0, t1) = (s.spawn(run(0)), s.spawn(run(1)));
+                (t0.join().unwrap(), t1.join().unwrap())
+            });
+            for (i, (r0, r1)) in saw0.iter().zip(&saw1).enumerate() {
+                assert!(
+                    (*r0, *r1) != (0, 0),
+                    "batch {batch}, iteration {i}: both threads read 0 after storing 1"
+                );
+                assert_eq!(arrays[i].capacity(), 2 * CHUNK_LEN);
+            }
+        }
+    }
+
+    /// Publication race: eight threads store distinct values into
+    /// distinct cells of the *same* unpublished chunk (and bucket) at
+    /// once. One publication wins; no write is lost, the chunk is
+    /// counted once, and every thread sees the cells at one address.
+    #[test]
+    fn racing_publishers_share_one_chunk() {
+        let threads = 8usize;
+        for round in 0..300usize {
+            let arr = UnboundedAtomicArray::new();
+            let barrier = std::sync::Barrier::new(threads);
+            // Rotate the chunk through near and far buckets.
+            let base = [0, 1, 6, 77, 39_062][round % 5] * CHUNK_LEN;
+            let addrs: Vec<usize> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (arr, barrier) = (&arr, &barrier);
+                        s.spawn(move || {
+                            barrier.wait();
+                            arr.store_quiet(base + 1 + t, (round * threads + t) as u64 + 1);
+                            arr.cell_addr(base).expect("just published") as usize
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for t in 0..threads {
+                assert_eq!(
+                    arr.load_quiet(base + 1 + t),
+                    (round * threads + t) as u64 + 1,
+                    "round {round}: thread {t}'s write was lost"
+                );
+            }
+            assert_eq!(arr.capacity(), CHUNK_LEN, "round {round}");
+            assert!(
+                addrs.iter().all(|&a| a == addrs[0]),
+                "round {round}: threads disagree on the chunk's address"
+            );
         }
     }
 

@@ -75,7 +75,11 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
 /// The shared-memory register space: [`UnboundedAtomicArray`] cells.
 ///
 /// This is the default backend of every native algorithm — `SeqCst`
-/// atomics at stable addresses. Accesses through the space fire **no**
+/// atomics at stable addresses, reached without a lock: an access is two
+/// dependent loads through the chunk directory (bucket, then chunk), then
+/// the cell. A read writes nothing shared and waits for no other thread;
+/// only the first write into an untouched chunk allocates. Accesses
+/// through the space fire **no**
 /// chaos injection points: a register space is the *medium*, and the
 /// medium cannot know which accesses an algorithm considers
 /// fault-interesting (the quorum backend has no array access to
@@ -129,8 +133,9 @@ impl RegisterSpace for NativeSpace {
 ///
 /// For algorithms whose register count is known up front (every lock's
 /// `LockSpec::registers()`): an access is one bounds check and one
-/// `SeqCst` atomic, with none of [`NativeSpace`]'s chunk-directory
-/// lookup. Like [`NativeSpace`], it fires no injection points.
+/// `SeqCst` atomic, without the two dependent directory loads that
+/// [`NativeSpace`] spends before its cell. Like [`NativeSpace`], it
+/// fires no injection points.
 ///
 /// # Panics
 ///

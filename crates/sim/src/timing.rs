@@ -242,24 +242,30 @@ impl<M: TimingModel> TimingModel for FailureWindows<M> {
 #[derive(Debug, Clone)]
 pub struct CrashSchedule<M> {
     base: M,
+    /// One entry per crashing process, ascending by pid, holding that
+    /// process's earliest scheduled instant. `fate` runs on every
+    /// simulated event, and a storm at n = 10^6 schedules a thousand
+    /// crashes: the lookup is a binary search, not a scan.
     crashes: Vec<(ProcId, Ticks)>,
 }
 
 impl<M: TimingModel> CrashSchedule<M> {
     /// Wraps `base`; process `pid` crashes at the first action it issues at
-    /// or after its scheduled instant.
-    pub fn new(base: M, crashes: Vec<(ProcId, Ticks)>) -> CrashSchedule<M> {
+    /// or after its scheduled instant (the earliest one, if `crashes`
+    /// names it more than once).
+    pub fn new(base: M, mut crashes: Vec<(ProcId, Ticks)>) -> CrashSchedule<M> {
+        // Sorted by (pid, instant), the first entry of each pid is its
+        // earliest instant, and `dedup_by_key` keeps exactly that one.
+        crashes.sort_unstable();
+        crashes.dedup_by_key(|&mut (p, _)| p);
         CrashSchedule { base, crashes }
     }
 }
 
 impl<M: TimingModel> TimingModel for CrashSchedule<M> {
     fn fate(&mut self, ctx: StepCtx) -> Fate {
-        if self
-            .crashes
-            .iter()
-            .any(|&(p, t)| p == ctx.pid && ctx.now >= t)
-        {
+        let at = self.crashes.binary_search_by_key(&ctx.pid, |&(p, _)| p);
+        if at.is_ok_and(|i| ctx.now >= self.crashes[i].1) {
             return Fate::Crash;
         }
         self.base.fate(ctx)
@@ -512,6 +518,51 @@ mod tests {
         assert_eq!(m.fate(ctx(2, 0, 100, read)), Fate::Crash);
         assert_eq!(m.fate(ctx(2, 0, 5000, read)), Fate::Crash);
         assert_eq!(m.fate(ctx(1, 0, 5000, read)), Fate::Take(Ticks(5)));
+    }
+
+    /// The indexed schedule decides exactly what the scan it replaced
+    /// decided: `any(p == pid && now >= t)` over the raw list, kept here
+    /// as the oracle. Lists carry repeated pids and out-of-order
+    /// instants; the grid covers every listed and some unlisted pids,
+    /// one tick either side of every instant.
+    #[test]
+    fn indexed_crash_schedule_equals_the_scan() {
+        let read = Action::Read(tfr_registers::RegId(0));
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::new(seed ^ 0xC4A5);
+            let pids = 1 + rng.random_range(0..=11u64);
+            let len = rng.random_range(0..=40u64);
+            let crashes: Vec<(ProcId, Ticks)> = (0..len)
+                .map(|_| {
+                    let pid = ProcId(rng.random_range(0..=pids - 1) as usize);
+                    (pid, Ticks(rng.random_range(0..=60u64)))
+                })
+                .collect();
+            let scan = |pid: ProcId, now: Ticks| crashes.iter().any(|&(p, t)| p == pid && now >= t);
+            let mut m = CrashSchedule::new(Fixed::new(Ticks(5)), crashes.clone());
+            let mut instants: Vec<u64> = crashes
+                .iter()
+                .flat_map(|&(_, t)| [t.0.saturating_sub(1), t.0, t.0 + 1])
+                .chain([0, u64::MAX])
+                .collect();
+            instants.sort_unstable();
+            instants.dedup();
+            // Pids past `pids` are never in the list.
+            for pid in 0..pids as usize + 3 {
+                for &now in &instants {
+                    let want = if scan(ProcId(pid), Ticks(now)) {
+                        Fate::Crash
+                    } else {
+                        Fate::Take(Ticks(5))
+                    };
+                    assert_eq!(
+                        m.fate(ctx(pid, 0, now, read)),
+                        want,
+                        "seed {seed}, pid {pid}, now {now}, list {crashes:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -157,3 +157,88 @@ fn mutant_lossy_queue_rejected_with_window() {
     assert!(msg.contains("minimal non-linearizable window"), "{msg}");
     assert!(msg.contains("dequeue() → 8"), "{msg}");
 }
+
+/// `NativeSpace`'s lock-free chunk directory, where it is new: two
+/// threads each write 1 into a chunk nobody has touched in a fresh space
+/// and then read the other's register, so either read can race the other
+/// thread's *publication* of its chunk and find nothing there. A read
+/// that misses must still take its place in the registers' order: 0/0 is
+/// the Dekker failure every lock in the stack is built to exclude, and
+/// the recorded history must pass the per-register Wing–Gong check (a
+/// read of 0 invoked after the write of 1 responded is rejected by
+/// real-time order). Tier-1's copy of `tfr-registers`'
+/// `native::tests::fresh_chunk_dekker_never_reads_zero_zero`.
+#[test]
+fn native_directory_misses_linearize_under_fresh_chunk_dekker() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use tfr::linearize::register::{RecordingSpace, RegisterModel};
+    use tfr::linearize::Recorder;
+    use tfr::registers::space::{NativeSpace, RegisterSpace};
+    use tfr::registers::ProcId;
+    use tfr::telemetry::with_pid;
+
+    // Register pairs in distinct 1024-cell chunks: neighbours, the same
+    // directory bucket, near against far.
+    const PAIRS: [(u64, u64); 4] = [
+        (0, 1 << 10),
+        (3 << 10, 5 << 10),
+        (7, 9 << 10),
+        (40 << 10, 3_000 << 10),
+    ];
+    let per_batch = 500;
+    for batch in 0..4 {
+        let spaces: Vec<(RecordingSpace<NativeSpace>, Arc<Recorder>)> = (0..per_batch)
+            .map(|_| {
+                let recorder = Arc::new(Recorder::with_capacity(2, 8));
+                (
+                    RecordingSpace::new(NativeSpace::new(), Arc::clone(&recorder)),
+                    recorder,
+                )
+            })
+            .collect();
+        // Both threads leave the gate together; it spins because a parked
+        // waiter wakes long after its peer has finished.
+        let gate = AtomicUsize::new(0);
+        let run = |me: usize| {
+            let (spaces, gate) = (&spaces, &gate);
+            move || {
+                with_pid(ProcId(me), || {
+                    (0..per_batch)
+                        .map(|i| {
+                            let (a, b) = PAIRS[(batch + i) % PAIRS.len()];
+                            let (mine, theirs) = if me == 0 { (a, b) } else { (b, a) };
+                            gate.fetch_add(1, Ordering::SeqCst);
+                            let mut spins = 0u32;
+                            while gate.load(Ordering::SeqCst) < 2 * (i + 1) {
+                                spins += 1;
+                                if spins.is_multiple_of(4096) {
+                                    std::thread::yield_now();
+                                }
+                                std::hint::spin_loop();
+                            }
+                            spaces[i].0.write(mine, 1);
+                            spaces[i].0.read(theirs)
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            }
+        };
+        let (saw0, saw1) = std::thread::scope(|s| {
+            let (t0, t1) = (s.spawn(run(0)), s.spawn(run(1)));
+            (t0.join().unwrap(), t1.join().unwrap())
+        });
+        for (i, (space, recorder)) in spaces.iter().enumerate() {
+            assert!(
+                (saw0[i], saw1[i]) != (0, 0),
+                "batch {batch}, iteration {i}: both threads read 0 after writing 1"
+            );
+            assert_eq!(recorder.dropped(), 0);
+            let history = recorder.history();
+            assert_eq!(history.len(), 4);
+            check_history(&history, &RegisterModel)
+                .unwrap_or_else(|e| panic!("batch {batch}, iteration {i}: {e}"));
+            assert_eq!(space.inner().read(PAIRS[(batch + i) % PAIRS.len()].0), 1);
+        }
+    }
+}

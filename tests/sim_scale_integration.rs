@@ -13,7 +13,7 @@
 //! gets tight `max_time`/`max_steps` budgets so truncation edges (the
 //! budget-tripping event is dropped, not linearized) agree too.
 
-use tfr::chaos::storm::{storm_model, StormConfig};
+use tfr::chaos::storm::{run_storm, storm_model, StormConfig};
 use tfr::registers::{Delta, ProcId, Ticks};
 use tfr::sim::shard::{Region, ShardPlan, ShardSpec, ShardedSim};
 use tfr::sim::timing::{
@@ -228,4 +228,36 @@ fn large_n_smoke_under_default_budgets() {
     // a million processes get a billion steps, not the old flat cap.
     assert_eq!(RunConfig::new(1_000_000, d).max_steps, 1_000_000_000);
     assert!(RunConfig::new(1_000_000, d).max_steps >= 1_000_000 * 100);
+}
+
+/// `run_storm` statistics at n = 2 000 with a 5 % crash wave (100 crash
+/// entries, some pids drawn twice), pinned to the values the scanning
+/// `CrashSchedule` produced at the commit before the schedule became an
+/// indexed lookup: the index must decide every crash exactly as the
+/// scan did.
+#[test]
+fn storm_statistics_pinned_across_the_crash_schedule_index() {
+    let mut cfg = StormConfig::new(2_000, Delta::from_ticks(100));
+    cfg.crash_per_mille = 50;
+    // (seed, steps, timing_failures, end_time, crashed)
+    let pinned: [(u64, u64, u64, u64, usize); 3] = [
+        (1, 23_522, 6_753, 3_547, 96),
+        (42, 23_239, 11_487, 3_549, 99),
+        (0xE25, 23_691, 1_113, 2_208, 67),
+    ];
+    for (seed, steps, timing_failures, end_time, crashed) in pinned {
+        let r = run_storm(seed, &cfg);
+        assert!(!r.timed_out, "seed {seed} was cut off by a budget");
+        let got = (
+            r.steps,
+            r.timing_failures,
+            r.end_time.0,
+            r.crashed.iter().filter(|&&c| c).count(),
+        );
+        assert_eq!(
+            got,
+            (steps, timing_failures, end_time, crashed),
+            "storm seed {seed}"
+        );
+    }
 }
