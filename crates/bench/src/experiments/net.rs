@@ -1,6 +1,7 @@
 //! NET: the quorum-register execution stack — ABD round-trip costs as the
-//! replica count grows, and telemetry-measured convergence after seeded
-//! partition/heal schedules from the network nemesis.
+//! replica count grows, telemetry-measured convergence after seeded
+//! partition/heal schedules from the network nemesis, and the round trip
+//! measured against the link round trip as client threads are added.
 
 use crate::Table;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,51 +169,76 @@ pub fn net() -> Vec<Table> {
     t2.note("then drain — the convergence column is that drain, measured off the trace.");
 
     // -----------------------------------------------------------------
-    // Table 3: router coalescing under log traffic. The router drains
-    // every due message per lock hold; pipelined SMR keeps more quorum
-    // ops in flight per link than sequential heights, so deliveries
-    // coalesce into larger batches (fewer lock round-trips per message).
+    // Table 3: what a round trip costs beyond the links. The network has
+    // no thread of its own — the client waiting on a round delivers the
+    // due messages itself — so a quorum read should cost one mean link
+    // round trip and a write two. Client threads beyond the CPU count
+    // share cores while they spin out their waits: the ratio shows it.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
         "NET",
-        "router coalescing under replicated-log traffic (sequential vs pipelined)",
+        "quorum round trip over link round trip, by client threads (R = 3, disjoint registers)",
         &[
-            "window",
-            "commits",
-            "delivered msgs",
-            "delivery batches",
-            "msgs/batch",
-            "commits/sec",
+            "client threads",
+            "quorum ops",
+            "read p50 (µs)",
+            "read / link rtt",
+            "write p50 (µs)",
+            "write / link rtt",
         ],
     );
-    for window in [1u64, 4] {
-        let cfg = tfr_log::SmrConfig {
-            workers: 2,
-            replicas: 1,
-            batches_per_worker: 3,
-            batch: 4,
-            window,
-            delta: Duration::from_micros(200),
-            replica_poll: Duration::from_micros(200),
-            seed: 0xC0A1 + window,
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for threads in [1usize, 2, 4] {
+        let cfg = NetConfig::new(threads, 3, 0xC0A1E5CE);
+        let link_rtt_us = (cfg.min_delay + cfg.max_delay).as_secs_f64() * 1e6;
+        let tracer = Arc::new(Tracer::new(cfg.tracer_processes()));
+        let net = Arc::new(Network::with_trace(
+            cfg,
+            Trace::attached(Arc::clone(&tracer)),
+        ));
+        std::thread::scope(|s| {
+            for i in 0..threads {
+                let net = &net;
+                s.spawn(move || {
+                    let space = net.space();
+                    with_pid(ProcId(i), || {
+                        for k in 0..200u64 {
+                            space.write(i as u64, k + 1);
+                            let _ = space.read(i as u64);
+                        }
+                    })
+                });
+            }
+        });
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        for e in tracer.events() {
+            if let EventKind::QuorumEnd { write, rtt_ns, .. } = e.kind {
+                if write { &mut writes } else { &mut reads }.push(rtt_ns)
+            }
+        }
+        let p50_us = |rtts: &mut Vec<u64>| {
+            rtts.sort_unstable();
+            rtts[rtts.len() / 2] as f64 / 1_000.0
         };
-        let lanes = cfg.workers + cfg.replicas;
-        let net = Arc::new(Network::new(NetConfig::new(lanes, 3, 0xC0A1E5CE ^ window)));
-        let control = net.control();
-        let report = tfr_log::run_smr(Arc::new(net.space()), &cfg, Trace::default());
-        let (msgs, batches) = (control.delivered_messages(), control.delivery_batches());
+        let (ops, read, write) = (
+            reads.len() + writes.len(),
+            p50_us(&mut reads),
+            p50_us(&mut writes),
+        );
         t3.row(vec![
-            window.to_string(),
-            report.commits.to_string(),
-            msgs.to_string(),
-            batches.to_string(),
-            format!("{:.2}", msgs as f64 / batches.max(1) as f64),
-            format!("{:.0}", report.commits_per_sec()),
+            threads.to_string(),
+            ops.to_string(),
+            format!("{read:.1}"),
+            format!("{:.2}", read / link_rtt_us),
+            format!("{write:.1}"),
+            format!("{:.2}", write / link_rtt_us),
         ]);
     }
-    t3.note("Same workload, same cluster: only the pipeline window differs. Coalescing is");
-    t3.note("deterministic w.r.t. the seed — delivery order and per-link RNG draws are");
-    t3.note("fixed at send time, so batching never changes what is delivered, only when");
-    t3.note("the router lock is taken.");
+    t3.note("Link rtt = min + max one-way delay (90 µs mean). A solo read is one round trip,");
+    t3.note("a write two (query, then store): the ratios' excess over 1 and 2 is everything");
+    t3.note(format!(
+        "that is not link delay or protocol. This host has {cpus} CPUs; waiting rounds spin"
+    ));
+    t3.note("(yielding), so more client threads than CPUs stretch each other's round trips.");
     vec![t1, t2, t3]
 }

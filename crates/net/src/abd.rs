@@ -5,10 +5,13 @@
 //! Both operations are built from the same primitive — a *quorum round*
 //! that sends one payload to every replica and collects acknowledgements
 //! until a majority (`R/2 + 1`) has answered, retransmitting to the
-//! silent replicas on a timer. Because any two majorities intersect, a
-//! completed round is guaranteed to touch at least one replica that saw
-//! every previously completed round; that intersection is the whole
-//! correctness argument.
+//! silent replicas on a timer. The network has no thread of its own: the
+//! round *is* the delivery loop — pump every due message (anybody's),
+//! take its own acks, wait until the next message falls due or the timer
+//! expires (see [`crate::net`] for why that wait can never miss an ack).
+//! Because any two majorities intersect, a completed round is guaranteed
+//! to touch at least one replica that saw every previously completed
+//! round; that intersection is the whole correctness argument.
 //!
 //! * **write(v)** — round 1 queries a majority for the highest version;
 //!   the writer picks a fresh timestamp above everything it saw (and
@@ -30,9 +33,9 @@
 //! memory" is a lossy network.
 
 use crate::msg::{Message, NodeId, Payload, Version, Versioned};
-use crate::net::{Network, Waiter};
+use crate::net::{wait_until, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use tfr_registers::space::RegisterSpace;
 use tfr_registers::ProcId;
@@ -78,49 +81,43 @@ impl QuorumSpace {
         current_pid().map_or(0, |p| p.0 % clients)
     }
 
-    /// Runs one quorum round: sends `payload` to every replica and
-    /// blocks until a majority has acknowledged, retransmitting to the
-    /// replicas that stay silent. Returns the collected acks (at least a
-    /// majority, keyed by replica index, at most one per replica).
+    /// Runs one quorum round: sends `payload` to every replica, then
+    /// delivers the network's due traffic itself while it waits for a
+    /// majority of acknowledgements, retransmitting to the replicas that
+    /// stay silent. Returns the collected acks (at least a majority,
+    /// keyed by replica index, at most one per replica).
     fn quorum_round(&self, client: usize, payload: Payload) -> Vec<(usize, Payload)> {
         let shared = self.net.shared();
         let cfg = &shared.cfg;
-        let replicas = cfg.replicas;
         let majority = cfg.majority();
-        let rid = shared.next_rid.fetch_add(1, Ordering::SeqCst) + 1;
-        let waiter = Arc::new(Waiter {
-            acks: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-        });
-        shared
-            .waiters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(rid, Arc::clone(&waiter));
+        let rid = shared.open_round();
 
         // Outgoing requests carry the ambient causal span (the enclosing
         // quorum-phase span); replies echo it, tying the whole round trip
         // into the client's span tree.
         let span = current_span_id();
-        let mut got: Vec<Option<Payload>> = vec![None; replicas];
+        let mut got: Vec<Option<Payload>> = vec![None; cfg.replicas];
         let mut count = 0;
+        let mut inbox = Vec::new();
         'round: loop {
             // (Re)transmit to every replica we have no answer from yet.
-            for (i, slot) in got.iter().enumerate() {
-                if slot.is_none() {
-                    shared.send(Message {
-                        from: NodeId::Client(client),
-                        to: NodeId::Replica(i),
-                        rid,
-                        span,
-                        payload,
-                    });
-                }
-            }
-            let deadline = Instant::now() + cfg.retransmit;
-            let mut inbox = waiter.acks.lock().unwrap_or_else(|e| e.into_inner());
+            let sent_at = Instant::now();
+            let silent = got.iter().enumerate().filter(|(_, ack)| ack.is_none());
+            shared.send(
+                silent.map(|(i, _)| Message {
+                    from: NodeId::Client(client),
+                    to: NodeId::Replica(i),
+                    rid,
+                    span,
+                    payload,
+                }),
+                sent_at,
+            );
+            let deadline = sent_at + cfg.retransmit;
             loop {
-                while let Some((i, ack)) = inbox.pop() {
+                let now = Instant::now();
+                let next_due = shared.poll(rid, now, &mut inbox);
+                for (i, ack) in inbox.drain(..) {
                     if got[i].is_none() {
                         shared.trace.emit_current(EventKind::MsgRecv {
                             from: ProcId(cfg.clients + i),
@@ -134,22 +131,15 @@ impl QuorumSpace {
                 if count >= majority {
                     break 'round;
                 }
-                let now = Instant::now();
                 if now >= deadline {
                     continue 'round; // timer expired: retransmit
                 }
-                inbox = waiter
-                    .cv
-                    .wait_timeout(inbox, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+                // Nothing addressed to this round can fall due before the
+                // head of the queue (the sleep invariant, see `net`).
+                wait_until(next_due.map_or(deadline, |due| due.min(deadline)));
             }
         }
-        shared
-            .waiters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&rid);
+        shared.close_round(rid);
         got.into_iter()
             .enumerate()
             .filter_map(|(i, p)| p.map(|p| (i, p)))
@@ -334,19 +324,17 @@ mod tests {
     #[test]
     fn concurrent_writers_from_threads_converge() {
         let net = small_net();
-        let mut handles = Vec::new();
-        for t in 0..2u64 {
-            let net = Arc::clone(&net);
-            handles.push(std::thread::spawn(move || {
-                let space = net.space();
-                for i in 0..5 {
-                    space.write(9, t * 100 + i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let net = &net;
+                s.spawn(move || {
+                    let space = net.space();
+                    for i in 0..5 {
+                        space.write(9, t * 100 + i);
+                    }
+                });
+            }
+        });
         let space = net.space();
         let last = space.read(9);
         assert!(last < 5 || (100..105).contains(&last));

@@ -19,14 +19,18 @@
 //! * [`msg`] — the typed message vocabulary: `(ts, wid)` [`Version`]s
 //!   with a derived lexicographic total order, versioned values, the
 //!   four-payload protocol, node ids.
-//! * [`net`] — the [`Network`]: one router thread owning the replica
-//!   tables, per-link [`tfr_registers::rng::SplitMix64`] streams (every
+//! * [`net`] — the [`Network`]: a passive, lock-protected event queue
+//!   holding the replica tables and the ack mailboxes of the rounds in
+//!   progress, per-link [`tfr_registers::rng::SplitMix64`] streams (every
 //!   message consumes exactly two draws — delay, then drop — so a run is
-//!   a pure function of the seed), and the [`NetControl`] nemesis.
+//!   a pure function of the seed), and the [`NetControl`] nemesis. It
+//!   runs no thread: delivery is a function of `(state, now)`.
 //! * [`abd`] — the [`QuorumSpace`] client: quorum rounds with
 //!   retransmission, reads with write-back (skipped when the maximum is
 //!   already committed on a majority), writes with unique `(ts, wid)`
-//!   reservation.
+//!   reservation. The thread waiting on a round delivers the network's
+//!   due messages itself — its own and everybody else's — so a solo read
+//!   costs one link round trip on the clock as well as in the protocol.
 //!
 //! Telemetry rides along on the workspace tracer: message sends,
 //! receives, drops, and quorum round trips become events on the Perfetto

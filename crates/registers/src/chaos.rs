@@ -767,28 +767,37 @@ mod tests {
 
     #[test]
     fn observer_sees_hits_and_faults_until_disarmed() {
+        // The observer is process-global and sessions serialize only the
+        // tests that install one: a session-less test (such as
+        // `points_are_inert_without_a_session`) can run a registered thread
+        // through a point while this recorder is installed. So this test
+        // registers a pid no other test in the crate uses, and its
+        // recorder keeps only that pid.
+        const OBSERVED: ProcId = ProcId(9_001);
         struct Rec {
             hits: Mutex<Vec<(usize, &'static str)>>,
             faults: Mutex<Vec<(&'static str, Duration, bool)>>,
         }
         impl PointObserver for Rec {
             fn point_hit(&self, pid: ProcId, point: &'static str) {
-                self.hits.lock().unwrap().push((pid.0, point));
+                if pid == OBSERVED {
+                    self.hits.lock().unwrap().push((pid.0, point));
+                }
             }
             fn fault_fired(
                 &self,
-                _pid: ProcId,
+                pid: ProcId,
                 point: &'static str,
                 stalled: Duration,
                 crashed: bool,
             ) {
-                self.faults.lock().unwrap().push((point, stalled, crashed));
+                if pid == OBSERVED {
+                    self.faults.lock().unwrap().push((point, stalled, crashed));
+                }
             }
         }
-        // Hold a session throughout: sessions serialize chaos tests, so no
-        // other test's registered threads can reach our observer.
         let _session = ChaosSession::install(&[Fault {
-            pid: ProcId(0),
+            pid: OBSERVED,
             point: points::DELAY,
             nth: 2,
             action: FaultAction::Stall(Duration::from_millis(1)),
@@ -800,13 +809,13 @@ mod tests {
         let guard = install_point_observer(rec.clone());
         // Unregistered threads never reach the observer.
         point(points::DELAY);
-        run_as(ProcId(0), || {
+        run_as(OBSERVED, || {
             point(points::DELAY);
             point(points::DELAY);
         });
         assert_eq!(
             *rec.hits.lock().unwrap(),
-            vec![(0, points::DELAY), (0, points::DELAY)]
+            vec![(OBSERVED.0, points::DELAY), (OBSERVED.0, points::DELAY)]
         );
         let faults = rec.faults.lock().unwrap().clone();
         assert_eq!(faults.len(), 1);
@@ -814,7 +823,7 @@ mod tests {
         assert_eq!(faults[0].1, Duration::from_millis(1));
         assert!(!faults[0].2);
         drop(guard);
-        run_as(ProcId(0), || point(points::DELAY));
+        run_as(OBSERVED, || point(points::DELAY));
         assert_eq!(rec.hits.lock().unwrap().len(), 2, "disarmed after drop");
     }
 

@@ -50,7 +50,8 @@ fn main() {
 
     // One client identity per worker thread keeps the telemetry rings
     // single-writer: client pids 0..5 are the workers, replica pids 5..10
-    // belong to the router thread, pid 10 to the nemesis marks.
+    // are written under the network lock by whichever worker is
+    // delivering, pid 10 carries the nemesis marks.
     let cfg = NetConfig::new(LOCK_WORKERS + PROPOSERS, 5, seed);
     let tracer = Arc::new(Tracer::new(cfg.tracer_processes()));
     let net = Arc::new(Network::with_trace(

@@ -74,10 +74,9 @@ fn main() {
 
     let control = net.control();
     println!(
-        "network : {} deliveries in {} router batches ({:.2} msgs/batch coalesced)",
+        "network : {} messages delivered by the waiting lanes themselves, in {} pumps",
         control.delivered_messages(),
-        control.delivery_batches(),
-        control.delivered_messages() as f64 / control.delivery_batches().max(1) as f64
+        control.delivery_batches()
     );
     println!(
         "commits : {} heights ({} ops) in {:.1} ms — {:.0} commits/sec",

@@ -147,7 +147,7 @@ fn main() {
         assert_eq!(space.read(3), 42);
     });
     drop(space);
-    drop(net); // quiesce the router before merging the rings
+    drop(net); // no operation is in flight: the replica lanes are quiet
     let net_events = net_tracer.events();
     assert!(
         net_events

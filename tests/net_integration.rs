@@ -13,7 +13,7 @@ use tfr::core::mutex::resilient::ResilientMutex;
 use tfr::linearize::register::{RecordingSpace, RegisterModel};
 use tfr::linearize::{check_history, Recorder};
 use tfr::net::{NetConfig, Network};
-use tfr::registers::space::SubSpace;
+use tfr::registers::space::{RegisterSpace, SubSpace};
 use tfr::registers::ProcId;
 use tfr::telemetry::with_pid;
 
@@ -93,6 +93,46 @@ fn algorithms_survive_a_seeded_partition_schedule_over_quorum_registers() {
     assert!(!history.is_empty());
     check_history(&history, &RegisterModel)
         .expect("ABD registers must linearize under the partition schedule");
+}
+
+/// The network has no thread of its own: whichever client is waiting
+/// delivers everybody's due messages. Two clients therefore pump each
+/// other's quorum rounds all the time, and the registers must stay
+/// atomic through it — first on disjoint registers, then both on one.
+/// Tier-1's copy of `tfr-net`'s cross-pumping unit test, with the
+/// Wing–Gong checker as the oracle.
+#[test]
+fn clients_delivering_each_others_messages_keep_registers_atomic() {
+    const PAIRS: u64 = 700; // write + read: over 2 000 quorum rounds a thread
+    const OPS_PER_THREAD: usize = 2 * 2 * PAIRS as usize; // two phases of pairs
+    let net = Arc::new(Network::new(NetConfig::new(2, 3, 0xC405)));
+    let recorder = Arc::new(Recorder::with_capacity(2, 2 * OPS_PER_THREAD));
+    // One handle per thread: distinct writer ids, so equal timestamps on
+    // the shared register are ordered by the `(ts, wid)` tie-break.
+    let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&recorder)));
+    for shared_register in [false, true] {
+        std::thread::scope(|s| {
+            for (t, space) in spaces.iter().enumerate() {
+                s.spawn(move || {
+                    with_pid(ProcId(t), || {
+                        let t = t as u64;
+                        let reg = if shared_register { 9 } else { t };
+                        for k in 1..=PAIRS {
+                            space.write(reg, t * 1_000_000 + k);
+                            space.read(reg);
+                        }
+                    })
+                });
+            }
+        });
+    }
+    // Unrecorded (no pid): the last committed write is one thread's last.
+    assert_eq!(spaces[0].read(9) % 1_000_000, PAIRS);
+    assert_eq!(recorder.dropped(), 0, "history buffers overflowed");
+    let history = recorder.history();
+    assert_eq!(history.len(), 2 * OPS_PER_THREAD);
+    check_history(&history, &RegisterModel)
+        .expect("cross-pumped ABD registers must linearize per register");
 }
 
 #[test]
