@@ -9,12 +9,14 @@
 //!
 //! With `--json-dir <dir>`, every selected experiment also writes a
 //! machine-readable `BENCH_<id>.json` into `<dir>` alongside the terminal
-//! tables, so CI and plotting scripts never have to scrape the markdown.
+//! tables, for artifacts and plotting.
+//!
+//! Running an experiment also checks it: each experiment's gates (see
+//! [`tfr_bench::experiments`]) run on the tables it just built, one
+//! `ok`/`FAIL` line each, and the exit status is 1 if any failed.
 
 use std::path::PathBuf;
-use std::time::Instant;
 use tfr_bench::experiments;
-use tfr_telemetry::Json;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,14 +37,14 @@ fn main() {
     if args.is_empty() || args[0] == "help" {
         eprintln!("usage: harness [--json-dir <dir>] <all | list | e1 e2 ...>");
         eprintln!("experiments:");
-        for (id, desc, _) in &registry {
+        for (id, desc, ..) in &registry {
             eprintln!("  {id:4} {desc}");
         }
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
 
     if args[0] == "list" {
-        for (id, desc, _) in &registry {
+        for (id, desc, ..) in &registry {
             println!("{id:4} {desc}");
         }
         return;
@@ -53,7 +55,7 @@ fn main() {
     } else {
         let mut sel = Vec::new();
         for a in &args {
-            match registry.iter().find(|(id, _, _)| id == a) {
+            match registry.iter().find(|e| e.0 == a) {
                 Some(e) => sel.push(e),
                 None => {
                     eprintln!("unknown experiment: {a} (try `harness list`)");
@@ -64,36 +66,5 @@ fn main() {
         sel
     };
 
-    if let Some(dir) = &json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-
-    for (id, desc, run) in selected {
-        let start = Instant::now();
-        eprintln!("[{id}] {desc} ...");
-        let tables = run();
-        for table in &tables {
-            println!("{table}");
-        }
-        if let Some(dir) = &json_dir {
-            let doc = Json::obj([
-                ("experiment", Json::str(*id)),
-                ("description", Json::str(*desc)),
-                (
-                    "tables",
-                    Json::Arr(tables.iter().map(|t| t.to_json()).collect()),
-                ),
-            ]);
-            let path = dir.join(format!("BENCH_{id}.json"));
-            if let Err(e) = std::fs::write(&path, doc.to_string()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("[{id}] wrote {}", path.display());
-        }
-        eprintln!("[{id}] done in {:.1?}\n", start.elapsed());
-    }
+    std::process::exit(experiments::run_and_check(&selected, json_dir.as_deref()));
 }

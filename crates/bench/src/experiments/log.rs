@@ -5,6 +5,7 @@
 //! passes; the seeded reordering applier is rejected by the same
 //! checks).
 
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +57,7 @@ pub fn log() -> Vec<Table> {
     // majority round trip) and show the same window effect.
     // -----------------------------------------------------------------
     let mut t1 = Table::new(
-        "E24",
+        "E24a",
         "SMR commit throughput by batch size, window, and backend",
         &[
             "backend",
@@ -121,11 +122,11 @@ pub fn log() -> Vec<Table> {
     // frontier window open (4) vs sequential (1). The window overlaps
     // consensus on height h+1 with the propagation of h's decision to
     // the applied floor, so the sequential run pays the poll interval
-    // per height and the pipelined run amortises it. CI gates on the
-    // speedup row (>= 1.5x) via BENCH_log.json.
+    // per height and the pipelined run amortises it. `E24b.pipelining_speedup`
+    // gates the speedup row (>= 1.5x).
     // -----------------------------------------------------------------
     let mut t2 = Table::new(
-        "E24",
+        "E24b",
         "commit pipelining speedup (native, batch 8)",
         &[
             "backend",
@@ -162,7 +163,7 @@ pub fn log() -> Vec<Table> {
     // the mutant row is REJECTED.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
-        "E24",
+        "E24c",
         "prefix audit and mutant verdicts (native)",
         &["applier", "heights", "in order", "divergence", "verdict"],
     );
@@ -217,4 +218,117 @@ pub fn log() -> Vec<Table> {
     t3.note("the chained prefix digest diverges there and the audit rejects the lane.");
 
     vec![t1, t2, t3]
+}
+
+/// The gates on E24. The pipelining floor is a same-run ratio (1.5x
+/// against ~4x measured): a closed window or a per-height floor stall
+/// fails it on any machine, which no commits/sec floor could promise.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![
+        // Both backends, and every configuration commits with a
+        // converged audit (zero prefix divergence).
+        gate("E24a.every_run_commits_and_converges", || {
+            let throughput = by_id(tables, "E24a")?;
+            for backend in ["native", "net"] {
+                throughput.row_where(&[("backend", backend)])?;
+            }
+            for row in throughput.rows_where(&[])? {
+                let backend = row.text("backend")?;
+                row.expect(
+                    backend == "native" || backend == "net",
+                    "backend native or net",
+                )?;
+                row.expect(row.num("commits")? > 0.0, "commits > 0")?;
+                row.expect(row.num("commits/sec")? > 0.0, "commits/sec > 0")?;
+                row.expect(row.text("integrity")? == "ok", "integrity = ok")?;
+            }
+            Ok(())
+        }),
+        gate("E24b.pipelining_speedup", || {
+            let speedup = by_id(tables, "E24b")?;
+            let open = speedup.row_where(&[("window", "4")])?;
+            open.expect(open.num("speedup")? >= 1.5, "speedup >= 1.5")?;
+            let sequential = speedup.row_where(&[("window", "1")])?;
+            sequential.expect(
+                sequential.num("speedup")? == 1.0,
+                "speedup = 1.00 (the baseline)",
+            )
+        }),
+        gate("E24c.honest_replica_passes", || {
+            let honest = by_id(tables, "E24c")?.row_where(&[("applier", "honest replica")])?;
+            honest.expect(honest.text("verdict")? == "PASS", "verdict = PASS")?;
+            honest.expect(honest.text("divergence")? == "none", "divergence = none")
+        }),
+        // The seeded reordering applier is an ordering violation the
+        // same audit must reject, or the PASS above proves nothing.
+        gate("E24c.reordering_mutant_rejected", || {
+            let mutant = by_id(tables, "E24c")?.row_where(&[("applier", "reordering mutant")])?;
+            mutant.expect(mutant.text("verdict")? == "REJECTED", "verdict = REJECTED")?;
+            mutant.expect(mutant.text("in order")? == "NO", "in order = NO")?;
+            mutant.expect(mutant.text("divergence")? != "none", "a divergence point")
+        }),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_log_gate_rejects_its_mutant() {
+        let fixture = [
+            table(
+                "E24a",
+                "backend | window | commits | commits/sec | integrity",
+                &[
+                    "native | 1 | 48 | 5000 | ok",
+                    "native | 4 | 48 | 20000 | ok",
+                    "net | 4 | 6 | 40 | ok",
+                ],
+            ),
+            table("E24b", "window | speedup", &["4 | 3.90", "1 | 1.00"]),
+            table(
+                "E24c",
+                "applier | in order | divergence | verdict",
+                &[
+                    "honest replica | yes | none | PASS",
+                    "reordering mutant | NO | height 7 | REJECTED",
+                ],
+            ),
+        ];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E24a.every_run_commits_and_converges",
+                    &[
+                        DropRow(2),
+                        Set(1, "integrity", "DIVERGED"),
+                        Set(0, "commits", "0"),
+                    ],
+                ),
+                (
+                    "E24b.pipelining_speedup",
+                    &[Set(0, "speedup", "1.49"), DropRow(1)],
+                ),
+                (
+                    "E24c.honest_replica_passes",
+                    &[
+                        Set(0, "verdict", "DIVERGED"),
+                        Set(0, "divergence", "height 3"),
+                    ],
+                ),
+                (
+                    "E24c.reordering_mutant_rejected",
+                    &[
+                        Set(1, "verdict", "PASS (BUG: mutant escaped)"),
+                        Set(1, "in order", "yes"),
+                        DropRow(1),
+                    ],
+                ),
+            ],
+        );
+    }
 }

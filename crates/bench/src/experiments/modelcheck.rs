@@ -5,11 +5,11 @@
 //!
 //! The headline number is the *reduction factor*: states explored by the
 //! unreduced explorer divided by states explored by the reduced one, on
-//! the same workload with the same verdict. CI gates on it (see the
-//! `modelcheck-smoke` job): the reductions must keep buying at least 5×
-//! on the theorem-sized configurations, or exhaustive verification stops
-//! scaling.
+//! the same workload with the same verdict. [`gates`] holds it: the
+//! reductions must keep buying at least 5× on the theorem-sized
+//! configurations, or exhaustive verification stops scaling.
 
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::time::Instant;
 use tfr_core::verify::{
@@ -206,7 +206,7 @@ pub fn modelcheck() -> Vec<Table> {
     reductions
         .note("all interleavings = all timing failures: each PROVEN SAFE row is a theorem check");
     summary.note(
-        "CI gates on reduction x >= 5 for the consensus n=4 r=1 row (the symmetry \
+        "gated at reduction x >= 5 for the consensus n=4 r=1 row (the symmetry \
          group is S3 on the three true-proposers, multiplying what DPOR alone buys)",
     );
 
@@ -246,4 +246,96 @@ pub fn modelcheck() -> Vec<Table> {
     par.note("deterministic: the work-stealing frontier reassembles chunks in order");
 
     vec![reductions, summary, par]
+}
+
+/// The gates on E20: every count below is a deterministic function of
+/// the workload, so these hold or fail identically on every machine.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![
+        // Every theorem row carries its verdict under every explorer:
+        // safe workloads proven, Fischer's violation found.
+        gate("E20a.theorem_verdicts", || {
+            for row in by_id(tables, "E20a")?.rows_where(&[])? {
+                let verdict = row.text("verdict")?;
+                if row.text("workload")?.starts_with("fischer") {
+                    row.expect(verdict.contains("VIOLATION"), "Fischer's VIOLATION found")?;
+                } else {
+                    row.expect(
+                        verdict == "PROVEN SAFE (exhaustive)",
+                        "PROVEN SAFE (exhaustive)",
+                    )?;
+                }
+            }
+            Ok(())
+        }),
+        gate("E20b.consensus_n4_reduction", || {
+            let headline =
+                by_id(tables, "E20b")?.row_where(&[("workload", "consensus n=4 r=1")])?;
+            headline.expect(headline.num("reduction x")? >= 5.0, "reduction x >= 5")
+        }),
+        gate("E20c.parallel_frontier_deterministic", || {
+            let rows = by_id(tables, "E20c")?.rows_where(&[])?;
+            let counts = (rows[0].num("states")?, rows[0].num("transitions")?);
+            for row in &rows {
+                row.expect(
+                    (row.num("states")?, row.num("transitions")?) == counts,
+                    "the same states and transitions on every thread count",
+                )?;
+            }
+            Ok(())
+        }),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_modelcheck_gate_rejects_its_mutant() {
+        let fixture = [
+            table(
+                "E20a",
+                "workload | explorer | verdict",
+                &[
+                    "consensus n=4 r=1 | naive | PROVEN SAFE (exhaustive)",
+                    "consensus n=4 r=1 | dpor+sym | PROVEN SAFE (exhaustive)",
+                    "fischer n=2 | dpor+sym | VIOLATION: two processes in the critical section",
+                ],
+            ),
+            table(
+                "E20b",
+                "workload | reduction x",
+                &["consensus n=3 r=2 | 3.1", "consensus n=4 r=1 | 9.4"],
+            ),
+            table(
+                "E20c",
+                "threads | states | transitions",
+                &["1 | 5000 | 9000", "2 | 5000 | 9000", "4 | 5000 | 9000"],
+            ),
+        ];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E20a.theorem_verdicts",
+                    &[
+                        Set(2, "verdict", "PROVEN SAFE (exhaustive)"),
+                        Set(1, "verdict", "safe within bounds (truncated)"),
+                        Clear,
+                    ],
+                ),
+                (
+                    "E20b.consensus_n4_reduction",
+                    &[Set(1, "reduction x", "4.9"), DropRow(1)],
+                ),
+                (
+                    "E20c.parallel_frontier_deterministic",
+                    &[Set(2, "transitions", "9001"), Clear],
+                ),
+            ],
+        );
+    }
 }

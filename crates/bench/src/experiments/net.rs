@@ -3,6 +3,7 @@
 //! partition/heal schedules from the network nemesis, and the round trip
 //! measured against the link round trip as client threads are added.
 
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +34,7 @@ pub fn net() -> Vec<Table> {
     // skip the write-back when the quorum already agrees).
     // -----------------------------------------------------------------
     let mut t1 = Table::new(
-        "NET",
+        "NETa",
         "ABD quorum round-trips by replica count (1 client, sequential ops)",
         &[
             "replicas",
@@ -89,7 +90,7 @@ pub fn net() -> Vec<Table> {
     // ops stranded in flight across the final heal.
     // -----------------------------------------------------------------
     let mut t2 = Table::new(
-        "NET",
+        "NETb",
         "partition-heal convergence under seeded nemesis schedules",
         &[
             "seed",
@@ -176,7 +177,7 @@ pub fn net() -> Vec<Table> {
     // share cores while they spin out their waits: the ratio shows it.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
-        "NET",
+        "NETc",
         "quorum round trip over link round trip, by client threads (R = 3, disjoint registers)",
         &[
             "client threads",
@@ -241,4 +242,50 @@ pub fn net() -> Vec<Table> {
     ));
     t3.note("(yielding), so more client threads than CPUs stretch each other's round trips.");
     vec![t1, t2, t3]
+}
+
+/// The gate on NET: no thread sits between a client and the replicas,
+/// so a solo read costs about one link round trip and a write about two
+/// (3.2 and 6.4 when a router thread did). Self-normalising: the p50
+/// over the *configured* mean link round trip.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![gate("NETc.solo_round_trips_near_link_rtt", || {
+        let solo = by_id(tables, "NETc")?.row_where(&[("client threads", "1")])?;
+        solo.expect(
+            solo.num("read / link rtt")? <= 2.0,
+            "read / link rtt <= 2.0",
+        )?;
+        solo.expect(
+            solo.num("write / link rtt")? <= 4.0,
+            "write / link rtt <= 4.0",
+        )
+    })]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn the_net_gate_rejects_its_mutants() {
+        let fixture = [table(
+            "NETc",
+            "client threads | read / link rtt | write / link rtt",
+            &["1 | 1.01 | 2.02", "2 | 1.05 | 2.10", "4 | 2.40 | 4.90"],
+        )];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[(
+                "NETc.solo_round_trips_near_link_rtt",
+                &[
+                    Set(0, "read / link rtt", "3.20"),
+                    Set(0, "write / link rtt", "4.01"),
+                    DropRow(0),
+                    Clear,
+                ],
+            )],
+        );
+    }
 }

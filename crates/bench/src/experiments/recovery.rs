@@ -10,6 +10,7 @@
 //! rejoin as a new incarnation that runs a recovery section before
 //! contending again. These tables measure what that costs.
 
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::time::Duration;
 use tfr_asynclock::{RawLock, RecoverableRawLock};
@@ -197,4 +198,67 @@ pub fn recovery() -> Vec<Table> {
     t3.note("Crash-recoveries land inside the CS and out; zero intrusions on every seed is the");
     t3.note("tentpole claim: an orphaned CS is repaired, never stolen and never leaked.");
     vec![t1, t2, t3]
+}
+
+/// The gates on E21 (E21a is descriptive; its safety is asserted in the
+/// runner).
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![
+        // The adaptivity claim, Dhoked–Mittal's yardstick: a failure
+        // costs one O(n) scan exactly once — the passage after it pays,
+        // the next one is back at the quiet baseline.
+        gate("E21b.failure_costs_one_scan_once", || {
+            for row in by_id(tables, "E21b")?.rows_where(&[])? {
+                let quiet = row.num("quiet passage")?;
+                row.expect(
+                    row.num("after a failure")? > quiet,
+                    "after a failure > quiet",
+                )?;
+                row.expect(row.num("resynced passage")? == quiet, "resynced = quiet")?;
+            }
+            Ok(())
+        }),
+        gate("E21c.every_seed_replays", || {
+            for row in by_id(tables, "E21c")?.rows_where(&[])? {
+                row.expect(row.text("replay agrees")? == "true", "replay agrees = true")?;
+            }
+            Ok(())
+        }),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_recovery_gate_rejects_its_mutant() {
+        let fixture = [
+            table(
+                "E21b",
+                "n | quiet passage | after a failure | resynced passage",
+                &["2 | 14 | 17 | 14", "32 | 14 | 47 | 14"],
+            ),
+            table("E21c", "seed | replay agrees", &["3 | true", "11 | true"]),
+        ];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E21b.failure_costs_one_scan_once",
+                    &[
+                        Set(1, "after a failure", "14"),
+                        Set(0, "resynced passage", "17"),
+                        Clear,
+                    ],
+                ),
+                (
+                    "E21c.every_seed_replays",
+                    &[Set(1, "replay agrees", "false"), Clear],
+                ),
+            ],
+        );
+    }
 }

@@ -5,6 +5,7 @@
 //! verdicts (the real batcher passes; both seeded combiner mutants are
 //! rejected by the same check that certifies it).
 
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +55,7 @@ pub fn service() -> Vec<Table> {
     // repetition).
     // -----------------------------------------------------------------
     let mut t1 = Table::new(
-        "E22",
+        "E22a",
         "service throughput by client count and backend (flat-combining)",
         &[
             "backend",
@@ -90,7 +91,7 @@ pub fn service() -> Vec<Table> {
     // batch vs one per operation, at 1k clients on the native stack.
     // -----------------------------------------------------------------
     let mut t2 = Table::new(
-        "E22",
+        "E22b",
         "flat-combining vs per-op baseline (native, 1k clients)",
         &[
             "combiner",
@@ -128,7 +129,7 @@ pub fn service() -> Vec<Table> {
     // how much combining actually happens under contention.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
-        "E22",
+        "E22c",
         "committed batch-size histogram (native, 1k clients, flat-combining)",
         &["batch size", "batches", "ops covered"],
     );
@@ -149,7 +150,7 @@ pub fn service() -> Vec<Table> {
     // MUST be rejected for the PASS verdicts to mean anything.
     // -----------------------------------------------------------------
     let mut t4 = Table::new(
-        "E22",
+        "E22d",
         "under-load linearizability sampling verdicts (native, 1k clients)",
         &[
             "combiner",
@@ -201,4 +202,167 @@ pub fn service() -> Vec<Table> {
     t4.note("catches it; the lost-op mutant answers plausibly and diverges later.");
 
     vec![t1, t2, t3, t4]
+}
+
+/// The gates on E22. Every one is structural or a same-run ratio, so a
+/// slow runner cannot flake them; a per-op fallback, a poisoned combiner
+/// or a blunted checker fails one of them on any machine.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![
+        // Sustained throughput at three or more client counts on each
+        // backend, one of them at 10k clients or more, every run audited.
+        gate("E22a.scale_with_integrity", || {
+            for backend in ["native", "net"] {
+                let rows = by_id(tables, "E22a")?.rows_where(&[("backend", backend)])?;
+                rows[0].expect(rows.len() >= 3, ">= 3 client counts per backend")?;
+                let mut at_10k = false;
+                for row in &rows {
+                    at_10k |= row.num("clients")? >= 10_000.0;
+                    row.expect(row.num("ops/sec")? > 0.0, "ops/sec > 0")?;
+                    row.expect(row.text("integrity")? == "ok", "integrity = ok")?;
+                }
+                rows[0].expect(at_10k, "a point at >= 10k clients on this backend")?;
+            }
+            Ok(())
+        }),
+        // One decision per batch must buy at least 2x over one per op
+        // (4x measured), with real batches behind the ratio.
+        gate("E22b.flat_combining_speedup", || {
+            let flat = by_id(tables, "E22b")?.row_where(&[("combiner", "flat-combining")])?;
+            flat.expect(flat.num("speedup")? >= 2.0, "speedup >= 2.0")?;
+            flat.expect(flat.num("mean batch")? > 1.0, "mean batch > 1")
+        }),
+        gate("E22b.per_op_decides_every_op", || {
+            let per_op = by_id(tables, "E22b")?.row_where(&[("combiner", "per-op")])?;
+            per_op.expect(
+                per_op.num("decisions")? == per_op.num("ops")?,
+                "decisions = ops",
+            )
+        }),
+        gate("E22c.histogram_covers_every_op_once", || {
+            let flat = by_id(tables, "E22b")?.row_where(&[("combiner", "flat-combining")])?;
+            let mut covered = 0.0;
+            for row in by_id(tables, "E22c")?.rows_where(&[])? {
+                covered += row.num("ops covered")?;
+            }
+            flat.expect(
+                covered == flat.num("ops")?,
+                &format!("E22c's {covered} covered ops = ops"),
+            )
+        }),
+        gate("E22d.sampler_passes_real_combiners", || {
+            for real in ["flat-combining", "per-op"] {
+                let row = by_id(tables, "E22d")?.row_where(&[("combiner", real)])?;
+                row.expect(row.text("verdict")? == "PASS", "verdict = PASS")?;
+                row.expect(row.num("checked")? > 0.0, "checked > 0")?;
+            }
+            Ok(())
+        }),
+        // The PASS rows mean something only because the same check
+        // rejects both mutants — and the reordering one is invisible to
+        // the state audit, so only the history check can be catching it.
+        gate("E22d.sampler_rejects_both_mutants", || {
+            let verdicts = by_id(tables, "E22d")?;
+            let reordering = verdicts.row_where(&[("combiner", "reordering")])?;
+            let lost_op = verdicts.row_where(&[("combiner", "lost-op")])?;
+            for row in [reordering, lost_op] {
+                row.expect(
+                    row.text("verdict")?.starts_with("REJECTED"),
+                    "verdict REJECTED…",
+                )?;
+            }
+            reordering.expect(
+                reordering.text("state audit")? == "clean",
+                "state audit = clean",
+            )?;
+            lost_op.expect(
+                lost_op.text("state audit")? == "DIVERGED",
+                "state audit = DIVERGED",
+            )?;
+            lost_op.expect(lost_op.num("lost ops")? == 1.0, "lost ops = 1")
+        }),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_service_gate_rejects_its_mutant() {
+        let fixture = [
+            table(
+                "E22a",
+                "backend | clients | ops/sec | integrity",
+                &[
+                    "native | 1000 | 900000 | ok",
+                    "native | 10000 | 800000 | ok",
+                    "native | 100000 | 400000 | ok",
+                    "net | 100 | 220 | ok",
+                    "net | 1000 | 225 | ok",
+                    "net | 10000 | 226 | ok",
+                ],
+            ),
+            table(
+                "E22b",
+                "combiner | ops | decisions | mean batch | speedup",
+                &[
+                    "flat-combining | 4000 | 900 | 4.4 | 4.10",
+                    "per-op | 4000 | 4000 | 1.0 | 1.00",
+                ],
+            ),
+            table("E22c", "batch size | ops covered", &["1 | 400", "4 | 3600"]),
+            table(
+                "E22d",
+                "combiner | checked | lost ops | state audit | verdict",
+                &[
+                    "flat-combining | 500 | 0 | clean | PASS",
+                    "per-op | 500 | 0 | clean | PASS",
+                    "reordering | 500 | 0 | clean | REJECTED (not linearizable)",
+                    "lost-op | 500 | 1 | DIVERGED | REJECTED (not linearizable)",
+                ],
+            ),
+        ];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E22a.scale_with_integrity",
+                    &[
+                        DropRow(4),
+                        Set(5, "clients", "9999"),
+                        Set(1, "integrity", "LOST"),
+                        Clear,
+                    ],
+                ),
+                (
+                    "E22b.flat_combining_speedup",
+                    &[Set(0, "speedup", "1.9"), Set(0, "mean batch", "1.0")],
+                ),
+                (
+                    "E22b.per_op_decides_every_op",
+                    &[Set(1, "decisions", "3999")],
+                ),
+                (
+                    "E22c.histogram_covers_every_op_once",
+                    &[Set(0, "ops covered", "399"), Clear],
+                ),
+                (
+                    "E22d.sampler_passes_real_combiners",
+                    &[Set(0, "verdict", "REJECTED (x)"), Set(1, "checked", "0")],
+                ),
+                (
+                    "E22d.sampler_rejects_both_mutants",
+                    &[
+                        Set(2, "verdict", "PASS"),
+                        Set(2, "state audit", "DIVERGED"),
+                        Set(3, "lost ops", "0"),
+                        DropRow(3),
+                    ],
+                ),
+            ],
+        );
+    }
 }

@@ -9,7 +9,6 @@
 //! [`microbench`] shim).
 
 pub mod experiments;
-pub mod guard;
 pub mod microbench;
 pub mod table;
 

@@ -1,4 +1,6 @@
-//! Plain-text result tables, aligned for terminals and EXPERIMENTS.md.
+//! Plain-text result tables, aligned for terminals and EXPERIMENTS.md,
+//! and the by-name lookups the experiments' gates read them with: a
+//! gate that names a missing table, row or column fails with that name.
 
 use std::fmt;
 use tfr_telemetry::Json;
@@ -50,6 +52,43 @@ impl Table {
     pub fn note(&mut self, note: impl Into<String>) -> &mut Table {
         self.notes.push(note.into());
         self
+    }
+
+    /// The rows whose `col` cell equals `val` for every `(col, val)` key
+    /// (all rows for no keys). An unknown column or an empty selection
+    /// is an error naming it, so a gate can neither index out of range
+    /// nor pass vacuously over zero rows.
+    pub(crate) fn rows_where(&self, keys: &[(&str, &str)]) -> Result<Vec<Row<'_>>, String> {
+        let mut by_index = Vec::with_capacity(keys.len());
+        for &(col, val) in keys {
+            by_index.push((self.column(col)?, val));
+        }
+        let rows: Vec<Row<'_>> = self
+            .rows
+            .iter()
+            .filter(|cells| by_index.iter().all(|&(i, val)| cells[i] == val))
+            .map(|cells| Row { table: self, cells })
+            .collect();
+        if rows.is_empty() {
+            if keys.is_empty() {
+                return Err(format!("{}: table has no rows", self.id));
+            }
+            let keys: Vec<String> = keys.iter().map(|(c, v)| format!("{c} = {v}")).collect();
+            return Err(format!("{}: no row where {}", self.id, keys.join(", ")));
+        }
+        Ok(rows)
+    }
+
+    /// The first row of [`Table::rows_where`].
+    pub(crate) fn row_where(&self, keys: &[(&str, &str)]) -> Result<Row<'_>, String> {
+        Ok(self.rows_where(keys)?[0])
+    }
+
+    pub(crate) fn column(&self, col: &str) -> Result<usize, String> {
+        self.columns
+            .iter()
+            .position(|c| c == col)
+            .ok_or_else(|| format!("{}: no column `{col}`", self.id))
     }
 
     /// The table as a machine-readable JSON value.
@@ -143,6 +182,74 @@ impl fmt::Display for Table {
     }
 }
 
+/// The table with this id, or an error naming it.
+pub(crate) fn by_id<'a>(tables: &'a [Table], id: &str) -> Result<&'a Table, String> {
+    tables
+        .iter()
+        .find(|t| t.id == id)
+        .ok_or_else(|| format!("no table {id}"))
+}
+
+/// One row of a [`Table`], read by column name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    table: &'a Table,
+    cells: &'a [String],
+}
+
+impl<'a> Row<'a> {
+    /// The cell under `col`, as text.
+    pub(crate) fn text(&self, col: &str) -> Result<&'a str, String> {
+        Ok(&self.cells[self.table.column(col)?])
+    }
+
+    /// The cell under `col`, as a number.
+    pub(crate) fn num(&self, col: &str) -> Result<f64, String> {
+        let cell = self.text(col)?;
+        cell.parse()
+            .map_err(|_| format!("`{col}` = {cell:?} is not a number in {self}"))
+    }
+
+    /// `Ok` if `held`, else the violated expectation with this row rendered.
+    pub(crate) fn expect(&self, held: bool, expectation: &str) -> Result<(), String> {
+        if held {
+            Ok(())
+        } else {
+            Err(format!("expected {expectation} in {self}"))
+        }
+    }
+}
+
+impl fmt::Display for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cells: Vec<String> = self
+            .table
+            .columns
+            .iter()
+            .zip(self.cells)
+            .map(|(col, cell)| format!("{col} = {cell}"))
+            .collect();
+        write!(f, "{} row {{ {} }}", self.table.id, cells.join(", "))
+    }
+}
+
+/// The verdict of one named gate over an experiment's tables.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateResult {
+    /// `<table id>.<what must hold>`, e.g. `"E22b.flat_combining_speedup"`.
+    pub name: &'static str,
+    /// `Err` carries what was expected and the offending row.
+    pub outcome: Result<(), String>,
+}
+
+/// Runs one gate's check under its name.
+pub(crate) fn gate(name: &'static str, check: impl FnOnce() -> Result<(), String>) -> GateResult {
+    GateResult {
+        name,
+        outcome: check(),
+    }
+}
+
 /// Formats a tick count as a multiple of Δ with two decimals.
 pub fn in_deltas(t: tfr_registers::Ticks, delta: tfr_registers::Delta) -> String {
     format!("{:.2}Δ", t.in_deltas(delta))
@@ -194,5 +301,38 @@ mod tests {
         // "2.50Δ" is not a number: it survives as a string.
         assert_eq!(rows[1].get("ticks").unwrap().as_str(), Some("2.50Δ"));
         assert_eq!(Json::parse(&json.to_string()).unwrap(), json);
+    }
+
+    #[test]
+    fn lookups_name_what_is_missing() {
+        let mut t = Table::new("E9", "lookup demo", &["algo", "ticks"]);
+        let tables = [t.clone()];
+        assert_eq!(by_id(&tables, "E8").unwrap_err(), "no table E8");
+        assert_eq!(t.rows_where(&[]).unwrap_err(), "E9: table has no rows");
+        t.row(vec!["fischer".into(), "1500".into()]);
+        t.row(vec!["resilient".into(), "2.50Δ".into()]);
+        assert_eq!(t.rows_where(&[]).unwrap().len(), 2);
+        assert_eq!(
+            t.row_where(&[("algo", "bakery")]).unwrap_err(),
+            "E9: no row where algo = bakery"
+        );
+        assert_eq!(
+            t.row_where(&[("lock", "fischer")]).unwrap_err(),
+            "E9: no column `lock`"
+        );
+        let fischer = t.row_where(&[("algo", "fischer")]).unwrap();
+        assert_eq!(fischer.num("ticks"), Ok(1500.0));
+        assert_eq!(fischer.text("algo"), Ok("fischer"));
+        assert_eq!(fischer.text("tocks").unwrap_err(), "E9: no column `tocks`");
+        let resilient = t.row_where(&[("algo", "resilient")]).unwrap();
+        let not_a_number = resilient.num("ticks").unwrap_err();
+        assert!(
+            not_a_number.contains("`ticks` = \"2.50Δ\""),
+            "{not_a_number}"
+        );
+        assert_eq!(
+            fischer.expect(false, "ticks < 1000").unwrap_err(),
+            "expected ticks < 1000 in E9 row { algo = fischer, ticks = 1500 }"
+        );
     }
 }

@@ -65,14 +65,6 @@ impl Kind {
             Action::Halt => panic!("a halted process has no access footprint"),
         }
     }
-
-    /// Non-panicking variant of [`Kind::of`]: `Halt` has no footprint.
-    pub fn try_of(action: Action) -> Option<Kind> {
-        match action {
-            Action::Halt => None,
-            other => Some(Kind::of(other)),
-        }
-    }
 }
 
 /// The full footprint of one transition, as seen by the independence
@@ -126,21 +118,6 @@ pub fn conflicts(p: usize, a: Access, q: usize, b: Access) -> bool {
     }
 }
 
-/// Whether two footprint *sets*, attributed to different processes,
-/// contain any dependent pair — the check the sharded simulator uses to
-/// certify that two process groups' sampled access footprints commute.
-/// Returns the first conflicting pair, if any.
-pub fn footprints_conflict(a: &[Access], b: &[Access]) -> Option<(Access, Access)> {
-    for &x in a {
-        for &y in b {
-            if conflicts(0, x, 1, y) {
-                return Some((x, y));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,23 +160,6 @@ mod tests {
         assert!(!conflicts(0, cs(Kind::Local), 1, acc(Kind::Write(r))));
         // Same process: still no self-conflict.
         assert!(!conflicts(1, cs(Kind::Local), 1, cs(Kind::Local)));
-    }
-
-    #[test]
-    fn footprint_sets_report_first_conflict() {
-        let a = [acc(Kind::Read(RegId(1))), acc(Kind::Write(RegId(2)))];
-        let b = [acc(Kind::Read(RegId(2))), acc(Kind::Write(RegId(9)))];
-        let c = [acc(Kind::Read(RegId(2))), acc(Kind::Write(RegId(3)))];
-        assert_eq!(
-            footprints_conflict(&a, &b),
-            Some((acc(Kind::Write(RegId(2))), acc(Kind::Read(RegId(2)))))
-        );
-        assert_eq!(footprints_conflict(&b, &c), None, "shared reads commute");
-        assert_eq!(Kind::try_of(Action::Halt), None);
-        assert_eq!(
-            Kind::try_of(Action::Read(RegId(5))),
-            Some(Kind::Read(RegId(5)))
-        );
     }
 
     #[test]

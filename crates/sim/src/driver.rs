@@ -352,9 +352,8 @@ struct ProcSlot<S> {
 /// The resumable run state of one simulation.
 ///
 /// Created by [`Sim::start`]; advanced by [`Engine::run_until`]; consumed
-/// by [`Engine::finish`]. Between calls the shard executor may read the
-/// register file ([`Engine::bank`]) or — for declared shared regions at
-/// epoch barriers — write it ([`Engine::bank_mut`]).
+/// by [`Engine::finish`]. Between calls the register file is readable
+/// through [`Engine::bank`].
 #[derive(Debug)]
 pub struct Engine<A: Automaton, M> {
     automaton: A,
@@ -624,19 +623,6 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
     /// The live register file.
     pub fn bank(&self) -> &CowBank {
         &self.bank
-    }
-
-    /// Mutable access to the register file, for epoch-barrier writes into
-    /// a declared shared region (see `crate::shard`). Writing registers a
-    /// running shard owns would break linearizability — the shard executor
-    /// guards this; direct users must respect it themselves.
-    pub fn bank_mut(&mut self) -> &mut CowBank {
-        &mut self.bank
-    }
-
-    /// An O(segments) copy-on-write snapshot of the live register file.
-    pub fn snapshot_bank(&self) -> CowBank {
-        self.bank.snapshot()
     }
 
     /// Consumes the engine into the final [`RunResult`].

@@ -51,7 +51,6 @@
 pub mod driver;
 pub mod metrics;
 pub mod sched;
-pub mod shard;
 pub mod timing;
 pub mod workload;
 

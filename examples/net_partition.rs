@@ -146,11 +146,16 @@ fn main() {
         .filter(|e| matches!(e.kind, EventKind::QuorumEnd { .. }))
         .count();
     let convergence = heal_convergence_from_events(&events);
+    assert!(
+        sent >= 1 && quorum_ops >= 1,
+        "the workloads ran over quorums"
+    );
 
     let mut builder = ChromeTraceBuilder::new();
     builder.add_run("quorum stack under partitions", &events);
     let trace_json = builder.render();
     Json::parse(&trace_json).expect("exporter must emit valid JSON");
+    assert!(trace_json.contains("quorum"), "quorum spans on the trace");
     std::fs::write("net_partition_trace.json", &trace_json).expect("write trace");
 
     let summary = Json::obj([(

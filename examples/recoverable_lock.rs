@@ -89,6 +89,10 @@ fn main() {
     let events = tracer.events();
     let spans = recovery_spans_from_events(&events);
     assert_eq!(spans.len(), 2, "every crash pairs with a recovery");
+    assert!(
+        spans.iter().any(|s| s.repaired),
+        "the repair is on the trace"
+    );
     for s in &spans {
         assert!(
             s.recovery_ns() >= s.scheduled_down_ns,

@@ -180,14 +180,39 @@ fn main() {
         .and_then(Json::as_arr)
         .expect("traceEvents array");
     assert!(!track_events.is_empty(), "the trace must be non-empty");
-    let flows = track_events
-        .iter()
-        .filter(|e| matches!(e.get("ph").and_then(Json::as_str), Some("s") | Some("f")))
-        .count();
+    fn ph(e: &Json) -> Option<&str> {
+        e.get("ph").and_then(Json::as_str)
+    }
+    for phase in ["X", "i", "M"] {
+        assert!(
+            track_events.iter().any(|e| ph(e) == Some(phase)),
+            "the trace must carry \"{phase}\" events (spans, instants, track names)"
+        );
+    }
+    assert!(
+        track_events.iter().any(|e| e
+            .get("name")
+            .and_then(Json::as_str)
+            .is_some_and(|n| n.contains("fault"))),
+        "the injected stalls must be instants on the exported trace"
+    );
+    // Every message arrow is a start/finish pair under one id.
+    let flow_ids = |phase: &str| -> Vec<u64> {
+        let mut ids: Vec<u64> = track_events
+            .iter()
+            .filter(|e| ph(e) == Some(phase))
+            .map(|e| e.get("id").and_then(Json::as_num).expect("flow id") as u64)
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    let (starts, finishes) = (flow_ids("s"), flow_ids("f"));
+    let flows = starts.len() + finishes.len();
     assert!(
         flows >= 2,
         "the net run must contribute message flow arrows (got {flows})"
     );
+    assert_eq!(starts, finishes, "unpaired flow arrows");
     std::fs::write("trace_export.json", &trace_json).expect("write trace_export.json");
 
     let summary = Json::obj([

@@ -552,65 +552,3 @@ fn log_register_tiling_is_disjoint_across_heights_and_regions() {
         }
     }
 }
-
-/// Parallel shard execution is only sound if the tiling is: for 64
-/// random plan shapes, `Region::tile` tiles are pairwise disjoint,
-/// `certify` accepts the plan with every sampled footprint contained in
-/// its shard's declared region, and puncturing the tiling (one shard's
-/// region shifted into a neighbor's) is rejected — the preflight half
-/// of the independence argument the runtime fence then backs.
-#[test]
-fn sim_shard_tiling_is_disjoint_and_certifiable() {
-    use tfr::sim::shard::{certify, Region, ShardPlan, ShardSpec};
-    use tfr::sim::timing::standard_no_failures;
-    use tfr::sim::workload::ScaleLoop;
-    use tfr::sim::RunConfig;
-
-    let d = Delta::from_ticks(60);
-    let mut rng = SplitMix64::new(0x5AA2_D15C);
-    for case in 0..64u64 {
-        let shards = rng.random_range(2..=8) as usize;
-        let width = rng.random_range(2..=32);
-        let base = rng.random_range(0..=1_000_000);
-        let procs = rng.random_range(1..=width) as usize;
-
-        let regions: Vec<Region> = (0..shards).map(|i| Region::tile(base, i, width)).collect();
-        for i in 0..shards {
-            for j in i + 1..shards {
-                assert!(
-                    regions[i].is_disjoint(&regions[j]),
-                    "case {case}: tiles {i} and {j} overlap"
-                );
-            }
-            assert_eq!(regions[i].len(), width, "case {case}: tile {i} width");
-        }
-
-        let plan = ShardPlan {
-            shards: (0..shards)
-                .map(|i| ShardSpec {
-                    automaton: ScaleLoop::new(2, procs, regions[i].lo).salt(case ^ i as u64),
-                    model: standard_no_failures(d, case.wrapping_add(i as u64)),
-                    config: RunConfig::new(procs, d),
-                    region: regions[i],
-                })
-                .collect(),
-            shared: None,
-            epoch: None,
-        };
-        let cert = certify(&plan, 32)
-            .unwrap_or_else(|e| panic!("case {case}: disjoint tiling must certify, got {e}"));
-        assert_eq!(cert.footprints.len(), shards);
-        assert!(
-            cert.footprints.iter().all(|fp| !fp.is_empty()),
-            "case {case}: sampling must observe each shard's accesses"
-        );
-
-        // Puncture the tiling: shift shard 1 to straddle shard 0's tile.
-        let mut bad = plan;
-        bad.shards[1].region = Region::new(base + width / 2, base + width / 2 + width);
-        assert!(
-            certify(&bad, 32).is_err(),
-            "case {case}: punctured tiling must be rejected"
-        );
-    }
-}

@@ -15,10 +15,7 @@
 
 use tfr::chaos::storm::{run_storm, storm_model, StormConfig};
 use tfr::registers::{Delta, ProcId, Ticks};
-use tfr::sim::shard::{Region, ShardPlan, ShardSpec, ShardedSim};
-use tfr::sim::timing::{
-    standard_no_failures, Bursts, CrashSchedule, FailureWindows, TimingModel, UniformAccess, Window,
-};
+use tfr::sim::timing::{Bursts, CrashSchedule, FailureWindows, TimingModel, UniformAccess, Window};
 use tfr::sim::workload::{DelayOnly, ScaleLoop};
 use tfr::sim::{RunConfig, RunResult, SchedKind, Sim};
 
@@ -159,44 +156,6 @@ fn storm_differential_with_traces() {
             run(SchedKind::Heap),
             "storm seed {seed}"
         );
-    }
-}
-
-/// The parallel shard executor equals its sequential run, seed by seed,
-/// including with an epoch fence — the third leg of the differential
-/// tier (wheel ≡ heap ≡ the sharded decomposition of the same work).
-#[test]
-fn sharded_parallel_equals_sequential_battery() {
-    let d = Delta::from_ticks(60);
-    for seed in 0..12u64 {
-        let width = 16u64;
-        let epoch = seed.is_multiple_of(3).then_some(Ticks(150));
-        let plan = || ShardPlan {
-            shards: (0..6)
-                .map(|i| {
-                    let region = Region::tile(0, i, width);
-                    ShardSpec {
-                        automaton: ScaleLoop::new(3, width as usize, region.lo)
-                            .salt(seed ^ (i as u64) << 8),
-                        model: standard_no_failures(d, seed.wrapping_add(i as u64)),
-                        config: RunConfig::new(width as usize, d).record_trace(),
-                        region,
-                    }
-                })
-                .collect(),
-            shared: None,
-            epoch,
-        };
-        let seq = ShardedSim::new(plan())
-            .expect("disjoint tiles certify")
-            .run_sequential()
-            .expect("sequential run");
-        let par = ShardedSim::new(plan())
-            .expect("disjoint tiles certify")
-            .run_parallel(3)
-            .expect("parallel run");
-        assert_eq!(seq, par, "shard seed {seed}");
-        assert!(seq.all_halted(), "shard seed {seed} must complete");
     }
 }
 
