@@ -89,7 +89,10 @@ pub fn service() -> Vec<Table> {
     // -----------------------------------------------------------------
     // Table 2: the flat-combining claim — one consensus decision per
     // batch vs one per operation, at 1k clients on the native stack.
+    // One run is ~1.5 ms, so one pair is at the mercy of a single
+    // scheduler hiccup: run alternated pairs and report the median one.
     // -----------------------------------------------------------------
+    const PAIRS: usize = 5;
     let mut t2 = Table::new(
         "E22b",
         "flat-combining vs per-op baseline (native, 1k clients)",
@@ -102,15 +105,26 @@ pub fn service() -> Vec<Table> {
             "speedup",
         ],
     );
-    let flat = run_load_native(&native_cfg(1_000, 4, 4), &Trace::default());
-    let per_op = run_load_native(
-        &LoadConfig {
-            combiner: CombinerKind::PerOp,
-            ..native_cfg(1_000, 4, 4)
-        },
-        &Trace::default(),
-    );
-    let speedup = flat.ops_per_sec / per_op.ops_per_sec.max(1e-9);
+    let ratio =
+        |(flat, per_op): &(LoadReport, LoadReport)| flat.ops_per_sec / per_op.ops_per_sec.max(1e-9);
+    let mut pairs: Vec<(LoadReport, LoadReport)> = (0..PAIRS)
+        .map(|_| {
+            let flat = run_load_native(&native_cfg(1_000, 4, 4), &Trace::default());
+            let per_op = run_load_native(
+                &LoadConfig {
+                    combiner: CombinerKind::PerOp,
+                    ..native_cfg(1_000, 4, 4)
+                },
+                &Trace::default(),
+            );
+            (flat, per_op)
+        })
+        .collect();
+    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (lowest, highest) = (ratio(&pairs[0]), ratio(&pairs[PAIRS - 1]));
+    let median = pairs.swap_remove(PAIRS / 2);
+    let speedup = ratio(&median);
+    let (flat, per_op) = median;
     for (r, s) in [(&flat, format!("{speedup:.2}")), (&per_op, "1.00".into())] {
         t2.row(vec![
             r.combiner.name().to_string(),
@@ -123,6 +137,10 @@ pub fn service() -> Vec<Table> {
     }
     t2.note("Each decision is one timing-resilient consensus instance; combining amortises");
     t2.note("it over the whole announced batch.");
+    t2.note(format!(
+        "The median of {PAIRS} alternated flat/per-op pairs (speedups {lowest:.2}–{highest:.2}); \
+         the rows are that pair's runs."
+    ));
 
     // -----------------------------------------------------------------
     // Table 3: the committed batch-size distribution of the flat run —
@@ -226,7 +244,8 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
             Ok(())
         }),
         // One decision per batch must buy at least 2x over one per op
-        // (4x measured), with real batches behind the ratio.
+        // (the median pair, 2.4–3.0x measured), with real batches behind
+        // the ratio.
         gate("E22b.flat_combining_speedup", || {
             let flat = by_id(tables, "E22b")?.row_where(&[("combiner", "flat-combining")])?;
             flat.expect(flat.num("speedup")? >= 2.0, "speedup >= 2.0")?;

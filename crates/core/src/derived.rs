@@ -11,7 +11,7 @@
 
 use crate::consensus::NativeConsensus;
 use crate::probe::{OpProbe, Probe};
-use crate::universal::MultiConsensus;
+use crate::universal::{pid_bits, MultiConsensus};
 use std::sync::Arc;
 use std::time::Duration;
 use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
@@ -37,12 +37,6 @@ pub struct LeaderElection<S: RegisterSpace = NativeSpace> {
     probe: Probe,
 }
 
-/// The value-width an election among `n` processes needs (enough bits to
-/// hold `n − 1`, at least one).
-fn election_width(n: usize) -> u32 {
-    (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1)
-}
-
 impl LeaderElection {
     /// An election among up to `n` processes, over shared memory.
     ///
@@ -62,7 +56,7 @@ impl<S: RegisterSpace> LeaderElection<S> {
     /// Panics if `n == 0`.
     pub fn on(space: Arc<S>, n: usize, delta: Duration) -> LeaderElection<S> {
         LeaderElection {
-            mc: MultiConsensus::on(space, n, election_width(n), delta),
+            mc: MultiConsensus::on(space, n, pid_bits(n), delta),
             probe: Probe::disabled(),
         }
     }

@@ -1,13 +1,19 @@
 //! Leader election in **specification form**: the bit-by-bit reduction
-//! from binary consensus (the same construction as the native
-//! [`crate::universal::MultiConsensus`]) expressed as a register automaton,
-//! so election itself can be simulated under timing-failure injection and
-//! **model checked exhaustively**.
+//! from binary consensus expressed as a register automaton, so election
+//! itself can be simulated under timing-failure injection and **model
+//! checked exhaustively**.
 //!
 //! §1.4/§2.1 of the paper: the consensus building block yields wait-free,
-//! time-resilient election. The native form ([`crate::derived`]) inherits
-//! the guarantee by construction; this automaton lets the tools *verify*
-//! it over every interleaving for small configurations.
+//! time-resilient election. This is the construction the native
+//! [`crate::universal::MultiConsensus`] runs for every multivalued
+//! decision — it agrees on the winner's pid over the same `W` Algorithm 1
+//! instances and returns the value that pid announced — so a solo
+//! native `propose` makes exactly this automaton's accesses, plus one
+//! read of its own announce register before and the `result` write
+//! after. The native forms ([`crate::derived`], the universal
+//! construction, the replicated log) inherit the guarantee by
+//! construction; this automaton lets the tools *verify* it over every
+//! interleaving for small configurations.
 //!
 //! # Protocol (process `i`, `W = ⌈log₂ n⌉` bit instances)
 //!
@@ -21,6 +27,7 @@
 //!    elected leader.
 
 use crate::consensus::ConsensusSpec;
+use crate::universal::pid_bits;
 use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId, Ticks};
 
@@ -55,10 +62,9 @@ impl ElectionSpec {
     /// Panics if `n == 0`.
     pub fn new(n: usize, base: u64, delta: Ticks) -> ElectionSpec {
         assert!(n > 0, "at least one process is required");
-        let width = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1);
         ElectionSpec {
             n,
-            width,
+            width: pid_bits(n),
             base,
             delta,
             inner_rounds: Self::INNER_ROUNDS,

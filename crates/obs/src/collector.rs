@@ -8,8 +8,8 @@
 //! drain the remainder, run the finalize-only checks, and receive the
 //! complete [`ObsReport`].
 
-use crate::monitor::{MonitorBank, Violation};
-use std::collections::{HashMap, VecDeque};
+use crate::monitor::{IdMap, MonitorBank, Violation};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -128,7 +128,7 @@ impl LiveSnapshot {
 struct CollectorState {
     bank: MonitorBank,
     /// Open spans: id → (label, start ts).
-    open_spans: HashMap<u64, (&'static str, u64)>,
+    open_spans: IdMap<u64, (&'static str, u64)>,
     /// Completed-span duration histograms per label.
     stages: Vec<(&'static str, Histogram)>,
     /// Recent `(ts_ns, size)` batch commits inside the window.
@@ -147,7 +147,7 @@ impl CollectorState {
     fn new(window: Duration) -> CollectorState {
         CollectorState {
             bank: MonitorBank::new(),
-            open_spans: HashMap::new(),
+            open_spans: IdMap::default(),
             stages: Vec::new(),
             recent: VecDeque::new(),
             window_ns: window.as_nanos().max(1) as u64,

@@ -26,8 +26,39 @@
 //! by lanes arriving in any interleaving.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tfr_telemetry::json::Json;
 use tfr_telemetry::{Event, EventKind};
+
+/// A map keyed by the program's own counters — pids, shards, slots,
+/// heights, span ids. No key comes from outside the process, so a
+/// multiply-rotate hash stands in for SipHash, which cost the collector
+/// as much per event as everything else it does.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher behind [`IdMap`]: one rotate, xor and multiply per word.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Completed critical-section intervals kept for cross-lane overlap
 /// checks before old ones are pruned. Bounds memory; pruning can only
@@ -67,7 +98,7 @@ impl Violation {
 #[derive(Debug, Default)]
 pub struct MutexMonitor {
     /// Open critical section per process: acquisition timestamp.
-    open: HashMap<u32, u64>,
+    open: IdMap<u32, u64>,
     /// Completed `(pid, start, end)` intervals, oldest first.
     done: Vec<(u32, u64, u64)>,
 }
@@ -117,7 +148,7 @@ impl MutexMonitor {
 #[derive(Debug, Default)]
 pub struct BatchMonitor {
     /// Per shard: the set of slots reported committed.
-    slots: HashMap<u32, HashMap<u64, u32>>,
+    slots: IdMap<u32, IdMap<u64, u32>>,
 }
 
 impl BatchMonitor {
@@ -169,7 +200,7 @@ impl BatchMonitor {
 #[derive(Debug, Default)]
 pub struct QuorumMonitor {
     /// Per `(pid, reg)`: the highest `(ts, wid)` observed.
-    floor: HashMap<(u32, u64), (u64, u64)>,
+    floor: IdMap<(u32, u64), (u64, u64)>,
 }
 
 impl QuorumMonitor {
@@ -201,7 +232,7 @@ impl QuorumMonitor {
 #[derive(Debug, Default)]
 pub struct RecoveryMonitor {
     /// Per process: the last installed incarnation.
-    last: HashMap<u32, u64>,
+    last: IdMap<u32, u64>,
 }
 
 impl RecoveryMonitor {
@@ -248,11 +279,11 @@ impl RecoveryMonitor {
 pub struct LogPrefixMonitor {
     /// Per lane: the next in-order height (`None` = just recovered,
     /// accept any height once).
-    expected: HashMap<u32, Option<u64>>,
+    expected: IdMap<u32, Option<u64>>,
     /// Per height: the first reported `(digest, lane)`.
-    digests: HashMap<u64, (u64, u32)>,
+    digests: IdMap<u64, (u64, u32)>,
     /// Per height: the winning proposer that announced the decision.
-    winners: HashMap<u64, u32>,
+    winners: IdMap<u64, u32>,
 }
 
 impl LogPrefixMonitor {

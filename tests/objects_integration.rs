@@ -3,12 +3,19 @@
 //! guarantees up through every layer.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use tfr::core::derived::{LeaderElection, Renaming, SetConsensus, TestAndSet};
-use tfr::core::universal::{Counter, FifoQueue, MultiConsensus, Sequential, Universal};
-use tfr::registers::chaos::{self, ChaosSession, Fault, FaultAction};
-use tfr::registers::ProcId;
+use tfr::core::election_spec::ElectionSpec;
+use tfr::core::universal::{
+    CommittedBatch, Counter, FifoQueue, MultiConsensus, Sequential, Universal,
+};
+use tfr::registers::bank::RegisterBank;
+use tfr::registers::chaos::{self, points, ChaosSession, Fault, FaultAction};
+use tfr::registers::space::{NativeSpace, RegisterSpace};
+use tfr::registers::spec::run_solo;
+use tfr::registers::{ProcId, RegId, Ticks};
 
 const D: Duration = Duration::from_micros(3);
 
@@ -47,6 +54,251 @@ fn multivalued_stress_many_widths() {
         assert!(outs.windows(2).all(|w| w[0] == w[1]), "width={width}");
         assert!(inputs.contains(&outs[0]), "width={width}: validity");
     }
+}
+
+/// A space that tapes every access as `(is_write, index)`, usable as the
+/// native object's space and as the solo runner's bank.
+#[derive(Default)]
+struct Taped {
+    cells: NativeSpace,
+    tape: Mutex<Vec<(bool, u64)>>,
+}
+
+impl Taped {
+    fn tape(&self) -> Vec<(bool, u64)> {
+        self.tape.lock().unwrap().clone()
+    }
+}
+
+impl RegisterSpace for Taped {
+    fn read(&self, index: u64) -> u64 {
+        self.tape.lock().unwrap().push((false, index));
+        self.cells.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.tape.lock().unwrap().push((true, index));
+        self.cells.write(index, value)
+    }
+}
+
+impl RegisterBank for Taped {
+    fn read(&self, reg: RegId) -> u64 {
+        RegisterSpace::read(self, reg.0)
+    }
+    fn write(&mut self, reg: RegId, value: u64) {
+        RegisterSpace::write(self, reg.0, value)
+    }
+}
+
+/// A register as the election construction names it.
+#[derive(Debug, PartialEq, Eq)]
+enum Loc {
+    Result,
+    Announce(u64),
+    /// Register `reg` of pid bit `k`'s Algorithm 1 instance.
+    Bit {
+        k: u64,
+        reg: u64,
+    },
+}
+
+/// Locates a native `MultiConsensus` index among `n` processes: `result`
+/// at 0, `announce[i]` at `1 + i`, then the `w` pid-bit instances
+/// interleaved with stride `w`.
+fn native_loc(n: u64, w: u64, index: u64) -> Loc {
+    match index {
+        0 => Loc::Result,
+        i if i <= n => Loc::Announce(i - 1),
+        i => Loc::Bit {
+            k: (i - 1 - n) % w,
+            reg: (i - 1 - n) / w,
+        },
+    }
+}
+
+/// Locates an `ElectionSpec` index: `announce[j]` at `j`, then instance
+/// `k` at `n + k·stride`.
+fn spec_loc(n: u64, index: u64) -> Loc {
+    let stride = 3 * ElectionSpec::INNER_ROUNDS + 1;
+    match index {
+        i if i < n => Loc::Announce(i),
+        i => Loc::Bit {
+            k: (i - n) / stride,
+            reg: (i - n) % stride,
+        },
+    }
+}
+
+#[test]
+fn multivalued_solo_propose_costs_three_plus_seven_per_pid_bit() {
+    // Read the standing announcement, announce, 7 per pid bit (the solo
+    // fast path of Algorithm 1), write `result` — whatever the value
+    // width. A delay would take the whole Δ, so a solo run well inside it
+    // ran none.
+    let long = Duration::from_secs(2);
+    for (n, bits) in [(1usize, 1), (2, 1), (3, 2), (4, 2), (5, 3), (255, 8)] {
+        let space = Arc::new(Taped::default());
+        let mc = MultiConsensus::on(Arc::clone(&space), n, 63, long);
+        let start = Instant::now();
+        assert_eq!(mc.propose(ProcId(n - 1), (1 << 62) + 5), (1 << 62) + 5);
+        assert!(start.elapsed() < long, "n={n}: a solo propose delayed");
+        assert_eq!(space.tape().len(), 3 + 7 * bits, "n={n}");
+    }
+}
+
+#[test]
+fn multivalued_solo_native_run_is_the_election_spec_run() {
+    for (n, w) in [(1usize, 1), (2, 1), (3, 2), (5, 3)] {
+        for pid in [0, n - 1] {
+            let space = Arc::new(Taped::default());
+            let mc = MultiConsensus::on(Arc::clone(&space), n, 8, D);
+            assert_eq!(mc.propose(ProcId(pid), 200), 200);
+            let mut bank = Taped::default();
+            let spec = ElectionSpec::new(n, 0, Ticks(100));
+            let run = run_solo(&spec, ProcId(pid), &mut bank, 500);
+            assert_eq!(run.decision(), Some(pid as u64));
+            assert_eq!(run.delays, 0);
+
+            let n = n as u64;
+            let got: Vec<_> = space
+                .tape()
+                .into_iter()
+                .map(|(write, i)| (write, native_loc(n, w, i)))
+                .collect();
+            // The native run adds only the standing-announcement read
+            // before and the `result` write after.
+            let mut want = vec![(false, Loc::Announce(pid as u64))];
+            want.extend(
+                bank.tape()
+                    .into_iter()
+                    .map(|(write, i)| (write, spec_loc(n, i))),
+            );
+            want.push((true, Loc::Result));
+            assert_eq!(got, want, "n={n} pid={pid}");
+        }
+    }
+}
+
+#[test]
+fn multivalued_agreement_where_pid_prefixes_name_no_process() {
+    // n = 3, 5, 6 are not powers of two: some pid prefixes name no
+    // process. Eight threads per trial: the n proposers, and readers that
+    // return the first decision `result` shows them.
+    for n in [3usize, 5, 6] {
+        for trial in 0..20u64 {
+            let mc = MultiConsensus::new(n, 12, D);
+            let inputs: Vec<u64> = (0..n as u64)
+                .map(|i| (i * 1031 + trial * 7) % 4096)
+                .collect();
+            let outs: Vec<u64> = std::thread::scope(|s| {
+                let mc = &mc;
+                let readers: Vec<_> = (n..8)
+                    .map(|_| {
+                        s.spawn(move || loop {
+                            match mc.decision() {
+                                Some(d) => return d,
+                                None => std::thread::yield_now(),
+                            }
+                        })
+                    })
+                    .collect();
+                let proposers: Vec<_> = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| s.spawn(move || mc.propose(ProcId(i), v)))
+                    .collect();
+                proposers
+                    .into_iter()
+                    .chain(readers)
+                    .map(|h| h.join().unwrap())
+                    .collect()
+            });
+            assert!(outs.windows(2).all(|w| w[0] == w[1]), "n={n}: {outs:?}");
+            assert!(inputs.contains(&outs[0]), "n={n}: decided a non-input");
+        }
+    }
+}
+
+/// p1 (of n = 4, two pid bits) decides pid bit 1 and crashes recoverably
+/// at the top of its second Algorithm 1 instance: visits 1 and 2 of
+/// `consensus.round` are the first instance's two loop checks.
+fn crash_after_first_pid_bit() -> Fault {
+    Fault {
+        pid: ProcId(1),
+        point: points::CONSENSUS_ROUND,
+        nth: 3,
+        action: FaultAction::CrashRecover(Duration::ZERO),
+    }
+}
+
+#[test]
+fn multivalued_recovered_incarnation_proposes_the_standing_value() {
+    // With value bits this schedule panicked: the new incarnation
+    // overwrote announce[1] with v2, so at bit 6 (decided 0 under v1's
+    // prefix 0b10) `adopt` found no announced value with that prefix and
+    // hit its `unreachable!`.
+    let (v1, v2, v_early, v_late) = (0b1000_0000, 0b1111_1111, 0b0000_0001, 0b0000_0011);
+    let mc = MultiConsensus::new(4, 8, D);
+    let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
+    let first = chaos::run_as(ProcId(1), || mc.propose(ProcId(1), v1));
+    assert!(first.recoverable_after().is_some(), "p1 crashed");
+    assert_eq!(mc.decision(), None, "p1 crashed before writing result");
+    // p2 runs alone and finishes before p1 comes back.
+    assert_eq!(mc.propose(ProcId(2), v_early), v1);
+    // p1's next incarnation proposes a new value while p3 proposes.
+    let (again, late) = std::thread::scope(|s| {
+        let mc = &mc;
+        let again = s.spawn(move || chaos::run_as(ProcId(1), || mc.propose(ProcId(1), v2)));
+        let late = s.spawn(move || mc.propose(ProcId(3), v_late));
+        (again.join().unwrap(), late.join().unwrap())
+    });
+    assert_eq!(again.completed(), Some(v1), "the first announcement stands");
+    assert_eq!(late, v1);
+    assert_eq!(mc.decision(), Some(v1));
+}
+
+#[test]
+fn universal_recovered_session_commits_its_predecessors_batch() {
+    // With value bits the slot decided a packed (pid, offset): the new
+    // incarnation's proposal, offset 3, won the bits its predecessor had
+    // left, so the new batch committed and the predecessor's was
+    // orphaned; a crash further down the 32 bits, inside the offset, made
+    // `adopt` hit its `unreachable!`.
+    let obj = Universal::new(Counter, 4, 8, D);
+    let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
+    let crashed = chaos::run_as(ProcId(1), || {
+        let mut s = obj.session(ProcId(1));
+        s.announce_burst(&[10, 20]);
+        s.drive_pending();
+    });
+    assert!(crashed.recoverable_after().is_some(), "p1 crashed");
+    assert_eq!(obj.audit().slots_decided, 0);
+    // The new incarnation reads counter 2 and arena mark 3, publishes both
+    // ops again as a batch at offset 3 and proposes it.
+    let (responses, commits) = chaos::run_as(ProcId(1), || {
+        let mut s = obj.session(ProcId(1));
+        s.drive_pending();
+        (s.take_responses(), s.take_commits())
+    })
+    .completed()
+    .expect("the crash is one-shot");
+    assert_eq!(responses, vec![(0, 10), (1, 30)], "each op applied once");
+    assert_eq!(
+        commits,
+        vec![CommittedBatch {
+            slot: 0,
+            proposer: ProcId(1),
+            offset: 0,
+            size: 2
+        }],
+        "slot 0 commits the predecessor's batch; the one at offset 3 is orphaned"
+    );
+    assert_eq!(obj.invoke(ProcId(2), 5), 35);
+    let audit = obj.audit();
+    assert!(audit.complete(), "{audit:?}");
+    assert_eq!(audit.committed, vec![0, 2, 1, 0]);
+    assert_eq!(audit.batch_sizes, vec![2, 1]);
+    assert_eq!(obj.snapshot(), 35);
 }
 
 #[test]
@@ -177,13 +429,15 @@ fn universal_counter_helping_under_asymmetric_load() {
 #[test]
 fn universal_queue_interleaved_enq_deq() {
     // Generous capacity: every empty dequeue also consumes a log slot.
-    let obj = Arc::new(Universal::new(FifoQueue, 2, 300, D));
+    let obj = Arc::new(Universal::new(FifoQueue, 2, 2_000, D));
+    let producing = Arc::new(AtomicBool::new(true));
     let producer = {
-        let obj = Arc::clone(&obj);
+        let (obj, producing) = (Arc::clone(&obj), Arc::clone(&producing));
         std::thread::spawn(move || {
             for k in 0..10u32 {
                 obj.invoke(ProcId(0), FifoQueue::enqueue_op(k));
             }
+            producing.store(false, Ordering::SeqCst);
         })
     };
     let consumer = {
@@ -194,6 +448,12 @@ fn universal_queue_interleaved_enq_deq() {
             while got.len() < 10 && misses < 200 {
                 match FifoQueue::decode_dequeue(obj.invoke(ProcId(1), FifoQueue::DEQUEUE)) {
                     Some(v) => got.push(v),
+                    // A descheduled producer is not a lost enqueue: only
+                    // misses after it finished count, and until then the
+                    // consumer backs off instead of spending log slots.
+                    None if producing.load(Ordering::SeqCst) => {
+                        std::thread::sleep(Duration::from_micros(50))
+                    }
                     None => misses += 1,
                 }
             }
