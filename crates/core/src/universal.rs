@@ -44,6 +44,33 @@
 //! old `invoke` path became per-*proposal* scans; a quiet object costs a
 //! session one register read per poll). [`Universal::invoke`] remains as
 //! the compatible one-shot wrapper.
+//!
+//! # Register runs
+//!
+//! Most of a decision's register accesses are batching bookkeeping on
+//! independent cells — op payloads, arena records and their read-back —
+//! and a [`Session`] issues each group as one register run
+//! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`]), which a
+//! quorum backend serves in the round trips of a single access. A run
+//! promises per-cell atomicity and nothing across cells, so only groups
+//! whose internal order no reader relies on are vectored, and every
+//! ordering the construction does rely on is kept *between* runs:
+//!
+//! * a burst's payloads, *then* its announce counter (combiners read
+//!   payloads only below a counter they have read);
+//! * a batch record (length and entries), *then* the arena mark — and
+//!   **everything before the proposal**, since no reader dereferences an
+//!   arena offset until a decision names it (see `publish_batch`);
+//! * a decided record's length, *then* its entries, *then* their payloads
+//!   (each run's addresses come from the previous run's values).
+//!
+//! Algorithm 1 itself — and so [`MultiConsensus`] — is **not** vectored.
+//! Its round `read decide → write x[r,v] → read y[r] → … → read
+//! x[r,¬v]` is Dekker-shaped: Theorems 2.2 and 2.3 rest on each process
+//! writing its own `x` before reading the other's, an order across cells
+//! that a run does not keep (`consensus.rs`). `adopt`'s scan and the
+//! combiner's counter scan stay single reads too: they touch one cell or
+//! none at the process counts the service runs.
 
 use crate::consensus::NativeConsensus;
 use crate::probe::{OpProbe, Probe};
@@ -352,7 +379,8 @@ pub struct Universal<T: Sequential, S: RegisterSpace = NativeSpace> {
     announce: SubSpace<Arc<S>>,
     /// Region 1 — batch arenas. Process `p`'s arena cell `i` lives at
     /// `p + i·n`; a batch record at arena offset `o` is `len` at `o`
-    /// (written last) followed by `len` packed entries, each +1.
+    /// followed by `len` packed entries, each +1 — one register run of
+    /// stride `n`, written before the arena mark and the proposal.
     arena: SubSpace<Arc<S>>,
     /// Region 2 — slot `s` decides which published batch occupies log
     /// position `s`, packed as `proposer · 2^24 + arena offset`.
@@ -508,16 +536,22 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     /// Panics if `pid` is out of range.
     pub fn session(&self, pid: ProcId) -> Session<'_, T, S> {
         assert!(pid.0 < self.n, "pid out of range");
+        // The counter and the mark are adjacent: one run of two.
+        let mut own = [0; 2];
+        debug_assert_eq!(Self::idx_arena_mark(pid.0), Self::idx_announced(pid.0) + 1);
+        self.announce
+            .read_run(Self::idx_announced(pid.0), 1, &mut own);
         Session {
             uni: self,
             pid,
             state: self.object.initial(),
             next_slot: 0,
             done: vec![0; self.n],
-            announced: self.announce.read(Self::idx_announced(pid.0)),
-            arena_mark: self.announce.read(Self::idx_arena_mark(pid.0)),
+            announced: own[0],
+            arena_mark: own[1],
             responses: Vec::new(),
             commits: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -645,6 +679,9 @@ pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     responses: Vec<(u64, u64)>,
     /// Batches observed committed during this session's replay.
     commits: Vec<CommittedBatch>,
+    /// Reused buffer for the register runs of announcing, publishing and
+    /// applying, so that a decision allocates nothing once it has grown.
+    scratch: Vec<u64>,
 }
 
 impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
@@ -673,6 +710,10 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     /// — the client half of flat combining — and returns the sequence
     /// number of the first. Sequence numbers are consecutive.
     ///
+    /// The payloads go out as one register run, *then* the counter: a
+    /// combiner reads payloads only below a counter value it has read, so
+    /// the payloads need no order among themselves.
+    ///
     /// # Panics
     ///
     /// Panics if `ops` is empty or an op is `u64::MAX`.
@@ -680,11 +721,14 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
         assert!(!ops.is_empty(), "announce at least one op");
         chaos::point(chaos::points::UNIVERSAL_ANNOUNCE);
         let first = self.announced;
-        for (i, &op) in ops.iter().enumerate() {
+        self.scratch.clear();
+        self.scratch.extend(ops.iter().map(|&op| {
             assert!(op < u64::MAX, "op encoding must leave room for +1");
-            let idx = self.uni.idx_op(self.pid.0, first + i as u64);
-            self.uni.announce.write(idx, op + 1);
-        }
+            op + 1
+        }));
+        let uni = self.uni;
+        uni.announce
+            .write_run(uni.idx_op(self.pid.0, first), uni.n as u64, &self.scratch);
         self.announced = first + ops.len() as u64;
         self.uni
             .announce
@@ -744,13 +788,23 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     }
 
     /// Builds a batch of pending announced ops for slot `s`, publishes
-    /// its record in the own arena (entries first, then the length cell,
-    /// then the arena mark — all before any proposal references the
-    /// offset), and returns the record's offset.
+    /// its record in the own arena, and returns the record's offset.
+    ///
+    /// The record — the length cell and the entries — goes out as one
+    /// register run, with no order among its cells, *then* the arena mark.
+    /// What matters is that **everything is written before the
+    /// proposal**: no reader dereferences an arena offset until a slot's
+    /// decision names it, and a decision can name this offset only once
+    /// this session has proposed it, after both writes have returned. A
+    /// session that crashes before its proposal leaves an unreferenced
+    /// record that its next incarnation, reading the old mark, overwrites.
     fn publish_batch(&mut self, s: usize) -> u64 {
         let uni = self.uni;
         let offset = self.arena_mark;
-        let mut entries: Vec<u64> = Vec::with_capacity(uni.max_batch.min(64));
+        // The record being built: `len` (patched below), then the entries.
+        let record = &mut self.scratch;
+        record.clear();
+        record.push(0);
         // Combine with rotating priority: scan announce counters starting
         // at process s mod n, so every process's oldest pending op leads
         // the batch at one slot in every n — the helping rule that makes
@@ -764,27 +818,22 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
             };
             let mut seq = self.done[p];
             while seq < high {
-                if entries.len() == uni.max_batch {
+                if record.len() > uni.max_batch {
                     break 'scan;
                 }
-                entries.push(((p as u64) << ENTRY_PID_SHIFT) | seq);
+                record.push((((p as u64) << ENTRY_PID_SHIFT) | seq) + 1);
                 seq += 1;
             }
         }
-        debug_assert!(
-            !entries.is_empty(),
-            "the combiner only runs with own ops pending"
-        );
-        let len = entries.len() as u64;
+        let len = record.len() as u64 - 1;
+        debug_assert!(len > 0, "the combiner only runs with own ops pending");
         assert!(
             offset + len + 1 < 1 << ARENA_BITS,
             "per-process batch arena exhausted"
         );
-        for (r, &entry) in entries.iter().enumerate() {
-            uni.arena
-                .write(uni.idx_arena(self.pid.0, offset + 1 + r as u64), entry + 1);
-        }
-        uni.arena.write(uni.idx_arena(self.pid.0, offset), len);
+        record[0] = len;
+        uni.arena
+            .write_run(uni.idx_arena(self.pid.0, offset), uni.n as u64, record);
         self.arena_mark = offset + 1 + len;
         uni.announce.write(
             Universal::<T, S>::idx_arena_mark(self.pid.0),
@@ -793,7 +842,11 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
         offset
     }
 
-    /// Applies the batch decided at slot `s` to the replayed state.
+    /// Applies the batch decided at slot `s` to the replayed state: reads
+    /// the length, then the entries as one register run, then the
+    /// payloads as one run per stretch of consecutive entries of one
+    /// process (a stretch is consecutive sequence numbers, hence a strided
+    /// run of that process's payload cells).
     fn apply_slot(&mut self, s: usize, decided: u64) {
         let uni = self.uni;
         let (q, offset) = Universal::<T, S>::unpack(decided);
@@ -802,31 +855,46 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
             len >= 1 && len <= uni.max_batch,
             "a decided batch record is published before its proposal"
         );
-        let mut size = 0;
-        for r in 1..=len {
-            let raw = uni.arena.read(uni.idx_arena(q, offset + r as u64));
+        self.scratch.clear();
+        self.scratch.resize(2 * len, 0);
+        let (entries, payloads) = self.scratch.split_at_mut(len);
+        uni.arena
+            .read_run(uni.idx_arena(q, offset + 1), uni.n as u64, entries);
+        let split = |raw: u64| {
             debug_assert!(raw != 0, "committed batch entries are published");
             let entry = raw - 1;
             let p = (entry >> ENTRY_PID_SHIFT) as usize;
-            let seq = entry & ((1 << ENTRY_PID_SHIFT) - 1);
+            (p, entry & ((1 << ENTRY_PID_SHIFT) - 1))
+        };
+        let mut start = 0;
+        while start < len {
+            let mut end = start + 1;
+            while end < len && entries[end] == entries[end - 1] + 1 {
+                end += 1;
+            }
+            let (p, seq) = split(entries[start]);
+            uni.announce
+                .read_run(uni.idx_op(p, seq), uni.n as u64, &mut payloads[start..end]);
+            start = end;
+        }
+        for (&raw, &payload) in entries.iter().zip(payloads.iter()) {
+            let (p, seq) = split(raw);
             debug_assert_eq!(
                 seq, self.done[p],
                 "batch entries extend each process's committed prefix"
             );
-            let payload = uni.announce.read(uni.idx_op(p, seq));
             debug_assert!(payload != 0, "committed ops were announced");
             let response = uni.object.apply(&mut self.state, payload - 1);
             if p == self.pid.0 {
                 self.responses.push((seq, response));
             }
             self.done[p] += 1;
-            size += 1;
         }
         self.commits.push(CommittedBatch {
             slot: s,
             proposer: ProcId(q),
             offset,
-            size,
+            size: len,
         });
         self.next_slot = s + 1;
     }
@@ -891,6 +959,7 @@ impl Sequential for FifoQueue {
 mod tests {
     use super::*;
     use crate::election_spec::ElectionSpec;
+    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
     use tfr_registers::bank::RegisterBank;
@@ -1414,6 +1483,105 @@ mod tests {
         s2.drive_pending();
         assert_eq!(s2.take_responses(), vec![(0, 10), (1, 30), (2, 60)]);
         assert_eq!(obj.snapshot(), 60);
+    }
+
+    /// The cells, with multiplicity, that process 0 of `n` touches while
+    /// it opens a session on a fresh object of `capacity` slots, announces
+    /// `k` ops and drives them through slot 0 alone — `(is_write, parent
+    /// index)`, from the layout documented on [`Universal`] and
+    /// [`MultiConsensus`] (one pid bit: `n ≤ 2`).
+    fn solo_decision_accesses(n: u64, k: u64, capacity: u64) -> BTreeMap<(bool, u64), usize> {
+        assert!(n <= 2, "one pid bit");
+        let announce = |i: u64| REGIONS * i + REGION_ANNOUNCE;
+        let arena = |i: u64| REGIONS * i + REGION_ARENA;
+        let slot0 = |i: u64| REGIONS * (i * capacity) + REGION_SLOTS;
+        // Algorithm 1 register `j` of the only pid bit's instance.
+        let alg1 = |j: u64| slot0(1 + n + j);
+        let (decide, y1, x1_false, x1_true) = (alg1(0), alg1(3), alg1(4), alg1(5));
+        let mut cells = vec![
+            (false, announce(0)), // session: own counter…
+            (false, announce(1)), // …and arena mark
+            (true, announce(0)),  // announce counter
+            (false, slot0(0)),    // slot 0 undecided
+            (true, arena(0)),     // record length
+            (true, announce(1)),  // arena mark
+            (false, slot0(1)),    // standing announcement
+            (true, slot0(1)),     // announce
+            (false, decide),      // Algorithm 1's solo fast path, v = 0
+            (true, x1_false),
+            (false, y1),
+            (true, y1),
+            (false, x1_true),
+            (true, decide),
+            (false, decide),
+            (true, slot0(0)),  // result
+            (false, arena(0)), // applying: record length
+        ];
+        if n == 2 {
+            cells.push((false, announce(2))); // the other counter
+        }
+        for i in 0..k {
+            let payload = announce(2 * n + i * n);
+            let entry = arena((1 + i) * n);
+            cells.extend([
+                (true, payload),
+                (true, entry),
+                (false, entry),
+                (false, payload),
+            ]);
+        }
+        let mut multiset = BTreeMap::new();
+        for cell in cells {
+            *multiset.entry(cell).or_insert(0) += 1;
+        }
+        multiset
+    }
+
+    /// Vectoring changes rounds, not accesses: one solo decision touches
+    /// the same cells as many times as when every access was a single
+    /// read or write (the parent's code, in whatever order), counted per
+    /// cell through the default run loop.
+    #[test]
+    fn a_solo_decision_touches_the_same_cells_per_cell() {
+        for n in [1usize, 2] {
+            for k in [1u64, 8] {
+                let space = Arc::new(Taped::default());
+                let obj = Universal::on(Arc::clone(&space), Counter, n, 4, D);
+                let mut session = obj.session(ProcId(0));
+                session.announce_burst(&vec![1; k as usize]);
+                session.drive_pending();
+                let mut got = BTreeMap::new();
+                for access in space.tape() {
+                    *got.entry(access).or_insert(0) += 1;
+                }
+                assert_eq!(got, solo_decision_accesses(n as u64, k, 4), "n={n} k={k}");
+            }
+        }
+    }
+
+    /// Over a three-replica quorum network whose links all take 20 µs —
+    /// every round reaches every replica, so no read needs a write-back —
+    /// one solo decision at n = 1 opens exactly 27 quorum rounds: 9 reads
+    /// of one round and 9 writes of two, whatever the batch size. Before
+    /// register runs a decision opened 6k + 23 (29, 71 and 407 rounds for
+    /// k = 1, 8, 64): every payload and arena cell cost its own rounds.
+    #[test]
+    fn a_solo_decision_costs_27_quorum_rounds_at_any_batch_size() {
+        use tfr_net::{NetConfig, Network};
+        for k in [1usize, 8, 64] {
+            let mut cfg = NetConfig::new(1, 3, 0x27);
+            cfg.min_delay = Duration::from_micros(20);
+            cfg.max_delay = cfg.min_delay;
+            let net = Arc::new(Network::new(cfg));
+            let control = net.control();
+            let obj = Universal::on(Arc::new(net.space()), Counter, 1, 4, D);
+            let mut session = obj.session(ProcId(0));
+            let before = control.quorum_rounds();
+            session.announce_burst(&vec![1; k]);
+            session.drive_pending();
+            assert_eq!(control.quorum_rounds() - before, 27, "k={k}");
+            assert_eq!(session.take_responses().len(), k);
+        }
     }
 
     #[test]

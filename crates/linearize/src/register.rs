@@ -10,6 +10,12 @@
 //! with a [`RegisterModel`]. Each register index becomes its own object id,
 //! so P-compositionality splits the search per register.
 //!
+//! Runs (`read_run` / `write_run`) are recorded cell by cell — one
+//! operation per cell, each spanning the whole call — and forwarded to the
+//! backend as runs, so the check covers the vectored quorum path and
+//! claims for it exactly what a run promises: per-cell atomicity, nothing
+//! across cells.
+//!
 //! # Operation encoding
 //!
 //! * read — `op = 0`, response = the value returned;
@@ -120,6 +126,20 @@ impl<S: RegisterSpace> RecordingSpace<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
+
+    /// Records the invocation of `ops[i]` on cell `base + i·stride` for
+    /// every `i`; returns the tokens.
+    fn invoke_run(
+        &self,
+        pid: tfr_registers::ProcId,
+        base: u64,
+        stride: u64,
+        ops: impl Iterator<Item = u64>,
+    ) -> Vec<u64> {
+        ops.enumerate()
+            .map(|(i, op)| self.recorder.invoke(pid, base + i as u64 * stride, op))
+            .collect()
+    }
 }
 
 impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
@@ -145,6 +165,36 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
             None => self.inner.write(index, value),
         }
     }
+
+    /// Forwarded to the inner space as one run — never split into
+    /// single reads, or the checker would not see the vectored path.
+    /// Each cell is recorded as its own read, every one invoked before
+    /// the call and answered after it: the interval spans the whole run,
+    /// which is all a run promises about any one cell.
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        let Some(pid) = current_pid() else {
+            return self.inner.read_run(base, stride, out);
+        };
+        let tokens = self.invoke_run(pid, base, stride, out.iter().map(|_| READ_OP));
+        self.inner.read_run(base, stride, out);
+        for (i, (token, &value)) in tokens.into_iter().zip(out.iter()).enumerate() {
+            self.recorder
+                .response(pid, base + i as u64 * stride, token, value);
+        }
+    }
+
+    /// Forwarded as one run and recorded per cell, like `read_run`.
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        let Some(pid) = current_pid() else {
+            return self.inner.write_run(base, stride, values);
+        };
+        let tokens = self.invoke_run(pid, base, stride, values.iter().map(|&v| write_op(v)));
+        self.inner.write_run(base, stride, values);
+        for (i, token) in tokens.into_iter().enumerate() {
+            self.recorder
+                .response(pid, base + i as u64 * stride, token, 0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +202,7 @@ mod tests {
     use super::*;
     use crate::checker::check_history;
     use crate::history::{History, Operation};
+    use tfr_net::{NetConfig, Network};
     use tfr_registers::space::NativeSpace;
     use tfr_registers::ProcId;
     use tfr_telemetry::with_pid;
@@ -206,6 +257,194 @@ mod tests {
         let history = rec.history();
         assert_eq!(history.len(), 4 * 16);
         check_history(&history, &RegisterModel).expect("native atomics linearize");
+    }
+
+    /// A backend that serves runs and refuses single accesses: recording
+    /// must hand it the run, never the default loop.
+    struct RunsOnly(NativeSpace);
+
+    impl RegisterSpace for RunsOnly {
+        fn read(&self, _: u64) -> u64 {
+            panic!("a run was split into single reads")
+        }
+        fn write(&self, _: u64, _: u64) {
+            panic!("a run was split into single writes")
+        }
+        fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+            self.0.read_run(base, stride, out)
+        }
+        fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+            self.0.write_run(base, stride, values)
+        }
+    }
+
+    #[test]
+    fn runs_are_forwarded_whole_and_recorded_per_cell() {
+        let rec = Arc::new(Recorder::new(1));
+        let space = RecordingSpace::new(RunsOnly(NativeSpace::new()), Arc::clone(&rec));
+        let mut out = [0; 3];
+        with_pid(ProcId(0), || {
+            space.write_run(4, 2, &[7, 8, 9]);
+            space.read_run(4, 2, &mut out);
+        });
+        space.read_run(4, 2, &mut out); // unrecorded, and still a run
+        assert_eq!(out, [7, 8, 9]);
+        let ops = rec.history().ops;
+        assert_eq!(ops.len(), 6, "one operation per cell");
+        for run in ops.chunks(3) {
+            assert_eq!(run.iter().map(|o| o.obj).collect::<Vec<_>>(), [4, 6, 8]);
+            let last_invoke = run.iter().map(|o| o.invoke_ts).max().unwrap();
+            let first_response = run.iter().map(|o| o.resp_ts).min().unwrap();
+            assert!(last_invoke < first_response, "each interval spans the call");
+        }
+        assert_eq!(ops[1].op, write_op(8));
+        assert_eq!(ops[4].resp, Some(8));
+    }
+
+    /// Two clients issue overlapping `read_run` / `write_run` on shared
+    /// cells of a 5-replica quorum space under 30 % message drops and,
+    /// half way through, a partition cutting off two replicas. Every cell
+    /// must linearize as an atomic register.
+    #[test]
+    fn overlapping_quorum_runs_linearize_under_drops_and_a_minority_cut() {
+        const STEPS: u64 = 40;
+        let mut cfg = NetConfig::new(2, 5, 0x5EED_0F4E);
+        cfg.retransmit = std::time::Duration::from_micros(200);
+        let net = Arc::new(Network::new(cfg));
+        let control = net.control();
+        control.set_drop(0.3);
+        let rec = Arc::new(Recorder::with_capacity(2, 2 * 9 * STEPS as usize));
+        let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&rec)));
+        std::thread::scope(|s| {
+            for (t, space) in spaces.iter().enumerate() {
+                let control = &control;
+                s.spawn(move || {
+                    with_pid(ProcId(t), || {
+                        // Client 0 writes cells 0..4 and reads 1..6; client
+                        // 1 writes 2..6 and reads the even cells 0, 2, 4.
+                        let (write_base, read, read_stride) = if t == 0 {
+                            (0, vec![0; 5], 1)
+                        } else {
+                            (2, vec![0; 3], 2)
+                        };
+                        let mut read = read;
+                        for k in 0..STEPS {
+                            if t == 0 && k == STEPS / 2 {
+                                control.partition_minority(2);
+                            }
+                            let v = (t as u64 + 1) * 10_000 + k * 10;
+                            space.write_run(write_base, 1, &[v, v + 1, v + 2, v + 3]);
+                            space.read_run(1 - t as u64, read_stride, &mut read);
+                        }
+                    })
+                });
+            }
+        });
+        control.heal();
+        assert_eq!(rec.dropped(), 0, "history buffers overflowed");
+        let history = rec.history();
+        assert_eq!(
+            history.len(),
+            2 * STEPS as usize * 4 + STEPS as usize * (5 + 3)
+        );
+        let report = check_history(&history, &RegisterModel)
+            .expect("quorum runs must linearize per register");
+        assert_eq!(report.objects.len(), 6, "cells 0..6 all checked");
+    }
+
+    /// The seeded mutant decides a read run's write-back from its first
+    /// cell only, and the checker must reject it. The schedule is scripted
+    /// with partitions over three replicas s0–s2 and two clients:
+    ///
+    /// 1. client 0's write of cell 1 gets its query answered by s0 and s1
+    ///    (links slowed to 50 ms to make room), then is cut off with s0
+    ///    alone, so its store reaches s0 only and it stays pending;
+    /// 2. client 1 reads the run `[0, 1]` from {s0, s1}: cell 0 is
+    ///    committed, cell 1's newest version is on s0 alone — the correct
+    ///    read writes cell 1 back, the mutant writes nothing back;
+    /// 3. client 1 reads the run again from {s1, s2}: the correct read
+    ///    sees the new value, the mutant the old one — a new/old
+    ///    inversion no linearization explains.
+    ///
+    /// The correct space runs the same script and must check clean. A
+    /// scheduling hiccup longer than the 25 ms margins shows as a missed
+    /// precondition, and the script is retried on a fresh network.
+    #[test]
+    fn the_first_cell_write_back_mutant_is_rejected() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        use tfr_net::NodeId::{Client, Replica};
+
+        /// Runs the script; `None` if the timing precondition missed.
+        fn script(mutant: bool) -> Option<History> {
+            let net = Arc::new(Network::new(NetConfig::new(2, 3, 0x317)));
+            let control = net.control();
+            let rec = Arc::new(Recorder::new(2));
+            let reader = net.space();
+            let reader = if mutant {
+                reader.with_first_cell_write_back()
+            } else {
+                reader
+            };
+            let reader = RecordingSpace::new(reader, Arc::clone(&rec));
+            let writer = RecordingSpace::new(net.space(), Arc::clone(&rec));
+            with_pid(ProcId(1), || reader.write_run(0, 1, &[1, 1]));
+            let slow = Duration::from_millis(50);
+            control.delay_spike(slow);
+            control.partition(&[
+                vec![Client(0), Replica(0), Replica(1)],
+                vec![Client(1), Replica(2)],
+            ]);
+            let done = AtomicBool::new(false);
+            let mut runs = [[0u64; 2]; 2];
+            let met = std::thread::scope(|s| {
+                let started = Instant::now();
+                s.spawn(|| {
+                    with_pid(ProcId(0), || writer.write(1, 2));
+                    done.store(true, Ordering::SeqCst);
+                });
+                // Query acks leave s0/s1 at ~50 ms and arrive at ~100 ms,
+                // when the store is sent: cut between the two.
+                std::thread::sleep(
+                    (started + slow * 3 / 2).saturating_duration_since(Instant::now()),
+                );
+                control.partition(&[
+                    vec![Client(0), Replica(0)],
+                    vec![Client(1), Replica(1), Replica(2)],
+                ]);
+                // The store reaches s0 at ~150 ms.
+                std::thread::sleep((started + slow * 4).saturating_duration_since(Instant::now()));
+                control.delay_spike(Duration::ZERO);
+                // Read from {s0, s1}, then from {s1, s2}; the writer stays
+                // cut off throughout.
+                for (out, cut) in runs.iter_mut().zip([2, 0]) {
+                    let quorum = (0..3).filter(|&r| r != cut).map(Replica);
+                    control.partition(&[
+                        [Client(1)].into_iter().chain(quorum).collect(),
+                        vec![Client(0)],
+                        vec![Replica(cut)],
+                    ]);
+                    with_pid(ProcId(1), || reader.read_run(0, 1, out));
+                }
+                let pending = !done.load(Ordering::SeqCst);
+                control.heal(); // the writer completes, and is joined
+                pending && runs[0] == [1, 2]
+            });
+            met.then(|| rec.history())
+        }
+
+        for attempt in 0..5 {
+            let (Some(correct), Some(mutant)) = (script(false), script(true)) else {
+                eprintln!("attempt {attempt}: timing precondition missed, retrying");
+                continue;
+            };
+            check_history(&correct, &RegisterModel).expect("the correct read run linearizes");
+            let err = check_history(&mutant, &RegisterModel)
+                .expect_err("the first-cell write-back mutant must be rejected");
+            assert_eq!(err.obj, 1, "the inversion is on cell 1");
+            return;
+        }
+        panic!("the scripted schedule never met its timing precondition");
     }
 
     #[test]

@@ -13,16 +13,30 @@
 //! to touch at least one replica that saw every previously completed
 //! round; that intersection is the whole correctness argument.
 //!
-//! * **write(v)** — round 1 queries a majority for the highest version;
-//!   the writer picks a fresh timestamp above everything it saw (and
-//!   above everything it ever issued, via a CAS floor), stamps it with
-//!   its unique `wid`, and round 2 stores `(ts, wid, v)` on a majority.
-//! * **read()** — round 1 queries a majority and takes the maximum
-//!   `(ts, wid)` answer; round 2 writes that answer *back* to a majority
-//!   before returning it, so a later read can never see an older value
-//!   (the new/old inversion ABD exists to prevent). The write-back is
-//!   skipped when every collected ack already carries the maximum
-//!   version — it is then already committed on a majority.
+//! Every operation is on a **run** of cells `base + i·stride`
+//! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`]), and a
+//! run costs the rounds of one register: one message per replica per
+//! phase. A single-cell `read` / `write` is a run of one — there is one
+//! code path.
+//!
+//! * **write run** — round 1 queries a majority for every cell's highest
+//!   version; the writer picks *one* fresh timestamp above everything it
+//!   saw in any cell (and above everything it ever issued, via a CAS
+//!   floor), stamps every cell with it and its unique `wid`, and round 2
+//!   stores the cells on a majority.
+//! * **read run** — round 1 queries a majority and takes each cell's
+//!   maximum `(ts, wid)` answer; round 2 writes *back* to a majority the
+//!   cells whose maximum some majority member might miss — decided per
+//!   cell, so a cell every ack already carries at its maximum (committed
+//!   on a majority) is left out, and the round is skipped when no cell
+//!   needs it. The write-back is what stops a later read from seeing an
+//!   older value (the new/old inversion ABD exists to prevent).
+//!
+//! Each cell keeps its own version and its own linearization point inside
+//! the operation, exactly as if it had been accessed alone; sharing
+//! messages and a timestamp across cells promises nothing *across*
+//! cells, and nothing more is claimed (per-register atomicity composes —
+//! linearizability is local).
 //!
 //! Liveness needs a connected majority: under a partition that strands
 //! clients with a minority, rounds retransmit forever — operations
@@ -32,7 +46,7 @@
 //! Δ-tuned algorithms keep their *own* guarantees even when "shared
 //! memory" is a lossy network.
 
-use crate::msg::{Message, NodeId, Payload, Version, Versioned};
+use crate::msg::{Message, NodeId, Payload, Run, Version, Versioned};
 use crate::net::{wait_until, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,6 +70,8 @@ pub struct QuorumSpace {
     /// its timestamps strictly increasing even across concurrent writes
     /// through the same handle.
     issued: AtomicU64,
+    /// The seeded mutant of [`QuorumSpace::with_first_cell_write_back`].
+    first_cell_write_back: bool,
 }
 
 impl QuorumSpace {
@@ -65,7 +81,20 @@ impl QuorumSpace {
             net,
             wid,
             issued: AtomicU64::new(0),
+            first_cell_write_back: false,
         }
+    }
+
+    /// **A seeded mutant, for the linearizability oracle's negative
+    /// tests only.** The handle decides a read run's write-back once for
+    /// the whole run, from its first cell: if the first cell is committed
+    /// on a majority, no cell is written back. A later cell whose newest
+    /// version sits on a minority is then returned without being made
+    /// durable, and a later read can see the older value.
+    #[doc(hidden)]
+    pub fn with_first_cell_write_back(mut self) -> QuorumSpace {
+        self.first_cell_write_back = true;
+        self
     }
 
     /// The writer id stamped on this handle's writes.
@@ -109,7 +138,7 @@ impl QuorumSpace {
                     to: NodeId::Replica(i),
                     rid,
                     span,
-                    payload,
+                    payload: payload.clone(),
                 }),
                 sent_at,
             );
@@ -149,62 +178,95 @@ impl QuorumSpace {
     /// Reads register `index` with its version — the full ABD read
     /// (query, then write-back unless already committed on a majority).
     pub fn read_versioned(&self, index: u64) -> Versioned {
+        let mut out = [Versioned::ZERO];
+        self.read_run_versioned(index, 1, &mut out);
+        out[0]
+    }
+
+    /// Reads the run `base + i·stride` into `out` with versions: one
+    /// query round, then one write-back round carrying only the cells a
+    /// majority did not already hold at their maximum (skipped when there
+    /// are none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is 0 and `out` has more than one cell.
+    pub fn read_run_versioned(&self, base: u64, stride: u64, out: &mut [Versioned]) {
+        if out.is_empty() {
+            return;
+        }
+        let run = Run::new(base, stride, out.len());
         let shared = self.net.shared();
         let t0 = shared.trace.now_ns();
         shared.trace.emit_current(EventKind::QuorumStart {
-            reg: index,
+            reg: base,
             write: false,
         });
         let op_span = Span::enter(&shared.trace, "quorum.read");
         let client = self.client();
         let acks = {
             let _phase = Span::enter(&shared.trace, "quorum.phase1");
-            self.quorum_round(client, Payload::ReadReq { reg: index })
+            self.quorum_round(client, Payload::ReadReq { run })
         };
-        let mut max = Versioned::ZERO;
-        let mut committed = 0usize;
+        // Per cell: the maximum version, and how many acks carry it.
+        out.fill(Versioned::ZERO);
+        let mut committed = vec![0usize; out.len()];
         for (_, ack) in &acks {
             if let Payload::ReadAck { data, .. } = ack {
-                match data.version.cmp(&max.version) {
-                    std::cmp::Ordering::Greater => {
-                        max = *data;
-                        committed = 1;
+                for ((max, count), seen) in out.iter_mut().zip(&mut committed).zip(data) {
+                    match seen.version.cmp(&max.version) {
+                        std::cmp::Ordering::Greater => {
+                            *max = *seen;
+                            *count = 1;
+                        }
+                        std::cmp::Ordering::Equal => *count += 1,
+                        std::cmp::Ordering::Less => {}
                     }
-                    std::cmp::Ordering::Equal => committed += 1,
-                    std::cmp::Ordering::Less => {}
                 }
             }
         }
-        // Write-back phase: needed only when some majority member might
-        // miss the maximum. If every ack already carries it, a majority
-        // provably stores it and the round trip can be skipped.
-        if committed < shared.cfg.majority() {
+        // Write-back phase, for the cells some majority member might
+        // miss. A cell every ack already carries at its maximum is stored
+        // on a majority and needs no round trip; if no cell needs one, the
+        // phase is skipped.
+        let majority = shared.cfg.majority();
+        let behind = |i: usize| {
+            let decider = if self.first_cell_write_back { 0 } else { i };
+            committed[decider] < majority
+        };
+        let cells: Arc<[(u64, Versioned)]> = (0..out.len())
+            .filter(|&i| behind(i))
+            .map(|i| (run.reg(i), out[i]))
+            .collect();
+        if !cells.is_empty() {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
-            self.quorum_round(
-                client,
-                Payload::WriteReq {
-                    reg: index,
-                    data: max,
-                },
-            );
+            self.quorum_round(client, Payload::WriteReq { cells });
         }
         drop(op_span);
-        // The version this read returns — per client lane these must
-        // never regress (the new/old inversion ABD's write-back exists to
-        // prevent), which is exactly what the online monitor checks.
-        shared.trace.emit_current(EventKind::QuorumVersion {
-            reg: index,
-            ts: max.version.ts,
-            wid: max.version.wid,
-        });
+        // The version each cell returns — per client lane and register
+        // these must never regress (the new/old inversion ABD's
+        // write-back exists to prevent), which is exactly what the online
+        // monitor checks.
+        self.emit_versions(run.regs().zip(out.iter().copied()));
         if let (Some(t0), Some(t1)) = (t0, shared.trace.now_ns()) {
             shared.trace.emit_current(EventKind::QuorumEnd {
-                reg: index,
+                reg: base,
                 write: false,
                 rtt_ns: t1.saturating_sub(t0),
             });
         }
-        max
+    }
+
+    /// Emits one `QuorumVersion` per cell of a completed run.
+    fn emit_versions(&self, cells: impl Iterator<Item = (u64, Versioned)>) {
+        let trace = &self.net.shared().trace;
+        for (reg, data) in cells {
+            trace.emit_current(EventKind::QuorumVersion {
+                reg,
+                ts: data.version.ts,
+                wid: data.version.wid,
+            });
+        }
     }
 
     /// Reserves a fresh timestamp: strictly above `floor` (the highest
@@ -231,46 +293,69 @@ impl RegisterSpace for QuorumSpace {
     }
 
     fn write(&self, index: u64, value: u64) {
+        self.write_run(index, 1, &[value])
+    }
+
+    /// One query round and at most one write-back round for the whole
+    /// run (see [`QuorumSpace::read_run_versioned`]).
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        let mut versioned = vec![Versioned::ZERO; out.len()];
+        self.read_run_versioned(base, stride, &mut versioned);
+        for (value, data) in out.iter_mut().zip(&versioned) {
+            *value = data.value;
+        }
+    }
+
+    /// One query round and one store round for the whole run, every cell
+    /// stamped with one fresh version.
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let run = Run::new(base, stride, values.len());
         let shared = self.net.shared();
         let t0 = shared.trace.now_ns();
         shared.trace.emit_current(EventKind::QuorumStart {
-            reg: index,
+            reg: base,
             write: true,
         });
         let op_span = Span::enter(&shared.trace, "quorum.write");
         let client = self.client();
-        // Phase 1: learn the highest timestamp a majority has seen.
+        // Phase 1: learn the highest timestamp a majority has seen in any
+        // cell of the run.
         let acks = {
             let _phase = Span::enter(&shared.trace, "quorum.phase1");
-            self.quorum_round(client, Payload::ReadReq { reg: index })
+            self.quorum_round(client, Payload::ReadReq { run })
         };
         let mut max_ts = 0;
         for (_, ack) in &acks {
             if let Payload::ReadAck { data, .. } = ack {
-                max_ts = max_ts.max(data.version.ts);
+                for seen in data {
+                    max_ts = max_ts.max(seen.version.ts);
+                }
             }
         }
-        // Phase 2: commit the value under a fresh unique version.
-        let data = Versioned {
-            version: Version {
-                ts: self.reserve_ts(max_ts),
-                wid: self.wid,
-            },
-            value,
+        // Phase 2: commit every cell under one fresh unique version —
+        // above each cell's own maximum, since it is above all of them.
+        let version = Version {
+            ts: self.reserve_ts(max_ts),
+            wid: self.wid,
         };
+        let cells: Arc<[(u64, Versioned)]> = run
+            .regs()
+            .zip(values)
+            .map(|(reg, &value)| (reg, Versioned { version, value }))
+            .collect();
         {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
-            self.quorum_round(client, Payload::WriteReq { reg: index, data });
+            let cells = Arc::clone(&cells);
+            self.quorum_round(client, Payload::WriteReq { cells });
         }
         drop(op_span);
-        shared.trace.emit_current(EventKind::QuorumVersion {
-            reg: index,
-            ts: data.version.ts,
-            wid: data.version.wid,
-        });
+        self.emit_versions(cells.iter().copied());
         if let (Some(t0), Some(t1)) = (t0, shared.trace.now_ns()) {
             shared.trace.emit_current(EventKind::QuorumEnd {
-                reg: index,
+                reg: base,
                 write: true,
                 rtt_ns: t1.saturating_sub(t0),
             });

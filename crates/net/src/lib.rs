@@ -17,8 +17,9 @@
 //! Layers:
 //!
 //! * [`msg`] — the typed message vocabulary: `(ts, wid)` [`Version`]s
-//!   with a derived lexicographic total order, versioned values, the
-//!   four-payload protocol, node ids.
+//!   with a derived lexicographic total order, versioned values, the four
+//!   payloads — each about a [`Run`] or a set of registers, never only
+//!   one — and node ids.
 //! * [`net`] — the [`Network`]: a passive, lock-protected event queue
 //!   holding the replica tables and the ack mailboxes of the rounds in
 //!   progress, per-link [`tfr_registers::rng::SplitMix64`] streams (every
@@ -28,8 +29,11 @@
 //! * [`abd`] — the [`QuorumSpace`] client: quorum rounds with
 //!   retransmission, reads with write-back (skipped when the maximum is
 //!   already committed on a majority), writes with unique `(ts, wid)`
-//!   reservation. The thread waiting on a round delivers the network's
-//!   due messages itself — its own and everybody else's — so a solo read
+//!   reservation. Every operation is on a run of registers
+//!   (`RegisterSpace::read_run` / `write_run`) and costs one message per
+//!   replica per phase, so a run of 64 cells costs the round trips of
+//!   one. The thread waiting on a round delivers the network's due
+//!   messages itself — its own and everybody else's — so a solo read
 //!   costs one link round trip on the clock as well as in the protocol.
 //!
 //! Telemetry rides along on the workspace tracer: message sends,
@@ -57,7 +61,7 @@ pub mod msg;
 pub mod net;
 
 pub use abd::QuorumSpace;
-pub use msg::{Message, NodeId, Payload, Version, Versioned};
+pub use msg::{Message, NodeId, Payload, Run, Version, Versioned};
 pub use net::{NetConfig, NetControl, Network};
 
 #[cfg(test)]

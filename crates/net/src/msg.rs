@@ -1,12 +1,20 @@
 //! The typed message vocabulary of the quorum protocol.
 //!
-//! Four message kinds suffice for multi-writer ABD: a query
-//! ([`Payload::ReadReq`]) with its versioned answer ([`Payload::ReadAck`]),
-//! and a store ([`Payload::WriteReq`]) with its acknowledgement
-//! ([`Payload::WriteAck`]). Both phases of both operations are built from
-//! the same two round trips; the client side decides what the answers mean.
+//! Four message kinds suffice for multi-writer ABD, and every one of them
+//! is about a **run** of registers rather than a single one: a query
+//! ([`Payload::ReadReq`]) names a [`Run`] (`base + i·stride`) and its
+//! answer ([`Payload::ReadAck`]) carries one versioned value per cell; a
+//! store ([`Payload::WriteReq`]) carries any set of `(register, versioned
+//! value)` cells and its acknowledgement ([`Payload::WriteAck`]) confirms
+//! them all. A single-register operation is a run of one. Replicas apply a
+//! message cell by cell with the same per-register `version >` rule, so a
+//! run is a batch of independent registers that share one message, never
+//! a multi-register transaction. Both phases of both operations are built
+//! from the same two round trips; the client side decides what the
+//! answers mean.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A register version: a logical timestamp plus the writer's identity.
 ///
@@ -52,47 +60,82 @@ impl Versioned {
     };
 }
 
-/// What a message says.
+/// The registers `base + i·stride` for `i < len`: what a query asks about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    base: u64,
+    stride: u64,
+    len: usize,
+}
+
+impl Run {
+    /// The run `base + i·stride` for `i < len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has several cells and a zero stride (they would
+    /// all be one register).
+    pub fn new(base: u64, stride: u64, len: usize) -> Run {
+        assert!(
+            stride > 0 || len <= 1,
+            "a run of several cells needs a nonzero stride"
+        );
+        Run { base, stride, len }
+    }
+
+    /// The `i`-th register of the run.
+    pub fn reg(&self, i: usize) -> u64 {
+        self.base + i as u64 * self.stride
+    }
+
+    /// Every register of the run, in order.
+    pub fn regs(self) -> impl Iterator<Item = u64> {
+        (0..self.len).map(move |i| self.reg(i))
+    }
+}
+
+/// What a message says.
+///
+/// Requests are shared by every replica they are sent to (and by their
+/// retransmissions), so their cell lists sit behind an [`Arc`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// Client → replica: report your current `(version, value)` for `reg`.
+    /// Client → replica: report your current `(version, value)` of every
+    /// register of `run`.
     ReadReq {
-        /// The queried register.
-        reg: u64,
+        /// The queried registers.
+        run: Run,
     },
     /// Replica → client: the answer to a [`Payload::ReadReq`].
     ReadAck {
-        /// The queried register.
-        reg: u64,
-        /// The replica's current copy.
-        data: Versioned,
+        /// The queried registers.
+        run: Run,
+        /// The replica's current copy of each, `data[i]` for `run.reg(i)`.
+        data: Vec<Versioned>,
     },
-    /// Client → replica: store `data` for `reg` if its version exceeds
-    /// yours (idempotent — retransmits and reorderings are harmless).
+    /// Client → replica: for every `(reg, data)`, store `data` if its
+    /// version exceeds your copy's (idempotent — retransmits and
+    /// reorderings are harmless). Never empty.
     WriteReq {
-        /// The written register.
-        reg: u64,
-        /// The versioned value to store.
-        data: Versioned,
+        /// The written registers and their versioned values.
+        cells: Arc<[(u64, Versioned)]>,
     },
-    /// Replica → client: a [`Payload::WriteReq`] was applied (or
-    /// superseded by a newer version, which is just as good).
+    /// Replica → client: a [`Payload::WriteReq`] was applied (each cell
+    /// stored or superseded by a newer version, which is just as good).
     WriteAck {
-        /// The written register.
+        /// The first register the request carried.
         reg: u64,
-        /// The version the request carried.
-        version: Version,
     },
 }
 
 impl Payload {
-    /// The register this message is about (every payload names one).
+    /// The first register this message is about — the one its telemetry
+    /// names.
     pub fn reg(&self) -> u64 {
-        match *self {
-            Payload::ReadReq { reg }
-            | Payload::ReadAck { reg, .. }
-            | Payload::WriteReq { reg, .. }
-            | Payload::WriteAck { reg, .. } => reg,
+        match self {
+            Payload::ReadReq { run } | Payload::ReadAck { run, .. } => run.reg(0),
+            Payload::WriteReq { cells } => cells.first().map_or(0, |&(reg, _)| reg),
+            Payload::WriteAck { reg } => *reg,
         }
     }
 }
@@ -116,7 +159,7 @@ impl fmt::Display for NodeId {
 }
 
 /// One message in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// The sending node.
     pub from: NodeId,
@@ -151,16 +194,19 @@ mod tests {
     }
 
     #[test]
-    fn payload_names_its_register() {
-        assert_eq!(Payload::ReadReq { reg: 7 }.reg(), 7);
-        assert_eq!(
-            Payload::WriteAck {
-                reg: 3,
-                version: Version::ZERO
-            }
-            .reg(),
-            3
-        );
+    fn payload_names_its_first_register() {
+        let run = Run::new(7, 3, 4);
+        assert_eq!(run.regs().collect::<Vec<_>>(), vec![7, 10, 13, 16]);
+        assert_eq!(Payload::ReadReq { run }.reg(), 7);
+        let cells: Arc<[(u64, Versioned)]> = Arc::new([(9, Versioned::ZERO), (2, Versioned::ZERO)]);
+        assert_eq!(Payload::WriteReq { cells }.reg(), 9);
+        assert_eq!(Payload::WriteAck { reg: 3 }.reg(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero stride")]
+    fn a_zero_stride_run_of_several_cells_is_rejected() {
+        let _ = Run::new(0, 0, 2);
     }
 
     #[test]

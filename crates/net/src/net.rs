@@ -2,7 +2,12 @@
 //!
 //! A [`Network`] is **passive**: one lock-protected event queue, the `R`
 //! replica register tables and the ack mailboxes of the quorum rounds in
-//! progress. It owns no thread. Each link `(from, to)` owns a
+//! progress. It owns no thread. A message carries a whole run of
+//! registers (see [`crate::msg`]), so the network's unit of work is the
+//! message and the quorum round, not the register;
+//! [`NetControl::quorum_rounds`] counts the rounds.
+//!
+//! Each link `(from, to)` owns a
 //! [`SplitMix64`] stream forked deterministically from the master seed,
 //! and every message consumes exactly two draws from its link — one for
 //! the delivery delay, one for the drop decision. The fate of the n-th
@@ -187,6 +192,7 @@ struct RouterState {
     tables: Vec<HashMap<u64, Versioned>>,
     /// Ack mailbox `(replica, ack)` of every open quorum round, by `rid`.
     mailboxes: HashMap<u64, Vec<(usize, Payload)>>,
+    /// The last `rid` handed out, i.e. the quorum rounds opened so far.
     next_rid: u64,
     drop_prob: f64,
     extra_delay: Duration,
@@ -481,24 +487,27 @@ impl std::fmt::Debug for Network {
     }
 }
 
-/// Applies one request to a replica's register table and builds the ack.
-/// Idempotent by construction: a retransmitted or reordered `WriteReq`
-/// only ever moves a register's version *up* (read-repair monotonicity).
+/// Applies one request to a replica's register table, cell by cell, and
+/// builds the ack. Idempotent by construction: a retransmitted or
+/// reordered `WriteReq` only ever moves each register's version *up*
+/// (read-repair monotonicity), whatever else the message carries.
 fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Payload {
     match payload {
-        Payload::ReadReq { reg } => Payload::ReadAck {
-            reg,
-            data: *table.get(&reg).unwrap_or(&Versioned::ZERO),
+        Payload::ReadReq { run } => Payload::ReadAck {
+            run,
+            data: run
+                .regs()
+                .map(|reg| *table.get(&reg).unwrap_or(&Versioned::ZERO))
+                .collect(),
         },
-        Payload::WriteReq { reg, data } => {
-            let cur = table.entry(reg).or_insert(Versioned::ZERO);
-            if data.version > cur.version {
-                *cur = data;
+        Payload::WriteReq { cells } => {
+            for &(reg, data) in cells.iter() {
+                let cur = table.entry(reg).or_insert(Versioned::ZERO);
+                if data.version > cur.version {
+                    *cur = data;
+                }
             }
-            Payload::WriteAck {
-                reg,
-                version: data.version,
-            }
+            Payload::WriteAck { reg: cells[0].0 }
         }
         Payload::ReadAck { .. } | Payload::WriteAck { .. } => {
             unreachable!("acks are never addressed to replicas")
@@ -596,6 +605,14 @@ impl NetControl {
     /// Messages delivered so far.
     pub fn delivered_messages(&self) -> u64 {
         lock(&self.shared.state).delivered
+    }
+
+    /// Quorum rounds opened so far, by every client: one per ABD phase,
+    /// however many registers the phase carries (retransmissions reuse
+    /// their round). The protocol-level cost of a workload, independent
+    /// of link delays and of how the rounds' waits overlap.
+    pub fn quorum_rounds(&self) -> u64 {
+        lock(&self.shared.state).next_rid
     }
 
     /// Pumps that delivered at least one message. A waiting round pumps

@@ -2,7 +2,7 @@
 //! a model, link-fate determinism, cross-pumping, and the sleep invariant.
 
 use super::*;
-use crate::msg::Version;
+use crate::msg::{Run, Version};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tfr_registers::space::RegisterSpace;
@@ -29,13 +29,22 @@ fn replica_apply_is_monotone_and_idempotent() {
         version: Version { ts: 2, wid: 1 },
         value: 20,
     };
-    replica_apply(&mut t, Payload::WriteReq { reg: 0, data: v2 });
-    // A late, stale write must not regress the register.
-    replica_apply(&mut t, Payload::WriteReq { reg: 0, data: v1 });
+    let store = |cells: &[(u64, Versioned)]| Payload::WriteReq {
+        cells: cells.into(),
+    };
+    replica_apply(&mut t, store(&[(0, v2), (1, v1)]));
+    // A late, stale write must not regress a register, and is applied
+    // cell by cell: register 1 still moves up.
+    replica_apply(&mut t, store(&[(0, v1), (1, v2)]));
     // A duplicated fresh write must be harmless.
-    replica_apply(&mut t, Payload::WriteReq { reg: 0, data: v2 });
-    match replica_apply(&mut t, Payload::ReadReq { reg: 0 }) {
-        Payload::ReadAck { data, .. } => assert_eq!(data, v2),
+    replica_apply(&mut t, store(&[(0, v2)]));
+    match replica_apply(
+        &mut t,
+        Payload::ReadReq {
+            run: Run::new(0, 1, 3),
+        },
+    ) {
+        Payload::ReadAck { data, .. } => assert_eq!(data, vec![v2, v2, Versioned::ZERO]),
         other => panic!("expected ReadAck, got {other:?}"),
     }
 }
@@ -61,9 +70,14 @@ fn request(client: usize, replica: usize, rid: u64, payload: Payload) -> Message
 #[test]
 fn dropping_a_network_with_messages_in_flight_frees_them() {
     let net = Network::new(NetConfig::new(1, 3, 7));
-    let read = Payload::ReadReq { reg: 0 };
+    let read = Payload::ReadReq {
+        run: Run::new(0, 1, 1),
+    };
     let sh = net.shared();
-    sh.send((0..3).map(|r| request(0, r, 0, read)), Instant::now());
+    sh.send(
+        (0..3).map(|r| request(0, r, 0, read.clone())),
+        Instant::now(),
+    );
     assert_eq!(lock(&sh.state).queue.len(), 3);
     drop(net); // nothing to join: there is no thread
 }
@@ -169,11 +183,15 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
     // never read, and nothing waits.
     let mut now = Instant::now();
     for payload in [
-        Payload::ReadReq { reg: 5 },
-        Payload::WriteReq { reg: 5, data },
+        Payload::ReadReq {
+            run: Run::new(5, 1, 1),
+        },
+        Payload::WriteReq {
+            cells: [(5, data)].into(),
+        },
     ] {
         let rid = sh.open_round();
-        sh.send((0..3).map(|r| request(0, r, rid, payload)), now);
+        sh.send((0..3).map(|r| request(0, r, rid, payload.clone())), now);
         for r in 0..3 {
             model.route(client, NodeId::Replica(r), now);
         }
@@ -200,13 +218,11 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
         assert_eq!(acks.iter().map(|(r, _)| *r).collect::<Vec<_>>(), ack_order);
         assert_eq!(ack_order.len(), 3);
         for (_, ack) in &acks {
-            match (payload, ack) {
+            match (&payload, ack) {
                 (Payload::ReadReq { .. }, Payload::ReadAck { data, .. }) => {
-                    assert_eq!(*data, Versioned::ZERO)
+                    assert_eq!(*data, vec![Versioned::ZERO])
                 }
-                (Payload::WriteReq { .. }, Payload::WriteAck { version, .. }) => {
-                    assert_eq!(*version, data.version)
-                }
+                (Payload::WriteReq { .. }, Payload::WriteAck { reg }) => assert_eq!(*reg, 5),
                 other => panic!("mismatched ack: {other:?}"),
             }
         }
@@ -247,9 +263,10 @@ fn link_fates_do_not_depend_on_when_the_queue_is_pumped() {
             let now = t0 + Duration::from_micros(7 * n);
             let (client, replica) = ((n % 2) as usize, (n % 3) as usize);
             // rid 0 is never opened: every ack finds its round closed.
-            let msg = request(client, replica, 0, Payload::ReadReq { reg: n });
-            sh.send(std::iter::once(msg), now);
+            let run = Run::new(n, 1, 1);
+            let msg = request(client, replica, 0, Payload::ReadReq { run });
             model.route(msg.from, msg.to, now);
+            sh.send(std::iter::once(msg), now);
             assert_eq!(in_flight(sh), model.queue);
             if n % pump_every == 0 {
                 step(&mut model, now);
@@ -440,4 +457,102 @@ fn a_stranded_client_sleeps_between_retransmissions() {
     let took = done_at.saturating_duration_since(healed_at);
     assert!(took <= budget, "completed {took:?} after the heal");
     assert_eq!(net.space().read(3), 1);
+}
+
+/// A cluster whose links all take exactly 20 µs: the requests of a round
+/// reach every replica in one pump and their acks come back in the next,
+/// so every replica sees every round and no read ever needs a write-back.
+fn lockstep_net(clients: usize) -> Arc<Network> {
+    let mut cfg = NetConfig::new(clients, 3, 0x10C5);
+    cfg.min_delay = Duration::from_micros(20);
+    cfg.max_delay = cfg.min_delay;
+    Arc::new(Network::new(cfg))
+}
+
+/// A run of any length costs the rounds of one register: a write run one
+/// query round and one store round, a read run one query round. The
+/// single-cell forms are runs of one, so they cost the same.
+#[test]
+fn a_run_costs_the_rounds_of_one_register() {
+    let net = lockstep_net(1);
+    let control = net.control();
+    let space = net.space();
+    let rounds = |f: &mut dyn FnMut()| {
+        let before = control.quorum_rounds();
+        f();
+        control.quorum_rounds() - before
+    };
+    let values: Vec<u64> = (1..=64).collect();
+    for len in [1usize, 8, 64] {
+        let base = 1_000 * len as u64;
+        assert_eq!(rounds(&mut || space.write_run(base, 3, &values[..len])), 2);
+        let mut out = vec![0; len];
+        assert_eq!(rounds(&mut || space.read_run(base, 3, &mut out)), 1);
+        assert_eq!(out, &values[..len], "len {len}");
+    }
+    assert_eq!(rounds(&mut || space.write(7, 70)), 2);
+    assert_eq!(rounds(&mut || assert_eq!(space.read(7), 70)), 1);
+    assert_eq!(
+        rounds(&mut || space.read_run(0, 1, &mut [])),
+        0,
+        "an empty run is free"
+    );
+    // Every cell of a write run carries the same fresh version.
+    let mut versioned = vec![Versioned::ZERO; 8];
+    space.read_run_versioned(8_000, 3, &mut versioned);
+    assert!(versioned.iter().all(|v| v.version == versioned[0].version));
+    assert_eq!(space.read(8_000 + 3 * 8), 0, "nothing past the run");
+}
+
+/// A read run writes back exactly the cells a majority might miss. Cell 0
+/// sits at its maximum on two replicas of three (committed), cell 1's
+/// newest version on one replica only. The write-back must carry cell 1
+/// and leave cell 0 alone — and the seeded first-cell mutant, seeing cell
+/// 0 committed, carries nothing.
+#[test]
+fn a_read_run_writes_back_only_the_cells_behind() {
+    let old = Versioned {
+        version: Version { ts: 1, wid: 90 },
+        value: 10,
+    };
+    let new = Versioned {
+        version: Version { ts: 2, wid: 91 },
+        value: 20,
+    };
+    for mutant in [false, true] {
+        let net = lockstep_net(1);
+        {
+            let mut st = lock(&net.shared().state);
+            for (r, table) in st.tables.iter_mut().enumerate() {
+                if r < 2 {
+                    table.insert(0, old);
+                }
+                table.insert(1, if r == 0 { new } else { old });
+            }
+        }
+        let space = net.space();
+        let space = if mutant {
+            space.with_first_cell_write_back()
+        } else {
+            space
+        };
+        let before = net.control().quorum_rounds();
+        let mut out = [0; 2];
+        space.read_run(0, 1, &mut out);
+        assert_eq!(out, [10, 20], "each cell's maximum");
+        let rounds = net.control().quorum_rounds() - before;
+        let st = lock(&net.shared().state);
+        let cell = |r: usize, reg: u64| st.tables[r].get(&reg).copied();
+        assert_eq!(cell(2, 0), None, "cell 0 was committed: never written back");
+        if mutant {
+            assert_eq!(rounds, 1, "the mutant skips the write-back");
+            assert_eq!(cell(1, 1), Some(old), "cell 1 left on a minority");
+        } else {
+            assert_eq!(rounds, 2);
+            assert!(
+                (0..3).all(|r| cell(r, 1) == Some(new)),
+                "cell 1 written back"
+            );
+        }
+    }
 }

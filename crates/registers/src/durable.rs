@@ -162,6 +162,13 @@ impl<S: RegisterSpace> DurableSpace<S> {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
     }
+
+    /// Records a write of `index` in its volatile segment, if any.
+    fn mark_dirty(&self, index: u64) {
+        if let Some(seg) = self.segs.iter().find(|s| s.range.contains(&index)) {
+            seg.dirty.lock().unwrap().insert(index);
+        }
+    }
 }
 
 impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
@@ -172,10 +179,24 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
 
     fn write(&self, index: u64, value: u64) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(seg) = self.segs.iter().find(|s| s.range.contains(&index)) {
-            seg.dirty.lock().unwrap().insert(index);
-        }
+        self.mark_dirty(index);
         self.inner.write(index, value);
+    }
+
+    /// Forwarded as one run; counted and dirty-marked per cell.
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        self.reads.fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.inner.read_run(base, stride, out)
+    }
+
+    /// Forwarded as one run; counted and dirty-marked per cell.
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        self.writes
+            .fetch_add(values.len() as u64, Ordering::Relaxed);
+        for i in 0..values.len() as u64 {
+            self.mark_dirty(base + i * stride);
+        }
+        self.inner.write_run(base, stride, values)
     }
 }
 
@@ -319,6 +340,22 @@ mod tests {
         assert_eq!(s.accesses(), 3);
         s.reset_counters();
         assert_eq!(s.accesses(), 0);
+    }
+
+    #[test]
+    fn runs_count_and_dirty_per_cell() {
+        let s = DurableSpace::new(NativeSpace::new()).volatile(ProcId(0), 10..20);
+        s.write_run(8, 2, &[1, 2, 3, 4]); // 8 persistent; 10, 12, 14 volatile
+        let mut out = [0; 4];
+        s.read_run(8, 2, &mut out);
+        assert_eq!(out, [1, 2, 3, 4]);
+        assert_eq!((s.reads(), s.writes()), (4, 4));
+        assert_eq!(
+            s.crash(ProcId(0)),
+            3,
+            "each volatile cell of the run is dirty"
+        );
+        assert_eq!([s.read(8), s.read(10), s.read(14)], [1, 0, 0]);
     }
 
     #[test]

@@ -37,12 +37,44 @@ use std::sync::Arc;
 /// behave as if executed in some total order consistent with real time.
 /// Nothing is promised *across* registers; the algorithms layered on top
 /// assume only the single-register model of the paper.
+///
+/// # Runs
+///
+/// [`RegisterSpace::read_run`] and [`RegisterSpace::write_run`] access
+/// the cells `base + i·stride` for `i` below the slice length in one
+/// call. A run is a batch of independent single-register accesses, not a
+/// bigger atomic object: each cell is read or written atomically, as if
+/// by its own `read` / `write` somewhere inside the call, and **nothing
+/// is promised across cells** — a concurrent reader may see some cells
+/// of a `write_run` before others. The defaults loop over `read` /
+/// `write` in index order, which is all shared memory needs. A backend
+/// whose accesses cost round trips (the `tfr-net` quorum space) serves a
+/// whole run in the round trips of one access. Callers vector only
+/// accesses whose mutual order their algorithm does not rely on; the
+/// stride must be nonzero when a run has more than one cell.
 pub trait RegisterSpace: Send + Sync {
     /// Atomically reads register `index` (0 if never written).
     fn read(&self, index: u64) -> u64;
 
     /// Atomically writes `value` to register `index`.
     fn write(&self, index: u64, value: u64);
+
+    /// Reads cell `base + i·stride` into `out[i]` for every `i`: each cell
+    /// atomically, nothing across cells (see [Runs](RegisterSpace#runs)).
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.read(base + i as u64 * stride);
+        }
+    }
+
+    /// Writes `values[i]` to cell `base + i·stride` for every `i`: each
+    /// cell atomically, nothing across cells (see
+    /// [Runs](RegisterSpace#runs)).
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        for (i, &value) in values.iter().enumerate() {
+            self.write(base + i as u64 * stride, value);
+        }
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
@@ -51,6 +83,12 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
     }
     fn write(&self, index: u64, value: u64) {
         (**self).write(index, value)
+    }
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        (**self).read_run(base, stride, out)
+    }
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run(base, stride, values)
     }
 }
 
@@ -61,6 +99,12 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for &S {
     fn write(&self, index: u64, value: u64) {
         (**self).write(index, value)
     }
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        (**self).read_run(base, stride, out)
+    }
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run(base, stride, values)
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
@@ -69,6 +113,12 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
     }
     fn write(&self, index: u64, value: u64) {
         (**self).write(index, value)
+    }
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        (**self).read_run(base, stride, out)
+    }
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run(base, stride, values)
     }
 }
 
@@ -263,12 +313,23 @@ impl<S: RegisterSpace + Clone> SubSpace<S> {
     }
 }
 
+/// A run through the view is one run of the parent: the affine maps
+/// compose, `base + i·stride` locally being `(b₀ + base·s₀) + i·(stride·s₀)`
+/// in the parent.
 impl<S: RegisterSpace> RegisterSpace for SubSpace<S> {
     fn read(&self, index: u64) -> u64 {
         self.inner.read(self.base + index * self.stride)
     }
     fn write(&self, index: u64, value: u64) {
         self.inner.write(self.base + index * self.stride, value)
+    }
+    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+        self.inner
+            .read_run(self.parent_index(base), stride * self.stride, out)
+    }
+    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        self.inner
+            .write_run(self.parent_index(base), stride * self.stride, values)
     }
 }
 
@@ -385,6 +446,69 @@ mod tests {
         assert_eq!(RegisterSpace::read(&s, 4), 44);
         let r: &NativeSpace = &s;
         assert_eq!(RegisterSpace::read(&r, 4), 44);
+    }
+
+    #[test]
+    fn default_runs_loop_over_the_cells() {
+        let s = NativeSpace::new();
+        s.write_run(4, 3, &[1, 2, 3]);
+        assert_eq!([s.read(4), s.read(7), s.read(10)], [1, 2, 3]);
+        let mut out = [9; 4];
+        s.read_run(4, 3, &mut out);
+        assert_eq!(out, [1, 2, 3, 0]);
+        s.read_run(0, 1, &mut []);
+        s.write_run(0, 1, &[]);
+        assert_eq!(s.read(0), 0, "an empty run touches nothing");
+    }
+
+    /// A space that tapes the runs it is handed, to check forwarding.
+    #[derive(Default)]
+    struct RunTape {
+        cells: NativeSpace,
+        runs: std::sync::Mutex<Vec<(bool, u64, u64, usize)>>,
+    }
+
+    impl RegisterSpace for RunTape {
+        fn read(&self, index: u64) -> u64 {
+            self.cells.read(index)
+        }
+        fn write(&self, index: u64, value: u64) {
+            self.cells.write(index, value)
+        }
+        fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
+            self.runs
+                .lock()
+                .unwrap()
+                .push((false, base, stride, out.len()));
+            self.cells.read_run(base, stride, out)
+        }
+        fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+            self.runs
+                .lock()
+                .unwrap()
+                .push((true, base, stride, values.len()));
+            self.cells.write_run(base, stride, values)
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_a_run_as_one_composed_run() {
+        let parent = Arc::new(RunTape::default());
+        // i ↦ 1 + 2i, then j ↦ 3 + 5j of that: j ↦ 7 + 10j of the parent.
+        let outer = SubSpace::new(Arc::clone(&parent), 1, 2);
+        let inner: Box<dyn RegisterSpace> = Box::new(SubSpace::new(Arc::new(outer), 3, 5));
+        let view = &inner;
+        view.write_run(2, 3, &[5, 6]); // local 2, 5 → parent 7 + 20, 7 + 50
+        let mut out = [0; 2];
+        view.read_run(2, 3, &mut out);
+        assert_eq!(out, [5, 6]);
+        assert_eq!(parent.read(27), 5);
+        assert_eq!(parent.read(57), 6);
+        assert_eq!(
+            *parent.runs.lock().unwrap(),
+            vec![(true, 27, 30, 2), (false, 27, 30, 2)],
+            "one run reaches the parent, with the composed base and stride"
+        );
     }
 
     #[test]
