@@ -2,7 +2,7 @@
 //! construction (§1.4): the consensus building block must carry its
 //! guarantees up through every layer.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -502,6 +502,73 @@ fn universal_queue_capacity_exhaustion_panics() {
     obj.invoke(ProcId(0), FifoQueue::DEQUEUE);
     obj.invoke(ProcId(0), FifoQueue::DEQUEUE); // empty, still a slot
     obj.invoke(ProcId(0), FifoQueue::enqueue_op(2)); // one too many
+}
+
+/// Tier-1's copy of `tfr-core`'s access-multiset unit test: vectoring
+/// changes rounds, not accesses. Process 0 of n ≤ 2 opens a session on a
+/// fresh 4-slot object, announces k ops and drives them through slot 0
+/// alone; the cells it touches, with multiplicity, are exactly those of
+/// the per-cell code (runs go through `Taped`'s default loop, so they tape
+/// per cell). Layout (documented on `Universal` and `MultiConsensus`):
+/// announce region cell `i` at `3i`, arena `3i + 1`, slot 0's consensus
+/// cell `i` at `3·4i + 2`, and the one pid bit's Algorithm 1 register `j`
+/// at consensus cell `1 + n + j`.
+#[test]
+fn universal_solo_decision_touches_the_same_cells_per_cell() {
+    for n in [1u64, 2] {
+        for k in [1u64, 8] {
+            let announce = |i: u64| 3 * i;
+            let arena = |i: u64| 3 * i + 1;
+            let slot0 = |i: u64| 3 * (4 * i) + 2;
+            let alg1 = |j: u64| slot0(1 + n + j);
+            let mut want = vec![
+                (false, announce(0)), // session: own counter and mark
+                (false, announce(1)),
+                (true, announce(0)), // counter, record length, mark
+                (true, arena(0)),
+                (true, announce(1)),
+                (false, slot0(0)), // undecided; announce; result
+                (false, slot0(1)),
+                (true, slot0(1)),
+                (true, slot0(0)),
+                (false, alg1(0)), // Algorithm 1's solo fast path, v = 0
+                (false, alg1(0)),
+                (true, alg1(0)),
+                (false, alg1(3)),
+                (true, alg1(3)),
+                (true, alg1(4)),
+                (false, alg1(5)),
+                (false, arena(0)), // applying: record length
+            ];
+            if n == 2 {
+                want.push((false, announce(2))); // the other counter
+            }
+            for i in 0..k {
+                let (payload, entry) = (announce(2 * n + i * n), arena((1 + i) * n));
+                want.extend([
+                    (true, payload),
+                    (false, payload),
+                    (true, entry),
+                    (false, entry),
+                ]);
+            }
+            let mut expected = BTreeMap::new();
+            for cell in want {
+                *expected.entry(cell).or_insert(0) += 1;
+            }
+
+            let space = Arc::new(Taped::default());
+            let obj = Universal::on(Arc::clone(&space), Counter, n as usize, 4, D);
+            let mut session = obj.session(ProcId(0));
+            session.announce_burst(&vec![1; k as usize]);
+            session.drive_pending();
+            let mut got = BTreeMap::new();
+            for access in space.tape() {
+                *got.entry(access).or_insert(0) += 1;
+            }
+            assert_eq!(got, expected, "n={n} k={k}");
+        }
+    }
 }
 
 #[test]
