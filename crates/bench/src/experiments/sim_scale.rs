@@ -13,7 +13,7 @@ use tfr_registers::Ticks;
 use tfr_sim::sched::{HeapScheduler, Scheduler, TimerWheel};
 use tfr_sim::timing::{standard_no_failures, Fixed};
 use tfr_sim::workload::{DelayOnly, ScaleLoop};
-use tfr_sim::{RunConfig, RunResult, SchedKind, Sim};
+use tfr_sim::{RunConfig, RunResult, Sim};
 
 /// Events per throughput cell: rounds are scaled down as n grows so
 /// every (n, scheduler) point linearizes the same event count and wall
@@ -53,31 +53,24 @@ fn core_drive(s: &mut impl Scheduler, n: usize) -> f64 {
     EVENTS_PER_CELL as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Best events/sec over [`CORE_REPEATS`] runs of [`core_drive`].
-fn core_run(n: usize, kind: SchedKind) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..CORE_REPEATS {
-        let rate = match kind {
-            SchedKind::Wheel => core_drive(&mut TimerWheel::new(), n),
-            SchedKind::Heap => core_drive(&mut HeapScheduler::new(), n),
-        };
-        best = best.max(rate);
-    }
-    best
+/// Best events/sec over [`CORE_REPEATS`] runs of [`core_drive`], each on
+/// a fresh scheduler from `new`.
+fn core_run<Q: Scheduler>(n: usize, new: fn() -> Q) -> f64 {
+    (0..CORE_REPEATS)
+        .map(|_| core_drive(&mut new(), n))
+        .fold(0.0, f64::max)
 }
 
-fn throughput_run(n: usize, kind: SchedKind) -> (RunResult, f64) {
+fn throughput_run(n: usize, sched: impl Scheduler) -> (RunResult, f64) {
     let rounds = (EVENTS_PER_CELL / n as u64).clamp(4, 4096) as u32;
-    let config = RunConfig::new(n, Delta::from_ticks(100))
-        .max_time(Ticks::NEVER)
-        .sched(kind);
+    let config = RunConfig::new(n, Delta::from_ticks(100)).max_time(Ticks::NEVER);
     let sim = Sim::new(
         DelayOnly::new(rounds, 1, DELAY_HI).salt(0xE25),
         config,
         Fixed::new(Ticks(1)),
     );
     let start = Instant::now();
-    let result = sim.run();
+    let result = sim.run_on(sched);
     (result, start.elapsed().as_secs_f64())
 }
 
@@ -111,8 +104,8 @@ pub fn sim() -> Vec<Table> {
         ],
     );
     for &n in &[1_000usize, 10_000, 100_000, 1_000_000] {
-        let core_heap = core_run(n, SchedKind::Heap);
-        let core_wheel = core_run(n, SchedKind::Wheel);
+        let core_heap = core_run(n, HeapScheduler::new);
+        let core_wheel = core_run(n, TimerWheel::new);
         for (name, rate, speedup) in [
             ("heap", core_heap, 1.0),
             ("wheel", core_wheel, core_wheel / core_heap),
@@ -128,8 +121,8 @@ pub fn sim() -> Vec<Table> {
             ]);
         }
 
-        let (heap, heap_secs) = throughput_run(n, SchedKind::Heap);
-        let (wheel, wheel_secs) = throughput_run(n, SchedKind::Wheel);
+        let (heap, heap_secs) = throughput_run(n, HeapScheduler::new());
+        let (wheel, wheel_secs) = throughput_run(n, TimerWheel::new());
         assert_eq!(wheel, heap, "schedulers diverged at n={n}");
         let heap_rate = heap.steps as f64 / heap_secs;
         let wheel_rate = wheel.steps as f64 / wheel_secs;
@@ -226,16 +219,14 @@ pub fn sim() -> Vec<Table> {
     let diff_seeds = 32u64;
     let mut diff_ok = true;
     for seed in 0..diff_seeds {
-        let run = |kind| {
-            let config = RunConfig::new(4096, d).sched(kind);
+        let sim = || {
             Sim::new(
                 ScaleLoop::new(3, 64, 0).salt(seed),
-                config,
+                RunConfig::new(4096, d),
                 standard_no_failures(d, seed),
             )
-            .run()
         };
-        if run(SchedKind::Wheel) != run(SchedKind::Heap) {
+        if sim().run() != sim().run_on(HeapScheduler::new()) {
             diff_ok = false;
         }
     }

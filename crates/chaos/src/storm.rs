@@ -155,7 +155,7 @@ pub fn delta_sweep(seed: u64, cfg: &StormConfig, deltas: &[Delta]) -> Vec<SweepP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfr_sim::SchedKind;
+    use tfr_sim::sched::HeapScheduler;
 
     #[test]
     fn storms_are_seed_deterministic() {
@@ -202,12 +202,12 @@ mod tests {
     #[test]
     fn storm_agrees_across_schedulers() {
         let cfg = StormConfig::new(300, Delta::from_ticks(100));
-        let run_with = |kind: SchedKind| {
+        let sim = || {
             let model = storm_model(5, &cfg);
             let workload = ScaleLoop::new(cfg.rounds, 64, 0).salt(5);
-            let config = RunConfig::new(cfg.n, cfg.delta).sched(kind).record_trace();
-            Sim::new(workload, config, model).run()
+            let config = RunConfig::new(cfg.n, cfg.delta).record_trace();
+            Sim::new(workload, config, model)
         };
-        assert_eq!(run_with(SchedKind::Wheel), run_with(SchedKind::Heap));
+        assert_eq!(sim().run(), sim().run_on(HeapScheduler::new()));
     }
 }

@@ -2,10 +2,12 @@
 //! against.
 //!
 //! Both banks model the paper's shared memory: an unbounded collection of
-//! atomic `u64` registers, all zero-initialized. [`ArrayBank`] is the dense,
-//! fast bank used by the simulator; [`MapBank`] is the sparse, *canonical*
-//! bank used by the model checker (equal register contents always compare
-//! and hash equal, regardless of write history).
+//! atomic `u64` registers, all zero-initialized. Both compare
+//! extensionally: two banks are `==` exactly when every register holds the
+//! same value, whatever the write history. [`ArrayBank`] is the dense,
+//! fast bank the simulator's engine runs on; [`MapBank`] is the sparse,
+//! *canonical* bank used by the model checker, which also hashes by
+//! contents.
 
 use crate::RegId;
 use std::collections::BTreeMap;
@@ -25,7 +27,9 @@ pub trait RegisterBank {
 /// Reads beyond the written range return 0 without allocating; writes grow
 /// the vector. Suitable when register ids are reasonably dense (every
 /// algorithm in this workspace packs its registers densely from 0).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Equality ignores trailing zero registers, so how far a bank happened to
+/// grow never affects `==`.
+#[derive(Debug, Clone, Default)]
 pub struct ArrayBank {
     regs: Vec<u64>,
 }
@@ -59,6 +63,20 @@ impl RegisterBank for ArrayBank {
         self.regs[idx] = value;
     }
 }
+
+impl PartialEq for ArrayBank {
+    fn eq(&self, other: &ArrayBank) -> bool {
+        let (short, long) = if self.regs.len() <= other.regs.len() {
+            (&self.regs, &other.regs)
+        } else {
+            (&other.regs, &self.regs)
+        };
+        let (head, tail) = long.split_at(short.len());
+        head == &short[..] && tail.iter().all(|&v| v == 0)
+    }
+}
+
+impl Eq for ArrayBank {}
 
 /// Sparse, canonical register file backed by a `BTreeMap`.
 ///
@@ -130,6 +148,25 @@ mod tests {
         bank.write(RegId(1 << 30), 0);
         assert_eq!(bank.materialized(), 0);
         assert_eq!(bank.read(RegId(1 << 30)), 0);
+    }
+
+    /// Different write histories, same contents: equal, whichever bank
+    /// grew further.
+    #[test]
+    fn array_bank_extensional_equality() {
+        let mut a = ArrayBank::new();
+        let mut b = ArrayBank::new();
+        a.write(RegId(7), 99);
+        assert_eq!(a.read(RegId(7)), 99);
+        assert_ne!(a, b);
+        b.write(RegId(9000), 1);
+        b.write(RegId(9000), 0);
+        b.write(RegId(7), 99);
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.write(RegId(8999), 3);
+        assert_ne!(a, b);
+        assert_ne!(b, a);
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //!   accesses. The simulator (`tfr-sim`) and the model checker
 //!   (`tfr-modelcheck`) both drive this form.
 //! * [`bank`] — register files the spec form executes against.
-//! * [`cow`] — the copy-on-write segmented register file used by the
-//!   scaled simulator: snapshots share segments and clone on first write,
-//!   so trace/replay checkpoints cost O(segments-touched) instead of
-//!   O(registers).
 //! * [`native`] — building blocks for the *native form* of the algorithms
 //!   (real `std::sync::atomic` registers on real threads), most notably the
 //!   unbounded atomic arrays that Algorithm 1's infinite `x[1..∞, 0..1]` and
@@ -54,7 +50,6 @@
 pub mod accounting;
 pub mod bank;
 pub mod chaos;
-pub mod cow;
 pub mod durable;
 pub mod native;
 pub mod rng;

@@ -19,7 +19,7 @@ use tfr_registers::{Delta, Ticks};
 use tfr_sim::sched::{HeapScheduler, Scheduler, TimerWheel};
 use tfr_sim::timing::Fixed;
 use tfr_sim::workload::DelayOnly;
-use tfr_sim::{RunConfig, SchedKind, Sim};
+use tfr_sim::{RunConfig, RunResult, Sim};
 
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -60,17 +60,25 @@ fn main() {
         .unwrap_or(1);
     let events = 4_000_000u64;
     if std::env::args().nth(4).as_deref() == Some("engine") {
-        for kind in [SchedKind::Wheel, SchedKind::Heap] {
-            let rounds = (events / n as u64).max(4) as u32;
-            let config = RunConfig::new(n, Delta::from_ticks(100))
-                .max_time(Ticks::NEVER)
-                .sched(kind);
-            let sim = Sim::new(DelayOnly::new(rounds, 1, hi), config, Fixed::new(Ticks(1)));
+        let rounds = (events / n as u64).max(4) as u32;
+        let config = RunConfig::new(n, Delta::from_ticks(100)).max_time(Ticks::NEVER);
+        let sim = || {
+            Sim::new(
+                DelayOnly::new(rounds, 1, hi),
+                config.clone(),
+                Fixed::new(Ticks(1)),
+            )
+        };
+        let runs: [(&str, &dyn Fn() -> RunResult); 2] = [
+            ("Wheel", &|| sim().run()),
+            ("Heap", &|| sim().run_on(HeapScheduler::new())),
+        ];
+        for (kind, run) in runs {
             let start = Instant::now();
-            let r = sim.run();
+            let r = run();
             let secs = start.elapsed().as_secs_f64();
             println!(
-                "engine {kind:?}: {:.1}M ev/s ({:.0}ns)",
+                "engine {kind}: {:.1}M ev/s ({:.0}ns)",
                 r.steps as f64 / secs / 1e6,
                 secs * 1e9 / r.steps as f64
             );

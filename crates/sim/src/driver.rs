@@ -4,23 +4,21 @@
 //! The engine is split in two layers:
 //!
 //! * [`Sim`] — the configuration-time builder (automaton, [`RunConfig`],
-//!   timing model, injected faults). [`Sim::run`] executes to completion
-//!   exactly as before.
+//!   timing model, injected faults). [`Sim::run`] executes to completion.
 //! * [`Engine`] — the resumable run state. [`Sim::start`] creates one;
 //!   [`Engine::run_until`] advances it up to a virtual-time limit and can
-//!   be called repeatedly. The sharded executor (`crate::shard`) uses this
-//!   to run many engines side by side with barriers at epoch boundaries.
+//!   be called repeatedly.
 //!
 //! Pending completion events live behind the [`Scheduler`] trait
-//! (`crate::sched`): a hierarchical timer wheel by default, the original
-//! `BinaryHeap` as the reference implementation — selected by
-//! [`RunConfig::sched`] and proven trace-identical by the differential
-//! test tier.
+//! (`crate::sched`). The engine's scheduler is a type parameter: the
+//! hierarchical [`TimerWheel`] by default, or whatever [`Sim::run_on`] is
+//! handed — the original `BinaryHeap` reference
+//! ([`crate::sched::HeapScheduler`]) in the differential test tier, which
+//! proves the two trace-identical.
 
-use crate::sched::{AnySched, Event, SchedKind, Scheduler};
+use crate::sched::{Event, Scheduler, TimerWheel};
 use crate::timing::{Fate, StepCtx, TimingModel};
-use tfr_registers::bank::RegisterBank;
-use tfr_registers::cow::CowBank;
+use tfr_registers::bank::{ArrayBank, RegisterBank};
 use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{Delta, ProcId, Ticks};
 
@@ -40,14 +38,6 @@ pub struct RunConfig {
     pub max_steps: u64,
     /// Record the full action trace (costs memory; off by default).
     pub record_trace: bool,
-    /// Which event scheduler drives the run (timer wheel by default; the
-    /// `BinaryHeap` reference is selectable for differential testing).
-    pub sched: SchedKind,
-    /// If set, snapshot the register file every this many ticks of
-    /// virtual time into [`RunResult::snapshots`]. Snapshots are O(1)-ish
-    /// (copy-on-write segments), so this is affordable even at 10^6
-    /// processes.
-    pub snapshot_every: Option<Ticks>,
 }
 
 impl RunConfig {
@@ -70,8 +60,6 @@ impl RunConfig {
             max_time: delta.times(100_000),
             max_steps: 10_000_000u64.max((n as u64).saturating_mul(1_000)),
             record_trace: false,
-            sched: SchedKind::default(),
-            snapshot_every: None,
         }
     }
 
@@ -90,18 +78,6 @@ impl RunConfig {
     /// Enables full action tracing.
     pub fn record_trace(mut self) -> RunConfig {
         self.record_trace = true;
-        self
-    }
-
-    /// Selects the event scheduler.
-    pub fn sched(mut self, kind: SchedKind) -> RunConfig {
-        self.sched = kind;
-        self
-    }
-
-    /// Snapshots the register file every `t` ticks of virtual time.
-    pub fn snapshot_every(mut self, t: Ticks) -> RunConfig {
-        self.snapshot_every = Some(t);
         self
     }
 }
@@ -167,14 +143,9 @@ pub struct RunResult {
     /// `RunConfig::new` scales the step budget with `n` precisely so
     /// large runs don't trip it silently.
     pub timed_out: bool,
-    /// The final register file (copy-on-write segments; compares
-    /// extensionally, so materialization history never affects equality).
-    pub final_bank: CowBank,
-    /// Periodic register-file snapshots `(boundary, bank)` if
-    /// [`RunConfig::snapshot_every`] was set. The snapshot at boundary
-    /// `b` reflects every action completed strictly before `b` and every
-    /// injected fault with `at <= b`.
-    pub snapshots: Vec<(Ticks, CowBank)>,
+    /// The final register file (compares extensionally, so how far it
+    /// grew never affects equality).
+    pub final_bank: ArrayBank,
 }
 
 impl RunResult {
@@ -271,16 +242,27 @@ impl<A: Automaton, M: TimingModel> Sim<A, M> {
     }
 
     /// Runs to completion (all processes halted or crashed) or until a
-    /// budget is exhausted.
+    /// budget is exhausted, on the timer wheel.
     pub fn run(self) -> RunResult {
-        let mut engine = self.start();
+        self.run_on(TimerWheel::new())
+    }
+
+    /// [`Sim::run`] on the given (empty) scheduler — how the differential
+    /// tests and E25 run the `BinaryHeap` reference.
+    pub fn run_on<Q: Scheduler>(self, sched: Q) -> RunResult {
+        let mut engine = self.start_on(sched);
         engine.run_until(Ticks::NEVER);
         engine.finish()
     }
 
-    /// Builds the resumable run state: initializes every process and
-    /// issues its first action at instant 0, but linearizes nothing yet.
+    /// Builds the resumable run state on the timer wheel: initializes
+    /// every process and issues its first action at instant 0, but
+    /// linearizes nothing yet.
     pub fn start(self) -> Engine<A, M> {
+        self.start_on(TimerWheel::new())
+    }
+
+    fn start_on<Q: Scheduler>(self, sched: Q) -> Engine<A, M, Q> {
         let n = self.config.n;
         let procs = (0..n)
             .map(|i| ProcSlot {
@@ -296,7 +278,7 @@ impl<A: Automaton, M: TimingModel> Sim<A, M> {
             automaton: self.automaton,
             model: self.model,
             faults: self.faults,
-            bank: CowBank::new(),
+            bank: ArrayBank::new(),
             procs,
             obs_out: Vec::new(),
             trace: Vec::new(),
@@ -306,11 +288,9 @@ impl<A: Automaton, M: TimingModel> Sim<A, M> {
             end_time: Ticks::ZERO,
             steps: 0,
             next_fault: 0,
-            sched: AnySched::new(self.config.sched),
+            sched,
             stashed: None,
             obs_buf: Vec::new(),
-            snapshots: Vec::new(),
-            next_snapshot: self.config.snapshot_every,
             config: self.config,
         };
         for pid in 0..n {
@@ -352,15 +332,14 @@ struct ProcSlot<S> {
 /// The resumable run state of one simulation.
 ///
 /// Created by [`Sim::start`]; advanced by [`Engine::run_until`]; consumed
-/// by [`Engine::finish`]. Between calls the register file is readable
-/// through [`Engine::bank`].
+/// by [`Engine::finish`]. `Q` is the event scheduler.
 #[derive(Debug)]
-pub struct Engine<A: Automaton, M> {
+pub struct Engine<A: Automaton, M, Q: Scheduler = TimerWheel> {
     automaton: A,
     config: RunConfig,
     model: M,
     faults: Vec<RegisterFault>,
-    bank: CowBank,
+    bank: ArrayBank,
     procs: Vec<ProcSlot<A::State>>,
     obs_out: Vec<TimedObs>,
     trace: Vec<TraceStep>,
@@ -370,16 +349,14 @@ pub struct Engine<A: Automaton, M> {
     end_time: Ticks,
     steps: u64,
     next_fault: usize,
-    sched: AnySched,
+    sched: Q,
     /// An event popped but found to lie beyond the `run_until` limit; it
     /// fires first on the next call.
     stashed: Option<Event>,
     obs_buf: Vec<Obs>,
-    snapshots: Vec<(Ticks, CowBank)>,
-    next_snapshot: Option<Ticks>,
 }
 
-impl<A: Automaton, M: TimingModel> Engine<A, M> {
+impl<A: Automaton, M: TimingModel, Q: Scheduler> Engine<A, M, Q> {
     /// Issues the next action of process `pid` at instant `now` (or marks
     /// it halted/crashed).
     fn issue(&mut self, pid: usize, now: Ticks) {
@@ -450,7 +427,7 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
                 self.stashed = Some(ev);
                 return EngineStatus::Paused;
             }
-            if let Some(status) = self.step(ev, limit) {
+            if let Some(status) = self.step(ev) {
                 return status;
             }
         }
@@ -463,17 +440,16 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
                 self.stashed = Some(ev);
                 return EngineStatus::Paused;
             }
-            if let Some(status) = self.step(ev, limit) {
+            if let Some(status) = self.step(ev) {
                 return status;
             }
         }
     }
 
-    /// Processes one popped event: budget checks, snapshots, faults,
-    /// linearization, and the fused re-issue. Returns `Some` when the
-    /// run must stop.
+    /// Processes one popped event: budget checks, faults, linearization,
+    /// and the fused re-issue. Returns `Some` when the run must stop.
     #[inline]
-    fn step(&mut self, ev: Event, _limit: Ticks) -> Option<EngineStatus> {
+    fn step(&mut self, ev: Event) -> Option<EngineStatus> {
         let now = ev.time;
         // Budget checks happen after the pop (the budget-tripping
         // event is dropped, not linearized) — the semantics the
@@ -496,11 +472,6 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
                     std::arch::x86_64::_MM_HINT_T0,
                 );
             }
-        }
-        // Periodic snapshots: boundary b sees actions completed
-        // strictly before b and faults with at <= b.
-        if self.config.snapshot_every.is_some() {
-            self.take_due_snapshots(now);
         }
         // Transient memory failures strike before anything linearizes
         // at or after their instant (cold unless faults were injected).
@@ -595,36 +566,6 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
         None
     }
 
-    /// Snapshot boundaries due at or before `now` (cold path).
-    #[cold]
-    fn take_due_snapshots(&mut self, now: Ticks) {
-        let every = self.config.snapshot_every.expect("checked by caller");
-        while let Some(b) = self.next_snapshot {
-            if b > now {
-                break;
-            }
-            self.apply_faults(b);
-            let snap = self.bank.snapshot();
-            self.snapshots.push((b, snap));
-            self.next_snapshot = Some(b.saturating_add(every));
-        }
-    }
-
-    /// The instant of the last linearized action so far.
-    pub fn now(&self) -> Ticks {
-        self.end_time
-    }
-
-    /// Linearized actions so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The live register file.
-    pub fn bank(&self) -> &CowBank {
-        &self.bank
-    }
-
     /// Consumes the engine into the final [`RunResult`].
     pub fn finish(self) -> RunResult {
         RunResult {
@@ -639,7 +580,6 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
             timing_failures: self.timing_failures,
             timed_out: self.timed_out,
             final_bank: self.bank,
-            snapshots: self.snapshots,
         }
     }
 }
@@ -647,6 +587,7 @@ impl<A: Automaton, M: TimingModel> Engine<A, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::HeapScheduler;
     use crate::timing::{CrashSchedule, Fixed, Scripted};
     use tfr_registers::RegId;
 
@@ -804,16 +745,14 @@ mod tests {
     #[test]
     fn wheel_and_heap_agree_on_counter() {
         let d = Delta::from_ticks(100);
-        let run = |kind: SchedKind| {
-            let config = RunConfig::new(4, d).record_trace().sched(kind);
+        let sim = || {
             Sim::new(
                 Counter { rounds: 7 },
-                config,
+                RunConfig::new(4, d).record_trace(),
                 crate::timing::standard_no_failures(d, 42),
             )
-            .run()
         };
-        assert_eq!(run(SchedKind::Wheel), run(SchedKind::Heap));
+        assert_eq!(sim().run(), sim().run_on(HeapScheduler::new()));
     }
 
     /// `run_until` pauses at the limit and resumes with no difference to
@@ -834,20 +773,6 @@ mod tests {
         }
         assert_eq!(engine.run_until(Ticks::NEVER), EngineStatus::Idle);
         assert_eq!(whole, engine.finish());
-    }
-
-    /// Periodic snapshots record prefix states of the register file.
-    #[test]
-    fn snapshots_capture_prefixes() {
-        let config = RunConfig::new(1, Delta::from_ticks(100)).snapshot_every(Ticks(40));
-        let result = Sim::new(Counter { rounds: 4 }, config, Fixed::new(Ticks(10))).run();
-        assert!(!result.snapshots.is_empty());
-        // Each write of k lands at t = 20k; snapshot at b sees writes
-        // strictly before b.
-        for (b, snap) in &result.snapshots {
-            assert_eq!(snap.read(RegId(0)), (b.0 - 1) / 20, "boundary {b}");
-        }
-        assert_eq!(result.final_bank.read(RegId(0)), 4);
     }
 
     #[test]

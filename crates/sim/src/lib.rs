@@ -55,4 +55,3 @@ pub mod timing;
 pub mod workload;
 
 pub use driver::{Engine, EngineStatus, RegisterFault, RunConfig, RunResult, Sim, TimedObs};
-pub use sched::SchedKind;

@@ -190,7 +190,7 @@ pub fn mutex_stats(result: &RunResult, from: Ticks) -> MutexStats {
 mod tests {
     use super::*;
     use crate::driver::{RunResult, TimedObs};
-    use tfr_registers::cow::CowBank;
+    use tfr_registers::bank::ArrayBank;
     use tfr_registers::Delta;
 
     fn run_with(n: usize, obs: Vec<(u64, usize, Obs)>, end: u64) -> RunResult {
@@ -212,8 +212,7 @@ mod tests {
             crashed: vec![false; n],
             timing_failures: 0,
             timed_out: false,
-            final_bank: CowBank::new(),
-            snapshots: Vec::new(),
+            final_bank: ArrayBank::new(),
         }
     }
 
@@ -453,7 +452,7 @@ pub fn convergence_point(result: &RunResult, from: Ticks, target: Ticks) -> Opti
 mod spin_tests {
     use super::*;
     use crate::driver::{RunResult, TimedObs, TraceStep};
-    use tfr_registers::cow::CowBank;
+    use tfr_registers::bank::ArrayBank;
     use tfr_registers::spec::Action;
     use tfr_registers::{Delta, ProcId, RegId};
 
@@ -477,8 +476,7 @@ mod spin_tests {
             crashed: vec![false; n],
             timing_failures: 0,
             timed_out: false,
-            final_bank: CowBank::new(),
-            snapshots: Vec::new(),
+            final_bank: ArrayBank::new(),
         }
     }
 
@@ -570,8 +568,7 @@ mod spin_tests {
             crashed: vec![false; 2],
             timing_failures: 0,
             timed_out: false,
-            final_bank: CowBank::new(),
-            snapshots: Vec::new(),
+            final_bank: ArrayBank::new(),
         };
         // Target 50t: the 190t interval disqualifies any start ≤ 10... the
         // suffix metric counts only interval portions ≥ the start, so the

@@ -19,19 +19,22 @@
 //!   per-level `u64` bitmap so finding the next slot is one mask and a
 //!   `trailing_zeros`.
 //!
+//! The engine runs on the wheel unless handed the heap by type
+//! ([`crate::Sim::run_on`]).
+//!
 //! # Determinism contract
 //!
-//! Both schedulers pop events in strictly ascending `(time, key)` order,
-//! where [`EventKey`] is the insertion sequence number. Since the driver
-//! issues at most one outstanding event per process and issues them in pid
-//! order at every instant, same-instant ties resolve to issue order
-//! (initially pid order) — **exactly** the order the original
-//! `BinaryHeap<Reverse<(Ticks, seq, pid)>>` produced. This is what makes
-//! wheel-vs-heap runs bit-identical, which the 256-seed differential
-//! battery asserts.
+//! Both schedulers pop events in strictly ascending `(time, insertion
+//! order)`: each `schedule` stamps a sequence number that breaks ties at
+//! the same instant. Since the driver issues at most one outstanding event
+//! per process and issues them in pid order at every instant, same-instant
+//! ties resolve to issue order (initially pid order) — **exactly** the
+//! order the original `BinaryHeap<Reverse<(Ticks, seq, pid)>>` produced.
+//! This is what makes wheel-vs-heap runs bit-identical, which the 256-seed
+//! differential battery asserts.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use tfr_registers::Ticks;
 
 /// Bits per wheel level (64 slots).
@@ -46,37 +49,24 @@ pub const LEVELS: usize = 6;
 /// differs from the cursor's live in the overflow map.
 const TOP_SHIFT: u32 = SLOT_BITS * LEVELS as u32;
 
-/// Handle for a scheduled event: the insertion sequence number, which also
-/// serves as the deterministic same-instant tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventKey(pub u64);
-
 /// A popped event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The instant the event fires.
     pub time: Ticks,
-    /// The key [`Scheduler::schedule`] returned for it.
-    pub key: EventKey,
     /// The payload: the process whose action completes.
     pub pid: usize,
 }
 
 /// A pending-event queue with deterministic ordering.
 ///
-/// Implementations MUST pop events in ascending `(time, key)` order. Keys
-/// are assigned in strictly increasing insertion order, so two schedulers
-/// fed the same `schedule`/`cancel`/`pop` sequence produce identical pop
-/// streams — the property the differential tests pin down.
+/// Implementations MUST pop events in ascending `(time, insertion order)`,
+/// so two schedulers fed the same `schedule`/`pop` sequence produce
+/// identical pop streams — the property the differential tests pin down.
 pub trait Scheduler {
     /// Schedules an event at `time` (clamped to the current instant if it
-    /// lies in the past) and returns its key.
-    fn schedule(&mut self, time: Ticks, pid: usize) -> EventKey;
-
-    /// Cancels a *pending* event. Cancelling a key that was already popped
-    /// or already cancelled is a contract violation (panics where
-    /// detectable).
-    fn cancel(&mut self, key: EventKey);
+    /// lies in the past).
+    fn schedule(&mut self, time: Ticks, pid: usize);
 
     /// Removes and returns the earliest pending event.
     fn pop(&mut self) -> Option<Event>;
@@ -84,26 +74,14 @@ pub trait Scheduler {
     /// The pid of the next event `pop` would return, when that is known
     /// without doing any work. Purely a prefetch hint for the driver —
     /// `None` is always a correct answer.
-    fn peek_pid(&self) -> Option<usize> {
-        None
-    }
-
-    /// Number of pending (scheduled, not yet popped or cancelled) events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    fn peek_pid(&self) -> Option<usize>;
 }
 
 /// The original `BinaryHeap` scheduler — the reference implementation.
 #[derive(Debug, Default)]
 pub struct HeapScheduler {
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
-    live: usize,
     now: u64,
 }
 
@@ -115,44 +93,24 @@ impl HeapScheduler {
 }
 
 impl Scheduler for HeapScheduler {
-    fn schedule(&mut self, time: Ticks, pid: usize) -> EventKey {
+    fn schedule(&mut self, time: Ticks, pid: usize) {
         let t = time.0.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live += 1;
         self.heap.push(Reverse((t, seq, pid)));
-        EventKey(seq)
-    }
-
-    fn cancel(&mut self, key: EventKey) {
-        assert!(key.0 < self.next_seq, "cancel of a never-issued key");
-        let fresh = self.cancelled.insert(key.0);
-        assert!(fresh, "event cancelled twice");
-        self.live -= 1;
     }
 
     fn pop(&mut self) -> Option<Event> {
-        while let Some(Reverse((t, seq, pid))) = self.heap.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                continue; // tombstone: cancelled while queued
-            }
-            self.now = t;
-            self.live -= 1;
-            return Some(Event {
-                time: Ticks(t),
-                key: EventKey(seq),
-                pid,
-            });
-        }
-        None
+        let Reverse((t, _, pid)) = self.heap.pop()?;
+        self.now = t;
+        Some(Event {
+            time: Ticks(t),
+            pid,
+        })
     }
 
     fn peek_pid(&self) -> Option<usize> {
         self.heap.peek().map(|Reverse((_, _, pid))| *pid)
-    }
-
-    fn len(&self) -> usize {
-        self.live
     }
 }
 
@@ -179,9 +137,9 @@ impl Scheduler for HeapScheduler {
 /// * Events at level `l` fire strictly after every event at levels
 ///   `< l`, and overflow events fire strictly after every wheel event —
 ///   so scanning levels bottom-up yields the global minimum.
-/// * A level-0 slot is drained into the `ready` batch sorted by key, so
-///   same-instant events pop in insertion order no matter how cascading
-///   interleaved them.
+/// * A level-0 slot is drained into the `ready` batch sorted by insertion
+///   sequence, so same-instant events pop in insertion order no matter how
+///   cascading interleaved them.
 #[derive(Debug)]
 pub struct TimerWheel {
     /// `LEVELS × SLOTS` buckets of `(time, seq, pid)`.
@@ -198,7 +156,7 @@ pub struct TimerWheel {
     /// Cursor: instant of the most recently popped/drained event.
     current: u64,
     next_seq: u64,
-    cancelled: HashSet<u64>,
+    /// Events scheduled and not yet popped.
     live: usize,
     /// Capacity-recycling buffer for cascading span slots: drained slots
     /// swap their storage with this instead of freeing it, so the steady
@@ -216,7 +174,6 @@ impl Default for TimerWheel {
             ready_time: 0,
             current: 0,
             next_seq: 0,
-            cancelled: HashSet::new(),
             live: 0,
             scratch: Vec::new(),
         }
@@ -340,32 +297,20 @@ impl TimerWheel {
 }
 
 impl Scheduler for TimerWheel {
-    fn schedule(&mut self, time: Ticks, pid: usize) -> EventKey {
+    fn schedule(&mut self, time: Ticks, pid: usize) {
         let t = time.0.max(self.current);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
         self.file(t, seq, pid);
-        EventKey(seq)
-    }
-
-    fn cancel(&mut self, key: EventKey) {
-        assert!(key.0 < self.next_seq, "cancel of a never-issued key");
-        let fresh = self.cancelled.insert(key.0);
-        assert!(fresh, "event cancelled twice");
-        self.live -= 1;
     }
 
     fn pop(&mut self) -> Option<Event> {
         loop {
-            while let Some((seq, pid)) = self.ready.pop() {
-                if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                    continue; // tombstone: cancelled while queued
-                }
+            if let Some((_, pid)) = self.ready.pop() {
                 self.live -= 1;
                 return Some(Event {
                     time: Ticks(self.ready_time),
-                    key: EventKey(seq),
                     pid,
                 });
             }
@@ -381,77 +326,6 @@ impl Scheduler for TimerWheel {
         // `advance` to know, which a hint is not worth.
         self.ready.last().map(|&(_, pid)| pid)
     }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
-/// Which scheduler a [`crate::RunConfig`] selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedKind {
-    /// The hierarchical timer wheel (the scale default).
-    #[default]
-    Wheel,
-    /// The `BinaryHeap` reference implementation.
-    Heap,
-}
-
-/// Statically-dispatched union of the two schedulers, so the driver's hot
-/// loop pays a `match`, not a vtable call.
-#[derive(Debug)]
-pub enum AnySched {
-    /// Timer-wheel variant.
-    Wheel(TimerWheel),
-    /// Binary-heap variant.
-    Heap(HeapScheduler),
-}
-
-impl AnySched {
-    /// Creates an empty scheduler of the requested kind.
-    pub fn new(kind: SchedKind) -> AnySched {
-        match kind {
-            SchedKind::Wheel => AnySched::Wheel(TimerWheel::new()),
-            SchedKind::Heap => AnySched::Heap(HeapScheduler::new()),
-        }
-    }
-}
-
-impl Scheduler for AnySched {
-    fn schedule(&mut self, time: Ticks, pid: usize) -> EventKey {
-        match self {
-            AnySched::Wheel(w) => w.schedule(time, pid),
-            AnySched::Heap(h) => h.schedule(time, pid),
-        }
-    }
-
-    fn cancel(&mut self, key: EventKey) {
-        match self {
-            AnySched::Wheel(w) => w.cancel(key),
-            AnySched::Heap(h) => h.cancel(key),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            AnySched::Wheel(w) => w.pop(),
-            AnySched::Heap(h) => h.pop(),
-        }
-    }
-
-    fn peek_pid(&self) -> Option<usize> {
-        match self {
-            AnySched::Wheel(w) => w.peek_pid(),
-            AnySched::Heap(h) => h.peek_pid(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnySched::Wheel(w) => w.len(),
-            AnySched::Heap(h) => h.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -459,17 +333,17 @@ mod tests {
     use super::*;
     use tfr_registers::rng::SplitMix64;
 
-    fn drain(s: &mut impl Scheduler) -> Vec<(u64, u64, usize)> {
+    fn drain(s: &mut impl Scheduler) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
         while let Some(e) = s.pop() {
-            out.push((e.time.0, e.key.0, e.pid));
+            out.push((e.time.0, e.pid));
         }
         out
     }
 
     /// Same-instant bursts at instants straddling level boundaries
-    /// (64-, 4096- and 262144-tick pages) pop in (time, key) order even
-    /// though cascading re-files them out of insertion order. Seeded
+    /// (64-, 4096- and 262144-tick pages) pop in (time, insertion) order
+    /// even though cascading re-files them out of insertion order. Seeded
     /// shuffle so a failure replays exactly.
     #[test]
     fn same_instant_bursts_across_level_boundaries() {
@@ -490,18 +364,17 @@ mod tests {
         }
         let mut wheel = TimerWheel::new();
         let mut heap = HeapScheduler::new();
+        // pid = insertion index, so (time, pid) order is (time, insertion).
         for (pid, &t) in instants.iter().enumerate() {
-            let kw = wheel.schedule(Ticks(t), pid);
-            let kh = heap.schedule(Ticks(t), pid);
-            assert_eq!(kw, kh, "keys are the insertion sequence");
+            wheel.schedule(Ticks(t), pid);
+            heap.schedule(Ticks(t), pid);
         }
         let got = drain(&mut wheel);
         let oracle = drain(&mut heap);
         assert_eq!(got, oracle);
-        let mut sorted = got.clone();
-        sorted.sort();
-        assert_eq!(got, sorted, "pop order is ascending (time, key)");
-        assert!(wheel.is_empty() && heap.is_empty());
+        assert_eq!(got.len(), instants.len());
+        assert!(got.is_sorted(), "pop order is ascending (time, insertion)");
+        assert_eq!((wheel.pop(), heap.pop()), (None, None));
     }
 
     /// Events beyond the 2^36-tick wheel horizon wait in overflow and
@@ -517,7 +390,7 @@ mod tests {
             (1 << 36) + 17, // just past the initial horizon
             1 << 60,
             (1 << 36) - 1, // last in-wheel instant
-            1 << 40,       // same far instant twice: key order decides
+            1 << 40,       // same far instant twice: insertion order decides
             123,
         ];
         for (pid, &t) in times.iter().enumerate() {
@@ -525,34 +398,6 @@ mod tests {
             heap.schedule(Ticks(t), pid);
         }
         assert_eq!(drain(&mut wheel), drain(&mut heap));
-    }
-
-    /// Cancelled events never pop; re-inserting at the same instant gets a
-    /// fresh key that pops normally; `len` tracks all of it.
-    #[test]
-    fn cancel_then_reinsert() {
-        let mut wheel = TimerWheel::new();
-        let a = wheel.schedule(Ticks(100), 0);
-        let b = wheel.schedule(Ticks(100), 1);
-        let far = wheel.schedule(Ticks(1 << 50), 2);
-        assert_eq!(wheel.len(), 3);
-        wheel.cancel(a);
-        wheel.cancel(far);
-        assert_eq!(wheel.len(), 1);
-        let c = wheel.schedule(Ticks(100), 3); // reinsert at the same instant
-        assert_eq!(wheel.len(), 2);
-        let popped = drain(&mut wheel);
-        assert_eq!(popped, vec![(100, b.0, 1), (100, c.0, 3)]);
-        assert_eq!(wheel.len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cancelled twice")]
-    fn double_cancel_is_a_contract_violation() {
-        let mut wheel = TimerWheel::new();
-        let k = wheel.schedule(Ticks(7), 0);
-        wheel.cancel(k);
-        wheel.cancel(k);
     }
 
     /// Popping an empty wheel returns None without advancing; a single
@@ -563,26 +408,25 @@ mod tests {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.pop(), None);
         assert_eq!(wheel.pop(), None, "pop on empty is repeatable");
-        let k = wheel.schedule(Ticks((1 << 45) + 3), 9);
+        wheel.schedule(Ticks((1 << 45) + 3), 9);
         assert_eq!(
             wheel.pop(),
             Some(Event {
                 time: Ticks((1 << 45) + 3),
-                key: k,
                 pid: 9
             })
         );
         assert_eq!(wheel.pop(), None);
         // The cursor moved; scheduling "in the past" clamps to it.
-        let k2 = wheel.schedule(Ticks(0), 4);
+        wheel.schedule(Ticks(0), 4);
         let e = wheel.pop().expect("clamped event pops");
-        assert_eq!((e.time, e.key), (Ticks((1 << 45) + 3), k2));
+        assert_eq!((e.time, e.pid), (Ticks((1 << 45) + 3), 4));
     }
 
     /// 64-seed differential battery at the scheduler level: random
-    /// interleavings of schedule / cancel / pop (with times spanning all
-    /// levels and the overflow) produce identical pop streams and lengths
-    /// on both implementations.
+    /// interleavings of schedule / pop (with times spanning all levels and
+    /// the overflow) produce identical pop streams on both
+    /// implementations.
     #[test]
     fn seeded_wheel_heap_differential() {
         for case in 0..64u64 {
@@ -590,7 +434,6 @@ mod tests {
             let mut wheel = TimerWheel::new();
             let mut heap = HeapScheduler::new();
             let mut now = 0u64;
-            let mut pending: Vec<EventKey> = Vec::new();
             for step in 0..400 {
                 match rng.random_range(0..=9) {
                     // Mostly schedule: offsets weighted across all scales.
@@ -602,31 +445,17 @@ mod tests {
                             _ => rng.random_range(0..=(1 << 45)),
                         };
                         let t = Ticks(now + offset);
-                        let pid = step as usize;
-                        let kw = wheel.schedule(t, pid);
-                        let kh = heap.schedule(t, pid);
-                        assert_eq!(kw, kh, "case {case} step {step}");
-                        pending.push(kw);
-                    }
-                    6 => {
-                        if !pending.is_empty() {
-                            let i = rng.random_range(0..=(pending.len() as u64 - 1)) as usize;
-                            let k = pending.swap_remove(i);
-                            wheel.cancel(k);
-                            heap.cancel(k);
-                        }
+                        wheel.schedule(t, step);
+                        heap.schedule(t, step);
                     }
                     _ => {
                         let got = wheel.pop();
-                        let oracle = heap.pop();
-                        assert_eq!(got, oracle, "case {case} step {step}");
+                        assert_eq!(got, heap.pop(), "case {case} step {step}");
                         if let Some(e) = got {
                             now = e.time.0;
-                            pending.retain(|k| *k != e.key);
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.len(), "case {case} step {step}");
             }
             assert_eq!(drain(&mut wheel), drain(&mut heap), "case {case} drain");
         }

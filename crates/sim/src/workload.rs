@@ -222,7 +222,7 @@ impl Automaton for DelayOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SchedKind;
+    use crate::sched::HeapScheduler;
     use crate::timing::Fixed;
     use crate::{RunConfig, Sim};
     use tfr_registers::bank::RegisterBank;
@@ -285,16 +285,18 @@ mod tests {
     fn workloads_are_scheduler_independent() {
         let d = Delta::from_ticks(50);
         for salt in [1u64, 99] {
-            let run = |kind| {
-                let config = RunConfig::new(32, d).record_trace().sched(kind);
+            let sim = || {
                 Sim::new(
                     ScaleLoop::new(4, 8, 0).salt(salt),
-                    config,
+                    RunConfig::new(32, d).record_trace(),
                     crate::timing::standard_no_failures(d, salt),
                 )
-                .run()
             };
-            assert_eq!(run(SchedKind::Wheel), run(SchedKind::Heap), "salt {salt}");
+            assert_eq!(
+                sim().run(),
+                sim().run_on(HeapScheduler::new()),
+                "salt {salt}"
+            );
         }
     }
 }

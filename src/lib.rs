@@ -21,7 +21,6 @@
 //! * [`asynclock`] — asynchronous mutual exclusion algorithms (Lamport
 //!   fast, bakery variants, tournament) used as the inner lock `A` of
 //!   Algorithm 3 and as baselines.
-//! * [`baselines`] — consensus baselines (time-adaptive, unknown-Δ).
 //! * [`chaos`] — the native chaos harness: seeded fault schedules injected
 //!   into the real-thread stack (stalls and crash-stops at named points),
 //!   deterministic replay, schedule shrinking, and native §1.3 resilience
@@ -86,7 +85,6 @@
 //! ```
 
 pub use tfr_asynclock as asynclock;
-pub use tfr_baselines as baselines;
 pub use tfr_chaos as chaos;
 pub use tfr_core as core;
 pub use tfr_linearize as linearize;

@@ -370,7 +370,7 @@ fn rng_chi_square_uniformity() {
 /// AAT baseline safety matches Algorithm 1 under the same adversaries.
 #[test]
 fn aat_safety_under_arbitrary_timing() {
-    use tfr::baselines::aat::{AatConsensusSpec, DelaySchedule};
+    use tfr_baselines::aat::{AatConsensusSpec, DelaySchedule};
     let mut rng = SplitMix64::new(0x5EED_0008);
     for case in 0..48 {
         let n = rng.random_range(1..=4) as usize;

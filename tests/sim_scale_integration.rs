@@ -15,9 +15,10 @@
 
 use tfr::chaos::storm::{run_storm, storm_model, StormConfig};
 use tfr::registers::{Delta, ProcId, Ticks};
+use tfr::sim::sched::HeapScheduler;
 use tfr::sim::timing::{Bursts, CrashSchedule, FailureWindows, TimingModel, UniformAccess, Window};
 use tfr::sim::workload::{DelayOnly, ScaleLoop};
-use tfr::sim::{RunConfig, RunResult, SchedKind, Sim};
+use tfr::sim::{RunConfig, RunResult, Sim};
 
 /// Runs the same seeded scenario under both schedulers and asserts the
 /// results are bit-identical. Returns one result for further checks.
@@ -27,11 +28,8 @@ fn both_schedulers<M: TimingModel + Clone>(
     model: M,
     what: &str,
 ) -> RunResult {
-    let run = |kind: SchedKind| {
-        Sim::new(workload.clone(), config.clone().sched(kind), model.clone()).run()
-    };
-    let wheel = run(SchedKind::Wheel);
-    let heap = run(SchedKind::Heap);
+    let wheel = Sim::new(workload.clone(), config.clone(), model.clone()).run();
+    let heap = Sim::new(workload, config, model).run_on(HeapScheduler::new());
     assert_eq!(wheel, heap, "wheel diverged from heap: {what}");
     wheel
 }
@@ -142,19 +140,11 @@ fn truncation_edges_agree_at_every_budget() {
 fn storm_differential_with_traces() {
     let cfg = StormConfig::new(1_500, Delta::from_ticks(80));
     for seed in [3u64, 17, 0xE25] {
-        let run = |kind: SchedKind| {
-            let config = RunConfig::new(cfg.n, cfg.delta).sched(kind).record_trace();
-            Sim::new(
-                ScaleLoop::new(2, 64, 0).salt(seed),
-                config,
-                storm_model(seed, &cfg),
-            )
-            .run()
-        };
-        assert_eq!(
-            run(SchedKind::Wheel),
-            run(SchedKind::Heap),
-            "storm seed {seed}"
+        both_schedulers(
+            ScaleLoop::new(2, 64, 0).salt(seed),
+            RunConfig::new(cfg.n, cfg.delta).record_trace(),
+            storm_model(seed, &cfg),
+            &format!("storm seed {seed}"),
         );
     }
 }
@@ -165,17 +155,15 @@ fn storm_differential_with_traces() {
 #[test]
 fn large_n_smoke_under_default_budgets() {
     let d = Delta::from_ticks(100);
-    let run = |kind: SchedKind| {
-        let config = RunConfig::new(50_000, d).max_time(Ticks::NEVER).sched(kind);
+    let sim = || {
         Sim::new(
             DelayOnly::new(4, 1, 512).salt(9),
-            config,
+            RunConfig::new(50_000, d).max_time(Ticks::NEVER),
             tfr::sim::timing::Fixed::new(Ticks(1)),
         )
-        .run()
     };
-    let wheel = run(SchedKind::Wheel);
-    let heap = run(SchedKind::Heap);
+    let wheel = sim().run();
+    let heap = sim().run_on(HeapScheduler::new());
     assert_eq!(wheel, heap);
     assert!(
         !wheel.timed_out,
@@ -189,34 +177,41 @@ fn large_n_smoke_under_default_budgets() {
     assert!(RunConfig::new(1_000_000, d).max_steps >= 1_000_000 * 100);
 }
 
-/// `run_storm` statistics at n = 2 000 with a 5 % crash wave (100 crash
-/// entries, some pids drawn twice), pinned to the values the scanning
-/// `CrashSchedule` produced at the commit before the schedule became an
-/// indexed lookup: the index must decide every crash exactly as the
-/// scan did.
+/// `run_storm` statistics at n = 2 000, pinned to values recorded at
+/// earlier commits:
+///
+/// * with a 5 % crash wave (100 crash entries, some pids drawn twice), as
+///   the scanning `CrashSchedule` produced them before the schedule became
+///   an indexed lookup: the index must decide every crash exactly as the
+///   scan did;
+/// * in `ledger`'s `sim_storm` shape (one round, 32 bursts of 1Δ), as the
+///   engine produced them on its copy-on-write register file: the shape
+///   the benchmark runs at 10^6 processes, checked here in tier-1.
 #[test]
 fn storm_statistics_pinned_across_the_crash_schedule_index() {
-    let mut cfg = StormConfig::new(2_000, Delta::from_ticks(100));
-    cfg.crash_per_mille = 50;
-    // (seed, steps, timing_failures, end_time, crashed)
-    let pinned: [(u64, u64, u64, u64, usize); 3] = [
-        (1, 23_522, 6_753, 3_547, 96),
-        (42, 23_239, 11_487, 3_549, 99),
-        (0xE25, 23_691, 1_113, 2_208, 67),
+    let mut crash_wave = StormConfig::new(2_000, Delta::from_ticks(100));
+    crash_wave.crash_per_mille = 50;
+    let mut bench_shape = StormConfig::new(2_000, Delta::from_ticks(100)).rounds(1);
+    bench_shape.bursts = 32;
+    bench_shape.burst_deltas = 1;
+    // (config, seed, steps, timing_failures, end_time, crashed)
+    let pinned: [(&StormConfig, u64, u64, u64, u64, usize); 5] = [
+        (&crash_wave, 1, 23_522, 6_753, 3_547, 96),
+        (&crash_wave, 42, 23_239, 11_487, 3_549, 99),
+        (&crash_wave, 0xE25, 23_691, 1_113, 2_208, 67),
+        (&bench_shape, 1, 7_995, 3_946, 961, 2),
+        (&bench_shape, 42, 7_996, 3_542, 945, 2),
     ];
-    for (seed, steps, timing_failures, end_time, crashed) in pinned {
-        let r = run_storm(seed, &cfg);
-        assert!(!r.timed_out, "seed {seed} was cut off by a budget");
+    for (cfg, seed, steps, timing_failures, end_time, crashed) in pinned {
+        let what = format!("storm seed {seed}, {cfg:?}");
+        let r = run_storm(seed, cfg);
+        assert!(!r.timed_out, "{what} was cut off by a budget");
         let got = (
             r.steps,
             r.timing_failures,
             r.end_time.0,
             r.crashed.iter().filter(|&&c| c).count(),
         );
-        assert_eq!(
-            got,
-            (steps, timing_failures, end_time, crashed),
-            "storm seed {seed}"
-        );
+        assert_eq!(got, (steps, timing_failures, end_time, crashed), "{what}");
     }
 }
