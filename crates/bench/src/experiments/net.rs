@@ -190,6 +190,8 @@ pub fn net() -> Vec<Table> {
             "write / link rtt",
             "run-of-8 read / link rtt",
             "run-of-8 write / link rtt",
+            "owned write / link rtt",
+            "run-of-8 owned write / link rtt",
         ],
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -202,29 +204,43 @@ pub fn net() -> Vec<Table> {
                 let _ = space.read(i as u64);
             }
         });
-        let [run_read, run_write] = if threads == 1 {
-            // Eight cells, stride 3, one run each way.
-            let (_, read, write) = round_trip_p50s(&cfg, 1, |_, space| {
+        let solo_only = if threads == 1 {
+            // Eight cells, stride 3, one run each way; then owned writes —
+            // the store round alone — of one cell and of the same run.
+            let (_, run_read, run_write) = round_trip_p50s(&cfg, 1, |_, space| {
                 let mut out = [0; 8];
                 for k in 0..200u64 {
                     space.write_run(0, 3, &[k + 1; 8]);
                     space.read_run(0, 3, &mut out);
                 }
             });
-            [read, write].map(|us| format!("{:.2}", us / link_rtt_us))
+            let (_, _, owned) = round_trip_p50s(&cfg, 1, |_, space| {
+                for k in 0..200u64 {
+                    space.write_run_owned(0, 1, &[k + 1]);
+                    let _ = space.read(0);
+                }
+            });
+            let (_, _, owned_run) = round_trip_p50s(&cfg, 1, |_, space| {
+                let mut out = [0; 8];
+                for k in 0..200u64 {
+                    space.write_run_owned(0, 3, &[k + 1; 8]);
+                    space.read_run(0, 3, &mut out);
+                }
+            });
+            [run_read, run_write, owned, owned_run].map(|us| format!("{:.2}", us / link_rtt_us))
         } else {
-            ["-".to_string(), "-".to_string()]
+            ["-", "-", "-", "-"].map(String::from)
         };
-        t3.row(vec![
+        let mut row = vec![
             threads.to_string(),
             ops.to_string(),
             format!("{read:.1}"),
             format!("{:.2}", read / link_rtt_us),
             format!("{write:.1}"),
             format!("{:.2}", write / link_rtt_us),
-            run_read,
-            run_write,
-        ]);
+        ];
+        row.extend(solo_only);
+        t3.row(row);
     }
     t3.note("Link rtt = min + max one-way delay (90 µs mean). A solo read is one round trip,");
     t3.note("a write two (query, then store): the ratios' excess over 1 and 2 is everything");
@@ -232,7 +248,8 @@ pub fn net() -> Vec<Table> {
         "that is not link delay or protocol. This host has {cpus} CPUs; waiting rounds spin"
     ));
     t3.note("(yielding), so more client threads than CPUs stretch each other's round trips.");
-    t3.note("A run of 8 registers travels as one message per replica per phase: 1 client only.");
+    t3.note("A run of 8 registers travels as one message per replica per phase, and an owned");
+    t3.note("write (cells only this handle writes) skips the query: 1 client only.");
     vec![t1, t2, t3]
 }
 
@@ -277,10 +294,11 @@ fn round_trip_p50s(
 
 /// The gates on NET: no thread sits between a client and the replicas,
 /// so a solo read costs about one link round trip and a write about two
-/// (3.2 and 6.4 when a router thread did); and a run of 8 registers
-/// costs what one register costs, one round per phase (a run served cell
-/// by cell would read 8 and 16). Self-normalising: the p50 over the
-/// *configured* mean link round trip.
+/// (3.2 and 6.4 when a router thread did); a run of 8 registers costs
+/// what one register costs, one round per phase (a run served cell by
+/// cell would read 8 and 16); and an owned write, one cell or a run of 8,
+/// is the store round alone (a queried write would read 2). Self-
+/// normalising: the p50 over the *configured* mean link round trip.
 pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     let solo = || by_id(tables, "NETc")?.row_where(&[("client threads", "1")]);
     vec![
@@ -306,6 +324,17 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 "run-of-8 write / link rtt <= 2.6",
             )
         }),
+        gate("NETc.owned_writes_cost_one_round", || {
+            let solo = solo()?;
+            solo.expect(
+                solo.num("owned write / link rtt")? <= 1.3,
+                "owned write / link rtt <= 1.3",
+            )?;
+            solo.expect(
+                solo.num("run-of-8 owned write / link rtt")? <= 1.3,
+                "run-of-8 owned write / link rtt <= 1.3",
+            )
+        }),
     ]
 }
 
@@ -315,19 +344,20 @@ mod tests {
     use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
 
     #[test]
-    fn the_net_gate_rejects_its_mutants() {
+    fn every_net_gate_rejects_its_mutant() {
         let fixture = [table(
             "NETc",
             "client threads | read / link rtt | write / link rtt \
-             | run-of-8 read / link rtt | run-of-8 write / link rtt",
+             | run-of-8 read / link rtt | run-of-8 write / link rtt \
+             | owned write / link rtt | run-of-8 owned write / link rtt",
             &[
-                "1 | 1.01 | 2.02 | 1.02 | 2.04",
-                "2 | 1.05 | 2.10 | - | -",
-                "4 | 2.40 | 4.90 | - | -",
+                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03",
+                "2 | 1.05 | 2.10 | - | - | - | -",
+                "4 | 2.40 | 4.90 | - | - | - | -",
             ],
         )];
-        // Both gates read the one-client row, so a missing row or an empty
-        // table is listed under both and must fail both.
+        // Every gate reads the one-client row, so a missing row or an
+        // empty table is listed under each and must fail each.
         assert_gates_reject(
             gates,
             &fixture,
@@ -351,6 +381,19 @@ mod tests {
                         Set(0, "run-of-8 read / link rtt", "1.31"),
                         Set(0, "run-of-8 write / link rtt", "2.61"),
                         Set(0, "run-of-8 write / link rtt", "-"),
+                        DropRow(0),
+                        Clear,
+                    ],
+                ),
+                (
+                    "NETc.owned_writes_cost_one_round",
+                    &[
+                        // An owned write that still ran the query round.
+                        Set(0, "owned write / link rtt", "2.02"),
+                        Set(0, "owned write / link rtt", "1.31"),
+                        Set(0, "run-of-8 owned write / link rtt", "1.31"),
+                        Set(0, "owned write / link rtt", "-"),
+                        Set(0, "run-of-8 owned write / link rtt", "-"),
                         DropRow(0),
                         Clear,
                     ],

@@ -10,11 +10,11 @@
 //! with a [`RegisterModel`]. Each register index becomes its own object id,
 //! so P-compositionality splits the search per register.
 //!
-//! Runs (`read_run` / `write_run`) are recorded cell by cell — one
-//! operation per cell, each spanning the whole call — and forwarded to the
-//! backend as runs, so the check covers the vectored quorum path and
-//! claims for it exactly what a run promises: per-cell atomicity, nothing
-//! across cells.
+//! Runs (`read_run` / `write_run` / `write_run_owned`) are recorded cell
+//! by cell — one operation per cell, each spanning the whole call — and
+//! forwarded to the backend as runs of the same kind, so the check covers
+//! the vectored and the one-round owned quorum paths and claims for them
+//! exactly what a run promises: per-cell atomicity, nothing across cells.
 //!
 //! # Operation encoding
 //!
@@ -140,6 +140,20 @@ impl<S: RegisterSpace> RecordingSpace<S> {
             .map(|(i, op)| self.recorder.invoke(pid, base + i as u64 * stride, op))
             .collect()
     }
+
+    /// Records a write of `values[i]` to cell `base + i·stride` for every
+    /// `i` around `forward`, which hands the run to the inner space.
+    fn record_write_run(&self, base: u64, stride: u64, values: &[u64], forward: impl FnOnce(&S)) {
+        let Some(pid) = current_pid() else {
+            return forward(&self.inner);
+        };
+        let tokens = self.invoke_run(pid, base, stride, values.iter().map(|&v| write_op(v)));
+        forward(&self.inner);
+        for (i, token) in tokens.into_iter().enumerate() {
+            self.recorder
+                .response(pid, base + i as u64 * stride, token, 0);
+        }
+    }
 }
 
 impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
@@ -185,15 +199,17 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
 
     /// Forwarded as one run and recorded per cell, like `read_run`.
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
-        let Some(pid) = current_pid() else {
-            return self.inner.write_run(base, stride, values);
-        };
-        let tokens = self.invoke_run(pid, base, stride, values.iter().map(|&v| write_op(v)));
-        self.inner.write_run(base, stride, values);
-        for (i, token) in tokens.into_iter().enumerate() {
-            self.recorder
-                .response(pid, base + i as u64 * stride, token, 0);
-        }
+        self.record_write_run(base, stride, values, |inner| {
+            inner.write_run(base, stride, values)
+        })
+    }
+
+    /// Forwarded as one owned run and recorded per cell, like
+    /// `write_run`: the checker sees the one-round owned path.
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        self.record_write_run(base, stride, values, |inner| {
+            inner.write_run_owned(base, stride, values)
+        })
     }
 }
 
@@ -350,6 +366,92 @@ mod tests {
         let report = check_history(&history, &RegisterModel)
             .expect("quorum runs must linearize per register");
         assert_eq!(report.objects.len(), 6, "cells 0..6 all checked");
+    }
+
+    /// Owned write runs — each cell owned by one client's handle — against
+    /// two clients' overlapping read runs across both owners' cells, on 5
+    /// replicas under 30 % message drops and, half way through, a
+    /// partition cutting off two replicas. The owned store skips the query
+    /// round, and every cell must still linearize as an atomic register.
+    #[test]
+    fn owned_write_runs_linearize_under_drops_and_a_minority_cut() {
+        const STEPS: u64 = 40;
+        let mut cfg = NetConfig::new(2, 5, 0x0E4ED);
+        cfg.retransmit = std::time::Duration::from_micros(200);
+        let net = Arc::new(Network::new(cfg));
+        let control = net.control();
+        control.set_drop(0.3);
+        let rec = Arc::new(Recorder::with_capacity(2, 2 * 9 * STEPS as usize));
+        let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&rec)));
+        std::thread::scope(|s| {
+            for (t, space) in spaces.iter().enumerate() {
+                let control = &control;
+                s.spawn(move || {
+                    with_pid(ProcId(t), || {
+                        // Client t owns cells 4t..4t+4. Client 0 reads
+                        // cells 2..7, client 1 the even cells 0..8.
+                        let (read_base, read_stride, mut read) = if t == 0 {
+                            (2, 1, vec![0; 5])
+                        } else {
+                            (0, 2, vec![0; 4])
+                        };
+                        for k in 0..STEPS {
+                            if t == 0 && k == STEPS / 2 {
+                                control.partition_minority(2);
+                            }
+                            let v = (t as u64 + 1) * 10_000 + k * 10;
+                            space.write_run_owned(4 * t as u64, 1, &[v, v + 1, v + 2, v + 3]);
+                            space.read_run(read_base, read_stride, &mut read);
+                        }
+                    })
+                });
+            }
+        });
+        control.heal();
+        assert_eq!(rec.dropped(), 0, "history buffers overflowed");
+        let history = rec.history();
+        assert_eq!(
+            history.len(),
+            2 * STEPS as usize * 4 + STEPS as usize * (5 + 4)
+        );
+        let report = check_history(&history, &RegisterModel)
+            .expect("owned write runs must linearize per register");
+        assert_eq!(report.objects.len(), 8, "cells 0..8 all checked");
+    }
+
+    /// The seeded mutant forgets its handle's timestamp floor between
+    /// owned writes, as a writer recovered without it would, and the
+    /// checker must reject it. Script, on one cell of a 3-replica space:
+    /// the owner writes v1 then v2 (owned), forgets its floor, and writes
+    /// v3 — stamped with v1's timestamp, so every replica keeps v2 — and a
+    /// second client's read then returns v2 after v3 completed. The correct
+    /// handle runs the same script and must check clean.
+    #[test]
+    fn the_forgotten_timestamp_floor_mutant_is_rejected() {
+        let script = |mutant: bool| {
+            let net = Arc::new(Network::new(NetConfig::new(2, 3, 0xF100)));
+            let rec = Arc::new(Recorder::new(2));
+            let owner = RecordingSpace::new(net.space(), Arc::clone(&rec));
+            let reader = RecordingSpace::new(net.space(), Arc::clone(&rec));
+            with_pid(ProcId(0), || {
+                owner.write_run_owned(0, 1, &[1]);
+                owner.write_run_owned(0, 1, &[2]);
+                if mutant {
+                    owner.inner().forget_timestamp_floor();
+                }
+                owner.write_run_owned(0, 1, &[3]);
+            });
+            let read = with_pid(ProcId(1), || reader.read(0));
+            (read, rec.history())
+        };
+        let (read, correct) = script(false);
+        assert_eq!(read, 3);
+        check_history(&correct, &RegisterModel).expect("the owned writes linearize");
+        let (read, mutant) = script(true);
+        assert_eq!(read, 2, "v3 reused v1's timestamp and lost to v2");
+        let err = check_history(&mutant, &RegisterModel)
+            .expect_err("the forgotten-floor mutant must be rejected");
+        assert_eq!(err.obj, 0);
     }
 
     /// The seeded mutant decides a read run's write-back from its first

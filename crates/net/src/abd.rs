@@ -2,7 +2,7 @@
 //! [`RegisterSpace`] whose every cell is an ABD multi-writer
 //! multi-reader atomic register replicated across the cluster.
 //!
-//! Both operations are built from the same primitive — a *quorum round*
+//! All three operations are built from the same primitive — a *quorum round*
 //! that sends one payload to every replica and collects acknowledgements
 //! until a majority (`R/2 + 1`) has answered, retransmitting to the
 //! silent replicas on a timer. The network has no thread of its own: the
@@ -14,16 +14,30 @@
 //! round; that intersection is the whole correctness argument.
 //!
 //! Every operation is on a **run** of cells `base + i·stride`
-//! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`]), and a
-//! run costs the rounds of one register: one message per replica per
-//! phase. A single-cell `read` / `write` is a run of one — there is one
-//! code path.
+//! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`] /
+//! [`RegisterSpace::write_run_owned`]), and a run costs the rounds of one
+//! register: one message per replica per phase. A single-cell `read` /
+//! `write` is a run of one — there is one code path per operation.
 //!
 //! * **write run** — round 1 queries a majority for every cell's highest
 //!   version; the writer picks *one* fresh timestamp above everything it
 //!   saw in any cell (and above everything it ever issued, via a CAS
 //!   floor), stamps every cell with it and its unique `wid`, and round 2
 //!   stores the cells on a majority.
+//! * **owned write run** ([`RegisterSpace::write_run_owned`]) — the store
+//!   round alone, stamped `reserve_ts(0)`: one past the handle's CAS
+//!   floor. The caller promises that every write those cells ever receive
+//!   comes through this one handle, and that is what makes the query
+//!   redundant. The query exists to lift a write above *other* writers'
+//!   versions; an owned cell has none, and every version it ever carried
+//!   — on any replica, including a store a crashed caller left stranded on
+//!   a minority — was issued by this handle, so it lies at or below the
+//!   floor. The new version therefore beats all of them everywhere, which
+//!   is all round 1 would have established. The promise is the caller's
+//!   (classic single-writer ABD's regime, one round trip per write); in
+//!   debug builds the replicas check it, pinning an owned cell to the
+//!   `wid` of its first owned store and panicking on any store that
+//!   carries another.
 //! * **read run** — round 1 queries a majority and takes each cell's
 //!   maximum `(ts, wid)` answer; round 2 writes *back* to a majority the
 //!   cells whose maximum some majority member might miss — decided per
@@ -57,18 +71,22 @@ use tfr_telemetry::{current_pid, current_span_id, EventKind, Span};
 
 /// A replicated register array: the `tfr-net` implementation of
 /// [`RegisterSpace`]. Obtain one with [`Network::space`]; every handle
-/// carries its own unique writer id, so clone-by-`space()` per thread.
+/// carries its own unique writer id.
 ///
-/// Handles are cheap (an [`Arc`] plus two words) and `Send + Sync`; a
-/// single handle shared by several threads is safe but serializes nothing
-/// — each operation is its own quorum round.
+/// Handles are cheap (an [`Arc`], the writer id, the timestamp floor and
+/// a mutant flag) and `Send + Sync`; a single handle shared by several
+/// threads is safe but serializes nothing — each operation is its own
+/// quorum round. Cells written with owned writes must be written through
+/// one handle for the life of the data, so an object that owns cells
+/// (`tfr_core::universal::Universal`) keeps one shared handle for all its
+/// sessions.
 pub struct QuorumSpace {
     net: Arc<Network>,
     /// This handle's unique writer id (tie-breaker of equal timestamps).
     wid: u64,
     /// Highest timestamp this handle has issued — a CAS floor that keeps
     /// its timestamps strictly increasing even across concurrent writes
-    /// through the same handle.
+    /// through the same handle, and the whole basis of owned writes.
     issued: AtomicU64,
     /// The seeded mutant of [`QuorumSpace::with_first_cell_write_back`].
     first_cell_write_back: bool,
@@ -95,6 +113,16 @@ impl QuorumSpace {
     pub fn with_first_cell_write_back(mut self) -> QuorumSpace {
         self.first_cell_write_back = true;
         self
+    }
+
+    /// **A seeded mutant, for the linearizability oracle's negative
+    /// tests only.** Resets the handle's timestamp floor to zero, as a
+    /// writer that recovered without it would: its next owned writes
+    /// reuse timestamps it already issued, lose to its own older versions
+    /// at the replicas, and vanish.
+    #[doc(hidden)]
+    pub fn forget_timestamp_floor(&self) {
+        self.issued.store(0, Ordering::SeqCst);
     }
 
     /// The writer id stamped on this handle's writes.
@@ -240,7 +268,11 @@ impl QuorumSpace {
             .collect();
         if !cells.is_empty() {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
-            self.quorum_round(client, Payload::WriteReq { cells });
+            let write_back = Payload::WriteReq {
+                cells,
+                owned: false,
+            };
+            self.quorum_round(client, write_back);
         }
         drop(op_span);
         // The version each cell returns — per client lane and register
@@ -270,8 +302,8 @@ impl QuorumSpace {
     }
 
     /// Reserves a fresh timestamp: strictly above `floor` (the highest
-    /// version a query phase observed) and above every timestamp this
-    /// handle previously issued.
+    /// version a query phase observed, or 0 for an owned write) and above
+    /// every timestamp this handle previously issued.
     fn reserve_ts(&self, floor: u64) -> u64 {
         let mut cur = self.issued.load(Ordering::SeqCst);
         loop {
@@ -309,6 +341,20 @@ impl RegisterSpace for QuorumSpace {
     /// One query round and one store round for the whole run, every cell
     /// stamped with one fresh version.
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
+        self.store_run(base, stride, values, false)
+    }
+
+    /// One store round for the whole run, every cell stamped one past the
+    /// handle's timestamp floor (see the module docs for why that is
+    /// enough when the cells are owned).
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        self.store_run(base, stride, values, true)
+    }
+}
+
+impl QuorumSpace {
+    /// A write run: the query round unless `owned`, then the store round.
+    fn store_run(&self, base: u64, stride: u64, values: &[u64], owned: bool) {
         if values.is_empty() {
             return;
         }
@@ -321,17 +367,20 @@ impl RegisterSpace for QuorumSpace {
         });
         let op_span = Span::enter(&shared.trace, "quorum.write");
         let client = self.client();
-        // Phase 1: learn the highest timestamp a majority has seen in any
-        // cell of the run.
-        let acks = {
-            let _phase = Span::enter(&shared.trace, "quorum.phase1");
-            self.quorum_round(client, Payload::ReadReq { run })
-        };
+        // Phase 1, queried writes only: learn the highest timestamp a
+        // majority has seen in any cell of the run. An owned cell's
+        // versions are all this handle's, so its floor already covers them.
         let mut max_ts = 0;
-        for (_, ack) in &acks {
-            if let Payload::ReadAck { data, .. } = ack {
-                for seen in data {
-                    max_ts = max_ts.max(seen.version.ts);
+        if !owned {
+            let acks = {
+                let _phase = Span::enter(&shared.trace, "quorum.phase1");
+                self.quorum_round(client, Payload::ReadReq { run })
+            };
+            for (_, ack) in &acks {
+                if let Payload::ReadAck { data, .. } = ack {
+                    for seen in data {
+                        max_ts = max_ts.max(seen.version.ts);
+                    }
                 }
             }
         }
@@ -349,7 +398,7 @@ impl RegisterSpace for QuorumSpace {
         {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
             let cells = Arc::clone(&cells);
-            self.quorum_round(client, Payload::WriteReq { cells });
+            self.quorum_round(client, Payload::WriteReq { cells, owned });
         }
         drop(op_span);
         self.emit_versions(cells.iter().copied());

@@ -190,6 +190,10 @@ struct RouterState {
     links: Vec<Option<SplitMix64>>,
     /// One register table per replica.
     tables: Vec<HashMap<u64, Versioned>>,
+    /// Debug builds, per replica: the writer id each owned cell is pinned
+    /// to (see [`check_owner`]).
+    #[cfg(debug_assertions)]
+    owners: Vec<HashMap<u64, u64>>,
     /// Ack mailbox `(replica, ack)` of every open quorum round, by `rid`.
     mailboxes: HashMap<u64, Vec<(usize, Payload)>>,
     /// The last `rid` handed out, i.e. the quorum rounds opened so far.
@@ -299,6 +303,8 @@ impl Shared {
                             span: msg.span,
                         },
                     );
+                    #[cfg(debug_assertions)]
+                    check_owner(&mut st.owners[r], &msg.payload);
                     let ack = replica_apply(&mut st.tables[r], msg.payload);
                     let reply = Message {
                         from: msg.to,
@@ -434,6 +440,8 @@ impl Network {
             queue: BinaryHeap::new(),
             links: vec![None; cfg.nodes() * cfg.nodes()],
             tables: vec![HashMap::new(); cfg.replicas],
+            #[cfg(debug_assertions)]
+            owners: vec![HashMap::new(); cfg.replicas],
             mailboxes: HashMap::new(),
             next_rid: 0,
             drop_prob: 0.0,
@@ -500,7 +508,7 @@ fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Paylo
                 .map(|reg| *table.get(&reg).unwrap_or(&Versioned::ZERO))
                 .collect(),
         },
-        Payload::WriteReq { cells } => {
+        Payload::WriteReq { cells, .. } => {
             for &(reg, data) in cells.iter() {
                 let cur = table.entry(reg).or_insert(Versioned::ZERO);
                 if data.version > cur.version {
@@ -512,6 +520,39 @@ fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Paylo
         Payload::ReadAck { .. } | Payload::WriteAck { .. } => {
             unreachable!("acks are never addressed to replicas")
         }
+    }
+}
+
+/// The debug check of the owned-write contract, at one replica: an owned
+/// store pins each of its cells to its writer id the first time the
+/// replica sees the cell owned, and any later store to a pinned cell —
+/// owned, queried or a read's write-back — must carry that writer id.
+/// Another id means a second handle wrote a cell the first declared its
+/// own, the one misuse under which skipping the query phase is unsafe.
+///
+/// # Panics
+///
+/// Panics on that misuse.
+#[cfg(debug_assertions)]
+fn check_owner(owners: &mut HashMap<u64, u64>, payload: &Payload) {
+    let Payload::WriteReq { cells, owned } = payload else {
+        return;
+    };
+    for &(reg, data) in cells.iter() {
+        let wid = data.version.wid;
+        let owner = if *owned {
+            *owners.entry(reg).or_insert(wid)
+        } else {
+            match owners.get(&reg) {
+                Some(&owner) => owner,
+                None => continue,
+            }
+        };
+        assert_eq!(
+            owner, wid,
+            "register {reg} is owned by writer {owner}, but writer {wid} stored to it: \
+             every write to an owned cell must come through its one handle"
+        );
     }
 }
 

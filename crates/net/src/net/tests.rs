@@ -31,6 +31,7 @@ fn replica_apply_is_monotone_and_idempotent() {
     };
     let store = |cells: &[(u64, Versioned)]| Payload::WriteReq {
         cells: cells.into(),
+        owned: false,
     };
     replica_apply(&mut t, store(&[(0, v2), (1, v1)]));
     // A late, stale write must not regress a register, and is applied
@@ -188,6 +189,7 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
         },
         Payload::WriteReq {
             cells: [(5, data)].into(),
+            owned: false,
         },
     ] {
         let rid = sh.open_round();
@@ -502,6 +504,63 @@ fn a_run_costs_the_rounds_of_one_register() {
     space.read_run_versioned(8_000, 3, &mut versioned);
     assert!(versioned.iter().all(|v| v.version == versioned[0].version));
     assert_eq!(space.read(8_000 + 3 * 8), 0, "nothing past the run");
+}
+
+/// An owned write run is one store round, whatever its length, and its
+/// version is above every timestamp the handle issued before, queried
+/// writes' included.
+#[test]
+fn an_owned_write_is_one_store_round_above_the_handles_floor() {
+    let net = lockstep_net(1);
+    let control = net.control();
+    let space = net.space();
+    let rounds = |f: &mut dyn FnMut()| {
+        let before = control.quorum_rounds();
+        f();
+        control.quorum_rounds() - before
+    };
+    let values: Vec<u64> = (1..=64).collect();
+    for len in [1usize, 8, 64] {
+        let base = 1_000 * len as u64;
+        assert_eq!(
+            rounds(&mut || space.write_run_owned(base, 3, &values[..len])),
+            1
+        );
+        let mut out = vec![0; len];
+        space.read_run(base, 3, &mut out);
+        assert_eq!(out, &values[..len], "len {len}");
+    }
+    space.write(5, 50);
+    let queried = space.read_versioned(5).version;
+    space.write_run_owned(6, 1, &[60]);
+    let owned = space.read_versioned(6);
+    assert_eq!(owned.value, 60);
+    assert!(owned.version > queried, "{} ≤ {queried}", owned.version);
+    assert_eq!(owned.version.wid, space.writer_id());
+}
+
+/// Debug builds check the owned-write contract at the replicas: a second
+/// handle's owned store to a cell the first handle owns panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "every write to an owned cell must come through its one handle")]
+fn a_foreign_owned_store_to_an_owned_cell_panics() {
+    let net = lockstep_net(1);
+    let (owner, intruder) = (net.space(), net.space());
+    owner.write_run_owned(4, 1, &[1]);
+    intruder.write_run_owned(4, 1, &[2]);
+}
+
+/// The same check catches a foreign queried write: its store carries the
+/// intruder's writer id too.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "every write to an owned cell must come through its one handle")]
+fn a_foreign_queried_store_to_an_owned_cell_panics() {
+    let net = lockstep_net(1);
+    let (owner, intruder) = (net.space(), net.space());
+    owner.write_run_owned(4, 1, &[1]);
+    intruder.write(4, 2);
 }
 
 /// A read run writes back exactly the cells a majority might miss. Cell 0

@@ -169,6 +169,14 @@ impl<S: RegisterSpace> DurableSpace<S> {
             seg.dirty.lock().unwrap().insert(index);
         }
     }
+
+    /// Counts and dirty-marks every cell of a written run.
+    fn count_run_write(&self, base: u64, stride: u64, len: usize) {
+        self.writes.fetch_add(len as u64, Ordering::Relaxed);
+        for i in 0..len as u64 {
+            self.mark_dirty(base + i * stride);
+        }
+    }
 }
 
 impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
@@ -191,12 +199,14 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
 
     /// Forwarded as one run; counted and dirty-marked per cell.
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
-        self.writes
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        for i in 0..values.len() as u64 {
-            self.mark_dirty(base + i * stride);
-        }
+        self.count_run_write(base, stride, values.len());
         self.inner.write_run(base, stride, values)
+    }
+
+    /// Forwarded as one owned run; counted and dirty-marked per cell.
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        self.count_run_write(base, stride, values.len());
+        self.inner.write_run_owned(base, stride, values)
     }
 }
 

@@ -52,6 +52,17 @@ use std::sync::Arc;
 /// whole run in the round trips of one access. Callers vector only
 /// accesses whose mutual order their algorithm does not rely on; the
 /// stride must be nonzero when a run has more than one cell.
+///
+/// # Owned writes
+///
+/// [`RegisterSpace::write_run_owned`] is a `write_run` whose caller
+/// declares the cells **owned** by this space handle: every write those
+/// cells ever receive comes through this one handle, as an owned write.
+/// Ownership is declared at the call site, never inferred. Shared memory
+/// gains nothing from the promise, so the default is `write_run`; a
+/// backend whose multi-writer write must first learn what other writers
+/// did (the quorum space's query phase) may skip that step for a cell
+/// with one writer.
 pub trait RegisterSpace: Send + Sync {
     /// Atomically reads register `index` (0 if never written).
     fn read(&self, index: u64) -> u64;
@@ -75,6 +86,14 @@ pub trait RegisterSpace: Send + Sync {
             self.write(base + i as u64 * stride, value);
         }
     }
+
+    /// [`RegisterSpace::write_run`] on cells this handle owns: every
+    /// write to them, ever, comes through this handle as an owned write
+    /// (see [Owned writes](RegisterSpace#owned-writes)). Same per-cell
+    /// atomicity, nothing across cells.
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        self.write_run(base, stride, values)
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
@@ -89,6 +108,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
     }
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run(base, stride, values)
+    }
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run_owned(base, stride, values)
     }
 }
 
@@ -105,6 +127,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for &S {
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run(base, stride, values)
     }
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run_owned(base, stride, values)
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
@@ -119,6 +144,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
     }
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run(base, stride, values)
+    }
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        (**self).write_run_owned(base, stride, values)
     }
 }
 
@@ -331,6 +359,10 @@ impl<S: RegisterSpace> RegisterSpace for SubSpace<S> {
         self.inner
             .write_run(self.parent_index(base), stride * self.stride, values)
     }
+    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+        self.inner
+            .write_run_owned(self.parent_index(base), stride * self.stride, values)
+    }
 }
 
 /// One named register of a space, as a standalone handle.
@@ -461,11 +493,12 @@ mod tests {
         assert_eq!(s.read(0), 0, "an empty run touches nothing");
     }
 
-    /// A space that tapes the runs it is handed, to check forwarding.
+    /// A space that tapes the runs it is handed, to check forwarding:
+    /// `(kind, base, stride, len)`, kind `'r'`, `'w'` or `'o'` (owned).
     #[derive(Default)]
     struct RunTape {
         cells: NativeSpace,
-        runs: std::sync::Mutex<Vec<(bool, u64, u64, usize)>>,
+        runs: std::sync::Mutex<Vec<(char, u64, u64, usize)>>,
     }
 
     impl RegisterSpace for RunTape {
@@ -479,14 +512,21 @@ mod tests {
             self.runs
                 .lock()
                 .unwrap()
-                .push((false, base, stride, out.len()));
+                .push(('r', base, stride, out.len()));
             self.cells.read_run(base, stride, out)
         }
         fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
             self.runs
                 .lock()
                 .unwrap()
-                .push((true, base, stride, values.len()));
+                .push(('w', base, stride, values.len()));
+            self.cells.write_run(base, stride, values)
+        }
+        fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
+            self.runs
+                .lock()
+                .unwrap()
+                .push(('o', base, stride, values.len()));
             self.cells.write_run(base, stride, values)
         }
     }
@@ -502,13 +542,23 @@ mod tests {
         let mut out = [0; 2];
         view.read_run(2, 3, &mut out);
         assert_eq!(out, [5, 6]);
+        view.write_run_owned(3, 1, &[8]); // local 3 → parent 7 + 30
         assert_eq!(parent.read(27), 5);
         assert_eq!(parent.read(57), 6);
+        assert_eq!(parent.read(37), 8);
         assert_eq!(
             *parent.runs.lock().unwrap(),
-            vec![(true, 27, 30, 2), (false, 27, 30, 2)],
-            "one run reaches the parent, with the composed base and stride"
+            vec![('w', 27, 30, 2), ('r', 27, 30, 2), ('o', 37, 10, 1)],
+            "one run reaches the parent, with the composed base and stride, \
+             and an owned run stays owned"
         );
+    }
+
+    #[test]
+    fn an_owned_run_defaults_to_a_plain_run() {
+        let s = NativeSpace::new();
+        s.write_run_owned(1, 2, &[4, 5]);
+        assert_eq!([s.read(1), s.read(3)], [4, 5]);
     }
 
     #[test]

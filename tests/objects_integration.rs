@@ -504,33 +504,40 @@ fn universal_queue_capacity_exhaustion_panics() {
     obj.invoke(ProcId(0), FifoQueue::enqueue_op(2)); // one too many
 }
 
-/// Tier-1's copy of `tfr-core`'s access-multiset unit test: vectoring
-/// changes rounds, not accesses. Process 0 of n ≤ 2 opens a session on a
-/// fresh 4-slot object, announces k ops and drives them through slot 0
-/// alone; the cells it touches, with multiplicity, are exactly those of
-/// the per-cell code (runs go through `Taped`'s default loop, so they tape
-/// per cell). Layout (documented on `Universal` and `MultiConsensus`):
-/// announce region cell `i` at `3i`, arena `3i + 1`, slot 0's consensus
-/// cell `i` at `3·4i + 2`, and the one pid bit's Algorithm 1 register `j`
-/// at consensus cell `1 + n + j`.
+/// Tier-1's copy of `tfr-core`'s access-multiset unit tests: vectoring
+/// changes rounds, not accesses, and a winner applies its own batch
+/// without reading it back. Process 0 of n ≤ 2 opens a session on a
+/// fresh 4-slot object, announces k ops and drives them through slot `s`
+/// alone; the cells it touches, with multiplicity, are exactly these
+/// (runs go through `Taped`'s default loop, so they tape per cell). At
+/// s = 0 that is all; at s = 1 (n = 2) slot 0 was decided for process 1's
+/// published record, and process 0 first reads that record back: its
+/// length, its entries and process 1's payloads. Layout (documented on
+/// `Universal` and `MultiConsensus`): announce region cell `i` at `3i`,
+/// arena `3i + 1`, slot `s`'s consensus cell `i` at `3·(4i + s) + 2`, and
+/// the one pid bit's Algorithm 1 register `j` at consensus cell
+/// `1 + n + j`.
 #[test]
-fn universal_solo_decision_touches_the_same_cells_per_cell() {
-    for n in [1u64, 2] {
+fn universal_decision_reads_back_only_records_it_did_not_write() {
+    let announce = |i: u64| 3 * i;
+    let arena = |i: u64| 3 * i + 1;
+    let slot_cell = |s: u64, i: u64| 3 * (4 * i + s) + 2;
+    // Process 1's ops on slot 0, before process 0 arrives, in the s = 1 case.
+    let others = 3u64;
+    for (n, s) in [(1u64, 0u64), (2, 0), (2, 1)] {
         for k in [1u64, 8] {
-            let announce = |i: u64| 3 * i;
-            let arena = |i: u64| 3 * i + 1;
-            let slot0 = |i: u64| 3 * (4 * i) + 2;
-            let alg1 = |j: u64| slot0(1 + n + j);
+            let slot = |i: u64| slot_cell(s, i);
+            let alg1 = |j: u64| slot(1 + n + j);
             let mut want = vec![
                 (false, announce(0)), // session: own counter and mark
                 (false, announce(1)),
                 (true, announce(0)), // counter, record length, mark
                 (true, arena(0)),
                 (true, announce(1)),
-                (false, slot0(0)), // undecided; announce; result
-                (false, slot0(1)),
-                (true, slot0(1)),
-                (true, slot0(0)),
+                (false, slot(0)), // undecided; announce; result
+                (false, slot(1)),
+                (true, slot(1)),
+                (true, slot(0)),
                 (false, alg1(0)), // Algorithm 1's solo fast path, v = 0
                 (false, alg1(0)),
                 (true, alg1(0)),
@@ -538,19 +545,23 @@ fn universal_solo_decision_touches_the_same_cells_per_cell() {
                 (true, alg1(3)),
                 (true, alg1(4)),
                 (false, alg1(5)),
-                (false, arena(0)), // applying: record length
             ];
             if n == 2 {
                 want.push((false, announce(2))); // the other counter
             }
             for i in 0..k {
-                let (payload, entry) = (announce(2 * n + i * n), arena((1 + i) * n));
-                want.extend([
-                    (true, payload),
-                    (false, payload),
-                    (true, entry),
-                    (false, entry),
-                ]);
+                want.extend([(true, announce(2 * n + i * n)), (true, arena((1 + i) * n))]);
+            }
+            if s == 1 {
+                // Slot 0 decided; process 1's record length, entries and
+                // payloads, read back.
+                want.extend([(false, slot_cell(0, 0)), (false, arena(1))]);
+                for i in 0..others {
+                    want.extend([
+                        (false, arena(1 + (1 + i) * n)),
+                        (false, announce(2 * n + 1 + i * n)),
+                    ]);
+                }
             }
             let mut expected = BTreeMap::new();
             for cell in want {
@@ -559,6 +570,12 @@ fn universal_solo_decision_touches_the_same_cells_per_cell() {
 
             let space = Arc::new(Taped::default());
             let obj = Universal::on(Arc::clone(&space), Counter, n as usize, 4, D);
+            if s == 1 {
+                let mut other = obj.session(ProcId(1));
+                other.announce_burst(&vec![2; others as usize]);
+                other.drive_pending();
+                space.tape.lock().unwrap().clear();
+            }
             let mut session = obj.session(ProcId(0));
             session.announce_burst(&vec![1; k as usize]);
             session.drive_pending();
@@ -566,7 +583,7 @@ fn universal_solo_decision_touches_the_same_cells_per_cell() {
             for access in space.tape() {
                 *got.entry(access).or_insert(0) += 1;
             }
-            assert_eq!(got, expected, "n={n} k={k}");
+            assert_eq!(got, expected, "n={n} s={s} k={k}");
         }
     }
 }
