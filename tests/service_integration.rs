@@ -5,13 +5,17 @@
 //! against four workers driving flat-combining batches on two shards —
 //! with **zero lost operations**: at quiescence every announced op is
 //! committed and the shard states equal the register-backed announce
-//! ground truth exactly.
+//! ground truth exactly. The same harness drives the service over
+//! native registers and over a quorum cluster (`tfr-net`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::Counter;
+use tfr::net::{NetConfig, Network};
 use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
+use tfr::registers::space::RegisterSpace;
 use tfr::registers::ProcId;
 use tfr::service::{decode_op, ObjectService, ServiceConfig};
 
@@ -25,14 +29,17 @@ fn delta() -> Duration {
     Duration::from_micros(100)
 }
 
-fn service() -> ObjectService<Counter> {
-    let cfg = ServiceConfig {
+fn config() -> ServiceConfig {
+    ServiceConfig {
         capacity_per_shard: 512,
         delta: delta(),
         max_batch: 8,
         ..ServiceConfig::new(SHARDS, N)
-    };
-    ObjectService::new(|| Counter, &cfg)
+    }
+}
+
+fn service() -> ObjectService<Counter> {
+    ObjectService::new(|| Counter, &config())
 }
 
 /// What one chaos run produced, per worker: incarnation restarts and
@@ -48,7 +55,7 @@ struct RunStats {
 /// round interrupted mid-flight is redone — re-announcing is legal, and
 /// the invariant checked afterwards is against what was *actually*
 /// announced, not the intended workload).
-fn drive_workload(svc: &ObjectService<Counter>, faults: &[Fault]) -> RunStats {
+fn drive_workload<S: RegisterSpace>(svc: &ObjectService<Counter, S>, faults: &[Fault]) -> RunStats {
     let session = ChaosSession::install(faults);
     let stats: Vec<(usize, bool)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..N)
@@ -107,7 +114,7 @@ fn drive_workload(svc: &ObjectService<Counter>, faults: &[Fault]) -> RunStats {
 /// worker's final burst) by enqueueing zero-amount ops on every shard
 /// from outside the chaos regime — the combiner batches *everyone's*
 /// pending ops, so a few flush rounds drain any backlog.
-fn flush(svc: &ObjectService<Counter>) {
+fn flush<S: RegisterSpace>(svc: &ObjectService<Counter, S>) {
     let mut flusher = svc.worker(ProcId(0));
     flusher.catch_up();
     for _ in 0..64 {
@@ -132,7 +139,7 @@ fn flush(svc: &ObjectService<Counter>) {
 /// shard's log is contiguous and complete (committed == announced for
 /// every worker), and the replayed state equals the sum of exactly the
 /// announced amounts, per key.
-fn assert_nothing_lost(svc: &ObjectService<Counter>, ctx: &str) {
+fn assert_nothing_lost<S: RegisterSpace>(svc: &ObjectService<Counter, S>, ctx: &str) {
     let audits = svc.audit();
     for (shard, audit) in audits.iter().enumerate() {
         assert!(audit.contiguous, "{ctx}: shard {shard} log not contiguous");
@@ -220,12 +227,11 @@ fn service_schedules_replay_and_confine_recoveries() {
 
 /// A handcrafted plan that *guarantees* recoveries fire mid-protocol:
 /// worker 1 dies at its second announce publication, worker 2 at its
-/// first — both come back as new incarnations, resynchronise their
-/// announce counters from the registers, redo the interrupted round, and
-/// the log still ends complete.
-#[test]
-fn crash_recovered_incarnations_resume_to_a_complete_log() {
-    let faults = vec![
+/// first, worker 3 at its second combine — all come back as new
+/// incarnations, resynchronise their announce counters from the
+/// registers and redo the interrupted round.
+fn recovery_plan() -> Vec<Fault> {
+    vec![
         Fault {
             pid: ProcId(1),
             point: points::UNIVERSAL_ANNOUNCE,
@@ -244,9 +250,14 @@ fn crash_recovered_incarnations_resume_to_a_complete_log() {
             nth: 2,
             action: FaultAction::CrashRecover(Duration::from_micros(150)),
         },
-    ];
+    ]
+}
+
+/// Under [`recovery_plan`] the log still ends complete.
+#[test]
+fn crash_recovered_incarnations_resume_to_a_complete_log() {
     let svc = service();
-    let stats = drive_workload(&svc, &faults);
+    let stats = drive_workload(&svc, &recovery_plan());
     flush(&svc);
     assert!(
         stats.recoveries >= 2,
@@ -258,6 +269,28 @@ fn crash_recovered_incarnations_resume_to_a_complete_log() {
         "no permanent crashes were planned"
     );
     assert_nothing_lost(&svc, "handcrafted recovery plan");
+}
+
+/// The recovery scenario over a 3-replica quorum cluster, where owned
+/// writes skip ABD's query phase: [`recovery_plan`], then three seeded
+/// schedules. A recovered session re-announces into payload cells and
+/// republishes its record at its predecessor's offset with one-round
+/// stores through the service's one space handle, and still nothing is
+/// lost.
+#[test]
+fn crash_recovered_service_sessions_lose_no_ops_over_quorum_registers() {
+    let plans = std::iter::once(recovery_plan()).chain(
+        [1u64, 4, 7].map(|seed| random_schedule(seed, &ScheduleConfig::service(N, delta()))),
+    );
+    let mut recoveries = 0;
+    for (plan, faults) in plans.enumerate() {
+        let net = Arc::new(Network::new(NetConfig::new(N, 3, 0x5EC0 + plan as u64)));
+        let svc = ObjectService::on(Arc::new(net.space()), || Counter, &config());
+        recoveries += drive_workload(&svc, &faults).recoveries;
+        flush(&svc);
+        assert_nothing_lost(&svc, &format!("quorum plan {plan}"));
+    }
+    assert!(recoveries >= 3, "only {recoveries} incarnations restarted");
 }
 
 /// Fault-free baseline under the same harness: the workload completes
