@@ -10,7 +10,6 @@
 //! liveness resumes when timing constraints hold.
 
 use crate::consensus::NativeConsensus;
-use crate::probe::{OpProbe, Probe};
 use crate::universal::{pid_bits, MultiConsensus};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +33,6 @@ use tfr_registers::ProcId;
 #[derive(Debug)]
 pub struct LeaderElection<S: RegisterSpace = NativeSpace> {
     mc: MultiConsensus<S>,
-    probe: Probe,
 }
 
 impl LeaderElection {
@@ -57,24 +55,13 @@ impl<S: RegisterSpace> LeaderElection<S> {
     pub fn on(space: Arc<S>, n: usize, delta: Duration) -> LeaderElection<S> {
         LeaderElection {
             mc: MultiConsensus::on(space, n, pid_bits(n), delta),
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an operation probe; `elect` records an invoke/response
-    /// pair (op = caller pid, response = leader pid) around its work.
-    pub fn with_probe(mut self, probe: Arc<dyn OpProbe>) -> LeaderElection<S> {
-        self.probe = Probe::attached(probe);
-        self
     }
 
     /// Participates as `pid`; returns the agreed leader (necessarily a
     /// participant). Call at most once per process.
     pub fn elect(&self, pid: ProcId) -> ProcId {
-        let token = self.probe.begin(pid, pid.0 as u64);
-        let leader = ProcId(self.mc.propose(pid, pid.0 as u64) as usize);
-        self.probe.end(pid, token, leader.0 as u64);
-        leader
+        ProcId(self.mc.propose(pid, pid.0 as u64) as usize)
     }
 
     /// The elected leader, if the election has concluded.
@@ -92,7 +79,6 @@ impl<S: RegisterSpace> LeaderElection<S> {
 #[derive(Debug)]
 pub struct TestAndSet<S: RegisterSpace = NativeSpace> {
     election: LeaderElection<S>,
-    probe: Probe,
 }
 
 impl TestAndSet {
@@ -115,25 +101,14 @@ impl<S: RegisterSpace> TestAndSet<S> {
     pub fn on(space: Arc<S>, n: usize, delta: Duration) -> TestAndSet<S> {
         TestAndSet {
             election: LeaderElection::on(space, n, delta),
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an operation probe; `test_and_set` records an
-    /// invoke/response pair (op = 0, response = old value as 0/1).
-    pub fn with_probe(mut self, probe: Arc<dyn OpProbe>) -> TestAndSet<S> {
-        self.probe = Probe::attached(probe);
-        self
     }
 
     /// Atomically tests-and-sets as `pid`: returns the old value —
     /// `false` for the unique winner, `true` for everyone else. Call at
     /// most once per process.
     pub fn test_and_set(&self, pid: ProcId) -> bool {
-        let token = self.probe.begin(pid, 0);
-        let old = self.election.elect(pid) != pid;
-        self.probe.end(pid, token, old as u64);
-        old
+        self.election.elect(pid) != pid
     }
 }
 
@@ -145,7 +120,6 @@ pub struct Renaming<S: RegisterSpace = NativeSpace> {
     /// Name slot `j` is an election over the strided region `j + i·n` of
     /// the shared space — `n` disjoint unbounded regions.
     slots: Vec<LeaderElection<SubSpace<Arc<S>>>>,
-    probe: Probe,
 }
 
 impl Renaming {
@@ -174,15 +148,7 @@ impl<S: RegisterSpace> Renaming<S> {
                     LeaderElection::on(Arc::new(region), n, delta)
                 })
                 .collect(),
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an operation probe; `rename` records an invoke/response
-    /// pair (op = 0, response = the acquired name).
-    pub fn with_probe(mut self, probe: Arc<dyn OpProbe>) -> Renaming<S> {
-        self.probe = Probe::attached(probe);
-        self
     }
 
     /// Acquires a name as `pid`. Call at most once per process.
@@ -191,14 +157,10 @@ impl<S: RegisterSpace> Renaming<S> {
     /// lose at most `n − 1` slots (each to a distinct winner), so the walk
     /// terminates with a unique name `< n`.
     pub fn rename(&self, pid: ProcId) -> usize {
-        let token = self.probe.begin(pid, 0);
-        for (name, slot) in self.slots.iter().enumerate() {
-            if slot.elect(pid) == pid {
-                self.probe.end(pid, token, name as u64);
-                return name;
-            }
-        }
-        unreachable!("n processes cannot lose all n name slots to n−1 others");
+        self.slots
+            .iter()
+            .position(|slot| slot.elect(pid) == pid)
+            .expect("n processes cannot lose all n name slots to n−1 others")
     }
 }
 
@@ -215,7 +177,6 @@ pub struct SetConsensus<S: RegisterSpace = NativeSpace> {
     /// the shared space.
     groups: Vec<NativeConsensus<SubSpace<Arc<S>>>>,
     k: usize,
-    probe: Probe,
 }
 
 impl SetConsensus {
@@ -246,23 +207,12 @@ impl<S: RegisterSpace> SetConsensus<S> {
                 })
                 .collect(),
             k,
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an operation probe; `propose` records an invoke/response
-    /// pair (op = input as 0/1, response = decision as 0/1).
-    pub fn with_probe(mut self, probe: Arc<dyn OpProbe>) -> SetConsensus<S> {
-        self.probe = Probe::attached(probe);
-        self
     }
 
     /// Proposes `input` as `pid`; returns this process's decision.
     pub fn propose(&self, pid: ProcId, input: bool) -> bool {
-        let token = self.probe.begin(pid, input as u64);
-        let decision = self.groups[pid.0 % self.k].propose(input);
-        self.probe.end(pid, token, decision as u64);
-        decision
+        self.groups[pid.0 % self.k].propose(input)
     }
 }
 

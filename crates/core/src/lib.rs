@@ -46,19 +46,31 @@
 //! * [`universal`] — multivalued consensus and a Herlihy-style universal
 //!   construction: a wait-free, time-resilient implementation of *any*
 //!   sequential object from atomic registers (§1.4).
-//! * [`derived_spec`] / [`universal_spec`] — the derived objects and the
-//!   universal construction as register automata, emitting per-operation
-//!   linearization responses for history checking (`tfr-linearize`).
-//! * [`probe`] — invoke/response hooks on the native objects, so a
-//!   recorder can capture concurrent histories.
+//! * [`election_spec`] — multivalued consensus's pid election as a
+//!   register automaton, for the model checker.
 //! * [`resilience`] — §1.3's three-part definition (stabilization,
 //!   efficiency, convergence) as an executable assessment protocol.
 //!
-//! Every algorithm comes in two forms: **native** (real threads and
-//! `std::sync::atomic`, the form a downstream user adopts) and
-//! **spec** (a register automaton for the `tfr-sim` discrete-event
-//! simulator and the `tfr-modelcheck` exhaustive explorer, the forms the
-//! experiments run on).
+//! Every object has a **native** form (real threads and
+//! `std::sync::atomic`, or any other `RegisterSpace`: the form a
+//! downstream user adopts). A **spec** form (a register automaton for the
+//! `tfr-sim` discrete-event simulator and the `tfr-modelcheck` explorer)
+//! exists only where an experiment runs it or a test ties it to the
+//! native code:
+//!
+//! * [`consensus::ConsensusSpec`] is what E1–E17, E5a and E20 run; its
+//!   solo run makes the native fast path's 7 accesses;
+//! * [`election_spec::ElectionSpec`] is access-for-access the native
+//!   [`universal::MultiConsensus`]'s solo run, and is proven safe at
+//!   n = 2 over every interleaving;
+//! * the locks are single-source: Fischer's lock and Algorithm 3 are
+//!   `tfr_asynclock::LockSpec`s, and the native lock is that spec run by
+//!   `tfr_asynclock::native::Derived`;
+//! * [`bounded::BoundedConsensusSpec`] is E13's finite-register variant
+//!   and has no native twin.
+//!
+//! The derived objects and the universal construction have only their
+//! native form; `tfr-linearize` checks their recorded histories.
 //!
 //! # Quickstart
 //!
@@ -82,11 +94,8 @@ pub mod adaptive;
 pub mod bounded;
 pub mod consensus;
 pub mod derived;
-pub mod derived_spec;
 pub mod election_spec;
 pub mod mutex;
-pub mod probe;
 pub mod resilience;
 pub mod universal;
-pub mod universal_spec;
 pub mod verify;

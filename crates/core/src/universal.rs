@@ -96,7 +96,6 @@
 //! none at the process counts the service runs.
 
 use crate::consensus::NativeConsensus;
-use crate::probe::{OpProbe, Probe};
 use std::sync::Arc;
 use std::time::Duration;
 use tfr_registers::chaos;
@@ -410,7 +409,6 @@ pub struct Universal<T: Sequential, S: RegisterSpace = NativeSpace> {
     /// Region 2 — slot `s` decides which published batch occupies log
     /// position `s`, packed as `proposer · 2^24 + arena offset`.
     slots: Vec<MultiConsensus<SlotSpace<S>>>,
-    probe: Probe,
     /// Causal-span sink: every combining proposal a [`Session`] makes is
     /// wrapped in a `"consensus"` span on this trace (disabled by default).
     trace: Trace,
@@ -470,7 +468,6 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
             announce,
             arena,
             slots,
-            probe: Probe::disabled(),
             trace: Trace::disabled(),
         }
     }
@@ -484,14 +481,6 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     pub fn with_max_batch(mut self, max_batch: usize) -> Universal<T, S> {
         assert!(max_batch > 0, "a batch must hold at least one op");
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Attaches an operation probe; `invoke` records an invoke/response
-    /// pair (op = the raw payload, response = the raw response) around
-    /// each operation.
-    pub fn with_probe(mut self, probe: Arc<dyn OpProbe>) -> Universal<T, S> {
-        self.probe = Probe::attached(probe);
         self
     }
 
@@ -593,19 +582,16 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     /// exhausted.
     pub fn invoke(&self, pid: ProcId, op: u64) -> u64 {
         assert!(pid.0 < self.n, "pid out of range");
-        let token = self.probe.begin(pid, op);
         let mut session = self.session(pid);
         let seq = session.announce(op);
         session.drive_pending();
-        let response = session
+        session
             .responses
             .iter()
             .rev()
             .find(|&&(s, _)| s == seq)
             .map(|&(_, r)| r)
-            .expect("a driven session has applied its own announced op");
-        self.probe.end(pid, token, response);
-        response
+            .expect("a driven session has applied its own announced op")
     }
 
     /// Replays the committed prefix of the log and returns the current

@@ -29,8 +29,6 @@ use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use tfr_core::probe::OpProbe;
 use tfr_registers::ProcId;
 
 /// Default per-process event capacity (two events per operation).
@@ -270,33 +268,10 @@ impl History {
     }
 }
 
-/// An [`OpProbe`] routing a native object's operations into a shared
-/// [`Recorder`] under a fixed object id.
-#[derive(Debug, Clone)]
-pub struct ObjectProbe {
-    recorder: Arc<Recorder>,
-    obj: u64,
-}
-
-impl ObjectProbe {
-    /// A probe recording into `recorder` as object `obj`.
-    pub fn new(recorder: Arc<Recorder>, obj: u64) -> ObjectProbe {
-        ObjectProbe { recorder, obj }
-    }
-}
-
-impl OpProbe for ObjectProbe {
-    fn begin(&self, pid: ProcId, op: u64) -> u64 {
-        self.recorder.invoke(pid, self.obj, op)
-    }
-    fn end(&self, pid: ProcId, token: u64, resp: u64) {
-        self.recorder.response(pid, self.obj, token, resp)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn sequential_ops_pair_and_order() {

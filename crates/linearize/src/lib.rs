@@ -1,6 +1,6 @@
 //! Linearizability checking for the derived wait-free objects: record
-//! concurrent histories from native threads or simulator traces, then
-//! verify them against sequential models.
+//! concurrent histories from native threads, then verify them against
+//! sequential models.
 //!
 //! The paper's §1.4 claim is *universality*: consensus makes every object
 //! with a sequential specification wait-free and time-resilient. This
@@ -13,8 +13,9 @@
 //!
 //! * [`history`] — a lock-free [`Recorder`](history::Recorder)
 //!   (per-process single-writer buffers + one global atomic clock) and
-//!   the [`History`](history::History) it merges at quiescence. Attaches
-//!   to any probed object via [`ObjectProbe`](history::ObjectProbe).
+//!   the [`History`](history::History) it merges at quiescence. A driver
+//!   records an operation by calling `invoke` before it and `response`
+//!   after it, on the thread that runs it.
 //! * [`checker`] — a Wing–Gong depth-first search with Lowe's memoized
 //!   configuration cache and P-compositionality partitioning;
 //!   [`check_history`](checker::check_history) returns a witness
@@ -38,8 +39,6 @@
 //!   `read`/`write` on any `RegisterSpace` backend, and
 //!   [`RegisterModel`](register::RegisterModel) is the atomic-register
 //!   sequential specification the history must satisfy.
-//! * [`simconv`] — convert a one-shot simulator
-//!   [`RunResult`](tfr_sim::RunResult) into a checkable history.
 //! * [`window`] — sampling **under load**: a bank-flipping
 //!   [`WindowRecorder`](window::WindowRecorder) with bounded per-process
 //!   buffers drains checkable [`Window`](window::Window)s while the
@@ -91,11 +90,10 @@ pub mod models;
 pub mod mutants;
 pub mod native;
 pub mod register;
-pub mod simconv;
 pub mod window;
 
 pub use checker::{check_history, check_object, LinReport, NonLinearizable, ObjectReport};
-pub use history::{History, ObjectProbe, Operation, Recorder};
+pub use history::{History, Operation, Recorder};
 pub use mcconv::lock_history_from_schedule;
 pub use models::{
     lock_acquire, lock_release, rec_lock_acquire, rec_lock_release, rec_lock_repair, CounterModel,
@@ -104,7 +102,6 @@ pub use models::{
 };
 pub use native::{record_chaos, record_recoverable_lock, ObjectKind};
 pub use register::{RecordingSpace, RegisterModel};
-pub use simconv::history_from_run;
 pub use window::{
     FromState, Rotation, SampleToken, Window, WindowCheckReport, WindowChecker, WindowRecorder,
 };

@@ -1,6 +1,6 @@
 //! Pluggable sequential specifications for the checker, one per derived
-//! object, using the same `u64` operation/response encodings as the
-//! native objects' probes (see `tfr_core::probe`).
+//! object, using the `u64` operation/response encodings the recording
+//! drivers in [`crate::native`] write.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hash;

@@ -3,12 +3,13 @@
 //! history.
 //!
 //! Every driver installs a [`ChaosSession`], spawns one thread per
-//! process inside [`chaos::run_as`] (so crash faults stop a thread
+//! process inside [`chaos::run_as`], records each operation's invoke and
+//! response around the call (so a crash fault stops a thread
 //! mid-operation, leaving its history entry pending), and merges the
 //! recorder at quiescence. [`record_chaos`] is the one-call form used by
 //! the nemesis and CI smoke: object kind + seed → checkable history.
 
-use crate::history::{History, ObjectProbe, Recorder};
+use crate::history::{History, Recorder};
 use std::sync::Arc;
 use std::time::Duration;
 use tfr_chaos::{random_schedule, ScheduleConfig};
@@ -58,115 +59,95 @@ impl ObjectKind {
     }
 }
 
-fn recorder_for(n: usize) -> (Arc<Recorder>, Arc<ObjectProbe>) {
-    let rec = Arc::new(Recorder::new(n));
-    let probe = Arc::new(ObjectProbe::new(Arc::clone(&rec), 0));
-    (rec, probe)
+/// Runs one thread per process under `faults`, thread `i` calling
+/// `body(recorder, ProcId(i))` inside [`chaos::run_as`], and merges the
+/// recorder at quiescence.
+fn record_threads(n: usize, faults: &[Fault], body: impl Fn(&Recorder, ProcId) + Sync) -> History {
+    let _session = ChaosSession::install(faults);
+    let rec = Recorder::new(n);
+    std::thread::scope(|scope| {
+        for i in 0..n {
+            let (rec, body) = (&rec, &body);
+            scope.spawn(move || chaos::run_as(ProcId(i), move || body(rec, ProcId(i))));
+        }
+    });
+    rec.history()
 }
 
-/// Records a [`LeaderElection`] run: each of `n` threads elects once.
+/// Records `op` as `pid`'s operation around `run`, which returns the
+/// encoded response. A crash inside `run` unwinds past the response, so
+/// the operation stays pending.
+fn recorded(rec: &Recorder, pid: ProcId, op: u64, run: impl FnOnce() -> u64) {
+    let token = rec.invoke(pid, 0, op);
+    let resp = run();
+    rec.response(pid, 0, token, resp);
+}
+
+/// Records a [`LeaderElection`] run: each of `n` threads elects once
+/// (op = caller pid, response = leader pid).
 pub fn record_election(n: usize, delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(LeaderElection::new(n, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || chaos::run_as(ProcId(i), move || obj.elect(ProcId(i))));
-        }
-    });
-    rec.history()
+    let obj = LeaderElection::new(n, delta);
+    record_threads(n, faults, |rec, pid| {
+        recorded(rec, pid, pid.0 as u64, || obj.elect(pid).0 as u64)
+    })
 }
 
-/// Records a [`TestAndSet`] run: each of `n` threads calls once.
+/// Records a [`TestAndSet`] run: each of `n` threads calls once
+/// (op = 0, response = the old value as 0/1).
 pub fn record_tas(n: usize, delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(TestAndSet::new(n, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || chaos::run_as(ProcId(i), move || obj.test_and_set(ProcId(i))));
-        }
-    });
-    rec.history()
+    let obj = TestAndSet::new(n, delta);
+    record_threads(n, faults, |rec, pid| {
+        recorded(rec, pid, 0, || obj.test_and_set(pid) as u64)
+    })
 }
 
-/// Records a [`Renaming`] run: each of `n` threads takes a name.
+/// Records a [`Renaming`] run: each of `n` threads takes a name
+/// (op = 0, response = the name).
 pub fn record_renaming(n: usize, delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(Renaming::new(n, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || chaos::run_as(ProcId(i), move || obj.rename(ProcId(i))));
-        }
-    });
-    rec.history()
+    let obj = Renaming::new(n, delta);
+    record_threads(n, faults, |rec, pid| {
+        recorded(rec, pid, 0, || obj.rename(pid) as u64)
+    })
 }
 
-/// Records a `k = 2` [`SetConsensus`] run over `inputs.len()` threads.
+/// Records a `k = 2` [`SetConsensus`] run over `inputs.len()` threads
+/// (op = input as 0/1, response = decision as 0/1).
 pub fn record_set_consensus(inputs: &[bool], delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let n = inputs.len();
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(SetConsensus::new(2, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for (i, &input) in inputs.iter().enumerate() {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || chaos::run_as(ProcId(i), move || obj.propose(ProcId(i), input)));
-        }
-    });
-    rec.history()
+    let obj = SetConsensus::new(2, delta);
+    record_threads(inputs.len(), faults, |rec, pid| {
+        let input = inputs[pid.0];
+        recorded(rec, pid, input as u64, || obj.propose(pid, input) as u64)
+    })
 }
 
 /// Records a [`Universal`]`<Counter>` run: thread `i` adds `i + 1`,
 /// `per` times.
 pub fn record_counter(n: usize, per: usize, delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(Universal::new(Counter, n, n * per + 4, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || {
-                chaos::run_as(ProcId(i), move || {
-                    for _ in 0..per {
-                        obj.invoke(ProcId(i), i as u64 + 1);
-                    }
-                })
-            });
+    let obj = Universal::new(Counter, n, n * per + 4, delta);
+    record_threads(n, faults, |rec, pid| {
+        let op = pid.0 as u64 + 1;
+        for _ in 0..per {
+            recorded(rec, pid, op, || obj.invoke(pid, op));
         }
-    });
-    rec.history()
+    })
 }
 
 /// Records a [`Universal`]`<FifoQueue>` run: even threads enqueue `per`
 /// distinct values, odd threads dequeue `per` times (empty dequeues
 /// included — they are operations too).
 pub fn record_queue(n: usize, per: usize, delta: Duration, faults: &[Fault]) -> History {
-    let _session = ChaosSession::install(faults);
-    let (rec, probe) = recorder_for(n);
-    let obj = Arc::new(Universal::new(FifoQueue, n, n * per + 4, delta).with_probe(probe));
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let obj = Arc::clone(&obj);
-            scope.spawn(move || {
-                chaos::run_as(ProcId(i), move || {
-                    for k in 0..per {
-                        let op = if i % 2 == 0 {
-                            FifoQueue::enqueue_op((i * 100 + k) as u32)
-                        } else {
-                            FifoQueue::DEQUEUE
-                        };
-                        obj.invoke(ProcId(i), op);
-                    }
-                })
-            });
+    let obj = Universal::new(FifoQueue, n, n * per + 4, delta);
+    record_threads(n, faults, |rec, pid| {
+        let i = pid.0;
+        for k in 0..per {
+            let op = if i % 2 == 0 {
+                FifoQueue::enqueue_op((i * 100 + k) as u32)
+            } else {
+                FifoQueue::DEQUEUE
+            };
+            recorded(rec, pid, op, || obj.invoke(pid, op));
         }
-    });
-    rec.history()
+    })
 }
 
 /// Records a recoverable-lock run: `n` threads each complete `per`

@@ -80,7 +80,6 @@ pub mod log;
 pub mod machine;
 pub mod mutants;
 pub mod objects;
-pub mod spec_form;
 
 pub use audit::{chain_digest, AppliedEntry, LogAudit};
 pub use load::{run_smr, SmrConfig, SmrReport};
@@ -88,4 +87,3 @@ pub use log::{LogConfig, LogReplica, LogWorker, ReplicatedLog};
 pub use machine::{Effect, HeightStateMachine};
 pub use mutants::ReorderingApplier;
 pub use objects::Renaming;
-pub use spec_form::LogAutomaton;

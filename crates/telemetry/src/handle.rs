@@ -1,9 +1,8 @@
 //! The zero-cost-when-disabled attachment point, plus thread→process
 //! registration for layers whose APIs carry no process id.
 //!
-//! [`Trace`] mirrors `tfr_core::probe::Probe` exactly: every traced object
-//! carries one, disabled by default, and the only hot-path cost while
-//! disabled is a single `Option` check per hook. An observer attaches a
+//! Every traced object carries a [`Trace`], disabled by default, and the
+//! only hot-path cost while disabled is a single `Option` check per hook. An observer attaches a
 //! shared [`Tracer`] via the object's `with_trace` builder.
 //!
 //! Some feedback paths have no process id in their signature (the
@@ -58,7 +57,7 @@ pub fn current_pid() -> Option<ProcId> {
 }
 
 /// An optional [`Tracer`] attachment point: disabled (and free) unless an
-/// observer installs one — the `Probe` pattern, applied to telemetry.
+/// observer installs one.
 ///
 /// # Example
 ///

@@ -10,9 +10,8 @@
 //! * **Tracing core** ([`Tracer`], [`Trace`], [`Event`]) — per-process
 //!   single-writer ring buffers (the same discipline as the
 //!   linearizability checker's history recorder) holding typed protocol
-//!   events stamped in nanoseconds. Attachment follows the workspace's
-//!   probe pattern: a disabled [`Trace`] costs one `Option` check per
-//!   hook, and construction defaults to disabled.
+//!   events stamped in nanoseconds. A disabled [`Trace`] costs one
+//!   `Option` check per hook, and construction defaults to disabled.
 //! * **Metrics** ([`Counter`], [`Histogram`], [`MetricsRegistry`]) —
 //!   atomic counters and log-bucketed histograms, derivable after the
 //!   fact from any event stream with [`MetricsRegistry::from_events`].

@@ -29,8 +29,7 @@
 //!   history recorder, a Wing–Gong/Lowe checker with memoization and
 //!   per-object partitioning, sequential models for all derived objects
 //!   and for atomic registers, chaos-scheduled native recording drivers,
-//!   simulator-trace conversion, and seeded mutants proving the oracle
-//!   rejects broken objects.
+//!   and seeded mutants proving the oracle rejects broken objects.
 //! * [`net`] — the third execution stack: a deterministic, seedable
 //!   in-process message-passing network hosting ABD-style majority-quorum
 //!   replica servers, exposing emulated atomic registers through the same

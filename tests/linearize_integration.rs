@@ -1,18 +1,14 @@
 //! Acceptance tests for the linearizability layer: every derived object's
-//! history — recorded natively under chaos schedules *and* reconstructed
-//! from simulator traces — passes the Wing–Gong/Lowe checker, and the
-//! seeded mutants are rejected with the minimal non-linearizable window
-//! in the error message.
+//! history, recorded natively under chaos schedules, passes the
+//! Wing–Gong/Lowe checker, and the seeded mutants are rejected with the
+//! minimal non-linearizable window in the error message.
 
 use std::time::Duration;
 use tfr::linearize::mutants::{record_mutant_queue, record_mutant_tas};
 use tfr::linearize::{
-    check_history, history_from_run, record_chaos, CounterModel, ElectionModel, History,
-    NonLinearizable, ObjectKind, QueueModel, RenamingModel, SetConsensusModel, TasModel,
+    check_history, record_chaos, CounterModel, ElectionModel, History, NonLinearizable, ObjectKind,
+    QueueModel, RenamingModel, SetConsensusModel, TasModel,
 };
-use tfr::registers::Delta;
-use tfr::sim::timing::standard_no_failures;
-use tfr::sim::{RunConfig, Sim};
 
 /// Checks `h` against the sequential model matching `kind` (the same
 /// pairing `record_chaos` documents).
@@ -43,91 +39,6 @@ fn all_objects_linearizable_under_three_chaos_seeds() {
                 .unwrap_or_else(|e| panic!("{} seed {seed} not linearizable:\n{e}", kind.name()));
         }
     }
-}
-
-/// One simulator trace per object: the spec-form automata announce their
-/// responses on the trace, `history_from_run` reconstructs the history,
-/// and the same checker accepts it — the simulated and native worlds
-/// answer to one oracle.
-#[test]
-fn one_sim_trace_per_object_checks_out() {
-    use tfr::core::derived_spec::{RenamingSpec, SetConsensusSpec, TasSpec};
-    use tfr::core::election_spec::ElectionSpec;
-    use tfr::core::universal::{Counter, FifoQueue};
-    use tfr::core::universal_spec::UniversalSpec;
-
-    let d = Delta::from_ticks(100);
-    let n = 3;
-    let config = || RunConfig::new(n, d).max_steps(300_000);
-
-    let r = Sim::new(
-        ElectionSpec::new(n, 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 11),
-    )
-    .run();
-    let ops: Vec<u64> = (0..n as u64).collect();
-    let h = history_from_run(&r, &ops);
-    assert_eq!(h.completed(), n, "election: everyone responds");
-    check_history(&h, &ElectionModel).expect("sim election");
-
-    let r = Sim::new(
-        TasSpec::new(n, 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 12),
-    )
-    .run();
-    let h = history_from_run(&r, &[0, 0, 0]);
-    assert_eq!(h.completed(), n, "tas: everyone responds");
-    check_history(&h, &TasModel).expect("sim test-and-set");
-
-    let r = Sim::new(
-        RenamingSpec::new(n, 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 13),
-    )
-    .run();
-    let h = history_from_run(&r, &[0, 0, 0]);
-    assert_eq!(h.completed(), n, "renaming: everyone responds");
-    check_history(&h, &RenamingModel { n: n as u64 }).expect("sim renaming");
-
-    let inputs = vec![true, false, true];
-    let ops: Vec<u64> = inputs.iter().map(|&b| b as u64).collect();
-    let r = Sim::new(
-        SetConsensusSpec::new(2, inputs, 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 14),
-    )
-    .run();
-    let h = history_from_run(&r, &ops);
-    assert_eq!(h.completed(), n, "set consensus: everyone responds");
-    check_history(&h, &SetConsensusModel { k: 2 }).expect("sim set consensus");
-
-    let amounts = vec![5u64, 7, 9];
-    let r = Sim::new(
-        UniversalSpec::new(Counter, amounts.clone(), 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 15),
-    )
-    .run();
-    let h = history_from_run(&r, &amounts);
-    assert_eq!(h.completed(), n, "counter: everyone responds");
-    check_history(&h, &CounterModel).expect("sim universal counter");
-
-    let ops = vec![
-        FifoQueue::enqueue_op(41),
-        FifoQueue::enqueue_op(43),
-        FifoQueue::DEQUEUE,
-    ];
-    let r = Sim::new(
-        UniversalSpec::new(FifoQueue, ops.clone(), 0, d.ticks()),
-        config(),
-        standard_no_failures(d, 16),
-    )
-    .run();
-    let h = history_from_run(&r, &ops);
-    assert_eq!(h.completed(), n, "queue: everyone responds");
-    check_history(&h, &QueueModel).expect("sim universal queue");
 }
 
 /// Mutant 1: the non-atomic test-and-set. A chaos stall parked in its

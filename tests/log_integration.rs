@@ -3,9 +3,8 @@
 //! the registers, zero divergence over twenty seeds), the same
 //! `ReplicatedLog` running unchanged over the quorum backend through a
 //! partition, Wing–Gong linearization of counter/queue/renaming
-//! histories committed through the log, the 2-height/3-process log
-//! automaton model-checked safe (and its mutant caught), and the online
-//! prefix monitor flagging a reordering applier while it runs.
+//! histories committed through the log, and the online prefix monitor
+//! flagging a reordering applier while it runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,10 +13,8 @@ use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::{Counter, FifoQueue, Sequential};
 use tfr::linearize::{check_history, CounterModel, QueueModel, Recorder, RenamingModel};
 use tfr::log::{
-    LogAutomaton, LogConfig, LogReplica, LogWorker, Renaming, ReorderingApplier, ReplicatedLog,
-    SmrConfig,
+    LogConfig, LogReplica, LogWorker, Renaming, ReorderingApplier, ReplicatedLog, SmrConfig,
 };
-use tfr::modelcheck::{DporExplorer, Explorer, SafetySpec};
 use tfr::net::{NetConfig, Network};
 use tfr::obs::MonitorBank;
 use tfr::registers::chaos::{run_as, ChaosSession, Fault, ThreadOutcome};
@@ -349,65 +346,6 @@ fn renaming_history_through_the_log_linearizes() {
     assert_eq!(h.completed(), 6);
     check_history(&h, &RenamingModel { n: 8 })
         .expect("log-committed renaming must hand out distinct names");
-}
-
-// ---------------------------------------------------------------------
-// Model checking the log automaton
-// ---------------------------------------------------------------------
-
-/// The 2-height / 2-process log in spec form, exhaustively explored:
-/// every interleaving agrees on the *packed pair* of height decisions —
-/// which is per-height agreement plus identical assembly order at once
-/// — and every packed value decodes to admissible per-height inputs.
-/// No bound is hit, so the verdict is a proof.
-#[test]
-fn two_height_two_process_log_model_checks_safe() {
-    let a = LogAutomaton::new(vec![false, true], 4);
-    let spec = SafetySpec::consensus(a.valid_packed());
-    let report = DporExplorer::new(a, 2).check(&spec);
-    assert!(
-        report.violation.is_none(),
-        "the log automaton must be safe: {:?}",
-        report.violation.map(|v| v.violation)
-    );
-    assert!(!report.truncated(), "the verdict must be a proof");
-    assert!(report.states_explored > 1_000, "a real space was walked");
-}
-
-/// The 2-height / 3-process log under an explicit state budget: the
-/// composed space squares the per-height one, so exhausting it is out
-/// of reach — the verdict here is "no violation within the budget",
-/// never mistaken for a proof (the truncation flag says so), but a
-/// packed-pair disagreement anywhere in the first quarter-million
-/// states would fail loudly.
-#[test]
-fn two_height_three_process_log_is_clean_within_budget() {
-    let a = LogAutomaton::new(vec![false, true, true], 2);
-    let spec = SafetySpec::consensus(a.valid_packed());
-    let report = DporExplorer::new(a, 3).max_states(250_000).check(&spec);
-    assert!(
-        report.violation.is_none(),
-        "3-process log violated within budget: {:?}",
-        report.violation.map(|v| v.violation)
-    );
-    assert!(
-        report.states_explored >= 250_000,
-        "the budget must actually be spent (got {})",
-        report.states_explored
-    );
-}
-
-/// The seeded mutant — one process assembles the two height decisions
-/// in the wrong order — is caught as disagreement on the packed value.
-#[test]
-fn log_automaton_assembly_mutant_is_caught() {
-    let a = LogAutomaton::new(vec![false, true], 4).mutant();
-    let spec = SafetySpec::consensus(a.valid_packed());
-    let report = Explorer::new(a, 2).check(&spec);
-    assert!(
-        report.violation.is_some(),
-        "swapped assembly order must violate packed agreement"
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ use tfr::core::election_spec::ElectionSpec;
 use tfr::core::universal::{
     CommittedBatch, Counter, FifoQueue, MultiConsensus, Sequential, Universal,
 };
+use tfr::modelcheck::{Explorer, SafetySpec};
 use tfr::registers::bank::RegisterBank;
 use tfr::registers::chaos::{self, points, ChaosSession, Fault, FaultAction};
 use tfr::registers::space::{NativeSpace, RegisterSpace};
@@ -177,6 +178,18 @@ fn multivalued_solo_native_run_is_the_election_spec_run() {
             assert_eq!(got, want, "n={n} pid={pid}");
         }
     }
+}
+
+/// The election the native `MultiConsensus` runs (the test above ties the
+/// two access for access), proven at n = 2: agreement on a participant
+/// over every interleaving, with no bound hit. Tier-1's copy of
+/// `tfr-core`'s `election_spec::tests::modelcheck_two_process_election_exhaustive`.
+#[test]
+fn two_process_election_spec_is_proven_safe() {
+    let spec = ElectionSpec::new(2, 0, Ticks(100)).inner_rounds(2);
+    let report = Explorer::new(spec, 2).check(&SafetySpec::consensus(vec![0, 1]));
+    assert!(report.proven_safe(), "{:?}", report.violation);
+    assert!(report.states_explored > 50);
 }
 
 #[test]
