@@ -150,7 +150,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "modelcheck",
-            "DPOR + symmetry reduction factors and parallel-frontier scaling (E20)",
+            "DPOR + symmetry reduction factors on the theorem workloads (E20)",
             modelcheck::modelcheck,
             modelcheck::gates,
         ),

@@ -1,7 +1,6 @@
 //! E20: the model-checking subsystem measured on the paper's theorems —
 //! how much state-space the reductions buy (DPOR, process symmetry, and
-//! both), and how the parallel frontier scales while staying
-//! deterministic.
+//! both).
 //!
 //! The headline number is the *reduction factor*: states explored by the
 //! unreduced explorer divided by states explored by the reduced one, on
@@ -15,7 +14,7 @@ use std::time::Instant;
 use tfr_core::verify::{
     consensus_safety_spec, consensus_workload, fischer_workload, resilient_workload_iters,
 };
-use tfr_modelcheck::{DporExplorer, Explorer, ParallelExplorer, Report, SafetySpec};
+use tfr_modelcheck::{DporExplorer, Explorer, Report, SafetySpec};
 
 fn verdict(report: &Report) -> String {
     match (&report.violation, report.truncated()) {
@@ -210,42 +209,7 @@ pub fn modelcheck() -> Vec<Table> {
          group is S3 on the three true-proposers, multiplying what DPOR alone buys)",
     );
 
-    // Parallel frontier: same exploration, more threads, identical
-    // results. The layered BFS reassembles per-chunk results in chunk
-    // order, so states, transitions, and the chosen counterexample are
-    // all thread-count-independent.
-    let mut par = Table::new(
-        "E20c",
-        "parallel frontier scaling on consensus n=3 (results identical across threads)",
-        &["threads", "states", "transitions", "wall ms", "verdict"],
-    );
-    let mut baseline: Option<Report> = None;
-    for threads in [1usize, 2, 4] {
-        let (report, ms) = timed(|| {
-            ParallelExplorer::new(consensus_workload(&[false, true, true], 2), 3)
-                .threads(threads)
-                .check(&consensus_safety_spec(&[false, true, true]))
-        });
-        par.row(vec![
-            threads.to_string(),
-            report.states_explored.to_string(),
-            report.transitions.to_string(),
-            format!("{ms:.1}"),
-            verdict(&report),
-        ]);
-        if let Some(b) = &baseline {
-            assert_eq!(
-                (b.states_explored, b.transitions),
-                (report.states_explored, report.transitions),
-                "parallel exploration must be deterministic"
-            );
-        } else {
-            baseline = Some(report);
-        }
-    }
-    par.note("deterministic: the work-stealing frontier reassembles chunks in order");
-
-    vec![reductions, summary, par]
+    vec![reductions, summary]
 }
 
 /// The gates on E20: every count below is a deterministic function of
@@ -273,17 +237,6 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 by_id(tables, "E20b")?.row_where(&[("workload", "consensus n=4 r=1")])?;
             headline.expect(headline.num("reduction x")? >= 5.0, "reduction x >= 5")
         }),
-        gate("E20c.parallel_frontier_deterministic", || {
-            let rows = by_id(tables, "E20c")?.rows_where(&[])?;
-            let counts = (rows[0].num("states")?, rows[0].num("transitions")?);
-            for row in &rows {
-                row.expect(
-                    (row.num("states")?, row.num("transitions")?) == counts,
-                    "the same states and transitions on every thread count",
-                )?;
-            }
-            Ok(())
-        }),
     ]
 }
 
@@ -309,11 +262,6 @@ mod tests {
                 "workload | reduction x",
                 &["consensus n=3 r=2 | 3.1", "consensus n=4 r=1 | 9.4"],
             ),
-            table(
-                "E20c",
-                "threads | states | transitions",
-                &["1 | 5000 | 9000", "2 | 5000 | 9000", "4 | 5000 | 9000"],
-            ),
         ];
         assert_gates_reject(
             gates,
@@ -330,10 +278,6 @@ mod tests {
                 (
                     "E20b.consensus_n4_reduction",
                     &[Set(1, "reduction x", "4.9"), DropRow(1)],
-                ),
-                (
-                    "E20c.parallel_frontier_deterministic",
-                    &[Set(2, "transitions", "9001"), Clear],
                 ),
             ],
         );

@@ -19,8 +19,8 @@
 //!   `x := token(pid)`), and decisions may test "is the last read mine",
 //!   which races into genuine disagreements.
 
-use crate::exec::SplitMix64;
 use crate::SafetySpec;
+use tfr_registers::rng::SplitMix64;
 use tfr_registers::spec::{Action, Automaton, Obs, Perm, Symmetric};
 use tfr_registers::{ProcId, RegId, Ticks};
 
@@ -193,27 +193,28 @@ pub struct CorpusCase {
 /// Generates the corpus case for `seed`. Deterministic; distinct seeds
 /// cover consensus- and mutex-shaped programs in both value flavors.
 pub fn generate(seed: u64) -> CorpusCase {
-    let mut rng = SplitMix64(seed);
-    let n = 2 + rng.below(2) as usize; // 2 or 3 processes
-    let tokens = rng.below(2) == 0;
-    let mutex_mode = rng.below(2) == 0;
-    let len = 3 + rng.below(4) as usize; // 3..=6 ops
-    let regs = 1 + rng.below(3); // 1..=3 registers
+    let mut rng = SplitMix64::new(seed);
+    let mut below = |bound: u64| rng.next_u64() % bound;
+    let n = 2 + below(2) as usize; // 2 or 3 processes
+    let tokens = below(2) == 0;
+    let mutex_mode = below(2) == 0;
+    let len = 3 + below(4) as usize; // 3..=6 ops
+    let regs = 1 + below(3); // 1..=3 registers
 
     let mut ops = Vec::with_capacity(len);
     for _ in 0..len {
-        let reg = RegId(rng.below(regs));
-        ops.push(match rng.below(5) {
+        let reg = RegId(below(regs));
+        ops.push(match below(5) {
             0 | 1 => Op::Read {
                 reg,
-                skip: 1 + rng.below(2) as usize,
+                skip: 1 + below(2) as usize,
             },
             2 | 3 => Op::Write {
                 reg,
                 val: if tokens {
                     WriteVal::MyToken
                 } else {
-                    WriteVal::Const(1 + rng.below(2))
+                    WriteVal::Const(1 + below(2))
                 },
             },
             _ => Op::Delay,
@@ -225,20 +226,20 @@ pub fn generate(seed: u64) -> CorpusCase {
         // Enter somewhere in the first half, exit strictly later: the
         // random "entry protocol" before the enter point is usually racy
         // enough to overlap — which is the point.
-        let enter = rng.below(len as u64) as usize;
-        let exit = enter + 1 + rng.below((len - enter) as u64) as usize;
+        let enter = below(len as u64) as usize;
+        let exit = enter + 1 + below((len - enter) as u64) as usize;
         emissions.push((enter, Emission::Enter));
         emissions.push((exit.min(len - 1).max(enter), Emission::Exit));
         SafetySpec::mutex()
     } else {
         let decide = if tokens {
             DecideVal::MineFlag
-        } else if rng.below(3) == 0 {
-            DecideVal::Const(rng.below(2))
+        } else if below(3) == 0 {
+            DecideVal::Const(below(2))
         } else {
             DecideVal::LastParity
         };
-        emissions.push((rng.below(len as u64) as usize, Emission::Decide(decide)));
+        emissions.push((below(len as u64) as usize, Emission::Decide(decide)));
         SafetySpec {
             agreement: true,
             validity: None,
@@ -299,15 +300,15 @@ mod tests {
             let case = generate(seed);
             let a = &case.automaton;
             let group = Perm::all(case.n);
-            let mut rng = SplitMix64(seed ^ 0xD1F);
+            let mut rng = SplitMix64::new(seed ^ 0xD1F);
             let mut g = Global::initial(a, case.n);
             let mut obs = Vec::new();
             for _ in 0..12 {
-                let live: Vec<usize> = (0..case.n)
-                    .filter(|&q| !matches!(a.next_action(&g.procs[q]), Action::Halt))
-                    .collect();
-                let Some(&p) = live.first() else { break };
-                let _ = rng.next_u64();
+                let live = g.enabled(a);
+                if live.is_empty() {
+                    break;
+                }
+                let p = live[rng.index(live.len())];
                 for perm in &group {
                     let mut permuted_then_step = permute_global(a, &g, perm);
                     let mut step_then_permute = g.clone();
@@ -358,7 +359,7 @@ mod tests {
         // every explorer agrees with the naive oracle on violation
         // presence, and every reported counterexample replays to its own
         // violation.
-        use crate::{replay_schedule, DporExplorer, Explorer, ParallelExplorer};
+        use crate::{replay_schedule, DporExplorer, Explorer};
         for seed in 0..200 {
             let case = generate(seed);
             let a = &case.automaton;
@@ -373,12 +374,6 @@ mod tests {
                 (
                     "naive+sym",
                     Explorer::new(a, case.n).check_symmetric(&case.spec),
-                ),
-                (
-                    "parallel",
-                    ParallelExplorer::new(a, case.n)
-                        .threads(2)
-                        .check(&case.spec),
                 ),
             ];
             for (name, r) in reports {

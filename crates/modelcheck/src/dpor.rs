@@ -70,6 +70,8 @@ struct Frame<S> {
     /// Index of this frame's entry in `table[canon]`.
     entry_idx: usize,
     depth: usize,
+    /// The processes that can step at `state`.
+    enabled: Vec<usize>,
     /// Processes to explore from here (grows as races are discovered).
     backtrack: BTreeSet<usize>,
     /// Processes already explored from here.
@@ -155,15 +157,6 @@ impl<A: Automaton> DporExplorer<A> {
         self.run(spec, &IdCanon)
     }
 
-    fn enabled(&self, state: &Global<A::State>) -> impl Iterator<Item = usize> + '_ {
-        let flags: Vec<bool> = state
-            .procs
-            .iter()
-            .map(|s| !matches!(self.automaton.next_action(s), Action::Halt))
-            .collect();
-        (0..self.n).filter(move |&q| flags[q])
-    }
-
     /// The footprint of `q`'s next transition at `state`. Whether the
     /// step emits a critical-section event is only known by running it,
     /// so the step is applied speculatively to a clone (with an empty
@@ -171,22 +164,13 @@ impl<A: Automaton> DporExplorer<A> {
     ///
     /// `q` must be enabled (non-halted) at `state`.
     fn footprint(&self, state: &Global<A::State>, q: usize) -> Access {
-        let kind = Kind::of(self.automaton.next_action(&state.procs[q]));
         let mut probe = state.clone();
         let mut obs: Vec<Obs> = Vec::new();
-        probe.step(&self.automaton, q, &SafetySpec::default(), &mut obs);
+        let (action, _) = probe.step(&self.automaton, q, &SafetySpec::default(), &mut obs);
         Access {
-            kind,
+            kind: Kind::of(action),
             cs: has_cs(&obs),
         }
-    }
-
-    fn immediate_accesses(&self, state: &Global<A::State>) -> AccessSet {
-        let mut set = AccessSet::new();
-        for q in self.enabled(state) {
-            set.insert((q, self.footprint(state, q)));
-        }
-        set
     }
 
     fn new_frame(
@@ -198,18 +182,24 @@ impl<A: Automaton> DporExplorer<A> {
         sleep: BTreeSet<usize>,
         entry_idx: usize,
     ) -> Frame<A::State> {
-        let backtrack: BTreeSet<usize> = self
-            .enabled(&state)
+        let enabled = state.enabled(&self.automaton);
+        let backtrack: BTreeSet<usize> = enabled
+            .iter()
+            .copied()
             .find(|q| !sleep.contains(q))
             .into_iter()
             .collect();
-        let sub = self.immediate_accesses(&state);
+        let sub: AccessSet = enabled
+            .iter()
+            .map(|&q| (q, self.footprint(&state, q)))
+            .collect();
         Frame {
             state,
             canon: canon_state,
             sigma,
             entry_idx,
             depth,
+            enabled,
             backtrack,
             done: BTreeSet::new(),
             sleep,
@@ -242,14 +232,15 @@ impl<A: Automaton> DporExplorer<A> {
 
         while let Some(top) = stack.len().checked_sub(1) {
             // Pick the next candidate at the top frame: in the backtrack
-            // set, not yet explored, not asleep. BTreeSet iteration makes
-            // the choice (and thus the whole exploration) deterministic.
+            // set, enabled, not yet explored, not asleep. BTreeSet
+            // iteration makes the choice (and thus the whole exploration)
+            // deterministic.
             let pick = {
                 let f = &stack[top];
                 f.backtrack
                     .iter()
                     .copied()
-                    .find(|q| !f.done.contains(q) && !f.sleep.contains(q))
+                    .find(|q| f.enabled.contains(q) && !f.done.contains(q) && !f.sleep.contains(q))
             };
             let Some(p) = pick else {
                 // Frame finished: publish (or retract) its table entry
@@ -278,11 +269,6 @@ impl<A: Automaton> DporExplorer<A> {
             };
 
             stack[top].done.insert(p);
-            let action = self.automaton.next_action(&stack[top].state.procs[p]);
-            if matches!(action, Action::Halt) {
-                continue;
-            }
-
             if stack[top].depth >= self.max_depth {
                 depth_truncated = true;
                 stack[top].sub_truncated = true;
@@ -290,7 +276,7 @@ impl<A: Automaton> DporExplorer<A> {
             }
 
             let mut next = stack[top].state.clone();
-            let (_, violation) = next.step(&self.automaton, p, spec, &mut obs_buf);
+            let (action, violation) = next.step(&self.automaton, p, spec, &mut obs_buf);
             transitions += 1;
             // The full footprint is only known now: whether the step
             // emitted a critical-section event is part of it.
@@ -443,8 +429,7 @@ impl<A: Automaton> DporExplorer<A> {
                     // ancestor completely and drop the loop body's
                     // summaries — their futures include the ancestor's
                     // other branches.
-                    let all: BTreeSet<usize> = self.enabled(&stack[ancestor].state).collect();
-                    stack[ancestor].backtrack = all;
+                    stack[ancestor].backtrack = stack[ancestor].enabled.iter().copied().collect();
                     stack[ancestor].sleep.clear();
                     // The ancestor now explores with an empty sleep set;
                     // advertise that, so its summary is maximally

@@ -11,7 +11,7 @@
 //! property verified over all interleavings holds under arbitrary timing
 //! failures.
 //!
-//! Three explorers share one [`SafetySpec`]/[`Report`] interface:
+//! Two explorers share one [`SafetySpec`]/[`Report`] interface:
 //!
 //! * [`Explorer`] — the reference: depth-first over every interleaving
 //!   with exact state deduplication (full states, not hashes — no
@@ -22,12 +22,8 @@
 //!   optionally combined with process-symmetry canonicalization
 //!   ([`DporExplorer::check_symmetric`]). Explores a provably
 //!   sufficient subset of interleavings.
-//! * [`ParallelExplorer`] — a layered breadth-first frontier fanned out
-//!   over worker threads (std threads + channels only), with
-//!   deterministic counterexample selection regardless of thread
-//!   scheduling.
 //!
-//! All explorers check the [`SafetySpec`] after every transition and
+//! Both explorers check the [`SafetySpec`] after every transition and
 //! report either exhaustion or a [`Counterexample`] with the full
 //! schedule that reaches the violation.
 //!
@@ -74,12 +70,10 @@ pub mod corpus;
 mod dpor;
 mod exec;
 pub mod independence;
-mod parallel;
 mod symmetry;
 
 pub use dpor::DporExplorer;
 pub use exec::{run_schedule, sample_execution, ScheduleRun, StepObs};
-pub use parallel::ParallelExplorer;
 
 use symmetry::{Canon, IdCanon, SymCanon};
 
@@ -314,32 +308,7 @@ pub fn replay_schedule<A: Automaton>(
     spec: &SafetySpec,
     schedule: &[(ProcId, Action)],
 ) -> Option<Violation> {
-    let mut bank = MapBank::new();
-    let mut procs: Vec<A::State> = (0..n).map(|i| automaton.init(ProcId(i))).collect();
-    let mut monitor = Monitor::new(n);
-    let mut obs = Vec::new();
-    for (i, &(pid, action)) in schedule.iter().enumerate() {
-        let expected = automaton.next_action(&procs[pid.0]);
-        assert_eq!(
-            action, expected,
-            "replay step {i}: schedule has {pid} take {action}, automaton would {expected}"
-        );
-        let observed = match action {
-            Action::Read(r) => Some(bank.read(r)),
-            Action::Write(r, v) => {
-                bank.write(r, v);
-                None
-            }
-            Action::Delay(_) => None,
-            Action::Halt => panic!("replay step {i}: a halted process was scheduled"),
-        };
-        obs.clear();
-        automaton.apply(&mut procs[pid.0], observed, &mut obs);
-        if let Some(v) = monitor.observe(pid, &obs, spec) {
-            return Some(v);
-        }
-    }
-    None
+    run_schedule(automaton, n, spec, schedule).violation
 }
 
 /// One explored global configuration: every process's local state, the
@@ -361,10 +330,18 @@ impl<S> Global<S> {
         }
     }
 
-    /// Executes one atomic step of process `pid` (whose next action must
-    /// not be `Halt`): linearizes the access, applies the local update,
-    /// and feeds the emitted events to the monitor. Returns the action
-    /// taken and the violation, if the monitor saw one.
+    /// The processes that can take a step: every process whose automaton
+    /// state is not halted, in pid order.
+    pub(crate) fn enabled<A: Automaton<State = S>>(&self, automaton: &A) -> Vec<usize> {
+        (0..self.procs.len())
+            .filter(|&q| !automaton.is_halted(&self.procs[q]))
+            .collect()
+    }
+
+    /// Executes one atomic step of process `pid` (which must be
+    /// [enabled](Global::enabled)): linearizes the access, applies the
+    /// local update, and feeds the emitted events to the monitor. Returns
+    /// the action taken and the violation, if the monitor saw one.
     pub(crate) fn step<A: Automaton<State = S>>(
         &mut self,
         automaton: &A,
@@ -448,41 +425,34 @@ impl<A: Automaton> Explorer<A> {
         struct Frame<S> {
             state: Global<S>,
             depth: usize,
-            next_pid: usize,
+            /// The enabled processes not yet expanded from `state`.
+            todo: std::vec::IntoIter<usize>,
         }
+        let frame = |state: Global<A::State>, depth| Frame {
+            todo: state.enabled(&self.automaton).into_iter(),
+            state,
+            depth,
+        };
         let mut schedule: Vec<(ProcId, Action)> = Vec::new();
-        let mut stack = vec![Frame {
-            state: init.clone(),
-            depth: 0,
-            next_pid: 0,
-        }];
         seen.insert(canon.canonicalize(&self.automaton, &init).0, 0);
+        let mut stack = vec![frame(init, 0)];
 
         let mut obs_buf: Vec<Obs> = Vec::new();
-        while let Some(frame) = stack.last_mut() {
-            if frame.next_pid >= self.n {
+        while let Some(top) = stack.last_mut() {
+            let Some(pid) = top.todo.next() else {
                 stack.pop();
                 schedule.pop();
                 continue;
-            }
-            let pid = frame.next_pid;
-            frame.next_pid += 1;
-
-            if matches!(
-                self.automaton.next_action(&frame.state.procs[pid]),
-                Action::Halt
-            ) {
-                continue;
-            }
-            if frame.depth >= self.max_depth {
+            };
+            if top.depth >= self.max_depth {
                 depth_truncated = true;
                 continue;
             }
             transitions += 1;
 
-            let mut next = frame.state.clone();
+            let mut next = top.state.clone();
             let (action, violation) = next.step(&self.automaton, pid, spec, &mut obs_buf);
-            let depth = frame.depth + 1;
+            let depth = top.depth + 1;
             schedule.push((ProcId(pid), action));
 
             if let Some(v) = violation {
@@ -519,11 +489,7 @@ impl<A: Automaton> Explorer<A> {
                 }
             };
             if expand {
-                stack.push(Frame {
-                    state: next,
-                    depth,
-                    next_pid: 0,
-                });
+                stack.push(frame(next, depth));
             } else {
                 schedule.pop();
             }
@@ -653,10 +619,7 @@ pub fn check_eventual_completion<A: Automaton>(
     while frontier < states.len() {
         let here = frontier;
         frontier += 1;
-        for pid in 0..n {
-            if automaton.is_halted(&states[here].procs[pid]) {
-                continue;
-            }
+        for pid in states[here].enabled(automaton) {
             let mut next = states[here].clone();
             let (action, _) = next.step(automaton, pid, &spec, &mut obs_buf);
             transitions += 1;
@@ -684,7 +647,7 @@ pub fn check_eventual_completion<A: Automaton>(
     let mut queue: Vec<usize> = states
         .iter()
         .enumerate()
-        .filter(|(_, g)| g.procs.iter().all(|p| automaton.is_halted(p)))
+        .filter(|(_, g)| g.enabled(automaton).is_empty())
         .map(|(i, _)| i)
         .collect();
     for &i in &queue {
@@ -956,6 +919,15 @@ mod tests {
             None,
             "the violation happens on the last step, not before"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "automaton would")]
+    fn replay_rejects_an_action_the_automaton_would_not_take() {
+        // Const9 writes 9 first; a schedule recorded against some other
+        // automaton that read first must not be silently re-interpreted.
+        let schedule = [(ProcId(0), Action::Read(RegId(0)))];
+        replay_schedule(&Const9, 2, &SafetySpec::consensus(vec![9]), &schedule);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! End-to-end tests of the verification stack: the paper's theorems
 //! checked exhaustively through `tfr_core::verify`, the reduced
 //! explorers cross-validated against the naive one on a random corpus,
-//! budget semantics that never mistake truncation for proof, the
-//! parallel frontier's determinism, and the model-checker ↔
-//! linearizability-checker cross-examination.
+//! budget semantics that never mistake truncation for proof, and the
+//! model-checker ↔ linearizability-checker cross-examination.
 
 use std::time::Duration;
 use tfr::asynclock::workload::LockLoop;
@@ -14,7 +13,7 @@ use tfr::core::verify::{
 use tfr::linearize::mutants::SplitTasSpec;
 use tfr::linearize::{check_history, lock_history_from_schedule, LockModel};
 use tfr::modelcheck::{
-    corpus, replay_schedule, sample_execution, DporExplorer, Explorer, ParallelExplorer, SafetySpec,
+    corpus, replay_schedule, sample_execution, DporExplorer, Explorer, SafetySpec,
 };
 
 // ---------------------------------------------------------------------
@@ -65,28 +64,33 @@ fn fischer_counterexample_exists_and_replays() {
 // Differential soundness: reduced explorers vs ground truth
 // ---------------------------------------------------------------------
 
-/// DPOR + symmetry must return the same verdict as the unreduced
-/// explorer on every corpus program. A reduction that prunes a violating
-/// interleaving is unsound; one that invents a violation is broken —
-/// violations must also replay.
+/// DPOR, alone and with symmetry, must return the same verdict as the
+/// unreduced explorer on every corpus program. A reduction that prunes a
+/// violating interleaving is unsound; one that invents a violation is
+/// broken — violations must also replay.
 #[test]
 fn reduced_explorers_agree_with_naive_on_random_corpus() {
     for seed in 0..120 {
         let case = corpus::generate(seed);
         let truth = Explorer::new(case.automaton.clone(), case.n).check(&case.spec);
-        let reduced = DporExplorer::new(case.automaton.clone(), case.n).check(&case.spec);
-        assert_eq!(
-            truth.violation.is_some(),
-            reduced.violation.is_some(),
-            "seed {seed}: DPOR verdict diverged from ground truth"
-        );
-        if let Some(cex) = &reduced.violation {
-            let replayed = replay_schedule(&case.automaton, case.n, &case.spec, &cex.schedule);
+        let dpor = DporExplorer::new(case.automaton.clone(), case.n);
+        for (name, reduced) in [
+            ("dpor", dpor.check(&case.spec)),
+            ("dpor+sym", dpor.check_symmetric(&case.spec)),
+        ] {
             assert_eq!(
-                replayed.as_ref(),
-                Some(&cex.violation),
-                "seed {seed}: reduced counterexample must replay"
+                truth.violation.is_some(),
+                reduced.violation.is_some(),
+                "seed {seed}: {name} verdict diverged from ground truth"
             );
+            if let Some(cex) = &reduced.violation {
+                let replayed = replay_schedule(&case.automaton, case.n, &case.spec, &cex.schedule);
+                assert_eq!(
+                    replayed.as_ref(),
+                    Some(&cex.violation),
+                    "seed {seed}: {name} counterexample must replay"
+                );
+            }
         }
     }
 }
@@ -109,7 +113,7 @@ fn depth_truncation_never_proves_safety() {
     assert!(!report.proven_safe(), "a bounded search is not a proof");
 }
 
-/// Same for the state budget, on the naive and parallel explorers.
+/// Same for the state budget, on the naive and DPOR explorers.
 #[test]
 fn state_budget_truncation_never_proves_safety() {
     let spec = consensus_safety_spec(&[false, true]);
@@ -117,39 +121,10 @@ fn state_budget_truncation_never_proves_safety() {
         .max_states(50)
         .check(&spec);
     assert!(naive.states_truncated && !naive.proven_safe());
-    let parallel = ParallelExplorer::new(consensus_workload(&[false, true], 3), 2)
+    let dpor = DporExplorer::new(consensus_workload(&[false, true], 3), 2)
         .max_states(50)
         .check(&spec);
-    assert!(parallel.states_truncated && !parallel.proven_safe());
-}
-
-// ---------------------------------------------------------------------
-// Parallel frontier: deterministic across thread counts
-// ---------------------------------------------------------------------
-
-/// The parallel explorer's counts and chosen counterexample are a pure
-/// function of the automaton, not of the thread schedule.
-#[test]
-fn parallel_exploration_deterministic_across_threads() {
-    let baseline = ParallelExplorer::new(fischer_workload(2), 2)
-        .threads(1)
-        .check(&SafetySpec::mutex());
-    let cex = baseline.violation.as_ref().expect("Fischer breaks");
-    for threads in [2, 4, 8] {
-        let report = ParallelExplorer::new(fischer_workload(2), 2)
-            .threads(threads)
-            .check(&SafetySpec::mutex());
-        assert_eq!(
-            (report.states_explored, report.transitions),
-            (baseline.states_explored, baseline.transitions),
-            "threads={threads}: exploration counts must not depend on parallelism"
-        );
-        assert_eq!(
-            report.violation.as_ref().map(|c| &c.schedule),
-            Some(&cex.schedule),
-            "threads={threads}: the selected counterexample must be deterministic"
-        );
-    }
+    assert!(dpor.states_truncated && !dpor.proven_safe());
 }
 
 // ---------------------------------------------------------------------
