@@ -3,16 +3,19 @@
 //! recording, nobody draining) / full (a background [`tfr_obs::Collector`]
 //! streaming the rings through the online invariant monitors), the
 //! per-stage latency tracks the full pipeline produces as a by-product,
-//! and the monitor verdicts: the real combiner runs CLEAN while both
-//! seeded combiner mutants are flagged *during* the run.
+//! and the monitor verdicts: the real combiner runs CLEAN while the
+//! log's seeded reordering applier is flagged *during* the run.
 
 use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tfr_core::universal::Counter;
+use tfr_log::{LogConfig, LogWorker, ReorderingApplier, ReplicatedLog};
 use tfr_obs::{Collector, CollectorConfig, ObsReport};
+use tfr_registers::ProcId;
 use tfr_service::{run_load_native, CombinerKind, LoadConfig, LoadReport};
-use tfr_telemetry::{Trace, Tracer};
+use tfr_telemetry::{with_pid, Trace, Tracer};
 
 /// The common workload for the overhead comparison: enough clients that
 /// the combiner actually combines, and enough ops that each rep's timed
@@ -82,6 +85,80 @@ fn run_mode(mode: &str, cfg: &LoadConfig) -> ModeRep {
 
 fn fmt_us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)
+}
+
+/// The monitor-teeth collector: the overhead config, polled every 1 ms.
+fn monitor_cfg() -> CollectorConfig {
+    CollectorConfig {
+        poll_interval: Duration::from_millis(1),
+        ..collector_cfg()
+    }
+}
+
+/// The applier run's height budget: it stops early once the collector's
+/// live flag is up, so it only runs out if no poll caught the swap.
+const APPLIER_HEIGHTS: u64 = 16_384;
+
+/// Runs the log with a [`ReorderingApplier`] on its replica lane under a
+/// live [`Collector`]: one proposer commits one op per height and the
+/// applier follows it, until the collector flags the run or the heights
+/// run out. Returns the ops committed and the collector's report.
+fn reordering_applier_under_collector() -> (u64, ObsReport) {
+    let cfg = LogConfig {
+        n: 1,
+        replicas: 1,
+        heights: APPLIER_HEIGHTS as usize,
+        max_batch: 1,
+        window: 4,
+        delta: Duration::from_micros(10),
+    };
+    let tracer = Arc::new(Tracer::new(cfg.lanes()));
+    let log =
+        Arc::new(ReplicatedLog::new(Counter, cfg).with_trace(Trace::attached(Arc::clone(&tracer))));
+    let collector = Collector::spawn(Arc::clone(&tracer), monitor_cfg());
+    let ops = with_pid(ProcId(0), || {
+        let mut worker = LogWorker::new(Arc::clone(&log), ProcId(0));
+        let mut bad = ReorderingApplier::new(Arc::clone(&log), 0, 0xBAD5EED);
+        for op in 1..=APPLIER_HEIGHTS {
+            worker.enqueue(&[op]);
+        }
+        let mut i = 0u32;
+        while (worker.pending() > 0 || worker.applied_len() < APPLIER_HEIGHTS)
+            && !collector.flagged_live()
+        {
+            worker.pump();
+            // Polling every 4th pump leaves adjacent heights decided
+            // together: the swap's opportunity.
+            if i.is_multiple_of(4) {
+                bad.poll();
+            }
+            i += 1;
+        }
+        bad.poll();
+        assert!(bad.fired(), "the seeded swap must fire");
+        worker.applied_len()
+    });
+    (ops, collector.finish())
+}
+
+/// One E23c row from a collector's report.
+fn verdict_row(subject: &str, ops: u64, obs: &ObsReport) -> Vec<String> {
+    vec![
+        subject.to_string(),
+        ops.to_string(),
+        obs.violations.len().to_string(),
+        obs.violations
+            .first()
+            .map_or("—".to_string(), |v| v.monitor.to_string()),
+        if obs.clean() {
+            "—".into()
+        } else if obs.flagged_live {
+            "live".into()
+        } else {
+            "at quiescence".into()
+        },
+        if obs.clean() { "CLEAN" } else { "VIOLATION" }.to_string(),
+    ]
 }
 
 /// OBS — see module docs.
@@ -211,16 +288,16 @@ pub fn obs() -> Vec<Table> {
     t2.note("batch.drive → consensus. Histograms are log2-bucketed (§ metrics).");
 
     // -----------------------------------------------------------------
-    // Table 3: monitor teeth. The real combiner must run CLEAN; both
-    // seeded combiner mutants duplicate (shard, slot) commit records
-    // across workers and must be flagged by the batch monitor — online,
-    // while the mutant is still running, not in a post-mortem.
+    // Table 3: monitor teeth. The real combiner must run CLEAN, and a
+    // seeded mutant of code that runs — the log's reordering applier,
+    // h + 1 applied before h once — must be flagged by the log prefix
+    // monitor under the same collector.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
         "E23c",
-        "online monitor verdicts: real combiner vs seeded mutants",
+        "online monitor verdicts: real combiner vs the log's reordering applier",
         &[
-            "combiner",
+            "subject",
             "ops",
             "violations",
             "first monitor",
@@ -228,59 +305,31 @@ pub fn obs() -> Vec<Table> {
             "verdict",
         ],
     );
-    for kind in [
-        CombinerKind::FlatCombining,
-        CombinerKind::Reordering,
-        CombinerKind::LostOp,
-    ] {
-        let cfg = LoadConfig {
-            combiner: kind,
-            ops_per_client: 16,
-            delta: Duration::from_micros(20),
-            ..LoadConfig::new(1_024, 4, 4)
-        };
-        let tracer = Arc::new(Tracer::with_capacity(cfg.workers, RING_CAPACITY));
-        let collector = Collector::spawn(
-            Arc::clone(&tracer),
-            CollectorConfig {
-                poll_interval: Duration::from_millis(1),
-                ..collector_cfg()
-            },
-        );
-        let report = run_load_native(&cfg, &Trace::attached(Arc::clone(&tracer)));
-        let obs = collector.finish();
-        if kind.is_mutant() {
-            assert!(
-                !obs.clean(),
-                "the {} mutant must be flagged by the monitors",
-                kind.name()
-            );
-        } else {
-            assert!(
-                obs.clean(),
-                "the real combiner must run CLEAN: {:?}",
-                obs.violations
-            );
-        }
-        t3.row(vec![
-            kind.name().to_string(),
-            report.ops.to_string(),
-            obs.violations.len().to_string(),
-            obs.violations
-                .first()
-                .map_or("—".to_string(), |v| v.monitor.to_string()),
-            if obs.clean() {
-                "—".into()
-            } else if obs.flagged_live {
-                "live".into()
-            } else {
-                "at quiescence".into()
-            },
-            if obs.clean() { "CLEAN" } else { "VIOLATION" }.to_string(),
-        ]);
-    }
-    t3.note("Both mutants keep per-worker commit counters, so concurrent workers reuse");
-    t3.note("(shard, slot) pairs — the batch monitor's duplicate check fires on the spot.");
+    let cfg = LoadConfig {
+        ops_per_client: 16,
+        delta: Duration::from_micros(20),
+        ..LoadConfig::new(1_024, 4, 4)
+    };
+    let tracer = Arc::new(Tracer::with_capacity(cfg.workers, RING_CAPACITY));
+    let collector = Collector::spawn(Arc::clone(&tracer), monitor_cfg());
+    let report = run_load_native(&cfg, &Trace::attached(Arc::clone(&tracer)));
+    let obs = collector.finish();
+    assert!(
+        obs.clean(),
+        "the real combiner must run CLEAN: {:?}",
+        obs.violations
+    );
+    t3.row(verdict_row(
+        CombinerKind::FlatCombining.name(),
+        report.ops,
+        &obs,
+    ));
+    let (ops, obs) = reordering_applier_under_collector();
+    t3.row(verdict_row("reordering-applier", ops, &obs));
+    t3.note("The service's seeded combiner mutants (E22d) are faults in the responses a");
+    t3.note("worker hands back, which no monitor watches: under the collector they read");
+    t3.note("CLEAN, and the history sampler is what rejects them. The applier row runs the");
+    t3.note("log with one replica lane swapping an adjacent pair of heights once.");
     t3.note("Monitors are sound, not complete: a flag is a true violation; CLEAN proves");
     t3.note("nothing beyond what was observed.");
 
@@ -333,27 +382,22 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
             Ok(())
         }),
         gate("E23c.real_combiner_clean", || {
-            let real = by_id(tables, "E23c")?.row_where(&[("combiner", "flat-combining")])?;
+            let real = by_id(tables, "E23c")?.row_where(&[("subject", "flat-combining")])?;
             real.expect(real.text("verdict")? == "CLEAN", "verdict = CLEAN")
         }),
-        // Both seeded mutants are flagged, first by the batch monitor —
-        // live on any sanely-scheduled runner, at quiescence otherwise.
-        gate("E23c.monitors_flag_both_mutants", || {
-            for mutant in ["reordering", "lost-op"] {
-                let row = by_id(tables, "E23c")?.row_where(&[("combiner", mutant)])?;
-                row.expect(row.text("verdict")? == "VIOLATION", "verdict = VIOLATION")?;
-                row.expect(row.num("violations")? > 0.0, "violations > 0")?;
-                row.expect(
-                    row.text("first monitor")? == "batch",
-                    "first monitor = batch",
-                )?;
-                let flagged = row.text("flagged")?;
-                row.expect(
-                    flagged == "live" || flagged == "at quiescence",
-                    "flagged live or at quiescence",
-                )?;
-            }
-            Ok(())
+        // The log's seeded reordering applier is flagged, first by the
+        // log prefix monitor — live on any sanely-scheduled runner, at
+        // quiescence otherwise.
+        gate("E23c.monitors_flag_the_reordering_applier", || {
+            let row = by_id(tables, "E23c")?.row_where(&[("subject", "reordering-applier")])?;
+            row.expect(row.text("verdict")? == "VIOLATION", "verdict = VIOLATION")?;
+            row.expect(row.num("violations")? > 0.0, "violations > 0")?;
+            row.expect(row.text("first monitor")? == "log", "first monitor = log")?;
+            let flagged = row.text("flagged")?;
+            row.expect(
+                flagged == "live" || flagged == "at quiescence",
+                "flagged live or at quiescence",
+            )
         }),
     ]
 }
@@ -387,11 +431,10 @@ mod tests {
             ),
             table(
                 "E23c",
-                "combiner | violations | first monitor | flagged | verdict",
+                "subject | violations | first monitor | flagged | verdict",
                 &[
                     "flat-combining | 0 | — | — | CLEAN",
-                    "reordering | 12 | batch | live | VIOLATION",
-                    "lost-op | 9 | batch | at quiescence | VIOLATION",
+                    "reordering-applier | 2 | log | live | VIOLATION",
                 ],
             ),
         ];
@@ -422,11 +465,13 @@ mod tests {
                     &[Set(0, "verdict", "VIOLATION")],
                 ),
                 (
-                    "E23c.monitors_flag_both_mutants",
+                    "E23c.monitors_flag_the_reordering_applier",
                     &[
                         Set(1, "verdict", "CLEAN"),
-                        Set(2, "first monitor", "prefix"),
-                        Set(2, "flagged", "—"),
+                        Set(1, "violations", "0"),
+                        Set(1, "first monitor", "batch"),
+                        Set(1, "flagged", "—"),
+                        DropRow(1),
                     ],
                 ),
             ],

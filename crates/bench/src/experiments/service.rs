@@ -163,9 +163,10 @@ pub fn service() -> Vec<Table> {
 
     // -----------------------------------------------------------------
     // Table 4: under-load sampling verdicts. The same windowed recorder
-    // and checker run inside the load loop for the real batcher, the
-    // per-op baseline, and the two seeded combiner mutants: the mutants
-    // MUST be rejected for the PASS verdicts to mean anything.
+    // and checker run inside the one load loop for the real batcher, the
+    // per-op baseline, and the two seeded combiner mutants (faults in
+    // how a worker answers a real burst): the mutants MUST be rejected
+    // for the PASS verdicts to mean anything.
     // -----------------------------------------------------------------
     let mut t4 = Table::new(
         "E22d",
@@ -216,8 +217,10 @@ pub fn service() -> Vec<Table> {
             },
         ]);
     }
-    t4.note("The reordering mutant leaves a CLEAN state audit — only the history check");
-    t4.note("catches it; the lost-op mutant answers plausibly and diverges later.");
+    t4.note("Every row runs the real service; the mutants only change what a worker hands");
+    t4.note("back. The reordering mutant crosses same-key responses, so the state audit stays");
+    t4.note("clean and only the history check catches it; the lost-op mutant announces one");
+    t4.note("op as a no-op, answers it plausibly, and the state diverges by its amount.");
 
     vec![t1, t2, t3, t4]
 }

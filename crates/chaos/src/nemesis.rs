@@ -519,12 +519,6 @@ pub fn run_resilient_under_violation_schedule(seed: u64) -> MutexChaosReport {
     run_mutex_chaos(&lock, &setup.config, &faults, None)
 }
 
-/// Convenience: a seeded random mutex schedule via
-/// [`ScheduleConfig::mutex`].
-pub fn random_mutex_schedule(seed: u64, n: usize, delta: Duration) -> Vec<Fault> {
-    random_schedule(seed, &ScheduleConfig::mutex(n, delta))
-}
-
 /// Convenience: a seeded random consensus schedule via
 /// [`ScheduleConfig::consensus`].
 pub fn random_consensus_schedule(seed: u64, n: usize, delta: Duration) -> Vec<Fault> {

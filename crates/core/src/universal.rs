@@ -603,12 +603,6 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
         session.state
     }
 
-    /// How many operations process `p` has announced.
-    pub fn announced_count(&self, p: usize) -> u64 {
-        assert!(p < self.n, "pid out of range");
-        self.announce.read(Self::idx_announced(p))
-    }
-
     /// Process `p`'s `seq`-th announced op payload, if it has been
     /// announced.
     pub fn announced_op(&self, p: usize, seq: u64) -> Option<u64> {

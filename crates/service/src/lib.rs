@@ -27,10 +27,12 @@
 //!   batch-size accounting, and **under-load linearizability sampling**
 //!   via `tfr-linearize`'s windowed recorder.
 //! * [`mutants`] — two seeded combiner bugs, [`CombinerKind::Reordering`]
-//!   (commits a batch against announce order across a same-key
-//!   dependency) and [`CombinerKind::LostOp`] (drops one announced
-//!   operation but answers as if it applied). The load harness runs them
-//!   through the same sampler that certifies the real batcher: the tests
+//!   (hands a committed burst's same-key responses back crossed) and
+//!   [`CombinerKind::LostOp`] (announces one operation with its amount
+//!   withheld but answers as if it applied). Both are faults in how a
+//!   worker answers a real burst after [`ServiceWorker::drive`], so the
+//!   load harness runs them through the real service, on any backend,
+//!   and the same sampler that certifies the real batcher: the tests
 //!   prove the sampler accepts the real implementation and rejects both
 //!   mutants.
 //!

@@ -25,22 +25,31 @@
 //! prefixes against the counter model with carried state. The verdict
 //! lands in [`SamplingReport`]: the real batcher passes, the mutants are
 //! rejected, and the check costs bounded memory at any throughput.
+//!
+//! # One loop
+//!
+//! Every [`CombinerKind`] runs through the same service on whatever
+//! backend it is given. The seeded mutants are faults in how a worker
+//! answers its clients after a real burst committed (see
+//! [`crate::mutants`]), so the sampler always judges responses the
+//! service actually produced, and the state and log audits read the
+//! service's registers.
 
 use crate::keyed::MAX_KEYS;
-use crate::mutants::apply_mutant_batch;
 pub use crate::mutants::CombinerKind;
+use crate::mutants::{answer_withheld, reverse_responses_per_key, withhold_first};
 use crate::router::Router;
 use crate::service::{ObjectService, ServiceConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfr_core::universal::Counter;
 use tfr_linearize::models::CounterModel;
 use tfr_linearize::window::{Rotation, WindowChecker, WindowRecorder};
 use tfr_registers::space::{NativeSpace, RegisterSpace};
 use tfr_registers::ProcId;
-use tfr_telemetry::{with_pid, EventKind, Span, Trace};
+use tfr_telemetry::{with_pid, Span, Trace};
 
 /// Every `SHARED_CLIENT_EVERY`-th client addresses the shared key 0.
 const SHARED_CLIENT_EVERY: usize = 16;
@@ -245,36 +254,17 @@ pub struct LoadReport {
     pub mean_batch_size: f64,
     /// Batch-size histogram: `(size, batches of that size)`, ascending.
     pub batch_hist: Vec<(usize, u64)>,
-    /// Operations announced but never applied (0 for correct batchers).
+    /// Operations announced but never committed, plus operations
+    /// answered without their amount being applied (the lost-op
+    /// mutant's victim). 0 for correct batchers.
     pub lost_ops: u64,
-    /// Every shard's committed log audited contiguous and complete
-    /// (real paths; for mutants this reflects state completeness).
+    /// Every shard's committed log audited contiguous and complete:
+    /// committed == announced for every worker.
     pub audit_complete: bool,
     /// Final per-key totals match the ground-truth workload.
     pub state_ok: bool,
     /// The under-load sampler's report, when sampling was configured.
     pub sampling: Option<SamplingReport>,
-}
-
-/// Runs the configured load against a service over `space`. Mutant
-/// combiners run against an in-memory shard table instead (the bugs live
-/// in the batcher, not the backend), so `space` is untouched for them.
-pub fn run_load<S: RegisterSpace + 'static>(
-    space: Arc<S>,
-    cfg: &LoadConfig,
-    trace: &Trace,
-) -> LoadReport {
-    cfg.validate();
-    if cfg.combiner.is_mutant() {
-        run_mutant(cfg, trace)
-    } else {
-        run_real(space, cfg, trace)
-    }
-}
-
-/// [`run_load`] over fresh native shared memory.
-pub fn run_load_native(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
-    run_load(Arc::new(NativeSpace::with_capacity(1024)), cfg, trace)
 }
 
 /// The sampler side-thread state returned at join.
@@ -367,11 +357,16 @@ fn histogram(mut sizes: Vec<usize>) -> Vec<(usize, u64)> {
     hist
 }
 
-fn run_real<S: RegisterSpace + 'static>(
+/// Runs the configured load against a service over `space`. Every
+/// [`CombinerKind`] drives the same service on any backend; the two
+/// mutants only change how a worker announces and answers a burst (see
+/// [`crate::mutants`]).
+pub fn run_load<S: RegisterSpace + 'static>(
     space: Arc<S>,
     cfg: &LoadConfig,
     trace: &Trace,
 ) -> LoadReport {
+    cfg.validate();
     let per_op = cfg.combiner == CombinerKind::PerOp;
     let burst = if per_op { 1 } else { cfg.burst };
     let router = Router::new(cfg.shards, cfg.router_seed);
@@ -399,6 +394,7 @@ fn run_real<S: RegisterSpace + 'static>(
         .as_ref()
         .map(|s| Arc::new(WindowRecorder::new(cfg.workers, s.events_per_process)));
     let stop = AtomicBool::new(false);
+    let lost_fired = AtomicBool::new(false);
 
     let (batch_sizes, sampling, elapsed) = std::thread::scope(|s| {
         let sampler = match (&rec, &cfg.sampling) {
@@ -410,6 +406,7 @@ fn run_real<S: RegisterSpace + 'static>(
             .map(|w| {
                 let svc = &svc;
                 let rec = rec.as_deref();
+                let lost_fired = &lost_fired;
                 s.spawn(move || {
                     let pid = ProcId(w);
                     with_pid(pid, || {
@@ -431,19 +428,42 @@ fn run_real<S: RegisterSpace + 'static>(
                                     }));
                                     batch.push((key, amount));
                                 }
+                                // The lost-op victim: the first sampled
+                                // exclusive-key op of round 0 (so its
+                                // client has a later op to contradict
+                                // the lie), once across all workers.
+                                let withheld = if cfg.combiner == CombinerKind::LostOp && j == 0 {
+                                    withhold_first(&mut batch, |key| {
+                                        key != 0
+                                            && cfg.sampled(key)
+                                            && !lost_fired.swap(true, Ordering::SeqCst)
+                                    })
+                                } else {
+                                    None
+                                };
                                 // The root of each burst's causal span
                                 // tree: client.op → client.enqueue /
                                 // batch.drive → consensus → quorum.*.
-                                let (base, done) = {
+                                let (base, mut done) = {
                                     let _op = Span::enter(trace, "client.op");
                                     let base = worker.enqueue_burst(&batch);
                                     (base, worker.drive())
                                 };
-                                debug_assert_eq!(done.len(), batch.len());
+                                // `done` is this burst in enqueue order:
+                                // `done[i]` answers `batch[i]`.
+                                debug_assert!(
+                                    done.len() == batch.len()
+                                        && done.iter().zip(base..).all(|(op, pos)| op.pos == pos)
+                                );
+                                if cfg.combiner == CombinerKind::Reordering {
+                                    reverse_responses_per_key(&mut done);
+                                }
+                                if let Some(w) = withheld {
+                                    answer_withheld(&mut done, w);
+                                }
                                 if let Some(r) = rec {
-                                    for op in &done {
-                                        let i = (op.pos - base) as usize;
-                                        if let Some(tok) = tokens[i] {
+                                    for (op, tok) in done.iter().zip(&tokens) {
+                                        if let Some(tok) = *tok {
                                             r.response(pid, op.key, tok, op.resp);
                                         }
                                     }
@@ -473,13 +493,16 @@ fn run_real<S: RegisterSpace + 'static>(
         (batch_sizes, sampling, elapsed)
     });
 
-    // Ground truth: every shard's log complete, every total exact.
+    // Ground truth: every shard's log complete, every total exact. A
+    // lost-op victim commits as a no-op, so it counts on top of the
+    // audit's gap.
     let audits = svc.audit();
     let audit_complete = audits.iter().all(|a| a.complete());
     let lost_ops: u64 = audits
         .iter()
         .map(|a| a.announced.iter().sum::<u64>() - a.committed.iter().sum::<u64>())
-        .sum();
+        .sum::<u64>()
+        + u64::from(lost_fired.load(Ordering::SeqCst));
     let mut actual = BTreeMap::new();
     for shard in 0..svc.shards() {
         actual.extend(svc.snapshot(shard));
@@ -506,159 +529,9 @@ fn run_real<S: RegisterSpace + 'static>(
     }
 }
 
-fn run_mutant(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
-    let router = Router::new(cfg.shards, cfg.router_seed);
-    let shard_states: Vec<Mutex<BTreeMap<u64, u64>>> = (0..cfg.shards)
-        .map(|_| Mutex::new(BTreeMap::new()))
-        .collect();
-    let rec = cfg
-        .sampling
-        .as_ref()
-        .map(|s| Arc::new(WindowRecorder::new(cfg.workers, s.events_per_process)));
-    let stop = AtomicBool::new(false);
-    let lost_fired = AtomicBool::new(false);
-
-    let (sizes_and_lost, sampling, elapsed) = std::thread::scope(|s| {
-        let sampler = match (&rec, &cfg.sampling) {
-            (Some(rec), Some(sampling)) => Some(spawn_sampler(s, rec, sampling, &stop)),
-            _ => None,
-        };
-        let start = Instant::now();
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                let shard_states = &shard_states;
-                let rec = rec.as_deref();
-                let lost_fired = &lost_fired;
-                s.spawn(move || {
-                    let pid = ProcId(w);
-                    let my_clients = cfg.worker_clients(w);
-                    let mut sizes = Vec::new();
-                    let mut lost = 0u64;
-                    let mut slot = 0u64;
-                    for j in 0..cfg.ops_per_client {
-                        let mut c = my_clients.start;
-                        while c < my_clients.end {
-                            let hi = (c + cfg.burst).min(my_clients.end);
-                            let batch: Vec<(u64, u64)> = (c..hi)
-                                .map(|cl| (cfg.client_key(cl), cfg.client_amount(cl, j)))
-                                .collect();
-                            let tokens: Vec<_> = batch
-                                .iter()
-                                .map(|&(key, amount)| {
-                                    rec.and_then(|r| {
-                                        cfg.sampled(key).then(|| r.invoke(pid, key, amount))
-                                    })
-                                })
-                                .collect();
-                            // Group by shard, preserving announce order.
-                            let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                            for (i, &(key, _)) in batch.iter().enumerate() {
-                                trace.emit(
-                                    pid,
-                                    EventKind::ServiceEnqueue {
-                                        shard: router.route(key) as u32,
-                                        key,
-                                    },
-                                );
-                                by_shard.entry(router.route(key)).or_default().push(i);
-                            }
-                            let mut responses = vec![0u64; batch.len()];
-                            for (&shard, idxs) in &by_shard {
-                                let sub: Vec<(u64, u64)> = idxs.iter().map(|&i| batch[i]).collect();
-                                let mut sub_resp = vec![0u64; sub.len()];
-                                let mut state = shard_states[shard]
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner());
-                                lost += apply_mutant_batch(
-                                    cfg.combiner,
-                                    &mut state,
-                                    &sub,
-                                    &mut sub_resp,
-                                    // The lost-op victim: the first sampled
-                                    // exclusive-key op (round 0, so its
-                                    // client always has a later op to
-                                    // contradict the lie).
-                                    |key| j == 0 && key != 0 && cfg.sampled(key),
-                                    lost_fired,
-                                );
-                                drop(state);
-                                for (p, &i) in idxs.iter().enumerate() {
-                                    responses[i] = sub_resp[p];
-                                }
-                                trace.emit(
-                                    pid,
-                                    EventKind::BatchCommit {
-                                        shard: shard as u32,
-                                        slot,
-                                        size: sub.len() as u64,
-                                    },
-                                );
-                                slot += 1;
-                                sizes.push(sub.len());
-                            }
-                            if let Some(r) = rec {
-                                for (i, tok) in tokens.iter().enumerate() {
-                                    if let Some(tok) = tok {
-                                        r.response(pid, batch[i].0, *tok, responses[i]);
-                                    }
-                                }
-                                r.heartbeat(pid);
-                            }
-                            c = hi;
-                        }
-                    }
-                    if let Some(r) = rec {
-                        r.finish(pid);
-                    }
-                    (sizes, lost)
-                })
-            })
-            .collect();
-        let joined: Vec<(Vec<usize>, u64)> = handles
-            .into_iter()
-            .map(|h| h.join().expect("a mutant worker panicked"))
-            .collect();
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::SeqCst);
-        let sampling = sampler.map(|h| {
-            let out = h.join().expect("the sampler panicked");
-            finish_sampling(rec.as_ref().expect("sampler implies recorder"), out)
-        });
-        (joined, sampling, elapsed)
-    });
-
-    let lost_ops: u64 = sizes_and_lost.iter().map(|(_, l)| l).sum();
-    let batch_sizes: Vec<usize> = sizes_and_lost.into_iter().flat_map(|(s, _)| s).collect();
-    let mut actual = BTreeMap::new();
-    for state in &shard_states {
-        actual.extend(
-            state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(&k, &v)| (k, v)),
-        );
-    }
-    let state_ok = actual == cfg.expected_totals();
-
-    let ops = cfg.total_ops();
-    let batches = batch_sizes.len() as u64;
-    LoadReport {
-        combiner: cfg.combiner,
-        clients: cfg.clients,
-        workers: cfg.workers,
-        shards: cfg.shards,
-        ops,
-        elapsed,
-        ops_per_sec: ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        batches,
-        mean_batch_size: ops as f64 / (batches as f64).max(1.0),
-        batch_hist: histogram(batch_sizes),
-        lost_ops,
-        audit_complete: lost_ops == 0,
-        state_ok,
-        sampling,
-    }
+/// [`run_load`] over fresh native shared memory.
+pub fn run_load_native(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
+    run_load(Arc::new(NativeSpace::with_capacity(1024)), cfg, trace)
 }
 
 #[cfg(test)]
@@ -709,8 +582,9 @@ mod tests {
     #[test]
     fn sampler_rejects_the_reordering_batcher() {
         let report = run_load_native(&sampled_cfg(CombinerKind::Reordering), &Trace::default());
-        // The bug leaves no trace in the final state…
+        // The bug leaves no trace in the final state or the log…
         assert!(report.state_ok, "reordering preserves totals");
+        assert!(report.audit_complete);
         assert_eq!(report.lost_ops, 0);
         // …and is caught only by the history check.
         let sampling = report.sampling.expect("sampling was configured");
@@ -724,6 +598,7 @@ mod tests {
     fn sampler_rejects_the_lost_op_batcher() {
         let report = run_load_native(&sampled_cfg(CombinerKind::LostOp), &Trace::default());
         assert_eq!(report.lost_ops, 1, "exactly one seeded victim");
+        assert!(report.audit_complete, "the victim commits, as a no-op");
         assert!(!report.state_ok, "the lost amount is missing from state");
         let sampling = report.sampling.expect("sampling was configured");
         assert!(

@@ -1,23 +1,25 @@
 //! Seeded combiner bugs — the teeth check for under-load sampling.
 //!
 //! A verification layer is only trustworthy if it *rejects* broken
-//! implementations, so the load harness can swap the real flat-combining
-//! batcher for one of two deliberately buggy ones and feed the same
-//! windowed sampler:
+//! implementations, so the load harness can run the real service with
+//! one of two deliberately buggy hand-backs and feed the same windowed
+//! sampler. Both bugs are faults in how a worker answers its clients
+//! after [`ServiceWorker::drive`](crate::ServiceWorker::drive) committed
+//! a real burst through consensus; the service itself is untouched.
 //!
-//! * [`CombinerKind::Reordering`] — applies each batch **against**
-//!   announce order (per key) but hands responses back positionally, the
-//!   classic combiner bug of walking the announce array in one order and
-//!   the response array in another. The final state is perfectly correct
-//!   — a state audit sees nothing — but two same-key operations with
-//!   distinct amounts get each other's running totals, which no
-//!   linearization order can explain.
-//! * [`CombinerKind::LostOp`] — drops exactly one announced operation
-//!   (the first sampled one of round 0) while *answering as if it
-//!   applied*. Locally the fabricated response is plausible; the lie
-//!   only surfaces because every later response on that key is short by
-//!   the lost amount — the lost-update anomaly the sampler exists to
-//!   catch.
+//! * [`CombinerKind::Reordering`] — per key, hands the burst's real
+//!   responses back in reverse order, the classic combiner bug of
+//!   walking the announce array in one order and the response array in
+//!   another. The service applied the ops in announce order, so the
+//!   final state is perfectly correct — a state audit sees nothing — but
+//!   two same-key operations with distinct amounts get each other's
+//!   running totals, which no linearization order can explain.
+//! * [`CombinerKind::LostOp`] — announces one operation (the first
+//!   sampled one on a worker-exclusive key in round 0, once across all
+//!   workers) with its amount withheld, then *answers as if it
+//!   applied*. Locally the made-up response is plausible; the lie only
+//!   surfaces because every later response on that key is short by the
+//!   lost amount — the lost-update anomaly the sampler exists to catch.
 //!
 //! Both bugs are deterministic under a fixed [`crate::load::LoadConfig`]
 //! and both are invisible to per-operation spot checks: they need
@@ -25,8 +27,8 @@
 //! the windowed sampler does. The tests in [`crate::load`] prove the
 //! sampler accepts the real batcher and rejects both mutants.
 
+use crate::service::OpResponse;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which batching implementation the load harness drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,11 +40,11 @@ pub enum CombinerKind {
     /// consensus decision per operation. The denominator of the
     /// flat-combining speedup claim.
     PerOp,
-    /// Mutant: commits batches against announce order across same-key
-    /// dependencies (responses crossed positionally).
+    /// Mutant: the real batch commits, but same-key responses are
+    /// handed back crossed (reverse order per key).
     Reordering,
-    /// Mutant: drops one announced operation but responds as if it
-    /// applied.
+    /// Mutant: one operation is announced with its amount withheld but
+    /// answered as if it applied.
     LostOp,
 }
 
@@ -56,144 +58,93 @@ impl CombinerKind {
             CombinerKind::LostOp => "lost-op",
         }
     }
+}
 
-    /// Whether this is one of the deliberately broken batchers.
-    pub fn is_mutant(&self) -> bool {
-        matches!(self, CombinerKind::Reordering | CombinerKind::LostOp)
+/// The reordering bug: within each key, hands the burst's responses
+/// back in reverse order. `done` is one burst's responses in enqueue
+/// order.
+pub(crate) fn reverse_responses_per_key(done: &mut [OpResponse]) {
+    let mut by_key: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, op) in done.iter().enumerate() {
+        by_key.entry(op.key).or_default().push(i);
+    }
+    for idxs in by_key.values() {
+        let resps: Vec<u64> = idxs.iter().map(|&i| done[i].resp).collect();
+        for (&i, resp) in idxs.iter().zip(resps.into_iter().rev()) {
+            done[i].resp = resp;
+        }
     }
 }
 
-/// Applies one batch to a shard's counter table with the requested bug.
-///
-/// `batch` is `(key, amount)` in announce order; `responses[i]` receives
-/// the response handed back for `batch[i]`. `lose` marks operations the
-/// [`CombinerKind::LostOp`] bug may drop (at most one ever fires, gated
-/// by `lost_fired`); `lost` counts how many it dropped in this batch.
-pub(crate) fn apply_mutant_batch(
-    kind: CombinerKind,
-    totals: &mut BTreeMap<u64, u64>,
-    batch: &[(u64, u64)],
-    responses: &mut [u64],
-    lose: impl Fn(u64) -> bool,
-    lost_fired: &AtomicBool,
-) -> u64 {
-    debug_assert_eq!(batch.len(), responses.len());
-    match kind {
-        CombinerKind::Reordering => {
-            // Per key: apply in REVERSE announce order, hand responses
-            // back in announce order — positions cross whenever a key
-            // has two ops with distinct amounts.
-            let mut by_key: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-            for (i, &(key, _)) in batch.iter().enumerate() {
-                by_key.entry(key).or_default().push(i);
-            }
-            for (key, idxs) in by_key {
-                let mut running = totals.get(&key).copied().unwrap_or(0);
-                let mut applied = Vec::with_capacity(idxs.len());
-                for &i in idxs.iter().rev() {
-                    running += batch[i].1;
-                    applied.push(running);
-                }
-                for (p, &i) in idxs.iter().enumerate() {
-                    responses[i] = applied[p];
-                }
-                totals.insert(key, running);
-            }
-            0
-        }
-        CombinerKind::LostOp => {
-            let mut lost = 0;
-            for (i, &(key, amount)) in batch.iter().enumerate() {
-                let t = totals.get(&key).copied().unwrap_or(0);
-                if lose(key) && !lost_fired.swap(true, Ordering::SeqCst) {
-                    // Fabricate the response the op WOULD have produced,
-                    // but never apply it: a plausible lie, caught only
-                    // when later history contradicts it.
-                    responses[i] = t + amount;
-                    lost += 1;
-                } else {
-                    totals.insert(key, t + amount);
-                    responses[i] = t + amount;
-                }
-            }
-            lost
-        }
-        CombinerKind::FlatCombining | CombinerKind::PerOp => {
-            // The honest apply — mutant plumbing shared with the buggy
-            // paths so tests can diff behaviours directly.
-            for (i, &(key, amount)) in batch.iter().enumerate() {
-                let t = totals.get(&key).copied().unwrap_or(0);
-                totals.insert(key, t + amount);
-                responses[i] = t + amount;
-            }
-            0
-        }
-    }
+/// The lost-op bug's announce half: zeroes the amount of the first op
+/// whose key is `eligible` and returns its burst index and the withheld
+/// amount.
+pub(crate) fn withhold_first(
+    batch: &mut [(u64, u64)],
+    eligible: impl Fn(u64) -> bool,
+) -> Option<(usize, u64)> {
+    let i = batch.iter().position(|&(key, _)| eligible(key))?;
+    Some((i, std::mem::take(&mut batch[i].1)))
+}
+
+/// The lost-op bug's hand-back half: answers the withheld op as if its
+/// amount had applied on top of the real response.
+pub(crate) fn answer_withheld(done: &mut [OpResponse], (i, amount): (usize, u64)) {
+    done[i].resp += amount;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn reordering_crosses_same_key_responses_but_keeps_state() {
-        let mut totals = BTreeMap::new();
-        let batch = [(7, 2), (9, 1), (7, 3)];
-        let mut resp = [0u64; 3];
-        let fired = AtomicBool::new(false);
-        apply_mutant_batch(
-            CombinerKind::Reordering,
-            &mut totals,
-            &batch,
-            &mut resp,
-            |_| false,
-            &fired,
-        );
-        // Key 7 applied 3-then-2, responses handed back positionally:
-        // the +2 op reports 3 (impossible under any order of {+2, +3}).
-        assert_eq!(resp, [3, 1, 5]);
-        // …while the final state is flawless — only a history check can
-        // see this bug.
-        assert_eq!(totals.get(&7), Some(&5));
-        assert_eq!(totals.get(&9), Some(&1));
+    fn burst(ops: &[(u64, u64)]) -> Vec<OpResponse> {
+        ops.iter()
+            .enumerate()
+            .map(|(pos, &(key, resp))| OpResponse {
+                pos: pos as u64,
+                key,
+                shard: 0,
+                resp,
+            })
+            .collect()
+    }
+
+    fn resps(done: &[OpResponse]) -> Vec<u64> {
+        done.iter().map(|op| op.resp).collect()
     }
 
     #[test]
-    fn lost_op_drops_exactly_one_and_lies_plausibly() {
-        let mut totals = BTreeMap::new();
-        let batch = [(4, 2), (4, 3), (4, 1)];
-        let mut resp = [0u64; 3];
-        let fired = AtomicBool::new(false);
-        let lost = apply_mutant_batch(
-            CombinerKind::LostOp,
-            &mut totals,
-            &batch,
-            &mut resp,
-            |key| key == 4,
-            &fired,
+    fn reordering_crosses_same_key_responses_only() {
+        // Key 7 applied +2 then +3 (responses 2, 5); key 9 applied +1.
+        let mut done = burst(&[(7, 2), (9, 1), (7, 5)]);
+        reverse_responses_per_key(&mut done);
+        // The +2 op now reports 5 and the +3 op 2 — impossible under any
+        // order of {+2, +3} — while the lone key-9 op is untouched.
+        assert_eq!(resps(&done), [5, 1, 2]);
+        assert_eq!(
+            done.iter().map(|op| op.key).collect::<Vec<_>>(),
+            [7, 9, 7],
+            "only responses move"
         );
-        assert_eq!(lost, 1, "one victim, gated by the fired flag");
-        // The victim's response (2) is locally plausible; the later ops
-        // are short by the lost amount.
-        assert_eq!(resp, [2, 3, 4]);
-        assert_eq!(totals.get(&4), Some(&4), "state is missing the 2");
     }
 
     #[test]
-    fn honest_apply_matches_sequential_counter() {
-        let mut totals = BTreeMap::new();
-        let batch = [(1, 5), (1, 5), (2, 1)];
-        let mut resp = [0u64; 3];
-        let fired = AtomicBool::new(false);
-        apply_mutant_batch(
-            CombinerKind::FlatCombining,
-            &mut totals,
-            &batch,
-            &mut resp,
-            |_| true,
-            &fired,
-        );
-        assert_eq!(resp, [5, 10, 1]);
-        assert!(!fired.load(Ordering::SeqCst), "honest path never loses");
+    fn lost_op_withholds_one_amount_and_answers_plausibly() {
+        let mut batch = [(0, 4), (4, 2), (4, 3)];
+        let withheld = withhold_first(&mut batch, |key| key != 0).expect("key 4 is eligible");
+        assert_eq!(withheld, (1, 2), "the first eligible op, amount 2");
+        assert_eq!(batch, [(0, 4), (4, 0), (4, 3)], "announced as a no-op");
+        // The service answers the no-op with the running total (0) and
+        // the next op with 0 + 3; the victim is told 0 + 2.
+        let mut done = burst(&[(0, 4), (4, 0), (4, 3)]);
+        answer_withheld(&mut done, withheld);
+        assert_eq!(resps(&done), [4, 2, 3], "the later op is short by 2");
+    }
+
+    #[test]
+    fn no_eligible_op_withholds_nothing() {
+        let mut batch = [(0, 4), (1, 2)];
+        assert_eq!(withhold_first(&mut batch, |key| key > 1), None);
+        assert_eq!(batch, [(0, 4), (1, 2)]);
     }
 }

@@ -63,8 +63,8 @@ fn flow(ph: &str, id: u64, name: String, pid: u64, tid: usize, ts_ns: u64) -> Js
     Json::Obj(ev)
 }
 
-/// Builds one combined Chrome trace out of any number of runs — native
-/// and simulated timelines side by side in one viewer.
+/// Builds one combined Chrome trace out of any number of runs — e.g. a
+/// native and a network timeline side by side in one viewer.
 ///
 /// # Example
 ///

@@ -1,18 +1,14 @@
-//! The typed event schema shared by the native and simulated stacks.
+//! The typed event schema shared by every traced layer.
 //!
 //! Every event is a `(timestamp, process, kind)` triple. Timestamps are
-//! nanoseconds from the owning [`crate::Tracer`]'s epoch for native runs,
-//! and `tick × 1000` for simulator runs (the workspace convention is
-//! 1 tick = 1 µs, so both stacks land on the same scale and can share one
-//! timeline in a trace viewer).
+//! nanoseconds from the owning [`crate::Tracer`]'s epoch.
 
 use tfr_registers::ProcId;
 
 /// One traced occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds from the tracer's epoch (native) or `tick × 1000`
-    /// (simulator).
+    /// Nanoseconds from the tracer's epoch.
     pub ts_ns: u64,
     /// The process the event belongs to.
     pub pid: ProcId,

@@ -1,6 +1,6 @@
 //! Unified telemetry for the timing-failure workspace: lock-free event
-//! tracing, a metrics registry, and Chrome-trace/Perfetto export covering
-//! both execution stacks (native threads and the virtual-time simulator).
+//! tracing, a metrics registry, and Chrome-trace/Perfetto export for the
+//! native and network stacks.
 //!
 //! The paper's claims are *temporal* — Δ bounds, entry waits of at most
 //! ψ, convergence after failures stop — so debugging and benchmarking
@@ -20,10 +20,8 @@
 //!   Δ estimate as a counter track) and the machine-readable
 //!   `BENCH_telemetry.json` summary with the §1.3 convergence time.
 //!
-//! Both stacks feed the same schema: native code emits events live
-//! through [`Trace`] hooks and the [`ChaosTraceObserver`] bridge, while
-//! simulator runs convert after the fact with [`sim::events_from_run`]
-//! (1 tick = 1 µs, the workspace convention).
+//! Native code emits events live through [`Trace`] hooks and the
+//! [`ChaosTraceObserver`] bridge.
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod ring;
-pub mod sim;
 pub mod span;
 pub mod summary;
 

@@ -10,8 +10,8 @@
 //! buffers should be sized up.
 //!
 //! Timestamps come from one shared epoch (`Instant` at construction), so
-//! events from different threads are directly comparable; simulator events
-//! carry their own virtual timestamps via [`Tracer::emit_at`].
+//! events from different threads are directly comparable; post-hoc
+//! stamping goes through [`Tracer::emit_at`].
 
 use crate::event::{Event, EventKind};
 use std::cell::UnsafeCell;
@@ -137,8 +137,8 @@ impl Tracer {
         self.emit_at(pid, self.now_ns(), kind);
     }
 
-    /// Records `kind` for `pid` with an explicit timestamp (simulator
-    /// conversion, post-hoc stamping). Same single-writer contract as
+    /// Records `kind` for `pid` with an explicit timestamp (post-hoc
+    /// stamping). Same single-writer contract as
     /// [`Tracer::emit`].
     #[inline]
     pub fn emit_at(&self, pid: ProcId, ts_ns: u64, kind: EventKind) {

@@ -33,10 +33,10 @@ fn main() {
     );
     assert!(sampling.passed(), "the real batcher must linearize");
 
-    // The same harness, same sampler, but the batcher silently drops one
-    // announced op and answers as if it applied. A state audit alone
-    // would need the ground truth; the history sampler catches the lie
-    // from the recorded responses.
+    // The same service, same sampler, but one worker announces one op
+    // with its amount withheld and answers it as if it applied. A state
+    // audit alone would need the ground truth; the history sampler
+    // catches the lie from the recorded responses.
     let mut mutant = LoadConfig::new(2_000, 4, 4);
     mutant.combiner = CombinerKind::LostOp;
     mutant.sampling = Some(SamplingConfig::default());

@@ -1,15 +1,12 @@
-//! Unified telemetry export: one Chrome-trace/Perfetto timeline from both
-//! execution stacks.
+//! Unified telemetry export: one Chrome-trace/Perfetto timeline from the
+//! native stack and the network stack.
 //!
 //! Run 1 is **native**: Algorithm 3 (the resilient mutex) with an adaptive
 //! `optimistic(Δ)` estimator, driven by the chaos nemesis under injected
 //! stalls longer than Δ — the trace shows the fault instants, the Fischer
 //! retries, every `delay(Δ)` span, and the AIMD estimate reacting.
 //!
-//! Run 2 is **simulated**: Algorithm 1 (consensus) in virtual time,
-//! converted to the same event schema (1 tick = 1 µs).
-//!
-//! Run 3 is the **network stack**: ABD quorum reads and writes over the
+//! Run 2 is the **network stack**: ABD quorum reads and writes over the
 //! emulated cluster, with causal spans (`quorum.read`/`quorum.write` and
 //! their phases) and per-message flow arrows connecting each client
 //! phase to the replica lanes it touched.
@@ -29,15 +26,11 @@ use std::time::Duration;
 use tfr::asynclock::bar_david::StarvationFree;
 use tfr::chaos::{run_mutex_chaos, MutexChaosConfig};
 use tfr::core::adaptive::AdaptiveDelta;
-use tfr::core::consensus::ConsensusSpec;
 use tfr::core::mutex::resilient::ResilientMutex;
 use tfr::net::{NetConfig, Network};
 use tfr::registers::chaos::{points, Fault, FaultAction};
 use tfr::registers::space::RegisterSpace;
-use tfr::registers::{Delta, ProcId};
-use tfr::sim::timing::standard_no_failures;
-use tfr::sim::{RunConfig, Sim};
-use tfr::telemetry::sim::events_from_run;
+use tfr::registers::ProcId;
 use tfr::telemetry::summary::run_summary_json;
 use tfr::telemetry::{
     convergence_from_events, with_pid, ChromeTraceBuilder, EventKind, Json, Trace, Tracer,
@@ -113,26 +106,7 @@ fn main() {
     let convergence = convergence_from_events(&native_events, target_wait_ns);
 
     // ---------------------------------------------------------------
-    // Run 2: simulated consensus, converted to the same schema.
-    // ---------------------------------------------------------------
-    let sim_delta = Delta::from_ticks(100);
-    let sim_run = Sim::new(
-        ConsensusSpec::new(vec![true, false, true]),
-        RunConfig::new(3, sim_delta).record_trace(),
-        standard_no_failures(sim_delta, 7),
-    )
-    .run();
-    let sim_events = events_from_run(&sim_run);
-    assert!(
-        sim_events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Decided { .. })),
-        "the simulated consensus must decide"
-    );
-    let sim_convergence = convergence_from_events(&sim_events, 0);
-
-    // ---------------------------------------------------------------
-    // Run 3: quorum registers over the emulated network, spans + flows.
+    // Run 2: quorum registers over the emulated network, spans + flows.
     // ---------------------------------------------------------------
     let net_cfg = NetConfig::new(1, 3, 0x7ace);
     let net_tracer = Arc::new(Tracer::new(net_cfg.tracer_processes()));
@@ -167,11 +141,10 @@ fn main() {
     );
 
     // ---------------------------------------------------------------
-    // Export: one Chrome trace with all three runs, plus the summary.
+    // Export: one Chrome trace with both runs, plus the summary.
     // ---------------------------------------------------------------
     let mut builder = ChromeTraceBuilder::new();
     builder.add_run("native resilient-mutex (chaos)", &native_events);
-    builder.add_run("sim consensus (virtual time)", &sim_events);
     builder.add_run("net quorum registers (ABD)", &net_events);
     let trace_json = builder.render();
     let parsed = Json::parse(&trace_json).expect("exporter must emit valid JSON");
@@ -215,32 +188,18 @@ fn main() {
     assert_eq!(starts, finishes, "unpaired flow arrows");
     std::fs::write("trace_export.json", &trace_json).expect("write trace_export.json");
 
-    let summary = Json::obj([
-        (
-            "native",
-            run_summary_json(
-                "native resilient-mutex (chaos)",
-                n,
-                delta.as_nanos() as u64,
-                target_wait_ns,
-                &native_events,
-                tracer.dropped(),
-                &convergence,
-            ),
+    let summary = Json::obj([(
+        "native",
+        run_summary_json(
+            "native resilient-mutex (chaos)",
+            n,
+            delta.as_nanos() as u64,
+            target_wait_ns,
+            &native_events,
+            tracer.dropped(),
+            &convergence,
         ),
-        (
-            "sim",
-            run_summary_json(
-                "sim consensus (virtual time)",
-                3,
-                sim_delta.ticks().0 * 1_000,
-                0,
-                &sim_events,
-                0,
-                &sim_convergence,
-            ),
-        ),
-    ]);
+    )]);
     let summary_text = summary.to_string();
     Json::parse(&summary_text).expect("summary must be valid JSON");
     std::fs::write("BENCH_telemetry.json", &summary_text).expect("write BENCH_telemetry.json");
@@ -261,11 +220,6 @@ fn main() {
         ),
         None => println!("convergence: not reached within the run"),
     }
-    let decided: Vec<u64> = sim_run.decisions().iter().map(|&(_, _, v)| v).collect();
-    println!(
-        "sim run    : {} events, decisions = {decided:?}",
-        sim_events.len()
-    );
     println!(
         "net run    : {} events, {} flow arrows across client/replica lanes",
         net_events.len(),

@@ -1,6 +1,7 @@
 //! End-to-end observability tests: the causal span tree of a client op
 //! on the network backend (walked through the exported Perfetto JSON),
-//! online monitors catching a seeded combiner mutant *while it runs* and
+//! online monitors catching the log's seeded reordering applier *while
+//! it runs* and
 //! a real Fischer mutual-exclusion violation under the chaos nemesis,
 //! and ring-overflow counts surfaced end-to-end in the JSON summary.
 
@@ -10,12 +11,16 @@ use std::time::Duration;
 use tfr::chaos::nemesis::violation_setup_from_seed;
 use tfr::chaos::{run_mutex_chaos, MutexChaosConfig};
 use tfr::core::mutex::fischer::Fischer;
+use tfr::core::universal::Counter;
+use tfr::log::{LogConfig, LogWorker, ReorderingApplier, ReplicatedLog};
 use tfr::net::{NetConfig, Network};
 use tfr::obs::{Collector, CollectorConfig};
 use tfr::registers::ProcId;
-use tfr::service::load::{run_load, run_load_native, CombinerKind, LoadConfig};
+use tfr::service::load::{run_load, run_load_native, LoadConfig};
 use tfr::telemetry::summary::run_summary_json;
-use tfr::telemetry::{convergence_from_events, ChromeTraceBuilder, EventKind, Json, Trace, Tracer};
+use tfr::telemetry::{
+    convergence_from_events, with_pid, ChromeTraceBuilder, EventKind, Json, Trace, Tracer,
+};
 
 /// One client op through the sharded service over the ABD quorum backend
 /// yields a *connected* causal span tree in the exported Perfetto JSON:
@@ -141,18 +146,26 @@ fn net_backend_client_op_exports_a_connected_span_tree() {
     assert_eq!(starts, finishes, "every flow start pairs with a finish");
 }
 
-/// The batch monitor catches the seeded reordering mutant *while the
-/// load is still running* (the live flag flips mid-run), not just in the
-/// post-mortem — and names the right monitor.
+/// The log prefix monitor catches the seeded reordering applier (one
+/// adjacent pair of heights applied `h + 1` before `h`) *while the log is
+/// still running* (the live flag flips with heights left to commit), not
+/// just in the post-mortem — and names the right monitor.
 #[test]
 fn online_monitors_flag_the_reordering_mutant_during_the_run() {
-    let cfg = LoadConfig {
-        combiner: CombinerKind::Reordering,
-        ops_per_client: 16,
-        delta: Duration::from_micros(20),
-        ..LoadConfig::new(4_096, 4, 4)
+    // A budget the run only exhausts if the collector never gets to
+    // poll: it stops as soon as the live flag is up.
+    const HEIGHTS: u64 = 16_384;
+    let cfg = LogConfig {
+        n: 1,
+        replicas: 1,
+        heights: HEIGHTS as usize,
+        max_batch: 1,
+        window: 4,
+        delta: Duration::from_micros(10),
     };
-    let tracer = Arc::new(Tracer::with_capacity(cfg.workers, 1 << 16));
+    let tracer = Arc::new(Tracer::new(cfg.lanes()));
+    let log =
+        Arc::new(ReplicatedLog::new(Counter, cfg).with_trace(Trace::attached(Arc::clone(&tracer))));
     let collector = Collector::spawn(
         Arc::clone(&tracer),
         CollectorConfig {
@@ -160,13 +173,31 @@ fn online_monitors_flag_the_reordering_mutant_during_the_run() {
             window: Duration::from_millis(100),
         },
     );
-    run_load_native(&cfg, &Trace::attached(Arc::clone(&tracer)));
+    with_pid(ProcId(0), || {
+        let mut worker = LogWorker::new(Arc::clone(&log), ProcId(0));
+        let mut bad = ReorderingApplier::new(Arc::clone(&log), 0, 0xBAD5EED);
+        for op in 1..=HEIGHTS {
+            worker.enqueue(&[op]);
+        }
+        let mut i = 0u32;
+        while (worker.pending() > 0 || worker.applied_len() < HEIGHTS) && !collector.flagged_live()
+        {
+            worker.pump();
+            // Polling every 4th pump leaves adjacent heights decided
+            // together: the swap's opportunity.
+            if i.is_multiple_of(4) {
+                bad.poll();
+            }
+            i += 1;
+        }
+        assert!(bad.fired(), "the seeded swap must fire");
+    });
     let obs = collector.finish();
     assert!(!obs.clean(), "the mutant must be flagged");
-    assert!(
-        obs.violations.iter().all(|v| v.monitor == "batch"),
-        "the duplicate (shard, slot) commits are a batch-monitor matter: {:?}",
-        obs.violations.first()
+    assert_eq!(
+        obs.violations[0].monitor, "log",
+        "the out-of-order apply is a log-monitor matter: {:?}",
+        obs.violations[0]
     );
     assert!(
         obs.flagged_live,
@@ -177,8 +208,8 @@ fn online_monitors_flag_the_reordering_mutant_during_the_run() {
     );
 }
 
-/// The same load shape with the real combiner stays CLEAN — the flag in
-/// the test above is the monitor's doing, not the harness's.
+/// The real combiner under a 4 096-client load stays CLEAN: the batch
+/// monitor raises no false alarm on the service.
 #[test]
 fn online_monitors_stay_clean_on_the_real_combiner() {
     let cfg = LoadConfig {

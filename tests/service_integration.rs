@@ -7,6 +7,11 @@
 //! committed and the shard states equal the register-backed announce
 //! ground truth exactly. The same harness drives the service over
 //! native registers and over a quorum cluster (`tfr-net`).
+//!
+//! The under-load linearizability sampler is checked for teeth here too:
+//! the load harness's seeded combiner mutants run through the real
+//! service, on both backends, and the sampler must reject them while
+//! passing the real batcher.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +22,11 @@ use tfr::net::{NetConfig, Network};
 use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
 use tfr::registers::space::RegisterSpace;
 use tfr::registers::ProcId;
-use tfr::service::{decode_op, ObjectService, ServiceConfig};
+use tfr::service::{
+    decode_op, run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, ObjectService,
+    SamplingConfig, ServiceConfig,
+};
+use tfr::telemetry::Trace;
 
 const N: usize = 4;
 const SHARDS: usize = 2;
@@ -327,4 +336,74 @@ fn fault_free_service_runs_match_the_intended_workload() {
     let intended: std::collections::BTreeMap<u64, u64> =
         intended.into_iter().filter(|&(_, v)| v > 0).collect();
     assert_eq!(actual, intended, "fault-free totals are the workload's");
+}
+
+// ---------------------------------------------------------------------
+// The under-load sampler against the seeded combiner mutants
+// ---------------------------------------------------------------------
+
+/// A small sampled load: 64 clients on 2 workers over 2 shards, every
+/// even key sampled.
+fn sampled_load(combiner: CombinerKind) -> LoadConfig {
+    LoadConfig {
+        combiner,
+        sampling: Some(SamplingConfig::default()),
+        ..LoadConfig::new(64, 2, 2)
+    }
+}
+
+/// Whether the sampler checked real work and rejected it.
+fn rejected(report: &LoadReport) -> bool {
+    let sampling = report.sampling.as_ref().expect("sampling was configured");
+    sampling.violation.is_some()
+}
+
+/// The real batcher passes the sampler with a complete log and exact
+/// state, and both mutants are rejected: the reordering one with the
+/// state and log audits clean (only the history check sees it), the
+/// lost-op one with the state short by exactly one victim.
+#[test]
+fn sampler_passes_the_real_batcher_and_rejects_both_mutants() {
+    let real = run_load_native(
+        &sampled_load(CombinerKind::FlatCombining),
+        &Trace::default(),
+    );
+    let sampling = real.sampling.as_ref().expect("sampling was configured");
+    assert!(sampling.passed(), "real batcher: {:?}", sampling.violation);
+    assert!(real.state_ok && real.audit_complete);
+    assert_eq!(real.lost_ops, 0);
+
+    let reordering = run_load_native(&sampled_load(CombinerKind::Reordering), &Trace::default());
+    assert!(rejected(&reordering), "crossed responses must be rejected");
+    assert!(reordering.state_ok && reordering.audit_complete);
+    assert_eq!(reordering.lost_ops, 0);
+
+    let lost_op = run_load_native(&sampled_load(CombinerKind::LostOp), &Trace::default());
+    assert!(rejected(&lost_op), "the lost update must be rejected");
+    assert!(!lost_op.state_ok, "the victim's amount is missing");
+    assert!(lost_op.audit_complete, "the victim commits, as a no-op");
+    assert_eq!(lost_op.lost_ops, 1, "exactly one seeded victim");
+}
+
+/// The same sampler over a 3-replica quorum cluster: the mutants run
+/// through the service on any backend, so the reordering one is
+/// rejected there too.
+#[test]
+fn sampler_judges_the_mutants_over_quorum_registers() {
+    let run = |combiner| {
+        let cfg = LoadConfig {
+            ops_per_client: 2,
+            ..sampled_load(combiner)
+        };
+        let net = Arc::new(Network::new(NetConfig::new(cfg.workers, 3, 0x5A4E)));
+        run_load(Arc::new(net.space()), &cfg, &Trace::default())
+    };
+    let real = run(CombinerKind::FlatCombining);
+    let sampling = real.sampling.as_ref().expect("sampling was configured");
+    assert!(sampling.passed(), "real batcher: {:?}", sampling.violation);
+    assert!(real.state_ok && real.audit_complete);
+
+    let reordering = run(CombinerKind::Reordering);
+    assert!(rejected(&reordering), "crossed responses must be rejected");
+    assert!(reordering.state_ok && reordering.audit_complete);
 }
