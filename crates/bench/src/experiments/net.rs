@@ -192,6 +192,7 @@ pub fn net() -> Vec<Table> {
             "run-of-8 write / link rtt",
             "owned write / link rtt",
             "run-of-8 owned write / link rtt",
+            "agreed write / link rtt",
         ],
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -227,9 +228,18 @@ pub fn net() -> Vec<Table> {
                     space.read_run(0, 3, &mut out);
                 }
             });
-            [run_read, run_write, owned, owned_run].map(|us| format!("{:.2}", us / link_rtt_us))
+            // Agreed writes, the store round alone too: one value per
+            // cell, so a fresh cell each time.
+            let (_, _, agreed) = round_trip_p50s(&cfg, 1, |_, space| {
+                for k in 0..200u64 {
+                    space.write_agreed(k, k + 1);
+                    let _ = space.read(k);
+                }
+            });
+            [run_read, run_write, owned, owned_run, agreed]
+                .map(|us| format!("{:.2}", us / link_rtt_us))
         } else {
-            ["-", "-", "-", "-"].map(String::from)
+            ["-", "-", "-", "-", "-"].map(String::from)
         };
         let mut row = vec![
             threads.to_string(),
@@ -249,7 +259,8 @@ pub fn net() -> Vec<Table> {
     ));
     t3.note("(yielding), so more client threads than CPUs stretch each other's round trips.");
     t3.note("A run of 8 registers travels as one message per replica per phase, and an owned");
-    t3.note("write (cells only this handle writes) skips the query: 1 client only.");
+    t3.note("write (cells only this handle writes) or an agreed write (every write to the cell");
+    t3.note("carries one value) skips the query: 1 client only.");
     vec![t1, t2, t3]
 }
 
@@ -297,8 +308,9 @@ fn round_trip_p50s(
 /// (3.2 and 6.4 when a router thread did); a run of 8 registers costs
 /// what one register costs, one round per phase (a run served cell by
 /// cell would read 8 and 16); and an owned write, one cell or a run of 8,
-/// is the store round alone (a queried write would read 2). Self-
-/// normalising: the p50 over the *configured* mean link round trip.
+/// and an agreed write are the store round alone (a queried write would
+/// read 2). Self-normalising: the p50 over the *configured* mean link
+/// round trip.
 pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     let solo = || by_id(tables, "NETc")?.row_where(&[("client threads", "1")]);
     vec![
@@ -335,6 +347,13 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 "run-of-8 owned write / link rtt <= 1.3",
             )
         }),
+        gate("NETc.agreed_writes_cost_one_round", || {
+            let solo = solo()?;
+            solo.expect(
+                solo.num("agreed write / link rtt")? <= 1.3,
+                "agreed write / link rtt <= 1.3",
+            )
+        }),
     ]
 }
 
@@ -349,11 +368,12 @@ mod tests {
             "NETc",
             "client threads | read / link rtt | write / link rtt \
              | run-of-8 read / link rtt | run-of-8 write / link rtt \
-             | owned write / link rtt | run-of-8 owned write / link rtt",
+             | owned write / link rtt | run-of-8 owned write / link rtt \
+             | agreed write / link rtt",
             &[
-                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03",
-                "2 | 1.05 | 2.10 | - | - | - | -",
-                "4 | 2.40 | 4.90 | - | - | - | -",
+                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02",
+                "2 | 1.05 | 2.10 | - | - | - | - | -",
+                "4 | 2.40 | 4.90 | - | - | - | - | -",
             ],
         )];
         // Every gate reads the one-client row, so a missing row or an
@@ -394,6 +414,17 @@ mod tests {
                         Set(0, "run-of-8 owned write / link rtt", "1.31"),
                         Set(0, "owned write / link rtt", "-"),
                         Set(0, "run-of-8 owned write / link rtt", "-"),
+                        DropRow(0),
+                        Clear,
+                    ],
+                ),
+                (
+                    "NETc.agreed_writes_cost_one_round",
+                    &[
+                        // An agreed write that still ran the query round.
+                        Set(0, "agreed write / link rtt", "2.02"),
+                        Set(0, "agreed write / link rtt", "1.31"),
+                        Set(0, "agreed write / link rtt", "-"),
                         DropRow(0),
                         Clear,
                     ],

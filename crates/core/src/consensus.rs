@@ -79,6 +79,8 @@ pub struct ConsensusSpec {
     /// "should be tuned for each individual machine architecture", so
     /// heterogeneous fleets are the norm, not the exception).
     per_process_delay: Option<Vec<Ticks>>,
+    /// The seeded mutant of [`ConsensusSpec::with_decide_writing_input`].
+    decide_writes_input: bool,
 }
 
 impl ConsensusSpec {
@@ -96,6 +98,7 @@ impl ConsensusSpec {
             base: 0,
             delay_ticks: Self::DEFAULT_DELAY,
             per_process_delay: None,
+            decide_writes_input: false,
         }
     }
 
@@ -120,7 +123,19 @@ impl ConsensusSpec {
         self
     }
 
-    /// The register holding `decide`.
+    /// **A seeded mutant, for the model checker's negative tests only.**
+    /// `decide := v` writes the process's round-1 input instead of its
+    /// current preference, so two processes can write different values to
+    /// `decide`: the register the native form serves with agreed writes.
+    #[doc(hidden)]
+    pub fn with_decide_writing_input(mut self) -> ConsensusSpec {
+        self.decide_writes_input = true;
+        self
+    }
+
+    /// The register holding `decide`. Every write to it carries one value
+    /// (the agreement argument of Theorems 2.2/2.3), which the native form
+    /// relies on when it serves the write as an agreed write.
     pub fn decide_reg(&self) -> RegId {
         RegId(self.base)
     }
@@ -186,7 +201,14 @@ impl Automaton for ConsensusSpec {
             Pc::ReadY => Action::Read(self.y(s.r)),
             Pc::WriteY => Action::Write(self.y(s.r), enc(s.v)),
             Pc::ReadXBar => Action::Read(self.x(s.r, !s.v)),
-            Pc::WriteDecide => Action::Write(self.decide_reg(), enc(s.v)),
+            Pc::WriteDecide => {
+                let v = if self.decide_writes_input {
+                    self.inputs[s.pid.0]
+                } else {
+                    s.v
+                };
+                Action::Write(self.decide_reg(), enc(v))
+            }
             Pc::DelayStep => Action::Delay(self.delay_for(s.pid)),
             Pc::ReadYAdopt => Action::Read(self.y(s.r)),
             Pc::Halted => Action::Halt,
@@ -405,7 +427,9 @@ impl<S: RegisterSpace> NativeConsensus<S> {
             }
             self.trace.emit_current(EventKind::RoundStart { round: r });
             chaos::point(chaos::points::ARRAY_STORE);
-            self.space.write(Self::x_idx(r, v), 1);
+            // `x` holds 0 or 1, and `decide` one value by agreement
+            // (Theorems 2.2/2.3): agreed writes. `y`'s writers differ.
+            self.space.write_agreed(Self::x_idx(r, v), 1);
             chaos::point(chaos::points::ARRAY_LOAD);
             if self.space.read(Self::y_idx(r)) == 0 {
                 chaos::point(chaos::points::ARRAY_STORE);
@@ -414,7 +438,7 @@ impl<S: RegisterSpace> NativeConsensus<S> {
             chaos::point(chaos::points::ARRAY_LOAD);
             if self.space.read(Self::x_idx(r, !v)) == 0 {
                 chaos::point(chaos::points::CONSENSUS_DECIDE);
-                self.space.write(Self::DECIDE, enc(v));
+                self.space.write_agreed(Self::DECIDE, enc(v));
                 continue; // the loop check reads `decide` and returns
             }
             self.trace.emit_current(EventKind::DelayStart {
@@ -453,7 +477,7 @@ impl<S: RegisterSpace> std::fmt::Debug for NativeConsensus<S> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tfr_modelcheck::{Explorer, SafetySpec};
+    use tfr_modelcheck::{Explorer, SafetySpec, Violation};
     use tfr_registers::bank::ArrayBank;
     use tfr_registers::spec::run_solo;
     use tfr_registers::Delta;
@@ -563,6 +587,29 @@ mod tests {
             report.violation
         );
         assert!(report.states_explored > 100);
+    }
+
+    /// The obligation behind the native form's agreed write of `decide`:
+    /// over every interleaving, no state holds two different values
+    /// written or pending at `decide`. A spec that writes its round-1
+    /// input there instead of its preference must fail it.
+    #[test]
+    fn modelcheck_decide_takes_one_value() {
+        let spec = ConsensusSpec::new(vec![false, true]).max_rounds(3);
+        let safety = SafetySpec {
+            agreed_writes: vec![spec.decide_reg()],
+            ..SafetySpec::consensus(vec![0, 1])
+        };
+        let report = Explorer::new(spec.clone(), 2).check(&safety);
+        assert!(report.proven_safe(), "{:?}", report.violation);
+        let report = Explorer::new(spec.with_decide_writing_input(), 2).check(&safety);
+        let cex = report.violation.expect("the mutant writes two values");
+        assert!(
+            matches!(cex.violation, Violation::DisagreeingWrites { reg, values: (a, b) }
+                if reg == RegId(0) && a != b),
+            "{}",
+            cex.violation
+        );
     }
 
     #[test]

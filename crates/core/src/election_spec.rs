@@ -8,9 +8,9 @@
 //! [`crate::universal::MultiConsensus`] runs for every multivalued
 //! decision — it agrees on the winner's pid over the same `W` Algorithm 1
 //! instances and returns the value that pid announced — so a solo
-//! native `propose` makes exactly this automaton's accesses, plus one
-//! read of its own announce register before and the `result` write
-//! after. The native forms ([`crate::derived`], the universal
+//! native `propose_fresh` makes exactly this automaton's accesses, and a
+//! solo `propose` adds one read of its own announce register before
+//! them. The native forms ([`crate::derived`], the universal
 //! construction, the replicated log) inherit the guarantee by
 //! construction; this automaton lets the tools *verify* it over every
 //! interleaving for small configurations.
@@ -23,8 +23,12 @@
 //!    announce array for some announced id matching the decided prefix
 //!    (one exists — the decided bit's proposer announced first) and adopt
 //!    it;
-//! 3. the candidate now equals the decided bit string: emit it as the
-//!    elected leader.
+//! 3. the candidate now equals the decided bit string: write
+//!    `result := candidate + 1` and emit the candidate as the elected
+//!    leader. Every process that writes `result` writes the one elected
+//!    candidate, which is what lets the native form serve the write as an
+//!    agreed write; [`ElectionSpec::result_reg`] names the register for
+//!    the model checker's invariant.
 
 use crate::consensus::ConsensusSpec;
 use crate::universal::pid_bits;
@@ -38,7 +42,8 @@ const INSTANCE_STRIDE: u64 = 3 * ElectionSpec::INNER_ROUNDS + 1;
 /// Wait-free leader election as a register automaton.
 ///
 /// Register layout (from `base`): `announce[j]` at `base + j`; consensus
-/// instance `k` occupies `base + n + k·stride`.
+/// instance `k` occupies `base + n + k·stride`; `result` follows the last
+/// instance, at `base + n + W·stride`.
 #[derive(Debug, Clone)]
 pub struct ElectionSpec {
     n: usize,
@@ -82,6 +87,12 @@ impl ElectionSpec {
         RegId(self.base + j as u64)
     }
 
+    /// The register the elected candidate is published in, `+ 1` (0 =
+    /// none yet).
+    pub fn result_reg(&self) -> RegId {
+        RegId(self.base + self.n as u64 + self.width as u64 * INSTANCE_STRIDE)
+    }
+
     /// The embedded consensus automaton for bit `k`, parameterized by the
     /// proposed bit of each... the inner automaton's `inputs` are
     /// irrelevant here because the wrapper seeds each process's inner
@@ -111,7 +122,9 @@ enum Pc {
     /// announced id matching `prefix` (the decided bits from the top down
     /// through `k`).
     Scan { k: u32, j: usize, prefix: u64 },
-    /// Elected; emit and halt.
+    /// `result := candidate + 1`, then emit the candidate.
+    WriteResult,
+    /// Elected; halted.
     Done,
 }
 
@@ -124,11 +137,11 @@ pub struct ElectionState {
 }
 
 impl ElectionSpec {
-    /// Enters bit instance `k` (or finishes) with the current candidate.
-    fn enter_bit(&self, s: &mut ElectionState, k_next: i64, obs: &mut Vec<Obs>) {
+    /// Enters bit instance `k` (or, past bit 0, the `result` write) with
+    /// the current candidate.
+    fn enter_bit(&self, s: &mut ElectionState, k_next: i64) {
         if k_next < 0 {
-            obs.push(Obs::Decided(s.candidate));
-            s.pc = Pc::Done;
+            s.pc = Pc::WriteResult;
         } else {
             let k = k_next as u32;
             let proposal = (s.candidate >> k) & 1 == 1;
@@ -158,6 +171,7 @@ impl Automaton for ElectionSpec {
                 self.instance(*k, proposal).next_action(inner)
             }
             Pc::Scan { j, .. } => Action::Read(self.announce(*j)),
+            Pc::WriteResult => Action::Write(self.result_reg(), s.candidate + 1),
             Pc::Done => Action::Halt,
         }
     }
@@ -168,7 +182,7 @@ impl Automaton for ElectionSpec {
         let pc = std::mem::replace(&mut s.pc, Pc::Done);
         match pc {
             Pc::Announce => {
-                self.enter_bit(s, self.width as i64 - 1, obs);
+                self.enter_bit(s, self.width as i64 - 1);
             }
             Pc::Bit { k, mut inner } => {
                 let proposal = (s.candidate >> k) & 1 == 1;
@@ -180,7 +194,7 @@ impl Automaton for ElectionSpec {
                         Obs::Decided(b) => {
                             let decided = b == 1;
                             if decided == proposal {
-                                self.enter_bit(s, k as i64 - 1, obs);
+                                self.enter_bit(s, k as i64 - 1);
                             } else {
                                 // Adopt: find an announced id matching the
                                 // decided prefix (bits width-1..=k).
@@ -208,7 +222,7 @@ impl Automaton for ElectionSpec {
                 let matches = raw != 0 && (raw - 1) >> k == prefix;
                 if matches {
                     s.candidate = raw - 1;
-                    self.enter_bit(s, k as i64 - 1, obs);
+                    self.enter_bit(s, k as i64 - 1);
                 } else {
                     // The matching announcement is linearized before the
                     // bit decision (announce precedes propose in program
@@ -217,6 +231,10 @@ impl Automaton for ElectionSpec {
                     let j = if j + 1 >= self.n { 0 } else { j + 1 };
                     s.pc = Pc::Scan { k, j, prefix };
                 }
+            }
+            Pc::WriteResult => {
+                obs.push(Obs::Decided(s.candidate));
+                s.pc = Pc::Done;
             }
             Pc::Done => unreachable!("halted process stepped"),
         }
@@ -288,9 +306,15 @@ mod tests {
     #[test]
     fn modelcheck_two_process_election_exhaustive() {
         // Election for n=2 is one bit instance plus announce/adopt; check
-        // agreement and leader-is-a-participant over ALL interleavings.
+        // agreement and leader-is-a-participant over ALL interleavings,
+        // and that `result` never holds two different values written or
+        // pending (the obligation behind its agreed write).
         let spec = ElectionSpec::new(2, 0, Ticks(100)).inner_rounds(2);
-        let report = Explorer::new(spec, 2).check(&SafetySpec::consensus(vec![0, 1]));
+        let safety = SafetySpec {
+            agreed_writes: vec![spec.result_reg()],
+            ..SafetySpec::consensus(vec![0, 1])
+        };
+        let report = Explorer::new(spec, 2).check(&safety);
         assert!(report.proven_safe(), "{:?}", report.violation);
         assert!(report.states_explored > 50);
     }

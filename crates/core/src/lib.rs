@@ -61,8 +61,9 @@
 //! * [`consensus::ConsensusSpec`] is what E1–E17, E5a and E20 run; its
 //!   solo run makes the native fast path's 7 accesses;
 //! * [`election_spec::ElectionSpec`] is access-for-access the native
-//!   [`universal::MultiConsensus`]'s solo run, and is proven safe at
-//!   n = 2 over every interleaving;
+//!   [`universal::MultiConsensus`]'s solo `propose_fresh`, and is proven
+//!   safe at n = 2 over every interleaving, its `result` register taking
+//!   one value;
 //! * the locks are single-source: Fischer's lock and Algorithm 3 are
 //!   `tfr_asynclock::LockSpec`s, and the native lock is that spec run by
 //!   `tfr_asynclock::native::Derived`;

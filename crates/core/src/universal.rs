@@ -72,8 +72,24 @@
 //! [`RegisterSpace::write_run_owned`], which a quorum backend serves in
 //! one store round with no query phase (the handle's timestamp floor is
 //! above every version those cells ever carried, a crashed incarnation's
-//! stranded store included). Algorithm 1's `x`, `y` and `decide` and the
-//! slot's `result` have many writers and keep the queried write.
+//! stranded store included).
+//!
+//! **Agreed writes.** Algorithm 1's `x` and `decide` and the slot's
+//! `result` have many writers, but every write to one of them carries
+//! one value: `x[r][v] := 1` is a constant, `decide` holds the agreed bit
+//! (Theorems 2.2/2.3) and `result` the common decision. They go out as
+//! [`RegisterSpace::write_agreed`], which a quorum backend also serves in
+//! one store round. Only Algorithm 1's `y`, whose writers propose
+//! different values by design, keeps the queried write.
+//!
+//! **The standing read.** [`MultiConsensus::propose`] reads `pid`'s
+//! announcement first, so that a recovered incarnation re-proposes the
+//! value its predecessor announced. A [`Session`] pays that read only at
+//! its first proposal, and only if it opened with a nonzero arena mark:
+//! a predecessor publishes its record and then its mark before it
+//! proposes, and it leaves a standing announcement at most at the slot
+//! it crashed in, which is the first one a new session can propose at.
+//! Every other proposal goes through [`MultiConsensus::propose_fresh`].
 //!
 //! **Own-batch apply.** When `propose` returns `pack(pid, offset)` for
 //! the record this session has just published at that slot, the session
@@ -118,6 +134,8 @@ pub(crate) fn pid_bits(n: usize) -> u32 {
 /// typically a recovered incarnation re-running a `propose` its
 /// predecessor crashed in — proposes that standing value instead of its
 /// own, and like every caller returns the common decision.
+/// [`MultiConsensus::propose_fresh`] skips the read that finds the
+/// standing value, for callers that know there is none to find.
 ///
 /// # Example
 ///
@@ -207,16 +225,36 @@ impl<S: RegisterSpace> MultiConsensus<S> {
         assert!(value < 1u64 << self.width, "value exceeds width");
         // The first announcement stands: with pid bits, rewriting it would
         // let two processes adopt the same pid with different values.
-        // Only `pid` ever writes its announcement: an owned write.
-        let own = match self.space.read(Self::announce_idx(pid.0)) {
-            0 => {
-                self.space
-                    .write_run_owned(Self::announce_idx(pid.0), 1, &[value + 1]);
-                value
-            }
-            standing => standing - 1,
-        };
+        match self.space.read(Self::announce_idx(pid.0)) {
+            0 => self.propose_fresh(pid, value),
+            standing => self.elect(pid, standing - 1),
+        }
+    }
 
+    /// [`MultiConsensus::propose`] without the read of `pid`'s standing
+    /// announcement, for a caller that knows what it would find: nothing,
+    /// because no earlier call by `pid` reached this object, or `value`
+    /// itself. Announces `value` and returns the common decision. One
+    /// register access fewer than `propose`; the caller's knowledge is
+    /// not checked, and an announcement of another value breaks
+    /// agreement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range or `value` does not fit in `width`
+    /// bits.
+    pub fn propose_fresh(&self, pid: ProcId, value: u64) -> u64 {
+        assert!(pid.0 < self.n, "pid out of range");
+        assert!(value < 1u64 << self.width, "value exceeds width");
+        // Only `pid` ever writes its announcement: an owned write.
+        self.space
+            .write_run_owned(Self::announce_idx(pid.0), 1, &[value + 1]);
+        self.elect(pid, value)
+    }
+
+    /// Runs the pid election for `pid`, which has announced `own`, and
+    /// publishes and returns the common decision.
+    fn elect(&self, pid: ProcId, own: u64) -> u64 {
         let (mut leader, mut candidate) = (pid.0, own);
         for k in (0..self.bits.len() as u32).rev() {
             let my_bit = (leader >> k) & 1 == 1;
@@ -225,7 +263,8 @@ impl<S: RegisterSpace> MultiConsensus<S> {
                 (leader, candidate) = self.adopt(leader, k, decided);
             }
         }
-        self.space.write(Self::result_idx(), candidate + 1);
+        // Every writer of `result` writes the common decision.
+        self.space.write_agreed(Self::result_idx(), candidate + 1);
         candidate
     }
 
@@ -563,6 +602,7 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
             done: vec![0; self.n],
             announced: own[0],
             arena_mark: own[1],
+            standing: own[1] != 0,
             own_payloads: Vec::new(),
             responses: Vec::new(),
             commits: Vec::new(),
@@ -680,6 +720,10 @@ pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     announced: u64,
     /// Own arena high-water mark (mirrors the register).
     arena_mark: u64,
+    /// Whether the next proposal may find a standing announcement of a
+    /// predecessor incarnation, and so must read it: until this session's
+    /// first proposal, if it opened with a nonzero arena mark.
+    standing: bool,
     /// The payload registers' values (+1) of the own ops this session
     /// announced and has not yet applied: sequence numbers
     /// `announced − len .. announced`. Own ops below that range were
@@ -779,7 +823,12 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
                     let _consensus = Span::enter(&self.uni.trace, "consensus");
                     let offset = self.publish_batch(s);
                     let proposal = Universal::<T, S>::pack(self.pid.0, offset);
-                    let decided = self.uni.slots[s].propose(self.pid, proposal);
+                    let slot = &self.uni.slots[s];
+                    let decided = if std::mem::take(&mut self.standing) {
+                        slot.propose(self.pid, proposal)
+                    } else {
+                        slot.propose_fresh(self.pid, proposal)
+                    };
                     // Equal only if this very record won: a predecessor
                     // incarnation's standing proposal names an offset
                     // below the mark this session started from.
@@ -1109,7 +1158,7 @@ mod tests {
     }
 
     /// A register as the election construction names it.
-    #[derive(Debug, PartialEq, Eq)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     enum Loc {
         Result,
         Announce(u64),
@@ -1135,9 +1184,11 @@ mod tests {
 
     /// Locates an [`ElectionSpec`] index (layout on the spec).
     fn spec_loc(n: u64, index: u64) -> Loc {
+        let w = pid_bits(n as usize) as u64;
         let stride = 3 * ElectionSpec::INNER_ROUNDS + 1;
         match index {
             i if i < n => Loc::Announce(i),
+            i if i == n + w * stride => Loc::Result,
             i => Loc::Bit {
                 k: (i - n) / stride,
                 reg: (i - n) % stride,
@@ -1165,27 +1216,39 @@ mod tests {
     fn solo_native_run_is_the_election_spec_run() {
         for n in [1usize, 2, 3, 5] {
             for pid in [0, n - 1] {
-                let space = Arc::new(Taped::default());
-                let mc = MultiConsensus::on(Arc::clone(&space), n, 8, D);
-                assert_eq!(mc.propose(ProcId(pid), 200), 200);
                 let mut bank = Taped::default();
                 let spec = ElectionSpec::new(n, 0, Ticks(100));
                 let run = run_solo(&spec, ProcId(pid), &mut bank, 500);
                 assert_eq!(run.decision(), Some(pid as u64));
                 assert_eq!(run.delays, 0);
-
-                let n = n as u64;
-                let got: Vec<_> = space
+                let spec_tape: Vec<_> = bank
                     .tape()
                     .into_iter()
-                    .map(|(w, i)| (w, native_loc(n, i)))
+                    .map(|(w, i)| (w, spec_loc(n as u64, i)))
                     .collect();
-                // The native run adds only the standing-announcement read
-                // before and the `result` write after.
-                let mut want = vec![(false, Loc::Announce(pid as u64))];
-                want.extend(bank.tape().into_iter().map(|(w, i)| (w, spec_loc(n, i))));
-                want.push((true, Loc::Result));
-                assert_eq!(got, want, "n={n} pid={pid}");
+
+                for fresh in [true, false] {
+                    let space = Arc::new(Taped::default());
+                    let mc = MultiConsensus::on(Arc::clone(&space), n, 8, D);
+                    let decided = if fresh {
+                        mc.propose_fresh(ProcId(pid), 200)
+                    } else {
+                        mc.propose(ProcId(pid), 200)
+                    };
+                    assert_eq!(decided, 200);
+                    let got: Vec<_> = space
+                        .tape()
+                        .into_iter()
+                        .map(|(w, i)| (w, native_loc(n as u64, i)))
+                        .collect();
+                    // `propose` adds only the standing-announcement read.
+                    let mut want = Vec::new();
+                    if !fresh {
+                        want.push((false, Loc::Announce(pid as u64)));
+                    }
+                    want.extend(spec_tape.iter().cloned());
+                    assert_eq!(got, want, "n={n} pid={pid} fresh={fresh}");
+                }
             }
         }
     }
@@ -1601,8 +1664,7 @@ mod tests {
             (false, slot(0)),     // slot s undecided
             (true, arena(0)),     // record length
             (true, announce(1)),  // arena mark
-            (false, slot(1)),     // standing announcement
-            (true, slot(1)),      // announce
+            (true, slot(1)),      // announce (no standing read: mark 0)
             (false, decide),      // Algorithm 1's solo fast path, v = 0
             (true, x1_false),
             (false, y1),
@@ -1699,32 +1761,59 @@ mod tests {
         }
     }
 
-    /// Over a three-replica quorum network whose links all take 20 µs —
-    /// every round reaches every replica, so no read needs a write-back —
-    /// one solo decision at n = 1 opens exactly 19 quorum rounds, whatever
-    /// the batch size: 6 reads of one round, 5 owned writes of one (the
+    /// A three-replica quorum network whose links all take 20 µs: every
+    /// round reaches every replica, so no read needs a write-back.
+    fn lockstep_net() -> Arc<tfr_net::Network> {
+        let mut cfg = tfr_net::NetConfig::new(1, 3, 0x27);
+        cfg.min_delay = Duration::from_micros(20);
+        cfg.max_delay = cfg.min_delay;
+        Arc::new(tfr_net::Network::new(cfg))
+    }
+
+    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 15
+    /// quorum rounds, whatever the batch size: 5 reads of one round (the
+    /// slot's decision, Algorithm 1's 4), 5 owned writes of one (the
     /// payloads, the counter, the record, the mark, the slot's
-    /// announcement) and 4 queried writes of two (Algorithm 1's `x`, `y`
-    /// and `decide`, and `result`). With every write queried and the
-    /// winner reading its own batch back it opened 27; before register
-    /// runs, 6k + 23 (29, 71 and 407 rounds for k = 1, 8, 64).
+    /// announcement), 3 agreed writes of one (Algorithm 1's `x` and
+    /// `decide`, and `result`) and 1 queried write of two (Algorithm 1's
+    /// `y`). With those three writes queried and the standing read it
+    /// opened 19; with every write queried and the winner reading its own
+    /// batch back, 27; before register runs, 6k + 23 (29, 71 and 407
+    /// rounds for k = 1, 8, 64).
     #[test]
-    fn a_solo_decision_costs_19_quorum_rounds_at_any_batch_size() {
-        use tfr_net::{NetConfig, Network};
+    fn a_solo_decision_costs_15_quorum_rounds_at_any_batch_size() {
         for k in [1usize, 8, 64] {
-            let mut cfg = NetConfig::new(1, 3, 0x27);
-            cfg.min_delay = Duration::from_micros(20);
-            cfg.max_delay = cfg.min_delay;
-            let net = Arc::new(Network::new(cfg));
+            let net = lockstep_net();
             let control = net.control();
             let obj = Universal::on(Arc::new(net.space()), Counter, 1, 4, D);
             let mut session = obj.session(ProcId(0));
             let before = control.quorum_rounds();
             session.announce_burst(&vec![1; k]);
             session.drive_pending();
-            assert_eq!(control.quorum_rounds() - before, 19, "k={k}");
+            assert_eq!(control.quorum_rounds() - before, 15, "k={k}");
             assert_eq!(session.take_responses().len(), k);
         }
+    }
+
+    /// A session that opens after a predecessor proposed (a nonzero arena
+    /// mark) reads its standing announcement at its first proposal only:
+    /// once it has replayed the predecessor's slot, its first decision
+    /// opens 16 rounds over [`lockstep_net`], its next 15.
+    #[test]
+    fn a_recovered_session_reads_its_standing_announcement_once() {
+        let net = lockstep_net();
+        let control = net.control();
+        let obj = Universal::on(Arc::new(net.space()), Counter, 1, 4, D);
+        obj.invoke(ProcId(0), 1);
+        let mut session = obj.session(ProcId(0));
+        session.catch_up(); // slot 0, the predecessor's, read back
+        for want in [16, 15] {
+            let before = control.quorum_rounds();
+            session.announce(1);
+            session.drive_pending();
+            assert_eq!(control.quorum_rounds() - before, want);
+        }
+        assert_eq!(obj.snapshot(), 3);
     }
 
     #[test]

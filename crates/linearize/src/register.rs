@@ -211,6 +211,12 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
             inner.write_run_owned(base, stride, values)
         })
     }
+
+    /// Forwarded as an agreed write and recorded like `write`: the
+    /// checker sees the one-round agreed path.
+    fn write_agreed(&self, index: u64, value: u64) {
+        self.record_write_run(index, 1, &[value], |inner| inner.write_agreed(index, value))
+    }
 }
 
 #[cfg(test)]
@@ -417,6 +423,116 @@ mod tests {
         let report = check_history(&history, &RegisterModel)
             .expect("owned write runs must linearize per register");
         assert_eq!(report.objects.len(), 8, "cells 0..8 all checked");
+    }
+
+    /// Agreed writes — every write to a cell carries one value — from two
+    /// clients' handles, racing on the same cells, on 5 replicas under
+    /// 30 % message drops and, half way through, a partition cutting off
+    /// two replicas. At step `k` both clients write cell `k` with value
+    /// `100 + k`, each through its own handle with versions from its own
+    /// floor, then read the run of the 8 cells up to `k`. Every cell must
+    /// linearize as an atomic register.
+    #[test]
+    fn agreed_writes_from_two_handles_linearize_under_drops_and_a_minority_cut() {
+        const STEPS: u64 = 40;
+        let mut cfg = NetConfig::new(2, 5, 0xA6EED);
+        cfg.retransmit = std::time::Duration::from_micros(200);
+        let net = Arc::new(Network::new(cfg));
+        let control = net.control();
+        control.set_drop(0.3);
+        let rec = Arc::new(Recorder::with_capacity(2, 2 * 9 * STEPS as usize));
+        let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&rec)));
+        std::thread::scope(|s| {
+            for (t, space) in spaces.iter().enumerate() {
+                let control = &control;
+                s.spawn(move || {
+                    with_pid(ProcId(t), || {
+                        let mut read = [0; 8];
+                        for k in 0..STEPS {
+                            if t == 0 && k == STEPS / 2 {
+                                control.partition_minority(2);
+                            }
+                            space.write_agreed(k, 100 + k);
+                            space.read_run((k + 1).saturating_sub(8), 1, &mut read);
+                        }
+                    })
+                });
+            }
+        });
+        control.heal();
+        assert_eq!(rec.dropped(), 0, "history buffers overflowed");
+        let history = rec.history();
+        assert_eq!(history.len(), 2 * STEPS as usize * 9);
+        let report = check_history(&history, &RegisterModel)
+            .expect("agreed writes must linearize per register");
+        assert_eq!(
+            report.objects.len(),
+            STEPS as usize,
+            "cells 0..40 all checked"
+        );
+    }
+
+    /// The seeded store-only mutant serves every write as the store round
+    /// alone, stamped from its handle's own floor, and two handles writing
+    /// *different* values to one cell through it must be rejected, under
+    /// the faults of the test above. Client 0 writes the cell twice per
+    /// step and client 1 once, taking turns, each then reading it: client
+    /// 0's floor runs ahead, so client 1's write carries the lower version
+    /// and vanishes, and its read returns client 0's older value. The
+    /// correct handles run the same script and must check clean.
+    #[test]
+    fn the_store_only_write_mutant_is_rejected() {
+        const STEPS: u64 = 20;
+        let script = |mutant: bool| {
+            let mut cfg = NetConfig::new(2, 5, 0x5704E);
+            cfg.retransmit = std::time::Duration::from_micros(200);
+            let net = Arc::new(Network::new(cfg));
+            let control = net.control();
+            control.set_drop(0.3);
+            let rec = Arc::new(Recorder::new(2));
+            let handle = || {
+                let space = net.space();
+                let space = if mutant {
+                    space.with_store_only_writes()
+                } else {
+                    space
+                };
+                RecordingSpace::new(space, Arc::clone(&rec))
+            };
+            let spaces = [handle(), handle()];
+            let turn = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for (t, space) in spaces.iter().enumerate() {
+                    let (control, turn) = (&control, &turn);
+                    s.spawn(move || {
+                        with_pid(ProcId(t), || {
+                            for k in 0..STEPS {
+                                if t == 0 && k == STEPS / 2 {
+                                    control.partition_minority(2);
+                                }
+                                // Client 0's turn, then client 1's.
+                                for writer in 0..2 {
+                                    if t == writer {
+                                        for w in 0..2 - t as u64 {
+                                            space.write(0, (t as u64 + 1) * 1_000 + 10 * k + w);
+                                        }
+                                        let _ = space.read(0);
+                                    }
+                                    turn.wait();
+                                }
+                            }
+                        })
+                    });
+                }
+            });
+            control.heal();
+            assert_eq!(rec.dropped(), 0, "history buffers overflowed");
+            rec.history()
+        };
+        check_history(&script(false), &RegisterModel).expect("queried writes linearize");
+        let err = check_history(&script(true), &RegisterModel)
+            .expect_err("the store-only mutant must be rejected");
+        assert_eq!(err.obj, 0);
     }
 
     /// The seeded mutant forgets its handle's timestamp floor between

@@ -262,7 +262,9 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     }
 
     /// Proposes `pid` at `height`; blocks until the height decides and
-    /// returns the winner.
+    /// returns the winner. The proposal skips the standing-announcement
+    /// read: the value is always `pid` itself, so an announcement a
+    /// predecessor incarnation left at this height holds the same value.
     ///
     /// # Panics
     ///
@@ -272,7 +274,7 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
             .slots
             .get(height as usize)
             .unwrap_or_else(|| panic!("log height capacity ({}) exceeded", self.cfg.heights));
-        slot.propose(pid, pid.0 as u64) as usize
+        slot.propose_fresh(pid, pid.0 as u64) as usize
     }
 
     /// Reads the committed batch at a *decided* height.

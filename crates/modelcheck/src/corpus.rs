@@ -242,8 +242,7 @@ pub fn generate(seed: u64) -> CorpusCase {
         emissions.push((below(len as u64) as usize, Emission::Decide(decide)));
         SafetySpec {
             agreement: true,
-            validity: None,
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         }
     };
 

@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::fmt;
 use tfr_registers::bank::{MapBank, RegisterBank};
 use tfr_registers::spec::{Action, Automaton, Obs, Symmetric};
-use tfr_registers::ProcId;
+use tfr_registers::{ProcId, RegId};
 
 pub mod corpus;
 mod dpor;
@@ -86,6 +86,13 @@ pub struct SafetySpec {
     pub validity: Option<Vec<u64>>,
     /// Mutual exclusion: no two processes in the critical section at once.
     pub mutual_exclusion: bool,
+    /// Agreed registers: every write each of them ever receives carries
+    /// one value. A state in which such a register's nonzero value and
+    /// the processes' pending writes to it hold two different values is a
+    /// violation, so two disagreeing writes are caught before the second
+    /// one lands. This is the obligation behind serving a register with
+    /// agreed writes (`RegisterSpace::write_agreed`).
+    pub agreed_writes: Vec<RegId>,
 }
 
 impl SafetySpec {
@@ -94,16 +101,15 @@ impl SafetySpec {
         SafetySpec {
             agreement: true,
             validity: Some(inputs),
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         }
     }
 
     /// Mutual exclusion only.
     pub fn mutex() -> SafetySpec {
         SafetySpec {
-            agreement: false,
-            validity: None,
             mutual_exclusion: true,
+            ..SafetySpec::default()
         }
     }
 }
@@ -130,6 +136,15 @@ pub enum Violation {
         /// The two offending processes.
         pids: (ProcId, ProcId),
     },
+    /// An agreed register's value and a pending write to it, or two
+    /// pending writes to it, disagree.
+    DisagreeingWrites {
+        /// The agreed register.
+        reg: RegId,
+        /// The two values: the register's (or the first pending write's),
+        /// then the disagreeing pending write's.
+        values: (u64, u64),
+    },
 }
 
 impl fmt::Display for Violation {
@@ -150,6 +165,13 @@ impl fmt::Display for Violation {
                     f,
                     "mutual exclusion violated: {} and {} in CS",
                     pids.0, pids.1
+                )
+            }
+            Violation::DisagreeingWrites { reg, values } => {
+                write!(
+                    f,
+                    "disagreeing writes to agreed register {}: {} and {}",
+                    reg.0, values.0, values.1
                 )
             }
         }
@@ -361,8 +383,39 @@ impl<S> Global<S> {
         };
         obs_buf.clear();
         automaton.apply(&mut self.procs[pid], observed, obs_buf);
-        let violation = self.monitor.observe(ProcId(pid), obs_buf, spec);
+        let violation = self
+            .monitor
+            .observe(ProcId(pid), obs_buf, spec)
+            .or_else(|| self.disagreeing_writes(automaton, spec));
         (action, violation)
+    }
+
+    /// The first [agreed register](SafetySpec::agreed_writes) whose
+    /// nonzero value and pending writes hold two different values.
+    fn disagreeing_writes<A: Automaton<State = S>>(
+        &self,
+        automaton: &A,
+        spec: &SafetySpec,
+    ) -> Option<Violation> {
+        for &reg in &spec.agreed_writes {
+            let mut first = Some(self.bank.read(reg)).filter(|&v| v != 0);
+            for s in &self.procs {
+                let Action::Write(r, v) = automaton.next_action(s) else {
+                    continue;
+                };
+                match first {
+                    Some(w) if r == reg && w != v => {
+                        return Some(Violation::DisagreeingWrites {
+                            reg,
+                            values: (w, v),
+                        })
+                    }
+                    _ if r == reg => first = Some(v),
+                    _ => {}
+                }
+            }
+        }
+        None
     }
 }
 
@@ -744,8 +797,7 @@ mod tests {
     fn racy_adopt_first_disagreement_found() {
         let report = Explorer::new(AdoptFirst { inputs: vec![3, 7] }, 2).check(&SafetySpec {
             agreement: true,
-            validity: None,
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         });
         let cex = report
             .violation
@@ -877,8 +929,7 @@ mod tests {
     fn counterexample_replays_to_the_identical_violation_twice() {
         let spec = SafetySpec {
             agreement: true,
-            validity: None,
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         };
         // Exploration itself is deterministic: two runs, one counterexample.
         let c1 = Explorer::new(AdoptFirst { inputs: vec![3, 7] }, 2)
@@ -905,8 +956,7 @@ mod tests {
     fn replay_of_a_clean_prefix_finds_nothing() {
         let spec = SafetySpec {
             agreement: true,
-            validity: None,
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         };
         let cex = Explorer::new(AdoptFirst { inputs: vec![3, 7] }, 2)
             .check(&spec)
@@ -937,8 +987,7 @@ mod tests {
         let automaton = AdoptFirst { inputs: vec![3, 7] };
         let report = Explorer::new(AdoptFirst { inputs: vec![3, 7] }, 2).check(&SafetySpec {
             agreement: true,
-            validity: None,
-            mutual_exclusion: false,
+            ..SafetySpec::default()
         });
         let cex = report.violation.unwrap();
 

@@ -17,7 +17,8 @@
 //! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`] /
 //! [`RegisterSpace::write_run_owned`]), and a run costs the rounds of one
 //! register: one message per replica per phase. A single-cell `read` /
-//! `write` is a run of one — there is one code path per operation.
+//! `write` / `write_agreed` is a run of one — there is one code path per
+//! operation.
 //!
 //! * **write run** — round 1 queries a majority for every cell's highest
 //!   version; the writer picks *one* fresh timestamp above everything it
@@ -38,6 +39,16 @@
 //!   debug builds the replicas check it, pinning an owned cell to the
 //!   `wid` of its first owned store and panicking on any store that
 //!   carries another.
+//! * **agreed write** ([`RegisterSpace::write_agreed`]) — the store round
+//!   alone too, stamped `reserve_ts(0)`, from any handle. The caller
+//!   promises that every write the cell ever receives carries this one
+//!   value. Round 1 exists to order a write after other writers' values;
+//!   an agreed cell has no other value, so *any* version above
+//!   [`Version::ZERO`] is correct, and versions from different handles
+//!   may land in any order. A reader's query returns 0 (no write yet on
+//!   the majority it asked) or the value, and its write-back is
+//!   unchanged. In debug builds a replica panics on an agreed store whose
+//!   value differs from the nonzero value it holds.
 //! * **read run** — round 1 queries a majority and takes each cell's
 //!   maximum `(ts, wid)` answer; round 2 writes *back* to a majority the
 //!   cells whose maximum some majority member might miss — decided per
@@ -60,7 +71,7 @@
 //! Δ-tuned algorithms keep their *own* guarantees even when "shared
 //! memory" is a lossy network.
 
-use crate::msg::{Message, NodeId, Payload, Run, Version, Versioned};
+use crate::msg::{Message, NodeId, Payload, Run, StoreKind, Version, Versioned};
 use crate::net::{wait_until, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,9 +85,10 @@ use tfr_telemetry::{current_pid, current_span_id, EventKind, Span};
 /// carries its own unique writer id.
 ///
 /// Handles are cheap (an [`Arc`], the writer id, the timestamp floor and
-/// a mutant flag) and `Send + Sync`; a single handle shared by several
+/// two mutant flags) and `Send + Sync`; a single handle shared by several
 /// threads is safe but serializes nothing — each operation is its own
-/// quorum round. Cells written with owned writes must be written through
+/// quorum round. Agreed writes may come through any handle. Cells written
+/// with owned writes must be written through
 /// one handle for the life of the data, so an object that owns cells
 /// (`tfr_core::universal::Universal`) keeps one shared handle for all its
 /// sessions.
@@ -90,6 +102,8 @@ pub struct QuorumSpace {
     issued: AtomicU64,
     /// The seeded mutant of [`QuorumSpace::with_first_cell_write_back`].
     first_cell_write_back: bool,
+    /// The seeded mutant of [`QuorumSpace::with_store_only_writes`].
+    store_only_writes: bool,
 }
 
 impl QuorumSpace {
@@ -100,6 +114,7 @@ impl QuorumSpace {
             wid,
             issued: AtomicU64::new(0),
             first_cell_write_back: false,
+            store_only_writes: false,
         }
     }
 
@@ -112,6 +127,19 @@ impl QuorumSpace {
     #[doc(hidden)]
     pub fn with_first_cell_write_back(mut self) -> QuorumSpace {
         self.first_cell_write_back = true;
+        self
+    }
+
+    /// **A seeded mutant, for the linearizability oracle's negative
+    /// tests only.** The handle serves *every* write as an agreed write
+    /// would, the store round alone stamped one past its own floor, but
+    /// its stores stay queried, so the debug replica check of agreed
+    /// stores does not see them. Two handles writing different values to
+    /// one cell then order by their private floors, not by real time: the
+    /// later write can carry the lower version and vanish.
+    #[doc(hidden)]
+    pub fn with_store_only_writes(mut self) -> QuorumSpace {
+        self.store_only_writes = true;
         self
     }
 
@@ -270,7 +298,7 @@ impl QuorumSpace {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
             let write_back = Payload::WriteReq {
                 cells,
-                owned: false,
+                kind: StoreKind::Queried,
             };
             self.quorum_round(client, write_back);
         }
@@ -302,8 +330,8 @@ impl QuorumSpace {
     }
 
     /// Reserves a fresh timestamp: strictly above `floor` (the highest
-    /// version a query phase observed, or 0 for an owned write) and above
-    /// every timestamp this handle previously issued.
+    /// version a query phase observed, or 0 for an owned or agreed write)
+    /// and above every timestamp this handle previously issued.
     fn reserve_ts(&self, floor: u64) -> u64 {
         let mut cur = self.issued.load(Ordering::SeqCst);
         loop {
@@ -341,20 +369,28 @@ impl RegisterSpace for QuorumSpace {
     /// One query round and one store round for the whole run, every cell
     /// stamped with one fresh version.
     fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
-        self.store_run(base, stride, values, false)
+        self.store_run(base, stride, values, StoreKind::Queried)
     }
 
     /// One store round for the whole run, every cell stamped one past the
     /// handle's timestamp floor (see the module docs for why that is
     /// enough when the cells are owned).
     fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
-        self.store_run(base, stride, values, true)
+        self.store_run(base, stride, values, StoreKind::Owned)
+    }
+
+    /// One store round, stamped one past the handle's timestamp floor
+    /// (see the module docs for why any version will do when every write
+    /// to the cell carries `value`).
+    fn write_agreed(&self, index: u64, value: u64) {
+        self.store_run(index, 1, &[value], StoreKind::Agreed)
     }
 }
 
 impl QuorumSpace {
-    /// A write run: the query round unless `owned`, then the store round.
-    fn store_run(&self, base: u64, stride: u64, values: &[u64], owned: bool) {
+    /// A write run: the query round for a queried write, then the store
+    /// round.
+    fn store_run(&self, base: u64, stride: u64, values: &[u64], kind: StoreKind) {
         if values.is_empty() {
             return;
         }
@@ -369,9 +405,11 @@ impl QuorumSpace {
         let client = self.client();
         // Phase 1, queried writes only: learn the highest timestamp a
         // majority has seen in any cell of the run. An owned cell's
-        // versions are all this handle's, so its floor already covers them.
+        // versions are all this handle's, so its floor already covers
+        // them; an agreed cell's versions all carry this value, so any
+        // version will do.
         let mut max_ts = 0;
-        if !owned {
+        if kind == StoreKind::Queried && !self.store_only_writes {
             let acks = {
                 let _phase = Span::enter(&shared.trace, "quorum.phase1");
                 self.quorum_round(client, Payload::ReadReq { run })
@@ -398,7 +436,7 @@ impl QuorumSpace {
         {
             let _phase = Span::enter(&shared.trace, "quorum.phase2");
             let cells = Arc::clone(&cells);
-            self.quorum_round(client, Payload::WriteReq { cells, owned });
+            self.quorum_round(client, Payload::WriteReq { cells, kind });
         }
         drop(op_span);
         self.emit_versions(cells.iter().copied());

@@ -61,7 +61,7 @@ pub mod msg;
 pub mod net;
 
 pub use abd::QuorumSpace;
-pub use msg::{Message, NodeId, Payload, Run, Version, Versioned};
+pub use msg::{Message, NodeId, Payload, Run, StoreKind, Version, Versioned};
 pub use net::{NetConfig, NetControl, Network};
 
 #[cfg(test)]

@@ -5,15 +5,15 @@
 //! ([`Payload::ReadReq`]) names a [`Run`] (`base + i·stride`) and its
 //! answer ([`Payload::ReadAck`]) carries one versioned value per cell; a
 //! store ([`Payload::WriteReq`]) carries any set of `(register, versioned
-//! value)` cells — flagged when it is an owned write's — and its
-//! acknowledgement ([`Payload::WriteAck`]) confirms them all. A
+//! value)` cells — with the [`StoreKind`] of the write that sent it — and
+//! its acknowledgement ([`Payload::WriteAck`]) confirms them all. A
 //! single-register operation is a run of one. Replicas apply a message
 //! cell by cell with the same per-register `version >` rule, so a run is
 //! a batch of independent registers that share one message, never a
 //! multi-register transaction. Every phase of every operation — the two
-//! of a read or a queried write, the one store of an owned write — is
-//! one of the same two round trips; the client side decides what the
-//! answers mean.
+//! of a read or a queried write, the one store of an owned or an agreed
+//! write — is one of the same two round trips; the client side decides
+//! what the answers mean.
 
 use std::fmt;
 use std::sync::Arc;
@@ -96,6 +96,23 @@ impl Run {
     }
 }
 
+/// Which write sent a [`Payload::WriteReq`]: what its writer promised
+/// about the cells, and so which phase it could skip. Replicas apply every
+/// kind alike; debug builds check the promise (see `net`'s
+/// `check_store`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreKind {
+    /// A queried write's store, or a read's write-back: no promise.
+    Queried,
+    /// An owned write's store: every cell is owned by the writer's
+    /// handle, so no other writer id may ever store to it.
+    Owned,
+    /// An agreed write's store: every write the cell ever receives
+    /// carries this value, so a replica holding a nonzero value holds
+    /// this one.
+    Agreed,
+}
+
 /// What a message says.
 ///
 /// Requests are shared by every replica they are sent to (and by their
@@ -121,10 +138,10 @@ pub enum Payload {
     WriteReq {
         /// The written registers and their versioned values.
         cells: Arc<[(u64, Versioned)]>,
-        /// An owned write's store: the writer declares every cell owned by
-        /// its handle, so no other writer id may ever store to them.
-        /// Replicas apply it like any store; debug builds check the claim.
-        owned: bool,
+        /// The write that sent the store: queried (or a write-back),
+        /// owned or agreed. Replicas apply every kind alike; debug builds
+        /// check an owned or agreed writer's promise.
+        kind: StoreKind,
     },
     /// Replica → client: a [`Payload::WriteReq`] was applied (each cell
     /// stored or superseded by a newer version, which is just as good).
@@ -207,7 +224,7 @@ mod tests {
         let cells: Arc<[(u64, Versioned)]> = Arc::new([(9, Versioned::ZERO), (2, Versioned::ZERO)]);
         let store = Payload::WriteReq {
             cells,
-            owned: false,
+            kind: StoreKind::Queried,
         };
         assert_eq!(store.reg(), 9);
         assert_eq!(Payload::WriteAck { reg: 3 }.reg(), 3);

@@ -191,7 +191,7 @@ struct RouterState {
     /// One register table per replica.
     tables: Vec<HashMap<u64, Versioned>>,
     /// Debug builds, per replica: the writer id each owned cell is pinned
-    /// to (see [`check_owner`]).
+    /// to (see [`check_store`]).
     #[cfg(debug_assertions)]
     owners: Vec<HashMap<u64, u64>>,
     /// Ack mailbox `(replica, ack)` of every open quorum round, by `rid`.
@@ -304,7 +304,7 @@ impl Shared {
                         },
                     );
                     #[cfg(debug_assertions)]
-                    check_owner(&mut st.owners[r], &msg.payload);
+                    check_store(&mut st.owners[r], &st.tables[r], &msg.payload);
                     let ack = replica_apply(&mut st.tables[r], msg.payload);
                     let reply = Message {
                         from: msg.to,
@@ -523,24 +523,40 @@ fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Paylo
     }
 }
 
-/// The debug check of the owned-write contract, at one replica: an owned
-/// store pins each of its cells to its writer id the first time the
-/// replica sees the cell owned, and any later store to a pinned cell —
-/// owned, queried or a read's write-back — must carry that writer id.
-/// Another id means a second handle wrote a cell the first declared its
-/// own, the one misuse under which skipping the query phase is unsafe.
+/// The debug check of the owned- and agreed-write contracts, at one
+/// replica, before it applies a store. These are the two misuses under
+/// which skipping the query phase is unsafe.
+///
+/// * **Owned.** An owned store pins each of its cells to its writer id
+///   the first time the replica sees the cell owned. Any later store to a
+///   pinned cell — owned, queried or a read's write-back — must carry
+///   that writer id. Another id means a second handle wrote a cell the
+///   first declared its own.
+/// * **Agreed.** An agreed store's value must equal the nonzero value
+///   the replica holds for the cell, if it holds one. Another value means
+///   two writers of an agreed cell disagreed.
 ///
 /// # Panics
 ///
-/// Panics on that misuse.
+/// Panics on either misuse.
 #[cfg(debug_assertions)]
-fn check_owner(owners: &mut HashMap<u64, u64>, payload: &Payload) {
-    let Payload::WriteReq { cells, owned } = payload else {
+fn check_store(owners: &mut HashMap<u64, u64>, table: &HashMap<u64, Versioned>, payload: &Payload) {
+    use crate::msg::StoreKind;
+    let Payload::WriteReq { cells, kind } = payload else {
         return;
     };
     for &(reg, data) in cells.iter() {
+        if *kind == StoreKind::Agreed {
+            let held = table.get(&reg).map_or(0, |cur| cur.value);
+            assert!(
+                held == 0 || held == data.value,
+                "register {reg} holds {held}, but an agreed store carries {}: \
+                 every write to an agreed cell must carry one value",
+                data.value
+            );
+        }
         let wid = data.version.wid;
-        let owner = if *owned {
+        let owner = if *kind == StoreKind::Owned {
             *owners.entry(reg).or_insert(wid)
         } else {
             match owners.get(&reg) {

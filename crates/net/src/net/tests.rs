@@ -2,7 +2,7 @@
 //! a model, link-fate determinism, cross-pumping, and the sleep invariant.
 
 use super::*;
-use crate::msg::{Run, Version};
+use crate::msg::{Run, StoreKind, Version};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tfr_registers::space::RegisterSpace;
@@ -31,7 +31,7 @@ fn replica_apply_is_monotone_and_idempotent() {
     };
     let store = |cells: &[(u64, Versioned)]| Payload::WriteReq {
         cells: cells.into(),
-        owned: false,
+        kind: StoreKind::Queried,
     };
     replica_apply(&mut t, store(&[(0, v2), (1, v1)]));
     // A late, stale write must not regress a register, and is applied
@@ -189,7 +189,7 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
         },
         Payload::WriteReq {
             cells: [(5, data)].into(),
-            owned: false,
+            kind: StoreKind::Queried,
         },
     ] {
         let rid = sh.open_round();
@@ -561,6 +561,47 @@ fn a_foreign_queried_store_to_an_owned_cell_panics() {
     let (owner, intruder) = (net.space(), net.space());
     owner.write_run_owned(4, 1, &[1]);
     intruder.write(4, 2);
+}
+
+/// An agreed write is one store round from any handle, and a later
+/// handle's agreed write may carry a lower version than an earlier one's:
+/// every version of the cell holds the one value, so readers see it
+/// either way.
+#[test]
+fn an_agreed_write_is_one_store_round_from_any_handle() {
+    let net = lockstep_net(1);
+    let control = net.control();
+    let (first, second) = (net.space(), net.space());
+    for k in 0..3 {
+        first.write(100 + k, 1); // lift the first handle's floor
+    }
+    let rounds = |f: &mut dyn FnMut()| {
+        let before = control.quorum_rounds();
+        f();
+        control.quorum_rounds() - before
+    };
+    assert_eq!(rounds(&mut || first.write_agreed(9, 7)), 1);
+    let after_first = first.read_versioned(9);
+    assert_eq!(rounds(&mut || second.write_agreed(9, 7)), 1);
+    let after_second = second.read_versioned(9);
+    assert_eq!((after_first.value, after_second.value), (7, 7));
+    assert_eq!(
+        after_second, after_first,
+        "the second handle's version ({}) is below the first's and lost",
+        after_second.version
+    );
+}
+
+/// Debug builds check the agreed-write contract at the replicas: an
+/// agreed store whose value differs from the one a replica holds panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "every write to an agreed cell must carry one value")]
+fn a_disagreeing_agreed_store_panics() {
+    let net = lockstep_net(1);
+    let (a, b) = (net.space(), net.space());
+    a.write_agreed(4, 1);
+    b.write_agreed(4, 2);
 }
 
 /// A read run writes back exactly the cells a majority might miss. Cell 0

@@ -208,6 +208,12 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
         self.count_run_write(base, stride, values.len());
         self.inner.write_run_owned(base, stride, values)
     }
+
+    /// Forwarded as an agreed write; counted and dirty-marked.
+    fn write_agreed(&self, index: u64, value: u64) {
+        self.count_run_write(index, 1, 1);
+        self.inner.write_agreed(index, value)
+    }
 }
 
 /// Per-process incarnation (epoch) counters in persistent registers.

@@ -63,6 +63,20 @@ use std::sync::Arc;
 /// backend whose multi-writer write must first learn what other writers
 /// did (the quorum space's query phase) may skip that step for a cell
 /// with one writer.
+///
+/// # Agreed writes
+///
+/// [`RegisterSpace::write_agreed`] is a `write` whose caller declares the
+/// cell **agreed**: every write the cell ever receives, through any
+/// handle, carries this same `value`. A reader then sees 0 or `value`,
+/// whatever order the writes take. Like ownership, agreement is declared
+/// at the call site, never inferred, and it is a property of the
+/// algorithm: Algorithm 1's `x[r][v] := 1` writes a constant, and
+/// `decide` and a multivalued decision carry the one agreed value. The
+/// default is `write`. A backend whose multi-writer write must first
+/// order itself after other writers' values (the quorum space's query
+/// phase) may skip that step, because there is no other value to order
+/// against.
 pub trait RegisterSpace: Send + Sync {
     /// Atomically reads register `index` (0 if never written).
     fn read(&self, index: u64) -> u64;
@@ -94,6 +108,13 @@ pub trait RegisterSpace: Send + Sync {
     fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
         self.write_run(base, stride, values)
     }
+
+    /// [`RegisterSpace::write`] to a cell whose every write, through any
+    /// handle, ever, carries this `value` (see
+    /// [Agreed writes](RegisterSpace#agreed-writes)). Same atomicity.
+    fn write_agreed(&self, index: u64, value: u64) {
+        self.write(index, value)
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
@@ -111,6 +132,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
     }
     fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run_owned(base, stride, values)
+    }
+    fn write_agreed(&self, index: u64, value: u64) {
+        (**self).write_agreed(index, value)
     }
 }
 
@@ -130,6 +154,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for &S {
     fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run_owned(base, stride, values)
     }
+    fn write_agreed(&self, index: u64, value: u64) {
+        (**self).write_agreed(index, value)
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
@@ -147,6 +174,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
     }
     fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
         (**self).write_run_owned(base, stride, values)
+    }
+    fn write_agreed(&self, index: u64, value: u64) {
+        (**self).write_agreed(index, value)
     }
 }
 
@@ -363,6 +393,9 @@ impl<S: RegisterSpace> RegisterSpace for SubSpace<S> {
         self.inner
             .write_run_owned(self.parent_index(base), stride * self.stride, values)
     }
+    fn write_agreed(&self, index: u64, value: u64) {
+        self.inner.write_agreed(self.parent_index(index), value)
+    }
 }
 
 /// One named register of a space, as a standalone handle.
@@ -494,7 +527,8 @@ mod tests {
     }
 
     /// A space that tapes the runs it is handed, to check forwarding:
-    /// `(kind, base, stride, len)`, kind `'r'`, `'w'` or `'o'` (owned).
+    /// `(kind, base, stride, len)`, kind `'r'`, `'w'`, `'o'` (owned) or
+    /// `'a'` (an agreed write, taped as a run of one).
     #[derive(Default)]
     struct RunTape {
         cells: NativeSpace,
@@ -529,6 +563,10 @@ mod tests {
                 .push(('o', base, stride, values.len()));
             self.cells.write_run(base, stride, values)
         }
+        fn write_agreed(&self, index: u64, value: u64) {
+            self.runs.lock().unwrap().push(('a', index, 1, 1));
+            self.cells.write(index, value)
+        }
     }
 
     #[test]
@@ -543,22 +581,30 @@ mod tests {
         view.read_run(2, 3, &mut out);
         assert_eq!(out, [5, 6]);
         view.write_run_owned(3, 1, &[8]); // local 3 → parent 7 + 30
+        view.write_agreed(4, 9); // local 4 → parent 7 + 40
         assert_eq!(parent.read(27), 5);
         assert_eq!(parent.read(57), 6);
         assert_eq!(parent.read(37), 8);
+        assert_eq!(parent.read(47), 9);
         assert_eq!(
             *parent.runs.lock().unwrap(),
-            vec![('w', 27, 30, 2), ('r', 27, 30, 2), ('o', 37, 10, 1)],
+            vec![
+                ('w', 27, 30, 2),
+                ('r', 27, 30, 2),
+                ('o', 37, 10, 1),
+                ('a', 47, 1, 1)
+            ],
             "one run reaches the parent, with the composed base and stride, \
-             and an owned run stays owned"
+             an owned run stays owned and an agreed write stays agreed"
         );
     }
 
     #[test]
-    fn an_owned_run_defaults_to_a_plain_run() {
+    fn owned_runs_and_agreed_writes_default_to_plain_writes() {
         let s = NativeSpace::new();
         s.write_run_owned(1, 2, &[4, 5]);
-        assert_eq!([s.read(1), s.read(3)], [4, 5]);
+        s.write_agreed(6, 7);
+        assert_eq!([s.read(1), s.read(3), s.read(6)], [4, 5, 7]);
     }
 
     #[test]

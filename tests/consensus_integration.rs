@@ -6,10 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::core::consensus::{ConsensusSpec, NativeConsensus};
-use tfr::modelcheck::{Explorer, SafetySpec};
+use tfr::modelcheck::{Explorer, SafetySpec, Violation};
 use tfr::registers::bank::ArrayBank;
 use tfr::registers::spec::run_solo;
-use tfr::registers::{Delta, ProcId, Ticks};
+use tfr::registers::{Delta, ProcId, RegId, Ticks};
 use tfr::sim::metrics::consensus_stats;
 use tfr::sim::timing::{standard_no_failures, CrashSchedule, Fate, Scripted, UniformAccess};
 use tfr::sim::{RunConfig, Sim};
@@ -167,4 +167,53 @@ fn native_decision_visible_to_non_proposers() {
         Some(false),
         "observers read the decision wait-free"
     );
+}
+
+/// The obligation behind the native form's agreed write of `decide`, on
+/// E5a's configurations: no reachable state has two different values
+/// written or pending at `decide`, over every interleaving.
+#[test]
+fn decide_takes_one_value_in_every_reachable_state() {
+    for (inputs, rounds) in [
+        (vec![false, true], 3),
+        (vec![false, true], 4),
+        (vec![true, true], 4),
+        (vec![false, true, true], 2),
+    ] {
+        let valid: Vec<u64> = inputs.iter().map(|&b| b as u64).collect();
+        let n = inputs.len();
+        let spec = ConsensusSpec::new(inputs).max_rounds(rounds);
+        let safety = SafetySpec {
+            agreed_writes: vec![spec.decide_reg()],
+            ..SafetySpec::consensus(valid)
+        };
+        let report = Explorer::new(spec, n).check(&safety);
+        assert!(report.proven_safe(), "{:?}", report.violation);
+    }
+}
+
+/// A spec mutant that writes its round-1 input to `decide`, instead of
+/// its current preference, fails the invariant above.
+#[test]
+fn a_spec_writing_its_input_to_decide_fails_the_agreed_write_invariant() {
+    let spec = ConsensusSpec::new(vec![false, true])
+        .max_rounds(3)
+        .with_decide_writing_input();
+    let safety = SafetySpec {
+        agreed_writes: vec![spec.decide_reg()],
+        ..SafetySpec::consensus(vec![0, 1])
+    };
+    let cex = Explorer::new(spec, 2)
+        .check(&safety)
+        .violation
+        .expect("the mutant writes both inputs to decide");
+    let Violation::DisagreeingWrites {
+        reg,
+        values: (a, b),
+    } = cex.violation
+    else {
+        panic!("expected disagreeing writes: {cex}");
+    };
+    assert_eq!(reg, RegId(0), "decide");
+    assert_eq!([a.min(b), a.max(b)], [1, 2], "false and true: {cex}");
 }

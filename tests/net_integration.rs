@@ -152,22 +152,29 @@ fn the_same_lock_object_works_on_both_backends() {
     }
 }
 
-/// Tier-1's copy of `tfr-core`'s round-count unit test. Over three
-/// replicas whose links all take 20 µs — every round reaches every
-/// replica, so no read needs a write-back — one solo decision at n = 1
-/// opens exactly 19 quorum rounds for every batch size: 6 reads of one
-/// round, 5 owned writes of one (payloads, counter, record, mark, the
-/// slot's announcement) and 4 queried writes of two (Algorithm 1's three,
-/// `result`); the winner applies its own batch without reading it back.
-/// With every write queried and the read-back it opened 27; before
+/// A three-replica network whose links all take 20 µs: every round
+/// reaches every replica, so no read needs a write-back.
+fn lockstep_net() -> Arc<Network> {
+    let mut cfg = NetConfig::new(1, 3, 0x27);
+    cfg.min_delay = Duration::from_micros(20);
+    cfg.max_delay = cfg.min_delay;
+    Arc::new(Network::new(cfg))
+}
+
+/// Tier-1's copy of `tfr-core`'s round-count unit test. Over
+/// [`lockstep_net`], one solo decision at n = 1 opens exactly 15 quorum
+/// rounds for every batch size: 5 reads of one round (the slot's
+/// decision, Algorithm 1's 4), 5 owned writes of one (payloads, counter,
+/// record, mark, the slot's announcement), 3 agreed writes of one
+/// (Algorithm 1's `x` and `decide`, `result`) and 1 queried write of two
+/// (Algorithm 1's `y`); the winner applies its own batch without reading
+/// it back. With the three agreed writes queried and the standing read it
+/// opened 19; with every write queried and the read-back, 27; before
 /// register runs, 6k + 23: 29, 71 and 407 here.
 #[test]
-fn a_solo_universal_decision_costs_19_quorum_rounds_at_any_batch_size() {
+fn a_solo_universal_decision_costs_15_quorum_rounds_at_any_batch_size() {
     for k in [1usize, 8, 64] {
-        let mut cfg = NetConfig::new(1, 3, 0x27);
-        cfg.min_delay = Duration::from_micros(20);
-        cfg.max_delay = cfg.min_delay;
-        let net = Arc::new(Network::new(cfg));
+        let net = lockstep_net();
         let control = net.control();
         let obj = Universal::on(
             Arc::new(net.space()),
@@ -180,7 +187,34 @@ fn a_solo_universal_decision_costs_19_quorum_rounds_at_any_batch_size() {
         let before = control.quorum_rounds();
         session.announce_burst(&vec![1; k]);
         session.drive_pending();
-        assert_eq!(control.quorum_rounds() - before, 19, "k={k}");
+        assert_eq!(control.quorum_rounds() - before, 15, "k={k}");
         assert_eq!(session.take_responses().len(), k);
     }
+}
+
+/// Tier-1's copy of `tfr-core`'s standing-read pin: a session that opens
+/// after a predecessor proposed reads its standing announcement at its
+/// first proposal only. Once it has replayed the predecessor's slot, its
+/// first decision opens 16 rounds over [`lockstep_net`], its next 15.
+#[test]
+fn a_recovered_session_pays_the_standing_read_once() {
+    let net = lockstep_net();
+    let control = net.control();
+    let obj = Universal::on(
+        Arc::new(net.space()),
+        Counter,
+        1,
+        4,
+        Duration::from_micros(5),
+    );
+    obj.invoke(ProcId(0), 1);
+    let mut session = obj.session(ProcId(0));
+    session.catch_up();
+    for want in [16, 15] {
+        let before = control.quorum_rounds();
+        session.announce(1);
+        session.drive_pending();
+        assert_eq!(control.quorum_rounds() - before, want);
+    }
+    assert_eq!(obj.snapshot(), 3);
 }

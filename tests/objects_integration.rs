@@ -92,7 +92,7 @@ impl RegisterBank for Taped {
 }
 
 /// A register as the election construction names it.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Loc {
     Result,
     Announce(u64),
@@ -117,12 +117,14 @@ fn native_loc(n: u64, w: u64, index: u64) -> Loc {
     }
 }
 
-/// Locates an `ElectionSpec` index: `announce[j]` at `j`, then instance
-/// `k` at `n + k·stride`.
-fn spec_loc(n: u64, index: u64) -> Loc {
+/// Locates an `ElectionSpec` index among `n` processes with `w` pid
+/// bits: `announce[j]` at `j`, then instance `k` at `n + k·stride`, then
+/// `result`.
+fn spec_loc(n: u64, w: u64, index: u64) -> Loc {
     let stride = 3 * ElectionSpec::INNER_ROUNDS + 1;
     match index {
         i if i < n => Loc::Announce(i),
+        i if i == n + w * stride => Loc::Result,
         i => Loc::Bit {
             k: (i - n) / stride,
             reg: (i - n) % stride,
@@ -151,43 +153,59 @@ fn multivalued_solo_propose_costs_three_plus_seven_per_pid_bit() {
 fn multivalued_solo_native_run_is_the_election_spec_run() {
     for (n, w) in [(1usize, 1), (2, 1), (3, 2), (5, 3)] {
         for pid in [0, n - 1] {
-            let space = Arc::new(Taped::default());
-            let mc = MultiConsensus::on(Arc::clone(&space), n, 8, D);
-            assert_eq!(mc.propose(ProcId(pid), 200), 200);
             let mut bank = Taped::default();
             let spec = ElectionSpec::new(n, 0, Ticks(100));
             let run = run_solo(&spec, ProcId(pid), &mut bank, 500);
             assert_eq!(run.decision(), Some(pid as u64));
             assert_eq!(run.delays, 0);
-
-            let n = n as u64;
-            let got: Vec<_> = space
+            let (n, w) = (n as u64, w as u64);
+            let spec_tape: Vec<_> = bank
                 .tape()
                 .into_iter()
-                .map(|(write, i)| (write, native_loc(n, w, i)))
+                .map(|(write, i)| (write, spec_loc(n, w, i)))
                 .collect();
-            // The native run adds only the standing-announcement read
-            // before and the `result` write after.
-            let mut want = vec![(false, Loc::Announce(pid as u64))];
-            want.extend(
-                bank.tape()
+
+            for fresh in [true, false] {
+                let space = Arc::new(Taped::default());
+                let mc = MultiConsensus::on(Arc::clone(&space), n as usize, 8, D);
+                let decided = if fresh {
+                    mc.propose_fresh(ProcId(pid), 200)
+                } else {
+                    mc.propose(ProcId(pid), 200)
+                };
+                assert_eq!(decided, 200);
+                let got: Vec<_> = space
+                    .tape()
                     .into_iter()
-                    .map(|(write, i)| (write, spec_loc(n, i))),
-            );
-            want.push((true, Loc::Result));
-            assert_eq!(got, want, "n={n} pid={pid}");
+                    .map(|(write, i)| (write, native_loc(n, w, i)))
+                    .collect();
+                // `propose_fresh` is the spec run; `propose` adds only the
+                // standing-announcement read before it.
+                let mut want = Vec::new();
+                if !fresh {
+                    want.push((false, Loc::Announce(pid as u64)));
+                }
+                want.extend(spec_tape.iter().cloned());
+                assert_eq!(got, want, "n={n} pid={pid} fresh={fresh}");
+            }
         }
     }
 }
 
 /// The election the native `MultiConsensus` runs (the test above ties the
 /// two access for access), proven at n = 2: agreement on a participant
-/// over every interleaving, with no bound hit. Tier-1's copy of
-/// `tfr-core`'s `election_spec::tests::modelcheck_two_process_election_exhaustive`.
+/// over every interleaving, with no bound hit, and no reachable state
+/// with two different values written or pending at `result` (the
+/// obligation behind its agreed write). Tier-1's copy of `tfr-core`'s
+/// `election_spec::tests::modelcheck_two_process_election_exhaustive`.
 #[test]
 fn two_process_election_spec_is_proven_safe() {
     let spec = ElectionSpec::new(2, 0, Ticks(100)).inner_rounds(2);
-    let report = Explorer::new(spec, 2).check(&SafetySpec::consensus(vec![0, 1]));
+    let safety = SafetySpec {
+        agreed_writes: vec![spec.result_reg()],
+        ..SafetySpec::consensus(vec![0, 1])
+    };
+    let report = Explorer::new(spec, 2).check(&safety);
     assert!(report.proven_safe(), "{:?}", report.violation);
     assert!(report.states_explored > 50);
 }
@@ -518,8 +536,9 @@ fn universal_queue_capacity_exhaustion_panics() {
 }
 
 /// Tier-1's copy of `tfr-core`'s access-multiset unit tests: vectoring
-/// changes rounds, not accesses, and a winner applies its own batch
-/// without reading it back. Process 0 of n ≤ 2 opens a session on a
+/// changes rounds, not accesses, a winner applies its own batch without
+/// reading it back, and a session that opened with arena mark 0 does not
+/// read a standing announcement. Process 0 of n ≤ 2 opens a session on a
 /// fresh 4-slot object, announces k ops and drives them through slot `s`
 /// alone; the cells it touches, with multiplicity, are exactly these
 /// (runs go through `Taped`'s default loop, so they tape per cell). At
@@ -547,9 +566,8 @@ fn universal_decision_reads_back_only_records_it_did_not_write() {
                 (true, announce(0)), // counter, record length, mark
                 (true, arena(0)),
                 (true, announce(1)),
-                (false, slot(0)), // undecided; announce; result
-                (false, slot(1)),
-                (true, slot(1)),
+                (false, slot(0)), // undecided; announce (mark 0: no
+                (true, slot(1)),  // standing read); result
                 (true, slot(0)),
                 (false, alg1(0)), // Algorithm 1's solo fast path, v = 0
                 (false, alg1(0)),
