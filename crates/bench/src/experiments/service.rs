@@ -3,15 +3,19 @@
 //! the flat-combining speedup over the per-op baseline, the committed
 //! batch-size distribution, and the under-load linearizability sampler's
 //! verdicts (the real batcher passes; both seeded combiner mutants are
-//! rejected by the same check that certifies it).
+//! rejected by the same check that certifies it), and on the quorum
+//! backend the overlap of one worker's busy shards.
 
 use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use tfr_core::universal::Counter;
 use tfr_net::{NetConfig, Network};
+use tfr_registers::ProcId;
 use tfr_service::{
-    run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, SamplingConfig,
+    run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, ObjectService, SamplingConfig,
+    ServiceConfig,
 };
 use tfr_telemetry::Trace;
 
@@ -222,7 +226,133 @@ pub fn service() -> Vec<Table> {
     t4.note("clean and only the history check catches it; the lost-op mutant announces one");
     t4.note("op as a no-op, answers it plausibly, and the state diverges by its amount.");
 
-    vec![t1, t2, t3, t4]
+    vec![t1, t2, t3, t4, overlap()]
+}
+
+/// E22e: one worker's busy shards keep their quorum rounds in flight
+/// together. The wall time of a burst that makes two shards busy over
+/// that of a burst that makes one busy, 8 ops per busy shard in both, on
+/// one 3-replica cluster: ≈ 2.0 with the shards driven in turn, 1.0 plus
+/// the helper thread's spawn and join when they overlap. The two kinds
+/// of burst alternate, in blocks: each block's ratio is its two medians'
+/// ratio, and the table reports the median block, so that a stretch of
+/// interference from other load on the host spoils a block, not the
+/// verdict.
+fn overlap() -> Table {
+    const BLOCKS: usize = 5;
+    const PAIRS_PER_BLOCK: usize = 16;
+    const OPS_PER_SHARD: usize = 8;
+    let net = Arc::new(Network::new(NetConfig::new(1, 3, 0xE22E)));
+    let control = net.control();
+    let cfg = ServiceConfig {
+        capacity_per_shard: 2 * BLOCKS * PAIRS_PER_BLOCK + 4,
+        delta: Duration::from_micros(200),
+        ..ServiceConfig::new(2, 1)
+    };
+    let svc = ObjectService::on(Arc::new(net.space()), || Counter, &cfg);
+    let key_on = |shard: usize| (0..).find(|&k| svc.shard_of(k) == shard).expect("a key");
+    let burst = |shards: usize| -> Vec<(u64, u64)> {
+        (0..shards)
+            .flat_map(|shard| std::iter::repeat_n((key_on(shard), 1), OPS_PER_SHARD))
+            .collect()
+    };
+    let bursts = [burst(1), burst(2)];
+    let mut worker = svc.worker(ProcId(0));
+    let mut run = |ops: &[(u64, u64)]| {
+        let before = control.quorum_rounds();
+        let t0 = Instant::now();
+        worker.enqueue_burst(ops);
+        let done = worker.drive();
+        let us = t0.elapsed().as_secs_f64() * 1e6;
+        assert_eq!(done.len(), ops.len(), "a driven burst is answered");
+        (us, control.quorum_rounds() - before)
+    };
+    // A first pair warms the sessions up.
+    for ops in &bursts {
+        run(ops);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    // Per kind of burst: every wall time in µs, and the quorum rounds.
+    let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut rounds = [0u64; 2];
+    let mut block_ratios: Vec<f64> = (0..BLOCKS)
+        .map(|_| {
+            let mut block: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+            for _ in 0..PAIRS_PER_BLOCK {
+                for (kind, ops) in bursts.iter().enumerate() {
+                    let (us, r) = run(ops);
+                    block[kind].push(us);
+                    times[kind].push(us);
+                    rounds[kind] += r;
+                }
+            }
+            let [one, two] = &mut block;
+            median(two) / median(one)
+        })
+        .collect();
+    let bursts_per_kind = BLOCKS * PAIRS_PER_BLOCK;
+    let ratio = median(&mut block_ratios);
+    let one = median(&mut times[0]);
+    let two = median(&mut times[1]);
+    // The budget of a two-shard burst: its slower shard, priced as the
+    // median over every pair of one-shard bursts of the slower of the
+    // two, plus two helper spawns and joins (announce and drive), timed
+    // here on their own.
+    let mut slower: Vec<f64> = times[0]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| times[0][i + 1..].iter().map(move |&b| a.max(b)))
+        .collect();
+    let mut spawns: Vec<f64> = (0..bursts_per_kind)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::thread::scope(|s| s.spawn(|| ()).join().expect("the helper returns"));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    let (slower, spawn) = (median(&mut slower), median(&mut spawns));
+    let predicted = slower + 2.0 * spawn;
+    let mut t = Table::new(
+        "E22e",
+        "rounds in flight: one worker's busy shards overlap (quorum, 3 replicas, 8 ops per shard)",
+        &[
+            "busy shards",
+            "bursts",
+            "rounds/burst",
+            "burst µs (median)",
+            "ratio",
+        ],
+    );
+    for (kind, (busy, us, ratio)) in [(1, one, 1.0), (2, two, ratio)].into_iter().enumerate() {
+        t.row(vec![
+            busy.to_string(),
+            bursts_per_kind.to_string(),
+            format!("{:.1}", rounds[kind] as f64 / bursts_per_kind as f64),
+            format!("{us:.0}"),
+            format!("{ratio:.2}"),
+        ]);
+    }
+    t.note("Each busy shard costs its decision's 15 quorum rounds either way; a worker whose");
+    t.note("space round-trips drives the first busy shard itself and the other on a scoped");
+    t.note(format!(
+        "helper thread. Network high-water mark: {} quorum rounds open at once.",
+        control.max_open_rounds()
+    ));
+    t.note(format!(
+        "The ratio is the median of {BLOCKS} blocks of {PAIRS_PER_BLOCK} alternated pairs \
+         (blocks {:.2}–{:.2}).",
+        block_ratios[0],
+        block_ratios[BLOCKS - 1]
+    ));
+    t.note(format!(
+        "Budget of the 2-shard burst: the slower of two 1-shard bursts {slower:.0} µs + 2 helper \
+         spawn/joins of {spawn:.1} µs = {predicted:.0} µs predicted, {two:.0} µs measured ({:+.1} %).",
+        (two / predicted - 1.0) * 100.0
+    ));
+    t
 }
 
 /// The gates on E22. Every one is structural or a same-run ratio, so a
@@ -303,6 +433,19 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
             )?;
             lost_op.expect(lost_op.num("lost ops")? == 1.0, "lost ops = 1")
         }),
+        // Two busy shards do twice the rounds of one, and on the same
+        // machine cost at most 1.35x its wall time: in turn they cost
+        // 2.0x by construction.
+        gate("E22e.shards_overlap", || {
+            let overlap = by_id(tables, "E22e")?;
+            let one = overlap.row_where(&[("busy shards", "1")])?;
+            let two = overlap.row_where(&[("busy shards", "2")])?;
+            two.expect(
+                two.num("rounds/burst")? == 2.0 * one.num("rounds/burst")?,
+                "rounds/burst = 2 x the one-shard row's",
+            )?;
+            two.expect(two.num("ratio")? <= 1.35, "ratio <= 1.35")
+        }),
     ]
 }
 
@@ -345,6 +488,11 @@ mod tests {
                     "lost-op | 500 | 1 | DIVERGED | REJECTED (not linearizable)",
                 ],
             ),
+            table(
+                "E22e",
+                "busy shards | rounds/burst | ratio",
+                &["1 | 15.0 | 1.00", "2 | 30.0 | 1.09"],
+            ),
         ];
         assert_gates_reject(
             gates,
@@ -382,6 +530,15 @@ mod tests {
                         Set(2, "state audit", "DIVERGED"),
                         Set(3, "lost ops", "0"),
                         DropRow(3),
+                    ],
+                ),
+                (
+                    "E22e.shards_overlap",
+                    &[
+                        Set(1, "ratio", "2.01"),
+                        Set(1, "ratio", "1.36"),
+                        Set(1, "rounds/burst", "15.0"),
+                        DropRow(1),
                     ],
                 ),
             ],

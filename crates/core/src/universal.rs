@@ -428,7 +428,7 @@ impl LogAudit {
 /// let mut session = obj.session(ProcId(0));
 /// session.announce_burst(&[2, 3, 4]); // one announce, one proposal…
 /// session.drive_pending();
-/// let responses = session.take_responses();
+/// let responses: Vec<_> = session.take_responses().collect();
 /// assert_eq!(responses.last(), Some(&(2, 9))); // …commits all three
 /// ```
 pub struct Universal<T: Sequential, S: RegisterSpace = NativeSpace> {
@@ -851,14 +851,16 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     }
 
     /// Takes the `(seq, response)` pairs for own ops applied since the
-    /// last take.
-    pub fn take_responses(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.responses)
+    /// last take. The buffer keeps its capacity, so a session driven over
+    /// and over stops allocating for its responses once it has grown.
+    pub fn take_responses(&mut self) -> std::vec::Drain<'_, (u64, u64)> {
+        self.responses.drain(..)
     }
 
-    /// Takes the batches observed committed since the last take.
-    pub fn take_commits(&mut self) -> Vec<CommittedBatch> {
-        std::mem::take(&mut self.commits)
+    /// Takes the batches observed committed since the last take; the
+    /// buffer keeps its capacity.
+    pub fn take_commits(&mut self) -> std::vec::Drain<'_, CommittedBatch> {
+        self.commits.drain(..)
     }
 
     /// Builds a batch of pending announced ops for slot `s`, publishes
@@ -1354,7 +1356,8 @@ mod tests {
         let (responses, commits) = chaos::run_as(ProcId(1), || {
             let mut s = obj.session(ProcId(1));
             s.drive_pending();
-            (s.take_responses(), s.take_commits())
+            let responses: Vec<_> = s.take_responses().collect();
+            (responses, s.take_commits().collect::<Vec<_>>())
         })
         .completed()
         .expect("the crash is one-shot");
@@ -1512,9 +1515,9 @@ mod tests {
         let first = session.announce_burst(&[1, 2, 3, 4]);
         assert_eq!(first, 0);
         session.drive_pending();
-        let responses = session.take_responses();
+        let responses: Vec<_> = session.take_responses().collect();
         assert_eq!(responses, vec![(0, 1), (1, 3), (2, 6), (3, 10)]);
-        let commits = session.take_commits();
+        let commits: Vec<_> = session.take_commits().collect();
         assert_eq!(commits.len(), 1, "one consensus decision, four ops");
         assert_eq!(commits[0].size, 4);
         assert_eq!(commits[0].proposer, ProcId(0));
@@ -1527,9 +1530,8 @@ mod tests {
         let mut session = obj.session(ProcId(0));
         session.announce_burst(&[1; 7]);
         session.drive_pending();
-        let commits = session.take_commits();
         assert_eq!(
-            commits.iter().map(|c| c.size).collect::<Vec<_>>(),
+            session.take_commits().map(|c| c.size).collect::<Vec<_>>(),
             vec![3, 3, 1],
             "a 7-op burst splits into max_batch-sized batches"
         );
@@ -1549,12 +1551,12 @@ mod tests {
         assert_eq!(session.announce(4), 3);
         session.drive_pending();
         assert_eq!(
-            session.take_responses(),
+            session.take_responses().collect::<Vec<_>>(),
             vec![(0, 1), (1, 3), (2, 6), (3, 10)],
             "orphans, then the own op, in announce order"
         );
-        let commits = session.take_commits();
-        assert_eq!(commits.iter().map(|c| c.size).collect::<Vec<_>>(), [2, 2]);
+        let sizes: Vec<_> = session.take_commits().map(|c| c.size).collect();
+        assert_eq!(sizes, [2, 2]);
         assert!(obj.audit().complete());
     }
 
@@ -1573,7 +1575,8 @@ mod tests {
                         let mut session = obj.session(ProcId(i));
                         session.announce_burst(&vec![1u64; per]);
                         session.drive_pending();
-                        session.take_responses().len()
+                        let applied = session.take_responses().len();
+                        applied
                     })
                 })
                 .collect();
@@ -1622,7 +1625,10 @@ mod tests {
         let seq = s2.announce(30);
         assert_eq!(seq, 2, "sequence numbers continue across sessions");
         s2.drive_pending();
-        assert_eq!(s2.take_responses(), vec![(0, 10), (1, 30), (2, 60)]);
+        assert_eq!(
+            s2.take_responses().collect::<Vec<_>>(),
+            vec![(0, 10), (1, 30), (2, 60)]
+        );
         assert_eq!(obj.snapshot(), 60);
     }
 
@@ -1737,7 +1743,6 @@ mod tests {
             assert_eq!(
                 session
                     .take_commits()
-                    .iter()
                     .map(|c| c.proposer)
                     .collect::<Vec<_>>(),
                 [ProcId(1), ProcId(0)]

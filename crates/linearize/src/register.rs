@@ -217,6 +217,13 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
     fn write_agreed(&self, index: u64, value: u64) {
         self.record_write_run(index, 1, &[value], |inner| inner.write_agreed(index, value))
     }
+
+    /// Forwarded. Only threads with a telemetry pid are recorded, so a
+    /// caller that overlaps round trips on unregistered helper threads
+    /// leaves their accesses out of the history.
+    fn round_trips(&self) -> bool {
+        self.inner.round_trips()
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +260,7 @@ mod tests {
         space.write(0, 42);
         assert_eq!(space.read(0), 42);
         assert!(rec.history().is_empty(), "no pid, no events");
+        assert!(!space.round_trips(), "shared memory does not round-trip");
     }
 
     #[test]
@@ -337,6 +345,10 @@ mod tests {
         control.set_drop(0.3);
         let rec = Arc::new(Recorder::with_capacity(2, 2 * 9 * STEPS as usize));
         let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&rec)));
+        assert!(
+            spaces[0].round_trips(),
+            "the quorum space's round trips show through"
+        );
         std::thread::scope(|s| {
             for (t, space) in spaces.iter().enumerate() {
                 let control = &control;

@@ -385,6 +385,15 @@ impl RegisterSpace for QuorumSpace {
     fn write_agreed(&self, index: u64, value: u64) {
         self.store_run(index, 1, &[value], StoreKind::Agreed)
     }
+
+    /// Every access is one or two quorum rounds, so `true` — unless the
+    /// network is traced: client-side events go to the calling worker's
+    /// own lane, which must keep one writer (the lane rule, see
+    /// [`crate::net`]), so a traced network keeps each worker's rounds
+    /// on its own thread.
+    fn round_trips(&self) -> bool {
+        !self.net.shared().trace.is_enabled()
+    }
 }
 
 impl QuorumSpace {

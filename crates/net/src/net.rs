@@ -67,7 +67,7 @@
 
 use crate::msg::{Message, NodeId, Payload, Versioned};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -157,6 +157,13 @@ impl NetConfig {
     }
 }
 
+/// One replica's register table. A B-tree grows node by node on
+/// whichever client thread delivers the write that needs the node. A hash
+/// table grows by reallocating the whole table on that thread, and with
+/// several delivering threads (one worker's overlapped shards) each
+/// thread's heap would come to keep room for a whole table.
+type Table = BTreeMap<u64, Versioned>;
+
 /// One scheduled delivery, ordered by time then submission sequence.
 struct InFlight {
     deliver_at: Instant,
@@ -189,7 +196,7 @@ struct RouterState {
     /// forked from `(seed, link)` when its first message is sent.
     links: Vec<Option<SplitMix64>>,
     /// One register table per replica.
-    tables: Vec<HashMap<u64, Versioned>>,
+    tables: Vec<Table>,
     /// Debug builds, per replica: the writer id each owned cell is pinned
     /// to (see [`check_store`]).
     #[cfg(debug_assertions)]
@@ -198,6 +205,8 @@ struct RouterState {
     mailboxes: HashMap<u64, Vec<(usize, Payload)>>,
     /// The last `rid` handed out, i.e. the quorum rounds opened so far.
     next_rid: u64,
+    /// The most ack mailboxes ever open at once.
+    max_open: usize,
     drop_prob: f64,
     extra_delay: Duration,
     /// `Some(groups)` = partitioned: `groups[key]` is the node's side,
@@ -339,6 +348,7 @@ impl Shared {
         st.next_rid += 1;
         let rid = st.next_rid;
         st.mailboxes.insert(rid, Vec::new());
+        st.max_open = st.max_open.max(st.mailboxes.len());
         rid
     }
 
@@ -439,11 +449,12 @@ impl Network {
         let state = RouterState {
             queue: BinaryHeap::new(),
             links: vec![None; cfg.nodes() * cfg.nodes()],
-            tables: vec![HashMap::new(); cfg.replicas],
+            tables: vec![Table::new(); cfg.replicas],
             #[cfg(debug_assertions)]
             owners: vec![HashMap::new(); cfg.replicas],
             mailboxes: HashMap::new(),
             next_rid: 0,
+            max_open: 0,
             drop_prob: 0.0,
             extra_delay: Duration::ZERO,
             groups: None,
@@ -499,7 +510,7 @@ impl std::fmt::Debug for Network {
 /// builds the ack. Idempotent by construction: a retransmitted or
 /// reordered `WriteReq` only ever moves each register's version *up*
 /// (read-repair monotonicity), whatever else the message carries.
-fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Payload {
+fn replica_apply(table: &mut Table, payload: Payload) -> Payload {
     match payload {
         Payload::ReadReq { run } => Payload::ReadAck {
             run,
@@ -540,7 +551,7 @@ fn replica_apply(table: &mut HashMap<u64, Versioned>, payload: Payload) -> Paylo
 ///
 /// Panics on either misuse.
 #[cfg(debug_assertions)]
-fn check_store(owners: &mut HashMap<u64, u64>, table: &HashMap<u64, Versioned>, payload: &Payload) {
+fn check_store(owners: &mut HashMap<u64, u64>, table: &Table, payload: &Payload) {
     use crate::msg::StoreKind;
     let Payload::WriteReq { cells, kind } = payload else {
         return;
@@ -670,6 +681,14 @@ impl NetControl {
     /// of link delays and of how the rounds' waits overlap.
     pub fn quorum_rounds(&self) -> u64 {
         lock(&self.shared.state).next_rid
+    }
+
+    /// The most quorum rounds ever open at the same time, by every client:
+    /// the high-water mark of the open ack mailboxes. One thread has at
+    /// most one round open, so a value above 1 shows rounds in flight
+    /// together — several workers, or one worker overlapping its shards.
+    pub fn max_open_rounds(&self) -> usize {
+        lock(&self.shared.state).max_open
     }
 
     /// Pumps that delivered at least one message. A waiting round pumps

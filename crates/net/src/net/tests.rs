@@ -20,7 +20,7 @@ fn config_quorum_and_pids() {
 
 #[test]
 fn replica_apply_is_monotone_and_idempotent() {
-    let mut t = HashMap::new();
+    let mut t = Table::new();
     let v1 = Versioned {
         version: Version { ts: 1, wid: 1 },
         value: 10,

@@ -214,6 +214,10 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
         self.count_run_write(index, 1, 1);
         self.inner.write_agreed(index, value)
     }
+
+    fn round_trips(&self) -> bool {
+        self.inner.round_trips()
+    }
 }
 
 /// Per-process incarnation (epoch) counters in persistent registers.
@@ -356,6 +360,25 @@ mod tests {
         assert_eq!(s.accesses(), 3);
         s.reset_counters();
         assert_eq!(s.accesses(), 0);
+    }
+
+    #[test]
+    fn round_trips_are_the_inner_spaces() {
+        /// Shared memory that claims to be remote.
+        struct Remote(NativeSpace);
+        impl RegisterSpace for Remote {
+            fn read(&self, index: u64) -> u64 {
+                self.0.read(index)
+            }
+            fn write(&self, index: u64, value: u64) {
+                self.0.write(index, value)
+            }
+            fn round_trips(&self) -> bool {
+                true
+            }
+        }
+        assert!(DurableSpace::new(Remote(NativeSpace::new())).round_trips());
+        assert!(!DurableSpace::new(NativeSpace::new()).round_trips());
     }
 
     #[test]

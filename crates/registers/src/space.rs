@@ -77,6 +77,15 @@ use std::sync::Arc;
 /// order itself after other writers' values (the quorum space's query
 /// phase) may skip that step, because there is no other value to order
 /// against.
+///
+/// # Round trips
+///
+/// [`RegisterSpace::round_trips`] states a fact about the backend: an
+/// access waits on a network round trip rather than on memory. A caller
+/// that drives several independent register regions (the service's
+/// disjoint shards) may then keep their accesses in flight at the same
+/// time from helper threads, which costs latency, not work. Shared memory
+/// answers `false`, so such a caller stays on its own thread.
 pub trait RegisterSpace: Send + Sync {
     /// Atomically reads register `index` (0 if never written).
     fn read(&self, index: u64) -> u64;
@@ -115,6 +124,12 @@ pub trait RegisterSpace: Send + Sync {
     fn write_agreed(&self, index: u64, value: u64) {
         self.write(index, value)
     }
+
+    /// Whether an access costs a network round trip (see
+    /// [Round trips](RegisterSpace#round-trips)). The default is `false`.
+    fn round_trips(&self) -> bool {
+        false
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
@@ -135,6 +150,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
     }
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
+    }
+    fn round_trips(&self) -> bool {
+        (**self).round_trips()
     }
 }
 
@@ -157,6 +175,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for &S {
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
     }
+    fn round_trips(&self) -> bool {
+        (**self).round_trips()
+    }
 }
 
 impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
@@ -177,6 +198,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
     }
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
+    }
+    fn round_trips(&self) -> bool {
+        (**self).round_trips()
     }
 }
 
@@ -396,6 +420,9 @@ impl<S: RegisterSpace> RegisterSpace for SubSpace<S> {
     fn write_agreed(&self, index: u64, value: u64) {
         self.inner.write_agreed(self.parent_index(index), value)
     }
+    fn round_trips(&self) -> bool {
+        self.inner.round_trips()
+    }
 }
 
 /// One named register of a space, as a standalone handle.
@@ -567,6 +594,9 @@ mod tests {
             self.runs.lock().unwrap().push(('a', index, 1, 1));
             self.cells.write(index, value)
         }
+        fn round_trips(&self) -> bool {
+            true
+        }
     }
 
     #[test]
@@ -597,6 +627,8 @@ mod tests {
             "one run reaches the parent, with the composed base and stride, \
              an owned run stays owned and an agreed write stays agreed"
         );
+        assert!(view.round_trips(), "the backend's round trips show through");
+        assert!(!NativeSpace::new().round_trips());
     }
 
     #[test]

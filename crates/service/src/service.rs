@@ -16,6 +16,15 @@
 //!   ([`ServiceWorker::enqueue_burst`]), then replay and combine
 //!   ([`ServiceWorker::drive`]) — one consensus decision per *batch*,
 //!   not per operation.
+//! * Both steps act on every busy shard through one loop. When the
+//!   space's accesses are network round trips
+//!   ([`RegisterSpace::round_trips`], the quorum backend) and no trace is
+//!   attached, a worker with more than one busy shard keeps their rounds
+//!   in flight together: it drives the first busy shard itself and each
+//!   other one on a scoped helper thread that joins the worker's chaos
+//!   incarnation. A burst then waits for its slowest shard's rounds, not
+//!   for the sum of them. On native memory, or with a trace attached, the
+//!   loop takes the shards in turn and spawns nothing.
 //!
 //! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`], and
 //! every batch whose proposal *this* worker won emits one
@@ -25,9 +34,11 @@
 use crate::keyed::{encode_op, Keyed};
 use crate::router::Router;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 use tfr_core::universal::{LogAudit, Sequential, Session, Universal};
+use tfr_registers::chaos::{self, Incarnation};
 use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
 use tfr_registers::ProcId;
 use tfr_telemetry::{EventKind, Span, Trace};
@@ -89,6 +100,9 @@ pub struct ObjectService<T: Sequential, S: RegisterSpace = NativeSpace> {
     router: Router,
     workers: usize,
     trace: Trace,
+    /// Whether the space's accesses are round trips
+    /// ([`RegisterSpace::round_trips`]).
+    round_trips: bool,
 }
 
 impl<T: Sequential> ObjectService<T, NativeSpace> {
@@ -107,6 +121,7 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     /// Panics if `cfg.shards` is 0 or `cfg.workers` is not in 1..=255.
     pub fn on(space: Arc<S>, make: impl Fn() -> T, cfg: &ServiceConfig) -> ObjectService<T, S> {
         assert!(cfg.shards > 0, "a service needs at least one shard");
+        let round_trips = space.round_trips();
         let shards = SubSpace::tile(space, cfg.shards as u64)
             .into_iter()
             .map(|tile| {
@@ -125,6 +140,7 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
             router: Router::new(cfg.shards, cfg.router_seed),
             workers: cfg.workers,
             trace: Trace::default(),
+            round_trips,
         }
     }
 
@@ -170,16 +186,23 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     /// Panics if `pid` is not a worker id.
     pub fn worker(&self, pid: ProcId) -> ServiceWorker<'_, T, S> {
         assert!(pid.0 < self.workers, "unknown worker pid");
-        let sessions = self.shards.iter().map(|u| u.session(pid)).collect();
+        let lanes = self
+            .shards
+            .iter()
+            .map(|u| Lane {
+                session: u.session(pid),
+                pending: VecDeque::new(),
+                ops: Vec::new(),
+                meta: Vec::new(),
+                busy: false,
+            })
+            .collect();
         ServiceWorker {
             svc: self,
             pid,
-            sessions,
-            pending: (0..self.shards.len()).map(|_| VecDeque::new()).collect(),
+            lanes,
             issued: 0,
             batch_sizes: Vec::new(),
-            scratch_ops: (0..self.shards.len()).map(|_| Vec::new()).collect(),
-            scratch_meta: (0..self.shards.len()).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -202,22 +225,42 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     }
 }
 
+/// One shard as one worker drives it.
+struct Lane<'s, T: Sequential, S: RegisterSpace> {
+    session: Session<'s, Keyed<T>, SubSpace<Arc<S>>>,
+    /// Announced-but-unresolved ops: `(seq, pos, key)` in announce order.
+    pending: VecDeque<(u64, u64, u64)>,
+    /// The burst being enqueued, as routed here: encoded ops, and their
+    /// `(pos, key)`.
+    ops: Vec<u64>,
+    meta: Vec<(u64, u64)>,
+    /// Whether the step in progress has work on this shard.
+    busy: bool,
+}
+
 /// A per-worker driving handle: enqueue bursts, drive the shards with
 /// pending work, collect responses. Created by [`ObjectService::worker`].
+///
+/// Both steps act on every busy shard through one loop
+/// (`each_busy_lane`). Over a space whose accesses are round trips
+/// ([`RegisterSpace::round_trips`]), with no trace attached and more than
+/// one shard busy, the worker keeps the shards' quorum rounds in flight
+/// together: it drives the first busy shard itself and each other on a
+/// scoped helper thread, which joins the worker's chaos incarnation
+/// ([`Incarnation`]). The shards are disjoint register regions and
+/// linearizability is local, so overlapping them changes no protocol
+/// argument; a decision still costs its rounds, on each shard. Otherwise
+/// the loop runs the shards in turn and spawns nothing. A traced service
+/// stays in turn because the worker's telemetry lane takes one writer.
 pub struct ServiceWorker<'s, T: Sequential, S: RegisterSpace> {
     svc: &'s ObjectService<T, S>,
     pid: ProcId,
-    sessions: Vec<Session<'s, Keyed<T>, SubSpace<Arc<S>>>>,
-    /// Announced-but-unresolved ops per shard: `(seq, pos, key)` in
-    /// announce order.
-    pending: Vec<VecDeque<(u64, u64, u64)>>,
+    lanes: Vec<Lane<'s, T, S>>,
     /// Ops enqueued by this worker so far (assigns [`OpResponse::pos`]).
     issued: u64,
     /// Sizes of batches whose proposal this worker won, since the last
     /// [`ServiceWorker::take_batch_sizes`].
     batch_sizes: Vec<usize>,
-    scratch_ops: Vec<Vec<u64>>,
-    scratch_meta: Vec<Vec<(u64, u64)>>,
 }
 
 impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
@@ -244,20 +287,21 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
                     key,
                 },
             );
-            self.scratch_ops[shard].push(encode_op(key, inner));
-            self.scratch_meta[shard].push((first_pos + i as u64, key));
+            let lane = &mut self.lanes[shard];
+            lane.ops.push(encode_op(key, inner));
+            lane.meta.push((first_pos + i as u64, key));
         }
-        for shard in 0..self.sessions.len() {
-            if self.scratch_ops[shard].is_empty() {
-                continue;
-            }
-            let first_seq = self.sessions[shard].announce_burst(&self.scratch_ops[shard]);
-            for (i, &(pos, key)) in self.scratch_meta[shard].iter().enumerate() {
-                self.pending[shard].push_back((first_seq + i as u64, pos, key));
-            }
-            self.scratch_ops[shard].clear();
-            self.scratch_meta[shard].clear();
+        for lane in &mut self.lanes {
+            lane.busy = !lane.ops.is_empty();
         }
+        self.each_busy_lane(|lane| {
+            let first_seq = lane.session.announce_burst(&lane.ops);
+            let announced = lane.meta.iter().enumerate();
+            lane.pending
+                .extend(announced.map(|(i, &(pos, key))| (first_seq + i as u64, pos, key)));
+            lane.ops.clear();
+            lane.meta.clear();
+        });
         self.issued += ops.len() as u64;
         first_pos
     }
@@ -272,25 +316,28 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
     /// along the way) and returns the completed operations, in enqueue
     /// order.
     pub fn drive(&mut self) -> Vec<OpResponse> {
+        for lane in &mut self.lanes {
+            lane.busy = lane.session.pending() > 0 || !lane.pending.is_empty();
+        }
+        let trace = &self.svc.trace;
+        self.each_busy_lane(|lane| {
+            let _span = Span::enter(trace, "batch.drive");
+            lane.session.drive_pending();
+        });
         let mut out = Vec::new();
-        for shard in 0..self.sessions.len() {
-            let session = &mut self.sessions[shard];
-            if session.pending() == 0 && self.pending[shard].is_empty() {
+        for (shard, lane) in self.lanes.iter_mut().enumerate() {
+            if !lane.busy {
                 continue;
             }
-            let _span = Span::enter(&self.svc.trace, "batch.drive");
-            session.drive_pending();
-            for (seq, resp) in session.take_responses() {
+            for (seq, resp) in lane.session.take_responses() {
                 // A response whose seq predates our oldest pending entry
                 // is an orphan announced by a previous incarnation of
                 // this pid (the session resynchronises the announce
                 // counter from the registers): it is committed on the
                 // dead incarnation's behalf, but nobody here awaits it.
-                match self.pending[shard].front() {
-                    Some(&(front_seq, _, _)) if front_seq == seq => {
-                        let (_, pos, key) = self.pending[shard]
-                            .pop_front()
-                            .expect("front was just observed");
+                if let Some(&(front_seq, pos, key)) = lane.pending.front() {
+                    if front_seq == seq {
+                        lane.pending.pop_front();
                         out.push(OpResponse {
                             pos,
                             key,
@@ -298,12 +345,11 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
                             resp,
                         });
                     }
-                    _ => {}
                 }
             }
-            for commit in session.take_commits() {
+            for commit in lane.session.take_commits() {
                 if commit.proposer == self.pid {
-                    self.svc.trace.emit(
+                    trace.emit(
                         self.pid,
                         EventKind::BatchCommit {
                             shard: shard as u32,
@@ -319,10 +365,36 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         out
     }
 
+    /// Runs `work` on every busy lane: in turn on this thread, or, when
+    /// the service overlaps round trips (see [`ServiceWorker`]) and more
+    /// than one lane is busy, the first here and each other on a scoped
+    /// helper thread in this worker's chaos incarnation. The helpers are
+    /// joined explicitly and [`chaos::rejoin`] re-raises what stopped any
+    /// of them: a genuine panic with its own payload, else a crash.
+    fn each_busy_lane(&mut self, work: impl Fn(&mut Lane<'_, T, S>) + Sync) {
+        let overlap = self.svc.round_trips && !self.svc.trace.is_enabled();
+        let mut busy = self.lanes.iter_mut().filter(|lane| lane.busy).peekable();
+        let Some(first) = busy.next() else { return };
+        if !overlap || busy.peek().is_none() {
+            work(first);
+            busy.for_each(work);
+            return;
+        }
+        let incarnation = Incarnation::current();
+        let (work, incarnation) = (&work, &incarnation);
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = busy
+                .map(|lane| s.spawn(move || incarnation.enter(|| work(lane))))
+                .collect();
+            let own = panic::catch_unwind(AssertUnwindSafe(|| work(first)));
+            chaos::rejoin(std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())));
+        });
+    }
+
     /// Replays every shard's committed log without proposing anything.
     pub fn catch_up(&mut self) {
-        for session in &mut self.sessions {
-            session.catch_up();
+        for lane in &mut self.lanes {
+            lane.session.catch_up();
         }
     }
 

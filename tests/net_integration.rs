@@ -2,7 +2,8 @@
 //! backend (`tfr-net`), under a seeded network fault schedule, with three
 //! oracles watching — mutual exclusion, consensus agreement/validity, and
 //! register-level linearizability of the ABD emulation itself — and the
-//! universal construction's quorum cost is pinned in rounds.
+//! universal construction's quorum cost is pinned in rounds, as is the
+//! service's overlap of its busy shards' rounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +18,8 @@ use tfr::linearize::{check_history, Recorder};
 use tfr::net::{NetConfig, Network};
 use tfr::registers::space::{RegisterSpace, SubSpace};
 use tfr::registers::ProcId;
-use tfr::telemetry::with_pid;
+use tfr::service::{ObjectService, ServiceConfig};
+use tfr::telemetry::{with_pid, Trace, Tracer};
 
 const LOCK_WORKERS: usize = 2;
 const PROPOSERS: usize = 3;
@@ -217,4 +219,58 @@ fn a_recovered_session_pays_the_standing_read_once() {
         assert_eq!(control.quorum_rounds() - before, want);
     }
     assert_eq!(obj.snapshot(), 3);
+}
+
+/// One worker over [`lockstep_net`] (or its traced twin), with two
+/// shards, runs four bursts of 8 ops on each shard in `shards` and
+/// returns the network's high-water mark of open rounds. Every burst
+/// opens exactly 15 rounds per busy shard, overlapped or not.
+fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
+    let net = if traced {
+        let cfg = lockstep_net().config().clone();
+        let tracer = Arc::new(Tracer::new(cfg.tracer_processes()));
+        Arc::new(Network::with_trace(cfg, Trace::attached(tracer)))
+    } else {
+        lockstep_net()
+    };
+    let control = net.control();
+    let cfg = ServiceConfig {
+        capacity_per_shard: 8,
+        delta: Duration::from_micros(5),
+        ..ServiceConfig::new(2, 1)
+    };
+    let svc = ObjectService::on(Arc::new(net.space()), || Counter, &cfg);
+    let key_on = |shard: usize| (0..).find(|&k| svc.shard_of(k) == shard).expect("a key");
+    let burst: Vec<(u64, u64)> = shards
+        .iter()
+        .flat_map(|&shard| std::iter::repeat_n((key_on(shard), 1), 8))
+        .collect();
+    with_pid(ProcId(0), || {
+        let mut worker = svc.worker(ProcId(0));
+        for round in 1..=4u64 {
+            let before = control.quorum_rounds();
+            worker.enqueue_burst(&burst);
+            let done = worker.drive();
+            assert_eq!(done.len(), burst.len());
+            assert_eq!(done.last().map(|op| op.resp), Some(8 * round));
+            assert_eq!(
+                control.quorum_rounds() - before,
+                15 * shards.len() as u64,
+                "shards {shards:?}, traced {traced}: a decision per busy shard"
+            );
+        }
+    });
+    control.max_open_rounds()
+}
+
+/// One worker keeps its busy shards' quorum rounds in flight together:
+/// with two shards busy the network sees two rounds open at once, with
+/// one shard busy never more than one, and a traced network (whose
+/// client lane takes one writer) keeps the shards in turn. The rounds
+/// per burst stay 2 × 15 = 30 either way.
+#[test]
+fn a_worker_overlaps_the_rounds_of_its_busy_shards() {
+    assert_eq!(max_open_rounds_over_bursts(&[0, 1], false), 2);
+    assert_eq!(max_open_rounds_over_bursts(&[1], false), 1);
+    assert_eq!(max_open_rounds_over_bursts(&[0, 1], true), 1);
 }

@@ -309,7 +309,8 @@ fn universal_recovered_session_commits_its_predecessors_batch() {
     let (responses, commits) = chaos::run_as(ProcId(1), || {
         let mut s = obj.session(ProcId(1));
         s.drive_pending();
-        (s.take_responses(), s.take_commits())
+        let responses: Vec<_> = s.take_responses().collect();
+        (responses, s.take_commits().collect::<Vec<_>>())
     })
     .completed()
     .expect("the crash is one-shot");

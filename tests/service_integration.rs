@@ -302,6 +302,49 @@ fn crash_recovered_service_sessions_lose_no_ops_over_quorum_registers() {
     assert!(recoveries >= 3, "only {recoveries} incarnations restarted");
 }
 
+/// Over quorum registers a worker drives its first busy shard itself and
+/// the other on a helper thread in its chaos incarnation. A
+/// crash-recovery at the one `UNIVERSAL_COMBINE` visit of a drive — on
+/// the helper's shard, because another worker already committed the
+/// caller's op on the first — surfaces from the caller's `run_as` as a
+/// recoverable crash, and after a flush nothing is lost.
+#[test]
+fn a_crash_on_a_helper_shard_surfaces_from_the_workers_run_as() {
+    let net = Arc::new(Network::new(NetConfig::new(N, 3, 0x4E1F)));
+    let svc = ObjectService::on(Arc::new(net.space()), || Counter, &config());
+    let key_on = |shard: usize| {
+        (0..KEYS)
+            .find(|&k| svc.shard_of(k) == shard)
+            .expect("a key")
+    };
+    let down = Duration::from_micros(200);
+    let session = ChaosSession::install(&[Fault {
+        pid: ProcId(0),
+        point: points::UNIVERSAL_COMBINE,
+        nth: 1,
+        action: FaultAction::CrashRecover(down),
+    }]);
+    let mut worker = svc.worker(ProcId(0));
+    worker.enqueue_burst(&[(key_on(0), 5), (key_on(1), 7)]);
+    // Outside `run_as`, so no visits: p1 combines p0's op on shard 0.
+    let mut other = svc.worker(ProcId(1));
+    other.enqueue(key_on(0), 1);
+    assert_eq!(other.drive().len(), 1);
+    let outcome = run_as(ProcId(0), || worker.drive());
+    assert_eq!(outcome.recoverable_after(), Some(down));
+    let fired = session.injector().fired();
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    drop(session);
+    let audits = svc.audit();
+    assert!(
+        audits[0].complete(),
+        "shard 0 was committed before the crash"
+    );
+    assert!(!audits[1].complete(), "the helper crashed before proposing");
+    flush(&svc);
+    assert_nothing_lost(&svc, "crash on the helper's shard");
+}
+
 /// Fault-free baseline under the same harness: the workload completes
 /// with no restarts, and the intended totals are exactly what the
 /// announce ground truth reconstructs (nothing was redone, nothing
