@@ -54,7 +54,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e2",
-            "fast path: solo decision in 7 steps (Thm 2.1.4)",
+            "fast path: solo decision in 6 steps (Thm 2.1.4)",
             consensus_time::e2,
             no_gates,
         ),

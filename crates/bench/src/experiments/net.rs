@@ -193,6 +193,7 @@ pub fn net() -> Vec<Table> {
             "owned write / link rtt",
             "run-of-8 owned write / link rtt",
             "agreed write / link rtt",
+            "conditional write / link rtt",
         ],
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -236,10 +237,18 @@ pub fn net() -> Vec<Table> {
                     let _ = space.read(k);
                 }
             });
-            [run_read, run_write, owned, owned_run, agreed]
+            // Conditional writes of fresh cells: the query finds each
+            // unset, so each writes, in its query and its store round.
+            let (_, _, conditional) = round_trip_p50s(&cfg, 1, |_, space| {
+                for k in 0..200u64 {
+                    space.write_if_unset(k, k + 1, &mut || ());
+                    let _ = space.read(k);
+                }
+            });
+            [run_read, run_write, owned, owned_run, agreed, conditional]
                 .map(|us| format!("{:.2}", us / link_rtt_us))
         } else {
-            ["-", "-", "-", "-", "-"].map(String::from)
+            ["-", "-", "-", "-", "-", "-"].map(String::from)
         };
         let mut row = vec![
             threads.to_string(),
@@ -260,7 +269,8 @@ pub fn net() -> Vec<Table> {
     t3.note("(yielding), so more client threads than CPUs stretch each other's round trips.");
     t3.note("A run of 8 registers travels as one message per replica per phase, and an owned");
     t3.note("write (cells only this handle writes) or an agreed write (every write to the cell");
-    t3.note("carries one value) skips the query: 1 client only.");
+    t3.note("carries one value) skips the query. A conditional write of an unset cell (a read,");
+    t3.note("then a write if it read 0) shares one query between the two: 1 client only.");
     vec![t1, t2, t3]
 }
 
@@ -309,7 +319,9 @@ fn round_trip_p50s(
 /// what one register costs, one round per phase (a run served cell by
 /// cell would read 8 and 16); and an owned write, one cell or a run of 8,
 /// and an agreed write are the store round alone (a queried write would
-/// read 2). Self-normalising: the p50 over the *configured* mean link
+/// read 2); a conditional write of an unset cell is a query and a store,
+/// two rounds (a read and then a queried write would read 3, a store
+/// alone 1). Self-normalising: the p50 over the *configured* mean link
 /// round trip.
 pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     let solo = || by_id(tables, "NETc")?.row_where(&[("client threads", "1")]);
@@ -354,6 +366,14 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 "agreed write / link rtt <= 1.3",
             )
         }),
+        gate("NETc.conditional_write_costs_two_rounds", || {
+            let solo = solo()?;
+            let conditional = solo.num("conditional write / link rtt")?;
+            solo.expect(
+                (1.5..=2.6).contains(&conditional),
+                "conditional write / link rtt in 1.5..=2.6",
+            )
+        }),
     ]
 }
 
@@ -369,11 +389,11 @@ mod tests {
             "client threads | read / link rtt | write / link rtt \
              | run-of-8 read / link rtt | run-of-8 write / link rtt \
              | owned write / link rtt | run-of-8 owned write / link rtt \
-             | agreed write / link rtt",
+             | agreed write / link rtt | conditional write / link rtt",
             &[
-                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02",
-                "2 | 1.05 | 2.10 | - | - | - | - | -",
-                "4 | 2.40 | 4.90 | - | - | - | - | -",
+                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02 | 2.03",
+                "2 | 1.05 | 2.10 | - | - | - | - | - | -",
+                "4 | 2.40 | 4.90 | - | - | - | - | - | -",
             ],
         )];
         // Every gate reads the one-client row, so a missing row or an
@@ -425,6 +445,19 @@ mod tests {
                         Set(0, "agreed write / link rtt", "2.02"),
                         Set(0, "agreed write / link rtt", "1.31"),
                         Set(0, "agreed write / link rtt", "-"),
+                        DropRow(0),
+                        Clear,
+                    ],
+                ),
+                (
+                    "NETc.conditional_write_costs_two_rounds",
+                    &[
+                        // A read and then a queried write: three rounds.
+                        Set(0, "conditional write / link rtt", "3.05"),
+                        Set(0, "conditional write / link rtt", "2.61"),
+                        // A store without the query: one round.
+                        Set(0, "conditional write / link rtt", "1.02"),
+                        Set(0, "conditional write / link rtt", "-"),
                         DropRow(0),
                         Clear,
                     ],

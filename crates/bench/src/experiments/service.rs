@@ -335,7 +335,7 @@ fn overlap() -> Table {
             format!("{ratio:.2}"),
         ]);
     }
-    t.note("Each busy shard costs its decision's 15 quorum rounds either way; a worker whose");
+    t.note("Each busy shard costs its decision's 12 quorum rounds either way; a worker whose");
     t.note("space round-trips drives the first busy shard itself and the other on a scoped");
     t.note(format!(
         "helper thread. Network high-water mark: {} quorum rounds open at once.",
@@ -491,7 +491,7 @@ mod tests {
             table(
                 "E22e",
                 "busy shards | rounds/burst | ratio",
-                &["1 | 15.0 | 1.00", "2 | 30.0 | 1.09"],
+                &["1 | 12.0 | 1.00", "2 | 24.0 | 1.09"],
             ),
         ];
         assert_gates_reject(
@@ -537,7 +537,7 @@ mod tests {
                     &[
                         Set(1, "ratio", "2.01"),
                         Set(1, "ratio", "1.36"),
-                        Set(1, "rounds/burst", "15.0"),
+                        Set(1, "rounds/burst", "12.0"),
                         DropRow(1),
                     ],
                 ),

@@ -22,12 +22,19 @@
 //! decide(decide)
 //! ```
 //!
+//! Both forms return right after `decide := v`, with `v`: every write to
+//! `decide` carries one value (the agreement argument of Theorems
+//! 2.2/2.3), so the loop check that would follow can only read back the
+//! value just written. The model checker proves that obligation
+//! ([`ConsensusSpec::decide_reg`]).
+//!
 //! Properties (Theorem 2.1, each reproduced by the experiment harness):
 //!
 //! * without timing failures every process decides within **15·Δ** (first
 //!   two rounds) — experiment E1;
-//! * a solo process decides after **7** of its own steps, with no delay
-//!   statement, regardless of timing failures — E2;
+//! * a solo process decides after **6** of its own steps, with no delay
+//!   statement, regardless of timing failures — E2 (the paper's loop
+//!   check after `decide := v` would make it 7);
 //! * failures stopping at the start of round `r` ⇒ all decide by the end
 //!   of round `r + 1` — E3;
 //! * wait-free: any number of crashes tolerated — E4;
@@ -160,7 +167,7 @@ enum Pc {
     WriteY,
     /// read `x[r, v̄]`.
     ReadXBar,
-    /// `decide := v`.
+    /// `decide := v`, then decide `v`.
     WriteDecide,
     /// `delay(Δ)` before adopting `y[r]`.
     DelayStep,
@@ -201,14 +208,7 @@ impl Automaton for ConsensusSpec {
             Pc::ReadY => Action::Read(self.y(s.r)),
             Pc::WriteY => Action::Write(self.y(s.r), enc(s.v)),
             Pc::ReadXBar => Action::Read(self.x(s.r, !s.v)),
-            Pc::WriteDecide => {
-                let v = if self.decide_writes_input {
-                    self.inputs[s.pid.0]
-                } else {
-                    s.v
-                };
-                Action::Write(self.decide_reg(), enc(v))
-            }
+            Pc::WriteDecide => Action::Write(self.decide_reg(), enc(self.decide_value(s))),
             Pc::DelayStep => Action::Delay(self.delay_for(s.pid)),
             Pc::ReadYAdopt => Action::Read(self.y(s.r)),
             Pc::Halted => Action::Halt,
@@ -247,7 +247,12 @@ impl Automaton for ConsensusSpec {
                     s.pc = Pc::DelayStep;
                 }
             }
-            Pc::WriteDecide => s.pc = Pc::ReadDecide,
+            Pc::WriteDecide => {
+                // Line 9 without the loop check: every write to `decide`
+                // carries one value, so it would read back this one.
+                obs.push(Obs::Decided(self.decide_value(s) as u64));
+                s.pc = Pc::Halted;
+            }
             Pc::DelayStep => s.pc = Pc::ReadYAdopt,
             Pc::ReadYAdopt => {
                 let raw = observed.expect("read observes");
@@ -314,6 +319,16 @@ impl ConsensusSpec {
         );
         self.per_process_delay = Some(deltas);
         self
+    }
+
+    /// The value `decide := v` writes: the preference, or the round-1
+    /// input in the seeded mutant.
+    fn decide_value(&self, s: &ConsensusState) -> bool {
+        if self.decide_writes_input {
+            self.inputs[s.pid.0]
+        } else {
+            s.v
+        }
     }
 
     fn delay_for(&self, pid: ProcId) -> Ticks {
@@ -408,16 +423,39 @@ impl<S: RegisterSpace> NativeConsensus<S> {
     /// Wait-free once timing constraints hold: no other thread can block
     /// this one indefinitely, and crashes of other proposers are harmless.
     ///
+    /// A solo call makes 6 accesses: read `decide`, the agreed write of
+    /// `x[1, v]`, the conditional write of `y[1]`
+    /// ([`RegisterSpace::write_if_unset`]: two quorum rounds, where a
+    /// read and then a write would cost three), the
+    /// read of `x[1, v̄]`, and the agreed write of `decide`, after which it
+    /// returns `v` without reading `decide` back: every write to `decide`
+    /// carries one value. `x` holds 0 or 1 and `decide` the agreed bit,
+    /// so both are agreed writes; `y`'s writers differ.
+    ///
     /// Chaos injection fires [`chaos::points::ARRAY_STORE`] /
     /// `ARRAY_LOAD` before each `x`/`y` access at this layer (not inside
-    /// the space), so the schedule of injection points is the same on
-    /// every backend.
+    /// the space; the store point of `y` through the conditional write's
+    /// `between`, so only if it writes), so the schedule of injection
+    /// points is the same on every backend.
     pub fn propose(&self, input: bool) -> bool {
+        self.run(input, None)
+    }
+
+    /// [`NativeConsensus::propose`] by a caller that has already read
+    /// `decide` and saw `seen`: the first loop check takes that value
+    /// instead of reading again. Reading early is what a slow process
+    /// does, so any value the caller read of this instance's `decide`
+    /// will do.
+    pub(crate) fn propose_seen(&self, input: bool, seen: u64) -> bool {
+        self.run(input, Some(seen))
+    }
+
+    fn run(&self, input: bool, mut seen: Option<u64>) -> bool {
         let mut v = input;
         let mut r = 1u64;
         loop {
             chaos::point(chaos::points::CONSENSUS_ROUND);
-            let d = self.space.read(Self::DECIDE);
+            let d = seen.take().unwrap_or_else(|| self.space.read(Self::DECIDE));
             if d != 0 {
                 let value = dec(d);
                 self.trace.emit_current(EventKind::Decided {
@@ -427,19 +465,18 @@ impl<S: RegisterSpace> NativeConsensus<S> {
             }
             self.trace.emit_current(EventKind::RoundStart { round: r });
             chaos::point(chaos::points::ARRAY_STORE);
-            // `x` holds 0 or 1, and `decide` one value by agreement
-            // (Theorems 2.2/2.3): agreed writes. `y`'s writers differ.
             self.space.write_agreed(Self::x_idx(r, v), 1);
             chaos::point(chaos::points::ARRAY_LOAD);
-            if self.space.read(Self::y_idx(r)) == 0 {
-                chaos::point(chaos::points::ARRAY_STORE);
-                self.space.write(Self::y_idx(r), enc(v));
-            }
+            self.space.write_if_unset(Self::y_idx(r), enc(v), &mut || {
+                chaos::point(chaos::points::ARRAY_STORE)
+            });
             chaos::point(chaos::points::ARRAY_LOAD);
             if self.space.read(Self::x_idx(r, !v)) == 0 {
                 chaos::point(chaos::points::CONSENSUS_DECIDE);
                 self.space.write_agreed(Self::DECIDE, enc(v));
-                continue; // the loop check reads `decide` and returns
+                self.trace
+                    .emit_current(EventKind::Decided { value: v as u64 });
+                return v;
             }
             self.trace.emit_current(EventKind::DelayStart {
                 requested_ns: self.delta.as_nanos() as u64,
@@ -486,12 +523,13 @@ mod tests {
     use tfr_sim::{RunConfig, Sim};
 
     #[test]
-    fn solo_process_decides_in_seven_steps() {
-        // Theorem 2.1(4): fast path — 7 shared accesses, 0 delays.
+    fn solo_process_decides_in_six_steps() {
+        // Theorem 2.1(4): fast path — 6 shared accesses, 0 delays (the
+        // paper's loop check after `decide := v` is not taken).
         for input in [false, true] {
             let mut bank = ArrayBank::new();
             let run = run_solo(&ConsensusSpec::new(vec![input]), ProcId(0), &mut bank, 50);
-            assert_eq!(run.shared_accesses, 7);
+            assert_eq!(run.shared_accesses, 6);
             assert_eq!(run.delays, 0);
             assert_eq!(run.decision(), Some(input as u64));
         }

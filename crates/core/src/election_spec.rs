@@ -9,21 +9,26 @@
 //! decision — it agrees on the winner's pid over the same `W` Algorithm 1
 //! instances and returns the value that pid announced — so a solo
 //! native `propose_fresh` makes exactly this automaton's accesses, and a
-//! solo `propose` adds one read of its own announce register before
-//! them. The native forms ([`crate::derived`], the universal
+//! solo `propose` adds one read of its own announce register after the
+//! first. The native forms ([`crate::derived`], the universal
 //! construction, the replicated log) inherit the guarantee by
 //! construction; this automaton lets the tools *verify* it over every
 //! interleaving for small configurations.
 //!
 //! # Protocol (process `i`, `W = ⌈log₂ n⌉` bit instances)
 //!
-//! 1. announce: `announce[i] := i + 1`;
-//! 2. for bit `k = W−1 .. 0`: run Algorithm 1 instance `k` proposing bit
-//!    `k` of the current candidate; if the decided bit differs, scan the
+//! 1. probe: read instance `W−1`'s `decide`. Reading it before announcing
+//!    is what a slow process does: a read has no side effects, and it
+//!    does not depend on the proposal;
+//! 2. announce: `announce[i] := i + 1`;
+//! 3. for bit `k = W−1 .. 0`: run Algorithm 1 instance `k` proposing bit
+//!    `k` of the current candidate — instance `W−1` taking the probed
+//!    value as its first loop check's read, where the native form takes
+//!    the slot read's; if the decided bit differs, scan the
 //!    announce array for some announced id matching the decided prefix
 //!    (one exists — the decided bit's proposer announced first) and adopt
 //!    it;
-//! 3. the candidate now equals the decided bit string: write
+//! 4. the candidate now equals the decided bit string: write
 //!    `result := candidate + 1` and emit the candidate as the elected
 //!    leader. Every process that writes `result` writes the one elected
 //!    candidate, which is what lets the native form serve the write as an
@@ -111,8 +116,10 @@ impl ElectionSpec {
 /// Where a process is in the election protocol.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Pc {
-    /// `announce[i] := i + 1`.
-    Announce,
+    /// Read instance `W−1`'s `decide`.
+    Probe,
+    /// `announce[i] := i + 1`, having probed `seen`.
+    Announce { seen: u64 },
     /// Driving consensus instance `k` with the inner state.
     Bit {
         k: u32,
@@ -137,6 +144,11 @@ pub struct ElectionState {
 }
 
 impl ElectionSpec {
+    /// Instance `W−1`'s `decide`, the register the probe reads.
+    fn top_decide(&self) -> RegId {
+        self.instance(self.width - 1, false).decide_reg()
+    }
+
     /// Enters bit instance `k` (or, past bit 0, the `result` write) with
     /// the current candidate.
     fn enter_bit(&self, s: &mut ElectionState, k_next: i64) {
@@ -149,6 +161,50 @@ impl ElectionSpec {
             s.pc = Pc::Bit { k, inner };
         }
     }
+
+    /// Steps bit instance `k`'s inner automaton on `observed`, then
+    /// moves on if it decided: to the next bit, or to the adoption scan
+    /// if the decided bit is not the candidate's.
+    fn step_bit(
+        &self,
+        s: &mut ElectionState,
+        k: u32,
+        mut inner: <ConsensusSpec as Automaton>::State,
+        observed: Option<u64>,
+        obs: &mut Vec<Obs>,
+    ) {
+        let proposal = (s.candidate >> k) & 1 == 1;
+        let mut inner_obs = Vec::new();
+        self.instance(k, proposal)
+            .apply(&mut inner, observed, &mut inner_obs);
+        for o in inner_obs {
+            match o {
+                Obs::Decided(b) => {
+                    let decided = b == 1;
+                    if decided == proposal {
+                        self.enter_bit(s, k as i64 - 1);
+                    } else {
+                        // Adopt: find an announced id matching the
+                        // decided prefix (bits width-1..=k).
+                        let prefix = (s.candidate >> (k + 1) << 1) | decided as u64;
+                        s.pc = Pc::Scan { k, j: 0, prefix };
+                    }
+                    return;
+                }
+                Obs::Note(tag, v) => {
+                    // Inner round budget exhausted (only possible under
+                    // pathological failure lengths): give up without
+                    // electing — safety intact.
+                    obs.push(Obs::Note(tag, v));
+                    s.pc = Pc::Done;
+                    return;
+                }
+                _ => {}
+            }
+        }
+        // Instance still running.
+        s.pc = Pc::Bit { k, inner };
+    }
 }
 
 impl Automaton for ElectionSpec {
@@ -158,14 +214,15 @@ impl Automaton for ElectionSpec {
         assert!(pid.0 < self.n, "pid out of range");
         ElectionState {
             pid,
-            pc: Pc::Announce,
+            pc: Pc::Probe,
             candidate: pid.0 as u64,
         }
     }
 
     fn next_action(&self, s: &Self::State) -> Action {
         match &s.pc {
-            Pc::Announce => Action::Write(self.announce(s.pid.0), s.pid.0 as u64 + 1),
+            Pc::Probe => Action::Read(self.top_decide()),
+            Pc::Announce { .. } => Action::Write(self.announce(s.pid.0), s.pid.0 as u64 + 1),
             Pc::Bit { k, inner } => {
                 let proposal = (s.candidate >> k) & 1 == 1;
                 self.instance(*k, proposal).next_action(inner)
@@ -181,42 +238,19 @@ impl Automaton for ElectionSpec {
         // borrows of `s`.
         let pc = std::mem::replace(&mut s.pc, Pc::Done);
         match pc {
-            Pc::Announce => {
-                self.enter_bit(s, self.width as i64 - 1);
+            Pc::Probe => {
+                let seen = observed.expect("read observes");
+                s.pc = Pc::Announce { seen };
             }
-            Pc::Bit { k, mut inner } => {
-                let proposal = (s.candidate >> k) & 1 == 1;
-                let automaton = self.instance(k, proposal);
-                let mut inner_obs = Vec::new();
-                automaton.apply(&mut inner, observed, &mut inner_obs);
-                for o in &inner_obs {
-                    match *o {
-                        Obs::Decided(b) => {
-                            let decided = b == 1;
-                            if decided == proposal {
-                                self.enter_bit(s, k as i64 - 1);
-                            } else {
-                                // Adopt: find an announced id matching the
-                                // decided prefix (bits width-1..=k).
-                                let prefix = (s.candidate >> (k + 1) << 1) | decided as u64;
-                                s.pc = Pc::Scan { k, j: 0, prefix };
-                            }
-                            return;
-                        }
-                        Obs::Note(tag, v) => {
-                            // Inner round budget exhausted (only possible
-                            // under pathological failure lengths): give up
-                            // without electing — safety intact.
-                            obs.push(Obs::Note(tag, v));
-                            s.pc = Pc::Done;
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
-                // Instance still running.
-                s.pc = Pc::Bit { k, inner };
+            Pc::Announce { seen } => {
+                // Instance W−1's first loop check reads what the probe saw.
+                let k = self.width - 1;
+                let inner = self
+                    .instance(k, (s.candidate >> k) & 1 == 1)
+                    .init(ProcId(0));
+                self.step_bit(s, k, inner, Some(seen), obs);
             }
+            Pc::Bit { k, inner } => self.step_bit(s, k, inner, observed, obs),
             Pc::Scan { k, j, prefix } => {
                 let raw = observed.expect("read observes");
                 let matches = raw != 0 && (raw - 1) >> k == prefix;

@@ -24,7 +24,7 @@
 //!
 //! * [`consensus`] — **Algorithm 1**: wait-free, fast, time-resilient
 //!   binary consensus from atomic registers. Decides within 15·Δ without
-//!   failures; a solo process decides in 7 of its own steps regardless of
+//!   failures; a solo process decides in 6 of its own steps regardless of
 //!   failures; safety holds under arbitrary timing failures (this is the
 //!   possibility result that contrasts with FLP/LA impossibility in fully
 //!   asynchronous systems).

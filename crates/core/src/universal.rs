@@ -80,16 +80,29 @@
 //! (Theorems 2.2/2.3) and `result` the common decision. They go out as
 //! [`RegisterSpace::write_agreed`], which a quorum backend also serves in
 //! one store round. Only Algorithm 1's `y`, whose writers propose
-//! different values by design, keeps the queried write.
+//! different values by design, keeps a queried write, and its read
+//! shares that write's query: `if y[r] = ⊥ then y[r] := v` is one
+//! [`RegisterSpace::write_if_unset`], two rounds where a read and a
+//! write cost three.
+//!
+//! **The probe.** A session learns whether a slot is decided from one
+//! [`MultiConsensus::probe`], a run of two cells: the slot's `result` and
+//! its top pid bit's `decide`. If the slot is undecided, the session's
+//! proposal starts from that probe ([`MultiConsensus::propose_probed`]),
+//! and Algorithm 1's first loop check takes the probed `decide` instead
+//! of reading it again. Reading `decide` before the batch is published
+//! and announced is what a slow process does: a read has no side
+//! effects, and it does not depend on the value proposed.
 //!
 //! **The standing read.** [`MultiConsensus::propose`] reads `pid`'s
-//! announcement first, so that a recovered incarnation re-proposes the
-//! value its predecessor announced. A [`Session`] pays that read only at
-//! its first proposal, and only if it opened with a nonzero arena mark:
-//! a predecessor publishes its record and then its mark before it
-//! proposes, and it leaves a standing announcement at most at the slot
-//! it crashed in, which is the first one a new session can propose at.
-//! Every other proposal goes through [`MultiConsensus::propose_fresh`].
+//! announcement before announcing, so that a recovered incarnation
+//! re-proposes the value its predecessor announced. A [`Session`] pays
+//! that read only at its first proposal, and only if it opened with a
+//! nonzero arena mark: a predecessor publishes its record and then its
+//! mark before it proposes, and it leaves a standing announcement at most
+//! at the slot it crashed in, which is the first one a new session can
+//! propose at. Every other proposal skips it, as
+//! [`MultiConsensus::propose_fresh`] does.
 //!
 //! **Own-batch apply.** When `propose` returns `pack(pid, offset)` for
 //! the record this session has just published at that slot, the session
@@ -103,13 +116,21 @@
 //! a predecessor's standing proposal names an offset below the mark this
 //! session read when it opened. Every other decision is read back.
 //!
-//! Algorithm 1 itself — and so [`MultiConsensus`] — is **not** vectored.
-//! Its round `read decide → write x[r,v] → read y[r] → … → read
-//! x[r,¬v]` is Dekker-shaped: Theorems 2.2 and 2.3 rest on each process
-//! writing its own `x` before reading the other's, an order across cells
-//! that a run does not keep (`consensus.rs`). `adopt`'s scan and the
-//! combiner's counter scan stay single reads too: they touch one cell or
-//! none at the process counts the service runs.
+//! Algorithm 1's round is **not** vectored past its first read. The round
+//! `read decide → write x[r,v] → read y[r] → … → read x[r,¬v]` is
+//! Dekker-shaped: Theorems 2.2 and 2.3 rest on each process writing its
+//! own `x` before reading the other's, an order across cells that a run
+//! does not keep (`consensus.rs`). What the proofs do not order is gone
+//! instead: the entry read of `decide` rides the slot's probe (a read
+//! may come as early as the caller likes), `y`'s read shares its write's
+//! query (the conditional write above), and the loop check after
+//! `decide := v` is not taken (every write to `decide` carries one value,
+//! so it would read back `v`). After the probe a solo instance is then
+//! four calls in five quorum rounds: the agreed write of `x`, the
+//! conditional write of `y` (two), the read of `x[r,¬v]` and the agreed
+//! write of `decide`.
+//! `adopt`'s scan and the combiner's counter scan stay single reads:
+//! they touch one cell or none at the process counts the service runs.
 
 use crate::consensus::NativeConsensus;
 use std::sync::Arc;
@@ -137,6 +158,13 @@ pub(crate) fn pid_bits(n: usize) -> u32 {
 /// [`MultiConsensus::propose_fresh`] skips the read that finds the
 /// standing value, for callers that know there is none to find.
 ///
+/// Every proposal starts from a read of the top pid bit's `decide`, which
+/// its Algorithm 1 instance takes as its first loop check. A caller that
+/// polls the object before proposing (a [`Session`], the replicated log)
+/// reads it together with `result`, as one [`MultiConsensus::probe`], and
+/// hands the probe to [`MultiConsensus::propose_probed`]; `propose` and
+/// `propose_fresh` read `decide` alone and go the same way.
+///
 /// # Example
 ///
 /// ```
@@ -156,7 +184,9 @@ pub struct MultiConsensus<S: RegisterSpace = NativeSpace> {
     /// undecided) at 0; `announce[i]` (process `i`'s proposal, +1) at
     /// `1 + i`; pid bit `k`'s Algorithm 1 instance over the strided
     /// region `1 + n + k + j·W` for `W = bits.len()` — the `W` regions
-    /// tile the remaining indices disjointly.
+    /// tile the remaining indices disjointly. Each instance's `decide` is
+    /// its register 0, so `result` and the top bit's `decide`, at
+    /// `n + W`, are a run of two with that stride.
     space: Arc<S>,
     /// `bits[k]` decides bit `k` of the winner's pid (bit 0 = least
     /// significant).
@@ -211,6 +241,38 @@ impl<S: RegisterSpace> MultiConsensus<S> {
         1 + pid as u64
     }
 
+    /// The index of the top pid bit's `decide`: register 0 of its
+    /// instance's region.
+    #[inline]
+    fn top_decide_idx(&self) -> u64 {
+        1 + self.n as u64 + (self.bits.len() as u64 - 1)
+    }
+
+    /// Reads `result` and the top pid bit's `decide` as one register run:
+    /// the one read a caller needs to learn whether the object has
+    /// decided and, if not, to start a proposal with
+    /// [`MultiConsensus::propose_probed`]. One round trip on a quorum
+    /// backend.
+    pub fn probe(&self) -> Probe {
+        let mut cells = [0; 2];
+        let top = self.top_decide_idx();
+        self.space
+            .read_run(Self::result_idx(), top - Self::result_idx(), &mut cells);
+        Probe {
+            result: cells[0],
+            decide: cells[1],
+        }
+    }
+
+    /// Reads the top pid bit's `decide` alone: a probe that did not read
+    /// `result`.
+    fn probe_decide(&self) -> Probe {
+        Probe {
+            result: 0,
+            decide: self.space.read(self.top_decide_idx()),
+        }
+    }
+
     /// Proposes `value` (or, if an earlier call by `pid` already
     /// announced one, that standing value); blocks until the common
     /// decision is known and returns it. Wait-free once timing
@@ -221,14 +283,7 @@ impl<S: RegisterSpace> MultiConsensus<S> {
     /// Panics if `pid` is out of range or `value` does not fit in `width`
     /// bits.
     pub fn propose(&self, pid: ProcId, value: u64) -> u64 {
-        assert!(pid.0 < self.n, "pid out of range");
-        assert!(value < 1u64 << self.width, "value exceeds width");
-        // The first announcement stands: with pid bits, rewriting it would
-        // let two processes adopt the same pid with different values.
-        match self.space.read(Self::announce_idx(pid.0)) {
-            0 => self.propose_fresh(pid, value),
-            standing => self.elect(pid, standing - 1),
-        }
+        self.propose_probed(pid, value, self.probe_decide(), true)
     }
 
     /// [`MultiConsensus::propose`] without the read of `pid`'s standing
@@ -244,21 +299,65 @@ impl<S: RegisterSpace> MultiConsensus<S> {
     /// Panics if `pid` is out of range or `value` does not fit in `width`
     /// bits.
     pub fn propose_fresh(&self, pid: ProcId, value: u64) -> u64 {
-        assert!(pid.0 < self.n, "pid out of range");
-        assert!(value < 1u64 << self.width, "value exceeds width");
-        // Only `pid` ever writes its announcement: an owned write.
-        self.space
-            .write_run_owned(Self::announce_idx(pid.0), 1, &[value + 1]);
-        self.elect(pid, value)
+        self.propose_probed(pid, value, self.probe_decide(), false)
     }
 
-    /// Runs the pid election for `pid`, which has announced `own`, and
-    /// publishes and returns the common decision.
-    fn elect(&self, pid: ProcId, own: u64) -> u64 {
+    /// The proposal every other one is: `pid` proposes `value` starting
+    /// from `probe`, a [`MultiConsensus::probe`] of this object made by
+    /// the caller, and returns the common decision. If the probe saw a
+    /// decision, that is returned at once; otherwise the top pid bit's
+    /// Algorithm 1 instance takes the probed `decide` as its first loop
+    /// check, which saves a read. The probe may be as old as the caller
+    /// likes: an old read of `decide` is what a slow process makes.
+    ///
+    /// With `standing`, `pid`'s standing announcement is read first and,
+    /// if there is one, proposed instead of `value`
+    /// ([`MultiConsensus::propose`]); without it the caller vouches that
+    /// there is none, or that it is `value`
+    /// ([`MultiConsensus::propose_fresh`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range or `value` does not fit in `width`
+    /// bits.
+    pub fn propose_probed(&self, pid: ProcId, value: u64, probe: Probe, standing: bool) -> u64 {
+        assert!(pid.0 < self.n, "pid out of range");
+        assert!(value < 1u64 << self.width, "value exceeds width");
+        if let Some(decided) = probe.decision() {
+            return decided;
+        }
+        // The first announcement stands: with pid bits, rewriting it would
+        // let two processes adopt the same pid with different values.
+        let standing = if standing {
+            self.space.read(Self::announce_idx(pid.0))
+        } else {
+            0
+        };
+        let own = match standing {
+            0 => {
+                // Only `pid` ever writes its announcement: an owned write.
+                self.space
+                    .write_run_owned(Self::announce_idx(pid.0), 1, &[value + 1]);
+                value
+            }
+            standing => standing - 1,
+        };
+        self.elect(pid, own, probe.decide)
+    }
+
+    /// Runs the pid election for `pid`, which has announced `own`, with
+    /// `top_decide` read of the top pid bit's `decide`, and publishes and
+    /// returns the common decision.
+    fn elect(&self, pid: ProcId, own: u64, top_decide: u64) -> u64 {
         let (mut leader, mut candidate) = (pid.0, own);
+        let mut seen = Some(top_decide);
         for k in (0..self.bits.len() as u32).rev() {
             let my_bit = (leader >> k) & 1 == 1;
-            let decided = self.bits[k as usize].propose(my_bit);
+            let bit = &self.bits[k as usize];
+            let decided = match seen.take() {
+                Some(d) => bit.propose_seen(my_bit, d),
+                None => bit.propose(my_bit),
+            };
             if decided != my_bit {
                 (leader, candidate) = self.adopt(leader, k, decided);
             }
@@ -304,6 +403,21 @@ impl<S: RegisterSpace> MultiConsensus<S> {
             "bit {k} decided {decided_bit} but no announced pid matches prefix \
              {target_prefix:#b} — violates the announce-before-propose invariant"
         );
+    }
+}
+
+/// What one [`MultiConsensus::probe`] read: `result`, and the top pid
+/// bit's `decide`, from which a proposal can start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    result: u64,
+    decide: u64,
+}
+
+impl Probe {
+    /// The decision the probe saw, if the object had one.
+    pub fn decision(&self) -> Option<u64> {
+        self.result.checked_sub(1)
     }
 }
 
@@ -816,19 +930,17 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
                 "universal object capacity exhausted before the operation was linearized"
             );
             let s = self.next_slot;
-            let (decided, own) = match self.uni.slots[s].decision() {
+            let probe = self.uni.slots[s].probe();
+            let (decided, own) = match probe.decision() {
                 Some(d) => (d, false),
                 None => {
                     chaos::point(chaos::points::UNIVERSAL_COMBINE);
                     let _consensus = Span::enter(&self.uni.trace, "consensus");
                     let offset = self.publish_batch(s);
                     let proposal = Universal::<T, S>::pack(self.pid.0, offset);
-                    let slot = &self.uni.slots[s];
-                    let decided = if std::mem::take(&mut self.standing) {
-                        slot.propose(self.pid, proposal)
-                    } else {
-                        slot.propose_fresh(self.pid, proposal)
-                    };
+                    let standing = std::mem::take(&mut self.standing);
+                    let decided =
+                        self.uni.slots[s].propose_probed(self.pid, proposal, probe, standing);
                     // Equal only if this very record won: a predecessor
                     // incarnation's standing proposal names an offset
                     // below the mark this session started from.
@@ -1199,10 +1311,12 @@ mod tests {
     }
 
     #[test]
-    fn solo_propose_costs_three_plus_seven_per_pid_bit() {
-        // Read the standing announcement, announce, 7 per pid bit (the
-        // solo fast path of Algorithm 1), write `result`. A delay would
-        // take the whole Δ, so a solo run well inside it ran none.
+    fn solo_propose_costs_three_plus_six_per_pid_bit() {
+        // Read the standing announcement, announce, 6 per pid bit (the
+        // solo fast path of Algorithm 1, the top bit's first read being
+        // the probe of `decide` before the announcement), write `result`.
+        // A delay would take the whole Δ, so a solo run well inside it ran
+        // none.
         let long = Duration::from_secs(2);
         for (n, bits) in [(1usize, 1), (2, 1), (3, 2), (4, 2), (5, 3), (255, 8)] {
             let space = Arc::new(Taped::default());
@@ -1210,7 +1324,7 @@ mod tests {
             let start = Instant::now();
             assert_eq!(mc.propose(ProcId(n - 1), (1 << 62) + 5), (1 << 62) + 5);
             assert!(start.elapsed() < long, "n={n}: a solo propose delayed");
-            assert_eq!(space.tape().len(), 3 + 7 * bits, "n={n}");
+            assert_eq!(space.tape().len(), 3 + 6 * bits, "n={n}");
         }
     }
 
@@ -1243,12 +1357,14 @@ mod tests {
                         .into_iter()
                         .map(|(w, i)| (w, native_loc(n as u64, i)))
                         .collect();
-                    // `propose` adds only the standing-announcement read.
-                    let mut want = Vec::new();
+                    // `propose` adds only the standing-announcement read,
+                    // after the probe of `decide`.
+                    let mut want = spec_tape.clone();
+                    let top = pid_bits(n) as u64 - 1;
+                    assert_eq!(want[0], (false, Loc::Bit { k: top, reg: 0 }));
                     if !fresh {
-                        want.push((false, Loc::Announce(pid as u64)));
+                        want.insert(1, (false, Loc::Announce(pid as u64)));
                     }
-                    want.extend(spec_tape.iter().cloned());
                     assert_eq!(got, want, "n={n} pid={pid} fresh={fresh}");
                 }
             }
@@ -1296,16 +1412,27 @@ mod tests {
     }
 
     /// p1 (of n = 4, two pid bits) announces `v1`, decides pid bit 1, and
-    /// crashes recoverably at the top of its second instance: visits 1
-    /// and 2 of `consensus.round` are the first instance's two loop
-    /// checks.
+    /// crashes recoverably at the top of its second instance: visit 1 of
+    /// `consensus.round` is the first instance's one loop check, which
+    /// takes the probed `decide` and, deciding, returns without another.
     fn crash_after_first_pid_bit() -> Fault {
         Fault {
             pid: ProcId(1),
             point: points::CONSENSUS_ROUND,
-            nth: 3,
+            nth: 2,
             action: FaultAction::CrashRecover(Duration::ZERO),
         }
+    }
+
+    /// Whether `tape`'s last access is the decisive one of an object of
+    /// `n = 4` whose cell `i` is parent index `at(i)`: pid bit 1's
+    /// `decide` written, and nothing of pid bit 0's instance touched —
+    /// the crash of [`crash_after_first_pid_bit`] landed at the top of
+    /// the second instance.
+    fn crashed_at_the_second_instance(tape: &[(bool, u64)], at: impl Fn(u64) -> u64) -> bool {
+        let bit = |k: u64, reg: u64| at(1 + 4 + k + 2 * reg);
+        let bit0: Vec<u64> = (0..3 * 4).map(|reg| bit(0, reg)).collect();
+        tape.last() == Some(&(true, bit(1, 0))) && tape.iter().all(|(_, i)| !bit0.contains(i))
     }
 
     #[test]
@@ -1315,10 +1442,12 @@ mod tests {
         // 0 by v1's prefix 0b10) `adopt` found no announced value with
         // that prefix and hit its `unreachable!`.
         let (v1, v2, v_early, v_late) = (0b1000_0000, 0b1111_1111, 0b0000_0001, 0b0000_0011);
-        let mc = MultiConsensus::new(4, 8, D);
+        let space = Arc::new(Taped::default());
+        let mc = MultiConsensus::on(Arc::clone(&space), 4, 8, D);
         let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
         let first = chaos::run_as(ProcId(1), || mc.propose(ProcId(1), v1));
         assert!(first.recoverable_after().is_some(), "p1 crashed");
+        assert!(crashed_at_the_second_instance(&space.tape(), |i| i));
         assert_eq!(mc.bits[1].decision(), Some(false), "p1 decided pid bit 1");
         assert_eq!(mc.decision(), None, "p1 crashed before writing result");
         // p2 runs alone and finishes before p1 comes back.
@@ -1342,7 +1471,8 @@ mod tests {
         // the bits its predecessor had left, so the new batch committed
         // and the predecessor's was orphaned; a crash further down the 32
         // bits, inside the offset, made `adopt` hit its `unreachable!`.
-        let obj = Universal::new(Counter, 4, 8, D);
+        let space = Arc::new(Taped::default());
+        let obj = Universal::on(Arc::clone(&space), Counter, 4, 8, D);
         let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
         let crashed = chaos::run_as(ProcId(1), || {
             let mut s = obj.session(ProcId(1));
@@ -1350,6 +1480,9 @@ mod tests {
             s.drive_pending();
         });
         assert!(crashed.recoverable_after().is_some(), "p1 crashed");
+        assert!(crashed_at_the_second_instance(&space.tape(), |i| {
+            slot_cell(8, 0, i)
+        }));
         assert_eq!(obj.audit().slots_decided, 0);
         // The new incarnation reads counter 2 and arena mark 3, publishes
         // both ops again as a batch at offset 3 and proposes it.
@@ -1667,17 +1800,16 @@ mod tests {
             (false, announce(0)), // session: own counter…
             (false, announce(1)), // …and arena mark
             (true, announce(0)),  // announce counter
-            (false, slot(0)),     // slot s undecided
+            (false, slot(0)),     // the probe: slot s undecided…
+            (false, decide),      // …and the top bit's `decide`, unset
             (true, arena(0)),     // record length
             (true, announce(1)),  // arena mark
             (true, slot(1)),      // announce (no standing read: mark 0)
-            (false, decide),      // Algorithm 1's solo fast path, v = 0
-            (true, x1_false),
+            (true, x1_false),     // Algorithm 1's solo fast path, v = 0
             (false, y1),
             (true, y1),
             (false, x1_true),
             (true, decide),
-            (false, decide),
             (true, slot(0)), // result
         ];
         if n == 2 {
@@ -1749,8 +1881,9 @@ mod tests {
             );
             let mut want = own_decision_accesses(n, k, 4, 1);
             let read_back = [
-                (false, slot_cell(4, 0, 0)), // slot 0 decided
-                (false, arena(1)),           // process 1's record length
+                (false, slot_cell(4, 0, 0)),     // the probe: slot 0 decided,
+                (false, slot_cell(4, 0, 1 + n)), // its `decide` read with it
+                (false, arena(1)),               // process 1's record length
             ]
             .into_iter()
             .chain((0..j).flat_map(|i| {
@@ -1775,18 +1908,20 @@ mod tests {
         Arc::new(tfr_net::Network::new(cfg))
     }
 
-    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 15
-    /// quorum rounds, whatever the batch size: 5 reads of one round (the
-    /// slot's decision, Algorithm 1's 4), 5 owned writes of one (the
-    /// payloads, the counter, the record, the mark, the slot's
-    /// announcement), 3 agreed writes of one (Algorithm 1's `x` and
-    /// `decide`, and `result`) and 1 queried write of two (Algorithm 1's
-    /// `y`). With those three writes queried and the standing read it
-    /// opened 19; with every write queried and the winner reading its own
-    /// batch back, 27; before register runs, 6k + 23 (29, 71 and 407
-    /// rounds for k = 1, 8, 64).
+    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 12
+    /// quorum rounds, whatever the batch size: 3 reads of one round (the
+    /// probe of the slot's `result` and `decide`, Algorithm 1's `x[1, v̄]`),
+    /// 5 owned writes of one (the payloads, the counter, the record, the
+    /// mark, the slot's announcement), 3 agreed writes of one (Algorithm
+    /// 1's `x` and `decide`, and `result`) and 1 conditional write of two
+    /// (Algorithm 1's `y`). Algorithm 1 itself is 5 of them. With the
+    /// entry read of `decide`, the loop check after deciding and `y`'s
+    /// read apart from its write it opened 15; with those three writes
+    /// queried too and the standing read, 19; with every write queried
+    /// and the winner reading its own batch back, 27; before register
+    /// runs, 6k + 23 (29, 71 and 407 rounds for k = 1, 8, 64).
     #[test]
-    fn a_solo_decision_costs_15_quorum_rounds_at_any_batch_size() {
+    fn a_solo_decision_costs_12_quorum_rounds_at_any_batch_size() {
         for k in [1usize, 8, 64] {
             let net = lockstep_net();
             let control = net.control();
@@ -1795,7 +1930,7 @@ mod tests {
             let before = control.quorum_rounds();
             session.announce_burst(&vec![1; k]);
             session.drive_pending();
-            assert_eq!(control.quorum_rounds() - before, 15, "k={k}");
+            assert_eq!(control.quorum_rounds() - before, 12, "k={k}");
             assert_eq!(session.take_responses().len(), k);
         }
     }
@@ -1803,7 +1938,7 @@ mod tests {
     /// A session that opens after a predecessor proposed (a nonzero arena
     /// mark) reads its standing announcement at its first proposal only:
     /// once it has replayed the predecessor's slot, its first decision
-    /// opens 16 rounds over [`lockstep_net`], its next 15.
+    /// opens 13 rounds over [`lockstep_net`], its next 12.
     #[test]
     fn a_recovered_session_reads_its_standing_announcement_once() {
         let net = lockstep_net();
@@ -1812,7 +1947,7 @@ mod tests {
         obj.invoke(ProcId(0), 1);
         let mut session = obj.session(ProcId(0));
         session.catch_up(); // slot 0, the predecessor's, read back
-        for want in [16, 15] {
+        for want in [13, 12] {
             let before = control.quorum_rounds();
             session.announce(1);
             session.drive_pending();

@@ -126,7 +126,21 @@ impl Recorder {
     /// the token to pass to [`Recorder::response`]. Must be called on the
     /// thread acting as `pid` (single-writer contract).
     pub fn invoke(&self, pid: ProcId, obj: u64, op: u64) -> u64 {
-        let ts = self.clock.fetch_add(1, Ordering::SeqCst);
+        self.invoke_at(pid, obj, op, self.stamp())
+    }
+
+    /// Takes a timestamp from the clock without recording anything: the
+    /// start of an operation that may or may not turn out to exist, to be
+    /// recorded with [`Recorder::invoke_at`] once it does.
+    pub fn stamp(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// [`Recorder::invoke`] dated `ts`, a [`Recorder::stamp`] taken before
+    /// the operation began: its interval opens there. Dating an
+    /// invocation earlier than it is recorded only widens its interval,
+    /// so the checker still sees no precedence that did not hold.
+    pub fn invoke_at(&self, pid: ProcId, obj: u64, op: u64, ts: u64) -> u64 {
         self.push(
             pid,
             RawEvent {

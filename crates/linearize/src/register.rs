@@ -15,6 +15,10 @@
 //! forwarded to the backend as runs of the same kind, so the check covers
 //! the vectored and the one-round owned quorum paths and claims for them
 //! exactly what a run promises: per-cell atomicity, nothing across cells.
+//! A conditional write (`write_if_unset`) is recorded as the two
+//! operations it is, a read and, if the call wrote, a write, both opening
+//! when the call does: the check covers the quorum path that serves the
+//! pair with one query.
 //!
 //! # Operation encoding
 //!
@@ -218,6 +222,29 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
         self.record_write_run(index, 1, &[value], |inner| inner.write_agreed(index, value))
     }
 
+    /// Forwarded as a conditional write and recorded as a read and, if
+    /// the call wrote, a write of `value`. Both intervals open before the
+    /// call: the write's is stamped then and recorded when `between`
+    /// runs, just before the write is sent, so a thread that dies in the
+    /// write leaves it pending. Each answers when the call returns.
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        let Some(pid) = current_pid() else {
+            return self.inner.write_if_unset(index, value, between);
+        };
+        let read = self.recorder.invoke(pid, index, READ_OP);
+        let opened = self.recorder.stamp();
+        let mut write = None;
+        let seen = self.inner.write_if_unset(index, value, &mut || {
+            between();
+            write = Some(self.recorder.invoke_at(pid, index, write_op(value), opened));
+        });
+        self.recorder.response(pid, index, read, seen);
+        if let Some(token) = write {
+            self.recorder.response(pid, index, token, 0);
+        }
+        seen
+    }
+
     /// Forwarded. Only threads with a telemetry pid are recorded, so a
     /// caller that overlaps round trips on unregistered helper threads
     /// leaves their accesses out of the history.
@@ -306,6 +333,9 @@ mod tests {
         fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
             self.0.write_run(base, stride, values)
         }
+        fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+            self.0.write_if_unset(index, value, between)
+        }
     }
 
     #[test]
@@ -329,6 +359,34 @@ mod tests {
         }
         assert_eq!(ops[1].op, write_op(8));
         assert_eq!(ops[4].resp, Some(8));
+    }
+
+    /// A conditional write reaches the backend whole and is recorded as a
+    /// read and, only if the call wrote, a write, both invoked before the
+    /// call answers.
+    #[test]
+    fn a_conditional_write_is_forwarded_whole_and_recorded_as_what_it_did() {
+        let rec = Arc::new(Recorder::new(1));
+        let space = RecordingSpace::new(RunsOnly(NativeSpace::new()), Arc::clone(&rec));
+        with_pid(ProcId(0), || {
+            assert_eq!(space.write_if_unset(2, 7, &mut || ()), 0);
+            assert_eq!(space.write_if_unset(2, 8, &mut || ()), 7);
+        });
+        let ops = rec.history().ops;
+        let summary: Vec<_> = ops.iter().map(|o| (o.obj, o.op, o.resp)).collect();
+        assert_eq!(
+            summary,
+            [
+                (2, READ_OP, Some(0)),
+                (2, write_op(7), Some(0)),
+                (2, READ_OP, Some(7))
+            ],
+            "a read and a write, then a read alone"
+        );
+        assert!(
+            ops[1].invoke_ts < ops[0].resp_ts,
+            "the write opens with the call"
+        );
     }
 
     /// Two clients issue overlapping `read_run` / `write_run` on shared
@@ -482,6 +540,114 @@ mod tests {
             STEPS as usize,
             "cells 0..40 all checked"
         );
+    }
+
+    /// Conditional writes from two clients' handles, racing on the same
+    /// cells, on 5 replicas under 30 % message drops and, half way
+    /// through, a partition cutting off two replicas. At step `k` both
+    /// clients write cell `k` if it is unset, each its own value, then
+    /// read the run of the 8 cells up to `k`; with `stall`, `between`
+    /// sleeps 300 µs, so the other client's query and store land between
+    /// a client's query and its store. Each call is recorded as a read and,
+    /// if it wrote, a write, and every cell must linearize as an atomic
+    /// register.
+    #[test]
+    fn conditional_writes_from_two_handles_linearize_under_drops_and_a_minority_cut() {
+        const STEPS: u64 = 40;
+        for stall in [false, true] {
+            let mut cfg = NetConfig::new(2, 5, 0xC0D1 + stall as u64);
+            cfg.retransmit = std::time::Duration::from_micros(200);
+            let net = Arc::new(Network::new(cfg));
+            let control = net.control();
+            control.set_drop(0.3);
+            let rec = Arc::new(Recorder::with_capacity(2, 2 * 10 * STEPS as usize));
+            let spaces = [0, 1].map(|_| RecordingSpace::new(net.space(), Arc::clone(&rec)));
+            let wrote = std::thread::scope(|s| {
+                let clients: Vec<_> = spaces
+                    .iter()
+                    .enumerate()
+                    .map(|(t, space)| {
+                        let control = &control;
+                        s.spawn(move || {
+                            with_pid(ProcId(t), || {
+                                let mut read = [0; 8];
+                                let mut wrote = 0;
+                                for k in 0..STEPS {
+                                    if t == 0 && k == STEPS / 2 {
+                                        control.partition_minority(2);
+                                    }
+                                    let value = (t as u64 + 1) * 1_000 + k;
+                                    let seen = space.write_if_unset(k, value, &mut || {
+                                        if stall {
+                                            std::thread::sleep(std::time::Duration::from_micros(
+                                                300,
+                                            ));
+                                        }
+                                    });
+                                    wrote += (seen == 0) as usize;
+                                    space.read_run((k + 1).saturating_sub(8), 1, &mut read);
+                                }
+                                wrote
+                            })
+                        })
+                    })
+                    .collect();
+                clients
+                    .into_iter()
+                    .map(|c| c.join().unwrap())
+                    .sum::<usize>()
+            });
+            control.heal();
+            assert_eq!(rec.dropped(), 0, "history buffers overflowed");
+            let history = rec.history();
+            assert!(
+                wrote >= STEPS as usize,
+                "every cell is written at least once"
+            );
+            assert_eq!(history.len(), 2 * STEPS as usize * 9 + wrote);
+            let report = check_history(&history, &RegisterModel).unwrap_or_else(|e| {
+                panic!("stall {stall}: conditional writes must linearize: {e:?}")
+            });
+            assert_eq!(
+                report.objects.len(),
+                STEPS as usize,
+                "cells 0..40 all checked"
+            );
+        }
+    }
+
+    /// The seeded mutant stores a conditional write without its query
+    /// and returns 0, and the checker must reject it. Script, on one cell
+    /// of a 3-replica space: client 0 writes it if unset (it is), then
+    /// client 1 does the same and reads 0 after client 0's write
+    /// completed. The correct handle runs the same script, reads client
+    /// 0's value, writes nothing, and must check clean.
+    #[test]
+    fn the_unqueried_conditional_write_mutant_is_rejected() {
+        let script = |mutant: bool| {
+            let net = Arc::new(Network::new(NetConfig::new(2, 3, 0xC0D0)));
+            let rec = Arc::new(Recorder::new(2));
+            let first = RecordingSpace::new(net.space(), Arc::clone(&rec));
+            let second = net.space();
+            let second = if mutant {
+                second.with_unqueried_conditional_writes()
+            } else {
+                second
+            };
+            let second = RecordingSpace::new(second, Arc::clone(&rec));
+            let a = with_pid(ProcId(0), || first.write_if_unset(0, 1, &mut || ()));
+            let b = with_pid(ProcId(1), || second.write_if_unset(0, 2, &mut || ()));
+            ((a, b), rec.history())
+        };
+        let (seen, correct) = script(false);
+        assert_eq!(seen, (0, 1));
+        assert_eq!(correct.len(), 3, "two reads, one write");
+        check_history(&correct, &RegisterModel).expect("conditional writes linearize");
+        let (seen, mutant) = script(true);
+        assert_eq!(seen, (0, 0), "the mutant never reads the cell");
+        let err = check_history(&mutant, &RegisterModel)
+            .expect_err("the unqueried conditional-write mutant must be rejected");
+        assert_eq!(err.obj, 0);
     }
 
     /// The seeded store-only mutant serves every write as the store round

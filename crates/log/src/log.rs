@@ -47,7 +47,10 @@
 //! It defers to a proposer ranked ahead of it that has published at `h`,
 //! and to one ranked behind it that has announced there, i.e. that has
 //! already checked and is proposing, so two proposers never wait on each
-//! other. A deferring proposer polls the decision for up to Δ, the cost
+//! other. Two proposers still meet when one publishes and checks between
+//! the other's check and its announcement, so that window is kept to the
+//! check itself: the height's [`MultiConsensus::probe`], which the
+//! proposal starts from, is read before publishing, not after the check. A deferring proposer polls the decision for up to Δ, the cost
 //! of the `delay(Δ)` it avoids, and proposes if none comes, so a crashed
 //! or stalled proposer delays the others by at most Δ per height and
 //! wait-freedom is kept. Deferring is never needed for safety: consensus
@@ -57,7 +60,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tfr_core::universal::{MultiConsensus, Sequential};
+use tfr_core::universal::{MultiConsensus, Probe, Sequential};
 use tfr_registers::chaos::{self, points};
 use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
 use tfr_registers::ProcId;
@@ -261,20 +264,29 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
         }
     }
 
-    /// Proposes `pid` at `height`; blocks until the height decides and
-    /// returns the winner. The proposal skips the standing-announcement
-    /// read: the value is always `pid` itself, so an announcement a
-    /// predecessor incarnation left at this height holds the same value.
+    /// Probes `height`'s consensus ([`MultiConsensus::probe`]): whether
+    /// it has decided, and where a proposal there starts from. One
+    /// register run.
     ///
     /// # Panics
     ///
     /// Panics if `height` exceeds the log's capacity.
-    fn propose(&self, pid: ProcId, height: u64) -> usize {
-        let slot = self
-            .slots
+    fn probe(&self, height: u64) -> Probe {
+        self.slots
             .get(height as usize)
-            .unwrap_or_else(|| panic!("log height capacity ({}) exceeded", self.cfg.heights));
-        slot.propose_fresh(pid, pid.0 as u64) as usize
+            .unwrap_or_else(|| panic!("log height capacity ({}) exceeded", self.cfg.heights))
+            .probe()
+    }
+
+    /// Proposes `pid` at `height`, starting from `probe`, a probe of that
+    /// height; blocks until the height decides and returns the winner.
+    /// The proposal skips the standing-announcement read: the value is
+    /// always `pid` itself, so an announcement a predecessor incarnation
+    /// left at this height holds the same value. The probe is taken before
+    /// publishing, so the announcement follows the deference check as
+    /// closely as it can (see the module docs on deference).
+    fn propose(&self, pid: ProcId, height: u64, probe: Probe) -> usize {
+        self.slots[height as usize].propose_probed(pid, pid.0 as u64, probe, false) as usize
     }
 
     /// Reads the committed batch at a *decided* height.
@@ -508,7 +520,8 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
                     progressed = true;
                 }
                 Effect::Publish { height, batch } => {
-                    if self.log.decision(height).is_some() {
+                    let probe = self.log.probe(height);
+                    if probe.decision().is_some() {
                         // Another proposer beat us to the frontier; the
                         // front batch rides the next height.
                         self.machine.observe_decided(height, false);
@@ -529,7 +542,7 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
                         } else {
                             None
                         };
-                        deferred.unwrap_or_else(|| self.log.propose(self.pid, height))
+                        deferred.unwrap_or_else(|| self.log.propose(self.pid, height, probe))
                     };
                     let won = winner == self.pid.0;
                     if won {
@@ -770,7 +783,7 @@ mod tests {
         assert!(!log.should_defer(ProcId(1), 1), "pid 1 ranks first");
         // An announcement behind a proposer is a reason: that proposer
         // has checked and is proposing.
-        assert_eq!(log.propose(ProcId(0), 1), 0);
+        assert_eq!(log.propose(ProcId(0), 1, log.probe(1)), 0);
         assert!(log.should_defer(ProcId(1), 1));
         // Height 2 ranks pid 2 first: the publishes at height 1 do not count.
         assert!(!log.should_defer(ProcId(1), 2));

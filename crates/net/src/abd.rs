@@ -17,8 +17,8 @@
 //! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`] /
 //! [`RegisterSpace::write_run_owned`]), and a run costs the rounds of one
 //! register: one message per replica per phase. A single-cell `read` /
-//! `write` / `write_agreed` is a run of one — there is one code path per
-//! operation.
+//! `write` / `write_agreed` / `write_if_unset` is a run of one — there is
+//! one code path per operation.
 //!
 //! * **write run** — round 1 queries a majority for every cell's highest
 //!   version; the writer picks *one* fresh timestamp above everything it
@@ -56,6 +56,15 @@
 //!   on a majority) is left out, and the round is skipped when no cell
 //!   needs it. The write-back is what stops a later read from seeing an
 //!   older value (the new/old inversion ABD exists to prevent).
+//! * **conditional write** ([`RegisterSpace::write_if_unset`]) — a read
+//!   whose query round doubles as a queried write's. If every ack carries
+//!   [`Version::ZERO`], no write to the cell completed before the call,
+//!   so the store round stamped `reserve_ts(0)` is exactly what a queried
+//!   write whose query saw nothing would send: the caller's `between()`
+//!   runs, then that round, two rounds in all. Otherwise nothing is
+//!   written and the call is exactly a read, write-back included. The
+//!   read is linearized at the query, and the write, whose interval
+//!   opens before the query, right after it.
 //!
 //! Each cell keeps its own version and its own linearization point inside
 //! the operation, exactly as if it had been accessed alone; sharing
@@ -104,6 +113,9 @@ pub struct QuorumSpace {
     first_cell_write_back: bool,
     /// The seeded mutant of [`QuorumSpace::with_store_only_writes`].
     store_only_writes: bool,
+    /// The seeded mutant of
+    /// [`QuorumSpace::with_unqueried_conditional_writes`].
+    unqueried_conditional_writes: bool,
 }
 
 impl QuorumSpace {
@@ -115,6 +127,7 @@ impl QuorumSpace {
             issued: AtomicU64::new(0),
             first_cell_write_back: false,
             store_only_writes: false,
+            unqueried_conditional_writes: false,
         }
     }
 
@@ -140,6 +153,19 @@ impl QuorumSpace {
     #[doc(hidden)]
     pub fn with_store_only_writes(mut self) -> QuorumSpace {
         self.store_only_writes = true;
+        self
+    }
+
+    /// **A seeded mutant, for the linearizability oracle's negative
+    /// tests only.** The handle serves a conditional write
+    /// ([`RegisterSpace::write_if_unset`]) without its query round: it
+    /// stores the value, stamped one past its own floor, and returns 0
+    /// whatever the cell held. A write to a set cell then overwrites it,
+    /// or vanishes under a version from nowhere, and its read of 0 comes
+    /// after a write that had completed.
+    #[doc(hidden)]
+    pub fn with_unqueried_conditional_writes(mut self) -> QuorumSpace {
+        self.unqueried_conditional_writes = true;
         self
     }
 
@@ -260,11 +286,19 @@ impl QuorumSpace {
         });
         let op_span = Span::enter(&shared.trace, "quorum.read");
         let client = self.client();
+        let committed = self.query(client, run, out);
+        self.write_back(client, run, out, &committed);
+        drop(op_span);
+        self.finish(base, false, t0, run.regs().zip(out.iter().copied()));
+    }
+
+    /// The query round of a read: fills `out` with each cell's maximum
+    /// `(ts, wid)` answer and returns, per cell, how many acks carry it.
+    fn query(&self, client: usize, run: Run, out: &mut [Versioned]) -> Vec<usize> {
         let acks = {
-            let _phase = Span::enter(&shared.trace, "quorum.phase1");
+            let _phase = Span::enter(&self.net.shared().trace, "quorum.phase1");
             self.quorum_round(client, Payload::ReadReq { run })
         };
-        // Per cell: the maximum version, and how many acks carry it.
         out.fill(Versioned::ZERO);
         let mut committed = vec![0usize; out.len()];
         for (_, ack) in &acks {
@@ -281,10 +315,15 @@ impl QuorumSpace {
                 }
             }
         }
-        // Write-back phase, for the cells some majority member might
-        // miss. A cell every ack already carries at its maximum is stored
-        // on a majority and needs no round trip; if no cell needs one, the
-        // phase is skipped.
+        committed
+    }
+
+    /// The write-back round of a read, for the cells some majority
+    /// member might miss. A cell every ack already carries at its maximum
+    /// is stored on a majority and needs no round trip; if no cell needs
+    /// one, the round is skipped.
+    fn write_back(&self, client: usize, run: Run, out: &[Versioned], committed: &[usize]) {
+        let shared = self.net.shared();
         let majority = shared.cfg.majority();
         let behind = |i: usize| {
             let decider = if self.first_cell_write_back { 0 } else { i };
@@ -302,29 +341,33 @@ impl QuorumSpace {
             };
             self.quorum_round(client, write_back);
         }
-        drop(op_span);
-        // The version each cell returns — per client lane and register
-        // these must never regress (the new/old inversion ABD's
-        // write-back exists to prevent), which is exactly what the online
-        // monitor checks.
-        self.emit_versions(run.regs().zip(out.iter().copied()));
-        if let (Some(t0), Some(t1)) = (t0, shared.trace.now_ns()) {
-            shared.trace.emit_current(EventKind::QuorumEnd {
-                reg: base,
-                write: false,
-                rtt_ns: t1.saturating_sub(t0),
-            });
-        }
     }
 
-    /// Emits one `QuorumVersion` per cell of a completed run.
-    fn emit_versions(&self, cells: impl Iterator<Item = (u64, Versioned)>) {
+    /// Closes a completed operation's trace: the version each cell
+    /// returns or now carries, then the operation's end. Per client lane
+    /// and register the versions must never regress (the new/old
+    /// inversion ABD's write-back exists to prevent), which is exactly
+    /// what the online monitor checks.
+    fn finish(
+        &self,
+        reg: u64,
+        write: bool,
+        t0: Option<u64>,
+        cells: impl Iterator<Item = (u64, Versioned)>,
+    ) {
         let trace = &self.net.shared().trace;
         for (reg, data) in cells {
             trace.emit_current(EventKind::QuorumVersion {
                 reg,
                 ts: data.version.ts,
                 wid: data.version.wid,
+            });
+        }
+        if let (Some(t0), Some(t1)) = (t0, trace.now_ns()) {
+            trace.emit_current(EventKind::QuorumEnd {
+                reg,
+                write,
+                rtt_ns: t1.saturating_sub(t0),
             });
         }
     }
@@ -386,6 +429,41 @@ impl RegisterSpace for QuorumSpace {
         self.store_run(index, 1, &[value], StoreKind::Agreed)
     }
 
+    /// One query round; then, if every ack is [`Version::ZERO`],
+    /// `between()` and the store round stamped one past the handle's
+    /// floor, as a queried write whose query saw nothing would be.
+    /// Otherwise exactly a read: the write-back round if the value is not
+    /// yet on a majority, and nothing is written. Two rounds on an unset
+    /// cell, one on a set and committed one (see the module docs).
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        let run = Run::new(index, 1, 1);
+        let shared = self.net.shared();
+        let t0 = shared.trace.now_ns();
+        shared.trace.emit_current(EventKind::QuorumStart {
+            reg: index,
+            write: false,
+        });
+        let op_span = Span::enter(&shared.trace, "quorum.read");
+        let client = self.client();
+        let mut seen = [Versioned::ZERO];
+        let committed = if self.unqueried_conditional_writes {
+            Vec::new()
+        } else {
+            self.query(client, run, &mut seen)
+        };
+        if seen[0].version == Version::ZERO {
+            between();
+            let cells = self.store(client, run, &[value], 0, StoreKind::Queried);
+            drop(op_span);
+            self.finish(index, true, t0, cells.iter().copied());
+            return 0;
+        }
+        self.write_back(client, run, &seen, &committed);
+        drop(op_span);
+        self.finish(index, false, t0, run.regs().zip(seen));
+        seen[0].value
+    }
+
     /// Every access is one or two quorum rounds, so `true` — unless the
     /// network is traced: client-side events go to the calling worker's
     /// own lane, which must keep one writer (the lane rule, see
@@ -419,20 +497,26 @@ impl QuorumSpace {
         // version will do.
         let mut max_ts = 0;
         if kind == StoreKind::Queried && !self.store_only_writes {
-            let acks = {
-                let _phase = Span::enter(&shared.trace, "quorum.phase1");
-                self.quorum_round(client, Payload::ReadReq { run })
-            };
-            for (_, ack) in &acks {
-                if let Payload::ReadAck { data, .. } = ack {
-                    for seen in data {
-                        max_ts = max_ts.max(seen.version.ts);
-                    }
-                }
-            }
+            let mut seen = vec![Versioned::ZERO; values.len()];
+            self.query(client, run, &mut seen);
+            max_ts = seen.iter().map(|v| v.version.ts).max().unwrap_or(0);
         }
-        // Phase 2: commit every cell under one fresh unique version —
-        // above each cell's own maximum, since it is above all of them.
+        let cells = self.store(client, run, values, max_ts, kind);
+        drop(op_span);
+        self.finish(base, true, t0, cells.iter().copied());
+    }
+
+    /// The store round: commits every cell of `run` under one fresh
+    /// unique version, above `max_ts` (and so above each cell's own
+    /// maximum, when `max_ts` is a query's), and returns the stored cells.
+    fn store(
+        &self,
+        client: usize,
+        run: Run,
+        values: &[u64],
+        max_ts: u64,
+        kind: StoreKind,
+    ) -> Arc<[(u64, Versioned)]> {
         let version = Version {
             ts: self.reserve_ts(max_ts),
             wid: self.wid,
@@ -442,20 +526,13 @@ impl QuorumSpace {
             .zip(values)
             .map(|(reg, &value)| (reg, Versioned { version, value }))
             .collect();
-        {
-            let _phase = Span::enter(&shared.trace, "quorum.phase2");
-            let cells = Arc::clone(&cells);
-            self.quorum_round(client, Payload::WriteReq { cells, kind });
-        }
-        drop(op_span);
-        self.emit_versions(cells.iter().copied());
-        if let (Some(t0), Some(t1)) = (t0, shared.trace.now_ns()) {
-            shared.trace.emit_current(EventKind::QuorumEnd {
-                reg: base,
-                write: true,
-                rtt_ns: t1.saturating_sub(t0),
-            });
-        }
+        let _phase = Span::enter(&self.net.shared().trace, "quorum.phase2");
+        let payload = Payload::WriteReq {
+            cells: Arc::clone(&cells),
+            kind,
+        };
+        self.quorum_round(client, payload);
+        cells
     }
 }
 

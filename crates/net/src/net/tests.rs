@@ -656,3 +656,49 @@ fn a_read_run_writes_back_only_the_cells_behind() {
         }
     }
 }
+
+/// A conditional write is a read whose query round doubles as a queried
+/// write's. On an unset cell it costs that query and the store round, two
+/// rounds where a read and then a write cost three, and `between` runs
+/// between them. On a set cell that a majority holds at its maximum it
+/// costs the query alone and writes nothing. On a set cell whose newest
+/// version sits on one replica it is a read with its write-back, and
+/// still writes nothing of its own.
+#[test]
+fn a_conditional_write_costs_two_rounds_unset_and_one_set() {
+    let net = lockstep_net(1);
+    let control = net.control();
+    let (first, second) = (net.space(), net.space());
+    let mut between = 0;
+    let mut call = |space: &crate::QuorumSpace, index: u64, value: u64| {
+        let before = control.quorum_rounds();
+        let seen = space.write_if_unset(index, value, &mut || between += 1);
+        (seen, control.quorum_rounds() - before)
+    };
+    assert_eq!(call(&first, 3, 30), (0, 2), "unset: query, then store");
+    let written = first.read_versioned(3);
+    assert_eq!(
+        (written.value, written.version.wid),
+        (30, first.writer_id())
+    );
+    assert_eq!(
+        call(&second, 3, 31),
+        (30, 1),
+        "set and committed: the query"
+    );
+    assert_eq!(second.read_versioned(3), written, "nothing written");
+    let newest = Versioned {
+        version: Version { ts: 9, wid: 90 },
+        value: 90,
+    };
+    lock(&net.shared().state).tables[0].insert(4, newest);
+    assert_eq!(
+        call(&second, 4, 41),
+        (90, 2),
+        "set on one replica: write-back"
+    );
+    let st = lock(&net.shared().state);
+    assert!((0..3).all(|r| st.tables[r].get(&4) == Some(&newest)));
+    drop(st);
+    assert_eq!(between, 1, "`between` runs only before a write");
+}

@@ -215,6 +215,17 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
         self.inner.write_agreed(index, value)
     }
 
+    /// Forwarded as a conditional write; counted as a read, and as a
+    /// dirty-marking write when it writes (marked before the write lands,
+    /// so a crash never misses it).
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_if_unset(index, value, &mut || {
+            between();
+            self.count_run_write(index, 1, 1);
+        })
+    }
+
     fn round_trips(&self) -> bool {
         self.inner.round_trips()
     }
@@ -379,6 +390,16 @@ mod tests {
         }
         assert!(DurableSpace::new(Remote(NativeSpace::new())).round_trips());
         assert!(!DurableSpace::new(NativeSpace::new()).round_trips());
+    }
+
+    #[test]
+    fn a_conditional_write_counts_a_read_and_a_write_only_if_it_wrote() {
+        let s = DurableSpace::new(NativeSpace::new()).volatile(ProcId(0), 10..20);
+        assert_eq!(s.write_if_unset(12, 5, &mut || ()), 0);
+        assert_eq!(s.write_if_unset(12, 6, &mut || ()), 5);
+        assert_eq!((s.reads(), s.writes()), (2, 1));
+        assert_eq!(s.crash(ProcId(0)), 1, "the written cell is dirty");
+        assert_eq!(s.read(12), 0);
     }
 
     #[test]

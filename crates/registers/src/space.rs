@@ -78,6 +78,19 @@ use std::sync::Arc;
 /// phase) may skip that step, because there is no other value to order
 /// against.
 ///
+/// # Conditional writes
+///
+/// [`RegisterSpace::write_if_unset`] is Algorithm 1's `if y = ⊥ then
+/// y := v`: a read of the cell and, if it read 0, a write of `value`, with
+/// `between` run in between. It returns what it read, so it wrote exactly
+/// when it returns 0. It is two operations, not an atomic compare and
+/// set: another writer may write the cell between the read and the write,
+/// and the write then lands after it. The default is exactly `read`,
+/// then `between()` and `write`. A backend whose read and write both open
+/// with a query (the quorum space) may serve the pair with one query: the
+/// read is linearized at the query and the write right after it, which is
+/// what a caller that writes as soon as it has read gets anyway.
+///
 /// # Round trips
 ///
 /// [`RegisterSpace::round_trips`] states a fact about the backend: an
@@ -125,6 +138,19 @@ pub trait RegisterSpace: Send + Sync {
         self.write(index, value)
     }
 
+    /// Reads cell `index` and, if it read 0, runs `between` and writes
+    /// `value` there; returns what it read (see
+    /// [Conditional writes](RegisterSpace#conditional-writes)). The read
+    /// and the write are each atomic; nothing is promised between them.
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        let seen = self.read(index);
+        if seen == 0 {
+            between();
+            self.write(index, value);
+        }
+        seen
+    }
+
     /// Whether an access costs a network round trip (see
     /// [Round trips](RegisterSpace#round-trips)). The default is `false`.
     fn round_trips(&self) -> bool {
@@ -151,6 +177,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Arc<S> {
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
     }
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        (**self).write_if_unset(index, value, between)
+    }
     fn round_trips(&self) -> bool {
         (**self).round_trips()
     }
@@ -175,6 +204,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for &S {
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
     }
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        (**self).write_if_unset(index, value, between)
+    }
     fn round_trips(&self) -> bool {
         (**self).round_trips()
     }
@@ -198,6 +230,9 @@ impl<S: RegisterSpace + ?Sized> RegisterSpace for Box<S> {
     }
     fn write_agreed(&self, index: u64, value: u64) {
         (**self).write_agreed(index, value)
+    }
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        (**self).write_if_unset(index, value, between)
     }
     fn round_trips(&self) -> bool {
         (**self).round_trips()
@@ -420,6 +455,10 @@ impl<S: RegisterSpace> RegisterSpace for SubSpace<S> {
     fn write_agreed(&self, index: u64, value: u64) {
         self.inner.write_agreed(self.parent_index(index), value)
     }
+    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+        self.inner
+            .write_if_unset(self.parent_index(index), value, between)
+    }
     fn round_trips(&self) -> bool {
         self.inner.round_trips()
     }
@@ -554,8 +593,9 @@ mod tests {
     }
 
     /// A space that tapes the runs it is handed, to check forwarding:
-    /// `(kind, base, stride, len)`, kind `'r'`, `'w'`, `'o'` (owned) or
-    /// `'a'` (an agreed write, taped as a run of one).
+    /// `(kind, base, stride, len)`, kind `'r'`, `'w'`, `'o'` (owned), `'a'`
+    /// (an agreed write) or `'c'` (a conditional write), the last two taped
+    /// as runs of one.
     #[derive(Default)]
     struct RunTape {
         cells: NativeSpace,
@@ -594,6 +634,10 @@ mod tests {
             self.runs.lock().unwrap().push(('a', index, 1, 1));
             self.cells.write(index, value)
         }
+        fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
+            self.runs.lock().unwrap().push(('c', index, 1, 1));
+            self.cells.write_if_unset(index, value, between)
+        }
         fn round_trips(&self) -> bool {
             true
         }
@@ -612,6 +656,7 @@ mod tests {
         assert_eq!(out, [5, 6]);
         view.write_run_owned(3, 1, &[8]); // local 3 → parent 7 + 30
         view.write_agreed(4, 9); // local 4 → parent 7 + 40
+        assert_eq!(view.write_if_unset(5, 3, &mut || ()), 6); // parent 7 + 50, set
         assert_eq!(parent.read(27), 5);
         assert_eq!(parent.read(57), 6);
         assert_eq!(parent.read(37), 8);
@@ -622,11 +667,14 @@ mod tests {
                 ('w', 27, 30, 2),
                 ('r', 27, 30, 2),
                 ('o', 37, 10, 1),
-                ('a', 47, 1, 1)
+                ('a', 47, 1, 1),
+                ('c', 57, 1, 1)
             ],
             "one run reaches the parent, with the composed base and stride, \
-             an owned run stays owned and an agreed write stays agreed"
+             an owned run stays owned, an agreed write stays agreed and a \
+             conditional write stays conditional"
         );
+        assert_eq!(parent.read(57), 6, "the cell was set: nothing written");
         assert!(view.round_trips(), "the backend's round trips show through");
         assert!(!NativeSpace::new().round_trips());
     }
@@ -637,6 +685,20 @@ mod tests {
         s.write_run_owned(1, 2, &[4, 5]);
         s.write_agreed(6, 7);
         assert_eq!([s.read(1), s.read(3), s.read(6)], [4, 5, 7]);
+    }
+
+    #[test]
+    fn a_conditional_write_reads_then_writes_only_an_unset_cell() {
+        let s = NativeSpace::new();
+        let mut calls = 0;
+        assert_eq!(s.write_if_unset(2, 7, &mut || calls += 1), 0);
+        assert_eq!(
+            (s.read(2), calls),
+            (7, 1),
+            "unset: `between`, then the write"
+        );
+        assert_eq!(s.write_if_unset(2, 8, &mut || calls += 1), 7);
+        assert_eq!((s.read(2), calls), (7, 1), "set: a read, nothing else");
     }
 
     #[test]

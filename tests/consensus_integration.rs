@@ -26,8 +26,8 @@ fn spec_and_native_agree_on_solo_behaviour() {
         assert_eq!(run.decision(), Some(input as u64));
         assert_eq!(native_decision, input);
         assert_eq!(
-            run.shared_accesses, 7,
-            "the fast path is 7 steps in both forms"
+            run.shared_accesses, 6,
+            "the fast path is 6 steps in both forms"
         );
     }
 }

@@ -15,7 +15,7 @@ use tfr::core::mutex::resilient::ResilientMutex;
 use tfr::core::universal::{Counter, Universal};
 use tfr::linearize::register::{RecordingSpace, RegisterModel};
 use tfr::linearize::{check_history, Recorder};
-use tfr::net::{NetConfig, Network};
+use tfr::net::{NetConfig, Network, QuorumSpace};
 use tfr::registers::space::{RegisterSpace, SubSpace};
 use tfr::registers::ProcId;
 use tfr::service::{ObjectService, ServiceConfig};
@@ -164,17 +164,19 @@ fn lockstep_net() -> Arc<Network> {
 }
 
 /// Tier-1's copy of `tfr-core`'s round-count unit test. Over
-/// [`lockstep_net`], one solo decision at n = 1 opens exactly 15 quorum
-/// rounds for every batch size: 5 reads of one round (the slot's
-/// decision, Algorithm 1's 4), 5 owned writes of one (payloads, counter,
-/// record, mark, the slot's announcement), 3 agreed writes of one
-/// (Algorithm 1's `x` and `decide`, `result`) and 1 queried write of two
-/// (Algorithm 1's `y`); the winner applies its own batch without reading
-/// it back. With the three agreed writes queried and the standing read it
-/// opened 19; with every write queried and the read-back, 27; before
+/// [`lockstep_net`], one solo decision at n = 1 opens exactly 12 quorum
+/// rounds for every batch size: 3 reads of one round (the probe of the
+/// slot's `result` and `decide`, Algorithm 1's `x[1, v̄]`), 5 owned writes
+/// of one (payloads, counter, record, mark, the slot's announcement), 3
+/// agreed writes of one (Algorithm 1's `x` and `decide`, `result`) and 1
+/// conditional write of two (Algorithm 1's `y`); the winner applies its
+/// own batch without reading it back. With the entry read of `decide`, the
+/// loop check after deciding and `y`'s read apart from its write it
+/// opened 15; with the three agreed writes queried too and the standing
+/// read, 19; with every write queried and the read-back, 27; before
 /// register runs, 6k + 23: 29, 71 and 407 here.
 #[test]
-fn a_solo_universal_decision_costs_15_quorum_rounds_at_any_batch_size() {
+fn a_solo_universal_decision_costs_12_quorum_rounds_at_any_batch_size() {
     for k in [1usize, 8, 64] {
         let net = lockstep_net();
         let control = net.control();
@@ -189,7 +191,7 @@ fn a_solo_universal_decision_costs_15_quorum_rounds_at_any_batch_size() {
         let before = control.quorum_rounds();
         session.announce_burst(&vec![1; k]);
         session.drive_pending();
-        assert_eq!(control.quorum_rounds() - before, 15, "k={k}");
+        assert_eq!(control.quorum_rounds() - before, 12, "k={k}");
         assert_eq!(session.take_responses().len(), k);
     }
 }
@@ -197,7 +199,7 @@ fn a_solo_universal_decision_costs_15_quorum_rounds_at_any_batch_size() {
 /// Tier-1's copy of `tfr-core`'s standing-read pin: a session that opens
 /// after a predecessor proposed reads its standing announcement at its
 /// first proposal only. Once it has replayed the predecessor's slot, its
-/// first decision opens 16 rounds over [`lockstep_net`], its next 15.
+/// first decision opens 13 rounds over [`lockstep_net`], its next 12.
 #[test]
 fn a_recovered_session_pays_the_standing_read_once() {
     let net = lockstep_net();
@@ -212,7 +214,7 @@ fn a_recovered_session_pays_the_standing_read_once() {
     obj.invoke(ProcId(0), 1);
     let mut session = obj.session(ProcId(0));
     session.catch_up();
-    for want in [16, 15] {
+    for want in [13, 12] {
         let before = control.quorum_rounds();
         session.announce(1);
         session.drive_pending();
@@ -221,10 +223,31 @@ fn a_recovered_session_pays_the_standing_read_once() {
     assert_eq!(obj.snapshot(), 3);
 }
 
+/// Tier-1's copy of `tfr-net`'s conditional-write pin: on an unset cell a
+/// conditional write costs its query and its store, two rounds where a
+/// read and then a write cost three; on a set cell committed on a
+/// majority it costs the query alone and writes nothing.
+#[test]
+fn a_conditional_write_costs_two_rounds_unset_and_one_set() {
+    let net = lockstep_net();
+    let control = net.control();
+    let (first, second) = (net.space(), net.space());
+    let mut between = 0;
+    let mut call = |space: &QuorumSpace, value: u64| {
+        let before = control.quorum_rounds();
+        let seen = space.write_if_unset(3, value, &mut || between += 1);
+        (seen, control.quorum_rounds() - before)
+    };
+    assert_eq!(call(&first, 30), (0, 2), "unset: query, then store");
+    assert_eq!(call(&second, 31), (30, 1), "set and committed: the query");
+    assert_eq!(between, 1, "`between` runs only before a write");
+    assert_eq!(second.read(3), 30);
+}
+
 /// One worker over [`lockstep_net`] (or its traced twin), with two
 /// shards, runs four bursts of 8 ops on each shard in `shards` and
 /// returns the network's high-water mark of open rounds. Every burst
-/// opens exactly 15 rounds per busy shard, overlapped or not.
+/// opens exactly 12 rounds per busy shard, overlapped or not.
 fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
     let net = if traced {
         let cfg = lockstep_net().config().clone();
@@ -255,7 +278,7 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
             assert_eq!(done.last().map(|op| op.resp), Some(8 * round));
             assert_eq!(
                 control.quorum_rounds() - before,
-                15 * shards.len() as u64,
+                12 * shards.len() as u64,
                 "shards {shards:?}, traced {traced}: a decision per busy shard"
             );
         }
@@ -267,7 +290,7 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
 /// with two shards busy the network sees two rounds open at once, with
 /// one shard busy never more than one, and a traced network (whose
 /// client lane takes one writer) keeps the shards in turn. The rounds
-/// per burst stay 2 × 15 = 30 either way.
+/// per burst stay 2 × 12 = 24 either way.
 #[test]
 fn a_worker_overlaps_the_rounds_of_its_busy_shards() {
     assert_eq!(max_open_rounds_over_bursts(&[0, 1], false), 2);

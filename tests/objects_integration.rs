@@ -133,11 +133,12 @@ fn spec_loc(n: u64, w: u64, index: u64) -> Loc {
 }
 
 #[test]
-fn multivalued_solo_propose_costs_three_plus_seven_per_pid_bit() {
-    // Read the standing announcement, announce, 7 per pid bit (the solo
-    // fast path of Algorithm 1), write `result` — whatever the value
-    // width. A delay would take the whole Δ, so a solo run well inside it
-    // ran none.
+fn multivalued_solo_propose_costs_three_plus_six_per_pid_bit() {
+    // Read the standing announcement, announce, 6 per pid bit (the solo
+    // fast path of Algorithm 1, the top bit's first read being the probe
+    // of `decide` before the announcement), write `result` — whatever the
+    // value width. A delay would take the whole Δ, so a solo run well
+    // inside it ran none.
     let long = Duration::from_secs(2);
     for (n, bits) in [(1usize, 1), (2, 1), (3, 2), (4, 2), (5, 3), (255, 8)] {
         let space = Arc::new(Taped::default());
@@ -145,7 +146,7 @@ fn multivalued_solo_propose_costs_three_plus_seven_per_pid_bit() {
         let start = Instant::now();
         assert_eq!(mc.propose(ProcId(n - 1), (1 << 62) + 5), (1 << 62) + 5);
         assert!(start.elapsed() < long, "n={n}: a solo propose delayed");
-        assert_eq!(space.tape().len(), 3 + 7 * bits, "n={n}");
+        assert_eq!(space.tape().len(), 3 + 6 * bits, "n={n}");
     }
 }
 
@@ -179,13 +180,14 @@ fn multivalued_solo_native_run_is_the_election_spec_run() {
                     .into_iter()
                     .map(|(write, i)| (write, native_loc(n, w, i)))
                     .collect();
-                // `propose_fresh` is the spec run; `propose` adds only the
-                // standing-announcement read before it.
-                let mut want = Vec::new();
+                // `propose_fresh` is the spec run, which opens with the
+                // probe of the top bit's `decide`; `propose` adds only the
+                // standing-announcement read after the probe.
+                let mut want = spec_tape.clone();
+                assert_eq!(want[0], (false, Loc::Bit { k: w - 1, reg: 0 }));
                 if !fresh {
-                    want.push((false, Loc::Announce(pid as u64)));
+                    want.insert(1, (false, Loc::Announce(pid as u64)));
                 }
-                want.extend(spec_tape.iter().cloned());
                 assert_eq!(got, want, "n={n} pid={pid} fresh={fresh}");
             }
         }
@@ -251,15 +253,33 @@ fn multivalued_agreement_where_pid_prefixes_name_no_process() {
 }
 
 /// p1 (of n = 4, two pid bits) decides pid bit 1 and crashes recoverably
-/// at the top of its second Algorithm 1 instance: visits 1 and 2 of
-/// `consensus.round` are the first instance's two loop checks.
+/// at the top of its second Algorithm 1 instance: visit 1 of
+/// `consensus.round` is the first instance's one loop check, which takes
+/// the probed `decide` and, deciding, returns without another.
 fn crash_after_first_pid_bit() -> Fault {
     Fault {
         pid: ProcId(1),
         point: points::CONSENSUS_ROUND,
-        nth: 3,
+        nth: 2,
         action: FaultAction::CrashRecover(Duration::ZERO),
     }
+}
+
+/// Whether `tape`'s last access is the decisive one of a `MultiConsensus`
+/// among 4 whose cell `i` is parent index `at(i)`: pid bit 1's `decide`
+/// written, and nothing of pid bit 0's instance touched — the crash of
+/// [`crash_after_first_pid_bit`] landed at the top of the second
+/// instance.
+fn crashed_at_the_second_instance(tape: &[(bool, u64)], at: impl Fn(u64) -> u64) -> bool {
+    let decide_of_bit_1 = at(native_index(4, 2, 1, 0));
+    let bit_0: Vec<u64> = (0..12).map(|reg| at(native_index(4, 2, 0, reg))).collect();
+    tape.last() == Some(&(true, decide_of_bit_1)) && tape.iter().all(|(_, i)| !bit_0.contains(i))
+}
+
+/// The native index of register `reg` of pid bit `k`'s instance among
+/// `n` processes with `w` pid bits (the inverse of [`native_loc`]).
+fn native_index(n: u64, w: u64, k: u64, reg: u64) -> u64 {
+    1 + n + k + reg * w
 }
 
 #[test]
@@ -269,10 +289,12 @@ fn multivalued_recovered_incarnation_proposes_the_standing_value() {
     // prefix 0b10) `adopt` found no announced value with that prefix and
     // hit its `unreachable!`.
     let (v1, v2, v_early, v_late) = (0b1000_0000, 0b1111_1111, 0b0000_0001, 0b0000_0011);
-    let mc = MultiConsensus::new(4, 8, D);
+    let space = Arc::new(Taped::default());
+    let mc = MultiConsensus::on(Arc::clone(&space), 4, 8, D);
     let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
     let first = chaos::run_as(ProcId(1), || mc.propose(ProcId(1), v1));
     assert!(first.recoverable_after().is_some(), "p1 crashed");
+    assert!(crashed_at_the_second_instance(&space.tape(), |i| i));
     assert_eq!(mc.decision(), None, "p1 crashed before writing result");
     // p2 runs alone and finishes before p1 comes back.
     assert_eq!(mc.propose(ProcId(2), v_early), v1);
@@ -295,7 +317,8 @@ fn universal_recovered_session_commits_its_predecessors_batch() {
     // left, so the new batch committed and the predecessor's was
     // orphaned; a crash further down the 32 bits, inside the offset, made
     // `adopt` hit its `unreachable!`.
-    let obj = Universal::new(Counter, 4, 8, D);
+    let space = Arc::new(Taped::default());
+    let obj = Universal::on(Arc::clone(&space), Counter, 4, 8, D);
     let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
     let crashed = chaos::run_as(ProcId(1), || {
         let mut s = obj.session(ProcId(1));
@@ -303,6 +326,11 @@ fn universal_recovered_session_commits_its_predecessors_batch() {
         s.drive_pending();
     });
     assert!(crashed.recoverable_after().is_some(), "p1 crashed");
+    // Slot 0's consensus cell `i` of an 8-slot object: `3·(8i + 0) + 2`
+    // (layout documented on `Universal`).
+    assert!(crashed_at_the_second_instance(&space.tape(), |i| {
+        3 * (8 * i) + 2
+    }));
     assert_eq!(obj.audit().slots_decided, 0);
     // The new incarnation reads counter 2 and arena mark 3, publishes both
     // ops again as a batch at offset 3 and proposes it.
@@ -538,8 +566,9 @@ fn universal_queue_capacity_exhaustion_panics() {
 
 /// Tier-1's copy of `tfr-core`'s access-multiset unit tests: vectoring
 /// changes rounds, not accesses, a winner applies its own batch without
-/// reading it back, and a session that opened with arena mark 0 does not
-/// read a standing announcement. Process 0 of n ≤ 2 opens a session on a
+/// reading it back, a session that opened with arena mark 0 does not
+/// read a standing announcement, and Algorithm 1 reads `decide` once, in
+/// the slot's probe, and not again after writing it. Process 0 of n ≤ 2 opens a session on a
 /// fresh 4-slot object, announces k ops and drives them through slot `s`
 /// alone; the cells it touches, with multiplicity, are exactly these
 /// (runs go through `Taped`'s default loop, so they tape per cell). At
@@ -567,12 +596,11 @@ fn universal_decision_reads_back_only_records_it_did_not_write() {
                 (true, announce(0)), // counter, record length, mark
                 (true, arena(0)),
                 (true, announce(1)),
-                (false, slot(0)), // undecided; announce (mark 0: no
-                (true, slot(1)),  // standing read); result
-                (true, slot(0)),
-                (false, alg1(0)), // Algorithm 1's solo fast path, v = 0
+                (false, slot(0)), // the probe: undecided, and `decide`
                 (false, alg1(0)),
-                (true, alg1(0)),
+                (true, slot(1)), // announce (mark 0: no standing read)
+                (true, slot(0)), // result
+                (true, alg1(0)), // Algorithm 1's solo fast path, v = 0
                 (false, alg1(3)),
                 (true, alg1(3)),
                 (true, alg1(4)),
@@ -585,9 +613,14 @@ fn universal_decision_reads_back_only_records_it_did_not_write() {
                 want.extend([(true, announce(2 * n + i * n)), (true, arena((1 + i) * n))]);
             }
             if s == 1 {
-                // Slot 0 decided; process 1's record length, entries and
-                // payloads, read back.
-                want.extend([(false, slot_cell(0, 0)), (false, arena(1))]);
+                // Slot 0 decided (the probe reads its `decide` too);
+                // process 1's record length, entries and payloads, read
+                // back.
+                want.extend([
+                    (false, slot_cell(0, 0)),
+                    (false, slot_cell(0, 1 + n)),
+                    (false, arena(1)),
+                ]);
                 for i in 0..others {
                     want.extend([
                         (false, arena(1 + (1 + i) * n)),
