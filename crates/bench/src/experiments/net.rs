@@ -11,7 +11,7 @@ use std::time::Duration;
 use tfr_chaos::netfault::random_net_schedule;
 use tfr_chaos::netfault::{apply_net_schedule, NetFaultOp};
 use tfr_net::{NetConfig, Network, QuorumSpace};
-use tfr_registers::space::RegisterSpace;
+use tfr_registers::space::{Access, RegisterSpace, RegisterSpaceExt, WriteKind};
 use tfr_registers::ProcId;
 use tfr_telemetry::summary::heal_convergence_from_events;
 use tfr_telemetry::{with_pid, EventKind, Trace, Tracer};
@@ -194,6 +194,8 @@ pub fn net() -> Vec<Table> {
             "run-of-8 owned write / link rtt",
             "agreed write / link rtt",
             "conditional write / link rtt",
+            "group r+o+a / link rtt",
+            "group w+r / link rtt",
         ],
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -245,10 +247,41 @@ pub fn net() -> Vec<Table> {
                     let _ = space.read(k);
                 }
             });
-            [run_read, run_write, owned, owned_run, agreed, conditional]
-                .map(|us| format!("{:.2}", us / link_rtt_us))
+            // Groups: a read run of 8, an owned run of 8 and an agreed
+            // write of a fresh cell, all in phase 1; a queried write run
+            // with a read run, a query and a store.
+            let (_, _, stores) = round_trip_p50s(&cfg, 1, |_, space| {
+                let mut out = [0; 8];
+                for k in 0..200u64 {
+                    space.access_all(&mut [
+                        Access::read_run(0, 3, &mut out),
+                        Access::write_run(100, 3, &[k + 1; 8], WriteKind::Owned),
+                        Access::write_run(1_000 + k, 1, &[k + 1], WriteKind::Agreed),
+                    ]);
+                }
+            });
+            let (_, _, queried) = round_trip_p50s(&cfg, 1, |_, space| {
+                let mut out = [0; 8];
+                for k in 0..200u64 {
+                    space.access_all(&mut [
+                        Access::write_run(0, 3, &[k + 1; 8], WriteKind::Queried),
+                        Access::read_run(100, 3, &mut out),
+                    ]);
+                }
+            });
+            [
+                run_read,
+                run_write,
+                owned,
+                owned_run,
+                agreed,
+                conditional,
+                stores,
+                queried,
+            ]
+            .map(|us| format!("{:.2}", us / link_rtt_us))
         } else {
-            ["-", "-", "-", "-", "-", "-"].map(String::from)
+            ["-"; 8].map(String::from)
         };
         let mut row = vec![
             threads.to_string(),
@@ -270,7 +303,9 @@ pub fn net() -> Vec<Table> {
     t3.note("A run of 8 registers travels as one message per replica per phase, and an owned");
     t3.note("write (cells only this handle writes) or an agreed write (every write to the cell");
     t3.note("carries one value) skips the query. A conditional write of an unset cell (a read,");
-    t3.note("then a write if it read 0) shares one query between the two: 1 client only.");
+    t3.note("then a write if it read 0) shares one query between the two. A group of accesses");
+    t3.note("(`r+o+a`: a read run, an owned run, an agreed write; `w+r`: a queried write run and");
+    t3.note("a read run) is one message per replica per phase: 1 client only.");
     vec![t1, t2, t3]
 }
 
@@ -321,8 +356,10 @@ fn round_trip_p50s(
 /// and an agreed write are the store round alone (a queried write would
 /// read 2); a conditional write of an unset cell is a query and a store,
 /// two rounds (a read and then a queried write would read 3, a store
-/// alone 1). Self-normalising: the p50 over the *configured* mean link
-/// round trip.
+/// alone 1); and a group costs one round per phase — a read run, an
+/// owned run and an agreed write one round, a queried write run and a
+/// read run two (served access by access, both would read 3).
+/// Self-normalising: the p50 over the *configured* mean link round trip.
 pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     let solo = || by_id(tables, "NETc")?.row_where(&[("client threads", "1")]);
     vec![
@@ -374,6 +411,18 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 "conditional write / link rtt in 1.5..=2.6",
             )
         }),
+        gate("NETc.groups_cost_one_round_per_phase", || {
+            let solo = solo()?;
+            solo.expect(
+                solo.num("group r+o+a / link rtt")? <= 1.3,
+                "group r+o+a / link rtt <= 1.3",
+            )?;
+            let queried = solo.num("group w+r / link rtt")?;
+            solo.expect(
+                (1.5..=2.6).contains(&queried),
+                "group w+r / link rtt in 1.5..=2.6",
+            )
+        }),
     ]
 }
 
@@ -389,11 +438,12 @@ mod tests {
             "client threads | read / link rtt | write / link rtt \
              | run-of-8 read / link rtt | run-of-8 write / link rtt \
              | owned write / link rtt | run-of-8 owned write / link rtt \
-             | agreed write / link rtt | conditional write / link rtt",
+             | agreed write / link rtt | conditional write / link rtt \
+             | group r+o+a / link rtt | group w+r / link rtt",
             &[
-                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02 | 2.03",
-                "2 | 1.05 | 2.10 | - | - | - | - | - | -",
-                "4 | 2.40 | 4.90 | - | - | - | - | - | -",
+                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02 | 2.03 | 1.04 | 2.05",
+                "2 | 1.05 | 2.10 | - | - | - | - | - | - | - | -",
+                "4 | 2.40 | 4.90 | - | - | - | - | - | - | - | -",
             ],
         )];
         // Every gate reads the one-client row, so a missing row or an
@@ -458,6 +508,21 @@ mod tests {
                         // A store without the query: one round.
                         Set(0, "conditional write / link rtt", "1.02"),
                         Set(0, "conditional write / link rtt", "-"),
+                        DropRow(0),
+                        Clear,
+                    ],
+                ),
+                (
+                    "NETc.groups_cost_one_round_per_phase",
+                    &[
+                        // Groups served access by access: three rounds.
+                        Set(0, "group r+o+a / link rtt", "3.04"),
+                        Set(0, "group w+r / link rtt", "3.06"),
+                        Set(0, "group r+o+a / link rtt", "1.31"),
+                        Set(0, "group w+r / link rtt", "2.61"),
+                        // A queried write that skipped its query.
+                        Set(0, "group w+r / link rtt", "1.02"),
+                        Set(0, "group r+o+a / link rtt", "-"),
                         DropRow(0),
                         Clear,
                     ],

@@ -335,7 +335,7 @@ fn overlap() -> Table {
             format!("{ratio:.2}"),
         ]);
     }
-    t.note("Each busy shard costs its decision's 12 quorum rounds either way; a worker whose");
+    t.note("Each busy shard costs its decision's 9 quorum rounds either way; a worker whose");
     t.note("space round-trips drives the first busy shard itself and the other on a scoped");
     t.note(format!(
         "helper thread. Network high-water mark: {} quorum rounds open at once.",

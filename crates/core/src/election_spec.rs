@@ -34,6 +34,15 @@
 //!    candidate, which is what lets the native form serve the write as an
 //!    agreed write; [`ElectionSpec::result_reg`] names the register for
 //!    the model checker's invariant.
+//!
+//! When instance 0 decides the bit it was proposed by writing its
+//! `decide`, the candidate is already the elected one, and the native
+//! form sends that `decide` and `result` as one group of two agreed
+//! writes, which may land in either order. Each process writes the pair
+//! once, so the automaton takes the order per process:
+//! [`ElectionSpec::result_first`] names the processes that write `result`
+//! first, and checking every mask explores both orders of every
+//! process's pair against every interleaving.
 
 use crate::consensus::ConsensusSpec;
 use crate::universal::pid_bits;
@@ -56,6 +65,9 @@ pub struct ElectionSpec {
     base: u64,
     delta: Ticks,
     inner_rounds: u64,
+    /// Bit `i` set: process `i` writes `result` before instance 0's
+    /// `decide` when it sends the two together.
+    result_first: u64,
 }
 
 impl ElectionSpec {
@@ -78,7 +90,17 @@ impl ElectionSpec {
             base,
             delta,
             inner_rounds: Self::INNER_ROUNDS,
+            result_first: 0,
         }
+    }
+
+    /// Makes the processes whose bit is set in `mask` write the group of
+    /// instance 0's `decide` and `result` in the other order, `result`
+    /// first (by default every process writes `decide` first, the native
+    /// form's order on shared memory).
+    pub fn result_first(mut self, mask: u64) -> ElectionSpec {
+        self.result_first = mask;
+        self
     }
 
     /// Overrides the per-instance round cap (the model checker uses a
@@ -125,6 +147,11 @@ enum Pc {
         k: u32,
         inner: <ConsensusSpec as Automaton>::State,
     },
+    /// Instance 0 is about to write its `decide` of the candidate's bit,
+    /// and `result` went out first.
+    DecideAfterResult {
+        inner: <ConsensusSpec as Automaton>::State,
+    },
     /// Adoption scan after instance `k` decided `bit`: looking for an
     /// announced id matching `prefix` (the decided bits from the top down
     /// through `k`).
@@ -147,6 +174,17 @@ impl ElectionSpec {
     /// Instance `W−1`'s `decide`, the register the probe reads.
     fn top_decide(&self) -> RegId {
         self.instance(self.width - 1, false).decide_reg()
+    }
+
+    /// Whether `s`, in instance `k` about to take `action`, writes
+    /// `result` now: it is instance 0's write of the candidate's own bit
+    /// to `decide`, and `s` takes the pair `result` first.
+    fn writes_result_first(&self, s: &ElectionState, k: u32, action: Action) -> bool {
+        let proposal = s.candidate & 1 == 1;
+        let decide = self.instance(0, proposal).decide_reg();
+        k == 0
+            && self.result_first >> s.pid.0 & 1 == 1
+            && action == Action::Write(decide, crate::consensus::enc(proposal))
     }
 
     /// Enters bit instance `k` (or, past bit 0, the `result` write) with
@@ -225,7 +263,15 @@ impl Automaton for ElectionSpec {
             Pc::Announce { .. } => Action::Write(self.announce(s.pid.0), s.pid.0 as u64 + 1),
             Pc::Bit { k, inner } => {
                 let proposal = (s.candidate >> k) & 1 == 1;
-                self.instance(*k, proposal).next_action(inner)
+                let action = self.instance(*k, proposal).next_action(inner);
+                if self.writes_result_first(s, *k, action) {
+                    Action::Write(self.result_reg(), s.candidate + 1)
+                } else {
+                    action
+                }
+            }
+            Pc::DecideAfterResult { inner } => {
+                self.instance(0, s.candidate & 1 == 1).next_action(inner)
             }
             Pc::Scan { j, .. } => Action::Read(self.announce(*j)),
             Pc::WriteResult => Action::Write(self.result_reg(), s.candidate + 1),
@@ -250,7 +296,24 @@ impl Automaton for ElectionSpec {
                     .init(ProcId(0));
                 self.step_bit(s, k, inner, Some(seen), obs);
             }
-            Pc::Bit { k, inner } => self.step_bit(s, k, inner, observed, obs),
+            Pc::Bit { k, inner } => {
+                let action = self
+                    .instance(k, (s.candidate >> k) & 1 == 1)
+                    .next_action(&inner);
+                if self.writes_result_first(s, k, action) {
+                    s.pc = Pc::DecideAfterResult { inner };
+                } else {
+                    self.step_bit(s, k, inner, observed, obs);
+                }
+            }
+            Pc::DecideAfterResult { mut inner } => {
+                // The write of `decide` decides the candidate's bit, and
+                // with it the candidate, whose `result` is written.
+                self.instance(0, s.candidate & 1 == 1)
+                    .apply(&mut inner, observed, &mut Vec::new());
+                obs.push(Obs::Decided(s.candidate));
+                s.pc = Pc::Done;
+            }
             Pc::Scan { k, j, prefix } => {
                 let raw = observed.expect("read observes");
                 let matches = raw != 0 && (raw - 1) >> k == prefix;
@@ -341,16 +404,58 @@ mod tests {
     fn modelcheck_two_process_election_exhaustive() {
         // Election for n=2 is one bit instance plus announce/adopt; check
         // agreement and leader-is-a-participant over ALL interleavings,
-        // and that `result` never holds two different values written or
-        // pending (the obligation behind its agreed write).
-        let spec = ElectionSpec::new(2, 0, Ticks(100)).inner_rounds(2);
-        let safety = SafetySpec {
-            agreed_writes: vec![spec.result_reg()],
-            ..SafetySpec::consensus(vec![0, 1])
-        };
-        let report = Explorer::new(spec, 2).check(&safety);
-        assert!(report.proven_safe(), "{:?}", report.violation);
-        assert!(report.states_explored > 50);
+        // and that `result` and the instance's `decide` never hold two
+        // different values written or pending (the obligation behind
+        // their agreed writes) — for each process sending the pair of
+        // `decide` and `result` in either order.
+        for mask in 0..4 {
+            let spec = ElectionSpec::new(2, 0, Ticks(100))
+                .inner_rounds(2)
+                .result_first(mask);
+            let decide = spec.instance(0, false).decide_reg();
+            let safety = SafetySpec {
+                agreed_writes: vec![spec.result_reg(), decide],
+                ..SafetySpec::consensus(vec![0, 1])
+            };
+            let report = Explorer::new(spec, 2).check(&safety);
+            assert!(report.proven_safe(), "mask {mask}: {:?}", report.violation);
+            assert!(report.states_explored > 50);
+        }
+    }
+
+    #[test]
+    fn result_first_swaps_the_solo_pair_and_elects_the_same() {
+        use tfr_registers::bank::RegisterBank;
+        for n in [1usize, 2, 5] {
+            let pid = ProcId(n - 1);
+            // A solo run's actions, and what it elected.
+            let run = |spec: ElectionSpec| {
+                let (mut bank, mut s) = (ArrayBank::new(), spec.init(pid));
+                let (mut actions, mut obs) = (Vec::new(), Vec::new());
+                loop {
+                    let action = spec.next_action(&s);
+                    let observed = match action {
+                        Action::Read(r) => Some(bank.read(r)),
+                        Action::Write(r, v) => {
+                            bank.write(r, v);
+                            None
+                        }
+                        _ => break,
+                    };
+                    spec.apply(&mut s, observed, &mut obs);
+                    actions.push(action);
+                }
+                (actions, obs)
+            };
+            let spec = ElectionSpec::new(n, 0, Ticks(100));
+            let (decide_first, obs) = run(spec.clone());
+            let (mut result_first, swapped_obs) = run(spec.result_first(1 << pid.0));
+            assert_eq!(obs.last(), Some(&Obs::Decided(pid.0 as u64)), "n={n}");
+            assert_eq!(swapped_obs.last(), obs.last(), "n={n}: the same leader");
+            let len = result_first.len();
+            result_first.swap(len - 2, len - 1);
+            assert_eq!(result_first, decide_first, "n={n}: the last two swapped");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub struct SafetySpec {
     /// the processes' pending writes to it hold two different values is a
     /// violation, so two disagreeing writes are caught before the second
     /// one lands. This is the obligation behind serving a register with
-    /// agreed writes (`RegisterSpace::write_agreed`).
+    /// agreed writes (`WriteKind::Agreed` in `tfr-registers`).
     pub agreed_writes: Vec<RegId>,
 }
 

@@ -2,7 +2,7 @@
 //! [`RegisterSpace`] whose every cell is an ABD multi-writer
 //! multi-reader atomic register replicated across the cluster.
 //!
-//! All three operations are built from the same primitive — a *quorum round*
+//! Every operation is built from the same primitive — a *quorum round*
 //! that sends one payload to every replica and collects acknowledgements
 //! until a majority (`R/2 + 1`) has answered, retransmitting to the
 //! silent replicas on a timer. The network has no thread of its own: the
@@ -13,64 +13,78 @@
 //! to touch at least one replica that saw every previously completed
 //! round; that intersection is the whole correctness argument.
 //!
-//! Every operation is on a **run** of cells `base + i·stride`
-//! ([`RegisterSpace::read_run`] / [`RegisterSpace::write_run`] /
-//! [`RegisterSpace::write_run_owned`]), and a run costs the rounds of one
-//! register: one message per replica per phase. A single-cell `read` /
-//! `write` / `write_agreed` / `write_if_unset` is a run of one — there is
-//! one code path per operation.
+//! # Groups
 //!
-//! * **write run** — round 1 queries a majority for every cell's highest
-//!   version; the writer picks *one* fresh timestamp above everything it
-//!   saw in any cell (and above everything it ever issued, via a CAS
-//!   floor), stamps every cell with it and its unique `wid`, and round 2
-//!   stores the cells on a majority.
-//! * **owned write run** ([`RegisterSpace::write_run_owned`]) — the store
-//!   round alone, stamped `reserve_ts(0)`: one past the handle's CAS
-//!   floor. The caller promises that every write those cells ever receive
-//!   comes through this one handle, and that is what makes the query
-//!   redundant. The query exists to lift a write above *other* writers'
-//!   versions; an owned cell has none, and every version it ever carried
-//!   — on any replica, including a store a crashed caller left stranded on
-//!   a minority — was issued by this handle, so it lies at or below the
-//!   floor. The new version therefore beats all of them everywhere, which
-//!   is all round 1 would have established. The promise is the caller's
-//!   (classic single-writer ABD's regime, one round trip per write); in
-//!   debug builds the replicas check it, pinning an owned cell to the
-//!   `wid` of its first owned store and panicking on any store that
-//!   carries another.
-//! * **agreed write** ([`RegisterSpace::write_agreed`]) — the store round
-//!   alone too, stamped `reserve_ts(0)`, from any handle. The caller
-//!   promises that every write the cell ever receives carries this one
-//!   value. Round 1 exists to order a write after other writers' values;
-//!   an agreed cell has no other value, so *any* version above
-//!   [`Version::ZERO`] is correct, and versions from different handles
-//!   may land in any order. A reader's query returns 0 (no write yet on
-//!   the majority it asked) or the value, and its write-back is
-//!   unchanged. In debug builds a replica panics on an agreed store whose
-//!   value differs from the nonzero value it holds.
-//! * **read run** — round 1 queries a majority and takes each cell's
-//!   maximum `(ts, wid)` answer; round 2 writes *back* to a majority the
-//!   cells whose maximum some majority member might miss — decided per
-//!   cell, so a cell every ack already carries at its maximum (committed
-//!   on a majority) is left out, and the round is skipped when no cell
-//!   needs it. The write-back is what stops a later read from seeing an
-//!   older value (the new/old inversion ABD exists to prevent).
-//! * **conditional write** ([`RegisterSpace::write_if_unset`]) — a read
-//!   whose query round doubles as a queried write's. If every ack carries
+//! The space serves a **group** of accesses
+//! ([`RegisterSpace::access_all`]) in at most two rounds, one message per
+//! replica per phase, however many accesses and cells the group holds. A
+//! single `read` / `write` / `read_run` / `write_agreed` / … is a group
+//! of one; there is one code path.
+//!
+//! * **Phase 1** carries the query of every read run, queried write run
+//!   and conditional write, and the store of every owned and agreed write
+//!   run, stamped with one fresh version `reserve_ts(0)`.
+//! * Between the phases, each conditional write whose query found its
+//!   cell unset runs its `between`.
+//! * **Phase 2**, skipped when empty, carries the write-backs the reads
+//!   need and the stores of the queried and conditional writes, stamped
+//!   with one fresh version above every version their queries saw.
+//!
+//! What each access does with its share of the two phases:
+//!
+//! * **write run** ([`WriteKind::Queried`]) — its query learns every
+//!   cell's highest version from a majority; its store carries the
+//!   phase-2 version, above everything it saw in any cell (and above
+//!   everything the handle ever issued, via a CAS floor).
+//! * **owned write run** ([`WriteKind::Owned`]) — the phase-1 store
+//!   alone, stamped one past the handle's CAS floor. The caller promises
+//!   that every write those cells ever receive comes through this one
+//!   handle, and that is what makes the query redundant. The query exists
+//!   to lift a write above *other* writers' versions; an owned cell has
+//!   none, and every version it ever carried — on any replica, including
+//!   a store a crashed caller left stranded on a minority — was issued by
+//!   this handle, so it lies at or below the floor. The new version
+//!   therefore beats all of them everywhere, which is all a query would
+//!   have established. The promise is the caller's (classic
+//!   single-writer ABD's regime, one round trip per write); in debug
+//!   builds the replicas check it, pinning an owned cell to the `wid` of
+//!   its first owned store and panicking on any store that carries
+//!   another.
+//! * **agreed write run** ([`WriteKind::Agreed`]) — the phase-1 store
+//!   alone too, from any handle. The caller promises that every write the
+//!   cell ever receives carries this one value. A query exists to order a
+//!   write after other writers' values; an agreed cell has no other
+//!   value, so *any* version above [`Version::ZERO`] is correct, and
+//!   versions from different handles may land in any order. A reader's
+//!   query returns 0 (no write yet on the majority it asked) or the
+//!   value, and its write-back is unchanged. In debug builds a replica
+//!   panics on an agreed store whose value differs from the nonzero value
+//!   it holds.
+//! * **read run** — its query takes each cell's maximum `(ts, wid)`
+//!   answer; phase 2 writes *back* the cells whose maximum some majority
+//!   member might miss — decided per cell, so a cell every ack already
+//!   carries at its maximum (committed on a majority) is left out. The
+//!   write-back is what stops a later read from seeing an older value
+//!   (the new/old inversion ABD exists to prevent).
+//! * **conditional write** ([`Access::WriteIfUnset`]) — a read whose
+//!   query doubles as a queried write's. If every ack carries
 //!   [`Version::ZERO`], no write to the cell completed before the call,
-//!   so the store round stamped `reserve_ts(0)` is exactly what a queried
-//!   write whose query saw nothing would send: the caller's `between()`
-//!   runs, then that round, two rounds in all. Otherwise nothing is
-//!   written and the call is exactly a read, write-back included. The
-//!   read is linearized at the query, and the write, whose interval
-//!   opens before the query, right after it.
+//!   so a phase-2 store is exactly what a queried write whose query saw
+//!   nothing would send: the caller's `between()` runs, then phase 2.
+//!   Otherwise nothing is written and the access is exactly a read,
+//!   write-back included. The read is linearized at the query, and the
+//!   write, whose interval opens before the query, right after it.
 //!
 //! Each cell keeps its own version and its own linearization point inside
-//! the operation, exactly as if it had been accessed alone; sharing
-//! messages and a timestamp across cells promises nothing *across*
-//! cells, and nothing more is claimed (per-register atomicity composes —
-//! linearizability is local).
+//! the group, exactly as if it had been accessed alone: a phase-1 store
+//! is linearized when it reaches a majority, a query's answer at the
+//! query, a phase-2 store or write-back when phase 2 reaches a majority,
+//! all inside the call. Sharing messages and a timestamp across cells and
+//! accesses promises nothing *across* them, and nothing more is claimed:
+//! per-register atomicity composes, because linearizability is local.
+//! The accesses of a group are therefore concurrent with one another,
+//! which is what a caller may group: accesses its algorithm does not
+//! order.
 //!
 //! Liveness needs a connected majority: under a partition that strands
 //! clients with a minority, rounds retransmit forever — operations
@@ -80,12 +94,12 @@
 //! Δ-tuned algorithms keep their *own* guarantees even when "shared
 //! memory" is a lossy network.
 
-use crate::msg::{Message, NodeId, Payload, Run, StoreKind, Version, Versioned};
+use crate::msg::{Message, NodeId, Payload, Run, Stored, Version, Versioned, WriteKind};
 use crate::net::{wait_until, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tfr_registers::space::RegisterSpace;
+use tfr_registers::space::{Access, RegisterSpace};
 use tfr_registers::ProcId;
 use tfr_telemetry::{current_pid, current_span_id, EventKind, Span};
 
@@ -94,11 +108,11 @@ use tfr_telemetry::{current_pid, current_span_id, EventKind, Span};
 /// carries its own unique writer id.
 ///
 /// Handles are cheap (an [`Arc`], the writer id, the timestamp floor and
-/// two mutant flags) and `Send + Sync`; a single handle shared by several
-/// threads is safe but serializes nothing — each operation is its own
-/// quorum round. Agreed writes may come through any handle. Cells written
-/// with owned writes must be written through
-/// one handle for the life of the data, so an object that owns cells
+/// four mutant flags) and `Send + Sync`; a single handle shared by
+/// several threads is safe but serializes nothing — each group is its
+/// own quorum rounds. Agreed writes may come through any handle. Cells
+/// written with owned writes must be written through one handle for the
+/// life of the data, so an object that owns cells
 /// (`tfr_core::universal::Universal`) keeps one shared handle for all its
 /// sessions.
 pub struct QuorumSpace {
@@ -116,6 +130,8 @@ pub struct QuorumSpace {
     /// The seeded mutant of
     /// [`QuorumSpace::with_unqueried_conditional_writes`].
     unqueried_conditional_writes: bool,
+    /// The seeded mutant of [`QuorumSpace::with_unrepaired_groups`].
+    unrepaired_groups: bool,
 }
 
 impl QuorumSpace {
@@ -128,6 +144,7 @@ impl QuorumSpace {
             first_cell_write_back: false,
             store_only_writes: false,
             unqueried_conditional_writes: false,
+            unrepaired_groups: false,
         }
     }
 
@@ -145,11 +162,11 @@ impl QuorumSpace {
 
     /// **A seeded mutant, for the linearizability oracle's negative
     /// tests only.** The handle serves *every* write as an agreed write
-    /// would, the store round alone stamped one past its own floor, but
-    /// its stores stay queried, so the debug replica check of agreed
-    /// stores does not see them. Two handles writing different values to
-    /// one cell then order by their private floors, not by real time: the
-    /// later write can carry the lower version and vanish.
+    /// would, in phase 1 stamped one past its own floor, but its stores
+    /// stay queried, so the debug replica check of agreed stores does not
+    /// see them. Two handles writing different values to one cell then
+    /// order by their private floors, not by real time: the later write
+    /// can carry the lower version and vanish.
     #[doc(hidden)]
     pub fn with_store_only_writes(mut self) -> QuorumSpace {
         self.store_only_writes = true;
@@ -157,15 +174,26 @@ impl QuorumSpace {
     }
 
     /// **A seeded mutant, for the linearizability oracle's negative
-    /// tests only.** The handle serves a conditional write
-    /// ([`RegisterSpace::write_if_unset`]) without its query round: it
-    /// stores the value, stamped one past its own floor, and returns 0
-    /// whatever the cell held. A write to a set cell then overwrites it,
-    /// or vanishes under a version from nowhere, and its read of 0 comes
-    /// after a write that had completed.
+    /// tests only.** The handle serves a conditional write without its
+    /// query: it stores the value in phase 2, stamped one past its own
+    /// floor, and reports 0 whatever the cell held. A write to a set cell
+    /// then overwrites it, or vanishes under a version from nowhere, and
+    /// its read of 0 comes after a write that had completed.
     #[doc(hidden)]
     pub fn with_unqueried_conditional_writes(mut self) -> QuorumSpace {
         self.unqueried_conditional_writes = true;
+        self
+    }
+
+    /// **A seeded mutant, for the linearizability oracle's negative
+    /// tests only.** The handle completes a group of two or more accesses
+    /// on its phase-1 acks, skipping the write-backs its reads need: a
+    /// read that returns a value only a minority holds leaves it there,
+    /// and a later read can see the older value. Groups of one are served
+    /// correctly.
+    #[doc(hidden)]
+    pub fn with_unrepaired_groups(mut self) -> QuorumSpace {
+        self.unrepaired_groups = true;
         self
     }
 
@@ -265,117 +293,226 @@ impl QuorumSpace {
         out[0]
     }
 
-    /// Reads the run `base + i·stride` into `out` with versions: one
-    /// query round, then one write-back round carrying only the cells a
-    /// majority did not already hold at their maximum (skipped when there
-    /// are none).
+    /// Reads the run `base + i·stride` into `out` with versions: a group
+    /// of one read run, one query round, then one write-back round
+    /// carrying only the cells a majority did not already hold at their
+    /// maximum (skipped when there are none).
     ///
     /// # Panics
     ///
     /// Panics if `stride` is 0 and `out` has more than one cell.
     pub fn read_run_versioned(&self, base: u64, stride: u64, out: &mut [Versioned]) {
-        if out.is_empty() {
-            return;
-        }
-        let run = Run::new(base, stride, out.len());
-        let shared = self.net.shared();
-        let t0 = shared.trace.now_ns();
-        shared.trace.emit_current(EventKind::QuorumStart {
-            reg: base,
-            write: false,
-        });
-        let op_span = Span::enter(&shared.trace, "quorum.read");
-        let client = self.client();
-        let committed = self.query(client, run, out);
-        self.write_back(client, run, out, &committed);
-        drop(op_span);
-        self.finish(base, false, t0, run.regs().zip(out.iter().copied()));
+        let mut values = vec![0; out.len()];
+        let maxima = self.serve(&mut [Access::read_run(base, stride, &mut values)]);
+        out.copy_from_slice(&maxima);
     }
 
-    /// The query round of a read: fills `out` with each cell's maximum
-    /// `(ts, wid)` answer and returns, per cell, how many acks carry it.
-    fn query(&self, client: usize, run: Run, out: &mut [Versioned]) -> Vec<usize> {
-        let acks = {
-            let _phase = Span::enter(&self.net.shared().trace, "quorum.phase1");
-            self.quorum_round(client, Payload::ReadReq { run })
-        };
-        out.fill(Versioned::ZERO);
-        let mut committed = vec![0usize; out.len()];
-        for (_, ack) in &acks {
-            if let Payload::ReadAck { data, .. } = ack {
-                for ((max, count), seen) in out.iter_mut().zip(&mut committed).zip(data) {
+    /// Serves `group` in its two phases (see the module docs) and returns
+    /// the maximum version phase 1 saw of every queried cell, in the
+    /// group's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run of several cells has a zero stride.
+    fn serve(&self, group: &mut [Access<'_>]) -> Vec<Versioned> {
+        let shared = self.net.shared();
+        let trace = &shared.trace;
+        let t0 = trace.now_ns();
+        let mut writes = false;
+        for access in group.iter() {
+            let write = matches!(access, Access::WriteRun { .. });
+            writes |= write;
+            if let Some(reg) = access.cells().next() {
+                trace.emit_current(EventKind::QuorumStart { reg, write });
+            }
+        }
+        let op_span = Span::enter(trace, ["quorum.read", "quorum.write"][writes as usize]);
+        let client = self.client();
+
+        // Phase 1: every query, and every store that needs none.
+        let run = |base, stride, len| Run::new(base, stride, len);
+        let mut query = Vec::new();
+        let mut early = Vec::new();
+        let mut early_version = None;
+        for access in group.iter() {
+            match access {
+                Access::ReadRun { base, stride, out } if !out.is_empty() => {
+                    query.push(run(*base, *stride, out.len()))
+                }
+                Access::WriteRun {
+                    base,
+                    stride,
+                    values,
+                    kind,
+                } if !values.is_empty() => {
+                    let cells = run(*base, *stride, values.len());
+                    if *kind == WriteKind::Queried && !self.store_only_writes {
+                        query.push(cells);
+                        continue;
+                    }
+                    let version = *early_version.get_or_insert_with(|| self.version(0));
+                    early.extend(cells.regs().zip(values.iter()).map(|(reg, &value)| Stored {
+                        reg,
+                        data: Versioned { version, value },
+                        kind: *kind,
+                    }));
+                }
+                Access::WriteIfUnset { index, .. } if !self.unqueried_conditional_writes => {
+                    query.push(run(*index, 1, 1))
+                }
+                _ => {}
+            }
+        }
+        let cells: usize = query.iter().map(Run::len).sum();
+        let mut maxima = vec![Versioned::ZERO; cells];
+        let mut committed = vec![0usize; cells];
+        let early: Arc<[Stored]> = early.into();
+        if !query.is_empty() || !early.is_empty() {
+            let _phase = Span::enter(trace, "quorum.phase1");
+            let request = Payload::request(query, Arc::clone(&early));
+            for (_, ack) in self.quorum_round(client, request) {
+                let Payload::Ack { data, .. } = ack else {
+                    continue;
+                };
+                for ((max, count), seen) in maxima.iter_mut().zip(&mut committed).zip(data) {
                     match seen.version.cmp(&max.version) {
-                        std::cmp::Ordering::Greater => {
-                            *max = *seen;
-                            *count = 1;
-                        }
+                        std::cmp::Ordering::Greater => (*max, *count) = (seen, 1),
                         std::cmp::Ordering::Equal => *count += 1,
                         std::cmp::Ordering::Less => {}
                     }
                 }
             }
         }
-        committed
-    }
 
-    /// The write-back round of a read, for the cells some majority
-    /// member might miss. A cell every ack already carries at its maximum
-    /// is stored on a majority and needs no round trip; if no cell needs
-    /// one, the round is skipped.
-    fn write_back(&self, client: usize, run: Run, out: &[Versioned], committed: &[usize]) {
-        let shared = self.net.shared();
+        // Between the phases: what the queries mean, access by access.
         let majority = shared.cfg.majority();
-        let behind = |i: usize| {
-            let decider = if self.first_cell_write_back { 0 } else { i };
-            committed[decider] < majority
-        };
-        let cells: Arc<[(u64, Versioned)]> = (0..out.len())
-            .filter(|&i| behind(i))
-            .map(|i| (run.reg(i), out[i]))
-            .collect();
-        if !cells.is_empty() {
-            let _phase = Span::enter(&shared.trace, "quorum.phase2");
-            let write_back = Payload::WriteReq {
-                cells,
-                kind: StoreKind::Queried,
-            };
-            self.quorum_round(client, write_back);
+        let repair = !(self.unrepaired_groups && group.len() > 1);
+        let mut observed = Vec::new();
+        let mut late = Vec::new();
+        let mut fresh = Vec::new();
+        let mut floor = 0;
+        let mut at = 0;
+        for access in group.iter_mut() {
+            match access {
+                Access::ReadRun { base, stride, out } if !out.is_empty() => {
+                    let cells = run(*base, *stride, out.len());
+                    let seen = &maxima[at..at + out.len()];
+                    let counts = &committed[at..at + out.len()];
+                    at += out.len();
+                    for (i, (value, data)) in out.iter_mut().zip(seen).enumerate() {
+                        *value = data.value;
+                        let decider = if self.first_cell_write_back { 0 } else { i };
+                        if repair && counts[decider] < majority {
+                            late.push(write_back(cells.reg(i), *data));
+                        }
+                    }
+                    observed.extend(cells.regs().zip(seen.iter().copied()));
+                }
+                Access::WriteRun {
+                    base,
+                    stride,
+                    values,
+                    kind: WriteKind::Queried,
+                } if !values.is_empty() && !self.store_only_writes => {
+                    let seen = &maxima[at..at + values.len()];
+                    at += values.len();
+                    floor = seen.iter().map(|v| v.version.ts).fold(floor, u64::max);
+                    let cells = run(*base, *stride, values.len());
+                    fresh.extend(cells.regs().zip(values.iter().copied()));
+                }
+                Access::WriteIfUnset {
+                    index,
+                    value,
+                    between,
+                    seen,
+                } => {
+                    let (data, count) = if self.unqueried_conditional_writes {
+                        (Versioned::ZERO, 0)
+                    } else {
+                        at += 1;
+                        (maxima[at - 1], committed[at - 1])
+                    };
+                    *seen = data.value;
+                    if data.version == Version::ZERO {
+                        between();
+                        fresh.push((*index, *value));
+                        continue;
+                    }
+                    if repair && count < majority {
+                        late.push(write_back(*index, data));
+                    }
+                    observed.push((*index, data));
+                }
+                _ => {}
+            }
         }
+
+        // Phase 2: the write-backs, and the stores that needed a query.
+        let fresh_from = late.len();
+        if !fresh.is_empty() {
+            let version = self.version(floor);
+            late.extend(fresh.into_iter().map(|(reg, value)| Stored {
+                reg,
+                data: Versioned { version, value },
+                kind: WriteKind::Queried,
+            }));
+        }
+        if !late.is_empty() {
+            let _phase = Span::enter(trace, "quorum.phase2");
+            self.quorum_round(client, Payload::request([], &late[..]));
+        }
+        drop(op_span);
+        let stored = early.iter().chain(&late[fresh_from..]);
+        self.finish(group, t0, observed, stored);
+        maxima
     }
 
-    /// Closes a completed operation's trace: the version each cell
-    /// returns or now carries, then the operation's end. Per client lane
-    /// and register the versions must never regress (the new/old
-    /// inversion ABD's write-back exists to prevent), which is exactly
-    /// what the online monitor checks.
-    fn finish(
+    /// Closes a served group's trace: the version each cell returns or
+    /// now carries — what reads saw first, so that a group that reads and
+    /// writes one cell shows no regression — then each access's end. Per
+    /// client lane and register the versions must never regress (the
+    /// new/old inversion ABD's write-back exists to prevent), which is
+    /// exactly what the online monitor checks.
+    fn finish<'s>(
         &self,
-        reg: u64,
-        write: bool,
+        group: &[Access<'_>],
         t0: Option<u64>,
-        cells: impl Iterator<Item = (u64, Versioned)>,
+        observed: Vec<(u64, Versioned)>,
+        stored: impl Iterator<Item = &'s Stored>,
     ) {
         let trace = &self.net.shared().trace;
-        for (reg, data) in cells {
+        let stored = stored.map(|cell| (cell.reg, cell.data));
+        for (reg, data) in observed.into_iter().chain(stored) {
             trace.emit_current(EventKind::QuorumVersion {
                 reg,
                 ts: data.version.ts,
                 wid: data.version.wid,
             });
         }
-        if let (Some(t0), Some(t1)) = (t0, trace.now_ns()) {
-            trace.emit_current(EventKind::QuorumEnd {
-                reg,
-                write,
-                rtt_ns: t1.saturating_sub(t0),
-            });
+        let (Some(t0), Some(t1)) = (t0, trace.now_ns()) else {
+            return;
+        };
+        for access in group {
+            let write = match access {
+                Access::ReadRun { .. } => false,
+                Access::WriteRun { .. } => true,
+                Access::WriteIfUnset { seen, .. } => *seen == 0,
+            };
+            if let Some(reg) = access.cells().next() {
+                trace.emit_current(EventKind::QuorumEnd {
+                    reg,
+                    write,
+                    rtt_ns: t1.saturating_sub(t0),
+                });
+            }
         }
     }
 
-    /// Reserves a fresh timestamp: strictly above `floor` (the highest
-    /// version a query phase observed, or 0 for an owned or agreed write)
-    /// and above every timestamp this handle previously issued.
-    fn reserve_ts(&self, floor: u64) -> u64 {
+    /// A fresh version of this handle: its writer id, and a timestamp
+    /// strictly above `floor` (the highest one the queries saw, or 0 for
+    /// an owned or agreed write) and above every timestamp this handle
+    /// previously issued.
+    fn version(&self, floor: u64) -> Version {
         let mut cur = self.issued.load(Ordering::SeqCst);
         loop {
             let candidate = cur.max(floor) + 1;
@@ -383,10 +520,25 @@ impl QuorumSpace {
                 .issued
                 .compare_exchange(cur, candidate, Ordering::SeqCst, Ordering::SeqCst)
             {
-                Ok(_) => return candidate,
+                Ok(_) => {
+                    return Version {
+                        ts: candidate,
+                        wid: self.wid,
+                    }
+                }
                 Err(seen) => cur = seen,
             }
         }
+    }
+}
+
+/// A read's write-back of `data` to `reg`: a queried store of the version
+/// the read returns.
+fn write_back(reg: u64, data: Versioned) -> Stored {
+    Stored {
+        reg,
+        data,
+        kind: WriteKind::Queried,
     }
 }
 
@@ -396,72 +548,13 @@ impl RegisterSpace for QuorumSpace {
     }
 
     fn write(&self, index: u64, value: u64) {
-        self.write_run(index, 1, &[value])
+        self.serve(&mut [Access::write_run(index, 1, &[value], WriteKind::Queried)]);
     }
 
-    /// One query round and at most one write-back round for the whole
-    /// run (see [`QuorumSpace::read_run_versioned`]).
-    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
-        let mut versioned = vec![Versioned::ZERO; out.len()];
-        self.read_run_versioned(base, stride, &mut versioned);
-        for (value, data) in out.iter_mut().zip(&versioned) {
-            *value = data.value;
-        }
-    }
-
-    /// One query round and one store round for the whole run, every cell
-    /// stamped with one fresh version.
-    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
-        self.store_run(base, stride, values, StoreKind::Queried)
-    }
-
-    /// One store round for the whole run, every cell stamped one past the
-    /// handle's timestamp floor (see the module docs for why that is
-    /// enough when the cells are owned).
-    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
-        self.store_run(base, stride, values, StoreKind::Owned)
-    }
-
-    /// One store round, stamped one past the handle's timestamp floor
-    /// (see the module docs for why any version will do when every write
-    /// to the cell carries `value`).
-    fn write_agreed(&self, index: u64, value: u64) {
-        self.store_run(index, 1, &[value], StoreKind::Agreed)
-    }
-
-    /// One query round; then, if every ack is [`Version::ZERO`],
-    /// `between()` and the store round stamped one past the handle's
-    /// floor, as a queried write whose query saw nothing would be.
-    /// Otherwise exactly a read: the write-back round if the value is not
-    /// yet on a majority, and nothing is written. Two rounds on an unset
-    /// cell, one on a set and committed one (see the module docs).
-    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
-        let run = Run::new(index, 1, 1);
-        let shared = self.net.shared();
-        let t0 = shared.trace.now_ns();
-        shared.trace.emit_current(EventKind::QuorumStart {
-            reg: index,
-            write: false,
-        });
-        let op_span = Span::enter(&shared.trace, "quorum.read");
-        let client = self.client();
-        let mut seen = [Versioned::ZERO];
-        let committed = if self.unqueried_conditional_writes {
-            Vec::new()
-        } else {
-            self.query(client, run, &mut seen)
-        };
-        if seen[0].version == Version::ZERO {
-            between();
-            let cells = self.store(client, run, &[value], 0, StoreKind::Queried);
-            drop(op_span);
-            self.finish(index, true, t0, cells.iter().copied());
-            return 0;
-        }
-        self.write_back(client, run, &seen, &committed);
-        drop(op_span);
-        self.finish(index, false, t0, run.regs().zip(seen));
-        seen[0].value
+    /// At most two rounds for the whole group, one message per replica
+    /// per phase (see the module docs).
+    fn access_all(&self, group: &mut [Access<'_>]) {
+        self.serve(group);
     }
 
     /// Every access is one or two quorum rounds, so `true` — unless the
@@ -471,68 +564,6 @@ impl RegisterSpace for QuorumSpace {
     /// on its own thread.
     fn round_trips(&self) -> bool {
         !self.net.shared().trace.is_enabled()
-    }
-}
-
-impl QuorumSpace {
-    /// A write run: the query round for a queried write, then the store
-    /// round.
-    fn store_run(&self, base: u64, stride: u64, values: &[u64], kind: StoreKind) {
-        if values.is_empty() {
-            return;
-        }
-        let run = Run::new(base, stride, values.len());
-        let shared = self.net.shared();
-        let t0 = shared.trace.now_ns();
-        shared.trace.emit_current(EventKind::QuorumStart {
-            reg: base,
-            write: true,
-        });
-        let op_span = Span::enter(&shared.trace, "quorum.write");
-        let client = self.client();
-        // Phase 1, queried writes only: learn the highest timestamp a
-        // majority has seen in any cell of the run. An owned cell's
-        // versions are all this handle's, so its floor already covers
-        // them; an agreed cell's versions all carry this value, so any
-        // version will do.
-        let mut max_ts = 0;
-        if kind == StoreKind::Queried && !self.store_only_writes {
-            let mut seen = vec![Versioned::ZERO; values.len()];
-            self.query(client, run, &mut seen);
-            max_ts = seen.iter().map(|v| v.version.ts).max().unwrap_or(0);
-        }
-        let cells = self.store(client, run, values, max_ts, kind);
-        drop(op_span);
-        self.finish(base, true, t0, cells.iter().copied());
-    }
-
-    /// The store round: commits every cell of `run` under one fresh
-    /// unique version, above `max_ts` (and so above each cell's own
-    /// maximum, when `max_ts` is a query's), and returns the stored cells.
-    fn store(
-        &self,
-        client: usize,
-        run: Run,
-        values: &[u64],
-        max_ts: u64,
-        kind: StoreKind,
-    ) -> Arc<[(u64, Versioned)]> {
-        let version = Version {
-            ts: self.reserve_ts(max_ts),
-            wid: self.wid,
-        };
-        let cells: Arc<[(u64, Versioned)]> = run
-            .regs()
-            .zip(values)
-            .map(|(reg, &value)| (reg, Versioned { version, value }))
-            .collect();
-        let _phase = Span::enter(&self.net.shared().trace, "quorum.phase2");
-        let payload = Payload::WriteReq {
-            cells: Arc::clone(&cells),
-            kind,
-        };
-        self.quorum_round(client, payload);
-        cells
     }
 }
 

@@ -29,10 +29,11 @@
 //! * [`abd`] — the [`QuorumSpace`] client: quorum rounds with
 //!   retransmission, reads with write-back (skipped when the maximum is
 //!   already committed on a majority), writes with unique `(ts, wid)`
-//!   reservation. Every operation is on a run of registers
-//!   (`RegisterSpace::read_run` / `write_run`) and costs one message per
-//!   replica per phase, so a run of 64 cells costs the round trips of
-//!   one. The thread waiting on a round delivers the network's due
+//!   reservation. Every call serves a group of accesses
+//!   (`RegisterSpace::access_all`: runs of reads and writes, conditional
+//!   writes) and costs one message per replica per phase, so a run of 64
+//!   cells, or a read run beside two writes, costs the round trips of
+//!   one access. The thread waiting on a round delivers the network's due
 //!   messages itself — its own and everybody else's — so a solo read
 //!   costs one link round trip on the clock as well as in the protocol.
 //!
@@ -61,7 +62,7 @@ pub mod msg;
 pub mod net;
 
 pub use abd::QuorumSpace;
-pub use msg::{Message, NodeId, Payload, Run, StoreKind, Version, Versioned};
+pub use msg::{Message, NodeId, Payload, Run, Stored, Version, Versioned, WriteKind};
 pub use net::{NetConfig, NetControl, Network};
 
 #[cfg(test)]

@@ -1,22 +1,23 @@
 //! The typed message vocabulary of the quorum protocol.
 //!
-//! Four message kinds suffice for multi-writer ABD, and every one of them
-//! is about a **run** of registers rather than a single one: a query
-//! ([`Payload::ReadReq`]) names a [`Run`] (`base + i·stride`) and its
-//! answer ([`Payload::ReadAck`]) carries one versioned value per cell; a
-//! store ([`Payload::WriteReq`]) carries any set of `(register, versioned
-//! value)` cells — with the [`StoreKind`] of the write that sent it — and
-//! its acknowledgement ([`Payload::WriteAck`]) confirms them all. A
-//! single-register operation is a run of one. Replicas apply a message
-//! cell by cell with the same per-register `version >` rule, so a run is
-//! a batch of independent registers that share one message, never a
-//! multi-register transaction. Every phase of every operation — the two
-//! of a read or a queried write, the one store of an owned or an agreed
-//! write — is one of the same two round trips; the client side decides
-//! what the answers mean.
+//! Two message kinds suffice for multi-writer ABD: a client's request
+//! ([`Payload::Request`]) and a replica's answer ([`Payload::Ack`]). A
+//! request is one **phase** of a whole group of register operations: it
+//! queries any number of [`Run`]s (`base + i·stride`) and stores any
+//! number of `(register, versioned value)` cells, each [`Stored`] cell
+//! tagged with the [`WriteKind`] of the write that sent it; the ack
+//! carries one versioned value per queried cell. A single-register
+//! operation is a group of one run of one. Replicas answer the queries
+//! and apply the stores cell by cell with the same per-register
+//! `version >` rule, so a group is a batch of independent registers that
+//! share one message, never a multi-register transaction. Every phase of
+//! every operation — a read's query and write-back, a queried write's
+//! query and store, an owned or agreed write's one store — is a request
+//! of the same shape; the client side decides what the answers mean.
 
 use std::fmt;
 use std::sync::Arc;
+pub use tfr_registers::space::WriteKind;
 
 /// A register version: a logical timestamp plus the writer's identity.
 ///
@@ -94,71 +95,82 @@ impl Run {
     pub fn regs(self) -> impl Iterator<Item = u64> {
         (0..self.len).map(move |i| self.reg(i))
     }
+
+    /// The number of registers.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the run names no register.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
-/// Which write sent a [`Payload::WriteReq`]: what its writer promised
-/// about the cells, and so which phase it could skip. Replicas apply every
-/// kind alike; debug builds check the promise (see `net`'s
-/// `check_store`).
+/// One cell a [`Payload::Request`] stores, with the kind of the write
+/// that sent it: what its writer promised about the cell, and so which
+/// phase it could skip. Replicas apply every kind alike; debug builds
+/// check an owned or agreed writer's promise (see `net`'s `check_store`).
+/// A read's write-back is [`WriteKind::Queried`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// A queried write's store, or a read's write-back: no promise.
-    Queried,
-    /// An owned write's store: every cell is owned by the writer's
-    /// handle, so no other writer id may ever store to it.
-    Owned,
-    /// An agreed write's store: every write the cell ever receives
-    /// carries this value, so a replica holding a nonzero value holds
-    /// this one.
-    Agreed,
+pub struct Stored {
+    /// The register.
+    pub reg: u64,
+    /// Its new versioned value.
+    pub data: Versioned,
+    /// The write that sent it.
+    pub kind: WriteKind,
 }
 
 /// What a message says.
 ///
 /// Requests are shared by every replica they are sent to (and by their
-/// retransmissions), so their cell lists sit behind an [`Arc`].
+/// retransmissions), so their run and cell lists sit behind an [`Arc`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// Client → replica: report your current `(version, value)` of every
-    /// register of `run`.
-    ReadReq {
-        /// The queried registers.
-        run: Run,
+    /// Client → replica: one phase of a group. Report your current
+    /// `(version, value)` of every register of every run of `query`, then
+    /// store every cell of `store` whose version exceeds your copy's
+    /// (idempotent — retransmits and reorderings are harmless). Never
+    /// both empty.
+    Request {
+        /// The queried runs.
+        query: Arc<[Run]>,
+        /// The stored cells.
+        store: Arc<[Stored]>,
     },
-    /// Replica → client: the answer to a [`Payload::ReadReq`].
-    ReadAck {
-        /// The queried registers.
-        run: Run,
-        /// The replica's current copy of each, `data[i]` for `run.reg(i)`.
-        data: Vec<Versioned>,
-    },
-    /// Client → replica: for every `(reg, data)`, store `data` if its
-    /// version exceeds your copy's (idempotent — retransmits and
-    /// reorderings are harmless). Never empty.
-    WriteReq {
-        /// The written registers and their versioned values.
-        cells: Arc<[(u64, Versioned)]>,
-        /// The write that sent the store: queried (or a write-back),
-        /// owned or agreed. Replicas apply every kind alike; debug builds
-        /// check an owned or agreed writer's promise.
-        kind: StoreKind,
-    },
-    /// Replica → client: a [`Payload::WriteReq`] was applied (each cell
-    /// stored or superseded by a newer version, which is just as good).
-    WriteAck {
-        /// The first register the request carried.
+    /// Replica → client: the answer to a [`Payload::Request`], sent once
+    /// its stores are applied (each cell stored or superseded by a newer
+    /// version, which is just as good).
+    Ack {
+        /// The first register the request named.
         reg: u64,
+        /// The replica's copy of every queried register, run after run,
+        /// as it was before the request's stores: empty if the request
+        /// queried nothing.
+        data: Vec<Versioned>,
     },
 }
 
 impl Payload {
+    /// A request that queries `query` and stores `store`.
+    pub fn request(query: impl Into<Arc<[Run]>>, store: impl Into<Arc<[Stored]>>) -> Payload {
+        Payload::Request {
+            query: query.into(),
+            store: store.into(),
+        }
+    }
+
     /// The first register this message is about — the one its telemetry
     /// names.
     pub fn reg(&self) -> u64 {
         match self {
-            Payload::ReadReq { run } | Payload::ReadAck { run, .. } => run.reg(0),
-            Payload::WriteReq { cells, .. } => cells.first().map_or(0, |&(reg, _)| reg),
-            Payload::WriteAck { reg } => *reg,
+            Payload::Request { query, store } => query
+                .first()
+                .map(|run| run.reg(0))
+                .or_else(|| store.first().map(|cell| cell.reg))
+                .unwrap_or(0),
+            Payload::Ack { reg, .. } => *reg,
         }
     }
 }
@@ -220,14 +232,19 @@ mod tests {
     fn payload_names_its_first_register() {
         let run = Run::new(7, 3, 4);
         assert_eq!(run.regs().collect::<Vec<_>>(), vec![7, 10, 13, 16]);
-        assert_eq!(Payload::ReadReq { run }.reg(), 7);
-        let cells: Arc<[(u64, Versioned)]> = Arc::new([(9, Versioned::ZERO), (2, Versioned::ZERO)]);
-        let store = Payload::WriteReq {
-            cells,
-            kind: StoreKind::Queried,
+        let stored = |reg| Stored {
+            reg,
+            data: Versioned::ZERO,
+            kind: WriteKind::Queried,
         };
-        assert_eq!(store.reg(), 9);
-        assert_eq!(Payload::WriteAck { reg: 3 }.reg(), 3);
+        let query = Payload::request([run], [stored(2)]);
+        assert_eq!(query.reg(), 7, "a query's first run names the request");
+        assert_eq!(Payload::request([], [stored(9), stored(2)]).reg(), 9);
+        let ack = Payload::Ack {
+            reg: 3,
+            data: Vec::new(),
+        };
+        assert_eq!(ack.reg(), 3);
     }
 
     #[test]

@@ -213,6 +213,9 @@ struct RouterState {
     /// and messages never cross sides. `None` = fully connected.
     groups: Option<Vec<u8>>,
     seq: u64,
+    /// Requests clients have sent so far, retransmissions and lost ones
+    /// included.
+    requests: u64,
     /// Messages delivered so far.
     delivered: u64,
     /// Pumps that delivered at least one message.
@@ -361,6 +364,7 @@ impl Shared {
     pub(crate) fn send(&self, msgs: impl Iterator<Item = Message>, now: Instant) {
         let mut st = lock(&self.state);
         for msg in msgs {
+            st.requests += 1;
             self.route(&mut st, msg, now);
         }
     }
@@ -459,6 +463,7 @@ impl Network {
             extra_delay: Duration::ZERO,
             groups: None,
             seq: 0,
+            requests: 0,
             delivered: 0,
             delivery_batches: 0,
             pumps: 0,
@@ -506,43 +511,39 @@ impl std::fmt::Debug for Network {
     }
 }
 
-/// Applies one request to a replica's register table, cell by cell, and
-/// builds the ack. Idempotent by construction: a retransmitted or
-/// reordered `WriteReq` only ever moves each register's version *up*
-/// (read-repair monotonicity), whatever else the message carries.
+/// Applies one request to a replica's register table and builds the
+/// ack: the queried registers first, then the stores, cell by cell.
+/// Idempotent by construction: a retransmitted or reordered store only
+/// ever moves each register's version *up* (read-repair monotonicity),
+/// whatever else the message carries.
 fn replica_apply(table: &mut Table, payload: Payload) -> Payload {
-    match payload {
-        Payload::ReadReq { run } => Payload::ReadAck {
-            run,
-            data: run
-                .regs()
-                .map(|reg| *table.get(&reg).unwrap_or(&Versioned::ZERO))
-                .collect(),
-        },
-        Payload::WriteReq { cells, .. } => {
-            for &(reg, data) in cells.iter() {
-                let cur = table.entry(reg).or_insert(Versioned::ZERO);
-                if data.version > cur.version {
-                    *cur = data;
-                }
-            }
-            Payload::WriteAck { reg: cells[0].0 }
-        }
-        Payload::ReadAck { .. } | Payload::WriteAck { .. } => {
-            unreachable!("acks are never addressed to replicas")
+    let reg = payload.reg();
+    let Payload::Request { query, store } = payload else {
+        unreachable!("acks are never addressed to replicas")
+    };
+    let data = query
+        .iter()
+        .flat_map(|run| run.regs())
+        .map(|reg| *table.get(&reg).unwrap_or(&Versioned::ZERO))
+        .collect();
+    for cell in store.iter() {
+        let cur = table.entry(cell.reg).or_insert(Versioned::ZERO);
+        if cell.data.version > cur.version {
+            *cur = cell.data;
         }
     }
+    Payload::Ack { reg, data }
 }
 
 /// The debug check of the owned- and agreed-write contracts, at one
-/// replica, before it applies a store. These are the two misuses under
-/// which skipping the query phase is unsafe.
+/// replica, before it applies a request's stores. These are the two
+/// misuses under which skipping the query phase is unsafe.
 ///
-/// * **Owned.** An owned store pins each of its cells to its writer id
-///   the first time the replica sees the cell owned. Any later store to a
-///   pinned cell — owned, queried or a read's write-back — must carry
-///   that writer id. Another id means a second handle wrote a cell the
-///   first declared its own.
+/// * **Owned.** An owned store pins its cell to its writer id the first
+///   time the replica sees the cell owned. Any later store to a pinned
+///   cell — owned, queried or a read's write-back — must carry that
+///   writer id. Another id means a second handle wrote a cell the first
+///   declared its own.
 /// * **Agreed.** An agreed store's value must equal the nonzero value
 ///   the replica holds for the cell, if it holds one. Another value means
 ///   two writers of an agreed cell disagreed.
@@ -552,22 +553,23 @@ fn replica_apply(table: &mut Table, payload: Payload) -> Payload {
 /// Panics on either misuse.
 #[cfg(debug_assertions)]
 fn check_store(owners: &mut HashMap<u64, u64>, table: &Table, payload: &Payload) {
-    use crate::msg::StoreKind;
-    let Payload::WriteReq { cells, kind } = payload else {
+    use crate::msg::WriteKind;
+    let Payload::Request { store, .. } = payload else {
         return;
     };
-    for &(reg, data) in cells.iter() {
-        if *kind == StoreKind::Agreed {
+    for cell in store.iter() {
+        let reg = cell.reg;
+        if cell.kind == WriteKind::Agreed {
             let held = table.get(&reg).map_or(0, |cur| cur.value);
             assert!(
-                held == 0 || held == data.value,
+                held == 0 || held == cell.data.value,
                 "register {reg} holds {held}, but an agreed store carries {}: \
                  every write to an agreed cell must carry one value",
-                data.value
+                cell.data.value
             );
         }
-        let wid = data.version.wid;
-        let owner = if *kind == StoreKind::Owned {
+        let wid = cell.data.version.wid;
+        let owner = if cell.kind == WriteKind::Owned {
             *owners.entry(reg).or_insert(wid)
         } else {
             match owners.get(&reg) {
@@ -668,6 +670,13 @@ impl NetControl {
             .collect();
         let far_side: Vec<NodeId> = (k..cfg.replicas).map(NodeId::Replica).collect();
         self.partition(&[client_side, far_side]);
+    }
+
+    /// Requests sent by every client so far: one per replica per quorum
+    /// round, plus each retransmission, delivered or lost. However many
+    /// registers a phase carries, it is one request per replica.
+    pub fn requests_sent(&self) -> u64 {
+        lock(&self.shared.state).requests
     }
 
     /// Messages delivered so far.

@@ -2,10 +2,10 @@
 //! a model, link-fate determinism, cross-pumping, and the sleep invariant.
 
 use super::*;
-use crate::msg::{Run, StoreKind, Version};
+use crate::msg::{Run, Stored, Version, WriteKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use tfr_registers::space::RegisterSpace;
+use tfr_registers::space::{Access, RegisterSpace, RegisterSpaceExt};
 use tfr_telemetry::{with_pid, Tracer};
 
 #[test]
@@ -29,9 +29,12 @@ fn replica_apply_is_monotone_and_idempotent() {
         version: Version { ts: 2, wid: 1 },
         value: 20,
     };
-    let store = |cells: &[(u64, Versioned)]| Payload::WriteReq {
-        cells: cells.into(),
-        kind: StoreKind::Queried,
+    let store = |cells: &[(u64, Versioned)]| {
+        let cells: Vec<_> = cells
+            .iter()
+            .map(|&(reg, data)| store_cell(reg, data))
+            .collect();
+        Payload::request([], cells)
     };
     replica_apply(&mut t, store(&[(0, v2), (1, v1)]));
     // A late, stale write must not regress a register, and is applied
@@ -39,14 +42,11 @@ fn replica_apply_is_monotone_and_idempotent() {
     replica_apply(&mut t, store(&[(0, v1), (1, v2)]));
     // A duplicated fresh write must be harmless.
     replica_apply(&mut t, store(&[(0, v2)]));
-    match replica_apply(
-        &mut t,
-        Payload::ReadReq {
-            run: Run::new(0, 1, 3),
-        },
-    ) {
-        Payload::ReadAck { data, .. } => assert_eq!(data, vec![v2, v2, Versioned::ZERO]),
-        other => panic!("expected ReadAck, got {other:?}"),
+    // A request answers its queries, run after run, before its stores.
+    let both = Payload::request([Run::new(0, 1, 3), Run::new(1, 1, 1)], [store_cell(1, v1)]);
+    match replica_apply(&mut t, both) {
+        Payload::Ack { reg: 0, data } => assert_eq!(data, vec![v2, v2, Versioned::ZERO, v2]),
+        other => panic!("expected an ack of register 0, got {other:?}"),
     }
 }
 
@@ -56,6 +56,15 @@ fn partition_requires_total_coverage() {
     let net = Network::new(NetConfig::new(1, 3, 7));
     net.control()
         .partition(&[vec![NodeId::Client(0), NodeId::Replica(0)]]);
+}
+
+/// A queried store of `data` to `reg`.
+fn store_cell(reg: u64, data: Versioned) -> Stored {
+    Stored {
+        reg,
+        data,
+        kind: WriteKind::Queried,
+    }
 }
 
 fn request(client: usize, replica: usize, rid: u64, payload: Payload) -> Message {
@@ -71,9 +80,7 @@ fn request(client: usize, replica: usize, rid: u64, payload: Payload) -> Message
 #[test]
 fn dropping_a_network_with_messages_in_flight_frees_them() {
     let net = Network::new(NetConfig::new(1, 3, 7));
-    let read = Payload::ReadReq {
-        run: Run::new(0, 1, 1),
-    };
+    let read = Payload::request([Run::new(0, 1, 1)], []);
     let sh = net.shared();
     sh.send(
         (0..3).map(|r| request(0, r, 0, read.clone())),
@@ -184,13 +191,8 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
     // never read, and nothing waits.
     let mut now = Instant::now();
     for payload in [
-        Payload::ReadReq {
-            run: Run::new(5, 1, 1),
-        },
-        Payload::WriteReq {
-            cells: [(5, data)].into(),
-            kind: StoreKind::Queried,
-        },
+        Payload::request([Run::new(5, 1, 1)], []),
+        Payload::request([], [store_cell(5, data)]),
     ] {
         let rid = sh.open_round();
         sh.send((0..3).map(|r| request(0, r, rid, payload.clone())), now);
@@ -220,13 +222,11 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
         assert_eq!(acks.iter().map(|(r, _)| *r).collect::<Vec<_>>(), ack_order);
         assert_eq!(ack_order.len(), 3);
         for (_, ack) in &acks {
-            match (&payload, ack) {
-                (Payload::ReadReq { .. }, Payload::ReadAck { data, .. }) => {
-                    assert_eq!(*data, vec![Versioned::ZERO])
-                }
-                (Payload::WriteReq { .. }, Payload::WriteAck { reg }) => assert_eq!(*reg, 5),
-                other => panic!("mismatched ack: {other:?}"),
-            }
+            let Payload::Request { query, .. } = &payload else {
+                unreachable!("a client sends requests")
+            };
+            let want = vec![Versioned::ZERO; query.len()];
+            assert_eq!(*ack, Payload::Ack { reg: 5, data: want });
         }
         sh.close_round(rid);
     }
@@ -265,8 +265,8 @@ fn link_fates_do_not_depend_on_when_the_queue_is_pumped() {
             let now = t0 + Duration::from_micros(7 * n);
             let (client, replica) = ((n % 2) as usize, (n % 3) as usize);
             // rid 0 is never opened: every ack finds its round closed.
-            let run = Run::new(n, 1, 1);
-            let msg = request(client, replica, 0, Payload::ReadReq { run });
+            let read = Payload::request([Run::new(n, 1, 1)], []);
+            let msg = request(client, replica, 0, read);
             model.route(msg.from, msg.to, now);
             sh.send(std::iter::once(msg), now);
             assert_eq!(in_flight(sh), model.queue);
@@ -701,4 +701,89 @@ fn a_conditional_write_costs_two_rounds_unset_and_one_set() {
     assert!((0..3).all(|r| st.tables[r].get(&4) == Some(&newest)));
     drop(st);
     assert_eq!(between, 1, "`between` runs only before a write");
+}
+
+/// A group costs one request per replica per phase, however many
+/// accesses it holds: a read run, an owned run and an agreed write share
+/// one round; a queried write and a read run take a query round and a
+/// store round, as does a conditional write of an unset cell with a
+/// queried write, `between` running once between the two.
+#[test]
+fn a_group_is_one_request_per_replica_per_phase() {
+    let net = lockstep_net(1);
+    let control = net.control();
+    let space = net.space();
+    let cost = |f: &mut dyn FnMut()| {
+        let (rounds, requests) = (control.quorum_rounds(), control.requests_sent());
+        f();
+        (
+            control.quorum_rounds() - rounds,
+            control.requests_sent() - requests,
+        )
+    };
+    space.write_run(0, 1, &[1, 2, 3, 4]);
+    let mut out = [0; 4];
+    let mut group = [
+        Access::read_run(0, 1, &mut out),
+        Access::write_run(10, 1, &[5, 6], WriteKind::Owned),
+        Access::write_run(20, 1, &[7], WriteKind::Agreed),
+    ];
+    assert_eq!(cost(&mut || space.access_all(&mut group)), (1, 3));
+    assert_eq!(out, [1, 2, 3, 4]);
+    let mut out = [0; 2];
+    let mut group = [
+        Access::write_run(30, 1, &[8], WriteKind::Queried),
+        Access::read_run(10, 1, &mut out),
+    ];
+    assert_eq!(cost(&mut || space.access_all(&mut group)), (2, 6));
+    assert_eq!(out, [5, 6]);
+    let mut between = 0;
+    let mut count = || between += 1;
+    let mut group = [
+        Access::write_if_unset(40, 9, &mut count),
+        Access::write_run(30, 1, &[10], WriteKind::Queried),
+    ];
+    assert_eq!(cost(&mut || space.access_all(&mut group)), (2, 6));
+    assert!(matches!(group[0], Access::WriteIfUnset { seen: 0, .. }));
+    assert_eq!(between, 1);
+    let mut out = [0; 4];
+    space.read_run(20, 10, &mut out);
+    assert_eq!(out, [7, 10, 9, 0]);
+    assert_eq!(cost(&mut || space.access_all(&mut [])), (0, 0), "free");
+}
+
+/// The seeded unrepaired-groups mutant skips a group's write-backs: a
+/// read run grouped with an agreed write returns cell 1's newest value,
+/// which sits on one replica of three, and leaves it there. The correct
+/// handle writes it back in a second round; a group of one is served
+/// correctly by both.
+#[test]
+fn the_unrepaired_group_mutant_skips_the_write_back() {
+    let new = Versioned {
+        version: Version { ts: 2, wid: 91 },
+        value: 20,
+    };
+    for (mutant, grouped) in [(false, true), (true, true), (true, false)] {
+        let net = lockstep_net(1);
+        lock(&net.shared().state).tables[0].insert(1, new);
+        let space = net.space();
+        let space = if mutant {
+            space.with_unrepaired_groups()
+        } else {
+            space
+        };
+        let before = net.control().quorum_rounds();
+        let mut out = [0; 2];
+        let mut group = vec![Access::read_run(0, 1, &mut out)];
+        if grouped {
+            group.push(Access::write_run(5, 1, &[1], WriteKind::Agreed));
+        }
+        space.access_all(&mut group);
+        drop(group);
+        assert_eq!(out, [0, 20], "each cell's maximum");
+        let rounds = net.control().quorum_rounds() - before;
+        let repaired = (0..3).all(|r| lock(&net.shared().state).tables[r].get(&1) == Some(&new));
+        let skipped = mutant && grouped;
+        assert_eq!((rounds, repaired), (2 - skipped as u64, !skipped));
+    }
 }

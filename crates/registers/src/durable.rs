@@ -41,7 +41,7 @@
 //! assert_eq!(space.read(100), 0, "volatile registers reset on crash");
 //! ```
 
-use crate::space::RegisterSpace;
+use crate::space::{Access, RegisterSpace};
 use crate::ProcId;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -169,14 +169,6 @@ impl<S: RegisterSpace> DurableSpace<S> {
             seg.dirty.lock().unwrap().insert(index);
         }
     }
-
-    /// Counts and dirty-marks every cell of a written run.
-    fn count_run_write(&self, base: u64, stride: u64, len: usize) {
-        self.writes.fetch_add(len as u64, Ordering::Relaxed);
-        for i in 0..len as u64 {
-            self.mark_dirty(base + i * stride);
-        }
-    }
 }
 
 impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
@@ -191,39 +183,35 @@ impl<S: RegisterSpace> RegisterSpace for DurableSpace<S> {
         self.inner.write(index, value);
     }
 
-    /// Forwarded as one run; counted and dirty-marked per cell.
-    fn read_run(&self, base: u64, stride: u64, out: &mut [u64]) {
-        self.reads.fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.inner.read_run(base, stride, out)
-    }
-
-    /// Forwarded as one run; counted and dirty-marked per cell.
-    fn write_run(&self, base: u64, stride: u64, values: &[u64]) {
-        self.count_run_write(base, stride, values.len());
-        self.inner.write_run(base, stride, values)
-    }
-
-    /// Forwarded as one owned run; counted and dirty-marked per cell.
-    fn write_run_owned(&self, base: u64, stride: u64, values: &[u64]) {
-        self.count_run_write(base, stride, values.len());
-        self.inner.write_run_owned(base, stride, values)
-    }
-
-    /// Forwarded as an agreed write; counted and dirty-marked.
-    fn write_agreed(&self, index: u64, value: u64) {
-        self.count_run_write(index, 1, 1);
-        self.inner.write_agreed(index, value)
-    }
-
-    /// Forwarded as a conditional write; counted as a read, and as a
-    /// dirty-marking write when it writes (marked before the write lands,
-    /// so a crash never misses it).
-    fn write_if_unset(&self, index: u64, value: u64, between: &mut dyn FnMut()) -> u64 {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner.write_if_unset(index, value, &mut || {
-            between();
-            self.count_run_write(index, 1, 1);
-        })
+    /// Forwarded as one group; counted per cell. Every cell the group may
+    /// write is dirty-marked before the group goes out, a conditional
+    /// write's included, so a crash never misses a write that landed; a
+    /// conditional write counts as a read, and as a write only if it
+    /// wrote.
+    fn access_all(&self, group: &mut [Access<'_>]) {
+        for access in group.iter() {
+            let cells = access.cells();
+            match access {
+                Access::ReadRun { out, .. } => {
+                    self.reads.fetch_add(out.len() as u64, Ordering::Relaxed);
+                }
+                Access::WriteRun { values, .. } => {
+                    self.writes
+                        .fetch_add(values.len() as u64, Ordering::Relaxed);
+                    cells.for_each(|index| self.mark_dirty(index));
+                }
+                Access::WriteIfUnset { .. } => {
+                    self.reads.fetch_add(1, Ordering::Relaxed);
+                    cells.for_each(|index| self.mark_dirty(index));
+                }
+            }
+        }
+        self.inner.access_all(group);
+        for access in group.iter() {
+            if let Access::WriteIfUnset { seen: 0, .. } = access {
+                self.writes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     fn round_trips(&self) -> bool {
@@ -321,7 +309,7 @@ pub fn split(word: u64) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::NativeSpace;
+    use crate::space::{NativeSpace, RegisterSpaceExt};
     use std::sync::Arc;
 
     #[test]

@@ -16,7 +16,7 @@ use tfr::core::universal::{Counter, Universal};
 use tfr::linearize::register::{RecordingSpace, RegisterModel};
 use tfr::linearize::{check_history, Recorder};
 use tfr::net::{NetConfig, Network, QuorumSpace};
-use tfr::registers::space::{RegisterSpace, SubSpace};
+use tfr::registers::space::{Access, RegisterSpace, RegisterSpaceExt, SubSpace, WriteKind};
 use tfr::registers::ProcId;
 use tfr::service::{ObjectService, ServiceConfig};
 use tfr::telemetry::{with_pid, Trace, Tracer};
@@ -164,19 +164,20 @@ fn lockstep_net() -> Arc<Network> {
 }
 
 /// Tier-1's copy of `tfr-core`'s round-count unit test. Over
-/// [`lockstep_net`], one solo decision at n = 1 opens exactly 12 quorum
-/// rounds for every batch size: 3 reads of one round (the probe of the
-/// slot's `result` and `decide`, Algorithm 1's `x[1, v̄]`), 5 owned writes
-/// of one (payloads, counter, record, mark, the slot's announcement), 3
-/// agreed writes of one (Algorithm 1's `x` and `decide`, `result`) and 1
-/// conditional write of two (Algorithm 1's `y`); the winner applies its
-/// own batch without reading it back. With the entry read of `decide`, the
-/// loop check after deciding and `y`'s read apart from its write it
-/// opened 15; with the three agreed writes queried too and the standing
-/// read, 19; with every write queried and the read-back, 27; before
-/// register runs, 6k + 23: 29, 71 and 407 here.
+/// [`lockstep_net`], one solo decision at n = 1 opens exactly 9 quorum
+/// rounds for every batch size: the payload run, the counter grouped with
+/// the next slot's probe of `result` and `decide`, the record grouped
+/// with the mark, the slot's announcement, and Algorithm 1's five — the
+/// agreed `x`, the conditional `y` (query and store), the read of
+/// `x[1, v̄]`, and the agreed `decide` grouped with the agreed `result`.
+/// The winner applies its own batch without reading it back. With every
+/// access its own round it opened 12; with the entry read of `decide`,
+/// the loop check after deciding and `y`'s read apart from its write, 15;
+/// with the three agreed writes queried too and the standing read, 19;
+/// with every write queried and the read-back, 27; before register runs,
+/// 6k + 23: 29, 71 and 407 here.
 #[test]
-fn a_solo_universal_decision_costs_12_quorum_rounds_at_any_batch_size() {
+fn a_solo_universal_decision_costs_9_quorum_rounds_at_any_batch_size() {
     for k in [1usize, 8, 64] {
         let net = lockstep_net();
         let control = net.control();
@@ -191,7 +192,7 @@ fn a_solo_universal_decision_costs_12_quorum_rounds_at_any_batch_size() {
         let before = control.quorum_rounds();
         session.announce_burst(&vec![1; k]);
         session.drive_pending();
-        assert_eq!(control.quorum_rounds() - before, 12, "k={k}");
+        assert_eq!(control.quorum_rounds() - before, 9, "k={k}");
         assert_eq!(session.take_responses().len(), k);
     }
 }
@@ -199,7 +200,7 @@ fn a_solo_universal_decision_costs_12_quorum_rounds_at_any_batch_size() {
 /// Tier-1's copy of `tfr-core`'s standing-read pin: a session that opens
 /// after a predecessor proposed reads its standing announcement at its
 /// first proposal only. Once it has replayed the predecessor's slot, its
-/// first decision opens 13 rounds over [`lockstep_net`], its next 12.
+/// first decision opens 10 rounds over [`lockstep_net`], its next 9.
 #[test]
 fn a_recovered_session_pays_the_standing_read_once() {
     let net = lockstep_net();
@@ -214,7 +215,7 @@ fn a_recovered_session_pays_the_standing_read_once() {
     obj.invoke(ProcId(0), 1);
     let mut session = obj.session(ProcId(0));
     session.catch_up();
-    for want in [13, 12] {
+    for want in [10, 9] {
         let before = control.quorum_rounds();
         session.announce(1);
         session.drive_pending();
@@ -244,10 +245,59 @@ fn a_conditional_write_costs_two_rounds_unset_and_one_set() {
     assert_eq!(second.read(3), 30);
 }
 
+/// A group costs one request per replica per phase, read off the
+/// network's counters over [`lockstep_net`] (3 replicas): a read run, an
+/// owned run and an agreed write sent as one group cost 1 round and 3
+/// requests, where one at a time they cost 3 and 9; a queried write and a
+/// read run cost 2 and 6 grouped, 3 and 9 apart.
+#[test]
+fn a_group_costs_one_request_per_replica_per_phase() {
+    let net = lockstep_net();
+    let control = net.control();
+    let space = net.space();
+    let cost = |f: &mut dyn FnMut()| {
+        let (rounds, requests) = (control.quorum_rounds(), control.requests_sent());
+        f();
+        (
+            control.quorum_rounds() - rounds,
+            control.requests_sent() - requests,
+        )
+    };
+    let mut out = [0; 4];
+    let mut group = [
+        Access::read_run(0, 1, &mut out),
+        Access::write_run(10, 1, &[1, 2], WriteKind::Owned),
+        Access::write_run(21, 1, &[1], WriteKind::Agreed),
+    ];
+    assert_eq!(cost(&mut || space.access_all(&mut group)), (1, 3));
+    assert_eq!(
+        cost(&mut || {
+            space.read_run(0, 1, &mut out);
+            space.write_run_owned(10, 1, &[2, 3]);
+            space.write_agreed(22, 2);
+        }),
+        (3, 9)
+    );
+    let mut got = [0; 2];
+    let mut group = [
+        Access::write_run(0, 2, &[7, 8], WriteKind::Queried),
+        Access::read_run(10, 1, &mut got),
+    ];
+    assert_eq!(cost(&mut || space.access_all(&mut group)), (2, 6));
+    assert_eq!(got, [2, 3]);
+    assert_eq!(
+        cost(&mut || {
+            space.write_run(0, 2, &[9, 10]);
+            space.read_run(10, 1, &mut got);
+        }),
+        (3, 9)
+    );
+}
+
 /// One worker over [`lockstep_net`] (or its traced twin), with two
 /// shards, runs four bursts of 8 ops on each shard in `shards` and
 /// returns the network's high-water mark of open rounds. Every burst
-/// opens exactly 12 rounds per busy shard, overlapped or not.
+/// opens exactly 9 rounds per busy shard, overlapped or not.
 fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
     let net = if traced {
         let cfg = lockstep_net().config().clone();
@@ -278,7 +328,7 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
             assert_eq!(done.last().map(|op| op.resp), Some(8 * round));
             assert_eq!(
                 control.quorum_rounds() - before,
-                12 * shards.len() as u64,
+                9 * shards.len() as u64,
                 "shards {shards:?}, traced {traced}: a decision per busy shard"
             );
         }
@@ -290,7 +340,7 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
 /// with two shards busy the network sees two rounds open at once, with
 /// one shard busy never more than one, and a traced network (whose
 /// client lane takes one writer) keeps the shards in turn. The rounds
-/// per burst stay 2 × 12 = 24 either way.
+/// per burst stay 2 × 9 = 18 either way.
 #[test]
 fn a_worker_overlaps_the_rounds_of_its_busy_shards() {
     assert_eq!(max_open_rounds_over_bursts(&[0, 1], false), 2);
