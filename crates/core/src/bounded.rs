@@ -31,13 +31,13 @@
 //! [`BoundExceeded`] in the native form and as a
 //! `Note("round-bound-exceeded", r)` event in the spec form.
 
-use crate::consensus::ConsensusSpec;
+use crate::consensus::{ConsensusSpec, ConsensusState};
+use crate::driver::Driver;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tfr_registers::accounting::{RegisterCount, RegisterUsage};
-use tfr_registers::native::precise_delay;
-use tfr_registers::spec::{Action, Automaton, Obs};
+use tfr_registers::space::{DenseSpace, RegisterSpace};
+use tfr_registers::spec::{Action, Automaton, Label, Obs};
 use tfr_registers::{Delta, ProcId, Ticks};
 
 /// `R(B) = ⌈B/Δ⌉ + 2`: rounds sufficient when timing failures last at
@@ -87,10 +87,15 @@ impl BoundedConsensusSpec {
     /// Panics if `inputs` is empty.
     pub fn new(inputs: Vec<bool>, failure_bound: Ticks, delta: Delta) -> BoundedConsensusSpec {
         let rounds = rounds_for_bound(failure_bound, delta);
+        BoundedConsensusSpec::with_rounds(
+            ConsensusSpec::new(inputs).with_delta(delta.ticks()),
+            rounds,
+        )
+    }
+
+    fn with_rounds(inner: ConsensusSpec, rounds: u64) -> BoundedConsensusSpec {
         BoundedConsensusSpec {
-            inner: ConsensusSpec::new(inputs)
-                .max_rounds(rounds)
-                .with_delta(delta.ticks()),
+            inner: inner.max_rounds(rounds),
             rounds,
         }
     }
@@ -129,24 +134,23 @@ impl Automaton for BoundedConsensusSpec {
     fn apply(&self, s: &mut Self::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
         self.inner.apply(s, observed, obs)
     }
+
+    fn label(&self, s: &Self::State) -> Label {
+        self.inner.label(s)
+    }
 }
 
 // ---------------------------------------------------------------------
 // Native form
 // ---------------------------------------------------------------------
 
-/// Bounded-failure consensus over real atomics: fixed, fully preallocated
-/// register arrays — unlike [`crate::consensus::NativeConsensus`], no
-/// growth path and no amortizing lock anywhere.
-#[derive(Debug)]
+/// Bounded-failure consensus over real atomics: [`BoundedConsensusSpec`]
+/// run by the crate's native driver over a [`DenseSpace`] allocated
+/// whole at construction, `decide` and the `x`/`y` registers of every
+/// round in the budget — unlike [`crate::consensus::NativeConsensus`],
+/// whose space allocates a chunk at the first write into it.
 pub struct BoundedNativeConsensus {
-    delta: Duration,
-    rounds: usize,
-    decide: AtomicU64,
-    /// `x[r, b]` at `2(r−1) + b`, `r ∈ 1..=rounds`.
-    x: Vec<AtomicU64>,
-    /// `y[r]` at `r − 1`.
-    y: Vec<AtomicU64>,
+    driver: Driver<BoundedConsensusSpec, DenseSpace>,
 }
 
 impl BoundedNativeConsensus {
@@ -170,23 +174,22 @@ impl BoundedNativeConsensus {
     /// Panics if `rounds == 0`.
     pub fn with_rounds(rounds: usize, delta: Duration) -> BoundedNativeConsensus {
         assert!(rounds > 0, "at least one round is required");
+        let spec = BoundedConsensusSpec::with_rounds(ConsensusSpec::native(), rounds as u64);
+        // The layout's last register is `x[R, 1]`, at 3R + 2.
+        let space = DenseSpace::new(3 * rounds + 3);
         BoundedNativeConsensus {
-            delta,
-            rounds,
-            decide: AtomicU64::new(0),
-            x: (0..2 * rounds).map(|_| AtomicU64::new(0)).collect(),
-            y: (0..rounds).map(|_| AtomicU64::new(0)).collect(),
+            driver: Driver::new(spec, space, delta),
         }
     }
 
     /// The round budget.
     pub fn rounds(&self) -> usize {
-        self.rounds
+        self.driver.spec.rounds as usize
     }
 
-    /// Total atomic registers allocated (`3R + 1`).
+    /// Atomic registers the algorithm uses (`3R + 1`).
     pub fn register_count(&self) -> usize {
-        3 * self.rounds + 1
+        3 * self.rounds() + 1
     }
 
     /// Proposes `input`; blocks until a decision is reached.
@@ -196,41 +199,29 @@ impl BoundedNativeConsensus {
     /// Returns [`BoundExceeded`] if the round budget runs out — possible
     /// only if timing failures lasted beyond the configured bound.
     pub fn propose(&self, input: bool) -> Result<bool, BoundExceeded> {
-        let mut v = input;
-        for r in 1..=self.rounds {
-            let d = self.decide.load(Ordering::SeqCst);
-            if d != 0 {
-                return Ok(d == 2);
-            }
-            self.x[2 * (r - 1) + v as usize].store(1, Ordering::SeqCst);
-            if self.y[r - 1].load(Ordering::SeqCst) == 0 {
-                self.y[r - 1].store(v as u64 + 1, Ordering::SeqCst);
-            }
-            if self.x[2 * (r - 1) + !v as usize].load(Ordering::SeqCst) == 0 {
-                self.decide.store(v as u64 + 1, Ordering::SeqCst);
-                return Ok(v);
-            }
-            precise_delay(self.delta);
-            let raw = self.y[r - 1].load(Ordering::SeqCst);
-            if raw != 0 {
-                v = raw == 2;
-            }
-        }
-        // One final chance: someone else may have decided in our last round.
-        match self.decide.load(Ordering::SeqCst) {
-            0 => Err(BoundExceeded {
-                rounds: self.rounds as u64,
+        match self.driver.run(&mut ConsensusState::proposing(input)) {
+            Some(decided) => Ok(decided == 1),
+            None => Err(BoundExceeded {
+                rounds: self.driver.spec.rounds,
             }),
-            d => Ok(d == 2),
         }
     }
 
     /// The decision, if one has been reached.
     pub fn decision(&self) -> Option<bool> {
-        match self.decide.load(Ordering::SeqCst) {
+        match self.driver.space.read(0) {
             0 => None,
             d => Some(d == 2),
         }
+    }
+}
+
+impl fmt::Debug for BoundedNativeConsensus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BoundedNativeConsensus")
+            .field("rounds", &self.rounds())
+            .field("decision", &self.decision())
+            .finish()
     }
 }
 

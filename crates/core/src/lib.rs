@@ -47,31 +47,25 @@
 //!   construction: a wait-free, time-resilient implementation of *any*
 //!   sequential object from atomic registers (§1.4).
 //! * [`election_spec`] — multivalued consensus's pid election as a
-//!   register automaton, for the model checker.
+//!   register automaton, the one [`universal::MultiConsensus`] runs.
 //! * [`resilience`] — §1.3's three-part definition (stabilization,
 //!   efficiency, convergence) as an executable assessment protocol.
 //!
-//! Every object has a **native** form (real threads and
-//! `std::sync::atomic`, or any other `RegisterSpace`: the form a
-//! downstream user adopts). A **spec** form (a register automaton for the
-//! `tfr-sim` discrete-event simulator and the `tfr-modelcheck` explorer)
-//! exists only where an experiment runs it or a test ties it to the
-//! native code:
-//!
-//! * [`consensus::ConsensusSpec`] is what E1–E17, E5a and E20 run; its
-//!   solo run makes the native fast path's 7 accesses;
-//! * [`election_spec::ElectionSpec`] is access-for-access the native
-//!   [`universal::MultiConsensus`]'s solo `propose_fresh`, and is proven
-//!   safe at n = 2 over every interleaving, its `result` register taking
-//!   one value;
-//! * the locks are single-source: Fischer's lock and Algorithm 3 are
-//!   `tfr_asynclock::LockSpec`s, and the native lock is that spec run by
-//!   `tfr_asynclock::native::Derived`;
-//! * [`bounded::BoundedConsensusSpec`] is E13's finite-register variant
-//!   and has no native twin.
+//! Algorithm 1 and the election are each written once, as a **spec**: a
+//! register automaton that the `tfr-sim` discrete-event simulator and the
+//! `tfr-modelcheck` explorer run, and that the crate's native driver runs
+//! against any `RegisterSpace` (real threads and `std::sync::atomic`, or
+//! a quorum emulation) as [`consensus::NativeConsensus`],
+//! [`bounded::BoundedNativeConsensus`] and [`universal::MultiConsensus`].
+//! The spec's labels tell the driver which injection point precedes a
+//! step, which writes are agreed (the explorer proves they are), and
+//! which steps go out together. The locks are single-source the same
+//! way: Fischer's lock and Algorithm 3 are `tfr_asynclock::LockSpec`s,
+//! and the native lock is that spec run by `tfr_asynclock::native::Derived`.
 //!
 //! The derived objects and the universal construction have only their
-//! native form; `tfr-linearize` checks their recorded histories.
+//! native form, built on those; `tfr-linearize` checks their recorded
+//! histories.
 //!
 //! # Quickstart
 //!
@@ -95,6 +89,7 @@ pub mod adaptive;
 pub mod bounded;
 pub mod consensus;
 pub mod derived;
+mod driver;
 pub mod election_spec;
 pub mod mutex;
 pub mod resilience;

@@ -63,6 +63,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use tfr_registers::bank::{MapBank, RegisterBank};
+use tfr_registers::space::WriteKind;
 use tfr_registers::spec::{Action, Automaton, Obs, Symmetric};
 use tfr_registers::{ProcId, RegId};
 
@@ -86,13 +87,6 @@ pub struct SafetySpec {
     pub validity: Option<Vec<u64>>,
     /// Mutual exclusion: no two processes in the critical section at once.
     pub mutual_exclusion: bool,
-    /// Agreed registers: every write each of them ever receives carries
-    /// one value. A state in which such a register's nonzero value and
-    /// the processes' pending writes to it hold two different values is a
-    /// violation, so two disagreeing writes are caught before the second
-    /// one lands. This is the obligation behind serving a register with
-    /// agreed writes (`WriteKind::Agreed` in `tfr-registers`).
-    pub agreed_writes: Vec<RegId>,
 }
 
 impl SafetySpec {
@@ -386,21 +380,28 @@ impl<S> Global<S> {
         let violation = self
             .monitor
             .observe(ProcId(pid), obs_buf, spec)
-            .or_else(|| self.disagreeing_writes(automaton, spec));
+            .or_else(|| self.disagreeing_writes(automaton));
         (action, violation)
     }
 
-    /// The first [agreed register](SafetySpec::agreed_writes) whose
-    /// nonzero value and pending writes hold two different values.
-    fn disagreeing_writes<A: Automaton<State = S>>(
-        &self,
-        automaton: &A,
-        spec: &SafetySpec,
-    ) -> Option<Violation> {
-        for &reg in &spec.agreed_writes {
+    /// The first register with a pending write labelled agreed
+    /// ([`Automaton::label`], `WriteKind::Agreed` in `tfr-registers`)
+    /// whose nonzero value and pending writes hold two different values.
+    /// Every write such a register ever receives must carry one value:
+    /// that is the obligation behind serving it with agreed writes, and
+    /// checking it before the second write lands catches two disagreeing
+    /// writes in either order.
+    fn disagreeing_writes<A: Automaton<State = S>>(&self, automaton: &A) -> Option<Violation> {
+        for s in &self.procs {
+            let Action::Write(reg, _) = automaton.next_action(s) else {
+                continue;
+            };
+            if automaton.label(s).kind != WriteKind::Agreed {
+                continue;
+            }
             let mut first = Some(self.bank.read(reg)).filter(|&v| v != 0);
-            for s in &self.procs {
-                let Action::Write(r, v) = automaton.next_action(s) else {
+            for t in &self.procs {
+                let Action::Write(r, v) = automaton.next_action(t) else {
                     continue;
                 };
                 match first {

@@ -166,9 +166,10 @@ pub trait RegisterSpace: Send + Sync {
 
 /// What a write run's caller promises about its cells (see
 /// [Write kinds](RegisterSpace#write-kinds)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WriteKind {
     /// No promise: a multi-writer write.
+    #[default]
     Queried,
     /// Every write the cells ever receive comes through this handle.
     Owned,

@@ -171,7 +171,8 @@ fn native_decision_visible_to_non_proposers() {
 
 /// The obligation behind the native form's agreed write of `decide`, on
 /// E5a's configurations: no reachable state has two different values
-/// written or pending at `decide`, over every interleaving.
+/// written or pending at `decide`, over every interleaving (the explorer
+/// checks every register whose writes the spec labels agreed).
 #[test]
 fn decide_takes_one_value_in_every_reachable_state() {
     for (inputs, rounds) in [
@@ -183,11 +184,7 @@ fn decide_takes_one_value_in_every_reachable_state() {
         let valid: Vec<u64> = inputs.iter().map(|&b| b as u64).collect();
         let n = inputs.len();
         let spec = ConsensusSpec::new(inputs).max_rounds(rounds);
-        let safety = SafetySpec {
-            agreed_writes: vec![spec.decide_reg()],
-            ..SafetySpec::consensus(valid)
-        };
-        let report = Explorer::new(spec, n).check(&safety);
+        let report = Explorer::new(spec, n).check(&SafetySpec::consensus(valid));
         assert!(report.proven_safe(), "{:?}", report.violation);
     }
 }
@@ -199,12 +196,8 @@ fn a_spec_writing_its_input_to_decide_fails_the_agreed_write_invariant() {
     let spec = ConsensusSpec::new(vec![false, true])
         .max_rounds(3)
         .with_decide_writing_input();
-    let safety = SafetySpec {
-        agreed_writes: vec![spec.decide_reg()],
-        ..SafetySpec::consensus(vec![0, 1])
-    };
     let cex = Explorer::new(spec, 2)
-        .check(&safety)
+        .check(&SafetySpec::consensus(vec![0, 1]))
         .violation
         .expect("the mutant writes both inputs to decide");
     let Violation::DisagreeingWrites {

@@ -6,17 +6,16 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tfr::core::consensus::NativeConsensus;
 use tfr::core::derived::{LeaderElection, Renaming, SetConsensus, TestAndSet};
 use tfr::core::election_spec::ElectionSpec;
 use tfr::core::universal::{
     CommittedBatch, Counter, FifoQueue, MultiConsensus, Sequential, Universal,
 };
 use tfr::modelcheck::{Explorer, SafetySpec};
-use tfr::registers::bank::RegisterBank;
-use tfr::registers::chaos::{self, points, ChaosSession, Fault, FaultAction};
+use tfr::registers::chaos::{self, points, ChaosSession, Fault, FaultAction, PointObserver};
 use tfr::registers::space::{NativeSpace, RegisterSpace};
-use tfr::registers::spec::run_solo;
-use tfr::registers::{ProcId, RegId, Ticks};
+use tfr::registers::{ProcId, Ticks};
 
 const D: Duration = Duration::from_micros(3);
 
@@ -57,8 +56,7 @@ fn multivalued_stress_many_widths() {
     }
 }
 
-/// A space that tapes every access as `(is_write, index)`, usable as the
-/// native object's space and as the solo runner's bank.
+/// A space that tapes every access as `(is_write, index)`.
 #[derive(Default)]
 struct Taped {
     cells: NativeSpace,
@@ -82,56 +80,6 @@ impl RegisterSpace for Taped {
     }
 }
 
-impl RegisterBank for Taped {
-    fn read(&self, reg: RegId) -> u64 {
-        RegisterSpace::read(self, reg.0)
-    }
-    fn write(&mut self, reg: RegId, value: u64) {
-        RegisterSpace::write(self, reg.0, value)
-    }
-}
-
-/// A register as the election construction names it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Loc {
-    Result,
-    Announce(u64),
-    /// Register `reg` of pid bit `k`'s Algorithm 1 instance.
-    Bit {
-        k: u64,
-        reg: u64,
-    },
-}
-
-/// Locates a native `MultiConsensus` index among `n` processes: `result`
-/// at 0, `announce[i]` at `1 + i`, then the `w` pid-bit instances
-/// interleaved with stride `w`.
-fn native_loc(n: u64, w: u64, index: u64) -> Loc {
-    match index {
-        0 => Loc::Result,
-        i if i <= n => Loc::Announce(i - 1),
-        i => Loc::Bit {
-            k: (i - 1 - n) % w,
-            reg: (i - 1 - n) / w,
-        },
-    }
-}
-
-/// Locates an `ElectionSpec` index among `n` processes with `w` pid
-/// bits: `announce[j]` at `j`, then instance `k` at `n + k·stride`, then
-/// `result`.
-fn spec_loc(n: u64, w: u64, index: u64) -> Loc {
-    let stride = 3 * ElectionSpec::INNER_ROUNDS + 1;
-    match index {
-        i if i < n => Loc::Announce(i),
-        i if i == n + w * stride => Loc::Result,
-        i => Loc::Bit {
-            k: (i - n) / stride,
-            reg: (i - n) % stride,
-        },
-    }
-}
-
 #[test]
 fn multivalued_solo_propose_costs_three_plus_six_per_pid_bit() {
     // Read the standing announcement, announce, 6 per pid bit (the solo
@@ -150,66 +98,82 @@ fn multivalued_solo_propose_costs_three_plus_six_per_pid_bit() {
     }
 }
 
-#[test]
-fn multivalued_solo_native_run_is_the_election_spec_run() {
-    for (n, w) in [(1usize, 1), (2, 1), (3, 2), (5, 3)] {
-        for pid in [0, n - 1] {
-            let mut bank = Taped::default();
-            let spec = ElectionSpec::new(n, 0, Ticks(100));
-            let run = run_solo(&spec, ProcId(pid), &mut bank, 500);
-            assert_eq!(run.decision(), Some(pid as u64));
-            assert_eq!(run.delays, 0);
-            let (n, w) = (n as u64, w as u64);
-            let spec_tape: Vec<_> = bank
-                .tape()
-                .into_iter()
-                .map(|(write, i)| (write, spec_loc(n, w, i)))
-                .collect();
-
-            for fresh in [true, false] {
-                let space = Arc::new(Taped::default());
-                let mc = MultiConsensus::on(Arc::clone(&space), n as usize, 8, D);
-                let decided = if fresh {
-                    mc.propose_fresh(ProcId(pid), 200)
-                } else {
-                    mc.propose(ProcId(pid), 200)
-                };
-                assert_eq!(decided, 200);
-                let got: Vec<_> = space
-                    .tape()
-                    .into_iter()
-                    .map(|(write, i)| (write, native_loc(n, w, i)))
-                    .collect();
-                // `propose_fresh` is the spec run, which opens with the
-                // probe of the top bit's `decide`; `propose` adds only the
-                // standing-announcement read after the probe.
-                let mut want = spec_tape.clone();
-                assert_eq!(want[0], (false, Loc::Bit { k: w - 1, reg: 0 }));
-                if !fresh {
-                    want.insert(1, (false, Loc::Announce(pid as u64)));
-                }
-                assert_eq!(got, want, "n={n} pid={pid} fresh={fresh}");
-            }
-        }
-    }
-}
-
-/// The election the native `MultiConsensus` runs (the test above ties the
-/// two access for access), proven at n = 2: agreement on a participant
-/// over every interleaving, with no bound hit, and no reachable state
-/// with two different values written or pending at `result` (the
-/// obligation behind its agreed write). Tier-1's copy of `tfr-core`'s
+/// The election the native `MultiConsensus` runs, proven at n = 2:
+/// agreement on a participant over every interleaving, with no bound hit,
+/// and no reachable state with two different values written or pending at
+/// a register whose writes are labelled agreed (`result` and `decide`) —
+/// for each process sending instance 0's `decide` and `result` in either
+/// order. Tier-1's copy of `tfr-core`'s
 /// `election_spec::tests::modelcheck_two_process_election_exhaustive`.
 #[test]
 fn two_process_election_spec_is_proven_safe() {
-    let spec = ElectionSpec::new(2, 0, Ticks(100)).inner_rounds(2);
-    let safety = SafetySpec {
-        agreed_writes: vec![spec.result_reg()],
-        ..SafetySpec::consensus(vec![0, 1])
-    };
-    let report = Explorer::new(spec, 2).check(&safety);
-    assert!(report.proven_safe(), "{:?}", report.violation);
-    assert!(report.states_explored > 50);
+    for mask in 0..4 {
+        let spec = ElectionSpec::new(2, 0, Ticks(100))
+            .inner_rounds(2)
+            .result_first(mask);
+        let report = Explorer::new(spec, 2).check(&SafetySpec::consensus(vec![0, 1]));
+        assert!(report.proven_safe(), "mask {mask}: {:?}", report.violation);
+        assert!(report.states_explored > 50);
+    }
+}
+
+/// Tapes the injection points the calling thread visits.
+struct PointTape {
+    thread: std::thread::ThreadId,
+    points: Mutex<Vec<&'static str>>,
+}
+
+impl PointObserver for PointTape {
+    fn point_hit(&self, _pid: ProcId, point: &'static str) {
+        if std::thread::current().id() == self.thread {
+            self.points.lock().unwrap().push(point);
+        }
+    }
+    fn fault_fired(&self, _: ProcId, _: &'static str, _: Duration, _: bool) {}
+}
+
+/// The injection points `f` visits, run as `pid`.
+fn points_of(pid: ProcId, f: impl FnOnce()) -> Vec<&'static str> {
+    let tape = Arc::new(PointTape {
+        thread: std::thread::current().id(),
+        points: Mutex::new(Vec::new()),
+    });
+    let _observer = chaos::install_point_observer(tape.clone());
+    chaos::run_as(pid, f).completed().expect("no fault fires");
+    let points = tape.points.lock().unwrap().clone();
+    points
+}
+
+/// The order of injection points that the nemesis and the crash tests
+/// count: a solo Algorithm 1 round; one per pid bit of a solo
+/// multivalued proposal, the first `consensus.round` the probe's; and a
+/// proposer that adopts another pid's value, its top instance decided
+/// already. Tier-1's copy of `tfr-core`'s
+/// `driver::tests::the_injection_point_tapes_are_the_native_bodies`.
+#[test]
+fn injection_point_tapes_are_the_native_bodies() {
+    use points::{ARRAY_LOAD as LOAD, ARRAY_STORE as STORE};
+    use points::{CONSENSUS_DECIDE as DECIDE, CONSENSUS_ROUND as ROUND};
+    let round = [ROUND, STORE, LOAD, STORE, LOAD, DECIDE];
+    let session = ChaosSession::install(&[]);
+    let c = NativeConsensus::new(D);
+    assert_eq!(points_of(ProcId(0), || assert!(c.propose(true))), round);
+    for (n, bits) in [(1usize, 1), (4, 2)] {
+        let mc = MultiConsensus::new(n, 8, D);
+        let tape = points_of(ProcId(n - 1), || {
+            assert_eq!(mc.propose(ProcId(n - 1), 7), 7)
+        });
+        assert_eq!(tape, round.repeat(bits), "n={n}");
+    }
+    drop(session);
+    // p1 decides pid bit 1 and crashes at the top of bit 0's instance; p2
+    // finds bit 1 decided against it, adopts p1, and decides bit 0.
+    let mc = MultiConsensus::new(4, 8, D);
+    let _session = ChaosSession::install(&[crash_after_first_pid_bit()]);
+    let crashed = chaos::run_as(ProcId(1), || mc.propose(ProcId(1), 5));
+    assert!(crashed.recoverable_after().is_some());
+    let tape = points_of(ProcId(2), || assert_eq!(mc.propose(ProcId(2), 9), 5));
+    assert_eq!(tape, [&[ROUND][..], &round].concat());
 }
 
 #[test]
@@ -277,7 +241,8 @@ fn crashed_at_the_second_instance(tape: &[(bool, u64)], at: impl Fn(u64) -> u64)
 }
 
 /// The native index of register `reg` of pid bit `k`'s instance among
-/// `n` processes with `w` pid bits (the inverse of [`native_loc`]).
+/// `n` processes with `w` pid bits: `result` at 0, `announce[i]` at
+/// `1 + i`, then the `w` instances interleaved with stride `w`.
 fn native_index(n: u64, w: u64, k: u64, reg: u64) -> u64 {
     1 + n + k + reg * w
 }
