@@ -1,11 +1,10 @@
 //! Wall-clock benchmarks for the native consensus implementations (B1/B2):
 //! solo fast-path latency, multi-thread decision latency, and the
-//! multivalued construction, with the AAT baseline alongside.
+//! multivalued construction.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
-use tfr_baselines::aat::AatNativeConsensus;
 use tfr_bench::microbench::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use tfr_core::consensus::NativeConsensus;
 use tfr_core::universal::MultiConsensus;
@@ -27,13 +26,6 @@ fn bench_solo(c: &mut Criterion) {
         cons.propose(true);
         // Late arrivals: one loop-check read.
         b.iter(|| black_box(cons.propose(false)))
-    });
-    g.bench_function("aat_propose", |b| {
-        b.iter_batched(
-            || AatNativeConsensus::new(DELTA, Duration::from_millis(1)),
-            |cons| black_box(cons.propose(true)),
-            BatchSize::SmallInput,
-        )
     });
     g.bench_function("multivalued_16bit_propose", |b| {
         b.iter_batched(

@@ -4,6 +4,7 @@
 //! variants would attack.
 
 use super::delta;
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use tfr_asynclock::bakery::BakerySpec;
 use tfr_asynclock::bar_david::StarvationFreeSpec;
@@ -12,7 +13,7 @@ use tfr_asynclock::lamport_fast::LamportFastSpec;
 use tfr_asynclock::peterson::PetersonSpec;
 use tfr_asynclock::workload::LockLoop;
 use tfr_asynclock::LockSpec;
-use tfr_core::bounded::BoundedConsensusSpec;
+use tfr_core::bounded::rounds_for_bound;
 use tfr_core::consensus::ConsensusSpec;
 use tfr_core::mutex::fischer::FischerSpec;
 use tfr_core::mutex::resilient::standard_resilient_spec;
@@ -43,8 +44,15 @@ pub fn e13() -> Vec<Table> {
             "gave up",
         ],
     );
+    // Algorithm 1 with its rounds capped at `rounds`.
+    let bounded = |inputs, rounds| {
+        ConsensusSpec::new(inputs)
+            .with_delta(d.ticks())
+            .max_rounds(rounds)
+    };
     for bound_deltas in [0u64, 2, 8] {
         let bound = Ticks(d.ticks().0 * bound_deltas);
+        let rounds = rounds_for_bound(bound, d);
         // Within the promise, and breaking it (window 4× the bound, plus
         // margin so even B=0 gets a real violation window).
         for (label, window_end) in [
@@ -54,10 +62,8 @@ pub fn e13() -> Vec<Table> {
             let mut decided = 0u64;
             let mut gave_up_runs = 0u64;
             let mut regs = RegisterCount::Finite(0);
-            let mut rounds = 0u64;
             for seed in 0..seeds {
-                let spec = BoundedConsensusSpec::new(vec![seed % 2 == 0, true, false], bound, d);
-                rounds = spec.rounds();
+                let spec = bounded(vec![seed % 2 == 0, true, false], rounds);
                 regs = spec.registers();
                 let model = FailureWindows::new(
                     standard_no_failures(d, seed),
@@ -101,9 +107,8 @@ pub fn e13() -> Vec<Table> {
     // gracefully, and still in agreement about deciding nothing.
     {
         use tfr_sim::timing::{Fate, Scripted};
-        let bound = Ticks(d.ticks().0); // R = 3
-        let spec = BoundedConsensusSpec::new(vec![false, true], bound, d);
-        let rounds = spec.rounds();
+        let rounds = rounds_for_bound(Ticks(d.ticks().0), d); // B = Δ: R = 3
+        let spec = bounded(vec![false, true], rounds);
         let regs = spec.registers();
         let mut model = Scripted::new(Ticks(10));
         for k in 0..6 {
@@ -143,6 +148,27 @@ pub fn e13() -> Vec<Table> {
     t.note("claim: within the promised bound every run decides and 'gave up' is 0;");
     t.note("past the bound the budget may give out (gracefully) — agreement never does");
     vec![t]
+}
+
+/// The gates on E13: the §2.1 promise and its breach, both deterministic
+/// functions of the seeds and the script.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    vec![
+        gate("E13.within_bound_every_run_decides", || {
+            let e13 = by_id(tables, "E13")?;
+            for row in e13.rows_where(&[("failure window", "within B")])? {
+                let held =
+                    row.num("decided in budget")? == row.num("runs")? && row.num("gave up")? == 0.0;
+                row.expect(held, "decided in budget = runs and gave up = 0")?;
+            }
+            Ok(())
+        }),
+        gate("E13.scripted_split_gives_up", || {
+            let row =
+                by_id(tables, "E13")?.row_where(&[("failure window", "scripted 6-round split")])?;
+            row.expect(row.num("gave up")? > 0.0, "gave up > 0")
+        }),
+    ]
 }
 
 /// E14 — §4 ("to assume that both (transient) memory failures and timing
@@ -342,4 +368,38 @@ pub fn e17() -> Vec<Table> {
     t.note("so a 'true' here for Fischer is survivorship, not a guarantee. The asynchronous");
     t.note("locks are resilient w.r.t. their own n-dependent ψ; Alg3 w.r.t. ψ = O(Δ).");
     vec![t]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_extensions_gate_rejects_its_mutant() {
+        let fixture = [table(
+            "E13",
+            "B | failure window | runs | decided in budget | gave up",
+            &[
+                "0Δ | within B | 100 | 100 | 0",
+                "0Δ | 4×B + 2Δ (broken) | 100 | 97 | 3",
+                "8Δ | within B | 100 | 100 | 0",
+                "1Δ | scripted 6-round split | 1 | 0 | 2",
+            ],
+        )];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E13.within_bound_every_run_decides",
+                    &[Set(2, "decided in budget", "99"), Set(0, "gave up", "1")],
+                ),
+                (
+                    "E13.scripted_split_gives_up",
+                    &[Set(3, "gave up", "0"), DropRow(3)],
+                ),
+            ],
+        );
+    }
 }

@@ -33,7 +33,8 @@ pub type Gates = fn(&[Table]) -> Vec<GateResult>;
 /// One experiment: `(id, description, runner, gates)`.
 pub type Experiment = (&'static str, &'static str, fn() -> Vec<Table>, Gates);
 
-/// E1–E17 reproduce theorems whose verdicts the runner itself asserts.
+/// E1–E17 reproduce theorems whose verdicts the runner itself asserts
+/// (E11 and E13 also gate their tables).
 fn no_gates(_: &[Table]) -> Vec<GateResult> {
     Vec::new()
 }
@@ -110,7 +111,7 @@ pub fn registry() -> Vec<Experiment> {
             "e11",
             "known Δ vs unknown-bound time-adaptive consensus ([3])",
             optimistic::e11,
-            no_gates,
+            optimistic::gates,
         ),
         (
             "e12",
@@ -122,7 +123,7 @@ pub fn registry() -> Vec<Experiment> {
             "e13",
             "bounded-failure consensus with finite registers (§2.1 remark)",
             extensions::e13,
-            no_gates,
+            extensions::gates,
         ),
         (
             "e14",
@@ -342,7 +343,8 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), registry.len(), "duplicate experiment id");
-        // The seven experiments CI gates carry gates; E1–E17 carry none.
+        // The nine experiments CI gates carry gates; the rest of E1–E17
+        // carry none.
         let gated: Vec<&str> = registry
             .iter()
             .filter(|e| !(e.3)(&[]).is_empty())
@@ -351,6 +353,8 @@ mod tests {
         assert_eq!(
             gated,
             [
+                "e11",
+                "e13",
                 "modelcheck",
                 "net",
                 "recovery",

@@ -2,14 +2,13 @@
 //! the comparison with the unknown-bound time-adaptive algorithm \[3\].
 
 use super::delta;
-use crate::table::in_deltas;
+use crate::table::{by_id, gate, in_deltas, GateResult};
 use crate::Table;
 use tfr_asynclock::workload::LockLoop;
-use tfr_baselines::aat::{AatConsensusSpec, DelaySchedule};
 use tfr_core::adaptive::AimdPolicy;
-use tfr_core::consensus::ConsensusSpec;
+use tfr_core::consensus::{ConsensusSpec, DelaySchedule};
 use tfr_core::mutex::resilient::standard_resilient_spec;
-use tfr_registers::{Delta, Ticks};
+use tfr_registers::{Delta, ProcId, Ticks};
 use tfr_sim::metrics::{consensus_stats, mutex_stats};
 use tfr_sim::timing::{standard_no_failures, Fate, Scripted};
 use tfr_sim::{RunConfig, Sim};
@@ -168,64 +167,37 @@ pub fn e11() -> Vec<Table> {
     let round_cap = 200u64;
     for true_delta in [100u64, 200, 400, 800] {
         let d = Delta::from_ticks(true_delta);
-        for alg in ["alg1 (knows Δ)", "aat (doubling from 5t)", "fixed guess 5t"] {
-            // The algorithm's per-round delay schedule, as the adversary
-            // knows it.
-            let delay_of = |k: u64| -> u64 {
-                match alg {
-                    "alg1 (knows Δ)" => true_delta,
-                    "aat (doubling from 5t)" => {
-                        DelaySchedule::doubling(Ticks(5)).delay_for_round(k).0
-                    }
-                    _ => 5,
-                }
-            };
+        // Each algorithm is Algorithm 1 with its per-round delay schedule,
+        // which the adversary knows; the fixed guess gets a round cap
+        // past the script's.
+        let algorithms = [
+            (ALG1, DelaySchedule::fixed(d.ticks()), u64::MAX),
+            (AAT, DelaySchedule::doubling(Ticks(5)), u64::MAX),
+            (FIXED, DelaySchedule::fixed(Ticks(5)), round_cap + 10),
+        ];
+        for (alg, schedule, max_rounds) in algorithms {
             // Build the legal split schedule: for each splittable round,
             // p1's y-write takes d_k + 40 (≤ Δ, legal) so it lands after
             // p0 adopts; p0's next loop check is stretched (≤ Δ, legal)
             // to keep the rounds phase-locked.
             let mut model = Scripted::new(Ticks(10));
-            let mut forced = 0u64;
             for k in 0..round_cap {
-                let dk = delay_of(k + 1);
-                let wk = dk + 40;
-                if wk > true_delta {
-                    break;
-                }
-                if 40 + dk > true_delta {
+                let dk = schedule.delay_for_round(k + 1).0;
+                if dk + 40 > true_delta {
                     break;
                 }
                 model = model
-                    .set(tfr_registers::ProcId(1), 7 * k + 3, Fate::Take(Ticks(wk)))
-                    .set(
-                        tfr_registers::ProcId(0),
-                        7 * (k + 1),
-                        Fate::Take(Ticks(40 + dk)),
-                    );
-                forced += 1;
+                    .set(ProcId(1), 7 * k + 3, Fate::Take(Ticks(dk + 40)))
+                    .set(ProcId(0), 7 * (k + 1), Fate::Take(Ticks(40 + dk)));
             }
             let config = RunConfig::new(n, d)
                 .max_steps(500_000)
                 .max_time(d.times(100_000));
-            let stats = match alg {
-                "alg1 (knows Δ)" => {
-                    let spec = ConsensusSpec::new(vec![false, true]).with_delta(d.ticks());
-                    consensus_stats(&Sim::new(spec, config, model).run())
-                }
-                "aat (doubling from 5t)" => {
-                    let spec =
-                        AatConsensusSpec::new(vec![false, true], DelaySchedule::doubling(Ticks(5)));
-                    consensus_stats(&Sim::new(spec, config, model).run())
-                }
-                _ => {
-                    let spec =
-                        AatConsensusSpec::new(vec![false, true], DelaySchedule::fixed(Ticks(5)))
-                            .max_rounds(round_cap + 10);
-                    consensus_stats(&Sim::new(spec, config, model).run())
-                }
-            };
+            let spec = ConsensusSpec::new(vec![false, true])
+                .with_schedule(schedule)
+                .max_rounds(max_rounds);
+            let stats = consensus_stats(&Sim::new(spec, config, model).run());
             assert!(stats.agreement, "E11: agreement violated");
-            let _ = forced;
             match stats.all_decided_by {
                 Some(tm) => t.row(vec![
                     format!("{true_delta}t"),
@@ -256,6 +228,48 @@ pub fn e11() -> Vec<Table> {
     t.note("claim: known Δ decides in O(1) rounds = c·Δ; doubling pays ~log₂(Δ/5) rounds;");
     t.note("a fixed under-estimate never decides — the [3] lower bound in action");
     vec![t]
+}
+
+/// E11's algorithms, as its `algorithm` column names them.
+const ALG1: &str = "alg1 (knows Δ)";
+const AAT: &str = "aat (doubling from 5t)";
+const FIXED: &str = "fixed guess 5t";
+
+/// The gates on E11: the adversary is scripted, so every count is a
+/// deterministic function of the schedules.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    let rows = |alg| by_id(tables, "E11")?.rows_where(&[("algorithm", alg)]);
+    vec![
+        // Knowing Δ, no round is splittable: decided in round 2.
+        gate("E11.alg1_decides_in_2_rounds", || {
+            for row in rows(ALG1)? {
+                let held = row.text("rounds to decide")? == "2" && row.text("decided")? == "yes";
+                row.expect(held, "2 rounds to decide, decided yes")?;
+            }
+            Ok(())
+        }),
+        // The doubling schedule decides, paying more rounds the larger the
+        // true Δ (rows ascend in Δ).
+        gate("E11.doubling_decides_in_growing_rounds", || {
+            let mut fewest = 3.0;
+            for row in rows(AAT)? {
+                let rounds = row.num("rounds to decide")?;
+                row.expect(
+                    rounds >= fewest && row.text("decided")? == "yes",
+                    "decided yes, in more than 2 rounds and no fewer than at a smaller Δ",
+                )?;
+                fewest = rounds;
+            }
+            Ok(())
+        }),
+        // A fixed under-estimate never decides under the adversary.
+        gate("E11.fixed_guess_never_decides", || {
+            for row in rows(FIXED)? {
+                row.expect(row.text("decided")? != "yes", "decided other than yes")?;
+            }
+            Ok(())
+        }),
+    ]
 }
 
 /// E16 — heterogeneous fleets (§1.2: the estimate "should be tuned for
@@ -311,7 +325,7 @@ pub fn e16() -> Vec<Table> {
             safe &= stats.agreement;
             rounds += stats.max_round;
             for p in 0..n {
-                if let Some((time, _)) = result.decision_of(tfr_registers::ProcId(p)) {
+                if let Some((time, _)) = result.decision_of(ProcId(p)) {
                     if optimists.contains(&p) {
                         opt_total += time.0;
                         opt_count += 1;
@@ -340,4 +354,45 @@ pub fn e16() -> Vec<Table> {
     t.note("optimists skip delay idle time and often decide first; conservative peers adopt");
     t.note("their decision — mixed fleets are safe and the cautious pay only their own delays");
     vec![t]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_optimistic_gate_rejects_its_mutant() {
+        let fixture = [table(
+            "E11",
+            "true Δ | algorithm | rounds to decide | decided",
+            &[
+                "100t | alg1 (knows Δ) | 2 | yes",
+                "100t | aat (doubling from 5t) | 6 | yes",
+                "100t | fixed guess 5t | > 200 (script cap) | only once the adversary script ends",
+                "200t | alg1 (knows Δ) | 2 | yes",
+                "200t | aat (doubling from 5t) | 8 | yes",
+                "200t | fixed guess 5t | > 200 | no (livelock under the legal adversary)",
+            ],
+        )];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E11.alg1_decides_in_2_rounds",
+                    &[Set(3, "rounds to decide", "3"), Set(0, "decided", "no")],
+                ),
+                (
+                    "E11.doubling_decides_in_growing_rounds",
+                    &[
+                        Set(1, "rounds to decide", "2"),
+                        Set(4, "rounds to decide", "5"),
+                        Set(4, "decided", "no"),
+                    ],
+                ),
+                ("E11.fixed_guess_never_decides", &[Set(5, "decided", "yes")]),
+            ],
+        );
+    }
 }

@@ -25,6 +25,11 @@
 //! are therefore never reached, and `3·R(B) + 1` registers (one `decide`,
 //! plus `y[r]`, `x[r,0]`, `x[r,1]` per round) suffice.
 //!
+//! The algorithm is Algorithm 1 with its rounds capped at `R(B)`: in spec
+//! form `ConsensusSpec::new(inputs).with_delta(Δ).max_rounds(R)`, whose
+//! [`ConsensusSpec::registers`] is `3R + 1`, and natively
+//! [`BoundedNativeConsensus`].
+//!
 //! If the environment breaks the promise (failures outlast `B`), safety
 //! still holds unconditionally — the algorithm is a round-capped
 //! Algorithm 1 — but a process can run out of rounds, which surfaces as
@@ -35,10 +40,8 @@ use crate::consensus::{ConsensusSpec, ConsensusState};
 use crate::driver::Driver;
 use std::fmt;
 use std::time::Duration;
-use tfr_registers::accounting::{RegisterCount, RegisterUsage};
 use tfr_registers::space::{DenseSpace, RegisterSpace};
-use tfr_registers::spec::{Action, Automaton, Label, Obs};
-use tfr_registers::{Delta, ProcId, Ticks};
+use tfr_registers::{Delta, Ticks};
 
 /// `R(B) = ⌈B/Δ⌉ + 2`: rounds sufficient when timing failures last at
 /// most `failure_bound` (see the module docs for the derivation).
@@ -66,91 +69,13 @@ impl fmt::Display for BoundExceeded {
 
 impl std::error::Error for BoundExceeded {}
 
-// ---------------------------------------------------------------------
-// Specification form
-// ---------------------------------------------------------------------
-
-/// Bounded-failure consensus in specification form: Algorithm 1 with a
-/// finite round budget and hence finitely many registers.
-#[derive(Debug, Clone)]
-pub struct BoundedConsensusSpec {
-    inner: ConsensusSpec,
-    rounds: u64,
-}
-
-impl BoundedConsensusSpec {
-    /// An instance for failures lasting at most `failure_bound`, with the
-    /// `delay(Δ)` estimate `delta` (rounds budget `R = ⌈B/Δ⌉ + 2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    pub fn new(inputs: Vec<bool>, failure_bound: Ticks, delta: Delta) -> BoundedConsensusSpec {
-        let rounds = rounds_for_bound(failure_bound, delta);
-        BoundedConsensusSpec::with_rounds(
-            ConsensusSpec::new(inputs).with_delta(delta.ticks()),
-            rounds,
-        )
-    }
-
-    fn with_rounds(inner: ConsensusSpec, rounds: u64) -> BoundedConsensusSpec {
-        BoundedConsensusSpec {
-            inner: inner.max_rounds(rounds),
-            rounds,
-        }
-    }
-
-    /// The round budget `R`.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Registers used: `decide` plus three per round.
-    pub fn registers(&self) -> RegisterCount {
-        RegisterCount::Finite(3 * self.rounds + 1)
-    }
-
-    /// A register-usage report (experiment E13).
-    pub fn register_usage(&self, n: usize) -> RegisterUsage {
-        RegisterUsage {
-            algorithm: "bounded-consensus",
-            n,
-            count: self.registers(),
-        }
-    }
-}
-
-impl Automaton for BoundedConsensusSpec {
-    type State = <ConsensusSpec as Automaton>::State;
-
-    fn init(&self, pid: ProcId) -> Self::State {
-        self.inner.init(pid)
-    }
-
-    fn next_action(&self, s: &Self::State) -> Action {
-        self.inner.next_action(s)
-    }
-
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
-        self.inner.apply(s, observed, obs)
-    }
-
-    fn label(&self, s: &Self::State) -> Label {
-        self.inner.label(s)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Native form
-// ---------------------------------------------------------------------
-
-/// Bounded-failure consensus over real atomics: [`BoundedConsensusSpec`]
-/// run by the crate's native driver over a [`DenseSpace`] allocated
-/// whole at construction, `decide` and the `x`/`y` registers of every
-/// round in the budget — unlike [`crate::consensus::NativeConsensus`],
+/// Bounded-failure consensus over real atomics: [`ConsensusSpec`] capped
+/// at the round budget, run by the crate's native driver over a
+/// [`DenseSpace`] allocated whole at construction, `decide` and the
+/// `x`/`y` registers of every round in the budget — unlike [`crate::consensus::NativeConsensus`],
 /// whose space allocates a chunk at the first write into it.
 pub struct BoundedNativeConsensus {
-    driver: Driver<BoundedConsensusSpec, DenseSpace>,
+    driver: Driver<ConsensusSpec, DenseSpace>,
 }
 
 impl BoundedNativeConsensus {
@@ -174,7 +99,7 @@ impl BoundedNativeConsensus {
     /// Panics if `rounds == 0`.
     pub fn with_rounds(rounds: usize, delta: Duration) -> BoundedNativeConsensus {
         assert!(rounds > 0, "at least one round is required");
-        let spec = BoundedConsensusSpec::with_rounds(ConsensusSpec::native(), rounds as u64);
+        let spec = ConsensusSpec::native().max_rounds(rounds as u64);
         // The layout's last register is `x[R, 1]`, at 3R + 2.
         let space = DenseSpace::new(3 * rounds + 3);
         BoundedNativeConsensus {
@@ -184,7 +109,7 @@ impl BoundedNativeConsensus {
 
     /// The round budget.
     pub fn rounds(&self) -> usize {
-        self.driver.spec.rounds as usize
+        self.driver.spec.max_rounds as usize
     }
 
     /// Atomic registers the algorithm uses (`3R + 1`).
@@ -202,7 +127,7 @@ impl BoundedNativeConsensus {
         match self.driver.run(&mut ConsensusState::proposing(input)) {
             Some(decided) => Ok(decided == 1),
             None => Err(BoundExceeded {
-                rounds: self.driver.spec.rounds,
+                rounds: self.driver.spec.max_rounds,
             }),
         }
     }
@@ -230,6 +155,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tfr_modelcheck::{Explorer, SafetySpec};
+    use tfr_registers::accounting::RegisterCount;
+    use tfr_registers::spec::Obs;
+    use tfr_registers::ProcId;
     use tfr_sim::metrics::consensus_stats;
     use tfr_sim::timing::{standard_no_failures, FailureWindows, Window};
     use tfr_sim::{RunConfig, Sim};
@@ -244,13 +172,22 @@ mod tests {
         assert_eq!(rounds_for_bound(Ticks(1000), d), 12);
     }
 
+    /// Algorithm 1 for failures lasting at most `bound`.
+    fn bounded(inputs: Vec<bool>, bound: Ticks, d: Delta) -> ConsensusSpec {
+        ConsensusSpec::new(inputs)
+            .with_delta(d.ticks())
+            .max_rounds(rounds_for_bound(bound, d))
+    }
+
     #[test]
-    fn register_count_is_finite_and_reported() {
+    fn register_count_is_finite() {
         let d = Delta::from_ticks(100);
-        let spec = BoundedConsensusSpec::new(vec![true, false], Ticks(500), d);
-        assert_eq!(spec.rounds(), 7);
+        let spec = bounded(vec![true, false], Ticks(500), d);
         assert_eq!(spec.registers(), RegisterCount::Finite(22));
-        assert!(spec.register_usage(2).satisfies_lower_bound());
+        assert_eq!(
+            ConsensusSpec::new(vec![true]).registers(),
+            RegisterCount::Unbounded
+        );
     }
 
     #[test]
@@ -260,7 +197,7 @@ mod tests {
         let d = Delta::from_ticks(100);
         let bound = Ticks(800);
         for seed in 0..50 {
-            let spec = BoundedConsensusSpec::new(vec![seed % 2 == 0, true, false], bound, d);
+            let spec = bounded(vec![seed % 2 == 0, true, false], bound, d);
             let model = FailureWindows::new(
                 standard_no_failures(d, seed),
                 vec![Window {
@@ -294,8 +231,8 @@ mod tests {
         use tfr_sim::timing::{Fate, Scripted};
         let d = Delta::from_ticks(100);
         // Budget of 3 rounds (B = Δ), adversary forces 6.
-        let spec = BoundedConsensusSpec::new(vec![false, true], Ticks(100), d);
-        assert_eq!(spec.rounds(), 3);
+        assert_eq!(rounds_for_bound(Ticks(100), d), 3);
+        let spec = bounded(vec![false, true], Ticks(100), d);
         let mut model = Scripted::new(Ticks(10));
         for k in 0..6 {
             if k > 0 {
@@ -322,7 +259,7 @@ mod tests {
     #[test]
     fn modelcheck_bounded_spec_safety() {
         let d = Delta::from_ticks(100);
-        let spec = BoundedConsensusSpec::new(vec![false, true], Ticks(100), d);
+        let spec = bounded(vec![false, true], Ticks(100), d);
         let report = Explorer::new(spec, 2).check(&SafetySpec::consensus(vec![0, 1]));
         assert!(report.proven_safe(), "{:?}", report.violation);
     }

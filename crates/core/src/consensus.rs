@@ -29,6 +29,19 @@
 //! agreed writes of `x` and `decide`, and the read of `y[r]` that guards
 //! its write, one conditional write.
 //!
+//! Its variants are parameters of that one spec:
+//!
+//! * the `delay` of each round is a [`DelaySchedule`]: a fixed estimate
+//!   of Δ is Algorithm 1 ([`ConsensusSpec::with_delta`], one per process
+//!   with [`ConsensusSpec::with_per_process_deltas`]), and a growing one
+//!   ([`ConsensusSpec::with_schedule`]) is the time-adaptive algorithm of
+//!   Alur–Attiya–Taubenfeld for an unknown Δ (the paper's reference
+//!   \[3\]), which Algorithm 1 is "constructed similarly" to — experiment
+//!   E11 sets the two against a legal adversary;
+//! * a cap on rounds ([`ConsensusSpec::max_rounds`]) makes the registers
+//!   finite ([`ConsensusSpec::registers`]), which suffices once timing
+//!   failures last at most a known bound (§2.1; [`crate::bounded`]).
+//!
 //! A process returns right after `decide := v`, with `v`: every write to
 //! `decide` carries one value (the agreement argument of Theorems
 //! 2.2/2.3), so the loop check that would follow can only read back the
@@ -52,6 +65,7 @@
 
 use crate::driver::Driver;
 use std::time::Duration;
+use tfr_registers::accounting::RegisterCount;
 use tfr_registers::chaos::points;
 use tfr_registers::space::{NativeSpace, RegisterSpace, WriteKind};
 use tfr_registers::spec::{Action, Automaton, Joint, Label, Obs, Perm, Symmetric};
@@ -71,6 +85,51 @@ fn dec(raw: u64) -> bool {
     raw == 2
 }
 
+/// The `delay` a process takes at the end of each unsuccessful round:
+/// round `r` delays `min(initial · growth^(r−1), cap)` ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DelaySchedule {
+    /// Delay of round 1.
+    pub initial: Ticks,
+    /// Multiplicative growth per round (1 = fixed estimate).
+    pub growth: u64,
+    /// Upper clamp on the delay.
+    pub cap: Ticks,
+}
+
+impl DelaySchedule {
+    /// The time-adaptive schedule of \[3\]: start at `initial`, double
+    /// each round.
+    pub fn doubling(initial: Ticks) -> DelaySchedule {
+        DelaySchedule {
+            initial,
+            growth: 2,
+            cap: Ticks(u64::MAX / 2),
+        }
+    }
+
+    /// A fixed estimate of Δ, Algorithm 1's.
+    pub fn fixed(delay: Ticks) -> DelaySchedule {
+        DelaySchedule {
+            initial: delay,
+            growth: 1,
+            cap: delay,
+        }
+    }
+
+    /// The delay of round `r` (1-based).
+    pub fn delay_for_round(&self, r: u64) -> Ticks {
+        let mut d = self.initial.0.max(1);
+        for _ in 1..r.min(64) {
+            d = d.saturating_mul(self.growth);
+            if d >= self.cap.0 {
+                return self.cap;
+            }
+        }
+        Ticks(d.min(self.cap.0))
+    }
+}
+
 // ---------------------------------------------------------------------
 // Specification form
 // ---------------------------------------------------------------------
@@ -85,12 +144,13 @@ pub struct ConsensusSpec {
     /// The configured processes; `None` for a native caller, whose states
     /// come from [`ConsensusState::proposing`].
     fleet: Option<Box<Fleet>>,
-    max_rounds: u64,
+    pub(crate) max_rounds: u64,
     /// Register `j` of the layout is `j·stride`.
     stride: u64,
     /// The `delay(Δ)` duration used at line 5 — the algorithm's *estimate*
     /// of Δ (see `optimistic(Δ)`, §1.2); the true access-time bound lives
-    /// in the run's timing model.
+    /// in the run's timing model. A fixed schedule, for every process
+    /// the fleet gives no schedule of its own.
     delay_ticks: Ticks,
 }
 
@@ -99,10 +159,11 @@ pub struct ConsensusSpec {
 #[derive(Debug, Clone)]
 struct Fleet {
     inputs: Vec<bool>,
-    /// Per-process overrides of the delay estimate (§1.2: the estimate
-    /// "should be tuned for each individual machine architecture", so
-    /// heterogeneous fleets are the norm, not the exception).
-    per_process_delay: Option<Vec<Ticks>>,
+    /// Each process's delay schedule, overriding the fixed `delay_ticks`
+    /// (§1.2: the estimate "should be tuned for each individual machine
+    /// architecture", so heterogeneous fleets are the norm, not the
+    /// exception).
+    schedules: Option<Vec<DelaySchedule>>,
     /// The seeded mutant of [`ConsensusSpec::with_decide_writing_input`].
     decide_writes_input: bool,
 }
@@ -118,7 +179,7 @@ impl ConsensusSpec {
         assert!(!inputs.is_empty(), "at least one process is required");
         let fleet = Fleet {
             inputs,
-            per_process_delay: None,
+            schedules: None,
             decide_writes_input: false,
         };
         ConsensusSpec {
@@ -151,12 +212,25 @@ impl ConsensusSpec {
     }
 
     /// Bounds the number of rounds a process attempts before giving up
-    /// (halting undecided). Safety is unaffected; this keeps bounded
+    /// (halting undecided, with a `Note("round-bound-exceeded", r)`).
+    /// Safety is unaffected. The layout then holds finitely many
+    /// registers, which suffice when timing failures last at most a known
+    /// bound ([`crate::bounded::rounds_for_bound`]); it also keeps
     /// exhaustive exploration finite (the unbounded-round algorithm has an
     /// infinite reachable state space under perpetual timing failures).
     pub fn max_rounds(mut self, r: u64) -> ConsensusSpec {
         self.max_rounds = r;
         self
+    }
+
+    /// Registers the layout uses: `decide` and three per round, so
+    /// `3R + 1` under [`ConsensusSpec::max_rounds`]`(R)`, and unbounded
+    /// otherwise.
+    pub fn registers(&self) -> RegisterCount {
+        match self.max_rounds {
+            u64::MAX => RegisterCount::Unbounded,
+            rounds => RegisterCount::Finite(3 * rounds + 1),
+        }
     }
 
     /// Number of configured processes.
@@ -311,7 +385,10 @@ impl Automaton for ConsensusSpec {
                 Action::Write(self.decide_reg(), enc(self.decide_value(s))),
                 at(points::CONSENSUS_DECIDE, WriteKind::Agreed),
             ),
-            Pc::DelayStep => (Action::Delay(self.delay_for(s.pid)), Label::default()),
+            Pc::DelayStep => (
+                Action::Delay(self.schedule(s.pid).delay_for_round(s.r)),
+                Label::default(),
+            ),
             Pc::ReadYAdopt => (Action::Read(self.y(s.r)), at(load, queried)),
             Pc::Halted => (Action::Halt, Label::default()),
         }
@@ -324,7 +401,7 @@ impl Automaton for ConsensusSpec {
 /// the checker's stabilizer: only permutations preserving the input
 /// vector fix the initial configuration, and [`Symmetric::respects`]
 /// additionally rejects relabellings across processes with different
-/// `delay(Δ)` estimates (a heterogeneous fleet is not pid-symmetric).
+/// delay schedules (a heterogeneous fleet is not pid-symmetric).
 impl Symmetric for ConsensusSpec {
     fn permute_state(&self, s: &ConsensusState, perm: &Perm) -> ConsensusState {
         ConsensusState {
@@ -334,8 +411,7 @@ impl Symmetric for ConsensusSpec {
     }
 
     fn respects(&self, perm: &Perm) -> bool {
-        (0..self.n())
-            .all(|i| self.delay_for(ProcId(i)) == self.delay_for(perm.apply_pid(ProcId(i))))
+        (0..self.n()).all(|i| self.schedule(ProcId(i)) == self.schedule(perm.apply_pid(ProcId(i))))
     }
 }
 
@@ -343,8 +419,10 @@ impl ConsensusSpec {
     const DEFAULT_DELAY: Ticks = Ticks(1000);
 
     /// Overrides the `delay(Δ)` duration used at line 5 (the estimate of
-    /// Δ; see `optimistic(Δ)`, §1.2 of the paper). The optimistic-Δ
-    /// experiments sweep this against the true access-time distribution.
+    /// Δ; see `optimistic(Δ)`, §1.2 of the paper): a fixed schedule,
+    /// which a schedule given per process takes precedence over. The
+    /// optimistic-Δ experiments sweep this against the true access-time
+    /// distribution.
     pub fn with_delta(mut self, delta: Ticks) -> ConsensusSpec {
         self.delay_ticks = delta;
         self
@@ -360,7 +438,17 @@ impl ConsensusSpec {
     /// Panics if the length does not match the number of processes.
     pub fn with_per_process_deltas(mut self, deltas: Vec<Ticks>) -> ConsensusSpec {
         assert_eq!(deltas.len(), self.n(), "one delay estimate per process");
-        self.fleet_mut().per_process_delay = Some(deltas);
+        self.fleet_mut().schedules = Some(deltas.into_iter().map(DelaySchedule::fixed).collect());
+        self
+    }
+
+    /// Gives every process the delay schedule `schedule`. A growing one is
+    /// the time-adaptive algorithm of \[3\] for an unknown Δ: safety is
+    /// Algorithm 1's (no delay matters for safety), and it decides once
+    /// the estimate has grown past the true bound.
+    pub fn with_schedule(mut self, schedule: DelaySchedule) -> ConsensusSpec {
+        let n = self.n();
+        self.fleet_mut().schedules = Some(vec![schedule; n]);
         self
     }
 
@@ -437,14 +525,11 @@ impl ConsensusSpec {
         }
     }
 
-    fn delay_for(&self, pid: ProcId) -> Ticks {
-        match self
-            .fleet
-            .as_deref()
-            .and_then(|f| f.per_process_delay.as_ref())
-        {
-            Some(v) => v[pid.0],
-            None => self.delay_ticks,
+    /// The delay schedule of process `pid`.
+    fn schedule(&self, pid: ProcId) -> DelaySchedule {
+        match self.fleet.as_deref().and_then(|f| f.schedules.as_ref()) {
+            Some(schedules) => schedules[pid.0],
+            None => DelaySchedule::fixed(self.delay_ticks),
         }
     }
 }
@@ -726,6 +811,58 @@ mod tests {
         let swap = Perm::from_map(vec![1, 0]);
         assert!(!spec.respects(&swap));
         assert!(spec.respects(&Perm::identity(2)));
+    }
+
+    #[test]
+    fn schedule_doubles_and_caps() {
+        let s = DelaySchedule {
+            initial: Ticks(10),
+            growth: 2,
+            cap: Ticks(100),
+        };
+        assert_eq!(s.delay_for_round(1), Ticks(10));
+        assert_eq!(s.delay_for_round(2), Ticks(20));
+        assert_eq!(s.delay_for_round(4), Ticks(80));
+        assert_eq!(s.delay_for_round(5), Ticks(100), "clamped");
+        assert_eq!(
+            s.delay_for_round(500),
+            Ticks(100),
+            "no overflow at huge rounds"
+        );
+    }
+
+    #[test]
+    fn schedule_fixed_is_constant() {
+        let s = DelaySchedule::fixed(Ticks(7));
+        assert_eq!(s.delay_for_round(1), Ticks(7));
+        assert_eq!(s.delay_for_round(9), Ticks(7));
+    }
+
+    #[test]
+    fn sim_doubling_decides_when_estimate_starts_too_small() {
+        // True access times up to 200; the schedule starts at 5 — rounds
+        // grow the estimate until it covers the truth, then decision.
+        let delta = Delta::from_ticks(200);
+        let spec = ConsensusSpec::new(vec![true, false, true])
+            .with_schedule(DelaySchedule::doubling(Ticks(5)));
+        let result = Sim::new(
+            spec,
+            RunConfig::new(3, delta),
+            standard_no_failures(delta, 17),
+        )
+        .run();
+        let stats = consensus_stats(&result);
+        assert!(stats.agreement);
+        assert!(stats.all_decided_by.is_some(), "must eventually decide");
+    }
+
+    /// The hot specs stay small: a native decision copies no fleet, and
+    /// the schedules live behind the fleet's box.
+    #[test]
+    fn native_specs_keep_their_size() {
+        use crate::universal::MultiConsensus;
+        assert_eq!(std::mem::size_of::<ConsensusSpec>(), 32);
+        assert_eq!(std::mem::size_of::<MultiConsensus>(), 104);
     }
 
     #[test]

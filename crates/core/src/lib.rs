@@ -27,7 +27,9 @@
 //!   failures; a solo process decides in 6 of its own steps regardless of
 //!   failures; safety holds under arbitrary timing failures (this is the
 //!   possibility result that contrasts with FLP/LA impossibility in fully
-//!   asynchronous systems).
+//!   asynchronous systems). Its variants are parameters of the one spec:
+//!   a growing delay schedule is the unknown-Δ algorithm of \[3\], and a
+//!   round cap makes its registers finite.
 //! * [`mutex::fischer`] — **Algorithm 2**: Fischer's classic timing-based
 //!   lock. O(Δ) when constraints hold, but its mutual exclusion *breaks*
 //!   under timing failures — the motivating non-example.
@@ -40,7 +42,8 @@
 //!   with an optimistic, adaptively tuned Δ; resilience makes a wrong
 //!   estimate a performance problem, never a correctness problem.
 //! * [`bounded`] — the §2.1 remark made concrete: consensus with *finitely
-//!   many* registers when the duration of timing failures is bounded.
+//!   many* registers when the duration of timing failures is bounded
+//!   (Algorithm 1 with its rounds capped, and the round budget).
 //! * [`derived`] — wait-free, time-resilient objects built from consensus:
 //!   leader election, test-and-set, n-renaming, set consensus.
 //! * [`universal`] — multivalued consensus and a Herlihy-style universal
@@ -51,7 +54,8 @@
 //! * [`resilience`] — §1.3's three-part definition (stabilization,
 //!   efficiency, convergence) as an executable assessment protocol.
 //!
-//! Algorithm 1 and the election are each written once, as a **spec**: a
+//! Algorithm 1 and the election are each written once, as a **spec**
+//! (the election composes Algorithm 1's automaton, one per pid bit): a
 //! register automaton that the `tfr-sim` discrete-event simulator and the
 //! `tfr-modelcheck` explorer run, and that the crate's native driver runs
 //! against any `RegisterSpace` (real threads and `std::sync::atomic`, or

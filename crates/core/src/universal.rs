@@ -120,8 +120,8 @@
 //! nonzero arena mark: a predecessor publishes its record and then its
 //! mark before it proposes, and it leaves a standing announcement at most
 //! at the slot it crashed in, which is the first one a new session can
-//! propose at. Every other proposal skips it, as
-//! [`MultiConsensus::propose_fresh`] does.
+//! propose at. Every other proposal skips it:
+//! [`MultiConsensus::propose_probed`] takes whether to read it.
 //!
 //! **Own-batch apply.** When `propose` returns `pack(pid, offset)` for
 //! the record this session has just published at that slot, the session
@@ -175,15 +175,15 @@ pub(crate) fn pid_bits(n: usize) -> u32 {
 /// typically a recovered incarnation re-running a `propose` its
 /// predecessor crashed in — proposes that standing value instead of its
 /// own, and like every caller returns the common decision.
-/// [`MultiConsensus::propose_fresh`] skips the read that finds the
+/// [`MultiConsensus::propose_probed`] can skip the read that finds the
 /// standing value, for callers that know there is none to find.
 ///
 /// Every proposal starts from a read of the top pid bit's `decide`, which
 /// its Algorithm 1 instance takes as its first loop check. A caller that
 /// polls the object before proposing (a [`Session`], the replicated log)
 /// reads it together with `result`, as one [`MultiConsensus::probe`], and
-/// hands the probe to [`MultiConsensus::propose_probed`]; `propose` and
-/// `propose_fresh` read `decide` alone and go the same way.
+/// hands the probe to [`MultiConsensus::propose_probed`]; `propose`
+/// reads `decide` alone and goes the same way.
 ///
 /// # Example
 ///
@@ -272,23 +272,6 @@ impl<S: RegisterSpace> MultiConsensus<S> {
         self.run(pid, value, None, true)
     }
 
-    /// [`MultiConsensus::propose`] without the read of `pid`'s standing
-    /// announcement, for a caller that knows what it would find: nothing,
-    /// because no earlier call by `pid` reached this object, or `value`
-    /// itself. Announces `value` and returns the common decision. One
-    /// register access fewer than `propose`; the caller's knowledge is
-    /// not checked, and an announcement of another value breaks
-    /// agreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range or `value` does not fit in `width`
-    /// bits.
-    pub fn propose_fresh(&self, pid: ProcId, value: u64) -> u64 {
-        self.check(pid, value);
-        self.run(pid, value, None, false)
-    }
-
     /// The proposal every other one is: `pid` proposes `value` starting
     /// from `probe`, a [`MultiConsensus::probe`] of this object made by
     /// the caller, and returns the common decision. If the probe saw a
@@ -300,8 +283,10 @@ impl<S: RegisterSpace> MultiConsensus<S> {
     /// With `standing`, `pid`'s standing announcement is read first and,
     /// if there is one, proposed instead of `value`
     /// ([`MultiConsensus::propose`]); without it the caller vouches that
-    /// there is none, or that it is `value`
-    /// ([`MultiConsensus::propose_fresh`]).
+    /// there is none, or that it is `value`: no earlier call by `pid`
+    /// reached this object, or it announced `value` itself. That saves
+    /// one register access; the caller's word is not checked, and an
+    /// announcement of another value breaks agreement.
     ///
     /// # Panics
     ///
@@ -1340,13 +1325,20 @@ mod tests {
                     assert_eq!(mc.propose(ProcId(pid), v), v);
                     spec = spec.standing_read();
                 } else {
-                    assert_eq!(mc.propose_fresh(ProcId(pid), v), v);
+                    let probe = mc.probe();
+                    assert_eq!(mc.propose_probed(ProcId(pid), v, probe, false), v);
                 }
                 assert_eq!(
                     run_solo(&spec, ProcId(pid), &mut bank, 500).decision(),
                     Some(v)
                 );
-                assert_eq!(space.tape(), bank.tape(), "n={n} pid={pid}");
+                let mut tape = space.tape();
+                if !standing {
+                    // The probe reads `result` before the spec's first
+                    // read, of the top bit's `decide`.
+                    assert_eq!(tape.remove(0), (false, 0), "n={n}");
+                }
+                assert_eq!(tape, bank.tape(), "n={n} pid={pid}");
             }
         }
     }

@@ -25,55 +25,19 @@
 //! *pending*, and the checker is free to linearize it anywhere after its
 //! invoke — or never.
 
-use std::cell::UnsafeCell;
+use crate::lane::{Lane, RawEvent};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tfr_registers::ProcId;
 
 /// Default per-process event capacity (two events per operation).
 pub const DEFAULT_EVENTS_PER_PROCESS: usize = 4096;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct RawEvent {
-    /// Global timestamp of this event.
-    ts: u64,
-    /// Object id the event belongs to.
-    obj: u64,
-    /// Invoke: the encoded operation. Response: the paired invoke's
-    /// timestamp (the token).
-    a: u64,
-    /// Response: the encoded response (unused for invokes).
-    b: u64,
-    /// `false` = invoke, `true` = response.
-    is_response: bool,
-}
-
-struct ProcBuf {
-    len: AtomicUsize,
-    slots: Box<[UnsafeCell<RawEvent>]>,
-}
-
-// SAFETY: slots are written only by the single owning process thread
-// (the documented contract of `invoke`/`response`) before a release-store
-// of `len`, and read only at/after an acquire-load of `len`.
-unsafe impl Sync for ProcBuf {}
-
-impl ProcBuf {
-    fn new(capacity: usize) -> ProcBuf {
-        ProcBuf {
-            len: AtomicUsize::new(0),
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(RawEvent::default()))
-                .collect(),
-        }
-    }
-}
-
 /// A lock-free invoke/response event recorder for `n` processes.
 pub struct Recorder {
     clock: AtomicU64,
-    bufs: Vec<ProcBuf>,
+    bufs: Vec<Lane>,
     dropped: AtomicU64,
 }
 
@@ -103,23 +67,15 @@ impl Recorder {
         assert!(n > 0, "at least one process is required");
         Recorder {
             clock: AtomicU64::new(1),
-            bufs: (0..n).map(|_| ProcBuf::new(events_per_process)).collect(),
+            bufs: (0..n).map(|_| Lane::new(events_per_process)).collect(),
             dropped: AtomicU64::new(0),
         }
     }
 
     fn push(&self, pid: ProcId, ev: RawEvent) {
-        let buf = &self.bufs[pid.0];
-        let i = buf.len.load(Ordering::Relaxed);
-        if i >= buf.slots.len() {
+        if !self.bufs[pid.0].push(ev) {
             self.dropped.fetch_add(1, Ordering::SeqCst);
-            return;
         }
-        // SAFETY: single writer per pid; `i` is below capacity.
-        unsafe {
-            *buf.slots[i].get() = ev;
-        }
-        buf.len.store(i + 1, Ordering::Release);
     }
 
     /// Records an invocation of `op` on object `obj` by `pid`; returns
@@ -141,16 +97,7 @@ impl Recorder {
     /// invocation earlier than it is recorded only widens its interval,
     /// so the checker still sees no precedence that did not hold.
     pub fn invoke_at(&self, pid: ProcId, obj: u64, op: u64, ts: u64) -> u64 {
-        self.push(
-            pid,
-            RawEvent {
-                ts,
-                obj,
-                a: op,
-                b: 0,
-                is_response: false,
-            },
-        );
+        self.push(pid, RawEvent::invoke(ts, obj, op));
         ts
     }
 
@@ -158,16 +105,7 @@ impl Recorder {
     /// Must be called on the thread acting as `pid`.
     pub fn response(&self, pid: ProcId, obj: u64, token: u64, resp: u64) {
         let ts = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.push(
-            pid,
-            RawEvent {
-                ts,
-                obj,
-                a: token,
-                b: resp,
-                is_response: true,
-            },
-        );
+        self.push(pid, RawEvent::response(ts, obj, token, resp));
     }
 
     /// Number of events silently dropped because a per-process buffer
@@ -185,32 +123,7 @@ impl Recorder {
     pub fn history(&self) -> History {
         let mut ops = Vec::new();
         for (pid, buf) in self.bufs.iter().enumerate() {
-            let len = buf.len.load(Ordering::Acquire);
-            // Token (invoke timestamp) → index into `ops`.
-            let mut open: BTreeMap<u64, usize> = BTreeMap::new();
-            for slot in &buf.slots[..len] {
-                // SAFETY: indices below the acquired `len` were fully
-                // written before the matching release-store.
-                let ev = unsafe { *slot.get() };
-                if ev.is_response {
-                    if let Some(&idx) = open.get(&ev.a) {
-                        let op: &mut Operation = &mut ops[idx];
-                        op.resp = Some(ev.b);
-                        op.resp_ts = ev.ts;
-                        open.remove(&ev.a);
-                    }
-                } else {
-                    open.insert(ev.ts, ops.len());
-                    ops.push(Operation {
-                        pid: ProcId(pid),
-                        obj: ev.obj,
-                        op: ev.a,
-                        resp: None,
-                        invoke_ts: ev.ts,
-                        resp_ts: u64::MAX,
-                    });
-                }
-            }
+            buf.pair_into(ProcId(pid), &mut ops);
         }
         ops.sort_by_key(|o| o.invoke_ts);
         History { ops }

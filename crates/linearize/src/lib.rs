@@ -85,6 +85,7 @@
 
 pub mod checker;
 pub mod history;
+mod lane;
 pub mod mcconv;
 pub mod models;
 pub mod mutants;

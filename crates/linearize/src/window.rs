@@ -42,45 +42,13 @@
 
 use crate::checker::{check_object, NonLinearizable};
 use crate::history::Operation;
+use crate::lane::{Lane, RawEvent};
 use crate::models::SeqSpec;
-use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tfr_registers::ProcId;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RawEvent {
-    ts: u64,
-    obj: u64,
-    /// Invoke: the encoded op. Response: the paired invoke's timestamp.
-    a: u64,
-    /// Response: the encoded response.
-    b: u64,
-    is_response: bool,
-}
-
-struct ProcBuf {
-    len: AtomicUsize,
-    slots: Box<[UnsafeCell<RawEvent>]>,
-}
-
-// SAFETY: slots are written only by the single owning worker thread
-// before a release-store of `len`, and read by the rotator only after
-// the worker's heartbeat proved it left this bank (see `rotate`).
-unsafe impl Sync for ProcBuf {}
-
-impl ProcBuf {
-    fn new(capacity: usize) -> ProcBuf {
-        ProcBuf {
-            len: AtomicUsize::new(0),
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(RawEvent::default()))
-                .collect(),
-        }
-    }
-}
 
 /// The receipt for a sampled invocation: pass it to
 /// [`WindowRecorder::response`]. Carries the bank the invoke landed in so
@@ -130,7 +98,7 @@ pub enum Rotation {
 pub struct WindowRecorder {
     clock: AtomicU64,
     epoch: AtomicU64,
-    banks: [Vec<ProcBuf>; 2],
+    banks: [Vec<Lane>; 2],
     /// `heartbeats[p]` = the last epoch worker `p` observed at a safe
     /// point; `u64::MAX` once finished.
     heartbeats: Vec<AtomicU64>,
@@ -163,8 +131,8 @@ impl WindowRecorder {
             clock: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
             banks: [
-                (0..n).map(|_| ProcBuf::new(events_per_process)).collect(),
-                (0..n).map(|_| ProcBuf::new(events_per_process)).collect(),
+                (0..n).map(|_| Lane::new(events_per_process)).collect(),
+                (0..n).map(|_| Lane::new(events_per_process)).collect(),
             ],
             heartbeats: (0..n).map(|_| AtomicU64::new(0)).collect(),
             dropped: AtomicU64::new(0),
@@ -186,8 +154,7 @@ impl WindowRecorder {
     pub fn invoke(&self, pid: ProcId, obj: u64, op: u64) -> SampleToken {
         let bank = (self.epoch.load(Ordering::SeqCst) & 1) as usize;
         let buf = &self.banks[bank][pid.0];
-        let i = buf.len.load(Ordering::Relaxed);
-        if i + 2 > buf.slots.len() {
+        if !buf.has_room(2) {
             self.dropped.fetch_add(1, Ordering::SeqCst);
             return SampleToken {
                 ts: 0,
@@ -196,17 +163,7 @@ impl WindowRecorder {
             };
         }
         let ts = self.clock.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: single writer per pid; `i` is below capacity.
-        unsafe {
-            *buf.slots[i].get() = RawEvent {
-                ts,
-                obj,
-                a: op,
-                b: 0,
-                is_response: false,
-            };
-        }
-        buf.len.store(i + 1, Ordering::Release);
+        buf.push(RawEvent::invoke(ts, obj, op));
         SampleToken {
             ts,
             bank,
@@ -220,21 +177,10 @@ impl WindowRecorder {
         if !token.recorded {
             return;
         }
-        let buf = &self.banks[token.bank][pid.0];
-        let i = buf.len.load(Ordering::Relaxed);
-        debug_assert!(i < buf.slots.len(), "invoke reserved the response slot");
         let ts = self.clock.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: single writer per pid; the slot was reserved by invoke.
-        unsafe {
-            *buf.slots[i].get() = RawEvent {
-                ts,
-                obj,
-                a: token.ts,
-                b: resp,
-                is_response: true,
-            };
-        }
-        buf.len.store(i + 1, Ordering::Release);
+        let pushed =
+            self.banks[token.bank][pid.0].push(RawEvent::response(ts, obj, token.ts, resp));
+        debug_assert!(pushed, "invoke reserved the response slot");
     }
 
     /// Marks worker `pid` as caught up with the current epoch. Call only
@@ -294,32 +240,8 @@ impl WindowRecorder {
         let mut ops = Vec::new();
         let mut incomplete = 0;
         for (pid, buf) in self.banks[bank].iter().enumerate() {
-            let len = buf.len.load(Ordering::Acquire);
-            let mut open: BTreeMap<u64, usize> = BTreeMap::new();
-            for slot in &buf.slots[..len] {
-                // SAFETY: the worker left this bank (heartbeat above);
-                // indices below `len` were written before its release.
-                let ev = unsafe { *slot.get() };
-                if ev.is_response {
-                    if let Some(idx) = open.remove(&ev.a) {
-                        let op: &mut Operation = &mut ops[idx];
-                        op.resp = Some(ev.b);
-                        op.resp_ts = ev.ts;
-                    }
-                } else {
-                    open.insert(ev.ts, ops.len());
-                    ops.push(Operation {
-                        pid: ProcId(pid),
-                        obj: ev.obj,
-                        op: ev.a,
-                        resp: None,
-                        invoke_ts: ev.ts,
-                        resp_ts: u64::MAX,
-                    });
-                }
-            }
-            incomplete += open.len();
-            buf.len.store(0, Ordering::Release);
+            incomplete += buf.pair_into(ProcId(pid), &mut ops);
+            buf.clear();
         }
         ops.retain(|o| o.is_complete());
         ops.sort_by_key(|o| o.invoke_ts);

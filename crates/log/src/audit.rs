@@ -69,11 +69,6 @@ impl LogAudit {
         self.in_order && self.divergence.is_none()
     }
 
-    /// The shortest applied prefix across the audited lanes.
-    pub fn shortest_prefix(&self) -> u64 {
-        self.prefixes.iter().copied().min().unwrap_or(0)
-    }
-
     /// Checks `lanes` against the canonical sequence `truth`.
     pub fn check(truth: Vec<AppliedEntry>, total_ops: u64, lanes: &[&[AppliedEntry]]) -> LogAudit {
         let mut in_order = true;
@@ -149,7 +144,7 @@ mod tests {
         let short = &t[..3];
         let audit = LogAudit::check(t.clone(), 10, &[&t, short]);
         assert!(audit.converged());
-        assert_eq!(audit.shortest_prefix(), 3);
+        assert_eq!(audit.prefixes, vec![5, 3]);
         assert_eq!(audit.heights_decided, 5);
     }
 

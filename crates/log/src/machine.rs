@@ -93,9 +93,6 @@ pub struct HeightStateMachine {
     /// Batches announced by the client, not yet committed. The front
     /// batch rides every proposal until it wins a height.
     pending: VecDeque<BatchId>,
-    /// Batch committed at each decided height *by this proposer*, in
-    /// commit order (for response bookkeeping by the driver).
-    committed: Vec<(u64, BatchId)>,
 }
 
 impl HeightStateMachine {
@@ -112,7 +109,6 @@ impl HeightStateMachine {
             floor: 0,
             window,
             pending: VecDeque::new(),
-            committed: Vec::new(),
         }
     }
 
@@ -180,11 +176,9 @@ impl HeightStateMachine {
         );
         self.frontier += 1;
         if won {
-            let batch = self
-                .pending
+            self.pending
                 .pop_front()
                 .expect("won a height with no batch in flight");
-            self.committed.push((height, batch));
         }
         // A lost front batch stays queued and rides the next proposal.
     }
@@ -198,12 +192,6 @@ impl HeightStateMachine {
     pub fn observe_applied(&mut self, height: u64) {
         assert_eq!(height, self.next_apply, "entries apply in height order");
         self.next_apply += 1;
-    }
-
-    /// Batches committed by this proposer since the last call, as
-    /// `(height, batch)` pairs in commit order.
-    pub fn take_committed(&mut self) -> Vec<(u64, BatchId)> {
-        std::mem::take(&mut self.committed)
     }
 
     /// What the driver should do now, in order. Pure: no observation, no
@@ -359,8 +347,9 @@ mod tests {
                 batch: 7
             }]
         );
+        assert_eq!(m.pending_len(), 1);
         m.observe_decided(1, true);
-        assert_eq!(m.take_committed(), vec![(1, 7)]);
+        assert_eq!(m.frontier(), 2);
         assert_eq!(m.pending_len(), 0);
     }
 

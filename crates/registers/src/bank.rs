@@ -94,11 +94,6 @@ impl MapBank {
         MapBank::default()
     }
 
-    /// Number of registers currently holding a nonzero value.
-    pub fn nonzero_count(&self) -> usize {
-        self.regs.len()
-    }
-
     /// Iterates over `(RegId, value)` pairs with nonzero values, in id
     /// order. Useful for printing counterexample states.
     pub fn iter(&self) -> impl Iterator<Item = (RegId, u64)> + '_ {
@@ -177,7 +172,7 @@ mod tests {
         assert_ne!(a, b);
         a.write(RegId(3), 0);
         assert_eq!(a, b, "writing 0 must restore the canonical empty state");
-        assert_eq!(a.nonzero_count(), 0);
+        assert_eq!(a.iter().count(), 0);
     }
 
     #[test]

@@ -296,19 +296,6 @@ impl FaultInjector {
             .contains(&pid.0)
     }
 
-    /// Every pid crash-stopped so far, ascending.
-    pub fn dead_pids(&self) -> Vec<ProcId> {
-        let mut pids: Vec<ProcId> = self
-            .dead
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|&p| ProcId(p))
-            .collect();
-        pids.sort();
-        pids
-    }
-
     fn record(&self, fault: Fault) {
         self.fired
             .lock()
@@ -1014,7 +1001,6 @@ mod tests {
         let out = run_as(ProcId(0), || point(points::WORKLOAD_NCS));
         assert_eq!(out, ThreadOutcome::Crashed);
         assert!(session.injector().is_dead(ProcId(0)));
-        assert_eq!(session.injector().dead_pids(), vec![ProcId(0)]);
 
         let t0 = Instant::now();
         let out = run_as(ProcId(0), || {

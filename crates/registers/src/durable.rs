@@ -135,11 +135,6 @@ impl<S: RegisterSpace> DurableSpace<S> {
         wiped
     }
 
-    /// Whether `index` lies in some volatile segment.
-    pub fn is_volatile(&self, index: u64) -> bool {
-        self.segs.iter().any(|s| s.range.contains(&index))
-    }
-
     /// Total reads issued through this wrapper since construction (or the
     /// last [`DurableSpace::reset_counters`]).
     pub fn reads(&self) -> u64 {
@@ -404,15 +399,6 @@ mod tests {
             "each volatile cell of the run is dirty"
         );
         assert_eq!([s.read(8), s.read(10), s.read(14)], [1, 0, 0]);
-    }
-
-    #[test]
-    fn volatility_is_queryable() {
-        let s = DurableSpace::new(NativeSpace::new()).volatile(ProcId(1), 4..6);
-        assert!(!s.is_volatile(3));
-        assert!(s.is_volatile(4));
-        assert!(s.is_volatile(5));
-        assert!(!s.is_volatile(6));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! These automatons scale instead:
 //!
 //! * [`ScaleLoop`] — each process works a private register plus a
-//!   neighbor's register *within its own group*, so a run tiles cleanly
-//!   into register-disjoint shards (`crate::shard`). Data flows through
-//!   the registers (each write mixes the values read), so any engine
-//!   mis-ordering corrupts the final bank and is caught by the
-//!   differential tests.
+//!   neighbor's register *within its own group*, so the groups'
+//!   registers are disjoint. Data flows through the registers (each
+//!   write mixes the values read), so any engine mis-ordering corrupts
+//!   the final bank and is caught by the differential tests.
 //! * [`DelayOnly`] — pure `delay` traffic with per-(pid, step)
 //!   pseudorandom durations and no shared accesses at all: the events/sec
 //!   benchmark (E25), where scheduler cost is the whole story.
@@ -28,23 +27,25 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The upper end of [`ScaleLoop`]'s delay jitter, in ticks.
+const DELAY_SPREAD: u64 = 64;
+
 /// A register-disjoint-by-construction scale workload.
 ///
 /// Process `p` owns register `base + p`. Each round it: reads its own
 /// register, writes back a mix of everything observed so far, reads the
 /// next process *in its group* (groups are `group`-sized contiguous pid
-/// ranges), then delays a pseudorandom `1..=delay_spread` ticks. After
+/// ranges), then delays a pseudorandom `1..=DELAY_SPREAD` ticks. After
 /// `rounds` rounds it emits one `Note("scale-done", acc)` and halts.
 ///
-/// Shardability: a shard running pids `0..k` with this automaton touches
-/// exactly registers `base..base+k`, provided `group` divides `k` (the
-/// neighbor read wraps within the group, never across it).
+/// Footprint: pids `0..k` running this automaton touch exactly registers
+/// `base..base+k`, provided `group` divides `k` (the neighbor read wraps
+/// within the group, never across it).
 #[derive(Debug, Clone)]
 pub struct ScaleLoop {
     rounds: u32,
     group: usize,
     base: u64,
-    delay_spread: u64,
     salt: u64,
 }
 
@@ -57,16 +58,8 @@ impl ScaleLoop {
             rounds,
             group,
             base,
-            delay_spread: 64,
             salt: 0,
         }
-    }
-
-    /// Overrides the delay jitter range (default `1..=64` ticks).
-    pub fn delay_spread(mut self, spread: u64) -> ScaleLoop {
-        assert!(spread > 0, "delay spread must be positive");
-        self.delay_spread = spread;
-        self
     }
 
     /// Salts the per-(pid, round) jitter so different seeds explore
@@ -89,7 +82,7 @@ impl ScaleLoop {
 
     fn jitter(&self, pid: u32, round: u32, phase: u8) -> Ticks {
         let h = mix(self.salt ^ ((pid as u64) << 32) ^ ((round as u64) << 8) ^ phase as u64);
-        Ticks(1 + h % self.delay_spread)
+        Ticks(1 + h % DELAY_SPREAD)
     }
 }
 

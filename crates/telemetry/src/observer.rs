@@ -37,33 +37,18 @@ use tfr_registers::ProcId;
 /// ```
 pub struct ChaosTraceObserver {
     tracer: Arc<Tracer>,
-    record_hits: bool,
 }
 
 impl ChaosTraceObserver {
     /// An observer recording both point visits and fired faults.
     pub fn new(tracer: Arc<Tracer>) -> ChaosTraceObserver {
-        ChaosTraceObserver {
-            tracer,
-            record_hits: true,
-        }
-    }
-
-    /// An observer recording only fired faults — for long runs where the
-    /// per-visit [`EventKind::PointHit`] stream would flood the rings.
-    pub fn faults_only(tracer: Arc<Tracer>) -> ChaosTraceObserver {
-        ChaosTraceObserver {
-            tracer,
-            record_hits: false,
-        }
+        ChaosTraceObserver { tracer }
     }
 }
 
 impl PointObserver for ChaosTraceObserver {
     fn point_hit(&self, pid: ProcId, point: &'static str) {
-        if self.record_hits {
-            self.tracer.emit(pid, EventKind::PointHit { point });
-        }
+        self.tracer.emit(pid, EventKind::PointHit { point });
     }
 
     fn fault_fired(&self, pid: ProcId, point: &'static str, stalled: Duration, crashed: bool) {
@@ -101,7 +86,7 @@ mod tests {
     use tfr_registers::chaos::{self, install_point_observer, ChaosSession, Fault, FaultAction};
 
     #[test]
-    fn faults_only_observer_skips_hits() {
+    fn observer_records_hits_and_fired_faults() {
         // Session both serializes this test against other chaos users and
         // supplies a fault to fire.
         let _session = ChaosSession::install(&[Fault {
@@ -111,18 +96,18 @@ mod tests {
             action: FaultAction::Stall(Duration::from_micros(100)),
         }]);
         let tracer = Arc::new(Tracer::new(1));
-        let guard = install_point_observer(Arc::new(ChaosTraceObserver::faults_only(Arc::clone(
-            &tracer,
-        ))));
+        let guard = install_point_observer(Arc::new(ChaosTraceObserver::new(Arc::clone(&tracer))));
         chaos::run_as(ProcId(0), || {
             chaos::point(chaos::points::DELAY);
             chaos::point(chaos::points::DELAY);
         });
         drop(guard);
         let events = tracer.events();
-        assert!(!events
+        let hits = events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::PointHit { .. })));
+            .filter(|e| matches!(e.kind, EventKind::PointHit { point: "delay.pre" }))
+            .count();
+        assert_eq!(hits, 2);
         let fired: Vec<_> = events
             .iter()
             .filter_map(|e| match e.kind {

@@ -220,7 +220,7 @@ fn simulation_is_deterministic() {
 /// finite round/register budget.
 #[test]
 fn bounded_consensus_decides_within_promise() {
-    use tfr::core::bounded::BoundedConsensusSpec;
+    use tfr::core::bounded::rounds_for_bound;
     use tfr::sim::timing::{FailureWindows, Window};
     let mut rng = SplitMix64::new(0x5EED_0006);
     for case in 0..48 {
@@ -231,7 +231,9 @@ fn bounded_consensus_decides_within_promise() {
         let d = Delta::from_ticks(100);
         let bound = Ticks(d.ticks().0 * bound_deltas);
         let inputs: Vec<bool> = (0..3).map(|i| (inputs_seed >> i) & 1 == 1).collect();
-        let spec = BoundedConsensusSpec::new(inputs.clone(), bound, d);
+        let spec = ConsensusSpec::new(inputs.clone())
+            .with_delta(d.ticks())
+            .max_rounds(rounds_for_bound(bound, d));
         let model = FailureWindows::new(
             UniformAccess::new(Ticks(10), d.ticks(), timing_seed),
             vec![Window {
@@ -367,10 +369,11 @@ fn rng_chi_square_uniformity() {
     }
 }
 
-/// AAT baseline safety matches Algorithm 1 under the same adversaries.
+/// Algorithm 1 with the time-adaptive doubling schedule of \[3\] (AAT) is
+/// as safe as with a fixed Δ, under the same adversaries.
 #[test]
 fn aat_safety_under_arbitrary_timing() {
-    use tfr_baselines::aat::{AatConsensusSpec, DelaySchedule};
+    use tfr::core::consensus::DelaySchedule;
     let mut rng = SplitMix64::new(0x5EED_0008);
     for case in 0..48 {
         let n = rng.random_range(1..=4) as usize;
@@ -381,8 +384,9 @@ fn aat_safety_under_arbitrary_timing() {
         let d = Delta::from_ticks(100);
         let inputs: Vec<bool> = (0..n).map(|i| (inputs_seed >> (i % 64)) & 1 == 1).collect();
         let valid: Vec<u64> = inputs.iter().map(|&b| b as u64).collect();
-        let spec =
-            AatConsensusSpec::new(inputs, DelaySchedule::doubling(Ticks(initial))).max_rounds(30);
+        let spec = ConsensusSpec::new(inputs)
+            .with_schedule(DelaySchedule::doubling(Ticks(initial)))
+            .max_rounds(30);
         let model = UniformAccess::new(Ticks(10), Ticks(hi), timing_seed);
         let config = RunConfig::new(n, d).max_steps(100_000);
         let result = Sim::new(spec, config, model).run();
