@@ -87,7 +87,7 @@ pub struct CompiledViolation {
 /// spec-form lock on register `x`) into a native fault schedule.
 ///
 /// `delta` is the native lock's Δ — the timeline charges it for each
-/// in-protocol `delay` step. Keep it well under [`SWITCH_MARGIN`] so the
+/// in-protocol `delay` step. Keep it well under the private `SWITCH_MARGIN` so the
 /// protocol's own waiting never outruns the ordering stalls (the
 /// sub-millisecond Δs used across this workspace all qualify).
 ///

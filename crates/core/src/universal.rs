@@ -38,7 +38,10 @@
 //! replays the decided log incrementally (the per-op full scans of the
 //! old `invoke` path became per-*proposal* scans; a quiet object costs a
 //! session one register read per poll). [`Universal::invoke`] remains as
-//! the compatible one-shot wrapper.
+//! the compatible one-shot wrapper. A session is a machine that waits on
+//! one group of register accesses at a time, so a caller that drives
+//! several objects over one space (the sharded service) can send their
+//! groups together, in shared rounds (see [`Session`]).
 //!
 //! # Register groups
 //!
@@ -145,14 +148,17 @@
 //! stay single reads: they touch one cell or none at the process counts
 //! the service runs.
 
-use crate::driver::Driver;
-use crate::election_spec::ElectionSpec;
+pub use crate::driver::{seen, Between, Group};
+use crate::driver::{Driver, Hand, Mapped, Serve, Sink, Step};
+use crate::election_spec::{ElectionSpec, ElectionState};
 use std::sync::Arc;
 use std::time::Duration;
 use tfr_registers::chaos;
+use tfr_registers::native::precise_delay;
 use tfr_registers::space::{
     Access, NativeSpace, RegisterSpace, RegisterSpaceExt, SubSpace, WriteKind,
 };
+use tfr_registers::spec::Obs;
 use tfr_registers::{ProcId, Ticks};
 use tfr_telemetry::{Span, Trace};
 
@@ -258,6 +264,13 @@ impl<S: RegisterSpace> MultiConsensus<S> {
         Access::read_run(result, top - result, cells)
     }
 
+    /// A read of `result` as an access of this object's space, into
+    /// `cell`: [`MultiConsensus::decision`]'s read, for a caller that
+    /// sends it itself.
+    pub(crate) fn result_access<'a>(&self, cell: &'a mut [u64; 1]) -> Access<'a> {
+        Access::read_run(self.driver.spec.result_reg().0, 1, cell)
+    }
+
     /// Proposes `value` (or, if an earlier call by `pid` already
     /// announced one, that standing value); blocks until the common
     /// decision is known and returns it. Wait-free once timing
@@ -300,7 +313,7 @@ impl<S: RegisterSpace> MultiConsensus<S> {
         }
     }
 
-    fn check(&self, pid: ProcId, value: u64) {
+    pub(crate) fn check(&self, pid: ProcId, value: u64) {
         assert!(pid.0 < self.driver.spec.n(), "pid out of range");
         assert!(value < 1u64 << self.width, "value exceeds width");
     }
@@ -629,28 +642,31 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     }
 
     /// `access`, made in `region`'s coordinates, lifted into those of the
-    /// space the regions tile: how a [`Session`] sends accesses to
-    /// several regions as one group ([`Universal::access_all`]).
+    /// space the regions tile ([`Universal::space`]): how a [`Session`]
+    /// sends accesses to several regions as one group.
     #[inline(always)]
     fn lift<'a>(&self, region: Region, mut access: Access<'a>) -> Access<'a> {
         match region {
             Region::Announce => self.announce.lift(&mut access),
             Region::Arena => self.arena.lift(&mut access),
-            Region::Slot(s) => {
-                // Slot `s`'s space is a tile of region 2.
-                let view = &*self.slots[s].driver.space;
-                view.lift(&mut access);
-                view.inner().lift(&mut access);
-            }
+            Region::Slot(s) => self.lift_slot(s, &mut access),
         }
         access
     }
 
-    /// Serves a group of accesses lifted by [`Universal::lift`] on the
-    /// space the regions tile.
+    /// Lifts `access`, made in slot `s`'s coordinates, in place.
     #[inline(always)]
-    fn access_all(&self, group: &mut [Access<'_>]) {
-        self.announce.inner().access_all(group)
+    fn lift_slot(&self, s: usize, access: &mut Access<'_>) {
+        // Slot `s`'s space is a tile of region 2.
+        let view = &*self.slots[s].driver.space;
+        view.lift(access);
+        view.inner().lift(access);
+    }
+
+    /// The register space the object was built on: the coordinates of a
+    /// [`Session::group`].
+    pub fn space(&self) -> &S {
+        self.announce.inner()
     }
 
     #[inline]
@@ -694,6 +710,10 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
             responses: Vec::new(),
             commits: Vec::new(),
             scratch: Vec::new(),
+            phase: Phase::Idle,
+            proposing: false,
+            obs: Vec::new(),
+            consensus: None,
         }
     }
 
@@ -794,6 +814,30 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
 /// The session replays incrementally — it remembers the last slot it
 /// applied, so polling a quiet object costs one register read. Created
 /// by [`Universal::session`].
+///
+/// # A machine of groups
+///
+/// Announcing, probing, publishing, the election and applying are the
+/// states of one machine, which waits on one group of register accesses
+/// at a time. [`Session::announce_burst`], [`Session::drive_pending`] and
+/// [`Session::catch_up`] are thin loops over it, on the object's own
+/// space. A caller that drives several objects over one space (a service
+/// worker with several busy shards) runs the machine itself:
+///
+/// 1. [`Session::start_announce`] or [`Session::start_drive`] sets it
+///    going;
+/// 2. [`Session::wait`] says what it waits on: a group, `delay(Δ)`, or
+///    nothing, once it is done;
+/// 3. [`Session::group`] hands out the group's accesses, in the
+///    coordinates of the object's space ([`Universal::space`]); the
+///    caller may send them with other sessions' groups in one
+///    [`RegisterSpace::access_all`] call, or wait out a delay while
+///    serving others;
+/// 4. [`Session::resume`] takes the results back and runs the machine to
+///    what it waits on next.
+///
+/// Every group is what the thin loops send, in the same order, so a
+/// session's accesses do not depend on who serves them.
 pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     uni: &'u Universal<T, S>,
     pid: ProcId,
@@ -824,14 +868,111 @@ pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     responses: Vec<(u64, u64)>,
     /// Batches observed committed during this session's replay.
     commits: Vec<CommittedBatch>,
-    /// Reused buffer for the register runs of announcing, publishing and
-    /// applying, so that a decision allocates nothing once it has grown.
-    /// Between `publish_batch` and the apply of its slot it holds the
-    /// published record, `[len, entries…]`.
+    /// Reused buffer for the register runs of publishing and applying, so
+    /// that a decision allocates nothing once it has grown. From
+    /// `publish_batch` to the apply of its slot it holds the published
+    /// record, `[len, entries…]`; while a slot is applied, the record and
+    /// then the payloads of its entries.
     scratch: Vec<u64>,
+    /// Where the machine is, and the buffers of the group it waits on.
+    phase: Phase,
+    /// Whether the slot loop proposes at an undecided slot
+    /// (`drive_pending`) or stops there (`catch_up`).
+    proposing: bool,
+    /// The election's events, reused across steps.
+    obs: Vec<Obs>,
+    /// The `"consensus"` span around the proposal in progress.
+    consensus: Option<Span<'u>>,
 }
 
-impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
+/// What a [`Session`] waits on ([`Session::wait`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// The group [`Session::group`] hands out; a conditional write in it
+    /// fires this point between its read and its write.
+    Group(Between),
+    /// `delay(Δ)`: call [`Session::resume`] once at least this long has
+    /// passed.
+    Delay(Duration),
+    /// Nothing: the last call is done.
+    Done,
+}
+
+/// Slot `s`'s election, proposing `proposal`, stepped by a [`Session`]'s
+/// machine when its caller multiplexes sessions: its state, the step it
+/// waits on, and its decision once a step has made it.
+struct Election {
+    s: usize,
+    proposal: u64,
+    state: ElectionState,
+    step: Step,
+    decided: Option<u64>,
+}
+
+/// The states of a [`Session`]'s machine that wait on a group (or a
+/// delay), with the buffers the group reads into or writes from.
+enum Phase {
+    Idle,
+    /// The payload run of `own_payloads[from..]`, from sequence number
+    /// `first`.
+    Payloads {
+        from: usize,
+        first: u64,
+    },
+    /// The announce counter, with the probe of slot `s` if there is one.
+    Counter {
+        count: [u64; 1],
+        probe: Option<(usize, [u64; 2])>,
+    },
+    /// Slot `s`'s probe, read before proposing.
+    Probe {
+        s: usize,
+        cells: [u64; 2],
+    },
+    /// Slot `s`'s `result`, read by a catch-up.
+    Result {
+        s: usize,
+        cell: [u64; 1],
+    },
+    /// The combiner's read of the announce counter of process
+    /// `(s + off) mod n`.
+    Scan {
+        s: usize,
+        probe: Probe,
+        off: usize,
+        cell: [u64; 1],
+    },
+    /// The record in `scratch` and the arena mark, published at `offset`.
+    Publish {
+        s: usize,
+        probe: Probe,
+        offset: u64,
+        mark: [u64; 1],
+    },
+    /// A step of an election.
+    Elect(Box<Election>),
+    /// The length of the record slot `s` decided.
+    Length {
+        s: usize,
+        decided: u64,
+        cell: [u64; 1],
+    },
+    /// The entries of the record slot `s` decided.
+    Entries {
+        s: usize,
+        decided: u64,
+    },
+    /// The payloads of the decided record's entries `start..end`.
+    Stretch {
+        s: usize,
+        decided: u64,
+        own: bool,
+        start: usize,
+        end: usize,
+    },
+}
+
+impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// This session's process id.
     pub fn pid(&self) -> ProcId {
         self.pid
@@ -870,41 +1011,8 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     ///
     /// Panics if `ops` is empty or an op is `u64::MAX`.
     pub fn announce_burst(&mut self, ops: &[u64]) -> u64 {
-        assert!(!ops.is_empty(), "announce at least one op");
-        chaos::point(chaos::points::UNIVERSAL_ANNOUNCE);
-        let first = self.announced;
-        let payloads_from = self.own_payloads.len();
-        self.own_payloads.extend(ops.iter().map(|&op| {
-            assert!(op < u64::MAX, "op encoding must leave room for +1");
-            op + 1
-        }));
-        let uni = self.uni;
-        uni.announce.write_run_owned(
-            uni.idx_op(self.pid.0, first),
-            uni.n as u64,
-            &self.own_payloads[payloads_from..],
-        );
-        self.announced = first + ops.len() as u64;
-        let count = [self.announced];
-        let counter = uni.lift(
-            Region::Announce,
-            Access::write_run(
-                Universal::<T, S>::idx_announced(self.pid.0),
-                1,
-                &count,
-                WriteKind::Owned,
-            ),
-        );
-        let s = self.next_slot;
-        let Some(slot) = uni.slots.get(s) else {
-            // Past the last slot there is nothing to probe.
-            uni.access_all(&mut [counter]);
-            return first;
-        };
-        let mut cells = [0; 2];
-        let probe = uni.lift(Region::Slot(s), slot.probe_access(&mut cells));
-        uni.access_all(&mut [counter, probe]);
-        self.probe = Some((s, Probe::from_cells(cells)));
+        let first = self.start_announce(ops);
+        self.finish();
         first
     }
 
@@ -918,43 +1026,294 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     ///
     /// Panics if the slot capacity is exhausted first.
     pub fn drive_pending(&mut self) {
-        while self.done[self.pid.0] < self.announced {
-            assert!(
-                self.next_slot < self.uni.capacity,
-                "universal object capacity exhausted before the operation was linearized"
-            );
-            let s = self.next_slot;
-            let probe = match self.probe.take() {
-                Some((slot, probe)) if slot == s => probe,
-                _ => self.uni.slots[s].probe(),
-            };
-            let (decided, own) = match probe.decision() {
-                Some(d) => (d, false),
-                None => {
-                    chaos::point(chaos::points::UNIVERSAL_COMBINE);
-                    let _consensus = Span::enter(&self.uni.trace, "consensus");
-                    let offset = self.publish_batch(s);
-                    let proposal = Universal::<T, S>::pack(self.pid.0, offset);
-                    let standing = std::mem::take(&mut self.standing);
-                    let decided =
-                        self.uni.slots[s].propose_probed(self.pid, proposal, probe, standing);
-                    // Equal only if this very record won: a predecessor
-                    // incarnation's standing proposal names an offset
-                    // below the mark this session started from.
-                    (decided, decided == proposal)
-                }
-            };
-            self.apply_slot(s, decided, own);
-        }
+        self.start_drive();
+        self.finish();
     }
 
     /// Replays every already-decided slot without proposing anything —
     /// a pure reader's catch-up.
     pub fn catch_up(&mut self) {
-        while self.next_slot < self.uni.capacity {
-            match self.uni.slots[self.next_slot].decision() {
-                Some(d) => self.apply_slot(self.next_slot, d, false),
-                None => break,
+        self.start(false);
+        self.finish();
+    }
+
+    /// Sets [`Session::announce_burst`] going on the machine and returns
+    /// the burst's first sequence number; nothing is sent until the
+    /// caller serves the groups (see [`Session`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is not done with its last call, `ops` is
+    /// empty, or an op is `u64::MAX`.
+    pub fn start_announce(&mut self, ops: &[u64]) -> u64 {
+        assert!(matches!(self.phase, Phase::Idle), "one call at a time");
+        assert!(!ops.is_empty(), "announce at least one op");
+        chaos::point(chaos::points::UNIVERSAL_ANNOUNCE);
+        let first = self.announced;
+        let from = self.own_payloads.len();
+        self.own_payloads.extend(ops.iter().map(|&op| {
+            assert!(op < u64::MAX, "op encoding must leave room for +1");
+            op + 1
+        }));
+        self.announced = first + ops.len() as u64;
+        self.phase = Phase::Payloads { from, first };
+        first
+    }
+
+    /// Sets [`Session::drive_pending`] going on the machine (see
+    /// [`Session`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is not done with its last call, or if the
+    /// slot capacity is exhausted before every own op is applied (when
+    /// the machine reaches that slot).
+    pub fn start_drive(&mut self) {
+        self.start(true);
+    }
+
+    fn start(&mut self, proposing: bool) {
+        assert!(matches!(self.phase, Phase::Idle), "one call at a time");
+        self.proposing = proposing;
+        self.advance();
+    }
+
+    /// What the machine waits on.
+    pub fn wait(&self) -> Wait {
+        match &self.phase {
+            Phase::Idle => Wait::Done,
+            Phase::Elect(election) if election.step.is_delay() => {
+                Wait::Delay(self.uni.slots[election.s].driver.delta)
+            }
+            Phase::Elect(election) => Wait::Group(election.step.between()),
+            _ => Wait::Group(Between::NONE),
+        }
+    }
+
+    /// The group the machine waits on, in the coordinates of the object's
+    /// space ([`Universal::space`]), with `between` as its conditional
+    /// write's (see [`Wait::Group`]); empty unless it waits on a group.
+    pub fn group<'a>(&'a mut self, between: &'a mut dyn FnMut()) -> Group<'a> {
+        self.accesses(between, Hand)
+    }
+
+    /// Hands the group the machine waits on to `sink` ([`Session::group`]).
+    #[inline(always)]
+    fn accesses<'a, K: Sink<'a>>(&'a mut self, between: &'a mut dyn FnMut(), sink: K) -> K::Out {
+        let uni = self.uni;
+        let (pid, n) = (self.pid.0, uni.n as u64);
+        match &mut self.phase {
+            Phase::Idle => sink.none(),
+            Phase::Payloads { from, first } => sink.one(uni.lift(
+                Region::Announce,
+                Access::write_run(
+                    uni.idx_op(pid, *first),
+                    n,
+                    &self.own_payloads[*from..],
+                    WriteKind::Owned,
+                ),
+            )),
+            Phase::Counter { count, probe } => {
+                let counter = uni.lift(
+                    Region::Announce,
+                    Access::write_run(
+                        Universal::<T, S>::idx_announced(pid),
+                        1,
+                        count,
+                        WriteKind::Owned,
+                    ),
+                );
+                match probe {
+                    // Past the last slot there is nothing to probe.
+                    None => sink.one(counter),
+                    Some((s, cells)) => sink.two(
+                        counter,
+                        uni.lift(Region::Slot(*s), uni.slots[*s].probe_access(cells)),
+                    ),
+                }
+            }
+            Phase::Probe { s, cells } => {
+                sink.one(uni.lift(Region::Slot(*s), uni.slots[*s].probe_access(cells)))
+            }
+            Phase::Result { s, cell } => {
+                sink.one(uni.lift(Region::Slot(*s), uni.slots[*s].result_access(cell)))
+            }
+            Phase::Scan { s, off, cell, .. } => {
+                let p = (*s + *off) % uni.n;
+                sink.one(uni.lift(
+                    Region::Announce,
+                    Access::read_run(Universal::<T, S>::idx_announced(p), 1, cell),
+                ))
+            }
+            Phase::Publish { offset, mark, .. } => sink.two(
+                uni.lift(
+                    Region::Arena,
+                    Access::write_run(
+                        uni.idx_arena(pid, *offset),
+                        n,
+                        &self.scratch,
+                        WriteKind::Owned,
+                    ),
+                ),
+                uni.lift(
+                    Region::Announce,
+                    Access::write_run(
+                        Universal::<T, S>::idx_arena_mark(pid),
+                        1,
+                        mark,
+                        WriteKind::Owned,
+                    ),
+                ),
+            ),
+            Phase::Elect(election) => {
+                let s = election.s;
+                let map = move |access: &mut Access<'a>| uni.lift_slot(s, access);
+                election.step.accesses(between, Mapped { map, to: sink })
+            }
+            Phase::Length { decided, cell, .. } => {
+                let (q, offset) = Universal::<T, S>::unpack(*decided);
+                sink.one(uni.lift(
+                    Region::Arena,
+                    Access::read_run(uni.idx_arena(q, offset), 1, cell),
+                ))
+            }
+            Phase::Entries { decided, .. } => {
+                let (q, offset) = Universal::<T, S>::unpack(*decided);
+                sink.one(uni.lift(
+                    Region::Arena,
+                    Access::read_run(uni.idx_arena(q, offset + 1), n, &mut self.scratch[1..]),
+                ))
+            }
+            Phase::Stretch { start, end, .. } => {
+                let len = self.scratch[0] as usize;
+                let (entries, payloads) = self.scratch[1..].split_at_mut(len);
+                let (p, seq) = split_entry(entries[*start]);
+                sink.one(uni.lift(
+                    Region::Announce,
+                    Access::read_run(uni.idx_op(p, seq), n, &mut payloads[*start..*end]),
+                ))
+            }
+        }
+    }
+
+    /// Takes back the group the machine waited on, served — `seen` being
+    /// what its conditional write read ([`seen`]) — or the delay,
+    /// waited out, and runs the machine to what it waits on next.
+    pub fn resume(&mut self, seen: u64) {
+        self.resume_with(seen, false)
+    }
+
+    /// [`Session::resume`]; `alone` when the caller serves this session
+    /// alone, on the object's own space ([`Session::finish`]). Then an
+    /// election runs whole, as [`MultiConsensus::propose_probed`] on the
+    /// slot's space: the same groups, sent by the driver's own loop,
+    /// whose steps fold into the plain accesses they stand for.
+    #[inline(always)]
+    fn resume_with(&mut self, seen: u64, alone: bool) {
+        match std::mem::replace(&mut self.phase, Phase::Idle) {
+            Phase::Idle => {}
+            Phase::Payloads { .. } => {
+                self.phase = Phase::Counter {
+                    count: [self.announced],
+                    probe: (self.next_slot < self.uni.capacity).then_some((self.next_slot, [0; 2])),
+                }
+            }
+            Phase::Counter { probe, .. } => {
+                if let Some((s, cells)) = probe {
+                    self.probe = Some((s, Probe::from_cells(cells)));
+                }
+            }
+            Phase::Probe { s, cells } => self.decide(s, Probe::from_cells(cells)),
+            Phase::Result { s, cell: [result] } => {
+                if let Some(decided) = result.checked_sub(1) {
+                    self.apply(s, decided, false)
+                }
+            }
+            Phase::Scan {
+                s,
+                probe,
+                off,
+                cell: [high],
+            } => {
+                let p = (s + off) % self.uni.n;
+                if self.combine(p, high) {
+                    self.scan(s, probe, off + 1)
+                } else {
+                    self.publish(s, probe)
+                }
+            }
+            Phase::Publish {
+                s, probe, offset, ..
+            } => {
+                let proposal = Universal::<T, S>::pack(self.pid.0, offset);
+                let slot = &self.uni.slots[s];
+                let standing = std::mem::take(&mut self.standing);
+                if alone {
+                    let decided = slot.propose_probed(self.pid, proposal, probe, standing);
+                    return self.elected(s, proposal, decided);
+                }
+                slot.check(self.pid, proposal);
+                let mut state =
+                    (slot.driver.spec).start(self.pid, proposal, standing, Some(probe.decide));
+                let step = slot.driver.next(&mut state, &mut self.obs);
+                self.elect(Box::new(Election {
+                    s,
+                    proposal,
+                    state,
+                    step,
+                    decided: None,
+                }));
+            }
+            Phase::Elect(mut election) => {
+                let driver = &self.uni.slots[election.s].driver;
+                let Election {
+                    state,
+                    step,
+                    decided,
+                    ..
+                } = &mut *election;
+                step.served(seen);
+                driver.resume(state, step, &mut self.obs);
+                *decided = driver.events(&mut self.obs).or(*decided);
+                *step = driver.next(state, &mut self.obs);
+                self.elect(election);
+            }
+            Phase::Length {
+                s,
+                decided,
+                cell: [len],
+            } => {
+                self.scratch.clear();
+                self.scratch.push(len);
+                self.scratch.resize(1 + len as usize, 0);
+                self.phase = Phase::Entries { s, decided };
+            }
+            Phase::Entries { s, decided } => self.stretches(s, decided, false, 0),
+            Phase::Stretch {
+                s,
+                decided,
+                own,
+                end,
+                ..
+            } => self.stretches(s, decided, own, end),
+        }
+    }
+
+    /// Serves every group the machine waits on, on the object's own
+    /// space, and waits out its delays, until it is done.
+    pub fn finish(&mut self) {
+        let uni = self.uni;
+        loop {
+            match self.wait() {
+                Wait::Group(between) => {
+                    let seen = self.accesses(&mut || between.fire(), Serve(uni.space()));
+                    self.resume_with(seen, true);
+                }
+                Wait::Delay(delta) => {
+                    precise_delay(delta);
+                    self.resume_with(0, true);
+                }
+                Wait::Done => return,
             }
         }
     }
@@ -972,8 +1331,89 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
         self.commits.drain(..)
     }
 
-    /// Builds a batch of pending announced ops for slot `s`, publishes
-    /// its record in the own arena, and returns the record's offset.
+    /// The slot loop: the next slot's probe (or, for a catch-up, its
+    /// `result`), unless the loop is done.
+    fn advance(&mut self) {
+        let s = self.next_slot;
+        if !self.proposing {
+            if s < self.uni.capacity {
+                self.phase = Phase::Result { s, cell: [0] };
+            }
+            return;
+        }
+        if self.done[self.pid.0] >= self.announced {
+            return;
+        }
+        assert!(
+            s < self.uni.capacity,
+            "universal object capacity exhausted before the operation was linearized"
+        );
+        match self.probe.take() {
+            Some((slot, probe)) if slot == s => self.decide(s, probe),
+            _ => self.phase = Phase::Probe { s, cells: [0; 2] },
+        }
+    }
+
+    /// Applies slot `s` if `probe` saw it decided, and otherwise starts
+    /// the combiner: builds a batch of pending announced ops for it, from
+    /// a scan of the announce counters, publishes its record in the own
+    /// arena (see `publish`) and proposes it.
+    fn decide(&mut self, s: usize, probe: Probe) {
+        if let Some(decided) = probe.decision() {
+            return self.apply(s, decided, false);
+        }
+        chaos::point(chaos::points::UNIVERSAL_COMBINE);
+        self.consensus = Some(Span::enter(&self.uni.trace, "consensus"));
+        // The record being built: `len` (patched by `publish`), then the
+        // entries.
+        self.scratch.clear();
+        self.scratch.push(0);
+        self.scan(s, probe, 0);
+    }
+
+    /// Combines with rotating priority: scans announce counters starting
+    /// at process s mod n, so every process's oldest pending op leads the
+    /// batch at one slot in every n — the helping rule that makes the
+    /// construction wait-free, now at batch granularity. Its own counter
+    /// the session knows; every other one it reads (`Phase::Scan`).
+    fn scan(&mut self, s: usize, probe: Probe, mut off: usize) {
+        let n = self.uni.n;
+        while off < n {
+            let p = (s + off) % n;
+            if p != self.pid.0 {
+                self.phase = Phase::Scan {
+                    s,
+                    probe,
+                    off,
+                    cell: [0],
+                };
+                return;
+            }
+            if !self.combine(p, self.announced) {
+                break;
+            }
+            off += 1;
+        }
+        self.publish(s, probe)
+    }
+
+    /// Appends process `p`'s pending ops below `high` to the record;
+    /// false once the record is full and the scan ends.
+    fn combine(&mut self, p: usize, high: u64) -> bool {
+        let record = &mut self.scratch;
+        let mut seq = self.done[p];
+        while seq < high {
+            if record.len() > self.uni.max_batch {
+                return false;
+            }
+            record.push((((p as u64) << ENTRY_PID_SHIFT) | seq) + 1);
+            seq += 1;
+        }
+        true
+    }
+
+    /// Publishes the record built in `scratch` for slot `s` in the own
+    /// arena, at the arena mark.
     ///
     /// The record — the length cell and the entries — goes out as one
     /// register run, in one group with the arena mark: owned writes, with
@@ -985,63 +1425,44 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     /// unreferenced record that its next incarnation, reading the old
     /// mark, overwrites. The record stays in `scratch` for the own-batch
     /// apply.
-    fn publish_batch(&mut self, s: usize) -> u64 {
-        let uni = self.uni;
+    fn publish(&mut self, s: usize, probe: Probe) {
         let offset = self.arena_mark;
-        // The record being built: `len` (patched below), then the entries.
-        let record = &mut self.scratch;
-        record.clear();
-        record.push(0);
-        // Combine with rotating priority: scan announce counters starting
-        // at process s mod n, so every process's oldest pending op leads
-        // the batch at one slot in every n — the helping rule that makes
-        // the construction wait-free, now at batch granularity.
-        'scan: for off in 0..uni.n {
-            let p = (s + off) % uni.n;
-            let high = if p == self.pid.0 {
-                self.announced
-            } else {
-                uni.announce.read(Universal::<T, S>::idx_announced(p))
-            };
-            let mut seq = self.done[p];
-            while seq < high {
-                if record.len() > uni.max_batch {
-                    break 'scan;
-                }
-                record.push((((p as u64) << ENTRY_PID_SHIFT) | seq) + 1);
-                seq += 1;
-            }
-        }
-        let len = record.len() as u64 - 1;
+        let len = self.scratch.len() as u64 - 1;
         debug_assert!(len > 0, "the combiner only runs with own ops pending");
         assert!(
             offset + len + 1 < 1 << ARENA_BITS,
             "per-process batch arena exhausted"
         );
-        record[0] = len;
+        self.scratch[0] = len;
         self.arena_mark = offset + 1 + len;
-        let mark = [self.arena_mark];
-        uni.access_all(&mut [
-            uni.lift(
-                Region::Arena,
-                Access::write_run(
-                    uni.idx_arena(self.pid.0, offset),
-                    uni.n as u64,
-                    record,
-                    WriteKind::Owned,
-                ),
-            ),
-            uni.lift(
-                Region::Announce,
-                Access::write_run(
-                    Universal::<T, S>::idx_arena_mark(self.pid.0),
-                    1,
-                    &mark,
-                    WriteKind::Owned,
-                ),
-            ),
-        ]);
-        offset
+        self.phase = Phase::Publish {
+            s,
+            probe,
+            offset,
+            mark: [self.arena_mark],
+        };
+    }
+
+    /// Waits on `election`'s next step or, once it has halted, applies its
+    /// decision.
+    fn elect(&mut self, election: Box<Election>) {
+        if !election.step.halted() {
+            self.phase = Phase::Elect(election);
+            return;
+        }
+        let decided =
+            (election.decided).expect("an election with unbounded rounds ends only in a decision");
+        self.elected(election.s, election.proposal, decided)
+    }
+
+    /// Closes the proposal of `proposal` at slot `s`, which decided
+    /// `decided`, and applies the decision.
+    fn elected(&mut self, s: usize, proposal: u64, decided: u64) {
+        self.consensus = None;
+        // Equal only if this very record won: a predecessor
+        // incarnation's standing proposal names an offset below the mark
+        // this session started from.
+        self.apply(s, decided, decided == proposal)
     }
 
     /// Applies the batch decided at slot `s` to the replayed state.
@@ -1049,60 +1470,70 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
     /// The record is read back — the length, then the entries as one
     /// register run — unless `own` says this session's own proposal won
     /// the slot: then `scratch` still holds the very record it published
-    /// (see `publish_batch`). The payloads follow as one run per stretch
+    /// (see `publish`). The payloads follow as one run per stretch
     /// of consecutive entries of one process (a stretch is consecutive
     /// sequence numbers, hence a strided run of that process's payload
     /// cells). For an own batch, a stretch of ops this session announced
     /// comes from memory instead; a stretch of another process's ops, or
     /// one that starts among a predecessor incarnation's, is read whole.
-    fn apply_slot(&mut self, s: usize, decided: u64, own: bool) {
-        let uni = self.uni;
-        let (q, offset) = Universal::<T, S>::unpack(decided);
-        if !own {
-            let len = uni.arena.read(uni.idx_arena(q, offset));
-            self.scratch.clear();
-            self.scratch.push(len);
-            self.scratch.resize(1 + len as usize, 0);
-            uni.arena.read_run(
-                uni.idx_arena(q, offset + 1),
-                uni.n as u64,
-                &mut self.scratch[1..],
-            );
+    fn apply(&mut self, s: usize, decided: u64, own: bool) {
+        if own {
+            self.stretches(s, decided, true, 0)
+        } else {
+            self.phase = Phase::Length {
+                s,
+                decided,
+                cell: [0],
+            }
         }
+    }
+
+    /// Fills in the payloads of the decided record's entries from
+    /// `start` on: from memory where it can, and otherwise by reading the
+    /// next stretch (`Phase::Stretch`). Once every payload is in, applies
+    /// the batch and moves to the next slot.
+    fn stretches(&mut self, s: usize, decided: u64, own: bool, mut start: usize) {
         let len = self.scratch[0] as usize;
         debug_assert!(
-            len >= 1 && len <= uni.max_batch,
+            len >= 1 && len <= self.uni.max_batch,
             "a decided batch record is published before its proposal"
         );
         self.scratch.resize(1 + 2 * len, 0);
         let (entries, payloads) = self.scratch[1..].split_at_mut(len);
-        let split = |raw: u64| {
-            debug_assert!(raw != 0, "committed batch entries are published");
-            let entry = raw - 1;
-            let p = (entry >> ENTRY_PID_SHIFT) as usize;
-            (p, entry & ((1 << ENTRY_PID_SHIFT) - 1))
-        };
         // Own ops from this sequence number on are in `own_payloads`.
         let remembered = self.announced - self.own_payloads.len() as u64;
-        let mut start = 0;
         while start < len {
             let mut end = start + 1;
             while end < len && entries[end] == entries[end - 1] + 1 {
                 end += 1;
             }
-            let (p, seq) = split(entries[start]);
-            let stretch = &mut payloads[start..end];
-            if own && p == self.pid.0 && seq >= remembered {
-                let from = (seq - remembered) as usize;
-                stretch.copy_from_slice(&self.own_payloads[from..from + stretch.len()]);
-            } else {
-                uni.announce
-                    .read_run(uni.idx_op(p, seq), uni.n as u64, stretch);
+            let (p, seq) = split_entry(entries[start]);
+            if !(own && p == self.pid.0 && seq >= remembered) {
+                self.phase = Phase::Stretch {
+                    s,
+                    decided,
+                    own,
+                    start,
+                    end,
+                };
+                return;
             }
+            let from = (seq - remembered) as usize;
+            payloads[start..end].copy_from_slice(&self.own_payloads[from..from + end - start]);
             start = end;
         }
+        self.commit(s, decided);
+    }
+
+    /// Applies the batch slot `s` decided, whose record and payloads are
+    /// in `scratch`, and moves the slot loop on.
+    fn commit(&mut self, s: usize, decided: u64) {
+        let uni = self.uni;
+        let (q, offset) = Universal::<T, S>::unpack(decided);
+        let len = self.scratch[0] as usize;
+        let (entries, payloads) = self.scratch[1..].split_at(len);
         for (&raw, &payload) in entries.iter().zip(payloads.iter()) {
-            let (p, seq) = split(raw);
+            let (p, seq) = split_entry(raw);
             debug_assert_eq!(
                 seq, self.done[p],
                 "batch entries extend each process's committed prefix"
@@ -1127,7 +1558,17 @@ impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
             size: len,
         });
         self.next_slot = s + 1;
+        self.advance();
     }
+}
+
+/// A committed batch entry's `(pid, seq)`.
+#[inline]
+fn split_entry(raw: u64) -> (usize, u64) {
+    debug_assert!(raw != 0, "committed batch entries are published");
+    let entry = raw - 1;
+    let p = (entry >> ENTRY_PID_SHIFT) as usize;
+    (p, entry & ((1 << ENTRY_PID_SHIFT) - 1))
 }
 
 // ---------------------------------------------------------------------
@@ -1989,6 +2430,69 @@ mod tests {
             assert_eq!(control.quorum_rounds() - before, want);
         }
         assert_eq!(obj.snapshot(), 3);
+    }
+
+    /// Serves `sessions` of one object by hand, one group per session per
+    /// step, in lockstep, and returns how many `delay(Δ)`s they waited out.
+    fn lockstep<S: RegisterSpace>(
+        obj: &Universal<Counter, S>,
+        sessions: &mut [&mut Session<'_, Counter, S>],
+    ) -> usize {
+        let mut delays = 0;
+        loop {
+            let mut moved = false;
+            for session in sessions.iter_mut() {
+                match session.wait() {
+                    Wait::Done => continue,
+                    Wait::Delay(delta) => {
+                        std::thread::sleep(delta);
+                        delays += 1;
+                        session.resume(0);
+                    }
+                    Wait::Group(between) => {
+                        let mut between = move || between.fire();
+                        let mut group: Vec<_> =
+                            session.group(&mut between).into_accesses().collect();
+                        obj.space().access_all(&mut group);
+                        let seen = seen(&group);
+                        drop(group);
+                        session.resume(seen);
+                    }
+                }
+                moved = true;
+            }
+            if !moved {
+                return delays;
+            }
+        }
+    }
+
+    /// Two sessions of one object, their machines stepped by hand one group
+    /// at a time in lockstep, both combine at slot 0 and contend in its pid
+    /// election: each writes its `x` before reading the other's, so both
+    /// reach Algorithm 1's `delay(Δ)` ([`Wait::Delay`]). Resumed after it,
+    /// they agree on process 0's batch, which holds both ops.
+    #[test]
+    fn lockstep_sessions_meet_at_a_delay_and_agree() {
+        let obj = Universal::new(Counter, 2, 4, Duration::from_micros(5));
+        let (mut a, mut b) = (obj.session(ProcId(0)), obj.session(ProcId(1)));
+        a.announce(1);
+        b.announce(2);
+        a.start_drive();
+        b.start_drive();
+        assert_eq!(lockstep(&obj, &mut [&mut a, &mut b]), 2, "both delay once");
+        let winners: Vec<_> = a
+            .take_commits()
+            .map(|c| (c.slot, c.proposer, c.size))
+            .collect();
+        assert_eq!(winners, [(0, ProcId(0), 2)]);
+        assert_eq!(
+            b.take_commits().map(|c| c.proposer).collect::<Vec<_>>(),
+            [ProcId(0)]
+        );
+        assert_eq!(a.take_responses().collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(b.take_responses().collect::<Vec<_>>(), [(0, 3)]);
+        assert!(obj.audit().complete());
     }
 
     #[test]

@@ -11,38 +11,38 @@
 //!
 //! # Pieces
 //!
-//! * [`history`] — a lock-free [`Recorder`](history::Recorder)
+//! * [`history`] — a lock-free [`Recorder`]
 //!   (per-process single-writer buffers + one global atomic clock) and
-//!   the [`History`](history::History) it merges at quiescence. A driver
+//!   the [`History`] it merges at quiescence. A driver
 //!   records an operation by calling `invoke` before it and `response`
 //!   after it, on the thread that runs it.
 //! * [`checker`] — a Wing–Gong depth-first search with Lowe's memoized
 //!   configuration cache and P-compositionality partitioning;
-//!   [`check_history`](checker::check_history) returns a witness
-//!   linearization or a [`NonLinearizable`](checker::NonLinearizable)
+//!   [`check_history`] returns a witness
+//!   linearization or a [`NonLinearizable`]
 //!   error whose `Display` prints the minimal non-linearizable window.
-//! * [`models`] — pluggable [`SeqSpec`](models::SeqSpec) sequential
+//! * [`models`] — pluggable [`SeqSpec`] sequential
 //!   models for test-and-set, leader election, renaming, set consensus,
 //!   counter, FIFO queue, and the locks: plain mutual exclusion
-//!   ([`LockModel`](models::LockModel)) and its crash-recovery extension
-//!   ([`RecoverableLockModel`](models::RecoverableLockModel)), whose
+//!   ([`LockModel`]) and its crash-recovery extension
+//!   ([`RecoverableLockModel`]), whose
 //!   `repair` operation is a release performed on a dead incarnation's
 //!   behalf.
 //! * [`native`] — chaos drivers: run an object on real threads under a
-//!   seeded fault schedule ([`record_chaos`](native::record_chaos)) and
+//!   seeded fault schedule ([`record_chaos`]) and
 //!   capture its history, crash faults leaving pending operations.
-//!   [`record_recoverable_lock`](native::record_recoverable_lock) drives
+//!   [`record_recoverable_lock`] drives
 //!   the recoverable mutex under `CrashRecover` faults, recording each
 //!   new incarnation's repair verdict alongside acquires and releases.
 //! * [`register`] — register-level checking for the quorum stack: a
-//!   [`RecordingSpace`](register::RecordingSpace) wrapper captures every
+//!   [`RecordingSpace`] wrapper captures every
 //!   `read`/`write` on any `RegisterSpace` backend, and
-//!   [`RegisterModel`](register::RegisterModel) is the atomic-register
+//!   [`RegisterModel`] is the atomic-register
 //!   sequential specification the history must satisfy.
 //! * [`window`] — sampling **under load**: a bank-flipping
-//!   [`WindowRecorder`](window::WindowRecorder) with bounded per-process
-//!   buffers drains checkable [`Window`](window::Window)s while the
-//!   workload runs, and a [`WindowChecker`](window::WindowChecker)
+//!   [`WindowRecorder`] with bounded per-process
+//!   buffers drains checkable [`Window`]s while the
+//!   workload runs, and a [`WindowChecker`]
 //!   excises quiescent prefixes and checks them incrementally with
 //!   carried model state — how the sharded object service verifies its
 //!   own benchmark histories.

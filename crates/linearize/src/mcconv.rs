@@ -2,7 +2,7 @@
 //!
 //! The explorers of `tfr-modelcheck` verify mutual exclusion with a
 //! state monitor; the Wing–Gong checker verifies it as linearizability
-//! against [`LockModel`]. This module lets the two tiers cross-examine
+//! against [`LockModel`](crate::models::LockModel). This module lets the two tiers cross-examine
 //! each other: [`lock_history_from_schedule`] replays any explorer
 //! schedule (a visited execution, a sampled one, or a counterexample)
 //! over a lock workload and reconstructs the concurrent history of
@@ -22,7 +22,7 @@
 //!
 //! A safe lock's every execution yields a linearizable history; a
 //! mutual-exclusion violation yields two completed `acquire`s with no
-//! `release` between them, which [`LockModel`] rejects — the two tiers
+//! `release` between them, which [`LockModel`](crate::models::LockModel) rejects — the two tiers
 //! must agree, and the tests make them.
 
 use crate::history::{History, Operation};

@@ -266,9 +266,7 @@ impl<S: RegisterSpace> RegisterSpace for RecordingSpace<S> {
         }
     }
 
-    /// Forwarded. Only threads with a telemetry pid are recorded, so a
-    /// caller that overlaps round trips on unregistered helper threads
-    /// leaves their accesses out of the history.
+    /// Forwarded.
     fn round_trips(&self) -> bool {
         self.inner.round_trips()
     }

@@ -4,7 +4,7 @@
 //!
 //! The driver replicates a [`Counter`]: every op is a seeded increment,
 //! so the expected final state is just the sum of all generated ops —
-//! a one-line convergence oracle on top of the full [`LogAudit`].
+//! a one-line convergence oracle on top of the full [`LogAudit`](crate::LogAudit).
 //! Replicas poll on a configurable interval; that interval *is* the
 //! decision-propagation latency the pipeline window hides, which is
 //! what makes the pipelined-vs-sequential speedup visible on the native

@@ -694,8 +694,8 @@ impl NetControl {
 
     /// The most quorum rounds ever open at the same time, by every client:
     /// the high-water mark of the open ack mailboxes. One thread has at
-    /// most one round open, so a value above 1 shows rounds in flight
-    /// together — several workers, or one worker overlapping its shards.
+    /// most one round open, so a value above 1 shows several clients'
+    /// rounds in flight together.
     pub fn max_open_rounds(&self) -> usize {
         lock(&self.shared.state).max_open
     }

@@ -347,39 +347,14 @@ fn session_mutex() -> &'static Mutex<()> {
 }
 
 thread_local! {
-    static THREAD_CTX: RefCell<Option<Arc<IncarnationCtx>>> = const { RefCell::new(None) };
+    /// The calling thread's [`run_as`] incarnation, if it is in one.
+    static INCARNATION: RefCell<Option<IncarnationState>> = const { RefCell::new(None) };
 }
 
-/// One [`run_as`] incarnation, shared by the thread that entered it and
-/// any helper threads it lends it to (see [`Incarnation`]).
-struct IncarnationCtx {
-    pid: usize,
-    state: Mutex<IncarnationState>,
-}
-
+/// One [`run_as`] incarnation: its process, and its visits per point.
 struct IncarnationState {
-    /// Visits per point, counted over every thread of the incarnation.
+    pid: usize,
     visits: HashMap<&'static str, u64>,
-    /// Set when a crash fired on one of the incarnation's threads: the
-    /// crash token's down time, which every other thread re-raises at its
-    /// next point.
-    stopped: Option<Option<Duration>>,
-}
-
-impl IncarnationCtx {
-    fn new(pid: ProcId) -> IncarnationCtx {
-        IncarnationCtx {
-            pid: pid.0,
-            state: Mutex::new(IncarnationState {
-                visits: HashMap::new(),
-                stopped: None,
-            }),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, IncarnationState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// An installed fault plan; dropping it disarms every point.
@@ -425,12 +400,10 @@ impl Drop for ChaosSession {
 /// A passive listener on the injection-point stream.
 ///
 /// Observers see every point visit by [`run_as`]-registered threads and
-/// every fault that fires, *on the visiting thread itself*. A process
-/// whose incarnation lends itself to helper threads ([`Incarnation`])
-/// makes its callbacks from several threads, but one at a time, under
-/// the incarnation's lock — so a per-process single-writer recorder (like
-/// `tfr-telemetry`'s tracer) can consume the callbacks without extra
-/// synchronization. Unregistered threads never reach an observer.
+/// every fault that fires, *on the visiting thread itself* — so a
+/// per-process single-writer recorder (like `tfr-telemetry`'s tracer)
+/// can consume the callbacks without extra synchronization. Unregistered
+/// threads never reach an observer.
 ///
 /// Callbacks run inside protocol hot paths; implementations should be
 /// wait-free and must not themselves hit injection points.
@@ -552,15 +525,18 @@ impl<T> ThreadOutcome<T> {
 /// right there.
 ///
 /// Each call is one *incarnation* of `pid`: visit counters start from
-/// zero, and helper threads may join it ([`Incarnation`]). A permanent
-/// crash marks the pid dead in the injector; a recoverable crash leaves
-/// it alive so the caller can re-enter `run_as` after the reported down
-/// time.
+/// zero. A permanent crash marks the pid dead in the injector; a
+/// recoverable crash leaves it alive so the caller can re-enter `run_as`
+/// after the reported down time.
 ///
 /// Genuine panics (assertion failures, bugs) propagate unchanged.
 pub fn run_as<T>(pid: ProcId, f: impl FnOnce() -> T) -> ThreadOutcome<T> {
-    let result = Incarnation(Some(Arc::new(IncarnationCtx::new(pid))))
-        .enter(|| panic::catch_unwind(AssertUnwindSafe(f)));
+    let outer = INCARNATION.replace(Some(IncarnationState {
+        pid: pid.0,
+        visits: HashMap::new(),
+    }));
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    INCARNATION.set(outer);
     match result {
         Ok(v) => ThreadOutcome::Completed(v),
         Err(payload) => match payload.downcast::<CrashToken>() {
@@ -582,93 +558,6 @@ pub fn run_as<T>(pid: ProcId, f: impl FnOnce() -> T) -> ThreadOutcome<T> {
     }
 }
 
-/// A handle on the calling thread's [`run_as`] incarnation, for helper
-/// threads that do part of its work.
-///
-/// A process may drive independent work (the service's disjoint shards)
-/// from several threads at once. Those threads are still one process:
-/// [`Incarnation::enter`] makes a helper thread's injection points count
-/// towards the incarnation's visits, so a fault aimed at the pid fires on
-/// whichever of its threads makes the n-th visit. A crash fired on any
-/// thread stops every thread of the incarnation at its next injection
-/// point, with the same token, and the thread that owns the incarnation
-/// re-raises it with [`rejoin`] once it has joined its helpers. Point
-/// observers see one incarnation's callbacks one at a time, whichever
-/// thread makes them.
-///
-/// Outside `run_as` the handle is empty, and entering it changes
-/// nothing.
-///
-/// # Example
-///
-/// ```
-/// use tfr_registers::chaos::{self, points, Incarnation, ThreadOutcome};
-/// use tfr_registers::ProcId;
-///
-/// let out = chaos::run_as(ProcId(0), || {
-///     let inc = Incarnation::current();
-///     std::thread::scope(|s| {
-///         let helper = s.spawn(|| inc.enter(|| chaos::point(points::UNIVERSAL_COMBINE)));
-///         let own = std::panic::catch_unwind(|| chaos::point(points::UNIVERSAL_COMBINE));
-///         chaos::rejoin([own, helper.join()]);
-///     });
-///     7
-/// });
-/// assert_eq!(out, ThreadOutcome::Completed(7));
-/// ```
-pub struct Incarnation(Option<Arc<IncarnationCtx>>);
-
-impl Incarnation {
-    /// The calling thread's incarnation, or an empty handle outside
-    /// [`run_as`].
-    pub fn current() -> Incarnation {
-        Incarnation(THREAD_CTX.with(|ctx| ctx.borrow().clone()))
-    }
-
-    /// Runs `f` on the calling thread as a thread of this incarnation. A
-    /// crash unwinds out of `f` with the incarnation's crash token; the
-    /// thread that joins this one passes the result to [`rejoin`]. An
-    /// empty handle runs `f` as it is.
-    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
-        let Some(inc) = &self.0 else { return f() };
-        /// Leaves the incarnation on every exit, unwinding included.
-        struct Leave(Option<Arc<IncarnationCtx>>);
-        impl Drop for Leave {
-            fn drop(&mut self) {
-                let prev = self.0.take();
-                THREAD_CTX.with(|ctx| *ctx.borrow_mut() = prev);
-            }
-        }
-        let prev = THREAD_CTX.with(|ctx| ctx.borrow_mut().replace(Arc::clone(inc)));
-        let _leave = Leave(prev);
-        f()
-    }
-}
-
-/// Ends a fork of one incarnation: `results` are the outcome of the
-/// owning thread's own part (caught with `catch_unwind`) and the joined
-/// results of its helpers. Returns if every part completed. Otherwise it
-/// resumes the most serious unwind once every result is in: a genuine
-/// panic with its own payload before a crash token, so that a bug on a
-/// helper thread is never reported as a crash, and a crash token for the
-/// enclosing [`run_as`] to report.
-pub fn rejoin(results: impl IntoIterator<Item = std::thread::Result<()>>) {
-    let mut crash = None;
-    let mut genuine = None;
-    for result in results {
-        if let Err(payload) = result {
-            if payload.is::<CrashToken>() {
-                crash.get_or_insert(payload);
-            } else {
-                genuine.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = genuine.or(crash) {
-        panic::resume_unwind(payload);
-    }
-}
-
 /// An injection point. Protocol code calls this at its named steps; the
 /// cost with no active session or observer is one relaxed atomic load.
 #[inline]
@@ -679,38 +568,22 @@ pub fn point(name: &'static str) {
     point_armed(name);
 }
 
+/// A visit to `name` by the calling thread, counted towards its
+/// incarnation; only registered threads participate.
 #[cold]
 fn point_armed(name: &'static str) {
-    // Only registered threads participate.
-    THREAD_CTX.with(|ctx| {
-        if let Some(inc) = ctx.borrow().as_deref() {
-            visit(inc, name);
-        }
-    });
-}
-
-/// A visit to `name` by a thread of incarnation `inc`.
-fn visit(inc: &IncarnationCtx, name: &'static str) {
-    let pid = ProcId(inc.pid);
-    let observer = current_observer();
-    let visit = {
-        let mut state = inc.state();
-        if let Some(down_for) = state.stopped {
-            // Another thread of this incarnation crashed: this one stops
-            // here, as part of the same crash.
-            drop(state);
-            panic::panic_any(CrashToken { down_for });
-        }
-        let visit = state.visits.entry(name).or_insert(0);
+    let Some((pid, visit)) = INCARNATION.with_borrow_mut(|inc| {
+        let inc = inc.as_mut()?;
+        let visit = inc.visits.entry(name).or_insert(0);
         *visit += 1;
-        let visit = *visit;
-        // Under the incarnation's lock, so that the observer sees one
-        // process's callbacks one at a time.
-        if let Some(obs) = &observer {
-            obs.point_hit(pid, name);
-        }
-        visit
+        Some((ProcId(inc.pid), *visit))
+    }) else {
+        return;
     };
+    let observer = current_observer();
+    if let Some(obs) = &observer {
+        obs.point_hit(pid, name);
+    }
     if FLAGS.load(Ordering::Relaxed) & FLAG_CHAOS == 0 {
         return;
     }
@@ -734,7 +607,6 @@ fn visit(inc: &IncarnationCtx, name: &'static str) {
         stall_for(d);
         injector.record(fault);
         if let Some(obs) = &observer {
-            let _one_at_a_time = inc.state();
             obs.fault_fired(pid, name, d, false);
         }
         return;
@@ -744,14 +616,10 @@ fn visit(inc: &IncarnationCtx, name: &'static str) {
         FaultAction::CrashRecover(down) => Some(down),
         _ => None,
     };
-    {
-        let mut state = inc.state();
-        state.stopped = Some(down_for);
-        if let Some(obs) = &observer {
-            match down_for {
-                Some(down) => obs.crash_recover_fired(pid, name, down),
-                None => obs.fault_fired(pid, name, Duration::ZERO, true),
-            }
+    if let Some(obs) = &observer {
+        match down_for {
+            Some(down) => obs.crash_recover_fired(pid, name, down),
+            None => obs.fault_fired(pid, name, Duration::ZERO, true),
         }
     }
     panic::panic_any(CrashToken { down_for });
@@ -1080,111 +948,6 @@ mod tests {
             *rec.recovers.lock().unwrap(),
             vec![(1, points::RECOVERABLE_CS, Duration::from_millis(2))]
         );
-    }
-
-    #[test]
-    fn a_helper_thread_counts_its_visits_toward_the_incarnation() {
-        let session = ChaosSession::install(&[Fault {
-            pid: ProcId(4),
-            point: points::UNIVERSAL_COMBINE,
-            nth: 2,
-            action: FaultAction::Stall(Duration::from_millis(1)),
-        }]);
-        let out = run_as(ProcId(4), || {
-            point(points::UNIVERSAL_COMBINE); // visit 1, on the owner
-            let inc = Incarnation::current();
-            std::thread::scope(|s| {
-                // Visit 2, on the helper: the stall aimed at p4 fires there.
-                let helper = s.spawn(|| inc.enter(|| point(points::UNIVERSAL_COMBINE)));
-                rejoin([helper.join()]);
-            });
-            3
-        });
-        assert_eq!(out, ThreadOutcome::Completed(3));
-        let fired = session.injector().fired();
-        assert_eq!(fired.len(), 1, "visits are counted per incarnation");
-        assert_eq!(fired[0].fault.nth, 2);
-    }
-
-    #[test]
-    fn a_crash_on_a_helper_stops_the_owner_and_surfaces_from_run_as() {
-        let first = ChaosSession::install(&[Fault {
-            pid: ProcId(5),
-            point: points::UNIVERSAL_COMBINE,
-            nth: 1,
-            action: FaultAction::CrashRecover(Duration::from_millis(2)),
-        }]);
-        let after_crash = AtomicU64::new(0);
-        let out = run_as(ProcId(5), || {
-            let inc = Incarnation::current();
-            std::thread::scope(|s| {
-                let helper = s.spawn(|| inc.enter(|| point(points::UNIVERSAL_COMBINE)));
-                let crashed = helper.join();
-                assert!(crashed.is_err(), "the helper crashed");
-                // The owner stops at its next point, as part of the crash.
-                let own = panic::catch_unwind(AssertUnwindSafe(|| {
-                    point(points::UNIVERSAL_ANNOUNCE);
-                    after_crash.fetch_add(1, Ordering::SeqCst);
-                }));
-                assert!(own.is_err(), "the owner stopped at its next point");
-                rejoin([own, crashed]);
-            });
-            after_crash.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(out.recoverable_after(), Some(Duration::from_millis(2)));
-        assert_eq!(after_crash.load(Ordering::SeqCst), 0);
-        drop(first);
-        // A helper of a permanent crash reports it, and the pid dies.
-        let session = ChaosSession::install(&[Fault {
-            pid: ProcId(5),
-            point: points::DELAY,
-            nth: 1,
-            action: FaultAction::Crash,
-        }]);
-        let out = run_as(ProcId(5), || {
-            let inc = Incarnation::current();
-            std::thread::scope(|s| {
-                let helper = s.spawn(|| inc.enter(|| point(points::DELAY)));
-                rejoin([Ok(()), helper.join()]);
-            });
-        });
-        assert_eq!(out, ThreadOutcome::Crashed);
-        assert!(session.injector().is_dead(ProcId(5)));
-    }
-
-    #[test]
-    fn a_genuine_panic_on_a_helper_keeps_its_payload() {
-        let _session = ChaosSession::install(&[Fault {
-            pid: ProcId(6),
-            point: points::DELAY,
-            nth: 1,
-            action: FaultAction::CrashRecover(Duration::from_millis(1)),
-        }]);
-        let result = panic::catch_unwind(|| {
-            run_as(ProcId(6), || {
-                let inc = Incarnation::current();
-                std::thread::scope(|s| {
-                    let helper = s.spawn(|| inc.enter(|| panic!("real bug on a helper")));
-                    // The owner crashes meanwhile; the bug still wins.
-                    let own = panic::catch_unwind(|| point(points::DELAY));
-                    rejoin([own, helper.join()]);
-                });
-            })
-        });
-        let payload = result.expect_err("the genuine panic propagates");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"real bug on a helper"),
-            "with its own payload"
-        );
-    }
-
-    #[test]
-    fn an_empty_incarnation_enters_nothing() {
-        let inc = Incarnation::current();
-        assert!(inc.0.is_none(), "no run_as, no incarnation");
-        assert_eq!(inc.enter(|| 4), 4);
-        rejoin([Ok(()), Ok(())]);
     }
 
     #[test]

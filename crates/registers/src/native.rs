@@ -318,6 +318,14 @@ pub fn precise_delay(d: Duration) {
         }
         return;
     };
+    precise_wait_until(deadline);
+}
+
+/// Returns no earlier than `deadline`: [`precise_delay`]'s wait, without
+/// its injection point, for a caller that has fired the point itself when
+/// its delay began (a service worker waiting out the delays of several
+/// shards at once).
+pub fn precise_wait_until(deadline: Instant) {
     // Sleep for the coarse part, leaving a spin margin for timer slop.
     const SPIN_MARGIN: Duration = Duration::from_micros(200);
     loop {

@@ -97,9 +97,10 @@ use std::sync::Arc;
 /// [`RegisterSpace::round_trips`] states a fact about the backend: an
 /// access waits on a network round trip rather than on memory. A caller
 /// that drives several independent register regions (the service's
-/// disjoint shards) may then keep their accesses in flight at the same
-/// time from helper threads, which costs latency, not work. Shared memory
-/// answers `false`, so such a caller stays on its own thread.
+/// disjoint shards) may then send their accesses together, one group of
+/// several regions' accesses per round, which saves rounds, not work.
+/// Shared memory answers `false`: it gains nothing from the sharing, so
+/// such a caller serves the regions one after the other.
 pub trait RegisterSpace: Send + Sync {
     /// Atomically reads register `index` (0 if never written).
     fn read(&self, index: u64) -> u64;

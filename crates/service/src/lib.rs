@@ -22,7 +22,7 @@
 //!   workers announce bursts and drive batched commits, emitting
 //!   `ServiceEnqueue` / `BatchCommit` telemetry. Runs unchanged over
 //!   native shared memory or the `tfr-net` quorum space; on the latter a
-//!   worker keeps its busy shards' quorum rounds in flight together.
+//!   worker sends its busy shards' accesses in shared quorum rounds.
 //! * [`load`] — the load harness: simulated clients (each with one
 //!   operation in flight, so program order is real), throughput and
 //!   batch-size accounting, and **under-load linearizability sampling**

@@ -16,15 +16,17 @@
 //!   ([`ServiceWorker::enqueue_burst`]), then replay and combine
 //!   ([`ServiceWorker::drive`]) — one consensus decision per *batch*,
 //!   not per operation.
-//! * Both steps act on every busy shard through one loop. When the
-//!   space's accesses are network round trips
-//!   ([`RegisterSpace::round_trips`], the quorum backend) and no trace is
-//!   attached, a worker with more than one busy shard keeps their rounds
-//!   in flight together: it drives the first busy shard itself and each
-//!   other one on a scoped helper thread that joins the worker's chaos
-//!   incarnation. A burst then waits for its slowest shard's rounds, not
-//!   for the sum of them. On native memory, or with a trace attached, the
-//!   loop takes the shards in turn and spawns nothing.
+//! * Both steps act on every busy shard through one loop, on the
+//!   worker's own thread. Each shard's [`Session`] is a machine that
+//!   waits on one group of register accesses at a time. When the space's
+//!   accesses are network round trips ([`RegisterSpace::round_trips`],
+//!   the quorum backend) and no trace is attached, a worker with more
+//!   than one busy shard multiplexes them: each step it lifts every ready
+//!   shard's group into the shared space's coordinates and sends them
+//!   all in one [`RegisterSpace::access_all`] call, one request per
+//!   replica per phase. A burst then costs one shard's rounds, not the
+//!   sum of them. On native memory, or with a trace attached, the loop
+//!   takes the shards in turn.
 //!
 //! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`], and
 //! every batch whose proposal *this* worker won emits one
@@ -34,12 +36,12 @@
 use crate::keyed::{encode_op, Keyed};
 use crate::router::Router;
 use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
-use tfr_core::universal::{LogAudit, Sequential, Session, Universal};
-use tfr_registers::chaos::{self, Incarnation};
-use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
+use std::time::{Duration, Instant};
+use tfr_core::universal::{LogAudit, Sequential, Session, Universal, Wait};
+use tfr_registers::chaos;
+use tfr_registers::native::precise_wait_until;
+use tfr_registers::space::{Access, NativeSpace, RegisterSpace, SubSpace};
 use tfr_registers::ProcId;
 use tfr_telemetry::{EventKind, Span, Trace};
 
@@ -97,6 +99,9 @@ pub struct OpResponse {
 /// unchanged.
 pub struct ObjectService<T: Sequential, S: RegisterSpace = NativeSpace> {
     shards: Vec<Universal<Keyed<T>, SubSpace<Arc<S>>>>,
+    /// The space the shards tile, which a multiplexed step's group goes
+    /// to.
+    space: Arc<S>,
     router: Router,
     workers: usize,
     trace: Trace,
@@ -122,7 +127,7 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     pub fn on(space: Arc<S>, make: impl Fn() -> T, cfg: &ServiceConfig) -> ObjectService<T, S> {
         assert!(cfg.shards > 0, "a service needs at least one shard");
         let round_trips = space.round_trips();
-        let shards = SubSpace::tile(space, cfg.shards as u64)
+        let shards = SubSpace::tile(Arc::clone(&space), cfg.shards as u64)
             .into_iter()
             .map(|tile| {
                 Universal::on(
@@ -137,6 +142,7 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
             .collect();
         ObjectService {
             shards,
+            space,
             router: Router::new(cfg.shards, cfg.router_seed),
             workers: cfg.workers,
             trace: Trace::default(),
@@ -242,16 +248,19 @@ struct Lane<'s, T: Sequential, S: RegisterSpace> {
 /// pending work, collect responses. Created by [`ObjectService::worker`].
 ///
 /// Both steps act on every busy shard through one loop
-/// (`each_busy_lane`). Over a space whose accesses are round trips
+/// (`each_busy_lane`), on the calling thread; the worker spawns nothing.
+/// Over a space whose accesses are round trips
 /// ([`RegisterSpace::round_trips`]), with no trace attached and more than
-/// one shard busy, the worker keeps the shards' quorum rounds in flight
-/// together: it drives the first busy shard itself and each other on a
-/// scoped helper thread, which joins the worker's chaos incarnation
-/// ([`Incarnation`]). The shards are disjoint register regions and
-/// linearizability is local, so overlapping them changes no protocol
-/// argument; a decision still costs its rounds, on each shard. Otherwise
-/// the loop runs the shards in turn and spawns nothing. A traced service
-/// stays in turn because the worker's telemetry lane takes one writer.
+/// one shard busy, the loop multiplexes the shards' sessions: at each
+/// step it sends the next group of every shard that is ready as one
+/// group of the shared space, and a shard at `delay(Δ)` becomes a
+/// deadline, the worker serving the others meanwhile and waiting only
+/// when no shard is ready. The shards are disjoint register regions and
+/// linearizability is local, so sharing a round changes no protocol
+/// argument: a group promises nothing across its accesses, and each
+/// shard's accesses keep their own order. Otherwise the loop runs the
+/// shards in turn, each session's groups alone, as one after the other
+/// on a traced service keeps the span tree of each shard's drive whole.
 pub struct ServiceWorker<'s, T: Sequential, S: RegisterSpace> {
     svc: &'s ObjectService<T, S>,
     pid: ProcId,
@@ -294,8 +303,8 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         for lane in &mut self.lanes {
             lane.busy = !lane.ops.is_empty();
         }
-        self.each_busy_lane(|lane| {
-            let first_seq = lane.session.announce_burst(&lane.ops);
+        self.each_busy_lane(None, |lane| {
+            let first_seq = lane.session.start_announce(&lane.ops);
             let announced = lane.meta.iter().enumerate();
             lane.pending
                 .extend(announced.map(|(i, &(pos, key))| (first_seq + i as u64, pos, key)));
@@ -319,11 +328,8 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         for lane in &mut self.lanes {
             lane.busy = lane.session.pending() > 0 || !lane.pending.is_empty();
         }
+        self.each_busy_lane(Some("batch.drive"), |lane| lane.session.start_drive());
         let trace = &self.svc.trace;
-        self.each_busy_lane(|lane| {
-            let _span = Span::enter(trace, "batch.drive");
-            lane.session.drive_pending();
-        });
         let mut out = Vec::new();
         for (shard, lane) in self.lanes.iter_mut().enumerate() {
             if !lane.busy {
@@ -365,30 +371,29 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         out
     }
 
-    /// Runs `work` on every busy lane: in turn on this thread, or, when
-    /// the service overlaps round trips (see [`ServiceWorker`]) and more
-    /// than one lane is busy, the first here and each other on a scoped
-    /// helper thread in this worker's chaos incarnation. The helpers are
-    /// joined explicitly and [`chaos::rejoin`] re-raises what stopped any
-    /// of them: a genuine panic with its own payload, else a crash.
-    fn each_busy_lane(&mut self, work: impl Fn(&mut Lane<'_, T, S>) + Sync) {
-        let overlap = self.svc.round_trips && !self.svc.trace.is_enabled();
-        let mut busy = self.lanes.iter_mut().filter(|lane| lane.busy).peekable();
-        let Some(first) = busy.next() else { return };
-        if !overlap || busy.peek().is_none() {
-            work(first);
-            busy.for_each(work);
-            return;
-        }
-        let incarnation = Incarnation::current();
-        let (work, incarnation) = (&work, &incarnation);
-        std::thread::scope(|s| {
-            let helpers: Vec<_> = busy
-                .map(|lane| s.spawn(move || incarnation.enter(|| work(lane))))
+    /// Starts every busy lane's session with `start` and serves it until
+    /// it is done: all of them at once through [`multiplex`] when the
+    /// service overlaps round trips (see [`ServiceWorker`]) and more than
+    /// one lane is busy, else each in turn, started, served on its own
+    /// and, on a traced service, inside a `span` of its own.
+    fn each_busy_lane(&mut self, span: Option<&'static str>, start: impl Fn(&mut Lane<'_, T, S>)) {
+        let svc = self.svc;
+        let overlap = svc.round_trips && !svc.trace.is_enabled();
+        if overlap && self.lanes.iter().filter(|lane| lane.busy).count() > 1 {
+            let mut busy: Vec<_> = (svc.shards.iter().zip(&mut self.lanes))
+                .filter(|(_, lane)| lane.busy)
+                .map(|(shard, lane)| {
+                    start(lane);
+                    (shard.space(), &mut lane.session)
+                })
                 .collect();
-            let own = panic::catch_unwind(AssertUnwindSafe(|| work(first)));
-            chaos::rejoin(std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())));
-        });
+            return multiplex(&*svc.space, &mut busy);
+        }
+        for lane in self.lanes.iter_mut().filter(|lane| lane.busy) {
+            let _span = span.map(|label| Span::enter(&svc.trace, label));
+            start(lane);
+            lane.session.finish();
+        }
     }
 
     /// Replays every shard's committed log without proposing anything.
@@ -407,10 +412,171 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
     }
 }
 
+/// A busy shard as [`multiplex`] serves it: its tile of the shared space,
+/// and its session.
+type Busy<'a, 's, U, S> = (
+    &'a SubSpace<Arc<S>>,
+    &'a mut Session<'s, U, SubSpace<Arc<S>>>,
+);
+
+/// Serves every session in `lanes` until each is done, one group of
+/// `space` per step: the step's group holds the next group of every
+/// session that waits on one, lifted from its shard's tile into the
+/// space's coordinates, and each session takes its own results back. A
+/// session at `delay(Δ)` gets a deadline Δ away, with the injection point
+/// `precise_delay` fires, and rejoins the steps once it has passed; the
+/// worker waits only while every unfinished session is at a delay.
+fn multiplex<U: Sequential, S: RegisterSpace>(space: &S, lanes: &mut [Busy<'_, '_, U, S>]) {
+    let mut deadlines: Vec<Option<Instant>> = vec![None; lanes.len()];
+    loop {
+        let mut ready = Vec::with_capacity(lanes.len());
+        let mut earliest: Option<Instant> = None;
+        for ((_, session), deadline) in lanes.iter_mut().zip(&mut deadlines) {
+            ready.push(loop {
+                match session.wait() {
+                    Wait::Group(between) => break Some(between),
+                    Wait::Done => break None,
+                    Wait::Delay(delta) => {
+                        let now = Instant::now();
+                        let until = *deadline.get_or_insert_with(|| {
+                            // What `precise_delay` fires as a delay begins.
+                            chaos::point(chaos::points::DELAY);
+                            now + delta
+                        });
+                        if now < until {
+                            earliest = Some(earliest.map_or(until, |e: Instant| e.min(until)));
+                            break None;
+                        }
+                        *deadline = None;
+                        session.resume(0);
+                    }
+                }
+            });
+        }
+        if ready.iter().all(Option::is_none) {
+            match earliest {
+                Some(until) => {
+                    precise_wait_until(until);
+                    continue;
+                }
+                None => return,
+            }
+        }
+        let mut betweens: Vec<_> = ready
+            .iter()
+            .map(|&between| move || between.map_or((), |b| b.fire()))
+            .collect();
+        let mut group: Vec<Access<'_>> = Vec::new();
+        let mut ends = Vec::with_capacity(lanes.len());
+        for (((tile, session), between), ready) in lanes.iter_mut().zip(&mut betweens).zip(&ready) {
+            if ready.is_some() {
+                group.extend(session.group(between).into_accesses().map(|mut access| {
+                    tile.lift(&mut access);
+                    access
+                }));
+            }
+            ends.push(group.len());
+        }
+        space.access_all(&mut group);
+        let mut seen = Vec::with_capacity(ends.len());
+        let mut from = 0;
+        for &end in &ends {
+            seen.push(tfr_core::universal::seen(&group[from..end]));
+            from = end;
+        }
+        drop(group);
+        for (((_, session), ready), seen) in lanes.iter_mut().zip(&ready).zip(seen) {
+            if ready.is_some() {
+                session.resume(seen);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use tfr_core::universal::Counter;
+
+    /// Native memory that tapes every access as `(is_write, index)`.
+    #[derive(Default)]
+    struct Taped {
+        cells: NativeSpace,
+        tape: Mutex<Vec<(bool, u64)>>,
+    }
+
+    impl RegisterSpace for Taped {
+        fn read(&self, index: u64) -> u64 {
+            self.tape.lock().unwrap().push((false, index));
+            self.cells.read(index)
+        }
+        fn write(&self, index: u64, value: u64) {
+            self.tape.lock().unwrap().push((true, index));
+            self.cells.write(index, value)
+        }
+    }
+
+    /// The accesses, `(is_write, parent index)` in order, of one worker's
+    /// burst over native memory with two shards of 4 slots: op 0 on shard 0,
+    /// ops 1 and 2 on shard 1. Recorded before the shards' sessions became
+    /// machines, when a worker drove its shards one after the other.
+    const TWO_SHARD_TAPE: [(bool, u64); 30] = [
+        // Shard 0 announces: its payload, then its counter with slot 0's probe.
+        (true, 12),
+        (true, 0),
+        (false, 4),
+        (false, 52),
+        // Shard 1 announces two ops the same way.
+        (true, 13),
+        (true, 19),
+        (true, 1),
+        (false, 5),
+        (false, 53),
+        // Shard 0 decides: the record and the mark, the announcement, and
+        // Algorithm 1's `x`, conditional `y`, `x[1, v̄]`, `decide` with `result`.
+        (true, 2),
+        (true, 8),
+        (true, 6),
+        (true, 28),
+        (true, 148),
+        (false, 124),
+        (true, 124),
+        (false, 172),
+        (true, 52),
+        (true, 4),
+        // Shard 1 decides its two-op batch the same way.
+        (true, 3),
+        (true, 9),
+        (true, 15),
+        (true, 7),
+        (true, 29),
+        (true, 149),
+        (false, 125),
+        (true, 125),
+        (false, 173),
+        (true, 53),
+        (true, 5),
+    ];
+
+    /// On native memory a worker serves its busy shards in turn, each
+    /// session's groups on their own, so a 2-shard burst makes the
+    /// accesses of [`TWO_SHARD_TAPE`], in its order.
+    #[test]
+    fn a_native_two_shard_burst_keeps_its_access_tape() {
+        let space = Arc::new(Taped::default());
+        let cfg = ServiceConfig {
+            capacity_per_shard: 4,
+            ..small_cfg(2, 1)
+        };
+        let svc = ObjectService::on(Arc::clone(&space), || Counter, &cfg);
+        assert_eq!((svc.shard_of(0), svc.shard_of(2)), (0, 1));
+        let mut worker = svc.worker(ProcId(0));
+        space.tape.lock().unwrap().clear();
+        worker.enqueue_burst(&[(0, 1), (2, 2), (2, 3)]);
+        assert_eq!(worker.drive().len(), 3);
+        assert_eq!(*space.tape.lock().unwrap(), TWO_SHARD_TAPE);
+    }
 
     fn small_cfg(shards: usize, workers: usize) -> ServiceConfig {
         ServiceConfig {
@@ -418,6 +584,45 @@ mod tests {
             delta: Duration::from_micros(10),
             ..ServiceConfig::new(shards, workers)
         }
+    }
+
+    /// The multiplexer waits out `delay(Δ)` as deadlines. Two sessions of
+    /// one shard (two processes), served together, send their groups in
+    /// one step each and contend for slot 0's election: each writes its
+    /// `x` before reading the other's, so both reach Algorithm 1's delay.
+    /// The multiplexer serves them again only once Δ has passed, and they
+    /// agree on process 0's batch, which holds both ops.
+    #[test]
+    fn multiplexed_sessions_wait_out_their_delays_as_deadlines() {
+        let delta = Duration::from_millis(2);
+        let svc = ObjectService::new(
+            || Counter,
+            &ServiceConfig {
+                delta,
+                ..small_cfg(1, 2)
+            },
+        );
+        let shard = &svc.shards[0];
+        let (mut a, mut b) = (shard.session(ProcId(0)), shard.session(ProcId(1)));
+        a.announce(encode_op(7, 1));
+        b.announce(encode_op(7, 2));
+        a.start_drive();
+        b.start_drive();
+        let start = Instant::now();
+        multiplex(
+            &*svc.space,
+            &mut [(shard.space(), &mut a), (shard.space(), &mut b)],
+        );
+        assert!(start.elapsed() >= delta, "a delay is waited out");
+        for session in [&mut a, &mut b] {
+            let commits: Vec<_> = session
+                .take_commits()
+                .map(|c| (c.proposer, c.size))
+                .collect();
+            assert_eq!(commits, [(ProcId(0), 2)]);
+        }
+        assert_eq!(a.take_responses().collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(b.take_responses().collect::<Vec<_>>(), [(0, 3)]);
     }
 
     #[test]

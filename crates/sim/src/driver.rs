@@ -414,7 +414,7 @@ impl<A: Automaton, M: TimingModel, Q: Scheduler> Engine<A, M, Q> {
     /// runs tens of millions of times per wall second, so it borrows
     /// every field once per event (one bounds check on `procs`, no
     /// re-resolution across the automaton/model/scheduler calls) and
-    /// fuses completion with the next issue. [`Engine::issue`] is the
+    /// fuses completion with the next issue. The private `Engine::issue` is the
     /// same issue logic as a cold method; the two must stay in sync.
     pub fn run_until(&mut self, limit: Ticks) -> EngineStatus {
         if self.timed_out {

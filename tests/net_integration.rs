@@ -295,10 +295,11 @@ fn a_group_costs_one_request_per_replica_per_phase() {
 }
 
 /// One worker over [`lockstep_net`] (or its traced twin), with two
-/// shards, runs four bursts of 8 ops on each shard in `shards` and
-/// returns the network's high-water mark of open rounds. Every burst
-/// opens exactly 9 rounds per busy shard, overlapped or not.
-fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
+/// shards, runs four bursts of 8 ops on each shard in `shards`. Returns
+/// the quorum rounds each burst opened (the same for every burst), the
+/// requests sent per round, and the network's high-water mark of open
+/// rounds.
+fn burst_costs(shards: &[usize], traced: bool) -> (u64, u64, usize) {
     let net = if traced {
         let cfg = lockstep_net().config().clone();
         let tracer = Arc::new(Tracer::new(cfg.tracer_processes()));
@@ -318,6 +319,8 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
         .iter()
         .flat_map(|&shard| std::iter::repeat_n((key_on(shard), 1), 8))
         .collect();
+    let mut rounds = Vec::new();
+    let requests = control.requests_sent();
     with_pid(ProcId(0), || {
         let mut worker = svc.worker(ProcId(0));
         for round in 1..=4u64 {
@@ -326,24 +329,26 @@ fn max_open_rounds_over_bursts(shards: &[usize], traced: bool) -> usize {
             let done = worker.drive();
             assert_eq!(done.len(), burst.len());
             assert_eq!(done.last().map(|op| op.resp), Some(8 * round));
-            assert_eq!(
-                control.quorum_rounds() - before,
-                9 * shards.len() as u64,
-                "shards {shards:?}, traced {traced}: a decision per busy shard"
-            );
+            rounds.push(control.quorum_rounds() - before);
         }
     });
-    control.max_open_rounds()
+    assert!(
+        rounds.windows(2).all(|w| w[0] == w[1]),
+        "shards {shards:?}, traced {traced}: {rounds:?}"
+    );
+    let per_round = (control.requests_sent() - requests) / rounds.iter().sum::<u64>();
+    (rounds[0], per_round, control.max_open_rounds())
 }
 
-/// One worker keeps its busy shards' quorum rounds in flight together:
-/// with two shards busy the network sees two rounds open at once, with
-/// one shard busy never more than one, and a traced network (whose
-/// client lane takes one writer) keeps the shards in turn. The rounds
-/// per burst stay 2 × 9 = 18 either way.
+/// One worker sends its busy shards' accesses in shared rounds: with two
+/// shards busy, each step's groups go out as one group of the shared
+/// space, so a burst opens one shard's 9 rounds (18 when the shards took
+/// turns), one request per replica per round (3 on 3 replicas), and never
+/// more than one round is open. A traced network (whose client lane takes
+/// one writer) keeps the shards in turn: 2 × 9 rounds.
 #[test]
-fn a_worker_overlaps_the_rounds_of_its_busy_shards() {
-    assert_eq!(max_open_rounds_over_bursts(&[0, 1], false), 2);
-    assert_eq!(max_open_rounds_over_bursts(&[1], false), 1);
-    assert_eq!(max_open_rounds_over_bursts(&[0, 1], true), 1);
+fn a_worker_sends_its_busy_shards_accesses_in_shared_rounds() {
+    assert_eq!(burst_costs(&[0, 1], false), (9, 3, 1), "two busy shards");
+    assert_eq!(burst_costs(&[1], false), (9, 3, 1), "one busy shard");
+    assert_eq!(burst_costs(&[0, 1], true), (18, 3, 1), "traced, in turn");
 }

@@ -10,7 +10,7 @@ use tfr::core::consensus::NativeConsensus;
 use tfr::core::derived::{LeaderElection, Renaming, SetConsensus, TestAndSet};
 use tfr::core::election_spec::ElectionSpec;
 use tfr::core::universal::{
-    CommittedBatch, Counter, FifoQueue, MultiConsensus, Sequential, Universal,
+    seen, CommittedBatch, Counter, FifoQueue, MultiConsensus, Sequential, Session, Universal, Wait,
 };
 use tfr::modelcheck::{Explorer, SafetySpec};
 use tfr::registers::chaos::{self, points, ChaosSession, Fault, FaultAction, PointObserver};
@@ -686,4 +686,67 @@ fn renaming_single_stalled_straggler_gets_a_valid_name() {
     let distinct: HashSet<usize> = names.iter().copied().collect();
     assert_eq!(distinct.len(), n, "duplicate names: {names:?}");
     assert!(names.iter().all(|&name| name < n), "{names:?}");
+}
+
+/// Serves `sessions` of one object by hand, one group per session per
+/// step, in lockstep, and returns how many `delay(Δ)`s they waited out.
+fn lockstep<S: RegisterSpace>(
+    obj: &Universal<Counter, S>,
+    sessions: &mut [&mut Session<'_, Counter, S>],
+) -> usize {
+    let mut delays = 0;
+    loop {
+        let mut moved = false;
+        for session in sessions.iter_mut() {
+            match session.wait() {
+                Wait::Done => continue,
+                Wait::Delay(delta) => {
+                    std::thread::sleep(delta);
+                    delays += 1;
+                    session.resume(0);
+                }
+                Wait::Group(between) => {
+                    let mut between = move || between.fire();
+                    let mut group: Vec<_> = session.group(&mut between).into_accesses().collect();
+                    obj.space().access_all(&mut group);
+                    let seen = seen(&group);
+                    drop(group);
+                    session.resume(seen);
+                }
+            }
+            moved = true;
+        }
+        if !moved {
+            return delays;
+        }
+    }
+}
+
+/// Tier-1's copy of `tfr-core`'s lockstep test. Two sessions of one
+/// object, their machines stepped by hand one group
+/// at a time in lockstep, both combine at slot 0 and contend in its pid
+/// election: each writes its `x` before reading the other's, so both
+/// reach Algorithm 1's `delay(Δ)` ([`Wait::Delay`]). Resumed after it,
+/// they agree on process 0's batch, which holds both ops.
+#[test]
+fn lockstep_sessions_meet_at_a_delay_and_agree() {
+    let obj = Universal::new(Counter, 2, 4, Duration::from_micros(5));
+    let (mut a, mut b) = (obj.session(ProcId(0)), obj.session(ProcId(1)));
+    a.announce(1);
+    b.announce(2);
+    a.start_drive();
+    b.start_drive();
+    assert_eq!(lockstep(&obj, &mut [&mut a, &mut b]), 2, "both delay once");
+    let winners: Vec<_> = a
+        .take_commits()
+        .map(|c| (c.slot, c.proposer, c.size))
+        .collect();
+    assert_eq!(winners, [(0, ProcId(0), 2)]);
+    assert_eq!(
+        b.take_commits().map(|c| c.proposer).collect::<Vec<_>>(),
+        [ProcId(0)]
+    );
+    assert_eq!(a.take_responses().collect::<Vec<_>>(), [(0, 1)]);
+    assert_eq!(b.take_responses().collect::<Vec<_>>(), [(0, 3)]);
+    assert!(obj.audit().complete());
 }

@@ -14,13 +14,13 @@
 //! passing the real batcher.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::Counter;
 use tfr::net::{NetConfig, Network};
 use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
-use tfr::registers::space::RegisterSpace;
+use tfr::registers::space::{NativeSpace, RegisterSpace};
 use tfr::registers::ProcId;
 use tfr::service::{
     decode_op, run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, ObjectService,
@@ -302,14 +302,16 @@ fn crash_recovered_service_sessions_lose_no_ops_over_quorum_registers() {
     assert!(recoveries >= 3, "only {recoveries} incarnations restarted");
 }
 
-/// Over quorum registers a worker drives its first busy shard itself and
-/// the other on a helper thread in its chaos incarnation. A
-/// crash-recovery at the one `UNIVERSAL_COMBINE` visit of a drive — on
-/// the helper's shard, because another worker already committed the
-/// caller's op on the first — surfaces from the caller's `run_as` as a
+/// Over quorum registers a worker multiplexes its two busy shards, their
+/// groups sharing each step's round. Both shards start combining at the
+/// drive's start, shard 0 first: its probe, read when the burst was
+/// announced, predates the decision another worker made there, with the
+/// caller's op in it. A crash-recovery at the second `UNIVERSAL_COMBINE`
+/// visit, shard 1's, stops the multiplexed drive with shard 0's first
+/// group not yet sent, surfaces from the worker's `run_as` as a
 /// recoverable crash, and after a flush nothing is lost.
 #[test]
-fn a_crash_on_a_helper_shard_surfaces_from_the_workers_run_as() {
+fn a_crash_inside_a_multiplexed_drive_surfaces_from_the_workers_run_as() {
     let net = Arc::new(Network::new(NetConfig::new(N, 3, 0x4E1F)));
     let svc = ObjectService::on(Arc::new(net.space()), || Counter, &config());
     let key_on = |shard: usize| {
@@ -321,7 +323,7 @@ fn a_crash_on_a_helper_shard_surfaces_from_the_workers_run_as() {
     let session = ChaosSession::install(&[Fault {
         pid: ProcId(0),
         point: points::UNIVERSAL_COMBINE,
-        nth: 1,
+        nth: 2,
         action: FaultAction::CrashRecover(down),
     }]);
     let mut worker = svc.worker(ProcId(0));
@@ -340,9 +342,89 @@ fn a_crash_on_a_helper_shard_surfaces_from_the_workers_run_as() {
         audits[0].complete(),
         "shard 0 was committed before the crash"
     );
-    assert!(!audits[1].complete(), "the helper crashed before proposing");
+    assert!(!audits[1].complete(), "shard 1 crashed before proposing");
     flush(&svc);
-    assert_nothing_lost(&svc, "crash on the helper's shard");
+    assert_nothing_lost(&svc, "crash inside a multiplexed drive");
+}
+
+/// Native memory that tapes every access as `(is_write, index)`.
+#[derive(Default)]
+struct Taped {
+    cells: NativeSpace,
+    tape: Mutex<Vec<(bool, u64)>>,
+}
+
+impl RegisterSpace for Taped {
+    fn read(&self, index: u64) -> u64 {
+        self.tape.lock().unwrap().push((false, index));
+        self.cells.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.tape.lock().unwrap().push((true, index));
+        self.cells.write(index, value)
+    }
+}
+
+/// The accesses, `(is_write, parent index)` in order, of one worker's
+/// burst over native memory with two shards of 4 slots: op 0 on shard 0,
+/// ops 1 and 2 on shard 1. Recorded before the shards' sessions became
+/// machines, when a worker drove its shards one after the other.
+const TWO_SHARD_TAPE: [(bool, u64); 30] = [
+    // Shard 0 announces: its payload, then its counter with slot 0's probe.
+    (true, 12),
+    (true, 0),
+    (false, 4),
+    (false, 52),
+    // Shard 1 announces two ops the same way.
+    (true, 13),
+    (true, 19),
+    (true, 1),
+    (false, 5),
+    (false, 53),
+    // Shard 0 decides: the record and the mark, the announcement, and
+    // Algorithm 1's `x`, conditional `y`, `x[1, v̄]`, `decide` with `result`.
+    (true, 2),
+    (true, 8),
+    (true, 6),
+    (true, 28),
+    (true, 148),
+    (false, 124),
+    (true, 124),
+    (false, 172),
+    (true, 52),
+    (true, 4),
+    // Shard 1 decides its two-op batch the same way.
+    (true, 3),
+    (true, 9),
+    (true, 15),
+    (true, 7),
+    (true, 29),
+    (true, 149),
+    (false, 125),
+    (true, 125),
+    (false, 173),
+    (true, 53),
+    (true, 5),
+];
+
+/// Tier-1's copy of `tfr-service`'s tape pin: on native memory a worker
+/// serves its busy shards in turn, each session's groups on their own, so
+/// a 2-shard burst makes the accesses of [`TWO_SHARD_TAPE`], in its order.
+#[test]
+fn a_native_two_shard_burst_keeps_its_access_tape() {
+    let space = Arc::new(Taped::default());
+    let cfg = ServiceConfig {
+        capacity_per_shard: 4,
+        delta: Duration::from_micros(10),
+        ..ServiceConfig::new(2, 1)
+    };
+    let svc = ObjectService::on(Arc::clone(&space), || Counter, &cfg);
+    assert_eq!((svc.shard_of(0), svc.shard_of(2)), (0, 1));
+    let mut worker = svc.worker(ProcId(0));
+    space.tape.lock().unwrap().clear();
+    worker.enqueue_burst(&[(0, 1), (2, 2), (2, 3)]);
+    assert_eq!(worker.drive().len(), 3);
+    assert_eq!(*space.tape.lock().unwrap(), TWO_SHARD_TAPE);
 }
 
 /// Fault-free baseline under the same harness: the workload completes
