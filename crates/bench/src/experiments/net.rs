@@ -196,6 +196,7 @@ pub fn net() -> Vec<Table> {
             "conditional write / link rtt",
             "group r+o+a / link rtt",
             "group w+r / link rtt",
+            "ordered group p+c+r / link rtt",
         ],
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -269,6 +270,19 @@ pub fn net() -> Vec<Table> {
                     ]);
                 }
             });
+            // An ordered group, a session's announcement: a payload run
+            // of 8 and then the counter, owned writes a reader must see in
+            // that order, with a read run of 2 (the next slot's probe).
+            let (_, _, ordered) = round_trip_p50s(&cfg, 1, |_, space| {
+                let mut probe = [0; 2];
+                for k in 0..200u64 {
+                    space.access_all(&mut [
+                        Access::write_run(10 + 8 * 3 * k, 3, &[k + 1; 8], WriteKind::Owned),
+                        Access::write_run(2, 1, &[8 * (k + 1)], WriteKind::Owned),
+                        Access::read_run(5, 3, &mut probe),
+                    ]);
+                }
+            });
             [
                 run_read,
                 run_write,
@@ -278,10 +292,11 @@ pub fn net() -> Vec<Table> {
                 conditional,
                 stores,
                 queried,
+                ordered,
             ]
             .map(|us| format!("{:.2}", us / link_rtt_us))
         } else {
-            ["-"; 8].map(String::from)
+            ["-"; 9].map(String::from)
         };
         let mut row = vec![
             threads.to_string(),
@@ -305,7 +320,9 @@ pub fn net() -> Vec<Table> {
     t3.note("carries one value) skips the query. A conditional write of an unset cell (a read,");
     t3.note("then a write if it read 0) shares one query between the two. A group of accesses");
     t3.note("(`r+o+a`: a read run, an owned run, an agreed write; `w+r`: a queried write run and");
-    t3.note("a read run) is one message per replica per phase: 1 client only.");
+    t3.note("a read run) is one message per replica per phase: 1 client only. An ordered group");
+    t3.note("(`p+c+r`: a payload run, then the counter, owned, with a read run) is one round too:");
+    t3.note("its stores share one tag, and a reader that repairs one cell repairs them all.");
     vec![t1, t2, t3]
 }
 
@@ -358,8 +375,11 @@ fn round_trip_p50s(
 /// two rounds (a read and then a queried write would read 3, a store
 /// alone 1); and a group costs one round per phase — a read run, an
 /// owned run and an agreed write one round, a queried write run and a
-/// read run two (served access by access, both would read 3).
-/// Self-normalising: the p50 over the *configured* mean link round trip.
+/// read run two (served access by access, both would read 3); and an
+/// ordered group, a payload run and then a counter with a read run, one
+/// round (with the order kept by a round for the payloads and another
+/// for the counter, it would read 2). Self-normalising: the p50 over the
+/// *configured* mean link round trip.
 pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     let solo = || by_id(tables, "NETc")?.row_where(&[("client threads", "1")]);
     vec![
@@ -423,6 +443,13 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
                 "group w+r / link rtt in 1.5..=2.6",
             )
         }),
+        gate("NETc.ordered_groups_cost_one_round", || {
+            let solo = solo()?;
+            solo.expect(
+                solo.num("ordered group p+c+r / link rtt")? <= 1.3,
+                "ordered group p+c+r / link rtt <= 1.3",
+            )
+        }),
     ]
 }
 
@@ -439,11 +466,12 @@ mod tests {
              | run-of-8 read / link rtt | run-of-8 write / link rtt \
              | owned write / link rtt | run-of-8 owned write / link rtt \
              | agreed write / link rtt | conditional write / link rtt \
-             | group r+o+a / link rtt | group w+r / link rtt",
+             | group r+o+a / link rtt | group w+r / link rtt \
+             | ordered group p+c+r / link rtt",
             &[
-                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02 | 2.03 | 1.04 | 2.05",
-                "2 | 1.05 | 2.10 | - | - | - | - | - | - | - | -",
-                "4 | 2.40 | 4.90 | - | - | - | - | - | - | - | -",
+                "1 | 1.01 | 2.02 | 1.02 | 2.04 | 1.01 | 1.03 | 1.02 | 2.03 | 1.04 | 2.05 | 1.05",
+                "2 | 1.05 | 2.10 | - | - | - | - | - | - | - | - | -",
+                "4 | 2.40 | 4.90 | - | - | - | - | - | - | - | - | -",
             ],
         )];
         // Every gate reads the one-client row, so a missing row or an
@@ -523,6 +551,18 @@ mod tests {
                         // A queried write that skipped its query.
                         Set(0, "group w+r / link rtt", "1.02"),
                         Set(0, "group r+o+a / link rtt", "-"),
+                        DropRow(0),
+                        Clear,
+                    ],
+                ),
+                (
+                    "NETc.ordered_groups_cost_one_round",
+                    &[
+                        // The payloads and the counter in rounds of their
+                        // own, in order: two rounds.
+                        Set(0, "ordered group p+c+r / link rtt", "2.04"),
+                        Set(0, "ordered group p+c+r / link rtt", "1.31"),
+                        Set(0, "ordered group p+c+r / link rtt", "-"),
                         DropRow(0),
                         Clear,
                     ],

@@ -65,10 +65,20 @@ impl IntoBenchId for BenchmarkId {
 
 /// Timing loop handle passed to each benchmark closure.
 pub struct Bencher {
-    /// Mean nanoseconds per iteration, filled in by `iter`/`iter_batched`.
+    /// Nanoseconds per iteration, filled in by `iter`/`iter_batched` (the
+    /// mean) or `iter_fresh_min` (the minimum over repetitions).
     elapsed_ns: f64,
     measure: Duration,
+    /// The repetitions `iter_fresh_min` took its minimum over.
+    min_of: Option<usize>,
 }
+
+/// Fresh inputs timed together in one repetition of
+/// [`Bencher::iter_fresh_min`]: enough that one stopwatch pair is noise.
+const FRESH_BATCH: usize = 64;
+
+/// The fewest repetitions [`Bencher::iter_fresh_min`] takes.
+const MIN_REPETITIONS: usize = 21;
 
 impl Bencher {
     /// Times `routine` repeatedly and records the mean ns/iteration.
@@ -110,6 +120,45 @@ impl Bencher {
         }
         self.elapsed_ns = timed.as_nanos() as f64 / iters.max(1) as f64;
     }
+
+    /// Times `routine` on fresh values from `setup` and records the
+    /// **minimum** over repetitions of the per-iteration time. A
+    /// repetition builds a batch of fresh values untimed, then times the
+    /// routine over all of them with one stopwatch; repetitions run until
+    /// the measurement window is spent, at least 21 of them. A mean of
+    /// one-shot routines moves with every interruption and allocator
+    /// mood; the minimum is the routine's own cost, which is what a
+    /// before/after comparison of a code change needs.
+    pub fn iter_fresh_min<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        let mut best = f64::INFINITY;
+        let mut reps = 0;
+        let wall = Instant::now();
+        while reps < MIN_REPETITIONS || wall.elapsed() < self.measure {
+            let inputs: Vec<I> = (0..FRESH_BATCH).map(|_| setup()).collect();
+            let start = Instant::now();
+            for input in inputs {
+                std::hint::black_box(routine(input));
+            }
+            let per_iter = start.elapsed().as_nanos() as f64 / FRESH_BATCH as f64;
+            best = best.min(per_iter);
+            reps += 1;
+        }
+        self.elapsed_ns = best;
+        self.min_of = Some(reps);
+    }
+}
+
+/// Prints one benchmark's line: `name  ns/iter`, and the repetitions a
+/// minimum was taken over.
+fn report(name: String, b: &Bencher) {
+    let min_of = b
+        .min_of
+        .map_or(String::new(), |reps| format!(" (min of {reps})"));
+    println!("{name:<48} {:>14.1} ns/iter{min_of}", b.elapsed_ns);
 }
 
 /// A named group of benchmarks; prints one line per benchmark.
@@ -136,13 +185,10 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher {
             elapsed_ns: 0.0,
             measure: self.measure,
+            min_of: None,
         };
         f(&mut b);
-        println!(
-            "{:<48} {:>14.1} ns/iter",
-            format!("{}/{}", self.name, id.into_bench_id()),
-            b.elapsed_ns
-        );
+        report(format!("{}/{}", self.name, id.into_bench_id()), &b);
         self
     }
 
@@ -156,13 +202,10 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher {
             elapsed_ns: 0.0,
             measure: self.measure,
+            min_of: None,
         };
         f(&mut b, input);
-        println!(
-            "{:<48} {:>14.1} ns/iter",
-            format!("{}/{}", self.name, id.into_bench_id()),
-            b.elapsed_ns
-        );
+        report(format!("{}/{}", self.name, id.into_bench_id()), &b);
         self
     }
 
@@ -233,6 +276,7 @@ mod tests {
         let mut b = Bencher {
             elapsed_ns: 0.0,
             measure: Duration::from_millis(2),
+            min_of: None,
         };
         b.iter(|| std::hint::black_box(1u64 + 1));
         assert!(b.elapsed_ns > 0.0);
@@ -243,9 +287,35 @@ mod tests {
         let mut b = Bencher {
             elapsed_ns: 0.0,
             measure: Duration::from_millis(2),
+            min_of: None,
         };
         b.iter_batched(|| vec![0u8; 16], |v| v.len(), BatchSize::SmallInput);
         assert!(b.elapsed_ns > 0.0);
+    }
+
+    #[test]
+    fn iter_fresh_min_takes_the_least_of_many_repetitions() {
+        let mut b = Bencher {
+            elapsed_ns: 0.0,
+            measure: Duration::from_millis(1),
+            min_of: None,
+        };
+        let mut built = 0;
+        b.iter_fresh_min(
+            || {
+                built += 1;
+                vec![0u8; 16]
+            },
+            |v| v.len(),
+        );
+        let reps = b.min_of.expect("a minimum was taken");
+        assert!(reps >= MIN_REPETITIONS);
+        assert_eq!(
+            built,
+            reps * FRESH_BATCH,
+            "every iteration gets a fresh input"
+        );
+        assert!(b.elapsed_ns >= 0.0 && b.elapsed_ns.is_finite());
     }
 
     #[test]

@@ -193,6 +193,8 @@ pub(crate) trait Sink<'a> {
     fn one(self, access: Access<'a>) -> Self::Out;
     /// A group of two.
     fn two(self, first: Access<'a>, second: Access<'a>) -> Self::Out;
+    /// A group of three.
+    fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> Self::Out;
 }
 
 /// The sink that hands a group out.
@@ -203,22 +205,29 @@ impl<'a> Sink<'a> for Hand {
     #[inline(always)]
     fn none(self) -> Group<'a> {
         Group {
-            accesses: [Group::unused(), Group::unused()],
+            accesses: [Group::unused(), Group::unused(), Group::unused()],
             len: 0,
         }
     }
     #[inline(always)]
     fn one(self, access: Access<'a>) -> Group<'a> {
         Group {
-            accesses: [access, Group::unused()],
+            accesses: [access, Group::unused(), Group::unused()],
             len: 1,
         }
     }
     #[inline(always)]
     fn two(self, first: Access<'a>, second: Access<'a>) -> Group<'a> {
         Group {
-            accesses: [first, second],
+            accesses: [first, second, Group::unused()],
             len: 2,
+        }
+    }
+    #[inline(always)]
+    fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> Group<'a> {
+        Group {
+            accesses: [first, second, third],
+            len: 3,
         }
     }
 }
@@ -242,6 +251,12 @@ impl<'a, S: RegisterSpace + ?Sized> Sink<'a> for Serve<'_, S> {
     #[inline(always)]
     fn two(self, first: Access<'a>, second: Access<'a>) -> u64 {
         let mut group = [first, second];
+        self.0.access_all(&mut group);
+        seen(&group)
+    }
+    #[inline(always)]
+    fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> u64 {
+        let mut group = [first, second, third];
         self.0.access_all(&mut group);
         seen(&group)
     }
@@ -271,14 +286,49 @@ impl<'a, M: Fn(&mut Access<'a>), K: Sink<'a>> Sink<'a> for Mapped<M, K> {
         (self.map)(&mut second);
         self.to.two(first, second)
     }
+    #[inline(always)]
+    fn three(self, mut first: Access<'a>, mut second: Access<'a>, mut third: Access<'a>) -> K::Out {
+        (self.map)(&mut first);
+        (self.map)(&mut second);
+        (self.map)(&mut third);
+        self.to.three(first, second, third)
+    }
 }
 
-/// One group of accesses a driven machine waits on: at most two, borrowing
-/// the machine's buffers. Move them into a group of the space
+/// A sink that puts two accesses ahead of a one-access group before it
+/// goes on to `to`: how a machine sends its own writes in one group with
+/// the first step of an automaton it drives.
+pub(crate) struct Ahead<'a, K> {
+    pub(crate) first: [Access<'a>; 2],
+    pub(crate) to: K,
+}
+
+impl<'a, K: Sink<'a>> Sink<'a> for Ahead<'a, K> {
+    type Out = K::Out;
+    #[inline(always)]
+    fn none(self) -> K::Out {
+        let [first, second] = self.first;
+        self.to.two(first, second)
+    }
+    #[inline(always)]
+    fn one(self, access: Access<'a>) -> K::Out {
+        let [first, second] = self.first;
+        self.to.three(first, second, access)
+    }
+    fn two(self, _: Access<'a>, _: Access<'a>) -> K::Out {
+        unreachable!("only a one-access step goes out behind two accesses")
+    }
+    fn three(self, _: Access<'a>, _: Access<'a>, _: Access<'a>) -> K::Out {
+        unreachable!("only a one-access step goes out behind two accesses")
+    }
+}
+
+/// One group of accesses a driven machine waits on: at most three,
+/// borrowing the machine's buffers. Move them into a group of the space
 /// ([`Group::into_accesses`]), serve it, and hand back what their
 /// conditional write read ([`seen`]).
 pub struct Group<'a> {
-    accesses: [Access<'a>; 2],
+    accesses: [Access<'a>; 3],
     len: usize,
 }
 

@@ -49,18 +49,21 @@
 //! independent cells — op payloads, arena records and their read-back —
 //! and a [`Session`] issues each run of them as one register run
 //! ([`RegisterSpaceExt::read_run`] / [`RegisterSpaceExt::write_run`]).
-//! Beyond runs, it sends accesses that nothing orders as one **group**
+//! Beyond runs, it sends accesses as one **group**
 //! ([`RegisterSpace::access_all`]), which a quorum backend serves in the
 //! round trips of a single access, one message per replica per phase. A
-//! group promises per-cell atomicity and nothing across its accesses, so
-//! only accesses whose mutual order no reader relies on are grouped.
-//! Linearizability is local: concurrent operations on different cells
-//! compose. One `svc_quorum` decision (n = 1) costs these quorum rounds:
+//! group promises per-cell atomicity, and across its accesses only the
+//! order of its owned and agreed writes (see [Ordered groups](#ordered-groups)),
+//! so only accesses whose mutual order no reader relies on, or relies on
+//! only in that way, are grouped. Linearizability is local: concurrent
+//! operations on different cells compose. One `svc_quorum` decision
+//! (n = 1) costs these quorum rounds:
 //!
 //! | | payloads | counter | probe | record, mark | announce | Algorithm 1 | `result` | total |
 //! |---|---|---|---|---|---|---|---|---|
 //! | each access its own round | 1 | 1 | 1 | 2 | 1 | 5 | 1 | **12** |
 //! | grouped | 1 | 1, the probe shares it | 0 | 1 | 1 | 5, `decide` shares its round with `result` | 0 | **9** |
+//! | grouped, ordered | 1, with the counter and the probe | 0 | 0 | 1, with the announcement | 0 | 5, as above | 0 | **7** |
 //!
 //! The three grouped pairs, and why no reader orders them:
 //!
@@ -72,7 +75,8 @@
 //!   counter rather than the payloads so that shared memory, which runs a
 //!   group in order, still probes after announcing.
 //! * **Record ∥ mark.** `publish_batch` sends the record run and the
-//!   arena mark as one group of owned stores. The mark need only precede
+//!   arena mark as one group of owned stores (with the announcement,
+//!   ordered after both, see below). The mark need only precede
 //!   the proposal: no reader dereferences an arena offset until a slot's
 //!   decision names it, and the mark only tells a recovered incarnation
 //!   where the next record goes (see `publish_batch`).
@@ -82,10 +86,37 @@
 //!   election's label). Every write to either cell carries the common
 //!   decision, and no reader of `result` goes on to read that `decide`.
 //!
-//! Every ordering the construction does rely on stays *between* groups:
+//! # Ordered groups
+//!
+//! A space keeps the order of a group's owned and agreed writes for
+//! every reader: a read that returns one of them, followed by a read of a
+//! cell an earlier one wrote, returns that write or a later one
+//! ([`RegisterSpace`]'s groups). Shared memory runs a group in slice
+//! order, which is program order; the quorum space stamps the writes
+//! with one tag, and a reader that writes one of them back writes back
+//! all of them (`tfr_net::abd`). Two orders the construction relies on
+//! are orders among one process's owned writes, and each now shares one
+//! round:
 //!
 //! * a burst's payloads, *then* its announce counter (combiners read
-//!   payloads only below a counter they have read);
+//!   payloads only below a counter they have read): the payload run, the
+//!   counter and the next slot's probe go out as one group, in that
+//!   order;
+//! * the record and the mark, *then* the slot's announcement (an
+//!   adopter proposes the value an announcement names, and whoever
+//!   applies the decision reads the record it points to): the record run
+//!   and the mark go out in one group with the election's first step,
+//!   `announce[pid]`, or the standing read on a recovered session's first
+//!   proposal.
+//!
+//! On shared memory a group runs in slice order, so both groups make the
+//! accesses a pair of separate groups would, in the same order; and the
+//! announcement fires its injection point only after its write, so the
+//! points fire in that order too (the pinned tapes check both).
+//!
+//! Every other ordering the construction relies on stays *between*
+//! groups:
+//!
 //! * everything a proposal needs — the record, the mark, the slot's
 //!   announcement — *before* Algorithm 1's writes of `x` (a decision can
 //!   name an offset only once its proposer has proposed it);
@@ -120,11 +151,13 @@
 //! announcement before announcing, so that a recovered incarnation
 //! re-proposes the value its predecessor announced. A [`Session`] pays
 //! that read only at its first proposal, and only if it opened with a
-//! nonzero arena mark: a predecessor publishes its record and then its
-//! mark before it proposes, and it leaves a standing announcement at most
-//! at the slot it crashed in, which is the first one a new session can
-//! propose at. Every other proposal skips it:
-//! [`MultiConsensus::propose_probed`] takes whether to read it.
+//! nonzero arena mark: a predecessor's mark is ordered before its
+//! announcement (one ordered group), and it leaves a standing
+//! announcement at most at the slot it crashed in, which is the first one
+//! a new session can propose at. Every other proposal skips it:
+//! [`MultiConsensus::propose_probed`] takes whether to read it. The read
+//! rides in the group of the record and the mark, so a recovered
+//! session's first proposal costs one round more, not two.
 //!
 //! **Own-batch apply.** When `propose` returns `pack(pid, offset)` for
 //! the record this session has just published at that slot, the session
@@ -149,7 +182,7 @@
 //! the service runs.
 
 pub use crate::driver::{seen, Between, Group};
-use crate::driver::{Driver, Hand, Mapped, Serve, Sink, Step};
+use crate::driver::{Ahead, Driver, Hand, Mapped, Serve, Sink, Step};
 use crate::election_spec::{ElectionSpec, ElectionState};
 use std::sync::Arc;
 use std::time::Duration;
@@ -713,6 +746,7 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
             phase: Phase::Idle,
             proposing: false,
             obs: Vec::new(),
+            spare: None,
             consensus: None,
         }
     }
@@ -881,6 +915,9 @@ pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     proposing: bool,
     /// The election's events, reused across steps.
     obs: Vec<Obs>,
+    /// The last election's box, reused by the next: a decision allocates
+    /// nothing once the session has made one.
+    spare: Option<Box<Election>>,
     /// The `"consensus"` span around the proposal in progress.
     consensus: Option<Span<'u>>,
 }
@@ -914,13 +951,11 @@ struct Election {
 enum Phase {
     Idle,
     /// The payload run of `own_payloads[from..]`, from sequence number
-    /// `first`.
-    Payloads {
+    /// `first`, then the announce counter, with the probe of slot `s` if
+    /// there is one.
+    Counter {
         from: usize,
         first: u64,
-    },
-    /// The announce counter, with the probe of slot `s` if there is one.
-    Counter {
         count: [u64; 1],
         probe: Option<(usize, [u64; 2])>,
     },
@@ -942,10 +977,10 @@ enum Phase {
         off: usize,
         cell: [u64; 1],
     },
-    /// The record in `scratch` and the arena mark, published at `offset`.
+    /// The record in `scratch` and the arena mark, published at `offset`,
+    /// then the first step of `election`, which proposes the record.
     Publish {
-        s: usize,
-        probe: Probe,
+        election: Box<Election>,
         offset: u64,
         mark: [u64; 1],
     },
@@ -998,12 +1033,14 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// — the client half of flat combining — and returns the sequence
     /// number of the first. Sequence numbers are consecutive.
     ///
-    /// The payloads go out as one register run, *then* the counter: a
-    /// combiner reads payloads only below a counter value it has read, so
-    /// the payloads need no order among themselves. Both are owned writes
+    /// The payloads go out as one register run, *then* the counter, in
+    /// one ordered group: a combiner reads payloads only below a counter
+    /// value it has read, so the payloads need no order among themselves,
+    /// and the group orders them before the counter for every reader
+    /// (see [Ordered groups](self#ordered-groups)). Both are owned writes
     /// (only this process writes them), and the session keeps the
-    /// payloads until the ops are applied. The counter goes out in one
-    /// group with the [`MultiConsensus::probe`] of the next slot, which
+    /// payloads until the ops are applied. The group ends with the
+    /// [`MultiConsensus::probe`] of the next slot, which
     /// [`Session::drive_pending`] starts from: a read may come as early as
     /// the caller likes.
     ///
@@ -1056,7 +1093,12 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
             op + 1
         }));
         self.announced = first + ops.len() as u64;
-        self.phase = Phase::Payloads { from, first };
+        self.phase = Phase::Counter {
+            from,
+            first,
+            count: [self.announced],
+            probe: (self.next_slot < self.uni.capacity).then_some((self.next_slot, [0; 2])),
+        };
         first
     }
 
@@ -1085,7 +1127,9 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
             Phase::Elect(election) if election.step.is_delay() => {
                 Wait::Delay(self.uni.slots[election.s].driver.delta)
             }
-            Phase::Elect(election) => Wait::Group(election.step.between()),
+            Phase::Elect(election) | Phase::Publish { election, .. } => {
+                Wait::Group(election.step.between())
+            }
             _ => Wait::Group(Between::NONE),
         }
     }
@@ -1104,16 +1148,21 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         let (pid, n) = (self.pid.0, uni.n as u64);
         match &mut self.phase {
             Phase::Idle => sink.none(),
-            Phase::Payloads { from, first } => sink.one(uni.lift(
-                Region::Announce,
-                Access::write_run(
-                    uni.idx_op(pid, *first),
-                    n,
-                    &self.own_payloads[*from..],
-                    WriteKind::Owned,
-                ),
-            )),
-            Phase::Counter { count, probe } => {
+            Phase::Counter {
+                from,
+                first,
+                count,
+                probe,
+            } => {
+                let payloads = uni.lift(
+                    Region::Announce,
+                    Access::write_run(
+                        uni.idx_op(pid, *first),
+                        n,
+                        &self.own_payloads[*from..],
+                        WriteKind::Owned,
+                    ),
+                );
                 let counter = uni.lift(
                     Region::Announce,
                     Access::write_run(
@@ -1125,8 +1174,9 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                 );
                 match probe {
                     // Past the last slot there is nothing to probe.
-                    None => sink.one(counter),
-                    Some((s, cells)) => sink.two(
+                    None => sink.two(payloads, counter),
+                    Some((s, cells)) => sink.three(
+                        payloads,
                         counter,
                         uni.lift(Region::Slot(*s), uni.slots[*s].probe_access(cells)),
                     ),
@@ -1145,8 +1195,12 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                     Access::read_run(Universal::<T, S>::idx_announced(p), 1, cell),
                 ))
             }
-            Phase::Publish { offset, mark, .. } => sink.two(
-                uni.lift(
+            Phase::Publish {
+                election,
+                offset,
+                mark,
+            } => {
+                let record = uni.lift(
                     Region::Arena,
                     Access::write_run(
                         uni.idx_arena(pid, *offset),
@@ -1154,8 +1208,8 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                         &self.scratch,
                         WriteKind::Owned,
                     ),
-                ),
-                uni.lift(
+                );
+                let mark = uni.lift(
                     Region::Announce,
                     Access::write_run(
                         Universal::<T, S>::idx_arena_mark(pid),
@@ -1163,8 +1217,15 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                         mark,
                         WriteKind::Owned,
                     ),
-                ),
-            ),
+                );
+                let s = election.s;
+                let map = move |access: &mut Access<'a>| uni.lift_slot(s, access);
+                let to = Ahead {
+                    first: [record, mark],
+                    to: sink,
+                };
+                election.step.accesses(between, Mapped { map, to })
+            }
             Phase::Elect(election) => {
                 let s = election.s;
                 let map = move |access: &mut Access<'a>| uni.lift_slot(s, access);
@@ -1212,12 +1273,6 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     fn resume_with(&mut self, seen: u64, alone: bool) {
         match std::mem::replace(&mut self.phase, Phase::Idle) {
             Phase::Idle => {}
-            Phase::Payloads { .. } => {
-                self.phase = Phase::Counter {
-                    count: [self.announced],
-                    probe: (self.next_slot < self.uni.capacity).then_some((self.next_slot, [0; 2])),
-                }
-            }
             Phase::Counter { probe, .. } => {
                 if let Some((s, cells)) = probe {
                     self.probe = Some((s, Probe::from_cells(cells)));
@@ -1242,41 +1297,8 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                     self.publish(s, probe)
                 }
             }
-            Phase::Publish {
-                s, probe, offset, ..
-            } => {
-                let proposal = Universal::<T, S>::pack(self.pid.0, offset);
-                let slot = &self.uni.slots[s];
-                let standing = std::mem::take(&mut self.standing);
-                if alone {
-                    let decided = slot.propose_probed(self.pid, proposal, probe, standing);
-                    return self.elected(s, proposal, decided);
-                }
-                slot.check(self.pid, proposal);
-                let mut state =
-                    (slot.driver.spec).start(self.pid, proposal, standing, Some(probe.decide));
-                let step = slot.driver.next(&mut state, &mut self.obs);
-                self.elect(Box::new(Election {
-                    s,
-                    proposal,
-                    state,
-                    step,
-                    decided: None,
-                }));
-            }
-            Phase::Elect(mut election) => {
-                let driver = &self.uni.slots[election.s].driver;
-                let Election {
-                    state,
-                    step,
-                    decided,
-                    ..
-                } = &mut *election;
-                step.served(seen);
-                driver.resume(state, step, &mut self.obs);
-                *decided = driver.events(&mut self.obs).or(*decided);
-                *step = driver.next(state, &mut self.obs);
-                self.elect(election);
+            Phase::Publish { election, .. } | Phase::Elect(election) => {
+                self.step_election(election, seen, alone)
             }
             Phase::Length {
                 s,
@@ -1297,6 +1319,31 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
                 ..
             } => self.stretches(s, decided, own, end),
         }
+    }
+
+    /// Takes back the step `election` waited on, `seen` what its
+    /// conditional write read, and moves the election on: to its next
+    /// step or, served `alone`, through the rest of the election, run
+    /// whole in the driver's own loop. Out of line: inlined into the
+    /// thin loops, it made a native 16-op burst ~10 % slower (2-vCPU
+    /// host, minimum of 41 repetitions).
+    #[inline(never)]
+    fn step_election(&mut self, mut election: Box<Election>, seen: u64, alone: bool) {
+        let driver = &self.uni.slots[election.s].driver;
+        let Election {
+            state,
+            step,
+            decided,
+            ..
+        } = &mut *election;
+        step.served(seen);
+        driver.resume(state, step, &mut self.obs);
+        *decided = driver.events(&mut self.obs).or(*decided);
+        if alone {
+            *decided = driver.run(state).or(*decided);
+        }
+        *step = driver.next(state, &mut self.obs);
+        self.elect(election);
     }
 
     /// Serves every group the machine waits on, on the object's own
@@ -1416,15 +1463,21 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// arena, at the arena mark.
     ///
     /// The record — the length cell and the entries — goes out as one
-    /// register run, in one group with the arena mark: owned writes, with
-    /// no order among them. What matters is that **everything is written
-    /// before the proposal**: no reader dereferences an arena offset until
-    /// a slot's decision names it, and a decision can name this offset
-    /// only once this session has proposed it, after the group has
-    /// returned. A session that crashes before its proposal leaves an
-    /// unreferenced record that its next incarnation, reading the old
-    /// mark, overwrites. The record stays in `scratch` for the own-batch
-    /// apply.
+    /// register run, in one ordered group with the arena mark and the
+    /// first step of the slot's election, which proposes the record:
+    /// `announce[pid]`, or the standing read. What matters is that
+    /// **everything is written before the proposal is seen**: no reader
+    /// dereferences an arena offset until a slot's decision names it, a
+    /// decision can name this offset only once some process has read
+    /// this session's announcement, and the group orders the record and
+    /// the mark before the announcement for every reader (see
+    /// [Ordered groups](self#ordered-groups)). A session that crashes
+    /// before its group is seen leaves an unreferenced record that its
+    /// next incarnation, reading the old mark, overwrites. The record
+    /// stays in `scratch` for the own-batch apply. The election starts
+    /// here, its first step waiting in the group; served alone
+    /// ([`Session::finish`]), the rest of it runs whole in the driver's
+    /// own loop.
     fn publish(&mut self, s: usize, probe: Probe) {
         let offset = self.arena_mark;
         let len = self.scratch.len() as u64 - 1;
@@ -1435,9 +1488,28 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         );
         self.scratch[0] = len;
         self.arena_mark = offset + 1 + len;
-        self.phase = Phase::Publish {
+        let proposal = Universal::<T, S>::pack(self.pid.0, offset);
+        let slot = &self.uni.slots[s];
+        slot.check(self.pid, proposal);
+        let standing = std::mem::take(&mut self.standing);
+        let mut state = (slot.driver.spec).start(self.pid, proposal, standing, Some(probe.decide));
+        let step = slot.driver.next(&mut state, &mut self.obs);
+        let election = Election {
             s,
-            probe,
+            proposal,
+            state,
+            step,
+            decided: None,
+        };
+        let election = match self.spare.take() {
+            Some(mut spare) => {
+                *spare = election;
+                spare
+            }
+            None => Box::new(election),
+        };
+        self.phase = Phase::Publish {
+            election,
             offset,
             mark: [self.arena_mark],
         };
@@ -1452,7 +1524,9 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         }
         let decided =
             (election.decided).expect("an election with unbounded rounds ends only in a decision");
-        self.elected(election.s, election.proposal, decided)
+        let (s, proposal) = (election.s, election.proposal);
+        self.spare = Some(election);
+        self.elected(s, proposal, decided)
     }
 
     /// Closes the proposal of `proposal` at slot `s`, which decided
@@ -2383,21 +2457,22 @@ mod tests {
         Arc::new(tfr_net::Network::new(cfg))
     }
 
-    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 9
-    /// quorum rounds, whatever the batch size: the payload run (owned),
-    /// the counter (owned) with the next slot's probe of `result` and
-    /// `decide`, the record and the mark (owned, one group), the slot's
-    /// announcement (owned), and Algorithm 1's five — the agreed write of
-    /// `x`, the conditional write of `y` (two), the read of `x[1, v̄]` and
-    /// the agreed write of `decide` with the agreed `result`. With each
-    /// access its own round it opened 12; with the entry read of
-    /// `decide`, the loop check after deciding and `y`'s read apart from
-    /// its write, 15; with those three writes queried too and the standing
-    /// read, 19; with every write queried and the winner reading its own
-    /// batch back, 27; before register runs, 6k + 23 (29, 71 and 407
-    /// rounds for k = 1, 8, 64).
+    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 7
+    /// quorum rounds, whatever the batch size: the payload run and then
+    /// the counter (owned, one ordered group) with the next slot's probe
+    /// of `result` and `decide`, the record and the mark and then the
+    /// slot's announcement (owned, one ordered group), and Algorithm 1's
+    /// five — the agreed write of `x`, the conditional write of `y`
+    /// (two), the read of `x[1, v̄]` and the agreed write of `decide` with
+    /// the agreed `result`. With the two ordered pairs in rounds of their
+    /// own it opened 9; with each access its own round, 12; with the
+    /// entry read of `decide`, the loop check after deciding and `y`'s
+    /// read apart from its write, 15; with those three writes queried too
+    /// and the standing read, 19; with every write queried and the winner
+    /// reading its own batch back, 27; before register runs, 6k + 23 (29,
+    /// 71 and 407 rounds for k = 1, 8, 64).
     #[test]
-    fn a_solo_decision_costs_9_quorum_rounds_at_any_batch_size() {
+    fn a_solo_decision_costs_7_quorum_rounds_at_any_batch_size() {
         for k in [1usize, 8, 64] {
             let net = lockstep_net();
             let control = net.control();
@@ -2406,15 +2481,16 @@ mod tests {
             let before = control.quorum_rounds();
             session.announce_burst(&vec![1; k]);
             session.drive_pending();
-            assert_eq!(control.quorum_rounds() - before, 9, "k={k}");
+            assert_eq!(control.quorum_rounds() - before, 7, "k={k}");
             assert_eq!(session.take_responses().len(), k);
         }
     }
 
     /// A session that opens after a predecessor proposed (a nonzero arena
-    /// mark) reads its standing announcement at its first proposal only:
-    /// once it has replayed the predecessor's slot, its first decision
-    /// opens 10 rounds over [`lockstep_net`], its next 9.
+    /// mark) reads its standing announcement at its first proposal only,
+    /// in one group with its record and mark, and then announces: once it
+    /// has replayed the predecessor's slot, its first decision opens 8
+    /// rounds over [`lockstep_net`], its next 7.
     #[test]
     fn a_recovered_session_reads_its_standing_announcement_once() {
         let net = lockstep_net();
@@ -2423,7 +2499,7 @@ mod tests {
         obj.invoke(ProcId(0), 1);
         let mut session = obj.session(ProcId(0));
         session.catch_up(); // slot 0, the predecessor's, read back
-        for want in [10, 9] {
+        for want in [8, 7] {
             let before = control.quorum_rounds();
             session.announce(1);
             session.drive_pending();

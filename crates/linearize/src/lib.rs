@@ -39,6 +39,10 @@
 //!   `read`/`write` on any `RegisterSpace` backend, and
 //!   [`RegisterModel`] is the atomic-register
 //!   sequential specification the history must satisfy.
+//! * [`order`] — **per-writer order across cells**, the property a
+//!   per-register check cannot see: [`check_writer_order`] rejects a read
+//!   that misses a writer's earlier cell after a read saw its later one,
+//!   which is what a quorum space's ordered groups promise a reader.
 //! * [`window`] — sampling **under load**: a bank-flipping
 //!   [`WindowRecorder`] with bounded per-process
 //!   buffers drains checkable [`Window`]s while the
@@ -90,6 +94,7 @@ pub mod mcconv;
 pub mod models;
 pub mod mutants;
 pub mod native;
+pub mod order;
 pub mod register;
 pub mod window;
 
@@ -102,6 +107,7 @@ pub use models::{
     SetConsensusModel, TasModel,
 };
 pub use native::{record_chaos, record_recoverable_lock, ObjectKind};
+pub use order::{check_writer_order, OrderReport, OrderViolation};
 pub use register::{RecordingSpace, RegisterModel};
 pub use window::{
     FromState, Rotation, SampleToken, Window, WindowCheckReport, WindowChecker, WindowRecorder,

@@ -547,7 +547,8 @@ mod tests {
     /// * read runs of the 8 cells up to `k` of each raced region, 100,
     ///   200 and 300, which must see every cell already written.
     ///
-    /// Every cell must linearize as an atomic register.
+    /// Every cell must linearize as an atomic register, and every owned
+    /// group keep its writer's order ([`crate::order`]).
     #[test]
     fn mixed_quorum_groups_linearize_under_drops_and_a_minority_cut() {
         const STEPS: u64 = 30;
@@ -593,6 +594,9 @@ mod tests {
                 panic!("stall {stall}: grouped accesses must linearize: {e:?}")
             });
             assert_eq!(report.objects.len(), 16 + 3 * STEPS as usize);
+            let order = crate::order::check_writer_order(&history)
+                .unwrap_or_else(|e| panic!("stall {stall}: {e}"));
+            assert!(order.pairs > 0, "reads of the owned cells were checked");
         }
     }
 

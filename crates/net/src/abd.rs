@@ -23,12 +23,14 @@
 //!
 //! * **Phase 1** carries the query of every read run, queried write run
 //!   and conditional write, and the store of every owned and agreed write
-//!   run, stamped with one fresh version `reserve_ts(0)`.
+//!   run, stamped with one fresh version `reserve_ts(0)`: an ordered
+//!   group (below).
 //! * Between the phases, each conditional write whose query found its
 //!   cell unset runs its `between`.
 //! * **Phase 2**, skipped when empty, carries the write-backs the reads
-//!   need and the stores of the queried and conditional writes, stamped
-//!   with one fresh version above every version their queries saw.
+//!   need, cells alone or whole ordered groups, and the stores of the
+//!   queried and conditional writes, stamped with one fresh version above
+//!   every version their queries saw.
 //!
 //! What each access does with its share of the two phases:
 //!
@@ -79,12 +81,54 @@
 //! the group, exactly as if it had been accessed alone: a phase-1 store
 //! is linearized when it reaches a majority, a query's answer at the
 //! query, a phase-2 store or write-back when phase 2 reaches a majority,
-//! all inside the call. Sharing messages and a timestamp across cells and
-//! accesses promises nothing *across* them, and nothing more is claimed:
-//! per-register atomicity composes, because linearizability is local.
-//! The accesses of a group are therefore concurrent with one another,
-//! which is what a caller may group: accesses its algorithm does not
-//! order.
+//! all inside the call. Per-register atomicity composes, because
+//! linearizability is local, and the accesses of a group are concurrent
+//! with one another. Across cells one more thing is kept: the order of
+//! the group's phase-1 stores, its owned and agreed writes (what
+//! [`RegisterSpace`]'s groups promise).
+//!
+//! # Ordered groups
+//!
+//! A writer that crashes, or is cut off, with its phase-1 request on a
+//! minority leaves every cell of it pending there. A reader that finds
+//! one such cell, say the counter of a payload run and its counter, at
+//! fewer than a majority writes it back; if it wrote back that cell
+//! alone, a later read from another majority would see the counter and
+//! miss the payloads, and each cell would still linearize on its own.
+//! So the stores travel and are repaired together:
+//!
+//! * **The tag.** Every phase-1 store of a group carries one fresh
+//!   version, and the request carries them as one [`Ordered`] group of
+//!   its [`Issuer`]; the version is the group's tag.
+//! * **The issuer**, the key a replica keeps groups under, is this
+//!   handle's writer id and the calling thread. A thread's quorum round
+//!   blocks until a majority has acked, so an issuer sends its next
+//!   request only once its last one is stored on a majority: only its
+//!   newest group can be partial. A process is not such an issuer: a
+//!   recovered incarnation may send through the same handle while its
+//!   predecessor's request is stranded, and keyed by process, its group
+//!   would displace the stranded one. A worker that sends several shards'
+//!   groups in one call is one issuer with one bigger group.
+//! * **The kept group.** A replica stores a group's cells and keeps the
+//!   group whole, one `Arc` clone of the request's cells: the newest tag
+//!   per issuer, so memory is one group per issuer. A newer tag of the
+//!   same issuer replaces the kept group; an older one, a late retransmit,
+//!   does not.
+//! * **The ack** for a queried cell whose held version is a kept tag
+//!   carries that group, once per ack.
+//! * **The whole-group write-back.** A read that would write back such a
+//!   cell, because fewer than a majority hold its newest version, writes
+//!   back the whole group in its phase 2 with the original versions, and
+//!   the replicas keep it as they kept the original. A cell whose newest
+//!   version no ack carries a group for is written back alone: the
+//!   replicas holding it keep a newer group of its issuer, whose request
+//!   went out only once this one was on a majority, or hold it from a
+//!   lone write-back, which by the same argument happened only then.
+//!
+//! So once a read has returned a cell of a group, every cell of the group
+//! holds that version or a newer one on a majority. The check of this is
+//! `tfr-linearize`'s per-writer order (`order`), and
+//! [`QuorumSpace::with_unrepaired_ordered_groups`] is its seeded mutant.
 //!
 //! Liveness needs a connected majority: under a partition that strands
 //! clients with a minority, rounds retransmit forever — operations
@@ -94,7 +138,9 @@
 //! Δ-tuned algorithms keep their *own* guarantees even when "shared
 //! memory" is a lossy network.
 
-use crate::msg::{Message, NodeId, Payload, Run, Stored, Version, Versioned, WriteKind};
+use crate::msg::{
+    Issuer, Message, NodeId, Ordered, Payload, Run, Stored, Version, Versioned, WriteKind,
+};
 use crate::net::{wait_until, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,7 +154,7 @@ use tfr_telemetry::{current_pid, current_span_id, EventKind, Span};
 /// carries its own unique writer id.
 ///
 /// Handles are cheap (an [`Arc`], the writer id, the timestamp floor and
-/// four mutant flags) and `Send + Sync`; a single handle shared by
+/// five mutant flags) and `Send + Sync`; a single handle shared by
 /// several threads is safe but serializes nothing — each group is its
 /// own quorum rounds. Agreed writes may come through any handle. Cells
 /// written with owned writes must be written through one handle for the
@@ -132,6 +178,18 @@ pub struct QuorumSpace {
     unqueried_conditional_writes: bool,
     /// The seeded mutant of [`QuorumSpace::with_unrepaired_groups`].
     unrepaired_groups: bool,
+    /// The seeded mutant of
+    /// [`QuorumSpace::with_unrepaired_ordered_groups`].
+    unrepaired_ordered_groups: bool,
+}
+
+/// The issuing threads' ids: each thread takes the next the first time
+/// it sends an ordered group.
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's issuer id, unique in the process's lifetime.
+    static THREAD: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) + 1;
 }
 
 impl QuorumSpace {
@@ -145,6 +203,7 @@ impl QuorumSpace {
             store_only_writes: false,
             unqueried_conditional_writes: false,
             unrepaired_groups: false,
+            unrepaired_ordered_groups: false,
         }
     }
 
@@ -194,6 +253,19 @@ impl QuorumSpace {
     #[doc(hidden)]
     pub fn with_unrepaired_groups(mut self) -> QuorumSpace {
         self.unrepaired_groups = true;
+        self
+    }
+
+    /// **A seeded mutant, for the per-writer-order oracle's negative
+    /// tests only.** The handle ignores the ordered groups its acks
+    /// carry: a read that writes back a cell whose version is a group's
+    /// tag writes back that one cell, as if no group had been sent. A
+    /// writer's group stranded on a minority then reaches a majority cell
+    /// by cell: a read sees its later cell, and a later read can miss an
+    /// earlier one. Every read is still atomic per cell.
+    #[doc(hidden)]
+    pub fn with_unrepaired_ordered_groups(mut self) -> QuorumSpace {
+        self.unrepaired_ordered_groups = true;
         self
     }
 
@@ -367,13 +439,34 @@ impl QuorumSpace {
         let mut maxima = vec![Versioned::ZERO; cells];
         let mut committed = vec![0usize; cells];
         let early: Arc<[Stored]> = early.into();
+        // The groups the acks carry: the kept group of each tag a queried
+        // cell held, once each.
+        let mut carried: Vec<Ordered> = Vec::new();
         if !query.is_empty() || !early.is_empty() {
             let _phase = Span::enter(trace, "quorum.phase1");
-            let request = Payload::request(query, Arc::clone(&early));
+            let own = (!early.is_empty()).then(|| Ordered {
+                issuer: Issuer {
+                    wid: self.wid,
+                    thread: THREAD.with(|id| *id),
+                },
+                cells: Arc::clone(&early),
+            });
+            let request = Payload::grouped(query, [], Vec::from_iter(own));
             for (_, ack) in self.quorum_round(client, request) {
-                let Payload::Ack { data, .. } = ack else {
+                let Payload::Ack {
+                    data, mut groups, ..
+                } = ack
+                else {
                     continue;
                 };
+                if self.unrepaired_ordered_groups {
+                    groups.clear(); // the mutant: as if no group was kept
+                }
+                for group in groups {
+                    if !carried.iter().any(|c| c.tag() == group.tag()) {
+                        carried.push(group);
+                    }
+                }
                 for ((max, count), seen) in maxima.iter_mut().zip(&mut committed).zip(data) {
                     match seen.version.cmp(&max.version) {
                         std::cmp::Ordering::Greater => (*max, *count) = (seen, 1),
@@ -387,6 +480,19 @@ impl QuorumSpace {
         // Between the phases: what the queries mean, access by access.
         let majority = shared.cfg.majority();
         let repair = !(self.unrepaired_groups && group.len() > 1);
+        // A cell at a carried group's tag is written back with its whole
+        // group, each group once; any other cell alone.
+        let mut regroup: Vec<Ordered> = Vec::new();
+        let mut repair_cell = |late: &mut Vec<Stored>, reg: u64, data: Versioned| match carried
+            .iter()
+            .find(|group| group.tag() == data.version)
+        {
+            Some(group) if !regroup.iter().any(|g| g.tag() == data.version) => {
+                regroup.push(group.clone())
+            }
+            Some(_) => {}
+            None => late.push(write_back(reg, data)),
+        };
         let mut observed = Vec::new();
         let mut late = Vec::new();
         let mut fresh = Vec::new();
@@ -403,7 +509,7 @@ impl QuorumSpace {
                         *value = data.value;
                         let decider = if self.first_cell_write_back { 0 } else { i };
                         if repair && counts[decider] < majority {
-                            late.push(write_back(cells.reg(i), *data));
+                            repair_cell(&mut late, cells.reg(i), *data);
                         }
                     }
                     observed.extend(cells.regs().zip(seen.iter().copied()));
@@ -439,7 +545,7 @@ impl QuorumSpace {
                         continue;
                     }
                     if repair && count < majority {
-                        late.push(write_back(*index, data));
+                        repair_cell(&mut late, *index, data);
                     }
                     observed.push((*index, data));
                 }
@@ -457,9 +563,9 @@ impl QuorumSpace {
                 kind: WriteKind::Queried,
             }));
         }
-        if !late.is_empty() {
+        if !late.is_empty() || !regroup.is_empty() {
             let _phase = Span::enter(trace, "quorum.phase2");
-            self.quorum_round(client, Payload::request([], &late[..]));
+            self.quorum_round(client, Payload::grouped([], &late[..], regroup));
         }
         drop(op_span);
         let stored = early.iter().chain(&late[fresh_from..]);

@@ -33,9 +33,12 @@
 //!   (`RegisterSpace::access_all`: runs of reads and writes, conditional
 //!   writes) and costs one message per replica per phase, so a run of 64
 //!   cells, or a read run beside two writes, costs the round trips of
-//!   one access. The thread waiting on a round delivers the network's due
-//!   messages itself — its own and everybody else's — so a solo read
-//!   costs one link round trip on the clock as well as in the protocol.
+//!   one access. A group's owned and agreed writes travel as one ordered
+//!   group, kept whole by the replicas and repaired whole by readers, so
+//!   no reader sees a later one of them without the earlier. The thread
+//!   waiting on a round delivers the network's due messages itself — its
+//!   own and everybody else's — so a solo read costs one link round trip
+//!   on the clock as well as in the protocol.
 //!
 //! Telemetry rides along on the workspace tracer: message sends,
 //! receives, drops, and quorum round trips become events on the Perfetto
@@ -62,7 +65,9 @@ pub mod msg;
 pub mod net;
 
 pub use abd::QuorumSpace;
-pub use msg::{Message, NodeId, Payload, Run, Stored, Version, Versioned, WriteKind};
+pub use msg::{
+    Issuer, Message, NodeId, Ordered, Payload, Run, Stored, Version, Versioned, WriteKind,
+};
 pub use net::{NetConfig, NetControl, Network};
 
 #[cfg(test)]

@@ -14,6 +14,13 @@
 //! every operation — a read's query and write-back, a queried write's
 //! query and store, an owned or agreed write's one store — is a request
 //! of the same shape; the client side decides what the answers mean.
+//!
+//! A request's phase-1 stores travel as an [`Ordered`] group: one
+//! [`Issuer`]'s cells, all stamped with one version, the group's tag. A
+//! replica keeps each issuer's newest group whole, an ack carries the
+//! kept group of every queried cell that holds its tag, and a reader
+//! that writes such a cell back writes back the whole group (see
+//! [`crate::abd`]'s module docs).
 
 use std::fmt;
 use std::sync::Arc;
@@ -122,22 +129,62 @@ pub struct Stored {
     pub kind: WriteKind,
 }
 
+/// A sequential sender of requests: one writer handle (its `wid`) as
+/// used from one thread. A thread's quorum round blocks until a majority
+/// has acked, so an issuer sends its next request only once its last one
+/// is stored on a majority. A process is not such an issuer: a recovered
+/// incarnation of it may send while its predecessor's request is still
+/// stranded on a minority.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Issuer {
+    /// The writer handle's id.
+    pub wid: u64,
+    /// The issuing thread's id, unique in the process's lifetime.
+    pub thread: u64,
+}
+
+/// An ordered group: the phase-1 stores of one request, every cell
+/// stamped with one version, the group's **tag**. A replica stores the
+/// group's cells and keeps the group whole, the newest one per
+/// [`Issuer`]; a reader that writes back a cell holding the tag writes
+/// back the group, so that no cell of it is seen without the others.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ordered {
+    /// Who sent the group.
+    pub issuer: Issuer,
+    /// The cells, never empty, all at one version.
+    pub cells: Arc<[Stored]>,
+}
+
+impl Ordered {
+    /// The version every cell of the group carries.
+    pub fn tag(&self) -> Version {
+        self.cells[0].data.version
+    }
+}
+
 /// What a message says.
 ///
 /// Requests are shared by every replica they are sent to (and by their
-/// retransmissions), so their run and cell lists sit behind an [`Arc`].
+/// retransmissions), so their run, cell and group lists sit behind an
+/// [`Arc`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Client → replica: one phase of a group. Report your current
-    /// `(version, value)` of every register of every run of `query`, then
-    /// store every cell of `store` whose version exceeds your copy's
-    /// (idempotent — retransmits and reorderings are harmless). Never
-    /// both empty.
+    /// `(version, value)` of every register of every run of `query`, and
+    /// the kept group of every one that holds a kept group's tag; then
+    /// store every cell of `store` and of `groups` whose version exceeds
+    /// your copy's (idempotent — retransmits and reorderings are
+    /// harmless), and keep each of `groups` that is its issuer's newest.
+    /// Never all empty.
     Request {
         /// The queried runs.
         query: Arc<[Run]>,
-        /// The stored cells.
+        /// The cells stored alone.
         store: Arc<[Stored]>,
+        /// The ordered groups stored whole: the sender's own phase-1
+        /// stores, or the groups a reader writes back.
+        groups: Arc<[Ordered]>,
     },
     /// Replica → client: the answer to a [`Payload::Request`], sent once
     /// its stores are applied (each cell stored or superseded by a newer
@@ -149,15 +196,29 @@ pub enum Payload {
         /// as it was before the request's stores: empty if the request
         /// queried nothing.
         data: Vec<Versioned>,
+        /// The kept groups whose tag a queried register held, once each,
+        /// as they were before the request's stores.
+        groups: Vec<Ordered>,
     },
 }
 
 impl Payload {
     /// A request that queries `query` and stores `store`.
     pub fn request(query: impl Into<Arc<[Run]>>, store: impl Into<Arc<[Stored]>>) -> Payload {
+        Payload::grouped(query, store, [])
+    }
+
+    /// A request that queries `query`, stores `store` and stores and
+    /// keeps `groups`.
+    pub fn grouped(
+        query: impl Into<Arc<[Run]>>,
+        store: impl Into<Arc<[Stored]>>,
+        groups: impl Into<Arc<[Ordered]>>,
+    ) -> Payload {
         Payload::Request {
             query: query.into(),
             store: store.into(),
+            groups: groups.into(),
         }
     }
 
@@ -165,10 +226,15 @@ impl Payload {
     /// names.
     pub fn reg(&self) -> u64 {
         match self {
-            Payload::Request { query, store } => query
+            Payload::Request {
+                query,
+                store,
+                groups,
+            } => query
                 .first()
                 .map(|run| run.reg(0))
                 .or_else(|| store.first().map(|cell| cell.reg))
+                .or_else(|| groups.first().map(|group| group.cells[0].reg))
                 .unwrap_or(0),
             Payload::Ack { reg, .. } => *reg,
         }
@@ -240,9 +306,15 @@ mod tests {
         let query = Payload::request([run], [stored(2)]);
         assert_eq!(query.reg(), 7, "a query's first run names the request");
         assert_eq!(Payload::request([], [stored(9), stored(2)]).reg(), 9);
+        let group = Ordered {
+            issuer: Issuer { wid: 1, thread: 1 },
+            cells: Arc::from([stored(4)]),
+        };
+        assert_eq!(Payload::grouped([], [], [group]).reg(), 4);
         let ack = Payload::Ack {
             reg: 3,
             data: Vec::new(),
+            groups: Vec::new(),
         };
         assert_eq!(ack.reg(), 3);
     }

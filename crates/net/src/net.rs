@@ -65,7 +65,7 @@
 //! worker's own lane, so the single-writer ring contract holds without
 //! any extra locking.
 
-use crate::msg::{Message, NodeId, Payload, Versioned};
+use crate::msg::{Issuer, Message, NodeId, Ordered, Payload, Version, Versioned};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::AtomicU64;
@@ -164,6 +164,34 @@ impl NetConfig {
 /// thread's heap would come to keep room for a whole table.
 type Table = BTreeMap<u64, Versioned>;
 
+/// One replica's kept [`Ordered`] groups: the newest of each issuer,
+/// found by its tag. An issuer sends a group only once its last one is
+/// stored on a majority, so only its newest can be partial, and holding
+/// one group per issuer is enough: the groups an older tag named are
+/// whole on a majority already. Memory is one `Arc` per issuer.
+#[derive(Default)]
+struct Kept {
+    /// Each issuer's newest tag.
+    newest: HashMap<Issuer, Version>,
+    /// The kept groups, by tag.
+    by_tag: HashMap<Version, Ordered>,
+}
+
+impl Kept {
+    /// Keeps `group` if it is its issuer's newest; an older one, a late
+    /// retransmit or a write-back of a group since replaced, is not kept.
+    fn keep(&mut self, group: &Ordered) {
+        let tag = group.tag();
+        let newest = self.newest.entry(group.issuer).or_insert(Version::ZERO);
+        if *newest >= tag {
+            return;
+        }
+        let replaced = std::mem::replace(newest, tag);
+        self.by_tag.remove(&replaced);
+        self.by_tag.insert(tag, group.clone());
+    }
+}
+
 /// One scheduled delivery, ordered by time then submission sequence.
 struct InFlight {
     deliver_at: Instant,
@@ -197,6 +225,8 @@ struct RouterState {
     links: Vec<Option<SplitMix64>>,
     /// One register table per replica.
     tables: Vec<Table>,
+    /// One set of kept groups per replica.
+    kept: Vec<Kept>,
     /// Debug builds, per replica: the writer id each owned cell is pinned
     /// to (see [`check_store`]).
     #[cfg(debug_assertions)]
@@ -317,7 +347,8 @@ impl Shared {
                     );
                     #[cfg(debug_assertions)]
                     check_store(&mut st.owners[r], &st.tables[r], &msg.payload);
-                    let ack = replica_apply(&mut st.tables[r], msg.payload);
+                    let RouterState { tables, kept, .. } = &mut *st;
+                    let ack = replica_apply(&mut tables[r], &mut kept[r], msg.payload);
                     let reply = Message {
                         from: msg.to,
                         to: msg.from,
@@ -454,6 +485,7 @@ impl Network {
             queue: BinaryHeap::new(),
             links: vec![None; cfg.nodes() * cfg.nodes()],
             tables: vec![Table::new(); cfg.replicas],
+            kept: (0..cfg.replicas).map(|_| Kept::default()).collect(),
             #[cfg(debug_assertions)]
             owners: vec![HashMap::new(); cfg.replicas],
             mailboxes: HashMap::new(),
@@ -511,28 +543,60 @@ impl std::fmt::Debug for Network {
     }
 }
 
-/// Applies one request to a replica's register table and builds the
-/// ack: the queried registers first, then the stores, cell by cell.
-/// Idempotent by construction: a retransmitted or reordered store only
-/// ever moves each register's version *up* (read-repair monotonicity),
-/// whatever else the message carries.
-fn replica_apply(table: &mut Table, payload: Payload) -> Payload {
+/// Applies one request to a replica's register table and kept groups
+/// and builds the ack: the queried registers first, with the kept group
+/// of each that holds a kept tag, then the stores, cell by cell, lone
+/// cells and then the groups', keeping each group that is its issuer's
+/// newest. Idempotent by construction: a retransmitted or reordered
+/// store only ever moves each register's version *up* (read-repair
+/// monotonicity), and a kept group only ever gives way to a newer one of
+/// its issuer, whatever else the message carries.
+fn replica_apply(table: &mut Table, kept: &mut Kept, payload: Payload) -> Payload {
     let reg = payload.reg();
-    let Payload::Request { query, store } = payload else {
+    let Payload::Request {
+        query,
+        store,
+        groups,
+    } = payload
+    else {
         unreachable!("acks are never addressed to replicas")
     };
+    let mut carried: Vec<Ordered> = Vec::new();
     let data = query
         .iter()
         .flat_map(|run| run.regs())
-        .map(|reg| *table.get(&reg).unwrap_or(&Versioned::ZERO))
+        .map(|reg| {
+            let held = *table.get(&reg).unwrap_or(&Versioned::ZERO);
+            if let Some(group) = kept.by_tag.get(&held.version) {
+                if !carried.iter().any(|c| c.tag() == held.version) {
+                    carried.push(group.clone());
+                }
+            }
+            held
+        })
         .collect();
-    for cell in store.iter() {
+    let cells = groups.iter().flat_map(|group| group.cells.iter());
+    for cell in store.iter().chain(cells) {
         let cur = table.entry(cell.reg).or_insert(Versioned::ZERO);
         if cell.data.version > cur.version {
             *cur = cell.data;
         }
     }
-    Payload::Ack { reg, data }
+    for group in groups.iter() {
+        debug_assert!(
+            group
+                .cells
+                .iter()
+                .all(|cell| cell.data.version == group.tag()),
+            "an ordered group's cells carry one version"
+        );
+        kept.keep(group);
+    }
+    Payload::Ack {
+        reg,
+        data,
+        groups: carried,
+    }
 }
 
 /// The debug check of the owned- and agreed-write contracts, at one
@@ -554,10 +618,11 @@ fn replica_apply(table: &mut Table, payload: Payload) -> Payload {
 #[cfg(debug_assertions)]
 fn check_store(owners: &mut HashMap<u64, u64>, table: &Table, payload: &Payload) {
     use crate::msg::WriteKind;
-    let Payload::Request { store, .. } = payload else {
+    let Payload::Request { store, groups, .. } = payload else {
         return;
     };
-    for cell in store.iter() {
+    let grouped = groups.iter().flat_map(|group| group.cells.iter());
+    for cell in store.iter().chain(grouped) {
         let reg = cell.reg;
         if cell.kind == WriteKind::Agreed {
             let held = table.get(&reg).map_or(0, |cur| cur.value);

@@ -2,7 +2,7 @@
 //! a model, link-fate determinism, cross-pumping, and the sleep invariant.
 
 use super::*;
-use crate::msg::{Run, Stored, Version, WriteKind};
+use crate::msg::{Issuer, Ordered, Run, Stored, Version, WriteKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tfr_registers::space::{Access, RegisterSpace, RegisterSpaceExt};
@@ -21,6 +21,8 @@ fn config_quorum_and_pids() {
 #[test]
 fn replica_apply_is_monotone_and_idempotent() {
     let mut t = Table::new();
+    let mut kept = Kept::default();
+    let mut replica_apply = |t: &mut Table, payload| replica_apply(t, &mut kept, payload);
     let v1 = Versioned {
         version: Version { ts: 1, wid: 1 },
         value: 10,
@@ -45,7 +47,9 @@ fn replica_apply_is_monotone_and_idempotent() {
     // A request answers its queries, run after run, before its stores.
     let both = Payload::request([Run::new(0, 1, 3), Run::new(1, 1, 1)], [store_cell(1, v1)]);
     match replica_apply(&mut t, both) {
-        Payload::Ack { reg: 0, data } => assert_eq!(data, vec![v2, v2, Versioned::ZERO, v2]),
+        Payload::Ack { reg: 0, data, .. } => {
+            assert_eq!(data, vec![v2, v2, Versioned::ZERO, v2])
+        }
         other => panic!("expected an ack of register 0, got {other:?}"),
     }
 }
@@ -226,7 +230,15 @@ fn one_write_stepped_by_hand_delivers_in_deliver_at_order() {
                 unreachable!("a client sends requests")
             };
             let want = vec![Versioned::ZERO; query.len()];
-            assert_eq!(*ack, Payload::Ack { reg: 5, data: want });
+            let groups = Vec::new();
+            assert_eq!(
+                *ack,
+                Payload::Ack {
+                    reg: 5,
+                    data: want,
+                    groups
+                }
+            );
         }
         sh.close_round(rid);
     }
@@ -785,5 +797,128 @@ fn the_unrepaired_group_mutant_skips_the_write_back() {
         let repaired = (0..3).all(|r| lock(&net.shared().state).tables[r].get(&1) == Some(&new));
         let skipped = mutant && grouped;
         assert_eq!((rounds, repaired), (2 - skipped as u64, !skipped));
+    }
+}
+
+/// An owned store of `value` to `reg` at `version`, as a group carries it.
+fn owned_cell(reg: u64, version: Version, value: u64) -> Stored {
+    Stored {
+        reg,
+        data: Versioned { version, value },
+        kind: WriteKind::Owned,
+    }
+}
+
+/// An ordered group of `issuer`'s, at `ts`, of the cells `(reg, value)`.
+fn ordered(issuer: Issuer, ts: u64, cells: &[(u64, u64)]) -> Ordered {
+    let version = Version {
+        ts,
+        wid: issuer.wid,
+    };
+    let cells: Vec<Stored> = cells
+        .iter()
+        .map(|&(reg, value)| owned_cell(reg, version, value))
+        .collect();
+    Ordered {
+        issuer,
+        cells: cells.into(),
+    }
+}
+
+/// A replica keeps each issuer's newest ordered group whole and hands it
+/// out with every queried cell that holds its tag, once per ack: a newer
+/// group of the same issuer replaces it, a late retransmit of an older
+/// one does not, another issuer's group is kept beside it, and a group
+/// a reader writes back is kept as its own request's would be.
+#[test]
+fn a_replica_keeps_each_issuers_newest_group_whole() {
+    let (mut table, mut kept) = (Table::new(), Kept::default());
+    let mut apply = |payload| replica_apply(&mut table, &mut kept, payload);
+    let groups_of = |ack: Payload| match ack {
+        Payload::Ack { groups, .. } => groups.iter().map(Ordered::tag).collect::<Vec<_>>(),
+        other => panic!("expected an ack, got {other:?}"),
+    };
+    let query = |regs: &[u64]| {
+        let runs: Vec<Run> = regs.iter().map(|&reg| Run::new(reg, 1, 1)).collect();
+        Payload::request(runs, [])
+    };
+    let me = Issuer { wid: 7, thread: 1 };
+    let old = ordered(me, 1, &[(10, 1), (11, 1)]);
+    let new = ordered(me, 2, &[(12, 2), (11, 2)]);
+    apply(Payload::grouped([], [], [old.clone()]));
+    assert_eq!(
+        groups_of(apply(query(&[10, 11]))),
+        [old.tag()],
+        "once per ack"
+    );
+    apply(Payload::grouped([], [], [new.clone()]));
+    assert_eq!(
+        groups_of(apply(query(&[10]))),
+        [],
+        "replaced by the newer group"
+    );
+    assert_eq!(groups_of(apply(query(&[11, 12]))), [new.tag()]);
+    apply(Payload::grouped([], [], [old.clone()]));
+    assert_eq!(
+        groups_of(apply(query(&[12]))),
+        [new.tag()],
+        "a late retransmit"
+    );
+    let other = ordered(Issuer { wid: 7, thread: 2 }, 3, &[(20, 3)]);
+    apply(Payload::grouped(
+        [],
+        [store_cell(30, new.cells[0].data)],
+        [other.clone()],
+    ));
+    assert_eq!(
+        groups_of(apply(query(&[20, 12, 30]))),
+        [other.tag(), new.tag()],
+        "a lone cell at a group's tag names it too"
+    );
+    let (mut table, mut kept) = (Table::new(), Kept::default());
+    replica_apply(
+        &mut table,
+        &mut kept,
+        Payload::grouped([], [], [new.clone()]),
+    );
+    let ack = replica_apply(&mut table, &mut kept, query(&[12]));
+    assert_eq!(groups_of(ack), [new.tag()], "a written-back group is kept");
+}
+
+/// The hazard an ordered group closes. A writer's group, its payload
+/// (cell 10) and then its counter (cell 11), reached replica s0 alone. A
+/// reader reads the counter from all three replicas, finds it on s0
+/// only and writes it back; then s0 is cut off, and the reader reads the
+/// payload from s1 and s2. The correct handle writes the whole group
+/// back, so the payload read sees it; the seeded unrepaired-ordered-group
+/// mutant writes back the counter alone, and the payload read returns 0
+/// after the counter read returned the later cell.
+#[test]
+fn the_unrepaired_ordered_group_mutant_writes_back_one_cell() {
+    let writer = Issuer { wid: 90, thread: 1 };
+    let group = ordered(writer, 5, &[(10, 7), (11, 1)]);
+    for mutant in [false, true] {
+        let net = lockstep_net(1);
+        {
+            let mut st = lock(&net.shared().state);
+            let RouterState { tables, kept, .. } = &mut *st;
+            let stranded = Payload::grouped([], [], [group.clone()]);
+            replica_apply(&mut tables[0], &mut kept[0], stranded);
+        }
+        let space = net.space();
+        let reader = if mutant {
+            space.with_unrepaired_ordered_groups()
+        } else {
+            space
+        };
+        let before = net.control().quorum_rounds();
+        assert_eq!(reader.read(11), 1, "the counter, from s0");
+        assert_eq!(net.control().quorum_rounds() - before, 2, "a write-back");
+        net.control().partition_minority(1);
+        let payload = reader.read(10);
+        assert_eq!(payload, if mutant { 0 } else { 7 }, "mutant {mutant}");
+        let st = lock(&net.shared().state);
+        let holders = (0..3).filter(|&r| st.tables[r].contains_key(&10)).count();
+        assert_eq!(holders, if mutant { 1 } else { 3 });
     }
 }

@@ -44,19 +44,26 @@ use std::sync::Arc;
 /// Besides `read` and `write`, a space serves a **group** of [`Access`]es
 /// in one [`RegisterSpace::access_all`] call: runs of reads, runs of
 /// writes and conditional writes, on any cells. A group is a batch of
-/// independent single-register operations, not a bigger atomic object:
-/// every access is atomic per cell, as if by its own `read` / `write`
-/// somewhere inside the call, and **nothing is promised across cells or
-/// across the group's accesses** — they are mutually concurrent. The
-/// default runs the group in slice order through `read` and `write`,
-/// which is all shared memory needs. A backend whose accesses cost round
-/// trips (the `tfr-net` quorum space) serves a whole group in the round
-/// trips of one access, one message per replica per phase. Callers group
-/// only accesses whose mutual order their algorithm does not rely on
-/// (linearizability is local, so concurrent operations on different
-/// cells compose); the stride of a run must be nonzero when it has more
-/// than one cell. The single-access forms (`read_run`, `write_agreed`,
-/// …) are groups of one, provided by [`RegisterSpaceExt`].
+/// single-register operations, not a bigger atomic object: every access
+/// is atomic per cell, as if by its own `read` / `write` somewhere inside
+/// the call, and the accesses are mutually concurrent. One thing is
+/// promised across cells: **a group's owned and agreed writes (see
+/// [Write kinds](RegisterSpace#write-kinds)) are ordered, in slice order,
+/// for every reader** — a read that returns one of them, followed by a
+/// read of a cell an earlier one wrote, returns that earlier write or a
+/// later write of its cell. Nothing else is promised across the group's
+/// accesses. The default runs the group in slice order through `read`
+/// and `write`, which is all shared memory needs, and keeps that order
+/// by program order. A backend whose accesses cost round trips (the
+/// `tfr-net` quorum space) serves a whole group in the round trips of one
+/// access, one message per replica per phase, and keeps the order by
+/// making those writes visible together. Callers group only accesses
+/// whose mutual order their algorithm does not rely on, or relies on
+/// only as that order (linearizability is local, so concurrent operations
+/// on different cells compose); the stride of a run must be nonzero when
+/// it has more than one cell. The single-access forms (`read_run`,
+/// `write_agreed`, …) are groups of one, provided by
+/// [`RegisterSpaceExt`].
 ///
 /// # Write kinds
 ///

@@ -257,8 +257,10 @@ struct Lane<'s, T: Sequential, S: RegisterSpace> {
 /// deadline, the worker serving the others meanwhile and waiting only
 /// when no shard is ready. The shards are disjoint register regions and
 /// linearizability is local, so sharing a round changes no protocol
-/// argument: a group promises nothing across its accesses, and each
-/// shard's accesses keep their own order. Otherwise the loop runs the
+/// argument: a group promises nothing across its accesses but the order
+/// of its owned and agreed writes, which the shared group keeps for each
+/// shard's, and each shard's accesses keep their own order. Otherwise
+/// the loop runs the
 /// shards in turn, each session's groups alone, as one after the other
 /// on a traced service keeps the span tree of each shard's drive whole.
 pub struct ServiceWorker<'s, T: Sequential, S: RegisterSpace> {

@@ -4,15 +4,15 @@
 //! minimal non-linearizable window in the error message.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tfr::linearize::mutants::{record_mutant_queue, record_mutant_tas};
-use tfr::linearize::register::{RecordingSpace, RegisterModel};
-use tfr::linearize::Recorder;
+use tfr::linearize::register::{write_op, RecordingSpace, RegisterModel, READ_OP};
 use tfr::linearize::{
-    check_history, record_chaos, CounterModel, ElectionModel, History, NonLinearizable, ObjectKind,
-    QueueModel, RenamingModel, SetConsensusModel, TasModel,
+    check_history, check_writer_order, record_chaos, CounterModel, ElectionModel, History,
+    NonLinearizable, ObjectKind, QueueModel, RenamingModel, SetConsensusModel, TasModel,
 };
-use tfr::net::{NetConfig, Network};
+use tfr::linearize::{Operation, Recorder};
+use tfr::net::{NetConfig, Network, NodeId, QuorumSpace};
 use tfr::registers::space::{Access, RegisterSpace, RegisterSpaceExt, WriteKind};
 use tfr::registers::ProcId;
 use tfr::telemetry::with_pid;
@@ -161,7 +161,7 @@ fn native_directory_misses_linearize_under_fresh_chunk_dekker() {
 /// agreed stores, a queried write with a conditional write, and read
 /// runs of the raced cells — on shared cells of 5 replicas under 30 %
 /// message drops and, half way through, a minority cut, and every cell
-/// must linearize as an atomic register.
+/// must linearize as an atomic register and keep each owned group's order.
 #[test]
 fn mixed_quorum_groups_linearize_under_drops_and_a_minority_cut() {
     const STEPS: u64 = 20;
@@ -199,6 +199,8 @@ fn mixed_quorum_groups_linearize_under_drops_and_a_minority_cut() {
     assert_eq!(history.len(), 2 * STEPS as usize * (27 + 24) + wrote);
     let report = check_history(&history, &RegisterModel).expect("grouped accesses linearize");
     assert_eq!(report.objects.len(), 16 + 3 * STEPS as usize);
+    let order = check_writer_order(&history).expect("each owned group keeps its writer's order");
+    assert!(order.pairs > 0, "reads of the owned cells were checked");
 }
 
 /// Step `k` of client `t`: a read run of cells 8..24 with an owned store
@@ -297,4 +299,149 @@ fn the_unrepaired_group_mutant_is_rejected() {
         return;
     }
     panic!("the scripted schedule never met its precondition");
+}
+
+/// Tier-1's copy of `tfr-linearize`'s per-writer-order unit tests, on
+/// hand-built histories: writer 0's group, its payload (cell 10) and
+/// then its counter (cell 11), still pending, and process 1's read of the
+/// counter, then of the payload. Missing the payload after the counter
+/// read responded is a violation; seeing it, a later value of it, or
+/// reading it concurrently with the counter read is not; and a cell two
+/// processes write is not checked.
+#[test]
+fn the_writer_order_check_rejects_a_missed_earlier_cell() {
+    let op = |pid: usize, obj: u64, code: u64, resp: Option<u64>, span: (u64, u64)| Operation {
+        pid: ProcId(pid),
+        obj,
+        op: code,
+        resp,
+        invoke_ts: span.0,
+        resp_ts: if resp.is_some() { span.1 } else { u64::MAX },
+    };
+    let stranded = |payload: u64, invoked: u64| {
+        vec![
+            op(0, 10, write_op(7), None, (1, 0)),
+            op(0, 11, write_op(1), None, (2, 0)),
+            op(1, 11, READ_OP, Some(1), (3, 4)),
+            op(1, 10, READ_OP, Some(payload), (invoked, 9)),
+        ]
+    };
+    let check = |ops: Vec<Operation>| check_writer_order(&History::from_ops(ops));
+    let err = check(stranded(0, 5)).expect_err("the payload was missed");
+    assert_eq!((err.saw.obj, err.missed.obj), (11, 10));
+    assert!(err.to_string().contains("cell 10 → 0"), "{err}");
+    assert_eq!(check(stranded(7, 5)).expect("seen").pairs, 1);
+    assert_eq!(check(stranded(0, 3)).expect("concurrent").pairs, 0);
+    let mut later = stranded(8, 5);
+    later.push(op(0, 10, write_op(8), Some(0), (6, 7)));
+    check(later).expect("a later payload");
+    let mut shared = stranded(0, 5);
+    shared.push(op(2, 10, write_op(9), Some(0), (20, 21)));
+    assert_eq!(check(shared).expect("a shared cell").cells, 1);
+}
+
+/// Tier-1's copy of `tfr-linearize`'s stranded-group scripts (the
+/// hazard a quorum space's ordered groups close), over three replicas
+/// s0–s2 and two clients: the writer, process 0, cut off with s0 alone,
+/// sends its payload run (cells 10, 11) and then its counter (cell 12)
+/// as one group of owned writes, which reaches s0 only; a read of the
+/// counter and the mark (12, 13) from s0 and s1 sees the counter; then
+/// process 1 reads the payload run from s1 and s2. With `recovered`, the
+/// counter read is a recovered incarnation of the writer, the same handle
+/// and process on another thread (the writer's retransmit timer long, so
+/// its stranded predecessor stays silent), and `handle` makes the
+/// writer's handle; otherwise process 1 reads the counter through the
+/// handle `handle` makes. `None` if the schedule missed its precondition.
+fn stranded_group_script(
+    handle: fn(QuorumSpace) -> QuorumSpace,
+    recovered: bool,
+) -> Option<History> {
+    use NodeId::{Client, Replica};
+    let mut cfg = NetConfig::new(2, 3, 0x0D6 + recovered as u64);
+    if recovered {
+        cfg.retransmit = Duration::from_millis(500);
+    }
+    let net = Arc::new(Network::new(cfg.clone()));
+    let control = net.control();
+    let rec = Arc::new(Recorder::new(2));
+    let (mine, theirs) = match recovered {
+        true => (handle(net.space()), net.space()),
+        false => (net.space(), handle(net.space())),
+    };
+    let writer = RecordingSpace::new(mine, Arc::clone(&rec));
+    let reader = RecordingSpace::new(theirs, Arc::clone(&rec));
+    let cut = |side: [NodeId; 3], alone: [NodeId; 2]| {
+        control.partition(&[side.to_vec(), vec![alone[0]], vec![alone[1]]]);
+    };
+    control.partition(&[
+        vec![Client(0), Replica(0)],
+        vec![Client(1), Replica(1), Replica(2)],
+    ]);
+    let (mut open, mut payload) = ([0; 2], [0; 2]);
+    let started = Instant::now();
+    let took = std::thread::scope(|s| {
+        let sent = control.requests_sent();
+        s.spawn(|| {
+            with_pid(ProcId(0), || {
+                writer.access_all(&mut [
+                    Access::write_run(10, 1, &[7, 8], WriteKind::Owned),
+                    Access::write_run(12, 1, &[1], WriteKind::Owned),
+                ])
+            })
+        });
+        while control.requests_sent() == sent {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        if recovered {
+            cut([Client(0), Replica(0), Replica(1)], [Client(1), Replica(2)]);
+            with_pid(ProcId(0), || writer.read_run(12, 1, &mut open));
+        } else {
+            cut([Client(1), Replica(0), Replica(1)], [Client(0), Replica(2)]);
+            with_pid(ProcId(1), || reader.read_run(12, 1, &mut open));
+        }
+        cut([Client(1), Replica(1), Replica(2)], [Client(0), Replica(0)]);
+        with_pid(ProcId(1), || reader.read_run(10, 1, &mut payload));
+        let took = started.elapsed();
+        control.heal();
+        took
+    });
+    let in_time = !recovered || took < cfg.retransmit / 2;
+    (open[0] == 1 && in_time).then(|| rec.history())
+}
+
+/// The correct handles keep per-writer order on the script, the seeded
+/// unrepaired-ordered-group mutant (a read writes back the one cell it
+/// read) does not, and both histories linearize per register.
+fn assert_stranded_group_mutant_rejected(recovered: bool) {
+    for _ in 0..5 {
+        let correct = stranded_group_script(|space| space, recovered);
+        let mutant = stranded_group_script(QuorumSpace::with_unrepaired_ordered_groups, recovered);
+        let (Some(correct), Some(mutant)) = (correct, mutant) else {
+            continue; // the schedule missed its precondition: retry
+        };
+        let report = check_writer_order(&correct).expect("the correct handle keeps the order");
+        assert!(report.pairs > 0, "the payload read was checked");
+        for history in [&correct, &mutant] {
+            check_history(history, &RegisterModel).expect("every cell linearizes");
+        }
+        let err = check_writer_order(&mutant).expect_err("the mutant must be rejected");
+        assert_eq!(
+            (err.writer, err.saw.obj, err.missed.obj),
+            (ProcId(0), 12, 10)
+        );
+        assert!(err.to_string().contains("per-writer order violated"));
+        return;
+    }
+    panic!("the scripted schedule never met its precondition");
+}
+
+#[test]
+fn the_unrepaired_ordered_group_mutant_is_rejected() {
+    assert_stranded_group_mutant_rejected(false);
+}
+
+#[test]
+fn the_ordered_group_mutant_is_rejected_when_a_recovered_incarnation_reads() {
+    assert_stranded_group_mutant_rejected(true);
 }

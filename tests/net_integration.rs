@@ -164,20 +164,21 @@ fn lockstep_net() -> Arc<Network> {
 }
 
 /// Tier-1's copy of `tfr-core`'s round-count unit test. Over
-/// [`lockstep_net`], one solo decision at n = 1 opens exactly 9 quorum
-/// rounds for every batch size: the payload run, the counter grouped with
-/// the next slot's probe of `result` and `decide`, the record grouped
-/// with the mark, the slot's announcement, and Algorithm 1's five — the
-/// agreed `x`, the conditional `y` (query and store), the read of
-/// `x[1, v̄]`, and the agreed `decide` grouped with the agreed `result`.
-/// The winner applies its own batch without reading it back. With every
-/// access its own round it opened 12; with the entry read of `decide`,
-/// the loop check after deciding and `y`'s read apart from its write, 15;
-/// with the three agreed writes queried too and the standing read, 19;
-/// with every write queried and the read-back, 27; before register runs,
-/// 6k + 23: 29, 71 and 407 here.
+/// [`lockstep_net`], one solo decision at n = 1 opens exactly 7 quorum
+/// rounds for every batch size: the payload run and then the counter (one
+/// ordered group) with the next slot's probe of `result` and `decide`,
+/// the record and the mark and then the slot's announcement (one ordered
+/// group), and Algorithm 1's five — the agreed `x`, the conditional `y`
+/// (query and store), the read of `x[1, v̄]`, and the agreed `decide`
+/// grouped with the agreed `result`. The winner applies its own batch
+/// without reading it back. With the two ordered pairs in rounds of their
+/// own it opened 9; with every access its own round, 12; with the entry
+/// read of `decide`, the loop check after deciding and `y`'s read apart
+/// from its write, 15; with the three agreed writes queried too and the
+/// standing read, 19; with every write queried and the read-back, 27;
+/// before register runs, 6k + 23: 29, 71 and 407 here.
 #[test]
-fn a_solo_universal_decision_costs_9_quorum_rounds_at_any_batch_size() {
+fn a_solo_universal_decision_costs_7_quorum_rounds_at_any_batch_size() {
     for k in [1usize, 8, 64] {
         let net = lockstep_net();
         let control = net.control();
@@ -192,15 +193,16 @@ fn a_solo_universal_decision_costs_9_quorum_rounds_at_any_batch_size() {
         let before = control.quorum_rounds();
         session.announce_burst(&vec![1; k]);
         session.drive_pending();
-        assert_eq!(control.quorum_rounds() - before, 9, "k={k}");
+        assert_eq!(control.quorum_rounds() - before, 7, "k={k}");
         assert_eq!(session.take_responses().len(), k);
     }
 }
 
 /// Tier-1's copy of `tfr-core`'s standing-read pin: a session that opens
 /// after a predecessor proposed reads its standing announcement at its
-/// first proposal only. Once it has replayed the predecessor's slot, its
-/// first decision opens 10 rounds over [`lockstep_net`], its next 9.
+/// first proposal only, in one group with its record and mark. Once it
+/// has replayed the predecessor's slot, its first decision opens 8
+/// rounds over [`lockstep_net`], its next 7.
 #[test]
 fn a_recovered_session_pays_the_standing_read_once() {
     let net = lockstep_net();
@@ -215,7 +217,7 @@ fn a_recovered_session_pays_the_standing_read_once() {
     obj.invoke(ProcId(0), 1);
     let mut session = obj.session(ProcId(0));
     session.catch_up();
-    for want in [10, 9] {
+    for want in [8, 7] {
         let before = control.quorum_rounds();
         session.announce(1);
         session.drive_pending();
@@ -342,13 +344,13 @@ fn burst_costs(shards: &[usize], traced: bool) -> (u64, u64, usize) {
 
 /// One worker sends its busy shards' accesses in shared rounds: with two
 /// shards busy, each step's groups go out as one group of the shared
-/// space, so a burst opens one shard's 9 rounds (18 when the shards took
+/// space, so a burst opens one shard's 7 rounds (14 when the shards took
 /// turns), one request per replica per round (3 on 3 replicas), and never
 /// more than one round is open. A traced network (whose client lane takes
-/// one writer) keeps the shards in turn: 2 × 9 rounds.
+/// one writer) keeps the shards in turn: 2 × 7 rounds.
 #[test]
 fn a_worker_sends_its_busy_shards_accesses_in_shared_rounds() {
-    assert_eq!(burst_costs(&[0, 1], false), (9, 3, 1), "two busy shards");
-    assert_eq!(burst_costs(&[1], false), (9, 3, 1), "one busy shard");
-    assert_eq!(burst_costs(&[0, 1], true), (18, 3, 1), "traced, in turn");
+    assert_eq!(burst_costs(&[0, 1], false), (7, 3, 1), "two busy shards");
+    assert_eq!(burst_costs(&[1], false), (7, 3, 1), "one busy shard");
+    assert_eq!(burst_costs(&[0, 1], true), (14, 3, 1), "traced, in turn");
 }
