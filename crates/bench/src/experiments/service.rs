@@ -326,7 +326,8 @@ fn overlap() -> Table {
             format!("{ratio:.2}"),
         ]);
     }
-    t.note("A decision costs 7 quorum rounds. A worker whose space round-trips sends the next");
+    t.note("A burst costs 5 quorum rounds: each shard's last `decide` and `result` ride the");
+    t.note("worker's next round. A worker whose space round-trips sends the next");
     t.note("group of every busy shard as one group of the shared space, one request per replica");
     t.note(format!(
         "per phase: two busy shards share each round. Network high-water mark: {} quorum \
@@ -483,7 +484,7 @@ mod tests {
             table(
                 "E22e",
                 "busy shards | rounds/burst | ratio",
-                &["1 | 7.0 | 1.00", "2 | 7.0 | 1.09"],
+                &["1 | 5.0 | 1.00", "2 | 5.0 | 1.09"],
             ),
         ];
         assert_gates_reject(
@@ -529,7 +530,7 @@ mod tests {
                     &[
                         Set(1, "ratio", "2.01"),
                         Set(1, "ratio", "1.21"),
-                        Set(1, "rounds/burst", "14.0"),
+                        Set(1, "rounds/burst", "10.0"),
                         DropRow(1),
                     ],
                 ),

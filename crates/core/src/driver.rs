@@ -72,7 +72,8 @@ enum Shape {
     Guard,
     /// A write of `cells[0]` to `regs[0]`.
     Write,
-    /// Writes of `cells[i]` to `regs[i]`, as one group.
+    /// Writes of `cells[i]` to `regs[i]`, as one group, the points
+    /// between them fired after it.
     Pair,
     /// `delay(Δ)`.
     Delay,
@@ -93,8 +94,9 @@ pub(crate) struct Step {
     kinds: [WriteKind; 2],
     /// The point a conditional write fires between its read and write.
     between: Between,
-    /// The points fired once the group is back.
-    then: [Option<&'static str>; 2],
+    /// The points fired once the group is back, in order: the step's,
+    /// and for a pair, the second write's point and its own.
+    then: [Option<&'static str>; 3],
 }
 
 impl Step {
@@ -105,7 +107,7 @@ impl Step {
             cells: [value, 0],
             kinds: [label.kind; 2],
             between: Between::NONE,
-            then: [label.then, None],
+            then: [label.then, None, None],
         }
     }
 
@@ -155,6 +157,17 @@ impl Step {
     pub(crate) fn served(&mut self, seen: u64) {
         self.cells[1] = seen;
     }
+
+    /// The two writes of a pair, for a caller that holds them back and
+    /// sends them later.
+    pub(crate) fn writes(&self) -> [Access<'_>; 2] {
+        debug_assert_eq!(self.shape, Shape::Pair, "only a pair is held back");
+        let [first, second] = &self.cells;
+        [
+            write(self.regs[0], first, self.kinds[0]),
+            write(self.regs[1], second, self.kinds[1]),
+        ]
+    }
 }
 
 /// A write of `value` to `reg`, of `kind`.
@@ -171,7 +184,7 @@ pub struct Between(Option<&'static str>);
 
 impl Between {
     /// No point.
-    pub(crate) const NONE: Between = Between(None);
+    pub const NONE: Between = Between(None);
 
     /// Fires the point, if there is one.
     #[inline(always)]
@@ -195,40 +208,35 @@ pub(crate) trait Sink<'a> {
     fn two(self, first: Access<'a>, second: Access<'a>) -> Self::Out;
     /// A group of three.
     fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> Self::Out;
+    /// A group of four.
+    fn four(self, accesses: [Access<'a>; 4]) -> Self::Out;
 }
 
-/// The sink that hands a group out.
-pub(crate) struct Hand;
+/// The sink that hands a group out, after the accesses the group it holds
+/// has already.
+pub(crate) struct Hand<'a>(pub(crate) Group<'a>);
 
-impl<'a> Sink<'a> for Hand {
+impl<'a> Sink<'a> for Hand<'a> {
     type Out = Group<'a>;
     #[inline(always)]
     fn none(self) -> Group<'a> {
-        Group {
-            accesses: [Group::unused(), Group::unused(), Group::unused()],
-            len: 0,
-        }
+        self.0
     }
     #[inline(always)]
     fn one(self, access: Access<'a>) -> Group<'a> {
-        Group {
-            accesses: [access, Group::unused(), Group::unused()],
-            len: 1,
-        }
+        self.0.with([access])
     }
     #[inline(always)]
     fn two(self, first: Access<'a>, second: Access<'a>) -> Group<'a> {
-        Group {
-            accesses: [first, second, Group::unused()],
-            len: 2,
-        }
+        self.0.with([first, second])
     }
     #[inline(always)]
     fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> Group<'a> {
-        Group {
-            accesses: [first, second, third],
-            len: 3,
-        }
+        self.0.with([first, second, third])
+    }
+    #[inline(always)]
+    fn four(self, accesses: [Access<'a>; 4]) -> Group<'a> {
+        self.0.with(accesses)
     }
 }
 
@@ -257,6 +265,11 @@ impl<'a, S: RegisterSpace + ?Sized> Sink<'a> for Serve<'_, S> {
     #[inline(always)]
     fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> u64 {
         let mut group = [first, second, third];
+        self.0.access_all(&mut group);
+        seen(&group)
+    }
+    #[inline(always)]
+    fn four(self, mut group: [Access<'a>; 4]) -> u64 {
         self.0.access_all(&mut group);
         seen(&group)
     }
@@ -293,9 +306,14 @@ impl<'a, M: Fn(&mut Access<'a>), K: Sink<'a>> Sink<'a> for Mapped<M, K> {
         (self.map)(&mut third);
         self.to.three(first, second, third)
     }
+    #[inline(always)]
+    fn four(self, mut accesses: [Access<'a>; 4]) -> K::Out {
+        accesses.iter_mut().for_each(&self.map);
+        self.to.four(accesses)
+    }
 }
 
-/// A sink that puts two accesses ahead of a one-access group before it
+/// A sink that puts two accesses ahead of a group of one or two before it
 /// goes on to `to`: how a machine sends its own writes in one group with
 /// the first step of an automaton it drives.
 pub(crate) struct Ahead<'a, K> {
@@ -315,27 +333,51 @@ impl<'a, K: Sink<'a>> Sink<'a> for Ahead<'a, K> {
         let [first, second] = self.first;
         self.to.three(first, second, access)
     }
-    fn two(self, _: Access<'a>, _: Access<'a>) -> K::Out {
-        unreachable!("only a one-access step goes out behind two accesses")
+    #[inline(always)]
+    fn two(self, third: Access<'a>, fourth: Access<'a>) -> K::Out {
+        let [first, second] = self.first;
+        self.to.four([first, second, third, fourth])
     }
     fn three(self, _: Access<'a>, _: Access<'a>, _: Access<'a>) -> K::Out {
-        unreachable!("only a one-access step goes out behind two accesses")
+        unreachable!("only a step of one or two accesses goes out behind two")
+    }
+    fn four(self, _: [Access<'a>; 4]) -> K::Out {
+        unreachable!("only a step of one or two accesses goes out behind two")
     }
 }
 
-/// One group of accesses a driven machine waits on: at most three,
+/// The most accesses a [`Group`] holds: a held-back pair ahead of the
+/// four of a record, a mark and a step of two.
+const GROUP_MAX: usize = 6;
+
+/// One group of accesses a driven machine waits on: at most six,
 /// borrowing the machine's buffers. Move them into a group of the space
 /// ([`Group::into_accesses`]), serve it, and hand back what their
 /// conditional write read ([`seen`]).
 pub struct Group<'a> {
-    accesses: [Access<'a>; 3],
+    accesses: [Access<'a>; GROUP_MAX],
     len: usize,
 }
 
 impl<'a> Group<'a> {
+    /// A group of `lead`, with room for the accesses that follow.
     #[inline(always)]
-    fn unused() -> Access<'a> {
-        Access::read_run(0, 1, &mut [])
+    pub(crate) fn of<const N: usize>(lead: [Access<'a>; N]) -> Group<'a> {
+        Group {
+            accesses: std::array::from_fn(|_| Access::read_run(0, 1, &mut [])),
+            len: 0,
+        }
+        .with(lead)
+    }
+
+    /// The group with `accesses` after its own.
+    #[inline(always)]
+    fn with<const N: usize>(mut self, accesses: [Access<'a>; N]) -> Group<'a> {
+        for access in accesses {
+            self.accesses[self.len] = access;
+            self.len += 1;
+        }
+        self
     }
 
     /// The accesses, for a caller that rewrites them (lifts them into a
@@ -410,6 +452,11 @@ impl<A: Automaton, S: RegisterSpace> Driver<A, S> {
     /// Fires the points before `state`'s next step and returns it: the
     /// group it sends, a delay, or a halt. A write joined to the next
     /// steps `state` past itself here, events going to `obs`.
+    ///
+    /// A joined pair fires its first write's point before the group and
+    /// every later point after it, in the spec's order: the points fire
+    /// in the order the unjoined steps fire them, and a crash at one of
+    /// the later ones finds both writes done.
     #[inline(always)]
     pub(crate) fn next(&self, state: &mut A::State, obs: &mut Vec<Obs>) -> Step {
         let (action, label) = self.spec.next_step(state);
@@ -437,7 +484,8 @@ impl<A: Automaton, S: RegisterSpace> Driver<A, S> {
     }
 
     /// The write of `value` to `reg` in one group with the next step, a
-    /// write too: steps `state` past the first.
+    /// write too: steps `state` past the first. The first write's `then`,
+    /// and the second's point and `then`, fire once the group is back.
     #[inline(always)]
     fn write_with_next(
         &self,
@@ -451,14 +499,13 @@ impl<A: Automaton, S: RegisterSpace> Driver<A, S> {
         let (Action::Write(next, next_value), with) = self.spec.next_step(state) else {
             unreachable!("a write goes out with the write after it")
         };
-        fire(with.point);
         Step {
             shape: Shape::Pair,
             regs: [reg.0, next.0],
             cells: [value, next_value],
             kinds: [label.kind, with.kind],
             between: Between::NONE,
-            then: [label.then, with.then],
+            then: [label.then, with.point, with.then],
         }
     }
 
@@ -488,6 +535,7 @@ impl<A: Automaton, S: RegisterSpace> Driver<A, S> {
             }
             Shape::Pair => {
                 fire(step.then[1]);
+                fire(step.then[2]);
                 self.spec.apply(state, None, obs);
             }
             Shape::Write | Shape::Delay => self.spec.apply(state, None, obs),

@@ -23,7 +23,11 @@
 //! 2. with the standing read, read `announce[i]`: a value a predecessor
 //!    incarnation announced stands, and is proposed instead of `v`;
 //! 3. announce: `announce[i] := v + 1`, an owned write (only `i` writes
-//!    it), unless a standing value was found;
+//!    it), unless a standing value was found. When the probe saw instance
+//!    `W−1` undecided, the next step is that instance's first write of
+//!    `x`, and the two go out as one group: a group keeps the order of
+//!    its owned and agreed writes for every reader, so no reader that
+//!    sees the `x` misses the announcement;
 //! 4. for bit `k = W−1 .. 0`: run Algorithm 1 instance `k` proposing bit
 //!    `k` of the backed pid — instance `W−1` taking the probed value as
 //!    its first loop check's read; if the decided bit differs, scan the
@@ -41,7 +45,11 @@
 //! in either order. Each process writes the pair once, so the automaton
 //! takes the order per process: [`ElectionSpec::result_first`] names the
 //! processes that write `result` first, and checking every mask explores
-//! both orders of every process's pair against every interleaving.
+//! both orders of every process's pair against every interleaving. The
+//! pair only publishes a decision already fixed
+//! (`ElectionSpec::publishes`), so a caller may hold it back and send it
+//! later: to every other process, one that has not sent it yet looks like
+//! one that crashed just before it, a state crashes reach anyway.
 //!
 //! # Register layout (from `base`)
 //!
@@ -223,6 +231,15 @@ pub struct ElectionState {
 }
 
 impl ElectionSpec {
+    /// Whether `s`'s next step is the group of instance 0's `decide` of
+    /// the backed pid's bit and `result`: Algorithm 1 has decided that
+    /// bit, so the pid and its value are fixed, and the group only
+    /// publishes them.
+    #[inline(always)]
+    pub(crate) fn publishes(&self, s: &ElectionState) -> bool {
+        matches!(s.pc, Pc::Bit { k, ref inner } if self.paired(s, k, inner).is_some())
+    }
+
     /// Whether `s`'s next step in instance `k` is instance 0's write of the
     /// backed pid's bit to `decide`, which goes out in one group with
     /// `result`, and if so whether `s` writes `result` first.
@@ -353,9 +370,12 @@ impl Automaton for ElectionSpec {
     /// announcement, which takes that check into the instance, fires its
     /// [`points::CONSENSUS_ROUND`] once it is done. (A standing
     /// announcement found by the standing read takes the check in without
-    /// the point: a recovered incarnation visits one round point fewer.) The instances' steps carry Algorithm 1's labels. The
-    /// announcement is owned, `result` agreed, and instance 0's `decide`
-    /// of the backed pid's bit goes out in one group with `result`.
+    /// the point: a recovered incarnation visits one round point fewer.)
+    /// The instances' steps carry Algorithm 1's labels. The announcement
+    /// is owned, and goes out in one group with the instance's first
+    /// write of `x` when the probe saw the instance undecided; `result` is
+    /// agreed, and instance 0's `decide` of the backed pid's bit goes out
+    /// in one group with it.
     #[inline(always)]
     fn next_step(&self, s: &Self::State) -> (Action, Label) {
         let write = |kind| Label {
@@ -376,10 +396,16 @@ impl Automaton for ElectionSpec {
         match s.pc {
             Pc::Probe { .. } => (Action::Read(self.top_decide()), Label::default()),
             Pc::Standing { .. } => (Action::Read(announce), Label::default()),
-            Pc::Announce { .. } => (
+            Pc::Announce { seen } => (
                 Action::Write(announce, s.value + 1),
                 Label {
                     then: Some(points::CONSENSUS_ROUND),
+                    // Undecided, instance W−1 writes its `x` next.
+                    joint: if seen == 0 {
+                        Joint::WithNext
+                    } else {
+                        Joint::Alone
+                    },
                     ..write(WriteKind::Owned)
                 },
             ),

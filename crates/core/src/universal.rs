@@ -64,6 +64,13 @@
 //! | each access its own round | 1 | 1 | 1 | 2 | 1 | 5 | 1 | **12** |
 //! | grouped | 1 | 1, the probe shares it | 0 | 1 | 1 | 5, `decide` shares its round with `result` | 0 | **9** |
 //! | grouped, ordered | 1, with the counter and the probe | 0 | 0 | 1, with the announcement | 0 | 5, as above | 0 | **7** |
+//! | ordered with `x` | 1, as above | 0 | 0 | 1, with the announcement and the first `x` | 0 | 4: `y` (2), `x[1, v̄]` (1), `decide` with `result` (1) | 0 | **6** |
+//! | write-behind | 1, behind the last decision's `decide` and `result` | 0 | 0 | 1, as above | 0 | 3: `y` (2), `x[1, v̄]` (1); `decide` and `result` ride the next round | 0 | **5** |
+//!
+//! A lone session ([`Session::finish`], every [`Universal`] call) pays
+//! the "ordered with `x`" row. A caller that runs the machine, as a
+//! service worker does on a space whose accesses are round trips, pays
+//! the write-behind row (see [Write-behind](Session#write-behind)).
 //!
 //! The three grouped pairs, and why no reader orders them:
 //!
@@ -85,6 +92,9 @@
 //!   agreed `decide` and the agreed `result` go out as one group (the
 //!   election's label). Every write to either cell carries the common
 //!   decision, and no reader of `result` goes on to read that `decide`.
+//!   The pair only publishes a decision Algorithm 1 has made already, so
+//!   a session that runs as a machine holds it back for its next group
+//!   ([Write-behind](Session#write-behind)).
 //!
 //! # Ordered groups
 //!
@@ -95,31 +105,32 @@
 //! order, which is program order; the quorum space stamps the writes
 //! with one tag, and a reader that writes one of them back writes back
 //! all of them (`tfr_net::abd`). Two orders the construction relies on
-//! are orders among one process's owned writes, and each now shares one
-//! round:
+//! are orders among one process's own writes, owned and agreed, and each
+//! now shares one round:
 //!
 //! * a burst's payloads, *then* its announce counter (combiners read
 //!   payloads only below a counter they have read): the payload run, the
 //!   counter and the next slot's probe go out as one group, in that
 //!   order;
-//! * the record and the mark, *then* the slot's announcement (an
-//!   adopter proposes the value an announcement names, and whoever
-//!   applies the decision reads the record it points to): the record run
-//!   and the mark go out in one group with the election's first step,
-//!   `announce[pid]`, or the standing read on a recovered session's first
-//!   proposal.
+//! * the record and the mark, *then* the slot's announcement, *then*
+//!   Algorithm 1's first write of `x` (an adopter proposes the value an
+//!   announcement names, whoever applies the decision reads the record it
+//!   points to, and a decision can name an offset only once its proposer
+//!   has proposed it): the record run and the mark go out in one group
+//!   with the election's first step — `announce[pid]` with the top
+//!   instance's first `x` (the election's label), or the standing read
+//!   on a recovered session's first proposal. `x` is agreed, so the group
+//!   keeps its order after the owned writes.
 //!
 //! On shared memory a group runs in slice order, so both groups make the
-//! accesses a pair of separate groups would, in the same order; and the
-//! announcement fires its injection point only after its write, so the
-//! points fire in that order too (the pinned tapes check both).
+//! accesses separate groups would, in the same order; and the
+//! announcement's injection point and then the `x` write's fire once the
+//! group is back, in the order separate steps fire them (the pinned
+//! tapes check both).
 //!
 //! Every other ordering the construction relies on stays *between*
 //! groups:
 //!
-//! * everything a proposal needs — the record, the mark, the slot's
-//!   announcement — *before* Algorithm 1's writes of `x` (a decision can
-//!   name an offset only once its proposer has proposed it);
 //! * Algorithm 1's own Dekker-shaped order, each process writing its `x`
 //!   before it reads the other's (below);
 //! * a decided record's length, *then* its entries, *then* their payloads
@@ -171,15 +182,15 @@
 //! a predecessor's standing proposal names an offset below the mark this
 //! session read when it opened. Every other decision is read back.
 //!
-//! Algorithm 1's round is **not** grouped past its first read and its
-//! last write: Theorems 2.2 and 2.3 rest on each process writing its own
-//! `x` before reading the other's, an order across cells that a group
-//! does not keep. After the probe a solo instance is four calls in five
-//! quorum rounds: the agreed write of `x`, the conditional write of `y`
-//! (two), the read of `x[r,¬v]` and the agreed write of `decide` grouped
-//! with `result`. The election's scan and the combiner's counter scan
-//! stay single reads: they touch one cell or none at the process counts
-//! the service runs.
+//! Algorithm 1's round is **not** grouped past its first write and its
+//! last: Theorems 2.2 and 2.3 rest on each process writing its own `x`
+//! before reading the other's, an order across writers that no group of
+//! one writer's accesses keeps. After the probe a solo instance is four
+//! calls in five quorum rounds: the agreed write of `x`, which rides the
+//! announcement's group, the conditional write of `y` (two), the read of
+//! `x[r,¬v]` and the agreed write of `decide` grouped with `result`. The
+//! election's scan and the combiner's counter scan stay single reads:
+//! they touch one cell or none at the process counts the service runs.
 
 pub use crate::driver::{seen, Between, Group};
 use crate::driver::{Ahead, Driver, Hand, Mapped, Serve, Sink, Step};
@@ -747,6 +758,7 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
             proposing: false,
             obs: Vec::new(),
             spare: None,
+            behind: None,
             consensus: None,
         }
     }
@@ -871,7 +883,27 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
 ///    what it waits on next.
 ///
 /// Every group is what the thin loops send, in the same order, so a
-/// session's accesses do not depend on who serves them.
+/// session's accesses do not depend on who serves them, with one
+/// exception, write-behind.
+///
+/// # Write-behind
+///
+/// Run as a machine, a session holds back the last step of an election
+/// it won: the group of instance 0's `decide` and the slot's `result`.
+/// Algorithm 1 has decided once its read of `x[r, v̄]` returns 0, so the
+/// pid, and the value it announced, are fixed; the pair only publishes
+/// them. The session applies the batch and is done, and the pair leads
+/// its next group ([`Session::group`]) — the next burst's payloads,
+/// counter and probe, say — so it costs no round of its own.
+/// [`Session::writes_behind`] says whether a session holds one;
+/// [`Session::flush`] sends it alone, and the thin loops do so before
+/// they serve anything, so a session served alone holds none back and
+/// its accesses are the thin loops' exactly.
+///
+/// To every other process, a session that holds the pair back looks like
+/// one that crashed right after Algorithm 1's last read: it finds the
+/// slot undecided and runs the election, which decides the same pid.
+/// Crashes reach that state anyway; write-behind only keeps it longer.
 pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     uni: &'u Universal<T, S>,
     pid: ProcId,
@@ -918,8 +950,19 @@ pub struct Session<'u, T: Sequential, S: RegisterSpace> {
     /// The last election's box, reused by the next: a decision allocates
     /// nothing once the session has made one.
     spare: Option<Box<Election>>,
+    /// A decided slot's `decide` and `result`, held back to lead the
+    /// session's next group (see [Write-behind](Session#write-behind)).
+    behind: Option<Behind>,
     /// The `"consensus"` span around the proposal in progress.
     consensus: Option<Span<'u>>,
+}
+
+/// The group of slot `s`'s instance-0 `decide` and `result` that a
+/// [`Session`] holds back: the election's last step, which only
+/// publishes its decision.
+struct Behind {
+    s: usize,
+    pair: Step,
 }
 
 /// What a [`Session`] waits on ([`Session::wait`]).
@@ -1137,15 +1180,29 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// The group the machine waits on, in the coordinates of the object's
     /// space ([`Universal::space`]), with `between` as its conditional
     /// write's (see [`Wait::Group`]); empty unless it waits on a group.
+    ///
+    /// A held-back pair (see [Write-behind](Session#write-behind)) leads
+    /// the group; a session that is done but holds one hands out the pair
+    /// alone, for a caller that sends it in a round going out anyway.
     pub fn group<'a>(&'a mut self, between: &'a mut dyn FnMut()) -> Group<'a> {
-        self.accesses(between, Hand)
+        self.accesses(between, |lead| match lead {
+            Some(pair) => Hand(Group::of(pair)),
+            None => Hand(Group::of([])),
+        })
     }
 
-    /// Hands the group the machine waits on to `sink` ([`Session::group`]).
+    /// Hands the group the machine waits on to the sink `sink` makes of
+    /// the held-back pair, lifted into the object's space, if there is one
+    /// ([`Session::group`]).
     #[inline(always)]
-    fn accesses<'a, K: Sink<'a>>(&'a mut self, between: &'a mut dyn FnMut(), sink: K) -> K::Out {
+    fn accesses<'a, K: Sink<'a>>(
+        &'a mut self,
+        between: &'a mut dyn FnMut(),
+        sink: impl FnOnce(Option<[Access<'a>; 2]>) -> K,
+    ) -> K::Out {
         let uni = self.uni;
         let (pid, n) = (self.pid.0, uni.n as u64);
+        let sink = sink(self.behind.as_ref().map(|behind| behind.writes(uni)));
         match &mut self.phase {
             Phase::Idle => sink.none(),
             Phase::Counter {
@@ -1264,6 +1321,21 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         self.resume_with(seen, false)
     }
 
+    /// Whether the session holds back a decided slot's `decide` and
+    /// `result` for its next group (see [Write-behind](Session#write-behind)).
+    pub fn writes_behind(&self) -> bool {
+        self.behind.is_some()
+    }
+
+    /// Sends the held-back `decide` and `result`, if the session holds
+    /// them, as one group of the object's space: what a caller that
+    /// drives the machine does before it lets the session go.
+    pub fn flush(&mut self) {
+        if let Some(behind) = self.behind.take() {
+            self.uni.space().access_all(&mut behind.writes(self.uni));
+        }
+    }
+
     /// [`Session::resume`]; `alone` when the caller serves this session
     /// alone, on the object's own space ([`Session::finish`]). Then an
     /// election runs whole, as [`MultiConsensus::propose_probed`] on the
@@ -1271,6 +1343,10 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// whose steps fold into the plain accesses they stand for.
     #[inline(always)]
     fn resume_with(&mut self, seen: u64, alone: bool) {
+        if self.behind.is_some() && !matches!(self.wait(), Wait::Delay(_)) {
+            // A group went out, and the held-back pair led it.
+            self.behind = None;
+        }
         match std::mem::replace(&mut self.phase, Phase::Idle) {
             Phase::Idle => {}
             Phase::Counter { probe, .. } => {
@@ -1324,13 +1400,16 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// Takes back the step `election` waited on, `seen` what its
     /// conditional write read, and moves the election on: to its next
     /// step or, served `alone`, through the rest of the election, run
-    /// whole in the driver's own loop. Out of line: inlined into the
-    /// thin loops, it made a native 16-op burst ~10 % slower (2-vCPU
+    /// whole in the driver's own loop. Not alone, a next step that only
+    /// publishes the decision is held back
+    /// ([Write-behind](Session#write-behind)). Out of line: inlined into
+    /// the thin loops, it made a native 16-op burst ~10 % slower (2-vCPU
     /// host, minimum of 41 repetitions).
     #[inline(never)]
     fn step_election(&mut self, mut election: Box<Election>, seen: u64, alone: bool) {
         let driver = &self.uni.slots[election.s].driver;
         let Election {
+            s,
             state,
             step,
             decided,
@@ -1341,19 +1420,34 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         *decided = driver.events(&mut self.obs).or(*decided);
         if alone {
             *decided = driver.run(state).or(*decided);
+        } else if driver.spec.publishes(state) {
+            let pair = driver.next(state, &mut self.obs);
+            driver.resume(state, &pair, &mut self.obs);
+            *decided = driver.events(&mut self.obs).or(*decided);
+            debug_assert!(
+                self.behind.is_none(),
+                "a group led by the last pair went out"
+            );
+            self.behind = Some(Behind { s: *s, pair });
         }
         *step = driver.next(state, &mut self.obs);
         self.elect(election);
     }
 
     /// Serves every group the machine waits on, on the object's own
-    /// space, and waits out its delays, until it is done.
+    /// space, and waits out its delays, until it is done. A held-back
+    /// pair goes out first, on its own: served alone, the machine holds
+    /// none back.
     pub fn finish(&mut self) {
         let uni = self.uni;
+        self.flush();
         loop {
             match self.wait() {
                 Wait::Group(between) => {
-                    let seen = self.accesses(&mut || between.fire(), Serve(uni.space()));
+                    let seen = self.accesses(&mut || between.fire(), |lead| {
+                        debug_assert!(lead.is_none(), "flushed");
+                        Serve(uni.space())
+                    });
                     self.resume_with(seen, true);
                 }
                 Wait::Delay(delta) => {
@@ -1465,7 +1559,8 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
     /// The record — the length cell and the entries — goes out as one
     /// register run, in one ordered group with the arena mark and the
     /// first step of the slot's election, which proposes the record:
-    /// `announce[pid]`, or the standing read. What matters is that
+    /// `announce[pid]` with the top instance's first `x`, or the standing
+    /// read. What matters is that
     /// **everything is written before the proposal is seen**: no reader
     /// dereferences an arena offset until a slot's decision names it, a
     /// decision can name this offset only once some process has read
@@ -1633,6 +1728,18 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         });
         self.next_slot = s + 1;
         self.advance();
+    }
+}
+
+impl Behind {
+    /// The pair's writes, lifted into `uni`'s space.
+    fn writes<'a, T: Sequential, S: RegisterSpace>(
+        &'a self,
+        uni: &Universal<T, S>,
+    ) -> [Access<'a>; 2] {
+        self.pair
+            .writes()
+            .map(|access| uni.lift(Region::Slot(self.s), access))
     }
 }
 
@@ -2457,22 +2564,23 @@ mod tests {
         Arc::new(tfr_net::Network::new(cfg))
     }
 
-    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 7
+    /// Over [`lockstep_net`], one solo decision at n = 1 opens exactly 6
     /// quorum rounds, whatever the batch size: the payload run and then
     /// the counter (owned, one ordered group) with the next slot's probe
-    /// of `result` and `decide`, the record and the mark and then the
-    /// slot's announcement (owned, one ordered group), and Algorithm 1's
-    /// five — the agreed write of `x`, the conditional write of `y`
-    /// (two), the read of `x[1, v̄]` and the agreed write of `decide` with
-    /// the agreed `result`. With the two ordered pairs in rounds of their
-    /// own it opened 9; with each access its own round, 12; with the
-    /// entry read of `decide`, the loop check after deciding and `y`'s
-    /// read apart from its write, 15; with those three writes queried too
-    /// and the standing read, 19; with every write queried and the winner
-    /// reading its own batch back, 27; before register runs, 6k + 23 (29,
-    /// 71 and 407 rounds for k = 1, 8, 64).
+    /// of `result` and `decide`; the record, the mark, the slot's
+    /// announcement and then Algorithm 1's agreed write of `x` (one
+    /// ordered group); and Algorithm 1's other four — the conditional
+    /// write of `y` (two), the read of `x[1, v̄]` and the agreed write of
+    /// `decide` with the agreed `result`, which a lone session sends at
+    /// once. With `x` in a round of its own it opened 7; with the two
+    /// ordered pairs in rounds of their own, 9; with each access its own
+    /// round, 12; with the entry read of `decide`, the loop check after
+    /// deciding and `y`'s read apart from its write, 15; with those three
+    /// writes queried too and the standing read, 19; with every write
+    /// queried and the winner reading its own batch back, 27; before
+    /// register runs, 6k + 23 (29, 71 and 407 rounds for k = 1, 8, 64).
     #[test]
-    fn a_solo_decision_costs_7_quorum_rounds_at_any_batch_size() {
+    fn a_solo_decision_costs_6_quorum_rounds_at_any_batch_size() {
         for k in [1usize, 8, 64] {
             let net = lockstep_net();
             let control = net.control();
@@ -2481,16 +2589,17 @@ mod tests {
             let before = control.quorum_rounds();
             session.announce_burst(&vec![1; k]);
             session.drive_pending();
-            assert_eq!(control.quorum_rounds() - before, 7, "k={k}");
+            assert_eq!(control.quorum_rounds() - before, 6, "k={k}");
             assert_eq!(session.take_responses().len(), k);
         }
     }
 
     /// A session that opens after a predecessor proposed (a nonzero arena
     /// mark) reads its standing announcement at its first proposal only,
-    /// in one group with its record and mark, and then announces: once it
-    /// has replayed the predecessor's slot, its first decision opens 8
-    /// rounds over [`lockstep_net`], its next 7.
+    /// in one group with its record and mark, and then announces, in one
+    /// group with its first `x`: once it has replayed the predecessor's
+    /// slot, its first decision opens 7 rounds over [`lockstep_net`], its
+    /// next 6.
     #[test]
     fn a_recovered_session_reads_its_standing_announcement_once() {
         let net = lockstep_net();
@@ -2499,7 +2608,7 @@ mod tests {
         obj.invoke(ProcId(0), 1);
         let mut session = obj.session(ProcId(0));
         session.catch_up(); // slot 0, the predecessor's, read back
-        for want in [8, 7] {
+        for want in [7, 6] {
             let before = control.quorum_rounds();
             session.announce(1);
             session.drive_pending();

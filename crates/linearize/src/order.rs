@@ -285,30 +285,74 @@ mod tests {
         assert_eq!(report.cells, 1, "only the counter has one writer");
     }
 
+    /// A writer's group and the two reads of a stranded-group script: the
+    /// group's writes, `(cell, values, kind)` in order; the run that sees
+    /// its later write, `(first cell, length)`, whose first cell must read
+    /// 1; and the run, `(first cell, length)`, that must not then miss the
+    /// earlier one.
+    pub(crate) struct Script {
+        group: &'static [(u64, &'static [u64], WriteKind)],
+        saw: (u64, usize),
+        then: (u64, usize),
+    }
+
+    /// A burst: its payload run (cells 10, 11) and then its counter (12),
+    /// owned. The counter is read with the mark (12, 13), the run a
+    /// session opens with; then the payload run.
+    pub(crate) const BURST: Script = Script {
+        group: &[
+            (10, &[7, 8], WriteKind::Owned),
+            (12, &[1], WriteKind::Owned),
+        ],
+        saw: (12, 2),
+        then: (10, 2),
+    };
+
+    /// A proposal at slot 0 of an election among two processes, laid out
+    /// from cell 20 as `MultiConsensus` lays it out (`announce[i]` at
+    /// 21 + i, pid bit 0's instance above, its `x[1, v]` at 27 + v): the
+    /// record run (cells 10, 11), the mark (12) and `announce[0]` (21),
+    /// owned, and then process 0's first write of `x[1, 0]` (27), agreed —
+    /// the group a `Session` sends as it proposes. Another proposer reads
+    /// `x[1, 0]`, and then `announce[0]`, as the election's scan reads the
+    /// announcements of the pids with a bit it found proposed.
+    pub(crate) const PROPOSAL: Script = Script {
+        group: &[
+            (10, &[1, 1], WriteKind::Owned),
+            (12, &[2], WriteKind::Owned),
+            (21, &[1], WriteKind::Owned),
+            (27, &[1], WriteKind::Agreed),
+        ],
+        saw: (27, 1),
+        then: (21, 1),
+    };
+
     /// The hazard a quorum space's ordered groups close, scripted with
     /// partitions over three replicas s0–s2 and two clients:
     ///
-    /// 1. the writer, process 0, cut off with s0 alone, sends one group:
-    ///    its payload run, cells 10 and 11, and then its counter, cell 12,
-    ///    as owned writes; the request reaches s0 only, and the group
-    ///    stays pending;
-    /// 2. a read of the counter and the mark (cells 12 and 13, the run a
-    ///    session opens with) from s0 and s1 sees the counter;
-    /// 3. process 1 reads the payload run from s1 and s2.
+    /// 1. the writer, process 0, cut off with s0 alone, sends `script`'s
+    ///    group (for [`BURST`], its payload run and then its counter); the
+    ///    request reaches s0 only, and the group stays pending;
+    /// 2. a read from s0 and s1 sees the group's later write (the
+    ///    counter);
+    /// 3. process 1 reads the earlier cell (the payload run) from s1 and
+    ///    s2.
     ///
     /// With `recovered`, step 2's reader is a recovered incarnation of
     /// the writer: the same handle and process on another thread, opening
     /// while its predecessor's request is stranded. The writer's handle is
     /// made by `handle` then, and its retransmit timer is long, so that
     /// the predecessor stays silent while the incarnation's rounds reach
-    /// s0 and s1. Otherwise process 1 reads the counter too, through the
-    /// handle `handle` makes. Returns the history, or `None` if the
-    /// schedule missed its precondition: step 2 did not see the counter,
-    /// or, with `recovered`, the script outlasted half the timer.
+    /// s0 and s1. Otherwise process 1 makes step 2's read too, through the
+    /// handle `handle` makes. Returns the history and what step 3 read
+    /// first, or `None` if the schedule missed its precondition: step 2
+    /// did not see the later write, or, with `recovered`, the script
+    /// outlasted half the timer.
     pub(crate) fn stranded_group_script(
+        script: &Script,
         handle: fn(QuorumSpace) -> QuorumSpace,
         recovered: bool,
-    ) -> Option<History> {
+    ) -> Option<(History, u64)> {
         use NodeId::{Client, Replica};
         let mut cfg = NetConfig::new(2, 3, 0x0D6 + recovered as u64);
         if recovered {
@@ -330,17 +374,16 @@ mod tests {
             vec![Client(0), Replica(0)],
             vec![Client(1), Replica(1), Replica(2)],
         ]);
-        let (mut open, mut payload) = ([0; 2], [0; 2]);
+        let (mut seen, mut then) = ([0; 2], [0; 2]);
+        let (seen, then) = (&mut seen[..script.saw.1], &mut then[..script.then.1]);
         let started = Instant::now();
         let took = std::thread::scope(|s| {
             let sent = control.requests_sent();
             s.spawn(|| {
-                with_pid(ProcId(0), || {
-                    writer.access_all(&mut [
-                        Access::write_run(10, 1, &[7, 8], WriteKind::Owned),
-                        Access::write_run(12, 1, &[1], WriteKind::Owned),
-                    ])
-                })
+                let mut group: Vec<_> = (script.group.iter())
+                    .map(|&(cell, values, kind)| Access::write_run(cell, 1, values, kind))
+                    .collect();
+                with_pid(ProcId(0), || writer.access_all(&mut group))
             });
             // The requests are sent once the group's invocations are
             // recorded, so the recorder's lane of process 0 is handed on.
@@ -350,44 +393,52 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             if recovered {
                 cut([Client(0), Replica(0), Replica(1)], [Client(1), Replica(2)]);
-                with_pid(ProcId(0), || writer.read_run(12, 1, &mut open));
+                with_pid(ProcId(0), || writer.read_run(script.saw.0, 1, seen));
             } else {
                 cut([Client(1), Replica(0), Replica(1)], [Client(0), Replica(2)]);
-                with_pid(ProcId(1), || reader.read_run(12, 1, &mut open));
+                with_pid(ProcId(1), || reader.read_run(script.saw.0, 1, seen));
             }
             cut([Client(1), Replica(1), Replica(2)], [Client(0), Replica(0)]);
-            with_pid(ProcId(1), || reader.read_run(10, 1, &mut payload));
+            with_pid(ProcId(1), || reader.read_run(script.then.0, 1, then));
             let took = started.elapsed();
             control.heal(); // the writer completes, and is joined
             took
         });
         let in_time = !recovered || took < cfg.retransmit / 2;
-        (open[0] == 1 && in_time).then(|| rec.history())
+        (seen[0] == 1 && in_time).then(|| (rec.history(), then[0]))
     }
 
     /// Runs [`stranded_group_script`] with correct handles, whose history
     /// must keep per-writer order, and with the seeded
-    /// unrepaired-ordered-group mutant, whose history must not. Both
-    /// linearize per register: the new property is what sees the mutant.
-    pub(crate) fn assert_stranded_group_mutant_rejected(recovered: bool) {
+    /// unrepaired-ordered-group mutant, whose history must not: its last
+    /// read returns 0 where the correct handle's returns the earlier
+    /// write. Both linearize per register: the new property is what sees
+    /// the mutant.
+    pub(crate) fn assert_stranded_group_mutant_rejected(script: &Script, recovered: bool) {
         for attempt in 0..5 {
-            let correct = stranded_group_script(|space| space, recovered);
-            let mutant =
-                stranded_group_script(QuorumSpace::with_unrepaired_ordered_groups, recovered);
-            let (Some(correct), Some(mutant)) = (correct, mutant) else {
+            let correct = stranded_group_script(script, |space| space, recovered);
+            let mutant = stranded_group_script(
+                script,
+                QuorumSpace::with_unrepaired_ordered_groups,
+                recovered,
+            );
+            let (Some((correct, found)), Some((mutant, missed))) = (correct, mutant) else {
                 eprintln!("attempt {attempt}: the schedule missed its precondition, retrying");
                 continue;
             };
             let report = check_writer_order(&correct).expect("the correct handle keeps the order");
-            assert!(report.pairs > 0, "the payload read was checked");
+            assert!(report.pairs > 0, "the earlier cell's read was checked");
             for history in [&correct, &mutant] {
                 check_history(history, &RegisterModel).expect("every cell linearizes");
             }
             let err = check_writer_order(&mutant).expect_err("the mutant must be rejected");
             assert_eq!(
                 (err.writer, err.saw.obj, err.missed.obj),
-                (ProcId(0), 12, 10)
+                (ProcId(0), script.saw.0, script.then.0)
             );
+            let earlier = script.group.iter().find(|write| write.0 == script.then.0);
+            assert_eq!(Some(found), earlier.map(|write| write.1[0]), "found");
+            assert_eq!(missed, 0, "the mutant's read misses the earlier write");
             return;
         }
         panic!("the scripted schedule never met its precondition");
@@ -395,11 +446,22 @@ mod tests {
 
     #[test]
     fn the_unrepaired_ordered_group_mutant_is_rejected() {
-        assert_stranded_group_mutant_rejected(false);
+        assert_stranded_group_mutant_rejected(&BURST, false);
     }
 
     #[test]
     fn the_mutant_is_rejected_when_a_recovered_incarnation_reads() {
-        assert_stranded_group_mutant_rejected(true);
+        assert_stranded_group_mutant_rejected(&BURST, true);
+    }
+
+    /// A proposal's group is stranded: a second proposer that reads the
+    /// proposer's `x[1, 0]` finds its announcement on the correct handle.
+    /// On the mutant its scan finds none, where the election's scan takes
+    /// finding none for a broken announce-before-propose invariant (the
+    /// `unreachable!` of `ElectionSpec`'s scan), and the order check
+    /// rejects the history.
+    #[test]
+    fn the_mutant_is_rejected_when_a_proposal_is_stranded() {
+        assert_stranded_group_mutant_rejected(&PROPOSAL, false);
     }
 }

@@ -184,8 +184,11 @@ pub enum Joint {
         between: Option<&'static str>,
     },
     /// A write that goes out in one group with the next step, another
-    /// write that no reader orders against it
-    /// ([`crate::space::RegisterSpace::access_all`]).
+    /// write ([`crate::space::RegisterSpace::access_all`]). A group keeps
+    /// the order of its owned and agreed writes for every reader, so a
+    /// reader that sees the second, if both are such writes, then sees the
+    /// first; the two are still separate steps, which is what the model
+    /// checker explores.
     WithNext,
 }
 

@@ -20,13 +20,19 @@
 //!   worker's own thread. Each shard's [`Session`] is a machine that
 //!   waits on one group of register accesses at a time. When the space's
 //!   accesses are network round trips ([`RegisterSpace::round_trips`],
-//!   the quorum backend) and no trace is attached, a worker with more
-//!   than one busy shard multiplexes them: each step it lifts every ready
+//!   the quorum backend) and no trace is attached, a worker multiplexes
+//!   its busy shards, one included: each step it lifts every ready
 //!   shard's group into the shared space's coordinates and sends them
 //!   all in one [`RegisterSpace::access_all`] call, one request per
 //!   replica per phase. A burst then costs one shard's rounds, not the
-//!   sum of them. On native memory, or with a trace attached, the loop
-//!   takes the shards in turn.
+//!   sum of them. The sessions run as machines there, so each holds back
+//!   the `decide` and `result` of the slot it last won for its next
+//!   group (`Session`'s write-behind), and a shard with one held back
+//!   joins the worker's next round even with no work: a 16-op burst costs
+//!   5 rounds. [`ServiceWorker::catch_up`] and dropping the worker send
+//!   what is left. On native memory, or with a trace attached, the loop
+//!   takes the shards in turn, each session's groups alone, and holds
+//!   nothing back.
 //!
 //! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`], and
 //! every batch whose proposal *this* worker won emits one
@@ -38,7 +44,7 @@ use crate::router::Router;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tfr_core::universal::{LogAudit, Sequential, Session, Universal, Wait};
+use tfr_core::universal::{Between, LogAudit, Sequential, Session, Universal, Wait};
 use tfr_registers::chaos;
 use tfr_registers::native::precise_wait_until;
 use tfr_registers::space::{Access, NativeSpace, RegisterSpace, SubSpace};
@@ -250,19 +256,21 @@ struct Lane<'s, T: Sequential, S: RegisterSpace> {
 /// Both steps act on every busy shard through one loop
 /// (`each_busy_lane`), on the calling thread; the worker spawns nothing.
 /// Over a space whose accesses are round trips
-/// ([`RegisterSpace::round_trips`]), with no trace attached and more than
-/// one shard busy, the loop multiplexes the shards' sessions: at each
-/// step it sends the next group of every shard that is ready as one
-/// group of the shared space, and a shard at `delay(Δ)` becomes a
-/// deadline, the worker serving the others meanwhile and waiting only
-/// when no shard is ready. The shards are disjoint register regions and
-/// linearizability is local, so sharing a round changes no protocol
-/// argument: a group promises nothing across its accesses but the order
-/// of its owned and agreed writes, which the shared group keeps for each
-/// shard's, and each shard's accesses keep their own order. Otherwise
-/// the loop runs the
-/// shards in turn, each session's groups alone, as one after the other
-/// on a traced service keeps the span tree of each shard's drive whole.
+/// ([`RegisterSpace::round_trips`]) and with no trace attached, the loop
+/// multiplexes the shards' sessions, however many are busy: at each step
+/// it sends the next group of every shard that is ready as one group of
+/// the shared space, and a shard at `delay(Δ)` becomes a deadline, the
+/// worker serving the others meanwhile and waiting only when no shard is
+/// ready. A shard that holds back the last decision's `decide` and
+/// `result` (`Session`'s write-behind) sends them in the worker's next
+/// round; [`ServiceWorker::catch_up`] and `Drop` send what is left. The
+/// shards are disjoint register regions and linearizability is local, so
+/// sharing a round changes no protocol argument: a group promises nothing
+/// across its accesses but the order of its owned and agreed writes,
+/// which the shared group keeps for each shard's, and each shard's
+/// accesses keep their own order. Otherwise the loop runs the shards in
+/// turn, each session's groups alone, as one after the other on a traced
+/// service keeps the span tree of each shard's drive whole.
 pub struct ServiceWorker<'s, T: Sequential, S: RegisterSpace> {
     svc: &'s ObjectService<T, S>,
     pid: ProcId,
@@ -375,21 +383,23 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
 
     /// Starts every busy lane's session with `start` and serves it until
     /// it is done: all of them at once through [`multiplex`] when the
-    /// service overlaps round trips (see [`ServiceWorker`]) and more than
-    /// one lane is busy, else each in turn, started, served on its own
-    /// and, on a traced service, inside a `span` of its own.
+    /// service overlaps round trips (see [`ServiceWorker`]), with every
+    /// lane that holds back a decision's writes, else each in turn,
+    /// started, served on its own and, on a traced service, inside a
+    /// `span` of its own.
     fn each_busy_lane(&mut self, span: Option<&'static str>, start: impl Fn(&mut Lane<'_, T, S>)) {
         let svc = self.svc;
-        let overlap = svc.round_trips && !svc.trace.is_enabled();
-        if overlap && self.lanes.iter().filter(|lane| lane.busy).count() > 1 {
-            let mut busy: Vec<_> = (svc.shards.iter().zip(&mut self.lanes))
-                .filter(|(_, lane)| lane.busy)
+        if svc.round_trips && !svc.trace.is_enabled() {
+            let mut lanes: Vec<_> = (svc.shards.iter().zip(&mut self.lanes))
+                .filter(|(_, lane)| lane.busy || lane.session.writes_behind())
                 .map(|(shard, lane)| {
-                    start(lane);
+                    if lane.busy {
+                        start(lane);
+                    }
                     (shard.space(), &mut lane.session)
                 })
                 .collect();
-            return multiplex(&*svc.space, &mut busy);
+            return multiplex(&*svc.space, &mut lanes);
         }
         for lane in self.lanes.iter_mut().filter(|lane| lane.busy) {
             let _span = span.map(|label| Span::enter(&svc.trace, label));
@@ -398,10 +408,26 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         }
     }
 
-    /// Replays every shard's committed log without proposing anything.
+    /// Replays every shard's committed log without proposing anything,
+    /// having sent the decisions' writes the lanes held back.
     pub fn catch_up(&mut self) {
+        self.flush();
         for lane in &mut self.lanes {
             lane.session.catch_up();
+        }
+    }
+
+    /// Sends every lane's held-back `decide` and `result` in one group of
+    /// the shared space.
+    fn flush(&mut self) {
+        let svc = self.svc;
+        let mut lanes: Vec<_> = (svc.shards.iter().zip(&mut self.lanes))
+            .filter(|(_, lane)| lane.session.writes_behind())
+            .map(|(shard, lane)| (shard.space(), &mut lane.session))
+            .collect();
+        if !lanes.is_empty() {
+            let ready = vec![Some(Between::NONE); lanes.len()];
+            serve(&*svc.space, &mut lanes, &ready);
         }
     }
 
@@ -411,6 +437,18 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
     /// once.
     pub fn take_batch_sizes(&mut self) -> Vec<usize> {
         std::mem::take(&mut self.batch_sizes)
+    }
+}
+
+impl<T: Sequential, S: RegisterSpace> Drop for ServiceWorker<'_, T, S> {
+    /// Sends the decisions' writes the lanes hold back, so that a worker
+    /// let go leaves every slot it decided published. A worker dropped by
+    /// a crash's unwinding sends nothing: a crashed process writes no
+    /// more.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.flush();
+        }
     }
 }
 
@@ -427,7 +465,9 @@ type Busy<'a, 's, U, S> = (
 /// space's coordinates, and each session takes its own results back. A
 /// session at `delay(Δ)` gets a deadline Δ away, with the injection point
 /// `precise_delay` fires, and rejoins the steps once it has passed; the
-/// worker waits only while every unfinished session is at a delay.
+/// worker waits only while every unfinished session is at a delay. A
+/// session that is done but holds back a decision's writes joins the
+/// next step that goes out, and no step goes out for it alone.
 fn multiplex<U: Sequential, S: RegisterSpace>(space: &S, lanes: &mut [Busy<'_, '_, U, S>]) {
     let mut deadlines: Vec<Option<Instant>> = vec![None; lanes.len()];
     loop {
@@ -464,33 +504,49 @@ fn multiplex<U: Sequential, S: RegisterSpace>(space: &S, lanes: &mut [Busy<'_, '
                 None => return,
             }
         }
-        let mut betweens: Vec<_> = ready
-            .iter()
-            .map(|&between| move || between.map_or((), |b| b.fire()))
-            .collect();
-        let mut group: Vec<Access<'_>> = Vec::new();
-        let mut ends = Vec::with_capacity(lanes.len());
-        for (((tile, session), between), ready) in lanes.iter_mut().zip(&mut betweens).zip(&ready) {
-            if ready.is_some() {
-                group.extend(session.group(between).into_accesses().map(|mut access| {
-                    tile.lift(&mut access);
-                    access
-                }));
+        for ((_, session), ready) in lanes.iter().zip(&mut ready) {
+            if ready.is_none() && session.writes_behind() && session.wait() == Wait::Done {
+                *ready = Some(Between::NONE);
             }
-            ends.push(group.len());
         }
-        space.access_all(&mut group);
-        let mut seen = Vec::with_capacity(ends.len());
-        let mut from = 0;
-        for &end in &ends {
-            seen.push(tfr_core::universal::seen(&group[from..end]));
-            from = end;
+        serve(space, lanes, &ready);
+    }
+}
+
+/// Sends, as one group of `space`, the group of every session in `lanes`
+/// whose `ready` holds the point its conditional write fires, lifted from
+/// its shard's tile, and has each of them take its results back.
+fn serve<U: Sequential, S: RegisterSpace>(
+    space: &S,
+    lanes: &mut [Busy<'_, '_, U, S>],
+    ready: &[Option<Between>],
+) {
+    let mut betweens: Vec<_> = ready
+        .iter()
+        .map(|&between| move || between.map_or((), |b| b.fire()))
+        .collect();
+    let mut group: Vec<Access<'_>> = Vec::new();
+    let mut ends = Vec::with_capacity(lanes.len());
+    for (((tile, session), between), ready) in lanes.iter_mut().zip(&mut betweens).zip(ready) {
+        if ready.is_some() {
+            group.extend(session.group(between).into_accesses().map(|mut access| {
+                tile.lift(&mut access);
+                access
+            }));
         }
-        drop(group);
-        for (((_, session), ready), seen) in lanes.iter_mut().zip(&ready).zip(seen) {
-            if ready.is_some() {
-                session.resume(seen);
-            }
+        ends.push(group.len());
+    }
+    space.access_all(&mut group);
+    let mut seen = Vec::with_capacity(ends.len());
+    let mut from = 0;
+    for &end in &ends {
+        seen.push(tfr_core::universal::seen(&group[from..end]));
+        from = end;
+    }
+    drop(group);
+    for (((_, session), ready), seen) in lanes.iter_mut().zip(ready).zip(seen) {
+        if ready.is_some() {
+            session.resume(seen);
         }
     }
 }
@@ -500,6 +556,10 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
     use tfr_core::universal::Counter;
+    use tfr_linearize::models::CounterModel;
+    use tfr_linearize::{check_history, History, Operation};
+    use tfr_net::{NetConfig, Network};
+    use tfr_registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction};
 
     /// Native memory that tapes every access as `(is_write, index)`.
     #[derive(Default)]
@@ -727,6 +787,124 @@ mod tests {
             assert!(audit.complete(), "orphans commit, nothing is lost");
         }
         assert_eq!(svc.snapshot(svc.shard_of(1)).get(&1), Some(&7));
+    }
+
+    /// A clock and the operations of a counter history on key 7.
+    #[derive(Default)]
+    struct Ops {
+        clock: u64,
+        ops: Vec<Operation>,
+    }
+
+    impl Ops {
+        /// Runs `amounts` as one burst of `worker` on key 7: each op is
+        /// invoked before the burst is enqueued and responds once the
+        /// drive returns it, and stays pending if the worker crashes first.
+        fn burst<S: RegisterSpace>(
+            &mut self,
+            worker: &mut ServiceWorker<'_, Counter, S>,
+            amounts: &[u64],
+        ) -> Vec<u64> {
+            let from = self.ops.len();
+            for &op in amounts {
+                self.clock += 1;
+                self.ops.push(Operation {
+                    pid: worker.pid(),
+                    obj: 7,
+                    op,
+                    resp: None,
+                    invoke_ts: self.clock,
+                    resp_ts: u64::MAX,
+                });
+            }
+            let burst: Vec<_> = amounts.iter().map(|&amount| (7, amount)).collect();
+            worker.enqueue_burst(&burst);
+            let totals: Vec<u64> = worker.drive().iter().map(|done| done.resp).collect();
+            for (op, &total) in self.ops[from..].iter_mut().zip(&totals) {
+                self.clock += 1;
+                (op.resp, op.resp_ts) = (Some(total), self.clock);
+            }
+            totals
+        }
+    }
+
+    /// Write-behind's hazard. Over quorum registers worker 0 commits a
+    /// burst at slot 0 and answers it, holding back the slot's `decide`
+    /// and `result`, and crashes at its next announcement, before it sent
+    /// them: to every other process the slot looks undecided, as if
+    /// worker 0 had crashed right after Algorithm 1's last read. Another
+    /// worker and a recovered incarnation of worker 0, in either order,
+    /// decide worker 0's batch at slot 0 and apply it once: every
+    /// response is the counter's, the log is complete, and the history
+    /// (the crashed op pending) is linearizable.
+    #[test]
+    fn a_worker_that_crashes_holding_back_a_decision_leaves_it_to_the_others() {
+        for recovered_first in [false, true] {
+            let net = Arc::new(Network::new(NetConfig::new(2, 3, 0x42B)));
+            let svc = ObjectService::on(Arc::new(net.space()), || Counter, &small_cfg(1, 2));
+            let mut history = Ops::default();
+            let chaos = ChaosSession::install(&[Fault {
+                pid: ProcId(0),
+                point: points::UNIVERSAL_ANNOUNCE,
+                nth: 2,
+                action: FaultAction::CrashRecover(Duration::ZERO),
+            }]);
+            let crashed = run_as(ProcId(0), || {
+                let mut worker = svc.worker(ProcId(0));
+                assert_eq!(history.burst(&mut worker, &[1, 2]), [1, 3]);
+                assert!(worker.lanes[0].session.writes_behind(), "slot 0's pair");
+                history.burst(&mut worker, &[4]);
+            });
+            assert!(crashed.recoverable_after().is_some(), "the second announce");
+            drop(chaos);
+            assert_eq!(
+                svc.audit()[0].slots_decided,
+                0,
+                "slot 0 was never published"
+            );
+            let (mut other, mut again) = (svc.worker(ProcId(1)), svc.worker(ProcId(0)));
+            if recovered_first {
+                assert_eq!(history.burst(&mut again, &[16]), [19]);
+                assert_eq!(history.burst(&mut other, &[8]), [27]);
+            } else {
+                assert_eq!(history.burst(&mut other, &[8]), [11]);
+                assert_eq!(history.burst(&mut again, &[16]), [27]);
+            }
+            drop((other, again));
+            let audit = svc.audit().remove(0);
+            assert!(audit.complete(), "{audit:?}");
+            assert_eq!(audit.batch_sizes, [2, 1, 1], "slot 0: worker 0's burst");
+            assert_eq!(audit.committed, [3, 1], "each op once");
+            assert_eq!(svc.snapshot(0).get(&7), Some(&27));
+            let history = History::from_ops(history.ops);
+            check_history(&history, &CounterModel).expect("the history linearizes");
+        }
+    }
+
+    /// Over quorum registers a worker holds back each shard's last
+    /// `decide` and `result` for its next round. `catch_up` sends them,
+    /// and so does dropping the worker: every slot it decided is
+    /// published, and the log is complete.
+    #[test]
+    fn a_dropped_worker_leaves_every_slot_it_decided_published() {
+        let net = Arc::new(Network::new(NetConfig::new(1, 3, 0xD209)));
+        let svc = ObjectService::on(Arc::new(net.space()), || Counter, &small_cfg(2, 1));
+        let key_on = |shard: usize| (0..).find(|&k| svc.shard_of(k) == shard).expect("a key");
+        let burst = [(key_on(0), 1), (key_on(1), 2)];
+        let published = || -> Vec<usize> { svc.audit().iter().map(|a| a.slots_decided).collect() };
+        let mut worker = svc.worker(ProcId(0));
+        for (round, held) in [(1, [0, 0]), (2, [1, 1])] {
+            worker.enqueue_burst(&burst);
+            assert_eq!(worker.drive().len(), 2);
+            assert_eq!(published(), held, "burst {round}'s pairs are held back");
+            if round == 1 {
+                worker.catch_up();
+                assert_eq!(published(), [1, 1], "catch_up sends them");
+            }
+        }
+        drop(worker);
+        assert_eq!(published(), [2, 2], "dropping the worker sends them");
+        assert!(svc.audit().iter().all(LogAudit::complete));
     }
 
     #[test]

@@ -340,22 +340,60 @@ fn the_writer_order_check_rejects_a_missed_earlier_cell() {
     assert_eq!(check(shared).expect("a shared cell").cells, 1);
 }
 
+/// A writer's group and the two reads of a stranded-group script: the
+/// group's writes, `(cell, values, kind)` in order; the run that sees its
+/// later write, `(first cell, length)`, whose first cell must read 1; and
+/// the run that must not then miss the earlier one.
+struct Script {
+    group: &'static [(u64, &'static [u64], WriteKind)],
+    saw: (u64, usize),
+    then: (u64, usize),
+}
+
+/// A burst: its payload run (cells 10, 11) and then its counter (12),
+/// owned; the counter is read with the mark (12, 13), then the payloads.
+const BURST: Script = Script {
+    group: &[
+        (10, &[7, 8], WriteKind::Owned),
+        (12, &[1], WriteKind::Owned),
+    ],
+    saw: (12, 2),
+    then: (10, 2),
+};
+
+/// A proposal at slot 0 of an election among two processes, laid out from
+/// cell 20 as `MultiConsensus` lays it out: the record run (cells 10, 11),
+/// the mark (12) and `announce[0]` (21), owned, and then process 0's first
+/// `x[1, 0]` (27), agreed. Another proposer reads `x[1, 0]`, then
+/// `announce[0]`, as the election's scan does.
+const PROPOSAL: Script = Script {
+    group: &[
+        (10, &[1, 1], WriteKind::Owned),
+        (12, &[2], WriteKind::Owned),
+        (21, &[1], WriteKind::Owned),
+        (27, &[1], WriteKind::Agreed),
+    ],
+    saw: (27, 1),
+    then: (21, 1),
+};
+
 /// Tier-1's copy of `tfr-linearize`'s stranded-group scripts (the
 /// hazard a quorum space's ordered groups close), over three replicas
 /// s0–s2 and two clients: the writer, process 0, cut off with s0 alone,
-/// sends its payload run (cells 10, 11) and then its counter (cell 12)
-/// as one group of owned writes, which reaches s0 only; a read of the
-/// counter and the mark (12, 13) from s0 and s1 sees the counter; then
-/// process 1 reads the payload run from s1 and s2. With `recovered`, the
-/// counter read is a recovered incarnation of the writer, the same handle
-/// and process on another thread (the writer's retransmit timer long, so
-/// its stranded predecessor stays silent), and `handle` makes the
-/// writer's handle; otherwise process 1 reads the counter through the
-/// handle `handle` makes. `None` if the schedule missed its precondition.
+/// sends `script`'s group (for [`BURST`], its payload run and then its
+/// counter), which reaches s0 only; a read from s0 and s1 sees the later
+/// write; then process 1 reads the earlier cell from s1 and s2. With
+/// `recovered`, the first read is a recovered incarnation of the writer,
+/// the same handle and process on another thread (the writer's retransmit
+/// timer long, so its stranded predecessor stays silent), and `handle`
+/// makes the writer's handle; otherwise process 1 makes it through the
+/// handle `handle` makes. Returns the history and what the last read read
+/// first, or `None` if the schedule missed its precondition.
 fn stranded_group_script(
+    script: &Script,
     handle: fn(QuorumSpace) -> QuorumSpace,
     recovered: bool,
-) -> Option<History> {
+) -> Option<(History, u64)> {
     use NodeId::{Client, Replica};
     let mut cfg = NetConfig::new(2, 3, 0x0D6 + recovered as u64);
     if recovered {
@@ -377,17 +415,16 @@ fn stranded_group_script(
         vec![Client(0), Replica(0)],
         vec![Client(1), Replica(1), Replica(2)],
     ]);
-    let (mut open, mut payload) = ([0; 2], [0; 2]);
+    let (mut seen, mut then) = ([0; 2], [0; 2]);
+    let (seen, then) = (&mut seen[..script.saw.1], &mut then[..script.then.1]);
     let started = Instant::now();
     let took = std::thread::scope(|s| {
         let sent = control.requests_sent();
         s.spawn(|| {
-            with_pid(ProcId(0), || {
-                writer.access_all(&mut [
-                    Access::write_run(10, 1, &[7, 8], WriteKind::Owned),
-                    Access::write_run(12, 1, &[1], WriteKind::Owned),
-                ])
-            })
+            let mut group: Vec<_> = (script.group.iter())
+                .map(|&(cell, values, kind)| Access::write_run(cell, 1, values, kind))
+                .collect();
+            with_pid(ProcId(0), || writer.access_all(&mut group))
         });
         while control.requests_sent() == sent {
             std::thread::yield_now();
@@ -395,42 +432,50 @@ fn stranded_group_script(
         std::thread::sleep(Duration::from_millis(20));
         if recovered {
             cut([Client(0), Replica(0), Replica(1)], [Client(1), Replica(2)]);
-            with_pid(ProcId(0), || writer.read_run(12, 1, &mut open));
+            with_pid(ProcId(0), || writer.read_run(script.saw.0, 1, seen));
         } else {
             cut([Client(1), Replica(0), Replica(1)], [Client(0), Replica(2)]);
-            with_pid(ProcId(1), || reader.read_run(12, 1, &mut open));
+            with_pid(ProcId(1), || reader.read_run(script.saw.0, 1, seen));
         }
         cut([Client(1), Replica(1), Replica(2)], [Client(0), Replica(0)]);
-        with_pid(ProcId(1), || reader.read_run(10, 1, &mut payload));
+        with_pid(ProcId(1), || reader.read_run(script.then.0, 1, then));
         let took = started.elapsed();
         control.heal();
         took
     });
     let in_time = !recovered || took < cfg.retransmit / 2;
-    (open[0] == 1 && in_time).then(|| rec.history())
+    (seen[0] == 1 && in_time).then(|| (rec.history(), then[0]))
 }
 
-/// The correct handles keep per-writer order on the script, the seeded
-/// unrepaired-ordered-group mutant (a read writes back the one cell it
-/// read) does not, and both histories linearize per register.
-fn assert_stranded_group_mutant_rejected(recovered: bool) {
+/// The correct handles keep per-writer order on the script and the last
+/// read returns the earlier write; the seeded unrepaired-ordered-group
+/// mutant (a read writes back the one cell it read) does not, its last
+/// read returning 0; and both histories linearize per register.
+fn assert_stranded_group_mutant_rejected(script: &Script, recovered: bool) {
     for _ in 0..5 {
-        let correct = stranded_group_script(|space| space, recovered);
-        let mutant = stranded_group_script(QuorumSpace::with_unrepaired_ordered_groups, recovered);
-        let (Some(correct), Some(mutant)) = (correct, mutant) else {
+        let correct = stranded_group_script(script, |space| space, recovered);
+        let mutant = stranded_group_script(
+            script,
+            QuorumSpace::with_unrepaired_ordered_groups,
+            recovered,
+        );
+        let (Some((correct, found)), Some((mutant, missed))) = (correct, mutant) else {
             continue; // the schedule missed its precondition: retry
         };
         let report = check_writer_order(&correct).expect("the correct handle keeps the order");
-        assert!(report.pairs > 0, "the payload read was checked");
+        assert!(report.pairs > 0, "the earlier cell's read was checked");
         for history in [&correct, &mutant] {
             check_history(history, &RegisterModel).expect("every cell linearizes");
         }
         let err = check_writer_order(&mutant).expect_err("the mutant must be rejected");
         assert_eq!(
             (err.writer, err.saw.obj, err.missed.obj),
-            (ProcId(0), 12, 10)
+            (ProcId(0), script.saw.0, script.then.0)
         );
         assert!(err.to_string().contains("per-writer order violated"));
+        let earlier = script.group.iter().find(|write| write.0 == script.then.0);
+        assert_eq!(Some(found), earlier.map(|write| write.1[0]), "found");
+        assert_eq!(missed, 0, "the mutant's read misses the earlier write");
         return;
     }
     panic!("the scripted schedule never met its precondition");
@@ -438,10 +483,20 @@ fn assert_stranded_group_mutant_rejected(recovered: bool) {
 
 #[test]
 fn the_unrepaired_ordered_group_mutant_is_rejected() {
-    assert_stranded_group_mutant_rejected(false);
+    assert_stranded_group_mutant_rejected(&BURST, false);
 }
 
 #[test]
 fn the_ordered_group_mutant_is_rejected_when_a_recovered_incarnation_reads() {
-    assert_stranded_group_mutant_rejected(true);
+    assert_stranded_group_mutant_rejected(&BURST, true);
+}
+
+/// Tier-1's copy of `tfr-linearize`'s stranded-proposal script: a second
+/// proposer that reads the proposer's `x[1, 0]` finds its announcement on
+/// the correct handle; on the mutant its scan finds none, which the
+/// election's scan takes for a broken announce-before-propose invariant,
+/// and the order check rejects the history.
+#[test]
+fn the_ordered_group_mutant_is_rejected_when_a_proposal_is_stranded() {
+    assert_stranded_group_mutant_rejected(&PROPOSAL, false);
 }

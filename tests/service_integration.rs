@@ -18,13 +18,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::Counter;
+use tfr::linearize::{check_history, CounterModel, History, Operation};
 use tfr::net::{NetConfig, Network};
 use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
 use tfr::registers::space::{NativeSpace, RegisterSpace};
 use tfr::registers::ProcId;
 use tfr::service::{
     decode_op, run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, ObjectService,
-    SamplingConfig, ServiceConfig,
+    SamplingConfig, ServiceConfig, ServiceWorker,
 };
 use tfr::telemetry::Trace;
 
@@ -345,6 +346,129 @@ fn a_crash_inside_a_multiplexed_drive_surfaces_from_the_workers_run_as() {
     assert!(!audits[1].complete(), "shard 1 crashed before proposing");
     flush(&svc);
     assert_nothing_lost(&svc, "crash inside a multiplexed drive");
+}
+
+/// A clock and the operations of a counter history on key 7.
+#[derive(Default)]
+struct Ops {
+    clock: u64,
+    ops: Vec<Operation>,
+}
+
+impl Ops {
+    /// Runs `amounts` as one burst of `worker` on key 7: each op is
+    /// invoked before the burst is enqueued and responds once the drive
+    /// returns it, and stays pending if the worker crashes first.
+    fn burst<S: RegisterSpace>(
+        &mut self,
+        worker: &mut ServiceWorker<'_, Counter, S>,
+        amounts: &[u64],
+    ) -> Vec<u64> {
+        let from = self.ops.len();
+        for &op in amounts {
+            self.clock += 1;
+            self.ops.push(Operation {
+                pid: worker.pid(),
+                obj: 7,
+                op,
+                resp: None,
+                invoke_ts: self.clock,
+                resp_ts: u64::MAX,
+            });
+        }
+        let burst: Vec<_> = amounts.iter().map(|&amount| (7, amount)).collect();
+        worker.enqueue_burst(&burst);
+        let totals: Vec<u64> = worker.drive().iter().map(|done| done.resp).collect();
+        for (op, &total) in self.ops[from..].iter_mut().zip(&totals) {
+            self.clock += 1;
+            (op.resp, op.resp_ts) = (Some(total), self.clock);
+        }
+        totals
+    }
+}
+
+/// Tier-1's copy of `tfr-service`'s write-behind hazard test. Over quorum
+/// registers worker 0 commits a burst at slot 0 and answers it, holding
+/// back the slot's `decide` and `result` for its next round, and crashes
+/// at its next announcement, before it sent them: slot 0 is unpublished.
+/// Another worker and a recovered incarnation of worker 0, in either
+/// order, decide worker 0's batch there and apply it once; the log is
+/// complete and the history (the crashed op pending) is linearizable.
+#[test]
+fn a_worker_that_crashes_holding_back_a_decision_leaves_it_to_the_others() {
+    let cfg = ServiceConfig {
+        capacity_per_shard: 8,
+        delta: delta(),
+        ..ServiceConfig::new(1, 2)
+    };
+    for recovered_first in [false, true] {
+        let net = Arc::new(Network::new(NetConfig::new(2, 3, 0x42B)));
+        let svc = ObjectService::on(Arc::new(net.space()), || Counter, &cfg);
+        let mut history = Ops::default();
+        let chaos = ChaosSession::install(&[Fault {
+            pid: ProcId(0),
+            point: points::UNIVERSAL_ANNOUNCE,
+            nth: 2,
+            action: FaultAction::CrashRecover(Duration::ZERO),
+        }]);
+        let crashed = run_as(ProcId(0), || {
+            let mut worker = svc.worker(ProcId(0));
+            assert_eq!(history.burst(&mut worker, &[1, 2]), [1, 3]);
+            history.burst(&mut worker, &[4]);
+        });
+        assert!(crashed.recoverable_after().is_some(), "the second announce");
+        drop(chaos);
+        assert_eq!(
+            svc.audit()[0].slots_decided,
+            0,
+            "slot 0 was never published"
+        );
+        let (mut other, mut again) = (svc.worker(ProcId(1)), svc.worker(ProcId(0)));
+        if recovered_first {
+            assert_eq!(history.burst(&mut again, &[16]), [19]);
+            assert_eq!(history.burst(&mut other, &[8]), [27]);
+        } else {
+            assert_eq!(history.burst(&mut other, &[8]), [11]);
+            assert_eq!(history.burst(&mut again, &[16]), [27]);
+        }
+        drop((other, again));
+        let audit = svc.audit().remove(0);
+        assert!(audit.complete(), "{audit:?}");
+        assert_eq!(audit.batch_sizes, [2, 1, 1], "slot 0: worker 0's burst");
+        assert_eq!(audit.committed, [3, 1], "each op once");
+        assert_eq!(svc.snapshot(0).get(&7), Some(&27));
+        check_history(&History::from_ops(history.ops), &CounterModel).expect("linearizable");
+    }
+}
+
+/// Tier-1's copy of `tfr-service`'s drop test: over quorum registers a
+/// worker holds back each shard's last `decide` and `result`; `catch_up`
+/// sends them, and so does dropping the worker, which leaves every slot
+/// it decided published and the log complete.
+#[test]
+fn a_dropped_worker_leaves_every_slot_it_decided_published() {
+    let net = Arc::new(Network::new(NetConfig::new(1, 3, 0xD209)));
+    let svc = ObjectService::on(Arc::new(net.space()), || Counter, &config());
+    let key_on = |shard: usize| {
+        (0..KEYS)
+            .find(|&k| svc.shard_of(k) == shard)
+            .expect("a key")
+    };
+    let burst = [(key_on(0), 1), (key_on(1), 2)];
+    let published = || -> Vec<usize> { svc.audit().iter().map(|a| a.slots_decided).collect() };
+    let mut worker = svc.worker(ProcId(0));
+    for (round, held) in [(1, [0, 0]), (2, [1, 1])] {
+        worker.enqueue_burst(&burst);
+        assert_eq!(worker.drive().len(), 2);
+        assert_eq!(published(), held, "burst {round}'s pairs are held back");
+        if round == 1 {
+            worker.catch_up();
+            assert_eq!(published(), [1, 1], "catch_up sends them");
+        }
+    }
+    drop(worker);
+    assert_eq!(published(), [2, 2], "dropping the worker sends them");
+    assert!(svc.audit().iter().all(|audit| audit.complete()));
 }
 
 /// Native memory that tapes every access as `(is_write, index)`.
