@@ -379,18 +379,6 @@ impl<S: RegisterSpace> MultiConsensus<S> {
             v => Some(v - 1),
         }
     }
-
-    /// Whether `pid` has announced a proposal, that is, has entered
-    /// [`MultiConsensus::propose`]. One register read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn announced(&self, pid: ProcId) -> bool {
-        let spec = &self.driver.spec;
-        assert!(pid.0 < spec.n(), "pid out of range");
-        self.driver.space.read(spec.announce(pid.0).0) != 0
-    }
 }
 
 /// What one [`MultiConsensus::probe`] read: `result`, and the top pid

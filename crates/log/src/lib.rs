@@ -22,7 +22,10 @@
 //! in [`log`] merely execute its [`machine::Effect`]s against the
 //! registers. `window = 1` is the sequential-heights baseline;
 //! `window > 1` overlaps consensus on the next height with the
-//! propagation of the previous one.
+//! propagation of the previous one. Inside the window, height `h` is
+//! owned by worker `h mod n`, and each worker proposes at its own
+//! heights without waiting for lower ones to decide, so the workers
+//! decide different heights in parallel instead of meeting at each.
 //!
 //! Pipelining is safe because *application* stays strictly sequential:
 //! a height's decision is a one-shot consensus outcome, immutable once
@@ -36,7 +39,8 @@
 //! Layers:
 //!
 //! * [`machine`] — the pure height state machine (window enforcement,
-//!   lost-batch requeue, strict in-order application).
+//!   height ownership, the reserve rule and takeover, lost-batch
+//!   requeue, strict in-order application).
 //! * [`log`] — the register substrate ([`ReplicatedLog`]) and the
 //!   impure drivers: proposing [`LogWorker`]s and passive
 //!   [`LogReplica`]s. Runs unchanged over native atomics or a `tfr-net`

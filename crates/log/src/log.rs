@@ -12,7 +12,9 @@
 //!   index `a`. Appliers are the `n` workers (lanes `0..n`) followed by
 //!   the `R` passive replicas (lanes `n..n+R`). The cluster *floor* is
 //!   the minimum over all lanes; the pipeline window is enforced
-//!   against it.
+//!   against it. Above the lanes, at local index `n + R + p`, worker
+//!   `p`'s **busy** flag: 1 while it has batches pending, 0 otherwise
+//!   (written when its queue turns non-empty or empty).
 //! * **arena** (offset 1) — batch payloads. Height `h` owns the block
 //!   at `h·hstride` with `hstride = n·max_batch + n`: proposer `p`'s
 //!   op `j` lives at `h·hstride + p·max_batch + j` (stored as `op + 1`),
@@ -31,32 +33,51 @@
 //! announce happened, which happened after `w`'s publish completed —
 //! any reader that sees the decision reads a fully published batch.
 //! Within a run no `(height, proposer)` arena block is ever written
-//! twice: the frontier is monotone, decided heights are never
-//! re-proposed, and a recovered incarnation resynchronises *from the
-//! registers* before its first publish (see [`LogWorker::resumed`]).
+//! twice: a proposer proposes at a height at most once per incarnation,
+//! decided heights are never re-proposed, and a recovered incarnation
+//! reads its own size cells in the window before its first publish and
+//! proposes *without* publishing where its predecessor left a block,
+//! which commits the predecessor's batch (see [`LogWorker::resumed`]).
 //!
-//! # Deference
+//! # Ownership
 //!
 //! A height runs one Algorithm 1 instance per pid bit, so two proposers
 //! that meet there almost always propose different bits, and both take
-//! `delay(Δ)`. Proposers that wait on the same floor reach the next
-//! height together, so one such meeting tends to bring on the next. To
-//! keep them apart, height `h` ranks the proposers from pid `h mod n`
-//! upwards, and a proposer that has published checks, before it
-//! proposes, whether it should defer (see `ReplicatedLog::should_defer`).
-//! It defers to a proposer ranked ahead of it that has published at `h`,
-//! and to one ranked behind it that has announced there, i.e. that has
-//! already checked and is proposing, so two proposers never wait on each
-//! other. Two proposers still meet when one publishes and checks between
-//! the other's check and its announcement, so that window is kept to the
-//! check itself: the height's [`MultiConsensus::probe`], which the
-//! proposal starts from, is read before publishing, not after the check. A deferring proposer polls the decision for up to Δ, the cost
-//! of the `delay(Δ)` it avoids, and proposes if none comes, so a crashed
-//! or stalled proposer delays the others by at most Δ per height and
-//! wait-freedom is kept. Deferring is never needed for safety: consensus
-//! decides one winner whoever proposes.
+//! `delay(Δ)`. So height `h` has an **owner**, pid `h mod n`, and each
+//! worker proposes its front batch at its own next height inside the
+//! window without waiting for lower heights to decide
+//! ([`HeightStateMachine`]): the owners of adjacent heights decide them
+//! in parallel, each alone on Algorithm 1's uncontended path.
+//! Application, the audit and the floor stay in height order.
+//!
+//! A worker proposes at a height it does not own only at its frontier,
+//! and only when the owner's busy flag reads 0, or when the height has
+//! stayed undecided for Δ ([`LogConfig::delta`]) since the worker first
+//! waited on it. A timely owner therefore never loses its height, a
+//! crashed or stalled one delays the others by at most Δ per height, and
+//! wait-freedom is kept. Taking over is never needed for safety:
+//! consensus decides one winner whoever proposes.
+//!
+//! **Why no run ends with a hole.** A worker proposes at `h` only while
+//! it holds a batch in reserve for every height below `h` it does not
+//! know decided. That count never grows, and each of the worker's wins
+//! below `h` lowers it together with the reserve, so the worker's queue
+//! cannot empty while a height below its highest win is undecided. Every
+//! undecided frontier is proposed at in the end, by its owner or by a
+//! worker that takes it over, and each batch wins at most one height,
+//! so workers that drain their queues leave exactly the heights
+//! `0..batches` decided. A crash loses the crashed incarnation's
+//! reserve: the heights below its wins are then filled by other
+//! workers' batches.
+//!
+//! **The log's order contract.** Heights apply in order, and a worker's
+//! responses come in height order. A worker's batches that are pending
+//! together may commit out of enqueue order: the front batch rides every
+//! proposal, so a batch that won an own height ahead of a hole can be
+//! followed by one that fills the hole by taking it over. A client that
+//! needs its own order keeps one batch pending at a time.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -231,39 +252,6 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
         self.arena.write(size_idx, ops.len() as u64);
     }
 
-    /// Whether `pid`, having published at `height`, should leave the
-    /// height to another proposer (see the module docs on deference).
-    /// One register read per other proposer.
-    fn should_defer(&self, pid: ProcId, height: u64) -> bool {
-        let n = self.cfg.n;
-        let first = (height % n as u64) as usize;
-        let rank = |q: usize| (q + n - first) % n;
-        let sizes = height * self.cfg.hstride() + (n * self.cfg.max_batch) as u64;
-        let slot = &self.slots[height as usize];
-        (0..n).filter(|&q| q != pid.0).any(|q| {
-            if rank(q) < rank(pid.0) {
-                self.arena.read(sizes + q as u64) != 0
-            } else {
-                slot.announced(ProcId(q))
-            }
-        })
-    }
-
-    /// Polls `height`'s decision for up to Δ; returns the winner if one
-    /// came.
-    fn await_decision(&self, height: u64) -> Option<usize> {
-        let deadline = Instant::now() + self.cfg.delta;
-        loop {
-            if let Some(winner) = self.decision(height) {
-                return Some(winner);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
     /// Probes `height`'s consensus ([`MultiConsensus::probe`]): whether
     /// it has decided, and where a proposal there starts from. One
     /// register run.
@@ -282,11 +270,16 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     /// height; blocks until the height decides and returns the winner.
     /// The proposal skips the standing-announcement read: the value is
     /// always `pid` itself, so an announcement a predecessor incarnation
-    /// left at this height holds the same value. The probe is taken before
-    /// publishing, so the announcement follows the deference check as
-    /// closely as it can (see the module docs on deference).
+    /// left at this height holds the same value.
     fn propose(&self, pid: ProcId, height: u64, probe: Probe) -> usize {
         self.slots[height as usize].propose_probed(pid, pid.0 as u64, probe, false) as usize
+    }
+
+    /// The size cell of `pid`'s arena block at `height`: the batch size
+    /// once published, 0 before. One register read.
+    fn published_size(&self, pid: ProcId, height: u64) -> u64 {
+        self.arena
+            .read(height * self.cfg.hstride() + (self.cfg.n * self.cfg.max_batch + pid.0) as u64)
     }
 
     /// Reads the committed batch at a *decided* height.
@@ -306,6 +299,19 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     pub(crate) fn set_applied(&self, lane: usize, count: u64) {
         debug_assert!(lane < self.cfg.lanes());
         self.acks.write(lane as u64, count);
+    }
+
+    /// Records whether worker `pid` has batches pending (its busy flag,
+    /// read by workers that wait on one of its heights).
+    fn set_busy(&self, pid: ProcId, busy: bool) {
+        self.acks
+            .write((self.cfg.lanes() + pid.0) as u64, u64::from(busy));
+    }
+
+    /// Whether worker `pid` has nothing pending, as its busy flag says.
+    /// A worker that never enqueued is idle.
+    fn idle(&self, pid: usize) -> bool {
+        self.acks.read((self.cfg.lanes() + pid) as u64) == 0
     }
 
     /// The cluster-wide applied floor: min over every applier lane.
@@ -391,8 +397,12 @@ pub struct LogWorker<T: Sequential, S: RegisterSpace = NativeSpace> {
     log: Arc<ReplicatedLog<T, S>>,
     pid: ProcId,
     machine: HeightStateMachine,
-    payloads: HashMap<BatchId, Vec<u64>>,
-    next_batch: BatchId,
+    /// The pending batches' payloads, in the machine's queue order: the
+    /// front one is batch `front`, the one every proposal carries.
+    payloads: VecDeque<Vec<u64>>,
+    front: BatchId,
+    /// The clock the machine's takeover bound is measured on.
+    epoch: Instant,
     state: T::State,
     digest: u64,
     applied: Vec<AppliedEntry>,
@@ -404,13 +414,14 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
     pub fn new(log: Arc<ReplicatedLog<T, S>>, pid: ProcId) -> LogWorker<T, S> {
         assert!(pid.0 < log.cfg.n, "worker pid out of range");
         let state = log.object.initial();
-        let machine = HeightStateMachine::new(log.cfg.window);
+        let machine = HeightStateMachine::new(pid.0, log.cfg.n, log.cfg.window, log.cfg.delta);
         LogWorker {
             log,
             pid,
             machine,
-            payloads: HashMap::new(),
-            next_batch: 0,
+            payloads: VecDeque::new(),
+            front: 0,
+            epoch: Instant::now(),
             state,
             digest: 0,
             applied: Vec::new(),
@@ -424,29 +435,38 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
     /// incarnation enqueued but never committed are lost (the client
     /// re-submits anything unacknowledged); batches it *did* commit are
     /// in the replayed prefix, exactly once.
+    ///
+    /// The old incarnation may have published blocks at undecided
+    /// heights, ahead of the frontier too, before it crashed. The new one
+    /// reads its size cells over the window past the frontier, the only
+    /// heights where its predecessor could have published, and never
+    /// publishes there again: it proposes there without publishing, which
+    /// commits the predecessor's batch (committing a batch twice is
+    /// legal; overwriting a block another proposer may have adopted is
+    /// not). Responses come only for this incarnation's own batches.
     pub fn resumed(log: Arc<ReplicatedLog<T, S>>, pid: ProcId) -> LogWorker<T, S> {
-        assert!(pid.0 < log.cfg.n, "worker pid out of range");
+        let mut worker = LogWorker::new(log, pid);
+        let log = Arc::clone(&worker.log);
         let mut state = log.object.initial();
         let applied = log.replay(|_, _, ops| {
             for &op in ops {
                 log.object.apply(&mut state, op);
             }
         });
-        let digest = applied.last().map(|e| e.digest).unwrap_or(0);
         let frontier = applied.len() as u64;
-        log.set_applied(pid.0, frontier);
-        let machine = HeightStateMachine::resumed(log.cfg.window, frontier, frontier);
-        LogWorker {
-            log,
-            pid,
-            machine,
-            payloads: HashMap::new(),
-            next_batch: 0,
-            state,
-            digest,
-            applied,
-            responses: Vec::new(),
+        worker.machine = worker.machine.resumed(frontier, frontier);
+        let end = (frontier + log.cfg.window).min(log.cfg.heights as u64);
+        for height in frontier..end {
+            if log.published_size(pid, height) != 0 {
+                worker.machine.observe_published(height);
+            }
         }
+        log.set_applied(pid.0, frontier);
+        log.set_busy(pid, false);
+        worker.state = state;
+        worker.digest = applied.last().map(|e| e.digest).unwrap_or(0);
+        worker.applied = applied;
+        worker
     }
 
     /// Hands the worker a batch of ops to commit; returns its handle.
@@ -455,9 +475,11 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
             !ops.is_empty() && ops.len() <= self.log.cfg.max_batch,
             "batch size out of range"
         );
-        let id = self.next_batch;
-        self.next_batch += 1;
-        self.payloads.insert(id, ops.to_vec());
+        if self.payloads.is_empty() {
+            self.log.set_busy(self.pid, true);
+        }
+        let id = self.front + self.payloads.len() as BatchId;
+        self.payloads.push_back(ops.to_vec());
         self.machine.enqueue(id);
         id
     }
@@ -467,7 +489,8 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
         self.machine.pending_len()
     }
 
-    /// This worker's decision frontier.
+    /// This worker's decision frontier: the lowest height it does not
+    /// know decided.
     pub fn frontier(&self) -> u64 {
         self.machine.frontier()
     }
@@ -488,8 +511,10 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
         &self.state
     }
 
-    /// `(op, response)` pairs for this worker's own committed ops, in
-    /// commit order, drained.
+    /// `(op, response)` pairs for this incarnation's own committed ops,
+    /// drained. They come in height order, which is the order of
+    /// application, not of enqueueing: batches pending together may
+    /// commit out of enqueue order (see the module docs on ownership).
     pub fn take_responses(&mut self) -> Vec<(u64, u64)> {
         std::mem::take(&mut self.responses)
     }
@@ -500,13 +525,70 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
         let (entry, resps) = self
             .log
             .apply_height(self.pid, h, &mut self.state, self.digest);
-        if entry.winner == self.pid.0 {
+        if entry.winner == self.pid.0 && !self.machine.predecessor_published(h) {
             self.responses.extend(resps);
         }
         self.digest = entry.digest;
         self.applied.push(entry);
         self.machine.observe_applied(h);
         self.log.set_applied(self.pid.0, self.machine.applied());
+    }
+
+    /// Proposes at `height`, publishing `batch` first (the front batch)
+    /// or, without one, the predecessor's block already there; then
+    /// applies what the decision made applicable.
+    fn propose(&mut self, height: u64, batch: Option<BatchId>) {
+        let probe = self.log.probe(height);
+        if probe.decision().is_some() {
+            // Another proposer took the height; the front batch rides
+            // the next proposal.
+            self.machine.observe_decided(height, false);
+            return;
+        }
+        chaos::point(points::LOG_PROPOSE);
+        // A local clone keeps the span borrow off `self` so the in-span
+        // applies below can borrow it mutably.
+        let trace = self.log.trace.clone();
+        let span = Span::enter(&trace, "log.propose");
+        let size = match batch {
+            Some(batch) => {
+                debug_assert_eq!(batch, self.front, "the front batch rides");
+                let ops = &self.payloads[0];
+                self.log.publish(self.pid, height, ops);
+                ops.len() as u64
+            }
+            None => self.log.published_size(self.pid, height),
+        };
+        let winner = {
+            let _decide = Span::enter(&trace, "height.decide");
+            self.log.propose(self.pid, height, probe)
+        };
+        if winner == self.pid.0 {
+            self.log.trace.emit(
+                self.pid,
+                EventKind::HeightDecide {
+                    height,
+                    winner: winner as u64,
+                    size,
+                },
+            );
+        }
+        let won = winner == self.pid.0 && batch.is_some();
+        self.machine.observe_decided(height, won);
+        if won {
+            self.payloads.pop_front();
+            self.front += 1;
+            if self.payloads.is_empty() {
+                self.log.set_busy(self.pid, false);
+            }
+        }
+        // Apply inside the propose span so the causal chain
+        // log.propose → height.decide → log.apply is visible in the
+        // trace.
+        while self.machine.applied() < self.machine.frontier() {
+            self.apply_next();
+        }
+        drop(span);
     }
 
     /// Executes one round of the state machine's effects. Returns
@@ -520,56 +602,27 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
                     progressed = true;
                 }
                 Effect::Publish { height, batch } => {
-                    let probe = self.log.probe(height);
-                    if probe.decision().is_some() {
-                        // Another proposer beat us to the frontier; the
-                        // front batch rides the next height.
-                        self.machine.observe_decided(height, false);
-                        progressed = true;
-                        continue;
-                    }
-                    chaos::point(points::LOG_PROPOSE);
-                    let ops = self.payloads[&batch].clone();
-                    // A local clone keeps the span borrow off `self` so
-                    // the in-span applies below can borrow it mutably.
-                    let trace = self.log.trace.clone();
-                    let span = Span::enter(&trace, "log.propose");
-                    self.log.publish(self.pid, height, &ops);
-                    let winner = {
-                        let _decide = Span::enter(&trace, "height.decide");
-                        let deferred = if self.log.should_defer(self.pid, height) {
-                            self.log.await_decision(height)
-                        } else {
-                            None
-                        };
-                        deferred.unwrap_or_else(|| self.log.propose(self.pid, height, probe))
-                    };
-                    let won = winner == self.pid.0;
-                    if won {
-                        self.log.trace.emit(
-                            self.pid,
-                            EventKind::HeightDecide {
-                                height,
-                                winner: winner as u64,
-                                size: ops.len() as u64,
-                            },
-                        );
-                        self.payloads.remove(&batch);
-                    }
-                    self.machine.observe_decided(height, won);
-                    // Apply inside the propose span so the causal chain
-                    // log.propose → height.decide → log.apply is visible
-                    // in the trace.
-                    while self.machine.applied() < self.machine.frontier() {
-                        self.apply_next();
-                    }
-                    drop(span);
+                    self.propose(height, Some(batch));
+                    progressed = true;
+                }
+                Effect::Propose { height } => {
+                    self.propose(height, None);
                     progressed = true;
                 }
                 Effect::Poll { height } => {
                     if self.log.decision(height).is_some() {
                         self.machine.observe_decided(height, false);
                         progressed = true;
+                    }
+                }
+                Effect::Await { height, owner } => {
+                    if self.log.decision(height).is_some() {
+                        self.machine.observe_decided(height, false);
+                        progressed = true;
+                    } else {
+                        let idle = self.log.idle(owner);
+                        self.machine
+                            .observe_waiting(height, idle, self.epoch.elapsed());
                     }
                 }
                 Effect::RefreshFloor => {
@@ -766,36 +819,15 @@ mod tests {
     }
 
     #[test]
-    fn a_proposer_defers_to_one_ranked_ahead_that_published_or_one_behind_that_announced() {
-        let mut c = cfg(3);
-        c.replicas = 0;
-        let log = ReplicatedLog::new(Counter, c);
-        // Height 1 ranks pids 1, 2, 0.
-        assert!(!log.should_defer(ProcId(2), 1), "nobody else is there");
-        log.publish(ProcId(2), 1, &[5]);
-        assert!(log.should_defer(ProcId(0), 1), "pid 2 ranks ahead of 0");
-        assert!(
-            !log.should_defer(ProcId(1), 1),
-            "a publish behind is no reason"
-        );
-        log.publish(ProcId(1), 1, &[6]);
-        assert!(log.should_defer(ProcId(2), 1), "pid 1 ranks ahead of 2");
-        assert!(!log.should_defer(ProcId(1), 1), "pid 1 ranks first");
-        // An announcement behind a proposer is a reason: that proposer
-        // has checked and is proposing.
-        assert_eq!(log.propose(ProcId(0), 1, log.probe(1)), 0);
-        assert!(log.should_defer(ProcId(1), 1));
-        // Height 2 ranks pid 2 first: the publishes at height 1 do not count.
-        assert!(!log.should_defer(ProcId(1), 2));
-    }
-
-    #[test]
-    fn a_deferring_proposer_takes_over_after_delta() {
+    fn a_busy_owner_that_never_proposes_is_taken_over_after_delta() {
         let mut c = cfg(2);
         c.replicas = 0;
         c.delta = Duration::from_millis(20);
         let log = Arc::new(ReplicatedLog::new(Counter, c));
-        // Pid 0 ranks first at height 0, publishes, and never proposes.
+        // Pid 0 owns height 0, has a batch pending, publishes it there,
+        // and never proposes.
+        let mut owner = LogWorker::new(Arc::clone(&log), ProcId(0));
+        owner.enqueue(&[9]);
         log.publish(ProcId(0), 0, &[9]);
         let mut w = LogWorker::new(Arc::clone(&log), ProcId(1));
         w.enqueue(&[4]);
@@ -806,6 +838,34 @@ mod tests {
         assert!(start.elapsed() >= c.delta, "pid 1 waited Δ for pid 0");
         assert_eq!(log.decision(0), Some(1), "then proposed and won");
         assert_eq!(w.take_responses(), vec![(4, 4)]);
+    }
+
+    #[test]
+    fn a_resumed_worker_commits_its_predecessors_block_instead_of_rewriting_it() {
+        let mut c = cfg(2);
+        c.replicas = 0;
+        let log = Arc::new(ReplicatedLog::new(Counter, c));
+        // The predecessor published at height 0 and crashed before the
+        // height decided.
+        log.publish(ProcId(0), 0, &[9]);
+        let mut w = LogWorker::resumed(Arc::clone(&log), ProcId(0));
+        w.enqueue(&[4]);
+        w.drive();
+        assert_eq!(log.decision(0), Some(0));
+        assert_eq!(log.batch(0, 0), vec![9], "the predecessor's block stands");
+        let (truth, _) = log.truth();
+        let fours: Vec<u64> = truth
+            .iter()
+            .filter(|e| log.batch(e.height, e.winner) == [4])
+            .map(|e| e.height)
+            .collect();
+        assert_eq!(fours, vec![1], "[4] commits exactly once, later");
+        assert_eq!(*w.state(), 13);
+        assert_eq!(
+            w.take_responses(),
+            vec![(4, 13)],
+            "only this incarnation's batch is answered"
+        );
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! crash-recoveries landing mid-pipeline (new incarnations resume from
 //! the registers, zero divergence over twenty seeds), the same
 //! `ReplicatedLog` running unchanged over the quorum backend through a
-//! partition, Wing–Gong linearization of counter/queue/renaming
-//! histories committed through the log, and the online prefix monitor
-//! flagging a reordering applier while it runs.
+//! partition, height ownership (a timely owner keeps its heights, an
+//! idle owner's are taken at once, uneven loads leave no hole, a
+//! recovered worker never rewrites its predecessor's block), Wing–Gong
+//! linearization of counter/queue/renaming histories committed through
+//! the log, one batch or a window of them pending per worker, and the
+//! online prefix monitor flagging a reordering applier while it runs.
+//!
+//! The `ownership_` tests are the ones CI repeats in its race hunt.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::{Counter, FifoQueue, Sequential};
 use tfr::linearize::{check_history, CounterModel, QueueModel, Recorder, RenamingModel};
@@ -17,7 +23,8 @@ use tfr::log::{
 };
 use tfr::net::{NetConfig, Network};
 use tfr::obs::MonitorBank;
-use tfr::registers::chaos::{run_as, ChaosSession, Fault, ThreadOutcome};
+use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
+use tfr::registers::rng::SplitMix64;
 use tfr::registers::ProcId;
 use tfr::telemetry::{with_pid, DrainCursor, Trace, Tracer};
 
@@ -250,6 +257,186 @@ fn the_log_survives_a_minority_partition_on_the_quorum_backend() {
 }
 
 // ---------------------------------------------------------------------
+// Height ownership
+// ---------------------------------------------------------------------
+
+/// A log of `n` workers and no replicas.
+fn owned_log(n: usize, window: u64, delta: Duration) -> Arc<ReplicatedLog<Counter>> {
+    Arc::new(ReplicatedLog::new(
+        Counter,
+        LogConfig {
+            n,
+            replicas: 0,
+            heights: 32,
+            max_batch: 2,
+            window,
+            delta,
+        },
+    ))
+}
+
+/// Runs `f` on its own thread and fails the test if it has not
+/// returned within `limit`: a run left with a hole spins for ever.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|e| panic!("the run did not finish within {limit:?} ({e})"))
+}
+
+/// Every worker pumps until `heights` are applied on its lane, so each
+/// keeps the floor moving whether or not it proposes.
+fn drive_all(workers: Vec<LogWorker<Counter>>, heights: u64) -> Vec<(u64, u64)> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|mut w| {
+                s.spawn(move || {
+                    w.drive();
+                    w.sync_to(heights);
+                    (w.applied_len(), *w.state())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a log worker panicked"))
+            .collect()
+    })
+}
+
+/// A timely owner is never starved: pid 0 stalls before every one of
+/// its proposals, for a seeded time far under the takeover bound Δ, and
+/// still wins every height it owns. Without ownership the other
+/// proposers, not waiting for a publish that had not happened yet,
+/// took its heights.
+#[test]
+fn ownership_a_timely_owner_is_never_starved() {
+    const N: usize = 3;
+    const BATCHES: u64 = 4;
+    let log = owned_log(N, 4, Duration::from_millis(250));
+    let mut rng = SplitMix64::new(0x57A2);
+    let stalls: Vec<Fault> = (1..=BATCHES)
+        .map(|nth| Fault {
+            pid: ProcId(0),
+            point: points::LOG_PROPOSE,
+            nth,
+            action: FaultAction::Stall(Duration::from_micros(rng.random_range(1_000..=5_000))),
+        })
+        .collect();
+    let session = ChaosSession::install(&stalls);
+    // Every batch is enqueued before any worker runs.
+    let mut workers: Vec<LogWorker<Counter>> = (0..N)
+        .map(|p| LogWorker::new(Arc::clone(&log), ProcId(p)))
+        .collect();
+    for (p, w) in workers.iter_mut().enumerate() {
+        for b in 0..BATCHES {
+            w.enqueue(&[p as u64 * 10 + b + 1]);
+        }
+    }
+    let heights = N as u64 * BATCHES;
+    std::thread::scope(|s| {
+        for (p, mut w) in workers.into_iter().enumerate() {
+            s.spawn(move || {
+                run_as(ProcId(p), || {
+                    w.drive();
+                    w.sync_to(heights);
+                })
+                .completed()
+                .expect("no crash is scheduled")
+            });
+        }
+    });
+    assert_eq!(session.injector().fired().len(), BATCHES as usize);
+    drop(session);
+    let winners: Vec<Option<usize>> = (0..heights).map(|h| log.decision(h)).collect();
+    let owners: Vec<Option<usize>> = (0..heights).map(|h| Some(h as usize % N)).collect();
+    assert_eq!(winners, owners, "every height is won by its owner");
+}
+
+/// An idle owner's heights are taken at once: one of three workers has
+/// batches, and with Δ = 10 s its 16 batches commit in well under a
+/// second, so it never waited Δ for the two that have none.
+#[test]
+fn ownership_an_idle_owners_heights_are_taken_at_once() {
+    let log = owned_log(3, 4, Duration::from_secs(10));
+    let mut workers: Vec<LogWorker<Counter>> = (0..3)
+        .map(|p| LogWorker::new(Arc::clone(&log), ProcId(p)))
+        .collect();
+    for b in 0..16 {
+        workers[1].enqueue(&[b + 1]);
+    }
+    let start = Instant::now();
+    let lanes = within(Duration::from_secs(30), move || drive_all(workers, 16));
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "took {:?}: an idle owner's height waited out Δ",
+        start.elapsed()
+    );
+    assert!(lanes.iter().all(|&l| l == (16, (1..=16).sum())));
+    assert!((0..16).all(|h| log.decision(h) == Some(1)));
+}
+
+/// Uneven loads leave no hole: worker 0 has one batch, worker 1 nine,
+/// so worker 1 fills worker 0's heights once it is idle. Every lane
+/// reaches height 10 with the whole sum.
+#[test]
+fn ownership_uneven_loads_leave_no_hole() {
+    let log = owned_log(2, 4, Duration::from_micros(100));
+    let mut workers: Vec<LogWorker<Counter>> = (0..2)
+        .map(|p| LogWorker::new(Arc::clone(&log), ProcId(p)))
+        .collect();
+    workers[0].enqueue(&[1000]);
+    for b in 0..9 {
+        workers[1].enqueue(&[b + 1]);
+    }
+    let lanes = within(Duration::from_secs(60), move || drive_all(workers, 10));
+    let sum = 1000 + (1..=9).sum::<u64>();
+    assert_eq!(lanes, vec![(10, sum), (10, sum)]);
+    let (truth, total_ops) = log.truth();
+    assert_eq!((truth.len(), total_ops), (10, 10), "exactly ten heights");
+}
+
+/// A recovered worker never rewrites its predecessor's block: pid 0
+/// crashes inside its first proposal, after publishing `[9]` at height 0
+/// and announcing there; its next incarnation proposes there without
+/// publishing, so `[9]` commits at 0 and its own `[4]` exactly once,
+/// later.
+#[test]
+fn ownership_a_recovered_worker_commits_its_predecessors_block() {
+    let log = owned_log(2, 2, delta());
+    let session = ChaosSession::install(&[Fault {
+        pid: ProcId(0),
+        point: points::CONSENSUS_ROUND,
+        nth: 1,
+        action: FaultAction::CrashRecover(Duration::ZERO),
+    }]);
+    let crashed = run_as(ProcId(0), || {
+        let mut w = LogWorker::new(Arc::clone(&log), ProcId(0));
+        w.enqueue(&[9]);
+        w.drive();
+    });
+    assert!(matches!(crashed, ThreadOutcome::CrashedRecoverable(_)));
+    drop(session);
+    assert_eq!(log.decision(0), None, "crashed before height 0 decided");
+    let mut w = LogWorker::resumed(Arc::clone(&log), ProcId(0));
+    w.enqueue(&[4]);
+    w.drive();
+    assert_eq!(log.decision(0), Some(0));
+    assert_eq!(log.batch(0, 0), vec![9], "the predecessor's block stands");
+    let (truth, _) = log.truth();
+    let fours: Vec<u64> = truth
+        .iter()
+        .filter(|e| log.batch(e.height, e.winner) == [4])
+        .map(|e| e.height)
+        .collect();
+    assert_eq!(fours, vec![1], "[4] commits exactly once, later");
+    assert_eq!(*w.state(), 13);
+}
+
+// ---------------------------------------------------------------------
 // Linearizability through the log
 // ---------------------------------------------------------------------
 
@@ -309,6 +496,78 @@ where
     recorder.history()
 }
 
+/// Like [`record_log_history`], but each worker keeps up to `window`
+/// one-op batches pending: the invoke is recorded at `enqueue`, the
+/// response when `take_responses` hands it back. Batches pending
+/// together may commit out of enqueue order, so a response is matched
+/// to the oldest pending invocation of the same op (equal ops are
+/// interchangeable: matched oldest first, each still answers inside its
+/// own interval, as the log applies heights in order).
+fn record_pipelined_log_history<T>(object: T, per_worker: Vec<Vec<u64>>) -> tfr::linearize::History
+where
+    T: Sequential + Send + Sync + 'static,
+    T::State: Send,
+{
+    let n = per_worker.len();
+    let window = 4;
+    let cfg = LogConfig {
+        n,
+        replicas: 0,
+        heights: 64,
+        max_batch: 1,
+        window,
+        delta: Duration::from_micros(20),
+    };
+    let log = Arc::new(ReplicatedLog::new(object, cfg));
+    let recorder = Arc::new(Recorder::new(n));
+    let finished = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for (w, ops) in per_worker.iter().enumerate() {
+            let log = Arc::clone(&log);
+            let recorder = Arc::clone(&recorder);
+            let finished = &finished;
+            s.spawn(move || {
+                let pid = ProcId(w);
+                let mut worker = LogWorker::new(log.clone(), pid);
+                let mut open: VecDeque<(u64, u64)> = VecDeque::new();
+                let mut next = 0;
+                while next < ops.len() || !open.is_empty() {
+                    while next < ops.len() && open.len() < window as usize {
+                        let op = ops[next];
+                        open.push_back((op, recorder.invoke(pid, 0, op)));
+                        worker.enqueue(&[op]);
+                        next += 1;
+                    }
+                    if !worker.pump() {
+                        std::thread::yield_now();
+                    }
+                    for (op, resp) in worker.take_responses() {
+                        let i = open
+                            .iter()
+                            .position(|&(o, _)| o == op)
+                            .expect("a response answers a pending op");
+                        let (_, token) = open.remove(i).expect("just found");
+                        recorder.response(pid, 0, token, resp);
+                    }
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                loop {
+                    if !worker.pump() {
+                        std::thread::yield_now();
+                    }
+                    if finished.load(Ordering::SeqCst) == n
+                        && log.decision(worker.applied_len()).is_none()
+                    {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(recorder.dropped(), 0, "history buffers overflowed");
+    recorder.history()
+}
+
 /// Counter increments from three contending workers linearize: every
 /// response is the post-increment total of some legal total order.
 #[test]
@@ -335,6 +594,36 @@ fn queue_history_through_the_log_linearizes() {
     let h = record_log_history(FifoQueue, vec![producer, consumer]);
     assert_eq!(h.completed(), 9);
     check_history(&h, &QueueModel).expect("log-committed queue must linearize");
+}
+
+/// Counter increments linearize with a window of them pending per
+/// worker.
+#[test]
+fn ownership_pipelined_counter_history_linearizes() {
+    let per_worker: Vec<Vec<u64>> = (0..3)
+        .map(|w| (1..=6).map(|i| w * 10 + i).collect())
+        .collect();
+    let h = record_pipelined_log_history(Counter, per_worker);
+    assert_eq!(h.completed(), 18);
+    check_history(&h, &CounterModel).expect("pipelined counter must linearize");
+}
+
+/// Enqueues and dequeues linearize as a FIFO queue with a window of them
+/// pending per worker, repeated dequeues included.
+#[test]
+fn ownership_pipelined_queue_history_linearizes() {
+    let producer: Vec<u64> = (1..=6).map(FifoQueue::enqueue_op).collect();
+    let consumer: Vec<u64> = vec![
+        FifoQueue::enqueue_op(100),
+        FifoQueue::DEQUEUE,
+        FifoQueue::DEQUEUE,
+        FifoQueue::DEQUEUE,
+        FifoQueue::DEQUEUE,
+        FifoQueue::enqueue_op(200),
+    ];
+    let h = record_pipelined_log_history(FifoQueue, vec![producer, consumer]);
+    assert_eq!(h.completed(), 12);
+    check_history(&h, &QueueModel).expect("pipelined queue must linearize");
 }
 
 /// Concurrent acquires through the log hand out distinct names inside
