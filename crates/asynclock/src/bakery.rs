@@ -22,9 +22,9 @@
 //! ```
 
 use crate::native::Derived;
-use crate::{LockSpec, LockStep, Progress};
+use crate::{LockSpec, Progress};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId};
 
 /// Lexicographic ticket order: `(na, a) < (nb, b)`.
@@ -33,7 +33,7 @@ fn ticket_less(na: u64, a: usize, nb: u64, b: usize) -> bool {
     na < nb || (na == nb && a < b)
 }
 
-/// The bakery algorithm: the step machine both drivers execute.
+/// The bakery algorithm: the automaton every tier runs.
 ///
 /// Register layout (from `base`): `choosing[j]` at `base + j`,
 /// `number[j]` at `base + n + j` — `2n` registers total.
@@ -121,7 +121,7 @@ pub struct BakeryState {
     pc: Pc,
 }
 
-impl LockSpec for BakerySpec {
+impl Automaton for BakerySpec {
     type State = BakeryState;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -129,30 +129,22 @@ impl LockSpec for BakerySpec {
         BakeryState { pid, pc: Pc::Idle }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::SetChoosing;
-    }
-
-    #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
         match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::SetChoosing => LockStep::Act(Action::Write(self.choosing(s.pid.0), 1)),
-            Pc::ReadMax { j, .. } => LockStep::Act(Action::Read(self.number(j))),
-            Pc::WriteNumber { number } => {
-                LockStep::Act(Action::Write(self.number(s.pid.0), number))
-            }
-            Pc::ClearChoosing { .. } => LockStep::Act(Action::Write(self.choosing(s.pid.0), 0)),
-            Pc::AwaitChoosing { j, .. } => LockStep::Act(Action::Read(self.choosing(j))),
-            Pc::AwaitNumber { j, .. } => LockStep::Act(Action::Read(self.number(j))),
-            Pc::Entered => LockStep::Entered,
-            Pc::ExitNumber => LockStep::Act(Action::Write(self.number(s.pid.0), 0)),
-            Pc::Done => LockStep::Done,
+            Pc::SetChoosing => Action::Write(self.choosing(s.pid.0), 1),
+            Pc::ReadMax { j, .. } => Action::Read(self.number(j)),
+            Pc::WriteNumber { number } => Action::Write(self.number(s.pid.0), number),
+            Pc::ClearChoosing { .. } => Action::Write(self.choosing(s.pid.0), 0),
+            Pc::AwaitChoosing { j, .. } => Action::Read(self.choosing(j)),
+            Pc::AwaitNumber { j, .. } => Action::Read(self.number(j)),
+            Pc::ExitNumber => Action::Write(self.number(s.pid.0), 0),
+            Pc::Idle | Pc::Entered | Pc::Done => Action::Halt,
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, _obs: &mut Vec<Obs>) {
         let i = s.pid.0;
         s.pc = match s.pc {
             Pc::SetChoosing => Pc::ReadMax { j: 0, max: 0 },
@@ -198,6 +190,12 @@ impl LockSpec for BakerySpec {
             Pc::ExitNumber => Pc::Done,
             Pc::Idle | Pc::Entered | Pc::Done => unreachable!("apply in a parked phase"),
         };
+    }
+}
+
+impl LockSpec for BakerySpec {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::SetChoosing;
     }
 
     fn begin_exit(&self, s: &mut Self::State) {

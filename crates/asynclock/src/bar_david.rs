@@ -50,13 +50,13 @@
 
 use crate::lamport_fast::{LamportFast, LamportFastSpec};
 use crate::native::{Derived, Opaque};
-use crate::{LockSpec, LockStep, Progress, RawLock, StepLabel};
+use crate::{LockSpec, Progress, RawLock};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Label, Obs};
 use tfr_registers::{ProcId, RegId};
 
 /// The starvation-free transformation, generic over the inner lock: the
-/// step machine both drivers execute. Over a spec-form inner lock it is a
+/// automaton every tier runs. Over a spec-form inner lock it is a
 /// closed automaton for the simulator and the model checker; over
 /// [`Opaque`] its own steps run natively around any [`RawLock`].
 ///
@@ -139,7 +139,7 @@ pub struct StarvationFreeState<S> {
     inner: S,
 }
 
-impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
+impl<L: LockSpec> Automaton for StarvationFreeSpec<L> {
     type State = StarvationFreeState<L::State>;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -151,29 +151,35 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
         }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::SetInterested;
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
+        self.next_step(s).0
     }
 
     #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
-        match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::SetInterested => LockStep::Act(Action::Write(self.interested(s.pid.0), 1)),
-            Pc::GateReadTurn | Pc::ExitReadTurn => LockStep::Act(Action::Read(self.turn())),
+    fn label(&self, s: &Self::State) -> Label {
+        self.next_step(s).1
+    }
+
+    /// The gate's own steps are unlabelled; the inner lock's keep theirs.
+    #[inline(always)]
+    fn next_step(&self, s: &Self::State) -> (Action, Label) {
+        let action = match s.pc {
+            Pc::Idle => Action::Halt,
+            Pc::SetInterested => Action::Write(self.interested(s.pid.0), 1),
+            Pc::GateReadTurn | Pc::ExitReadTurn => Action::Read(self.turn()),
             Pc::GateReadInterested { t } | Pc::ExitReadInterested { t } => {
-                LockStep::Act(Action::Read(self.interested(t)))
+                Action::Read(self.interested(t))
             }
-            Pc::AdvanceTurn { t } => {
-                LockStep::Act(Action::Write(self.turn(), ((t + 1) % self.n) as u64))
-            }
-            Pc::ClearInterested => LockStep::Act(Action::Write(self.interested(s.pid.0), 0)),
-            Pc::Inner | Pc::InnerExit => self.inner.step(&s.inner),
-        }
+            Pc::AdvanceTurn { t } => Action::Write(self.turn(), ((t + 1) % self.n) as u64),
+            Pc::ClearInterested => Action::Write(self.interested(s.pid.0), 0),
+            Pc::Inner | Pc::InnerExit => return self.inner.next_step(&s.inner),
+        };
+        (action, Label::default())
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
         match s.pc {
             Pc::SetInterested => s.pc = Pc::GateReadTurn,
             Pc::GateReadTurn => {
@@ -197,7 +203,7 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
                     s.pc = Pc::GateReadTurn;
                 }
             }
-            Pc::Inner | Pc::InnerExit => self.inner.apply(&mut s.inner, observed),
+            Pc::Inner | Pc::InnerExit => self.inner.apply(&mut s.inner, observed, obs),
             Pc::ClearInterested => s.pc = Pc::ExitReadTurn,
             Pc::ExitReadTurn => {
                 let t = (observed.expect("read observes") as usize) % self.n;
@@ -217,6 +223,12 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
             }
             Pc::Idle => unreachable!("apply in a parked phase"),
         }
+    }
+}
+
+impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::SetInterested;
     }
 
     fn begin_exit(&self, s: &mut Self::State) {
@@ -260,15 +272,11 @@ impl<L: LockSpec> LockSpec for StarvationFreeSpec<L> {
     }
 
     #[inline]
-    fn label(&self, s: &Self::State) -> StepLabel {
+    fn opaque(&self, s: &Self::State) -> Option<&dyn RawLock> {
         match s.pc {
-            Pc::Inner | Pc::InnerExit => self.inner.label(&s.inner),
-            _ => StepLabel::default(),
+            Pc::Inner | Pc::InnerExit => self.inner.opaque(&s.inner),
+            _ => None,
         }
-    }
-
-    fn opaque(&self) -> Option<&dyn RawLock> {
-        self.inner.opaque()
     }
 }
 
@@ -374,16 +382,17 @@ mod tests {
         bank.write(lock.turn(), 1);
         let mut s = lock.init(ProcId(0));
         lock.start_entry(&mut s);
+        let mut obs = Vec::new();
         // Walk 20 steps: p0 must still be gated (alternating reads).
         for _ in 0..20 {
-            match lock.step(&s) {
-                LockStep::Act(Action::Read(r)) => {
+            match lock.next_action(&s) {
+                Action::Read(r) => {
                     let v = bank.read(r);
-                    lock.apply(&mut s, Some(v));
+                    lock.apply(&mut s, Some(v), &mut obs);
                 }
-                LockStep::Act(Action::Write(r, v)) => {
+                Action::Write(r, v) => {
                     bank.write(r, v);
-                    lock.apply(&mut s, None);
+                    lock.apply(&mut s, None, &mut obs);
                 }
                 other => panic!("unexpected step at the gate: {other:?}"),
             }
@@ -397,16 +406,16 @@ mod tests {
         bank.write(lock.interested(1), 0);
         let mut entered = false;
         for _ in 0..30 {
-            match lock.step(&s) {
-                LockStep::Act(Action::Read(r)) => {
+            match lock.next_action(&s) {
+                Action::Read(r) => {
                     let v = bank.read(r);
-                    lock.apply(&mut s, Some(v));
+                    lock.apply(&mut s, Some(v), &mut obs);
                 }
-                LockStep::Act(Action::Write(r, v)) => {
+                Action::Write(r, v) => {
                     bank.write(r, v);
-                    lock.apply(&mut s, None);
+                    lock.apply(&mut s, None, &mut obs);
                 }
-                LockStep::Entered => {
+                Action::Halt => {
                     entered = true;
                     break;
                 }

@@ -33,10 +33,10 @@
 //! than the fast transformed lock).
 
 use crate::native::Derived;
-use crate::{LockSpec, LockStep, Progress};
+use crate::{LockSpec, Progress};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::space::RegisterSpace;
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId};
 
 /// Packs an active ticket. `color` is 0 (black) or 1 (white).
@@ -61,7 +61,7 @@ fn ticket_less(na: u64, a: usize, nb: u64, b: usize) -> bool {
     na < nb || (na == nb && a < b)
 }
 
-/// The black-white bakery: the step machine both drivers execute.
+/// The black-white bakery: the automaton every tier runs.
 ///
 /// Register layout (from `base`): shared `color` at `base`,
 /// `choosing[j]` at `base + 1 + j`, `ticket[j]` at `base + 1 + n + j` —
@@ -171,7 +171,7 @@ pub struct BwBakeryState {
     pc: Pc,
 }
 
-impl LockSpec for BwBakerySpec {
+impl Automaton for BwBakerySpec {
     type State = BwBakeryState;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -179,33 +179,25 @@ impl LockSpec for BwBakerySpec {
         BwBakeryState { pid, pc: Pc::Idle }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::SetChoosing;
-    }
-
-    #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
         match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::SetChoosing => LockStep::Act(Action::Write(self.choosing(s.pid.0), 1)),
-            Pc::ReadColor => LockStep::Act(Action::Read(self.color())),
-            Pc::ReadMax { j, .. } => LockStep::Act(Action::Read(self.ticket(j))),
-            Pc::WriteTicket { c, number } => {
-                LockStep::Act(Action::Write(self.ticket(s.pid.0), pack(c, number)))
-            }
-            Pc::ClearChoosing { .. } => LockStep::Act(Action::Write(self.choosing(s.pid.0), 0)),
-            Pc::AwaitChoosing { j, .. } => LockStep::Act(Action::Read(self.choosing(j))),
-            Pc::CheckTicket { j, .. } => LockStep::Act(Action::Read(self.ticket(j))),
-            Pc::ReadSharedColor { .. } => LockStep::Act(Action::Read(self.color())),
-            Pc::Entered { .. } => LockStep::Entered,
-            Pc::FlipColor { c } => LockStep::Act(Action::Write(self.color(), 1 - c)),
-            Pc::ClearTicket => LockStep::Act(Action::Write(self.ticket(s.pid.0), 0)),
-            Pc::Done => LockStep::Done,
+            Pc::SetChoosing => Action::Write(self.choosing(s.pid.0), 1),
+            Pc::ReadColor => Action::Read(self.color()),
+            Pc::ReadMax { j, .. } => Action::Read(self.ticket(j)),
+            Pc::WriteTicket { c, number } => Action::Write(self.ticket(s.pid.0), pack(c, number)),
+            Pc::ClearChoosing { .. } => Action::Write(self.choosing(s.pid.0), 0),
+            Pc::AwaitChoosing { j, .. } => Action::Read(self.choosing(j)),
+            Pc::CheckTicket { j, .. } => Action::Read(self.ticket(j)),
+            Pc::ReadSharedColor { .. } => Action::Read(self.color()),
+            Pc::FlipColor { c } => Action::Write(self.color(), 1 - c),
+            Pc::ClearTicket => Action::Write(self.ticket(s.pid.0), 0),
+            Pc::Idle | Pc::Entered { .. } | Pc::Done => Action::Halt,
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, _obs: &mut Vec<Obs>) {
         let i = s.pid.0;
         s.pc = match s.pc {
             Pc::SetChoosing => Pc::ReadColor,
@@ -279,6 +271,12 @@ impl LockSpec for BwBakerySpec {
             Pc::ClearTicket => Pc::Done,
             Pc::Idle | Pc::Entered { .. } | Pc::Done => unreachable!("apply in a parked phase"),
         };
+    }
+}
+
+impl LockSpec for BwBakerySpec {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::SetChoosing;
     }
 
     fn begin_exit(&self, s: &mut Self::State) {

@@ -25,12 +25,12 @@
 //! ```
 
 use crate::native::Derived;
-use crate::{LockSpec, LockStep, Progress};
+use crate::{LockSpec, Progress};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId};
 
-/// Lamport's fast mutex: the step machine both drivers execute.
+/// Lamport's fast mutex: the automaton every tier runs.
 ///
 /// Register layout (from `base`): `x` at `base`, `y` at `base+1`,
 /// `b[j]` at `base+2+j` — `n + 2` registers total.
@@ -103,7 +103,7 @@ pub struct LamportFastState {
     pc: Pc,
 }
 
-impl LockSpec for LamportFastSpec {
+impl Automaton for LamportFastSpec {
     type State = LamportFastState;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -111,33 +111,25 @@ impl LockSpec for LamportFastSpec {
         LamportFastState { pid, pc: Pc::Idle }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::SetB;
-    }
-
-    #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
         let tok = s.pid.token();
         match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::SetB => LockStep::Act(Action::Write(self.b(s.pid.0), 1)),
-            Pc::SetX => LockStep::Act(Action::Write(self.x(), tok)),
-            Pc::ReadY1 | Pc::AwaitY1 | Pc::ReadY2 | Pc::AwaitY2 => {
-                LockStep::Act(Action::Read(self.y()))
-            }
-            Pc::ClearB1 | Pc::ClearB2 => LockStep::Act(Action::Write(self.b(s.pid.0), 0)),
-            Pc::SetY => LockStep::Act(Action::Write(self.y(), tok)),
-            Pc::ReadX => LockStep::Act(Action::Read(self.x())),
-            Pc::ScanB(j) => LockStep::Act(Action::Read(self.b(j))),
-            Pc::Entered => LockStep::Entered,
-            Pc::ExitY => LockStep::Act(Action::Write(self.y(), 0)),
-            Pc::ExitB => LockStep::Act(Action::Write(self.b(s.pid.0), 0)),
-            Pc::Done => LockStep::Done,
+            Pc::SetB => Action::Write(self.b(s.pid.0), 1),
+            Pc::SetX => Action::Write(self.x(), tok),
+            Pc::ReadY1 | Pc::AwaitY1 | Pc::ReadY2 | Pc::AwaitY2 => Action::Read(self.y()),
+            Pc::ClearB1 | Pc::ClearB2 => Action::Write(self.b(s.pid.0), 0),
+            Pc::SetY => Action::Write(self.y(), tok),
+            Pc::ReadX => Action::Read(self.x()),
+            Pc::ScanB(j) => Action::Read(self.b(j)),
+            Pc::ExitY => Action::Write(self.y(), 0),
+            Pc::ExitB => Action::Write(self.b(s.pid.0), 0),
+            Pc::Idle | Pc::Entered | Pc::Done => Action::Halt,
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, _obs: &mut Vec<Obs>) {
         let tok = s.pid.token();
         s.pc = match s.pc {
             Pc::SetB => Pc::SetX,
@@ -195,6 +187,12 @@ impl LockSpec for LamportFastSpec {
             Pc::ExitB => Pc::Done,
             Pc::Idle | Pc::Entered | Pc::Done => unreachable!("apply in a parked phase"),
         };
+    }
+}
+
+impl LockSpec for LamportFastSpec {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::SetB;
     }
 
     fn begin_exit(&self, s: &mut Self::State) {

@@ -1,5 +1,5 @@
 //! Asynchronous mutual exclusion algorithms, each defined **once** as a
-//! register automaton and executed by two drivers.
+//! register automaton, and the native driver that runs it.
 //!
 //! Algorithm 3 of the paper ("Computing in the Presence of Timing
 //! Failures") wraps Fischer's timing-based lock around an asynchronous
@@ -17,23 +17,23 @@
 //! bakery with bounded registers ([`bw_bakery`]), and a Peterson
 //! tournament tree ([`peterson`]).
 //!
-//! # One definition, two drivers
+//! # One definition, one native driver
 //!
-//! [`LockSpec`] is the only definition of a lock: a per-process step
-//! machine that names the next read, write or delay and advances on its
-//! result. It is *composable* — Algorithm 3 and the starvation-free
-//! transformation embed an inner `LockSpec` inside their own. Two drivers
-//! execute it:
+//! [`LockSpec`] is the only definition of a lock: a register
+//! [`Automaton`] whose steps are the reads, writes and delays of the
+//! lock's entry and exit protocols, plus the phase protocol that starts
+//! each. It is *composable* — Algorithm 3 and the starvation-free
+//! transformation embed an inner `LockSpec` inside their own. It runs
 //!
-//! * [`workload::LockLoop`] turns a `LockSpec` into a complete
-//!   [`tfr_registers::spec::Automaton`] (non-critical section → entry →
-//!   critical section → exit, repeated) for the simulator and the model
-//!   checker;
-//! * [`native::Derived`] implements [`RawLock`] (`lock(pid)` /
-//!   `unlock(pid)` on real threads) for any `LockSpec` by executing the
-//!   same steps against a [`tfr_registers::space::RegisterSpace`], firing
-//!   the injection points, trace events and `delay(Δ)` feedback the spec's
-//!   [`StepLabel`]s name.
+//! * in the simulator and the model checker as a [`workload::LockLoop`],
+//!   a complete automaton (non-critical section → entry → critical
+//!   section → exit, repeated);
+//! * on real threads as a [`native::Derived`], which implements
+//!   [`RawLock`] (`lock(pid)` / `unlock(pid)`) under [`driver::Driver`],
+//!   the native driver that also runs `tfr-core`'s consensus automata: the
+//!   same steps against a [`tfr_registers::space::RegisterSpace`], the
+//!   injection points its [`Label`](tfr_registers::spec::Label)s name
+//!   fired around them.
 //!
 //! So the explorer, the simulator, the chaos nemesis and the benchmarks all
 //! run the same automaton. The native names (`LamportFast`, `Bakery`, …)
@@ -42,16 +42,16 @@
 pub mod bakery;
 pub mod bar_david;
 pub mod bw_bakery;
+pub mod driver;
 pub mod lamport_fast;
 pub mod native;
 pub mod peterson;
 pub mod workload;
 
 use core::fmt;
-use core::hash::Hash;
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::spec::{Action, Perm};
-use tfr_registers::{ProcId, RegId};
+use tfr_registers::spec::Automaton;
+use tfr_registers::ProcId;
 
 pub use native::DelaySource;
 
@@ -74,107 +74,33 @@ impl fmt::Display for Progress {
     }
 }
 
-/// One step of a lock protocol (entry or exit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockStep {
-    /// Perform this shared-memory action (or delay), then call
-    /// [`LockSpec::apply`].
-    Act(Action),
-    /// Run the whole entry protocol of an inner lock held as a black box
-    /// ([`native::Opaque`]), then call [`LockSpec::apply`] with `None`.
-    /// Only the native driver can answer it; specs over a spec-form inner
-    /// lock never yield it.
-    EnterInner,
-    /// Run the black-box inner lock's whole exit protocol, then call
-    /// [`LockSpec::apply`] with `None`.
-    ExitInner,
-    /// The entry protocol has completed: the process holds the lock. The
-    /// driver acknowledges with [`LockSpec::begin_exit`] once the critical
-    /// section is over.
-    Entered,
-    /// The exit protocol has completed. The driver acknowledges with
-    /// [`LockSpec::reset`] before the next acquisition.
-    Done,
-}
-
-/// What the native driver fires around one protocol step. The spec names
-/// the step; the driver, at the effect boundary, does the firing — so
-/// injection points and feedback sit at the same protocol position in
-/// every execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StepLabel {
-    /// A named injection point (`tfr_registers::chaos::points`, doubling
-    /// as a trace point) fired immediately before the step's effect.
-    pub point: Option<&'static str>,
-    /// Set on the read that judges the preceding `delay(Δ)`.
-    pub verdict: Option<Verdict>,
-}
-
-impl StepLabel {
-    /// A step with injection point `point` before it and no verdict.
-    pub fn at(point: &'static str) -> StepLabel {
-        StepLabel {
-            point: Some(point),
-            verdict: None,
-        }
-    }
-}
-
-/// The outcome a timing-based check reads for: observing `expect` means
-/// the delay sufficed (`DelaySource::on_uncontended`); anything else is a
-/// retry (a `Retry` trace event at `retry_point`, then
-/// `DelaySource::on_contended`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Verdict {
-    /// The value a passing check observes.
-    pub expect: u64,
-    /// The point a failed check's `Retry` event names.
-    pub retry_point: &'static str,
-}
-
-/// A mutual exclusion algorithm as a composable register-automaton
-/// fragment.
+/// A mutual exclusion algorithm as a composable register automaton.
 ///
 /// # Protocol
 ///
 /// A per-process lock state cycles through four phases:
 ///
 /// ```text
-/// idle --start_entry--> entry --(steps...)--> Entered
-///      <----reset------ Done <--(steps...)-- begin_exit
+/// idle --start_entry--> entry --(steps...)--> halt: entered
+///      <----reset------ halt: done <--(steps...)-- begin_exit
 /// ```
 ///
-/// While in the entry or exit phase, the driver repeatedly calls
-/// [`LockSpec::step`]; on [`LockStep::Act`] it linearizes the action and
-/// calls [`LockSpec::apply`] (with the observed value for reads). When
-/// `step` reports [`LockStep::Entered`] / [`LockStep::Done`] the phase is
-/// over.
+/// In the entry and exit phases the state steps as an [`Automaton`]; the
+/// phase is over when it halts (`next_action` is `Action::Halt`). A timing
+/// check's outcome is an `Obs::Checked` event that `apply` emits where it
+/// makes the check.
 ///
 /// Implementations receive a register **base offset** at construction so
 /// that composite algorithms (Algorithm 3) can place the inner lock's
 /// registers in a disjoint region.
-pub trait LockSpec {
-    /// Per-process protocol state.
-    type State: Clone + fmt::Debug + PartialEq + Eq + Hash;
-
-    /// Initial (idle) state of process `pid`.
-    fn init(&self, pid: ProcId) -> Self::State;
-
+pub trait LockSpec: Automaton {
     /// Begins the entry protocol from an idle state.
     fn start_entry(&self, state: &mut Self::State);
-
-    /// The next protocol step. Only meaningful between `start_entry` and
-    /// `reset`; in the idle phase the return value is unspecified.
-    fn step(&self, state: &Self::State) -> LockStep;
-
-    /// Advances the state past the action most recently returned by
-    /// [`LockSpec::step`]; `observed` carries the value for reads.
-    fn apply(&self, state: &mut Self::State, observed: Option<u64>);
 
     /// Acknowledges the critical section is over; begins the exit protocol.
     fn begin_exit(&self, state: &mut Self::State);
 
-    /// Returns a `Done` state to idle, ready for the next acquisition.
+    /// Returns a done state to idle, ready for the next acquisition.
     fn reset(&self, state: &mut Self::State);
 
     /// Number of processes this instance is configured for.
@@ -193,105 +119,13 @@ pub trait LockSpec {
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
 
-    /// What the native driver fires around the step [`LockSpec::step`]
-    /// currently returns. Asynchronous locks have nothing to name.
-    fn label(&self, _state: &Self::State) -> StepLabel {
-        StepLabel::default()
-    }
-
-    /// The black-box inner lock behind [`LockStep::EnterInner`] /
-    /// [`LockStep::ExitInner`], if this spec (or the spec it wraps) has
-    /// one.
-    fn opaque(&self) -> Option<&dyn RawLock> {
+    /// The black-box inner lock whose whole entry (in the entry phase) or
+    /// exit protocol the step `state` waits on stands for, if it is such
+    /// a call ([`native::Opaque`]'s steps, each a `Delay` to the
+    /// automaton). Locks without one have nothing to name.
+    #[inline]
+    fn opaque(&self, _state: &Self::State) -> Option<&dyn RawLock> {
         None
-    }
-}
-
-/// Blanket impl so `&L` composes like `L`.
-impl<L: LockSpec + ?Sized> LockSpec for &L {
-    type State = L::State;
-    fn init(&self, pid: ProcId) -> Self::State {
-        (**self).init(pid)
-    }
-    fn start_entry(&self, state: &mut Self::State) {
-        (**self).start_entry(state)
-    }
-    fn step(&self, state: &Self::State) -> LockStep {
-        (**self).step(state)
-    }
-    fn apply(&self, state: &mut Self::State, observed: Option<u64>) {
-        (**self).apply(state, observed)
-    }
-    fn begin_exit(&self, state: &mut Self::State) {
-        (**self).begin_exit(state)
-    }
-    fn reset(&self, state: &mut Self::State) {
-        (**self).reset(state)
-    }
-    fn n(&self) -> usize {
-        (**self).n()
-    }
-    fn registers(&self) -> RegisterCount {
-        (**self).registers()
-    }
-    fn progress(&self) -> Progress {
-        (**self).progress()
-    }
-    fn is_fast(&self) -> bool {
-        (**self).is_fast()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn label(&self, state: &Self::State) -> StepLabel {
-        (**self).label(state)
-    }
-    fn opaque(&self) -> Option<&dyn RawLock> {
-        (**self).opaque()
-    }
-}
-
-/// A [`LockSpec`] whose protocol commutes with process relabelling —
-/// the lock-level counterpart of [`tfr_registers::spec::Symmetric`].
-///
-/// Implementors assert that for any permutation `π` of `0..n`, mapping a
-/// protocol state with `permute_lock_state` and the registers/values of
-/// its actions with `permute_reg`/`permute_value` commutes with
-/// `step`/`apply`/`start_entry`/`begin_exit`/`reset`. Wrapping such a
-/// lock in [`workload::LockLoop`] then yields a `Symmetric` automaton,
-/// unlocking process-symmetry reduction in the model checker.
-///
-/// Locks that scan processes in a fixed id order (Lamport fast, the
-/// bakery family, the starvation-free transformation's queue) are *not*
-/// symmetric: relabelling changes which competitor a scan sees first.
-/// Fischer qualifies — its single register is pid-free and the stored
-/// token relabels cleanly.
-pub trait SymmetricLockSpec: LockSpec {
-    /// `state` with every embedded process id mapped through `perm`.
-    fn permute_lock_state(&self, state: &Self::State, perm: &Perm) -> Self::State;
-
-    /// The image of a register id under the relabelling (identity for
-    /// pid-free register layouts).
-    fn permute_reg(&self, reg: RegId, _perm: &Perm) -> RegId {
-        reg
-    }
-
-    /// The image of the value stored in `reg` under the relabelling
-    /// (identity unless values encode process ids).
-    fn permute_value(&self, _reg: RegId, value: u64, _perm: &Perm) -> u64 {
-        value
-    }
-}
-
-impl<L: SymmetricLockSpec + ?Sized> SymmetricLockSpec for &L {
-    fn permute_lock_state(&self, state: &Self::State, perm: &Perm) -> Self::State {
-        (**self).permute_lock_state(state, perm)
-    }
-    fn permute_reg(&self, reg: RegId, perm: &Perm) -> RegId {
-        (**self).permute_reg(reg, perm)
-    }
-    fn permute_value(&self, reg: RegId, value: u64, perm: &Perm) -> u64 {
-        (**self).permute_value(reg, value, perm)
     }
 }
 

@@ -1,36 +1,37 @@
-//! The native driver: [`Derived`] implements [`RawLock`] for any
-//! [`LockSpec`] by executing its steps on real threads.
+//! The native lock: [`Derived`] implements [`RawLock`] for any
+//! [`LockSpec`] by running it on real threads under the crate's one
+//! native driver ([`crate::driver`]).
 //!
-//! This is [`crate::workload::LockLoop`]'s counterpart for the native
-//! stack. `Read`/`Write` go to a [`RegisterSpace`], `Delay` to
-//! [`precise_delay`] for a [`DelaySource`]'s current estimate,
-//! `EnterInner`/`ExitInner` to the black-box inner lock an [`Opaque`]
-//! holds, and `Entered`/`Done` end `lock`/`unlock`. Injection points,
-//! trace events and delay feedback fire here, at the effect boundary,
-//! from the [`crate::StepLabel`] the spec supplies — never inside an algorithm.
+//! The driver serves the steps: reads and writes go to a
+//! [`RegisterSpace`], and the injection points fire from the labels the
+//! spec supplies — never inside an algorithm. The lock's own loop adds
+//! only what is a lock's: `delay(Δ)` for a [`DelaySource`]'s current
+//! estimate, an [`Opaque`] inner lock's call, a yield while the process
+//! polls, the outcome of a timing check fed back to the delay source, and
+//! the slot that keeps a holder's state from `lock` to `unlock`.
 //!
 //! The driver is generic, so it is compiled where a lock is used; the
-//! specs mark `step`/`apply`/`label` `#[inline]` to let it fold them into
-//! its loop across the crate boundary (without it the bakery's uncontended
-//! passage is half again as slow).
+//! specs mark `next_action`/`apply` `#[inline(always)]` to let it fold
+//! them into the lock's loop across the crate boundary (without it the
+//! bakery's uncontended passage is half again as slow).
 
-use crate::{LockSpec, LockStep, Progress, RawLock};
+use crate::driver::{Driver, Serve, OBS};
+use crate::{LockSpec, Progress, RawLock};
 use std::sync::Mutex;
 use std::time::Duration;
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::chaos;
 use tfr_registers::native::precise_delay;
 use tfr_registers::space::{DenseSpace, RegisterSpace};
-use tfr_registers::spec::Action;
-use tfr_registers::ProcId;
+use tfr_registers::spec::{Action, Automaton, Obs};
+use tfr_registers::{ProcId, Ticks};
 use tfr_telemetry::{EventKind, Trace};
 
 /// Where a native timing-based algorithm gets its `delay(Δ)` from.
 ///
 /// `Duration` itself implements this (a fixed estimate); pass an
 /// adaptive estimator (by reference) for the adaptive behaviour. The two
-/// feedback methods are called by the driver: `on_contended` when a
-/// [`crate::Verdict`] read failed (evidence the estimate may be too
+/// feedback methods are called by the native lock: `on_contended` when a
+/// timing check failed ([`Obs::Checked`]: evidence the estimate may be too
 /// small), `on_uncontended` when it passed.
 pub trait DelaySource: Send + Sync {
     /// The current `delay(Δ)` estimate.
@@ -72,8 +73,9 @@ impl<D: DelaySource + ?Sized> DelaySource for std::sync::Arc<D> {
 }
 
 /// An inner lock as a black box: a [`LockSpec`] whose entry and exit are
-/// each the one step [`LockStep::EnterInner`] / [`LockStep::ExitInner`],
-/// which the native driver answers with `A`'s `lock` / `unlock`.
+/// each one step, which the native lock answers with `A`'s `lock` /
+/// `unlock` (see [`LockSpec::opaque`]); to the automaton each is a
+/// `Delay`.
 ///
 /// This is how the wrappers (the starvation-free transformation,
 /// Algorithm 3) take *any* [`RawLock`] natively while embedding a
@@ -96,34 +98,34 @@ pub enum OpaqueState {
     Exiting,
 }
 
-impl<A: RawLock> LockSpec for Opaque<A> {
+impl<A: RawLock> Automaton for Opaque<A> {
     type State = OpaqueState;
 
     fn init(&self, _pid: ProcId) -> OpaqueState {
         OpaqueState::Idle
     }
 
-    fn start_entry(&self, s: &mut OpaqueState) {
-        *s = OpaqueState::Entering;
-    }
-
     #[inline]
-    fn step(&self, s: &OpaqueState) -> LockStep {
+    fn next_action(&self, s: &OpaqueState) -> Action {
         match s {
-            OpaqueState::Entering => LockStep::EnterInner,
-            OpaqueState::Entered => LockStep::Entered,
-            OpaqueState::Exiting => LockStep::ExitInner,
-            OpaqueState::Idle => LockStep::Done,
+            OpaqueState::Entering | OpaqueState::Exiting => Action::Delay(Ticks::ZERO),
+            OpaqueState::Entered | OpaqueState::Idle => Action::Halt,
         }
     }
 
     #[inline]
-    fn apply(&self, s: &mut OpaqueState, _observed: Option<u64>) {
+    fn apply(&self, s: &mut OpaqueState, _observed: Option<u64>, _obs: &mut Vec<Obs>) {
         *s = match s {
             OpaqueState::Entering => OpaqueState::Entered,
             OpaqueState::Exiting => OpaqueState::Idle,
             _ => unreachable!("apply in a parked phase"),
         };
+    }
+}
+
+impl<A: RawLock> LockSpec for Opaque<A> {
+    fn start_entry(&self, s: &mut OpaqueState) {
+        *s = OpaqueState::Entering;
     }
 
     fn begin_exit(&self, s: &mut OpaqueState) {
@@ -157,8 +159,9 @@ impl<A: RawLock> LockSpec for Opaque<A> {
         self.0.name()
     }
 
-    fn opaque(&self) -> Option<&dyn RawLock> {
-        Some(&self.0)
+    #[inline]
+    fn opaque(&self, s: &OpaqueState) -> Option<&dyn RawLock> {
+        matches!(s, OpaqueState::Entering | OpaqueState::Exiting).then_some(&self.0)
     }
 }
 
@@ -190,10 +193,7 @@ struct Held<S>(Mutex<S>);
 /// assert_eq!(lock.name(), "peterson-tournament");
 /// ```
 pub struct Derived<L: LockSpec, D = Duration, S = DenseSpace> {
-    spec: L,
-    space: S,
-    delay: D,
-    trace: Trace,
+    driver: Driver<L, S, D>,
     held: Box<[Held<L::State>]>,
 }
 
@@ -219,10 +219,7 @@ impl<L: LockSpec, D, S> Derived<L, D, S> {
             .map(|p| Held(Mutex::new(spec.init(ProcId(p)))))
             .collect();
         Derived {
-            spec,
-            space,
-            delay,
-            trace: Trace::disabled(),
+            driver: Driver::new(spec, space, delay),
             held,
         }
     }
@@ -230,88 +227,110 @@ impl<L: LockSpec, D, S> Derived<L, D, S> {
     /// Attaches a telemetry trace: entry waits, `delay(Δ)` spans, retries
     /// and acquire/release become events on the calling process's track.
     pub fn with_trace(mut self, trace: Trace) -> Derived<L, D, S> {
-        self.trace = trace;
+        self.driver.trace = trace;
         self
     }
 
     /// The automaton this lock executes.
     pub fn spec(&self) -> &L {
-        &self.spec
+        &self.driver.spec
     }
 
     /// The registers it executes against.
     pub fn space(&self) -> &S {
-        &self.space
+        &self.driver.space
     }
 }
 
 impl<L: LockSpec, D: DelaySource, S: RegisterSpace> Derived<L, D, S> {
-    /// Executes steps from `state` until the phase ends (`Entered` or
-    /// `Done`).
-    fn run(&self, pid: ProcId, state: &mut L::State) {
+    /// Drives `state` through its phase, until it halts: the driver's
+    /// steps, and around them what is a lock's own. A black-box inner
+    /// lock's step is its `lock` in the entry phase (`entry`) and its
+    /// `unlock` in the exit phase.
+    fn run(&self, pid: ProcId, state: &mut L::State, entry: bool) {
+        let driver = &self.driver;
         // The registers of the last two reads since the process last
         // wrote or delayed (`NONE` where there was no such read).
         const NONE: u64 = u64::MAX;
         let mut polled = [NONE; 2];
+        // A lock that never delays never pushes an event (a timing check
+        // judges the delay before it) nor touches the thread's buffer, so
+        // the loop over a step's events folds away and the steps thread
+        // into one another as a loop of the lock's own would.
+        let mut obs = Vec::new();
         loop {
-            let step = self.spec.step(state);
-            if matches!(step, LockStep::Entered | LockStep::Done) {
-                return;
+            let mut step = driver.next(state, &mut obs);
+            if step.halted() {
+                break;
             }
-            let label = self.spec.label(state);
-            if let Some(point) = label.point {
-                chaos::point(point);
-            }
-            match step {
-                LockStep::Act(Action::Read(reg)) => {
-                    let value = self.space.read(reg.0);
-                    self.spec.apply(state, Some(value));
-                    if let Some(verdict) = label.verdict {
-                        if value == verdict.expect {
-                            self.delay.on_uncontended();
-                        } else {
-                            let point = verdict.retry_point;
-                            self.trace.emit(pid, EventKind::Retry { point });
-                            self.delay.on_contended();
-                        }
-                    }
-                    // Re-reading a register with at most one other read
-                    // and no effect of its own in between is polling
-                    // (await conditions here span one or two registers):
-                    // the process is waiting for someone else's write, so
-                    // let others run.
-                    if polled.contains(&reg.0) {
+            if step.is_delay() {
+                self.wait(pid, state, entry, &mut obs);
+                polled = [NONE; 2];
+            } else {
+                let between = step.between();
+                let seen = step.accesses(&mut || between.fire(), Serve(&driver.space));
+                step.served(seen);
+                // Re-reading a register with at most one other read and no
+                // effect of its own in between is polling (await conditions
+                // here span one or two registers): the process is waiting
+                // for someone else's write, so let others run.
+                match step.read() {
+                    Some(reg) if polled.contains(&reg) => {
                         std::thread::yield_now();
-                        polled[1] = NONE;
+                        polled = [NONE, reg];
                     }
-                    polled = [polled[1], reg.0];
-                    continue;
-                }
-                LockStep::Act(Action::Write(reg, value)) => self.space.write(reg.0, value),
-                LockStep::Act(Action::Delay(_)) => {
-                    // The spec's tick count is the simulator's Δ; here Δ
-                    // is whatever the source currently estimates.
-                    let d = self.delay.current_delay();
-                    let requested_ns = d.as_nanos() as u64;
-                    self.trace.emit(pid, EventKind::DelayStart { requested_ns });
-                    precise_delay(d);
-                    self.trace.emit(pid, EventKind::DelayEnd);
-                }
-                LockStep::EnterInner => self.inner().lock(pid),
-                LockStep::ExitInner => self.inner().unlock(pid),
-                LockStep::Act(Action::Halt) | LockStep::Entered | LockStep::Done => {
-                    unreachable!("{} yielded {step:?} mid-phase", self.spec.name())
+                    Some(reg) => polled = [polled[1], reg],
+                    None => polled = [NONE; 2],
                 }
             }
-            self.spec.apply(state, None);
-            polled = [NONE; 2];
+            driver.resume(state, &step, &mut obs);
+            for &o in &obs {
+                if let Obs::Checked { passed, point } = o {
+                    self.checked(pid, passed, point);
+                }
+            }
+            obs.clear();
+        }
+        if obs.capacity() > 0 {
+            OBS.set(obs);
         }
     }
 
-    fn inner(&self) -> &dyn RawLock {
-        self.spec
-            .opaque()
-            .expect("a spec that delegates to an inner lock holds one")
+    /// Waits out a `delay(Δ)` step, fetching the thread's event buffer
+    /// into `obs` for the check that follows, or makes the black-box inner
+    /// lock's call the step stands for.
+    #[inline]
+    fn wait(&self, pid: ProcId, state: &L::State, entry: bool, obs: &mut Vec<Obs>) {
+        let driver = &self.driver;
+        match driver.spec.opaque(state) {
+            Some(inner) if entry => return inner.lock(pid),
+            Some(inner) => return inner.unlock(pid),
+            None => {}
+        }
+        if obs.capacity() == 0 {
+            *obs = OBS.take();
+        }
+        // The spec's tick count is the simulator's Δ; here Δ is whatever
+        // the source currently estimates.
+        let d = driver.delay.current_delay();
+        let requested_ns = d.as_nanos() as u64;
+        driver
+            .trace
+            .emit(pid, EventKind::DelayStart { requested_ns });
+        precise_delay(d);
+        driver.trace.emit(pid, EventKind::DelayEnd);
+    }
+
+    /// Feeds the outcome of a timing check back to the delay source, a
+    /// failed one traced as a retry that names `point`.
+    #[inline(never)]
+    fn checked(&self, pid: ProcId, passed: bool, point: &'static str) {
+        if passed {
+            self.driver.delay.on_uncontended();
+        } else {
+            self.driver.trace.emit(pid, EventKind::Retry { point });
+            self.driver.delay.on_contended();
+        }
     }
 
     fn held(&self, pid: ProcId) -> std::sync::MutexGuard<'_, L::State> {
@@ -324,8 +343,8 @@ impl<L: LockSpec, D: DelaySource, S: RegisterSpace> Derived<L, D, S> {
 impl<L: LockSpec, D, S> std::fmt::Debug for Derived<L, D, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Derived")
-            .field("lock", &self.spec.name())
-            .field("n", &self.spec.n())
+            .field("lock", &self.spec().name())
+            .field("n", &self.spec().n())
             .finish()
     }
 }
@@ -338,34 +357,35 @@ where
     S: RegisterSpace,
 {
     fn lock(&self, pid: ProcId) {
-        assert!(pid.0 < self.spec.n(), "pid out of range");
+        let (spec, trace) = (self.spec(), &self.driver.trace);
+        assert!(pid.0 < spec.n(), "pid out of range");
         // `wait_t0` is Some only when tracing, so the disabled cost stays
         // at one Option check per hook.
-        let wait_t0 = self.trace.now_ns();
-        self.trace.emit(pid, EventKind::LockWaitStart);
-        let mut state = self.spec.init(pid);
-        self.spec.start_entry(&mut state);
-        self.run(pid, &mut state);
+        let wait_t0 = trace.now_ns();
+        trace.emit(pid, EventKind::LockWaitStart);
+        let mut state = spec.init(pid);
+        spec.start_entry(&mut state);
+        self.run(pid, &mut state, true);
         if let Some(t0) = wait_t0 {
-            let wait_ns = self.trace.now_ns().unwrap_or(t0).saturating_sub(t0);
-            self.trace.emit(pid, EventKind::LockAcquired { wait_ns });
+            let wait_ns = trace.now_ns().unwrap_or(t0).saturating_sub(t0);
+            trace.emit(pid, EventKind::LockAcquired { wait_ns });
         }
         *self.held(pid) = state;
     }
 
     fn unlock(&self, pid: ProcId) {
         let mut state = self.held(pid).clone();
-        self.spec.begin_exit(&mut state);
-        self.run(pid, &mut state);
-        self.trace.emit(pid, EventKind::LockReleased);
+        self.spec().begin_exit(&mut state);
+        self.run(pid, &mut state, false);
+        self.driver.trace.emit(pid, EventKind::LockReleased);
     }
 
     fn n(&self) -> usize {
-        self.spec.n()
+        self.spec().n()
     }
 
     fn name(&self) -> &'static str {
-        self.spec.name()
+        self.spec().name()
     }
 }
 

@@ -16,9 +16,9 @@
 //! ```
 
 use crate::native::Derived;
-use crate::{LockSpec, LockStep, Progress};
+use crate::{LockSpec, Progress};
 use tfr_registers::accounting::RegisterCount;
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId};
 
 /// Number of tree levels for `n` processes (0 for `n = 1`).
@@ -30,7 +30,7 @@ fn levels(n: usize) -> u32 {
     }
 }
 
-/// The Peterson tournament lock: the step machine both drivers execute.
+/// The Peterson tournament lock: the automaton every tier runs.
 ///
 /// Register layout (from `base`), for internal node `v ∈ 1..2^L`:
 /// `want[v]\[0\]` at `base + 3(v−1)`, `want[v]\[1\]` at `base + 3(v−1) + 1`,
@@ -108,7 +108,7 @@ pub struct PetersonState {
     pc: Pc,
 }
 
-impl LockSpec for PetersonSpec {
+impl Automaton for PetersonSpec {
     type State = PetersonState;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -116,45 +116,35 @@ impl LockSpec for PetersonSpec {
         PetersonState { pid, pc: Pc::Idle }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = if self.levels == 0 {
-            Pc::Entered
-        } else {
-            Pc::SetWant { level: 0 }
-        };
-    }
-
-    #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
         match s.pc {
-            Pc::Idle => LockStep::Done,
             Pc::SetWant { level } => {
                 let (node, side) = self.seat(s.pid, level);
-                LockStep::Act(Action::Write(self.want(node, side), 1))
+                Action::Write(self.want(node, side), 1)
             }
             Pc::SetTurn { level } => {
                 let (node, side) = self.seat(s.pid, level);
-                LockStep::Act(Action::Write(self.turn(node), side))
+                Action::Write(self.turn(node), side)
             }
             Pc::ReadWant { level } => {
                 let (node, side) = self.seat(s.pid, level);
-                LockStep::Act(Action::Read(self.want(node, 1 - side)))
+                Action::Read(self.want(node, 1 - side))
             }
             Pc::ReadTurn { level } => {
                 let (node, _) = self.seat(s.pid, level);
-                LockStep::Act(Action::Read(self.turn(node)))
+                Action::Read(self.turn(node))
             }
-            Pc::Entered => LockStep::Entered,
             Pc::Release { level } => {
                 let (node, side) = self.seat(s.pid, level);
-                LockStep::Act(Action::Write(self.want(node, side), 0))
+                Action::Write(self.want(node, side), 0)
             }
-            Pc::Done => LockStep::Done,
+            Pc::Idle | Pc::Entered | Pc::Done => Action::Halt,
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, _obs: &mut Vec<Obs>) {
         let advance = |level: u32| {
             if level + 1 == self.levels {
                 Pc::Entered
@@ -188,6 +178,16 @@ impl LockSpec for PetersonSpec {
                 }
             }
             Pc::Idle | Pc::Entered | Pc::Done => unreachable!("apply in a parked phase"),
+        };
+    }
+}
+
+impl LockSpec for PetersonSpec {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = if self.levels == 0 {
+            Pc::Entered
+        } else {
+            Pc::SetWant { level: 0 }
         };
     }
 

@@ -6,9 +6,10 @@
 //! The loop emits the four phase events ([`Obs::EnterTrying`],
 //! [`Obs::EnterCritical`], [`Obs::ExitCritical`], [`Obs::EnterRemainder`])
 //! that both the simulator's mutex metrics and the model checker's mutual
-//! exclusion monitor consume.
+//! exclusion monitor consume, and only those: a lock step's own events
+//! (its timing checks, [`Obs::Checked`]) are the native lock's.
 
-use crate::{LockSpec, LockStep, SymmetricLockSpec};
+use crate::LockSpec;
 use tfr_registers::spec::{Action, Automaton, Obs, Perm, Symmetric};
 use tfr_registers::{ProcId, RegId, Ticks};
 
@@ -98,18 +99,16 @@ impl<L: LockSpec> Automaton for LockLoop<L> {
             Phase::Remainder => Action::Delay(self.ncs_ticks),
             Phase::Critical => Action::Delay(self.cs_ticks),
             Phase::Finished => Action::Halt,
-            Phase::Trying | Phase::Exiting => match self.lock.step(&s.lock) {
-                LockStep::Act(a) => a,
-                // `Entered`/`Done` are consumed inside `apply`; seeing them
-                // here means the LockSpec produced a zero-action protocol
-                // phase that `apply` should already have skipped past.
-                LockStep::Entered | LockStep::Done => {
-                    unreachable!("lock phase markers must be consumed in apply")
+            Phase::Trying | Phase::Exiting => {
+                let action = self.lock.next_action(&s.lock);
+                if let Action::Delay(_) = action {
+                    assert!(
+                        self.lock.opaque(&s.lock).is_none(),
+                        "an opaque inner lock has no register automaton to step"
+                    );
                 }
-                LockStep::EnterInner | LockStep::ExitInner => {
-                    panic!("an opaque inner lock has no register automaton to step")
-                }
-            },
+                action
+            }
         }
     }
 
@@ -119,31 +118,31 @@ impl<L: LockSpec> Automaton for LockLoop<L> {
                 obs.push(Obs::EnterTrying);
                 self.lock.start_entry(&mut s.lock);
                 s.phase = Phase::Trying;
-                self.drain_markers(s, obs);
             }
             Phase::Trying | Phase::Exiting => {
-                self.lock.apply(&mut s.lock, observed);
-                self.drain_markers(s, obs);
+                let events = obs.len();
+                self.lock.apply(&mut s.lock, observed, obs);
+                obs.truncate(events);
             }
             Phase::Critical => {
                 obs.push(Obs::ExitCritical);
                 self.lock.begin_exit(&mut s.lock);
                 s.phase = Phase::Exiting;
-                self.drain_markers(s, obs);
             }
             Phase::Finished => unreachable!("halted workload stepped"),
         }
+        self.drain_markers(s, obs);
     }
 }
 
 /// The workload adds no pid-dependence of its own (`phase`/`left` are
 /// pid-free, the CS/NCS durations are global), so a loop over a
-/// [`SymmetricLockSpec`] is a [`Symmetric`] automaton: relabelling a
-/// loop state is relabelling its lock state.
-impl<L: SymmetricLockSpec> Symmetric for LockLoop<L> {
+/// [`Symmetric`] lock is a [`Symmetric`] automaton: relabelling a loop
+/// state is relabelling its lock state.
+impl<L: LockSpec + Symmetric> Symmetric for LockLoop<L> {
     fn permute_state(&self, s: &Self::State, perm: &Perm) -> Self::State {
         LoopState {
-            lock: self.lock.permute_lock_state(&s.lock, perm),
+            lock: self.lock.permute_state(&s.lock, perm),
             phase: s.phase,
             left: s.left,
         }
@@ -159,27 +158,24 @@ impl<L: SymmetricLockSpec> Symmetric for LockLoop<L> {
 }
 
 impl<L: LockSpec> LockLoop<L> {
-    /// Consumes `Entered`/`Done` markers, advancing through (possibly
-    /// zero-length) protocol phases until the next real action.
+    /// Ends a lock phase whose state has halted (entered, or done),
+    /// advancing through (possibly zero-length) protocol phases until the
+    /// next real action.
     fn drain_markers(&self, s: &mut LoopState<L::State>, obs: &mut Vec<Obs>) {
         match s.phase {
-            Phase::Trying => {
-                if matches!(self.lock.step(&s.lock), LockStep::Entered) {
-                    obs.push(Obs::EnterCritical);
-                    s.phase = Phase::Critical;
-                }
+            Phase::Trying if self.lock.is_halted(&s.lock) => {
+                obs.push(Obs::EnterCritical);
+                s.phase = Phase::Critical;
             }
-            Phase::Exiting => {
-                if matches!(self.lock.step(&s.lock), LockStep::Done) {
-                    obs.push(Obs::EnterRemainder);
-                    self.lock.reset(&mut s.lock);
-                    s.left -= 1;
-                    s.phase = if s.left == 0 {
-                        Phase::Finished
-                    } else {
-                        Phase::Remainder
-                    };
-                }
+            Phase::Exiting if self.lock.is_halted(&s.lock) => {
+                obs.push(Obs::EnterRemainder);
+                self.lock.reset(&mut s.lock);
+                s.left -= 1;
+                s.phase = if s.left == 0 {
+                    Phase::Finished
+                } else {
+                    Phase::Remainder
+                };
             }
             _ => {}
         }
@@ -210,29 +206,30 @@ mod tests {
         Done,
     }
 
-    impl LockSpec for FlagLock {
+    impl Automaton for FlagLock {
         type State = FlagState;
         fn init(&self, _pid: ProcId) -> FlagState {
             FlagState::Idle
         }
-        fn start_entry(&self, s: &mut FlagState) {
-            *s = FlagState::SetFlag;
-        }
-        fn step(&self, s: &FlagState) -> LockStep {
+        fn next_action(&self, s: &FlagState) -> Action {
             match s {
-                FlagState::SetFlag => LockStep::Act(Action::Write(RegId(0), 1)),
-                FlagState::Entered => LockStep::Entered,
-                FlagState::ClearFlag => LockStep::Act(Action::Write(RegId(0), 0)),
-                FlagState::Done => LockStep::Done,
-                FlagState::Idle => LockStep::Done,
+                FlagState::SetFlag => Action::Write(RegId(0), 1),
+                FlagState::ClearFlag => Action::Write(RegId(0), 0),
+                FlagState::Entered | FlagState::Done | FlagState::Idle => Action::Halt,
             }
         }
-        fn apply(&self, s: &mut FlagState, _observed: Option<u64>) {
+        fn apply(&self, s: &mut FlagState, _observed: Option<u64>, _obs: &mut Vec<Obs>) {
             *s = match *s {
                 FlagState::SetFlag => FlagState::Entered,
                 FlagState::ClearFlag => FlagState::Done,
                 ref other => other.clone(),
             };
+        }
+    }
+
+    impl LockSpec for FlagLock {
+        fn start_entry(&self, s: &mut FlagState) {
+            *s = FlagState::SetFlag;
         }
         fn begin_exit(&self, s: &mut FlagState) {
             *s = FlagState::ClearFlag;

@@ -171,6 +171,30 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
     ]
 }
 
+/// E17's name for Algorithm 3 over the starvation-free Lamport lock.
+const ALG3: &str = "Alg3 (sf-lamport)";
+
+/// The gates on E17: resilience's safety half holds for every lock in
+/// every burst, and Algorithm 3 is resilient at every size. (Fischer's
+/// row may read either way: its hazard needs a precisely timed failure.)
+pub fn assessment_gates(tables: &[Table]) -> Vec<GateResult> {
+    let rows = |keys: &[(&str, &str)]| by_id(tables, "E17")?.rows_where(keys);
+    vec![
+        gate("E17.every_row_safe_in_burst", || {
+            for row in rows(&[])? {
+                row.expect(row.text("safe in burst")? == "true", "safe in burst = true")?;
+            }
+            Ok(())
+        }),
+        gate("E17.alg3_resilient", || {
+            for row in rows(&[("algorithm", ALG3)])? {
+                row.expect(row.text("resilient")? == "true", "resilient = true")?;
+            }
+            Ok(())
+        }),
+    ]
+}
+
 /// E14 — §4 ("to assume that both (transient) memory failures and timing
 /// failures are possible"): inject a single register corruption into
 /// Algorithm 1 runs and measure which registers are load-bearing for
@@ -341,7 +365,7 @@ pub fn e17() -> Vec<Table> {
     for n in [4usize, 12] {
         let config = AssessConfig::new(n, d);
         row(
-            "Alg3 (sf-lamport)",
+            ALG3,
             n,
             assess_mutex(|| standard_resilient_spec(n, 0, d.ticks()), &config),
         );
@@ -372,7 +396,7 @@ pub fn e17() -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::gates;
+    use super::{assessment_gates, gates};
     use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
 
     #[test]
@@ -399,6 +423,31 @@ mod tests {
                     "E13.scripted_split_gives_up",
                     &[Set(3, "gave up", "0"), DropRow(3)],
                 ),
+            ],
+        );
+    }
+
+    #[test]
+    fn every_assessment_gate_rejects_its_mutant() {
+        let fixture = [table(
+            "E17",
+            "algorithm | n | ψ | safe in burst | live after | convergence | resilient",
+            &[
+                "Alg3 (sf-lamport) | 4 | 12.1Δ | true | true | +0.0Δ | true",
+                "fischer (Alg 2) | 4 | 5.0Δ | true | true | +0.0Δ | true",
+                "Alg3 (sf-lamport) | 12 | 14.3Δ | true | true | +0.0Δ | true",
+                "bakery | 12 | 40.2Δ | true | true | +0.0Δ | true",
+            ],
+        )];
+        assert_gates_reject(
+            assessment_gates,
+            &fixture,
+            &[
+                (
+                    "E17.every_row_safe_in_burst",
+                    &[Set(1, "safe in burst", "false"), Clear],
+                ),
+                ("E17.alg3_resilient", &[Set(2, "resilient", "false"), Clear]),
             ],
         );
     }

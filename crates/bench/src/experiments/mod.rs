@@ -34,7 +34,7 @@ pub type Gates = fn(&[Table]) -> Vec<GateResult>;
 pub type Experiment = (&'static str, &'static str, fn() -> Vec<Table>, Gates);
 
 /// E1–E17 reproduce theorems whose verdicts the runner itself asserts
-/// (E11 and E13 also gate their tables).
+/// (E6, E11, E13 and E17 also gate their tables).
 fn no_gates(_: &[Table]) -> Vec<GateResult> {
     Vec::new()
 }
@@ -81,7 +81,7 @@ pub fn registry() -> Vec<Experiment> {
             "e6",
             "Fischer breaks under a timing failure; Algorithm 3 does not (§3.1)",
             mutex_safety::e6,
-            no_gates,
+            mutex_safety::gates,
         ),
         (
             "e7",
@@ -147,7 +147,7 @@ pub fn registry() -> Vec<Experiment> {
             "e17",
             "the §1.3 resilience definition as an executable verdict",
             extensions::e17,
-            no_gates,
+            extensions::assessment_gates,
         ),
         (
             "modelcheck",
@@ -343,7 +343,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), registry.len(), "duplicate experiment id");
-        // The nine experiments CI gates carry gates; the rest of E1–E17
+        // The eleven experiments CI gates carry gates; the rest of E1–E17
         // carry none.
         let gated: Vec<&str> = registry
             .iter()
@@ -353,8 +353,10 @@ mod tests {
         assert_eq!(
             gated,
             [
+                "e6",
                 "e11",
                 "e13",
+                "e17",
                 "modelcheck",
                 "net",
                 "recovery",

@@ -3,6 +3,7 @@
 //! schedules (model checked).
 
 use super::delta;
+use crate::table::{by_id, gate, GateResult};
 use crate::Table;
 use tfr_asynclock::workload::LockLoop;
 use tfr_core::mutex::fischer::FischerSpec;
@@ -12,6 +13,10 @@ use tfr_registers::{ProcId, Ticks};
 use tfr_sim::metrics::mutex_stats;
 use tfr_sim::timing::{Fate, Scripted};
 use tfr_sim::{RunConfig, Sim};
+
+const FISCHER: &str = "fischer (Alg 2)";
+const ALG3: &str = "resilient (Alg 3)";
+const EXPLORER: &str = "exhaustive model check";
 
 /// The paper's violation schedule: p0's write to `x` outlasts Δ while p1
 /// runs cleanly (see `fischer.rs` tests for the step-by-step timeline).
@@ -44,7 +49,7 @@ pub fn e6() -> Vec<Table> {
         let result = Sim::new(automaton, RunConfig::new(2, d), violation_model()).run();
         let stats = mutex_stats(&result, Ticks::ZERO);
         t.row(vec![
-            "fischer (Alg 2)".into(),
+            FISCHER.into(),
             "scripted sim (1 slow write)".into(),
             result.timing_failures.to_string(),
             stats.mutual_exclusion_violated.to_string(),
@@ -60,7 +65,7 @@ pub fn e6() -> Vec<Table> {
         let result = Sim::new(automaton, RunConfig::new(2, d), violation_model()).run();
         let stats = mutex_stats(&result, Ticks::ZERO);
         t.row(vec![
-            "resilient (Alg 3)".into(),
+            ALG3.into(),
             "same scripted schedule".into(),
             result.timing_failures.to_string(),
             stats.mutual_exclusion_violated.to_string(),
@@ -78,8 +83,8 @@ pub fn e6() -> Vec<Table> {
             None => "NO VIOLATION FOUND (unexpected)".into(),
         };
         t.row(vec![
-            "fischer (Alg 2)".into(),
-            "exhaustive model check".into(),
+            FISCHER.into(),
+            EXPLORER.into(),
             "adversarial".into(),
             report.violation.is_some().to_string(),
             detail,
@@ -97,8 +102,8 @@ pub fn e6() -> Vec<Table> {
             format!("violation: {:?}", report.violation)
         };
         t.row(vec![
-            "resilient (Alg 3)".into(),
-            "exhaustive model check".into(),
+            ALG3.into(),
+            EXPLORER.into(),
             "adversarial".into(),
             report.violation.is_some().to_string(),
             detail,
@@ -107,4 +112,79 @@ pub fn e6() -> Vec<Table> {
 
     t.note("claim: Fischer violates ME under one timing failure; Algorithm 3 never does");
     vec![t]
+}
+
+/// The gates on E6: §3.1's contrast, in both methods — deterministic
+/// functions of the script and of the explored state space.
+pub fn gates(tables: &[Table]) -> Vec<GateResult> {
+    let row =
+        |alg, method| by_id(tables, "E6")?.row_where(&[("algorithm", alg), ("method", method)]);
+    vec![
+        gate("E6.fischer_violated_in_sim_and_explorer", || {
+            for method in ["scripted sim (1 slow write)", EXPLORER] {
+                let row = row(FISCHER, method)?;
+                row.expect(row.text("ME violated")? == "true", "ME violated = true")?;
+            }
+            Ok(())
+        }),
+        gate("E6.alg3_never_violated", || {
+            for method in ["same scripted schedule", EXPLORER] {
+                let row = row(ALG3, method)?;
+                row.expect(row.text("ME violated")? == "false", "ME violated = false")?;
+            }
+            Ok(())
+        }),
+        gate("E6.alg3_proven_safe", || {
+            let row = row(ALG3, EXPLORER)?;
+            let proven = row.text("detail")?.starts_with("proven safe");
+            row.expect(proven, "detail = proven safe over … states")
+        }),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gates;
+    use crate::experiments::testkit::{assert_gates_reject, table, Doctor::*};
+
+    #[test]
+    fn every_mutex_safety_gate_rejects_its_mutant() {
+        let fixture = [table(
+            "E6",
+            "algorithm | method | timing failures | ME violated | detail",
+            &[
+                "fischer (Alg 2) | scripted sim (1 slow write) | 1 | true | the paper's §3.1 schedule",
+                "resilient (Alg 3) | same scripted schedule | 1 | false | 2 CS entries, all exclusive",
+                "fischer (Alg 2) | exhaustive model check | adversarial | true | counterexample of 10 steps",
+                "resilient (Alg 3) | exhaustive model check | adversarial | false | proven safe over 1753 states",
+            ],
+        )];
+        assert_gates_reject(
+            gates,
+            &fixture,
+            &[
+                (
+                    "E6.fischer_violated_in_sim_and_explorer",
+                    &[
+                        Set(0, "ME violated", "false"),
+                        Set(2, "ME violated", "false"),
+                        DropRow(2),
+                    ],
+                ),
+                (
+                    "E6.alg3_never_violated",
+                    &[
+                        Set(1, "ME violated", "true"),
+                        Set(3, "ME violated", "true"),
+                        DropRow(1),
+                        DropRow(3),
+                    ],
+                ),
+                (
+                    "E6.alg3_proven_safe",
+                    &[Set(3, "detail", "violation: None"), DropRow(3)],
+                ),
+            ],
+        );
+    }
 }

@@ -37,9 +37,9 @@
 //! `Note("round-bound-exceeded", r)` event in the spec form.
 
 use crate::consensus::{ConsensusSpec, ConsensusState};
-use crate::driver::Driver;
 use std::fmt;
 use std::time::Duration;
+use tfr_asynclock::driver::Driver;
 use tfr_registers::space::{DenseSpace, RegisterSpace};
 use tfr_registers::{Delta, Ticks};
 

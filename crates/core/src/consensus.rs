@@ -63,8 +63,8 @@
 //! * the number of participants is unbounded (the native form's `propose`
 //!   does not even take a process id).
 
-use crate::driver::Driver;
 use std::time::Duration;
+use tfr_asynclock::driver::Driver;
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::chaos::points;
 use tfr_registers::space::{NativeSpace, RegisterSpace, WriteKind};
@@ -632,7 +632,7 @@ impl<S: RegisterSpace> NativeConsensus<S> {
 impl<S: RegisterSpace> std::fmt::Debug for NativeConsensus<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeConsensus")
-            .field("delta", &self.driver.delta)
+            .field("delta", &self.driver.delay)
             .field("decision", &self.decision())
             .finish()
     }

@@ -54,18 +54,19 @@
 //! * [`resilience`] — §1.3's three-part definition (stabilization,
 //!   efficiency, convergence) as an executable assessment protocol.
 //!
-//! Algorithm 1 and the election are each written once, as a **spec**
-//! (the election composes Algorithm 1's automaton, one per pid bit): a
+//! Algorithm 1, the election and the locks are each written once, as a
+//! **spec** (the election composes Algorithm 1's automaton, one per pid
+//! bit; Fischer's lock and Algorithm 3 are `tfr_asynclock::LockSpec`s): a
 //! register automaton that the `tfr-sim` discrete-event simulator and the
-//! `tfr-modelcheck` explorer run, and that the crate's native driver runs
-//! against any `RegisterSpace` (real threads and `std::sync::atomic`, or
-//! a quorum emulation) as [`consensus::NativeConsensus`],
-//! [`bounded::BoundedNativeConsensus`] and [`universal::MultiConsensus`].
-//! The spec's labels tell the driver which injection point precedes a
-//! step, which writes are agreed (the explorer proves they are), and
-//! which steps go out together. The locks are single-source the same
-//! way: Fischer's lock and Algorithm 3 are `tfr_asynclock::LockSpec`s,
-//! and the native lock is that spec run by `tfr_asynclock::native::Derived`.
+//! `tfr-modelcheck` explorer run, and that one native driver,
+//! `tfr_asynclock::driver::Driver`, runs against any `RegisterSpace`
+//! (real threads and `std::sync::atomic`, or a quorum emulation) as
+//! [`consensus::NativeConsensus`], [`bounded::BoundedNativeConsensus`],
+//! [`universal::MultiConsensus`] and, through
+//! `tfr_asynclock::native::Derived`, every native lock. The spec's labels
+//! tell the driver which injection point precedes a step, which writes
+//! are agreed (the explorer proves they are), and which steps go out
+//! together.
 //!
 //! The derived objects and the universal construction have only their
 //! native form, built on those; `tfr-linearize` checks their recorded
@@ -93,7 +94,6 @@ pub mod adaptive;
 pub mod bounded;
 pub mod consensus;
 pub mod derived;
-mod driver;
 pub mod election_spec;
 pub mod mutex;
 pub mod resilience;

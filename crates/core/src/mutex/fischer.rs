@@ -21,15 +21,15 @@
 use crate::adaptive::DelaySource;
 use std::time::Duration;
 use tfr_asynclock::native::Derived;
-use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock, StepLabel, SymmetricLockSpec, Verdict};
+use tfr_asynclock::{LockSpec, Progress, RawLock};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::chaos::points;
 use tfr_registers::space::{DenseSpace, RegisterSpace};
-use tfr_registers::spec::{Action, Perm};
+use tfr_registers::spec::{Action, Automaton, Label, Obs, Perm, Symmetric};
 use tfr_registers::{ProcId, RegId, Ticks};
 use tfr_telemetry::Trace;
 
-/// Fischer's lock — the step machine both drivers execute: one register,
+/// Fischer's lock — the automaton every tier runs: one register,
 /// `x`, at `base`.
 #[derive(Debug, Clone)]
 pub struct FischerSpec {
@@ -80,7 +80,7 @@ pub struct FischerState {
     pc: Pc,
 }
 
-impl LockSpec for FischerSpec {
+impl Automaton for FischerSpec {
     type State = FischerState;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -88,25 +88,39 @@ impl LockSpec for FischerSpec {
         FischerState { pid, pc: Pc::Idle }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::AwaitZero;
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
+        self.next_step(s).0
     }
 
     #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    fn label(&self, s: &Self::State) -> Label {
+        self.next_step(s).1
+    }
+
+    #[inline(always)]
+    fn next_step(&self, s: &Self::State) -> (Action, Label) {
+        let at = |point| Label {
+            point: Some(point),
+            ..Label::default()
+        };
         match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::AwaitZero | Pc::CheckX => LockStep::Act(Action::Read(self.x())),
-            Pc::WriteX => LockStep::Act(Action::Write(self.x(), s.pid.token())),
-            Pc::DelayStep => LockStep::Act(Action::Delay(self.delta)),
-            Pc::Entered => LockStep::Entered,
-            Pc::ExitX => LockStep::Act(Action::Write(self.x(), 0)),
-            Pc::Done => LockStep::Done,
+            Pc::Idle | Pc::Entered | Pc::Done => (Action::Halt, Label::default()),
+            Pc::AwaitZero => (Action::Read(self.x()), Label::default()),
+            // The read→write window: a stall injected here models the
+            // §3.1 timing failure that breaks Fischer's argument.
+            Pc::WriteX => (
+                Action::Write(self.x(), s.pid.token()),
+                at(points::FISCHER_WRITE_X),
+            ),
+            Pc::DelayStep => (Action::Delay(self.delta), Label::default()),
+            Pc::CheckX => (Action::Read(self.x()), at(points::FISCHER_CHECK_X)),
+            Pc::ExitX => (Action::Write(self.x(), 0), at(points::FISCHER_EXIT)),
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
         s.pc = match s.pc {
             Pc::AwaitZero => {
                 if observed == Some(0) {
@@ -118,7 +132,10 @@ impl LockSpec for FischerSpec {
             Pc::WriteX => Pc::DelayStep,
             Pc::DelayStep => Pc::CheckX,
             Pc::CheckX => {
-                if observed == Some(s.pid.token()) {
+                let passed = observed == Some(s.pid.token());
+                let point = points::FISCHER_CHECK_X;
+                obs.push(Obs::Checked { passed, point });
+                if passed {
                     Pc::Entered
                 } else {
                     Pc::AwaitZero
@@ -127,6 +144,12 @@ impl LockSpec for FischerSpec {
             Pc::ExitX => Pc::Done,
             Pc::Idle | Pc::Entered | Pc::Done => unreachable!("apply in a parked phase"),
         };
+    }
+}
+
+impl LockSpec for FischerSpec {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::AwaitZero;
     }
 
     fn begin_exit(&self, s: &mut Self::State) {
@@ -161,32 +184,14 @@ impl LockSpec for FischerSpec {
     fn name(&self) -> &'static str {
         "fischer"
     }
-
-    #[inline]
-    fn label(&self, s: &Self::State) -> StepLabel {
-        match s.pc {
-            // The read→write window: a stall injected here models the
-            // §3.1 timing failure that breaks Fischer's argument.
-            Pc::WriteX => StepLabel::at(points::FISCHER_WRITE_X),
-            Pc::CheckX => StepLabel {
-                point: Some(points::FISCHER_CHECK_X),
-                verdict: Some(Verdict {
-                    expect: s.pid.token(),
-                    retry_point: points::FISCHER_CHECK_X,
-                }),
-            },
-            Pc::ExitX => StepLabel::at(points::FISCHER_EXIT),
-            _ => StepLabel::default(),
-        }
-    }
 }
 
 /// Fischer is fully pid-symmetric: the single register `x` is shared
 /// (its *id* is pid-free), every process runs the same program with the
 /// same Δ, and the only pid-dependent value is the token written to `x`
 /// — which relabels through the permutation.
-impl SymmetricLockSpec for FischerSpec {
-    fn permute_lock_state(&self, s: &FischerState, perm: &Perm) -> FischerState {
+impl Symmetric for FischerSpec {
+    fn permute_state(&self, s: &FischerState, perm: &Perm) -> FischerState {
         FischerState {
             pid: perm.apply_pid(s.pid),
             pc: s.pc,

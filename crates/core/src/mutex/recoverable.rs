@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tfr_asynclock::bar_david::{StarvationFree, StarvationFreeSpec};
 use tfr_asynclock::lamport_fast::{LamportFast, LamportFastSpec};
-use tfr_asynclock::{LockSpec, LockStep, RawLock, RecoverableRawLock, RecoveryOutcome};
+use tfr_asynclock::{LockSpec, RawLock, RecoverableRawLock, RecoveryOutcome};
 use tfr_registers::chaos;
 use tfr_registers::durable::{split, stamp, DurableSpace, Incarnations};
 use tfr_registers::space::{NativeSpace, RegisterSpace};
@@ -475,9 +475,17 @@ pub struct RecLoopState<S> {
 }
 
 impl<L: LockSpec> RecoverableLoop<L> {
+    /// Steps the inner lock, keeping its own events (its timing checks)
+    /// out of the workload's.
+    fn apply_inner(&self, lock: &mut L::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
+        let events = obs.len();
+        self.inner.apply(lock, observed, obs);
+        obs.truncate(events);
+    }
+
     /// After an inner-entry step: advance to `StampOwner` once entered.
     fn after_entry_step(&self, left: u64, lock: L::State) -> RecPhase<L::State> {
-        if matches!(self.inner.step(&lock), LockStep::Entered) {
+        if self.inner.is_halted(&lock) {
             RecPhase::StampOwner { left, lock }
         } else {
             RecPhase::Trying { left, lock }
@@ -494,7 +502,7 @@ impl<L: LockSpec> RecoverableLoop<L> {
         repair: bool,
         obs: &mut Vec<Obs>,
     ) -> RecPhase<L::State> {
-        if !matches!(self.inner.step(&lock), LockStep::Done) {
+        if !self.inner.is_halted(&lock) {
             return if repair {
                 RecPhase::RecoverExiting { left, lock }
             } else {
@@ -546,15 +554,7 @@ impl<L: LockSpec> Automaton for RecoverableLoop<L> {
             RecPhase::RecoverCheck { .. } => Action::Read(RegId(OWNER)),
             RecPhase::Trying { lock, .. }
             | RecPhase::Exiting { lock, .. }
-            | RecPhase::RecoverExiting { lock, .. } => match self.inner.step(lock) {
-                LockStep::Act(a) => a,
-                LockStep::Entered | LockStep::Done => {
-                    unreachable!("lock phase markers must be consumed in apply")
-                }
-                LockStep::EnterInner | LockStep::ExitInner => {
-                    panic!("an opaque inner lock has no register automaton to step")
-                }
-            },
+            | RecPhase::RecoverExiting { lock, .. } => self.inner.next_action(lock),
             RecPhase::Finished => Action::Halt,
         }
     }
@@ -581,7 +581,7 @@ impl<L: LockSpec> Automaton for RecoverableLoop<L> {
                 }
             }
             RecPhase::Trying { left, mut lock } => {
-                self.inner.apply(&mut lock, observed);
+                self.apply_inner(&mut lock, observed, obs);
                 self.after_entry_step(left, lock)
             }
             RecPhase::StampOwner { left, lock } => {
@@ -623,7 +623,7 @@ impl<L: LockSpec> Automaton for RecoverableLoop<L> {
                 self.after_exit_step(left, lock, false, obs)
             }
             RecPhase::Exiting { left, mut lock } => {
-                self.inner.apply(&mut lock, observed);
+                self.apply_inner(&mut lock, observed, obs);
                 self.after_exit_step(left, lock, false, obs)
             }
             RecPhase::Consume { left, held, in_cs } => RecPhase::RecoverCheck { left, held, in_cs },
@@ -648,7 +648,7 @@ impl<L: LockSpec> Automaton for RecoverableLoop<L> {
                 self.after_exit_step(left, lock, true, obs)
             }
             RecPhase::RecoverExiting { left, mut lock } => {
-                self.inner.apply(&mut lock, observed);
+                self.apply_inner(&mut lock, observed, obs);
                 self.after_exit_step(left, lock, true, obs)
             }
             RecPhase::Finished => unreachable!("halted workload stepped"),

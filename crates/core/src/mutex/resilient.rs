@@ -36,16 +36,16 @@ use std::time::Duration;
 use tfr_asynclock::bar_david::{StarvationFree, StarvationFreeSpec};
 use tfr_asynclock::lamport_fast::{LamportFast, LamportFastSpec};
 use tfr_asynclock::native::{Derived, Opaque};
-use tfr_asynclock::{LockSpec, LockStep, Progress, RawLock, StepLabel, Verdict};
+use tfr_asynclock::{LockSpec, Progress, RawLock};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::chaos::points;
 use tfr_registers::space::{DenseSpace, RegisterSpace};
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Label, Obs};
 use tfr_registers::{ProcId, RegId, Ticks};
 use tfr_telemetry::Trace;
 
-/// Algorithm 3, generic over the inner lock `A`: the step machine both
-/// drivers execute. Over a spec-form `A` it is a closed automaton for the
+/// Algorithm 3, generic over the inner lock `A`: the automaton every tier
+/// runs. Over a spec-form `A` it is a closed automaton for the
 /// simulator and the model checker; over [`Opaque`] its own steps run
 /// natively around any [`RawLock`].
 ///
@@ -144,7 +144,7 @@ pub struct ResilientMutexState<S> {
     inner: S,
 }
 
-impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
+impl<A: LockSpec> Automaton for ResilientMutexSpec<A> {
     type State = ResilientMutexState<A::State>;
 
     fn init(&self, pid: ProcId) -> Self::State {
@@ -156,31 +156,51 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
         }
     }
 
-    fn start_entry(&self, s: &mut Self::State) {
-        s.pc = Pc::AwaitZero;
+    #[inline(always)]
+    fn next_action(&self, s: &Self::State) -> Action {
+        self.next_step(s).0
     }
 
     #[inline]
-    fn step(&self, s: &Self::State) -> LockStep {
+    fn label(&self, s: &Self::State) -> Label {
+        self.next_step(s).1
+    }
+
+    #[inline(always)]
+    fn next_step(&self, s: &Self::State) -> (Action, Label) {
+        let at = |point| Label {
+            point: Some(point),
+            ..Label::default()
+        };
         match s.pc {
-            Pc::Idle => LockStep::Done,
-            Pc::AwaitZero | Pc::CheckX | Pc::ExitReadX => LockStep::Act(Action::Read(self.x())),
-            Pc::WriteX => LockStep::Act(Action::Write(self.x(), s.pid.token())),
-            Pc::DelayStep => LockStep::Act(Action::Delay(self.delta)),
-            Pc::ExitClearX => LockStep::Act(Action::Write(self.x(), 0)),
-            Pc::Inner | Pc::InnerExit => match self.inner.step(&s.inner) {
-                // A's exit finishing does NOT finish our exit (line 8
-                // remains); `apply` advances past this marker, so `step`
-                // never observes it here.
-                LockStep::Done => unreachable!("inner Done is consumed in apply"),
-                step => step,
-            },
-            Pc::Done => LockStep::Done,
+            Pc::Idle | Pc::Done => (Action::Halt, Label::default()),
+            Pc::AwaitZero | Pc::CheckX => (Action::Read(self.x()), Label::default()),
+            // Same read→write window as plain Fischer — a stall here must
+            // NOT break mutual exclusion (that is what resilience means).
+            Pc::WriteX => (
+                Action::Write(self.x(), s.pid.token()),
+                at(points::RESILIENT_WRITE_X),
+            ),
+            Pc::DelayStep => (Action::Delay(self.delta), Label::default()),
+            Pc::ExitClearX => (Action::Write(self.x(), 0), Label::default()),
+            // Before each step of A's entry — natively A is opaque, so
+            // once, ahead of `A.lock`. A halts once entered, and so do we.
+            Pc::Inner => {
+                let (action, label) = self.inner.next_step(&s.inner);
+                let point = (action != Action::Halt).then_some(points::RESILIENT_INNER);
+                (action, Label { point, ..label })
+            }
+            // A's exit finishing does NOT finish ours (line 8 remains);
+            // `apply` moves past it, so A has steps left here.
+            Pc::InnerExit => self.inner.next_step(&s.inner),
+            // Line 8: the conditional reset — of all processes stranded in
+            // A by a timing failure, at most one reopens the wrapper.
+            Pc::ExitReadX => (Action::Read(self.x()), at(points::RESILIENT_EXIT)),
         }
     }
 
-    #[inline]
-    fn apply(&self, s: &mut Self::State, observed: Option<u64>) {
+    #[inline(always)]
+    fn apply(&self, s: &mut Self::State, observed: Option<u64>, obs: &mut Vec<Obs>) {
         match s.pc {
             Pc::AwaitZero => {
                 if observed == Some(0) {
@@ -190,17 +210,20 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
             Pc::WriteX => s.pc = Pc::DelayStep,
             Pc::DelayStep => s.pc = Pc::CheckX,
             Pc::CheckX => {
-                if observed == Some(s.pid.token()) {
+                let passed = observed == Some(s.pid.token());
+                let point = points::RESILIENT_WRITE_X;
+                obs.push(Obs::Checked { passed, point });
+                if passed {
                     self.inner.start_entry(&mut s.inner);
                     s.pc = Pc::Inner;
                 } else {
                     s.pc = Pc::AwaitZero;
                 }
             }
-            Pc::Inner => self.inner.apply(&mut s.inner, observed),
+            Pc::Inner => self.inner.apply(&mut s.inner, observed, obs),
             Pc::InnerExit => {
-                self.inner.apply(&mut s.inner, observed);
-                if matches!(self.inner.step(&s.inner), LockStep::Done) {
+                self.inner.apply(&mut s.inner, observed, obs);
+                if self.inner.is_halted(&s.inner) {
                     self.inner.reset(&mut s.inner);
                     s.pc = Pc::ExitReadX;
                 }
@@ -216,13 +239,19 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
             Pc::Idle | Pc::Done => unreachable!("apply in a parked phase"),
         }
     }
+}
+
+impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
+    fn start_entry(&self, s: &mut Self::State) {
+        s.pc = Pc::AwaitZero;
+    }
 
     fn begin_exit(&self, s: &mut Self::State) {
         debug_assert_eq!(s.pc, Pc::Inner, "begin_exit without holding the lock");
         self.inner.begin_exit(&mut s.inner);
         s.pc = Pc::InnerExit;
         // A zero-action inner exit completes immediately.
-        if matches!(self.inner.step(&s.inner), LockStep::Done) {
+        if self.inner.is_halted(&s.inner) {
             self.inner.reset(&mut s.inner);
             s.pc = Pc::ExitReadX;
         }
@@ -259,34 +288,11 @@ impl<A: LockSpec> LockSpec for ResilientMutexSpec<A> {
     }
 
     #[inline]
-    fn label(&self, s: &Self::State) -> StepLabel {
+    fn opaque(&self, s: &Self::State) -> Option<&dyn RawLock> {
         match s.pc {
-            // Same read→write window as plain Fischer — a stall here must
-            // NOT break mutual exclusion (that is what resilience means).
-            Pc::WriteX => StepLabel::at(points::RESILIENT_WRITE_X),
-            Pc::CheckX => StepLabel {
-                point: None,
-                verdict: Some(Verdict {
-                    expect: s.pid.token(),
-                    retry_point: points::RESILIENT_WRITE_X,
-                }),
-            },
-            // Before each step of A's entry — natively A is opaque, so
-            // once, ahead of `A.lock`.
-            Pc::Inner => StepLabel {
-                point: Some(points::RESILIENT_INNER),
-                ..self.inner.label(&s.inner)
-            },
-            Pc::InnerExit => self.inner.label(&s.inner),
-            // Line 8: the conditional reset — of all processes stranded in
-            // A by a timing failure, at most one reopens the wrapper.
-            Pc::ExitReadX => StepLabel::at(points::RESILIENT_EXIT),
-            _ => StepLabel::default(),
+            Pc::Inner | Pc::InnerExit => self.inner.opaque(&s.inner),
+            _ => None,
         }
-    }
-
-    fn opaque(&self) -> Option<&dyn RawLock> {
-        self.inner.opaque()
     }
 }
 

@@ -192,11 +192,11 @@
 //! election's scan and the combiner's counter scan stay single reads:
 //! they touch one cell or none at the process counts the service runs.
 
-pub use crate::driver::{seen, Between, Group};
-use crate::driver::{Ahead, Driver, Hand, Mapped, Serve, Sink, Step};
 use crate::election_spec::{ElectionSpec, ElectionState};
 use std::sync::Arc;
 use std::time::Duration;
+pub use tfr_asynclock::driver::{seen, Between};
+use tfr_asynclock::driver::{Driver, Serve, Sink, Step};
 use tfr_registers::chaos;
 use tfr_registers::native::precise_delay;
 use tfr_registers::space::{
@@ -1156,7 +1156,7 @@ impl<'u, T: Sequential, S: RegisterSpace> Session<'u, T, S> {
         match &self.phase {
             Phase::Idle => Wait::Done,
             Phase::Elect(election) if election.step.is_delay() => {
-                Wait::Delay(self.uni.slots[election.s].driver.delta)
+                Wait::Delay(self.uni.slots[election.s].driver.delay)
             }
             Phase::Elect(election) | Phase::Publish { election, .. } => {
                 Wait::Group(election.step.between())
@@ -1738,6 +1738,146 @@ fn split_entry(raw: u64) -> (usize, u64) {
     let entry = raw - 1;
     let p = (entry >> ENTRY_PID_SHIFT) as usize;
     (p, entry & ((1 << ENTRY_PID_SHIFT) - 1))
+}
+
+/// The sink that hands a group out, after the accesses the group it holds
+/// has already.
+struct Hand<'a>(Group<'a>);
+
+impl<'a> Sink<'a> for Hand<'a> {
+    type Out = Group<'a>;
+    #[inline(always)]
+    fn none(self) -> Group<'a> {
+        self.0
+    }
+    #[inline(always)]
+    fn one(self, access: Access<'a>) -> Group<'a> {
+        self.0.with([access])
+    }
+    #[inline(always)]
+    fn two(self, first: Access<'a>, second: Access<'a>) -> Group<'a> {
+        self.0.with([first, second])
+    }
+    #[inline(always)]
+    fn three(self, first: Access<'a>, second: Access<'a>, third: Access<'a>) -> Group<'a> {
+        self.0.with([first, second, third])
+    }
+    #[inline(always)]
+    fn four(self, accesses: [Access<'a>; 4]) -> Group<'a> {
+        self.0.with(accesses)
+    }
+}
+
+/// A sink that maps each access with `map` (a lift into a parent space's
+/// coordinates) before it goes on to `to`.
+struct Mapped<M, K> {
+    map: M,
+    to: K,
+}
+
+impl<'a, M: Fn(&mut Access<'a>), K: Sink<'a>> Sink<'a> for Mapped<M, K> {
+    type Out = K::Out;
+    #[inline(always)]
+    fn none(self) -> K::Out {
+        self.to.none()
+    }
+    #[inline(always)]
+    fn one(self, mut access: Access<'a>) -> K::Out {
+        (self.map)(&mut access);
+        self.to.one(access)
+    }
+    #[inline(always)]
+    fn two(self, mut first: Access<'a>, mut second: Access<'a>) -> K::Out {
+        (self.map)(&mut first);
+        (self.map)(&mut second);
+        self.to.two(first, second)
+    }
+    #[inline(always)]
+    fn three(self, mut first: Access<'a>, mut second: Access<'a>, mut third: Access<'a>) -> K::Out {
+        (self.map)(&mut first);
+        (self.map)(&mut second);
+        (self.map)(&mut third);
+        self.to.three(first, second, third)
+    }
+    #[inline(always)]
+    fn four(self, mut accesses: [Access<'a>; 4]) -> K::Out {
+        accesses.iter_mut().for_each(&self.map);
+        self.to.four(accesses)
+    }
+}
+
+/// A sink that puts two accesses ahead of a group of one or two before it
+/// goes on to `to`: how a machine sends its own writes in one group with
+/// the first step of an automaton it drives.
+struct Ahead<'a, K> {
+    first: [Access<'a>; 2],
+    to: K,
+}
+
+impl<'a, K: Sink<'a>> Sink<'a> for Ahead<'a, K> {
+    type Out = K::Out;
+    #[inline(always)]
+    fn none(self) -> K::Out {
+        let [first, second] = self.first;
+        self.to.two(first, second)
+    }
+    #[inline(always)]
+    fn one(self, access: Access<'a>) -> K::Out {
+        let [first, second] = self.first;
+        self.to.three(first, second, access)
+    }
+    #[inline(always)]
+    fn two(self, third: Access<'a>, fourth: Access<'a>) -> K::Out {
+        let [first, second] = self.first;
+        self.to.four([first, second, third, fourth])
+    }
+    fn three(self, _: Access<'a>, _: Access<'a>, _: Access<'a>) -> K::Out {
+        unreachable!("only a step of one or two accesses goes out behind two")
+    }
+    fn four(self, _: [Access<'a>; 4]) -> K::Out {
+        unreachable!("only a step of one or two accesses goes out behind two")
+    }
+}
+
+/// The most accesses a [`Group`] holds: a held-back pair ahead of the
+/// four of a record, a mark and a step of two.
+const GROUP_MAX: usize = 6;
+
+/// One group of accesses a driven machine waits on: at most six,
+/// borrowing the machine's buffers. Move them into a group of the space
+/// ([`Group::into_accesses`]), serve it, and hand back what their
+/// conditional write read ([`seen`]).
+pub struct Group<'a> {
+    accesses: [Access<'a>; GROUP_MAX],
+    len: usize,
+}
+
+impl<'a> Group<'a> {
+    /// A group of `lead`, with room for the accesses that follow.
+    #[inline(always)]
+    fn of<const N: usize>(lead: [Access<'a>; N]) -> Group<'a> {
+        Group {
+            accesses: std::array::from_fn(|_| Access::read_run(0, 1, &mut [])),
+            len: 0,
+        }
+        .with(lead)
+    }
+
+    /// The group with `accesses` after its own.
+    #[inline(always)]
+    fn with<const N: usize>(mut self, accesses: [Access<'a>; N]) -> Group<'a> {
+        for access in accesses {
+            self.accesses[self.len] = access;
+            self.len += 1;
+        }
+        self
+    }
+
+    /// The accesses, for a caller that rewrites them (lifts them into a
+    /// parent space's coordinates) and sends them in a bigger group.
+    pub fn into_accesses(self) -> impl Iterator<Item = Access<'a>> {
+        self.accesses.into_iter().take(self.len)
+    }
 }
 
 // ---------------------------------------------------------------------

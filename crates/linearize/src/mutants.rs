@@ -20,11 +20,11 @@ use crate::history::{History, Recorder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tfr_asynclock::{LockSpec, LockStep, Progress};
+use tfr_asynclock::{LockSpec, Progress};
 use tfr_core::universal::{FifoQueue, Universal};
 use tfr_registers::accounting::RegisterCount;
 use tfr_registers::chaos::{self, ChaosSession, Fault, FaultAction};
-use tfr_registers::spec::Action;
+use tfr_registers::spec::{Action, Automaton, Obs};
 use tfr_registers::{ProcId, RegId};
 
 /// Injection point inside [`SplitTas`]'s load→store gap.
@@ -146,28 +146,23 @@ pub enum SplitTasState {
     Done,
 }
 
-impl LockSpec for SplitTasSpec {
+impl Automaton for SplitTasSpec {
     type State = SplitTasState;
 
     fn init(&self, _pid: ProcId) -> SplitTasState {
         SplitTasState::Idle
     }
 
-    fn start_entry(&self, s: &mut SplitTasState) {
-        *s = SplitTasState::Load;
-    }
-
-    fn step(&self, s: &SplitTasState) -> LockStep {
+    fn next_action(&self, s: &SplitTasState) -> Action {
         match s {
-            SplitTasState::Load => LockStep::Act(Action::Read(RegId(0))),
-            SplitTasState::Store => LockStep::Act(Action::Write(RegId(0), 1)),
-            SplitTasState::Entered => LockStep::Entered,
-            SplitTasState::Clear => LockStep::Act(Action::Write(RegId(0), 0)),
-            SplitTasState::Done | SplitTasState::Idle => LockStep::Done,
+            SplitTasState::Load => Action::Read(RegId(0)),
+            SplitTasState::Store => Action::Write(RegId(0), 1),
+            SplitTasState::Clear => Action::Write(RegId(0), 0),
+            SplitTasState::Entered | SplitTasState::Done | SplitTasState::Idle => Action::Halt,
         }
     }
 
-    fn apply(&self, s: &mut SplitTasState, observed: Option<u64>) {
+    fn apply(&self, s: &mut SplitTasState, observed: Option<u64>, _obs: &mut Vec<Obs>) {
         *s = match *s {
             // The mutant: the decision is made on a stale load.
             SplitTasState::Load if observed == Some(0) => SplitTasState::Store,
@@ -176,6 +171,12 @@ impl LockSpec for SplitTasSpec {
             SplitTasState::Clear => SplitTasState::Done,
             other => other,
         };
+    }
+}
+
+impl LockSpec for SplitTasSpec {
+    fn start_entry(&self, s: &mut SplitTasState) {
+        *s = SplitTasState::Load;
     }
 
     fn begin_exit(&self, s: &mut SplitTasState) {

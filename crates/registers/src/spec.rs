@@ -92,6 +92,17 @@ pub enum Obs {
     ExitCritical,
     /// A mutex participant finished its exit code (back in the remainder).
     EnterRemainder,
+    /// A timing-based check after `delay(Δ)` (Fischer's `until x = i`)
+    /// found what it looked for — the delay sufficed — or did not, a retry
+    /// that a trace names by the injection point `point`. The native lock
+    /// loop feeds it back to its `delay(Δ)` source; the workload loops
+    /// drop it.
+    Checked {
+        /// Whether the check passed.
+        passed: bool,
+        /// The point a failed check's retry names.
+        point: &'static str,
+    },
     /// Algorithm-specific annotation, for traces and tests.
     Note(&'static str, u64),
 }

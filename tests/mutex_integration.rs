@@ -6,19 +6,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tfr::asynclock::bakery::BakerySpec;
-use tfr::asynclock::bar_david::StarvationFreeSpec;
+use tfr::asynclock::bar_david::{StarvationFree, StarvationFreeSpec};
 use tfr::asynclock::bw_bakery::BwBakerySpec;
 use tfr::asynclock::lamport_fast::LamportFastSpec;
-use tfr::asynclock::native::Derived;
+use tfr::asynclock::native::{Derived, Opaque};
 use tfr::asynclock::peterson::PetersonSpec;
 use tfr::asynclock::workload::LockLoop;
-use tfr::asynclock::{LockSpec, RawLock};
-use tfr::core::mutex::fischer::FischerSpec;
+use tfr::asynclock::{DelaySource, LockSpec, RawLock};
+use tfr::core::mutex::fischer::{Fischer, FischerSpec};
+use tfr::core::mutex::recoverable::RecoverableMutex;
 use tfr::core::mutex::resilient::{
     deadlock_free_resilient_spec, standard_resilient_spec, ResilientMutex, ResilientMutexSpec,
 };
 use tfr::modelcheck::{Explorer, SafetySpec};
 use tfr::registers::bank::RegisterBank;
+use tfr::registers::chaos::{self, points, ChaosSession, PointObserver};
 use tfr::registers::space::{NativeSpace, RegisterSpace};
 use tfr::registers::spec::{run_solo, Action, Obs};
 use tfr::registers::{Delta, ProcId, RegId, Ticks};
@@ -401,4 +403,238 @@ fn every_native_lock_is_its_spec_under_one_driver() {
     battery("peterson", true, || PetersonSpec::new(2, 0));
     battery("fischer", false, || FischerSpec::new(2, 0, Ticks(100)));
     battery("alg3", true, || standard_resilient_spec(2, 0, Ticks(100)));
+}
+
+/// Counts a native lock's `DelaySource` calls: `current_delay`,
+/// `on_contended` and `on_uncontended`, in that order.
+#[derive(Default)]
+struct DelayCalls([AtomicU64; 3]);
+
+impl DelayCalls {
+    fn counts(&self) -> [u64; 3] {
+        self.0.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+impl DelaySource for DelayCalls {
+    fn current_delay(&self) -> Duration {
+        self.0[0].fetch_add(1, Ordering::Relaxed);
+        Duration::from_micros(1)
+    }
+    fn on_contended(&self) {
+        self.0[1].fetch_add(1, Ordering::Relaxed);
+    }
+    fn on_uncontended(&self) {
+        self.0[2].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Tapes the injection points the calling thread visits.
+struct PointTape {
+    thread: std::thread::ThreadId,
+    points: Mutex<Vec<&'static str>>,
+}
+
+impl PointObserver for PointTape {
+    fn point_hit(&self, _pid: ProcId, point: &'static str) {
+        if std::thread::current().id() == self.thread {
+            self.points.lock().unwrap().push(point);
+        }
+    }
+    fn fault_fired(&self, _: ProcId, _: &'static str, _: Duration, _: bool) {}
+}
+
+/// The injection points one solo `lock` + `unlock` by p1 visits.
+fn passage_points(lock: &dyn RawLock) -> Vec<&'static str> {
+    let _session = ChaosSession::install(&[]);
+    let tape = Arc::new(PointTape {
+        thread: std::thread::current().id(),
+        points: Mutex::new(Vec::new()),
+    });
+    let _observer = chaos::install_point_observer(tape.clone());
+    let pid = ProcId(1);
+    chaos::run_as(pid, || {
+        lock.lock(pid);
+        lock.unlock(pid);
+    })
+    .completed()
+    .expect("no fault fires");
+    let points = tape.points.lock().unwrap().clone();
+    points
+}
+
+/// Register 0 with a competitor that claims it once: the first nonzero
+/// write to it is overwritten with p0's token, and the read after that
+/// sees the token and clears the register, as a competitor that backed
+/// off would.
+#[derive(Default)]
+struct Interloper {
+    cells: NativeSpace,
+    /// 0 before the claim, 1 while p0's token stands, 2 after.
+    stage: std::sync::atomic::AtomicU8,
+}
+
+impl RegisterSpace for Interloper {
+    fn read(&self, index: u64) -> u64 {
+        let value = self.cells.read(index);
+        if self
+            .stage
+            .compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            self.cells.write(index, 0);
+        }
+        value
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.cells.write(index, value);
+        if value != 0
+            && self
+                .stage
+                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            self.cells.write(index, ProcId(0).token());
+        }
+    }
+}
+
+/// What the chaos schedules count, pinned lock by lock: the injection
+/// points of one solo native passage, and its `DelaySource` calls
+/// (`[current_delay, on_contended, on_uncontended]`), for Fischer,
+/// Algorithm 3, the starvation-free transformation and the recoverable
+/// lock; and for Fischer and Algorithm 3 once more with a competitor that
+/// claims `x` once right after the passage's own claim, so the check after
+/// `delay(Δ)` fails once and the passage claims again.
+#[test]
+fn native_lock_tapes_are_pinned() {
+    use points::{DELAY, FISCHER_CHECK_X, FISCHER_EXIT, FISCHER_WRITE_X};
+    use points::{RECOVERABLE_ACQUIRE, RECOVERABLE_CS, RECOVERABLE_RELEASE};
+    use points::{RESILIENT_EXIT, RESILIENT_INNER, RESILIENT_WRITE_X};
+    let alg3 =
+        |calls| ResilientMutex::with_delay_source(StarvationFree::over_lamport_fast(2), 2, calls);
+
+    let calls = DelayCalls::default();
+    let tape = passage_points(&Fischer::with_delay_source(2, &calls));
+    assert_eq!(
+        tape,
+        [FISCHER_WRITE_X, DELAY, FISCHER_CHECK_X, FISCHER_EXIT]
+    );
+    assert_eq!(calls.counts(), [1, 0, 1], "fischer");
+
+    let calls = DelayCalls::default();
+    let tape = passage_points(&alg3(&calls));
+    assert_eq!(
+        tape,
+        [RESILIENT_WRITE_X, DELAY, RESILIENT_INNER, RESILIENT_EXIT]
+    );
+    assert_eq!(calls.counts(), [1, 0, 1], "alg3");
+
+    let tape = passage_points(&StarvationFree::over_lamport_fast(2));
+    assert_eq!(tape, [] as [&str; 0], "sf-lamport");
+
+    let calls = DelayCalls::default();
+    let tape = passage_points(&RecoverableMutex::new(alg3(&calls), 2));
+    let expected = [
+        RECOVERABLE_ACQUIRE,
+        RESILIENT_WRITE_X,
+        DELAY,
+        RESILIENT_INNER,
+        RECOVERABLE_CS,
+        RECOVERABLE_RELEASE,
+        RESILIENT_EXIT,
+    ];
+    assert_eq!(tape, expected);
+    assert_eq!(calls.counts(), [1, 0, 1], "recoverable");
+
+    let (calls, space) = (DelayCalls::default(), Interloper::default());
+    let tape = passage_points(&Fischer::on_with_delay_source(&space, 2, &calls));
+    let expected = [
+        FISCHER_WRITE_X,
+        DELAY,
+        FISCHER_CHECK_X,
+        FISCHER_WRITE_X,
+        DELAY,
+        FISCHER_CHECK_X,
+        FISCHER_EXIT,
+    ];
+    assert_eq!(tape, expected);
+    assert_eq!(calls.counts(), [2, 1, 1], "fischer, one failed check");
+
+    let (calls, space) = (DelayCalls::default(), Interloper::default());
+    let lock = ResilientMutex::on_with_delay_source(
+        &space,
+        StarvationFree::over_lamport_fast(2),
+        2,
+        &calls,
+    );
+    let tape = passage_points(&lock);
+    let expected = [
+        RESILIENT_WRITE_X,
+        DELAY,
+        RESILIENT_WRITE_X,
+        DELAY,
+        RESILIENT_INNER,
+        RESILIENT_EXIT,
+    ];
+    assert_eq!(tape, expected);
+    assert_eq!(calls.counts(), [2, 1, 1], "alg3, one failed check");
+}
+
+/// An inner lock that crashes on its first `lock` and counts the calls
+/// that get through.
+#[derive(Default)]
+struct Bomb {
+    locks: AtomicU64,
+    unlocks: AtomicU64,
+}
+
+impl RawLock for Bomb {
+    fn lock(&self, _pid: ProcId) {
+        if self.locks.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("crash");
+        }
+    }
+    fn unlock(&self, _pid: ProcId) {
+        self.unlocks.fetch_add(1, Ordering::SeqCst);
+    }
+    fn n(&self) -> usize {
+        1
+    }
+    fn name(&self) -> &'static str {
+        "bomb"
+    }
+}
+
+#[test]
+fn an_unwound_native_lock_call_leaves_the_slot_usable() {
+    // An injected crash unwinds out of `lock` at an injection point; an
+    // inner lock that panics on its first entry stands in for it. The
+    // next passage starts from a fresh state and exits from its own.
+    let lock = Derived::of(Opaque(Bomb::default()));
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        lock.lock(ProcId(0));
+    }));
+    assert!(crashed.is_err());
+    lock.lock(ProcId(0));
+    lock.unlock(ProcId(0));
+    let bomb = &lock.spec().0;
+    assert_eq!(bomb.locks.load(Ordering::SeqCst), 2);
+    assert_eq!(bomb.unlocks.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn a_native_lock_holder_may_be_released_from_another_thread() {
+    // What `RecoverableMutex::recover` does for a crashed holder.
+    let lock = Derived::of(LamportFastSpec::new(2, 0));
+    lock.lock(ProcId(0));
+    std::thread::scope(|s| s.spawn(|| lock.unlock(ProcId(0))).join().unwrap());
+    lock.lock(ProcId(1));
+    lock.unlock(ProcId(1));
+}
+
+#[test]
+#[should_panic(expected = "pid out of range")]
+fn a_native_lock_rejects_an_out_of_range_pid() {
+    Derived::of(LamportFastSpec::new(2, 0)).lock(ProcId(2));
 }
