@@ -68,6 +68,7 @@ pub fn log() -> Vec<Table> {
             "commits",
             "commits/sec",
             "ops/sec",
+            "takeovers",
             "integrity",
         ],
     );
@@ -84,6 +85,7 @@ pub fn log() -> Vec<Table> {
                 report.commits.to_string(),
                 format!("{:.0}", report.commits_per_sec()),
                 format!("{:.0}", report.ops_per_sec()),
+                report.takeovers.to_string(),
                 integrity(&report),
             ]);
         }
@@ -111,11 +113,13 @@ pub fn log() -> Vec<Table> {
             report.commits.to_string(),
             format!("{:.0}", report.commits_per_sec()),
             format!("{:.0}", report.ops_per_sec()),
+            report.takeovers.to_string(),
             integrity(&report),
         ]);
     }
     t1.note("Same ReplicatedLog, two substrates: native atomics vs ABD majority quorums —");
     t1.note("the log is backend-blind (RegisterSpace). window = 1 is sequential heights.");
+    t1.note("takeovers: decided heights whose winner is not their owner (h mod workers).");
 
     // -----------------------------------------------------------------
     // Table 2: the pipelining claim — identical workload with the

@@ -87,7 +87,7 @@ pub mod objects;
 
 pub use audit::{chain_digest, AppliedEntry, LogAudit};
 pub use load::{run_smr, SmrConfig, SmrReport};
-pub use log::{LogConfig, LogReplica, LogWorker, ReplicatedLog};
+pub use log::{Layout, LogConfig, LogReplica, LogWorker, ReplicatedLog};
 pub use machine::{Effect, HeightStateMachine};
 pub use mutants::ReorderingApplier;
 pub use objects::Renaming;

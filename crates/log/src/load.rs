@@ -4,7 +4,7 @@
 //!
 //! The driver replicates a [`Counter`]: every op is a seeded increment,
 //! so the expected final state is just the sum of all generated ops —
-//! a one-line convergence oracle on top of the full [`LogAudit`](crate::LogAudit).
+//! a one-line convergence oracle on top of the full [`LogAudit`].
 //! Replicas poll on a configurable interval; that interval *is* the
 //! decision-propagation latency the pipeline window hides, which is
 //! what makes the pipelined-vs-sequential speedup visible on the native
@@ -20,6 +20,7 @@ use tfr_registers::space::RegisterSpace;
 use tfr_registers::ProcId;
 use tfr_telemetry::{with_pid, Trace};
 
+use crate::audit::LogAudit;
 use crate::log::{LogConfig, LogReplica, LogWorker, ReplicatedLog};
 
 /// Shape of one SMR load run.
@@ -92,6 +93,8 @@ pub struct SmrReport {
     pub state_ok: bool,
     /// First divergence found by the audit, if any.
     pub divergence: Option<String>,
+    /// Decided heights won by a worker other than their owner, `h mod n`.
+    pub takeovers: u64,
 }
 
 impl SmrReport {
@@ -174,7 +177,13 @@ where
 
     let lane_refs: Vec<&[crate::audit::AppliedEntry]> =
         lanes.iter().map(|l| l.as_slice()).collect();
-    let audit = log.audit(&lane_refs);
+    let (truth, total_ops) = log.truth();
+    let n = cfg.workers as u64;
+    let takeovers = truth
+        .iter()
+        .filter(|e| e.winner as u64 != e.height % n)
+        .count();
+    let audit = LogAudit::check(truth, total_ops, &lane_refs);
     let state_ok = states.iter().all(|&s| s == expected);
     SmrReport {
         commits: audit.heights_decided,
@@ -183,6 +192,7 @@ where
         converged: audit.converged() && audit.heights_decided == total_heights,
         state_ok,
         divergence: audit.divergence,
+        takeovers: takeovers as u64,
     }
 }
 

@@ -5,25 +5,26 @@
 //!
 //! # Register layout
 //!
-//! The log tiles its parent space into three disjoint stride-3 regions
-//! (the same idiom as `tfr_core::universal::Universal`):
+//! [`Layout`] places the registers in 8-cell lines of the parent space (a
+//! [`NativeSpace`] chunk starts a 64-byte cache line), so that no line
+//! holds two heights' cells, or an ack or a flag with anything else:
 //!
-//! * **acks** (offset 0) — applier `a`'s applied-prefix length at local
-//!   index `a`. Appliers are the `n` workers (lanes `0..n`) followed by
-//!   the `R` passive replicas (lanes `n..n+R`). The cluster *floor* is
-//!   the minimum over all lanes; the pipeline window is enforced
-//!   against it. Above the lanes, at local index `n + R + p`, worker
-//!   `p`'s **busy** flag: 1 while it has batches pending, 0 otherwise
-//!   (written when its queue turns non-empty or empty).
-//! * **arena** (offset 1) — batch payloads. Height `h` owns the block
-//!   at `h·hstride` with `hstride = n·max_batch + n`: proposer `p`'s
-//!   op `j` lives at `h·hstride + p·max_batch + j` (stored as `op + 1`),
-//!   and `p`'s batch size at `h·hstride + n·max_batch + p`, **written
-//!   last** (0 = unpublished).
-//! * **slots** (offset 2) — height `h`'s consensus instance over the
-//!   stride-`heights` subspace based at `h`; the decided value is the
-//!   winning proposer's pid (values bounded at 8 bits, so `n ≤ 255`),
-//!   agreed over `⌈log₂ n⌉` Algorithm 1 instances.
+//! * **acks** — applier `a`'s applied-prefix length at `8a`. Appliers are
+//!   the `n` workers (lanes `0..n`) and the `R` passive replicas (lanes
+//!   `n..n+R`); the cluster *floor* is the minimum over all lanes, and
+//!   the pipeline window is enforced against it. Worker `p`'s **busy**
+//!   flag follows at `8(n + R + p)`: 1 while it has batches pending.
+//! * **blocks** — height `h` owns `L` cells from `8(2n + R) + h·L`. First
+//!   the `hot = 1 + n + 9W` cells of its consensus instance that a lone
+//!   decision touches: `result`, `announce[·]`, and rounds 1–2 of the `W
+//!   = max(1, ⌈log₂ n⌉)` Algorithm 1 instances that agree on the winner's
+//!   pid bit by bit (8-bit values, so `n ≤ 255`). Then the arena:
+//!   proposer `p`'s op `j` at `hot + p·max_batch + j` (stored as `op +
+//!   1`), and its batch size at `hot + n·max_batch + p`, **written last**
+//!   (0 = unpublished). `L` rounds `hot + n·max_batch + n` up to whole
+//!   lines.
+//! * **overflow** — the later rounds, which only proposers that meet
+//!   reach, tile the space past the blocks at stride `heights`.
 //!
 //! # Why a decided batch is always readable
 //!
@@ -78,12 +79,13 @@
 //! needs its own order keeps one batch pending at a time.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tfr_core::universal::{MultiConsensus, Probe, Sequential};
 use tfr_registers::chaos::{self, points};
-use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
+use tfr_registers::space::{Access, NativeSpace, RegisterSpace};
 use tfr_registers::ProcId;
 use tfr_telemetry::event::EventKind;
 use tfr_telemetry::{Span, Trace};
@@ -91,20 +93,10 @@ use tfr_telemetry::{Span, Trace};
 use crate::audit::{chain_digest, AppliedEntry, LogAudit};
 use crate::machine::{BatchId, Effect, HeightStateMachine};
 
-/// The three disjoint stride-3 regions of the parent space.
-const REGIONS: u64 = 3;
-const REGION_ACKS: u64 = 0;
-const REGION_ARENA: u64 = 1;
-const REGION_SLOTS: u64 = 2;
-
 /// Decision values are proposer pids, bounded at 8 bits, which caps the
 /// cluster at 255. The bound sets no cost: a height runs one Algorithm 1
 /// instance per bit of `n − 1`, not per bit of this.
 const DECIDE_WIDTH: u32 = 8;
-
-/// Per-height consensus space: the stride-`heights` view of the slots
-/// region — two nested [`SubSpace`]s over the shared parent.
-type HeightSpace<S> = SubSpace<SubSpace<Arc<S>>>;
 
 /// Shape of a [`ReplicatedLog`].
 #[derive(Debug, Clone, Copy)]
@@ -142,11 +134,158 @@ impl LogConfig {
     pub fn lanes(&self) -> usize {
         self.n + self.replicas
     }
+}
 
-    /// Arena cells consumed per height: `n·max_batch` op cells plus `n`
-    /// size cells.
-    fn hstride(&self) -> u64 {
-        (self.n * self.max_batch + self.n) as u64
+/// Cells per line: a [`NativeSpace`] chunk starts a 64-byte cache line.
+const LINE: u64 = 8;
+
+/// Where a [`ReplicatedLog`]'s registers sit in its parent space (see the
+/// module docs, "Register layout").
+#[derive(Debug, Clone, Copy)]
+pub struct Layout {
+    /// The first block's first cell, a block's cells, and the consensus
+    /// cells it keeps.
+    blocks: u64,
+    block: u64,
+    hot: u64,
+    heights: NonZeroU64,
+}
+
+impl Layout {
+    /// The layout of a log of shape `cfg`; panics where
+    /// [`ReplicatedLog::on`] does on `n` and `heights`.
+    pub fn new(cfg: &LogConfig) -> Layout {
+        assert!(cfg.n > 0 && cfg.n <= 255, "1..=255 proposers required");
+        let n = cfg.n as u64;
+        let hot = 1 + n + 9 * u64::from(u64::BITS - (n - 1).leading_zeros()).max(1);
+        Layout {
+            blocks: LINE * (cfg.lanes() as u64 + n),
+            block: (hot + n * cfg.max_batch as u64 + n).div_ceil(LINE) * LINE,
+            hot,
+            heights: NonZeroU64::new(cfg.heights as u64).expect("a log needs at least one height"),
+        }
+    }
+
+    /// Applier `lane`'s ack; past the lanes, lane `lanes + p` is worker
+    /// `p`'s busy flag.
+    pub fn ack(&self, lane: usize) -> u64 {
+        LINE * lane as u64
+    }
+
+    /// Cell `i` of `height`'s arena.
+    pub fn arena(&self, height: u64, i: u64) -> u64 {
+        self.blocks + height * self.block + self.hot + i
+    }
+
+    /// `height`'s consensus cell `i`.
+    pub fn election(&self, height: u64, i: u64) -> u64 {
+        self.election_map(height).index(i)
+    }
+
+    fn election_map(&self, height: u64) -> ElectionMap {
+        let (hot, heights) = (self.hot, self.heights);
+        let block = self.blocks + height * self.block;
+        let end = self.blocks + heights.get() * self.block;
+        let overflow = end + height - hot * heights.get();
+        ElectionMap {
+            block,
+            hot,
+            overflow,
+            heights,
+        }
+    }
+}
+
+/// One height's consensus cells: cell `i` below `hot` at `block + i`, in
+/// its block, and from `hot` on at `overflow + i·heights`.
+#[derive(Debug, Clone, Copy)]
+struct ElectionMap {
+    block: u64,
+    hot: u64,
+    overflow: u64,
+    heights: NonZeroU64,
+}
+
+impl ElectionMap {
+    /// The map `(base, stride)` of the region that holds cell `i`.
+    #[inline(always)]
+    fn region(&self, i: u64) -> (u64, NonZeroU64) {
+        match i < self.hot {
+            true => (self.block, NonZeroU64::MIN),
+            false => (self.overflow, self.heights),
+        }
+    }
+
+    fn index(&self, i: u64) -> u64 {
+        let (base, stride) = self.region(i);
+        base + i * stride.get()
+    }
+}
+
+/// A height's consensus instance over the log's parent space, placed by
+/// its [`ElectionMap`]. A group stays one parent group, each access lifted
+/// by its first cell's region; an access that straddles both regions has
+/// no one map, and goes cell by cell in its place.
+struct HeightSpace<S> {
+    parent: Arc<S>,
+    map: ElectionMap,
+}
+
+impl<S: RegisterSpace> RegisterSpace for HeightSpace<S> {
+    fn read(&self, index: u64) -> u64 {
+        self.parent.read(self.map.index(index))
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.parent.write(self.map.index(index), value)
+    }
+    #[inline(always)]
+    fn access_all(&self, group: &mut [Access<'_>]) {
+        let (map, first) = (self.map, |a: &Access<'_>| a.cells().next().unwrap_or(0));
+        let straddles = |a: &Access<'_>| first(a) < map.hot && a.cells().any(|c| c >= map.hot);
+        if let Some(k) = group.iter().position(straddles) {
+            return self.split(group, k);
+        }
+        for access in group.iter_mut() {
+            let (base, stride) = map.region(first(access));
+            access.lift(base, stride.get());
+        }
+        self.parent.access_all(group);
+        for access in group.iter_mut() {
+            // An empty run went by the block's map, as its first cell is 0.
+            match first(access) < map.block + map.hot {
+                true => access.unlift(map.block, NonZeroU64::MIN),
+                false => access.unlift(map.overflow, map.heights),
+            }
+        }
+    }
+    fn round_trips(&self) -> bool {
+        self.parent.round_trips()
+    }
+}
+
+impl<S: RegisterSpace> HeightSpace<S> {
+    /// Serves the accesses before `k` as a group, access `k` cell by cell,
+    /// then the rest.
+    #[cold]
+    fn split(&self, group: &mut [Access<'_>], k: usize) {
+        let (head, tail) = group.split_at_mut(k);
+        let (straddler, rest) = tail.split_first_mut().expect("k is in the group");
+        self.access_all(head);
+        CellByCell(self).access_all(std::slice::from_mut(straddler));
+        self.access_all(rest);
+    }
+}
+
+/// A [`HeightSpace`]'s `read` and `write` alone, under the default
+/// `access_all`: one cell at a time.
+struct CellByCell<'a, S>(&'a HeightSpace<S>);
+
+impl<S: RegisterSpace> RegisterSpace for CellByCell<'_, S> {
+    fn read(&self, index: u64) -> u64 {
+        self.0.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.0.write(index, value)
     }
 }
 
@@ -156,8 +295,8 @@ impl LogConfig {
 pub struct ReplicatedLog<T: Sequential, S: RegisterSpace = NativeSpace> {
     object: T,
     cfg: LogConfig,
-    acks: SubSpace<Arc<S>>,
-    arena: SubSpace<Arc<S>>,
+    layout: Layout,
+    space: Arc<S>,
     slots: Vec<MultiConsensus<HeightSpace<S>>>,
     trace: Trace,
 }
@@ -165,7 +304,8 @@ pub struct ReplicatedLog<T: Sequential, S: RegisterSpace = NativeSpace> {
 impl<T: Sequential> ReplicatedLog<T> {
     /// A log over a fresh native shared-memory space.
     pub fn new(object: T, cfg: LogConfig) -> ReplicatedLog<T> {
-        let capacity = REGIONS * (cfg.heights as u64 * cfg.hstride() + 1024);
+        // Every block, and slack for the overflow.
+        let capacity = Layout::new(&cfg).arena(cfg.heights as u64, 1024);
         ReplicatedLog::on(
             object,
             cfg,
@@ -183,24 +323,21 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     /// Panics if the shape is degenerate (`n` 0 or > 255, no heights,
     /// zero-op batches, zero window).
     pub fn on(object: T, cfg: LogConfig, space: Arc<S>) -> ReplicatedLog<T, S> {
-        assert!(cfg.n > 0 && cfg.n <= 255, "1..=255 proposers required");
-        assert!(cfg.heights > 0, "a log needs at least one height");
+        let layout = Layout::new(&cfg);
         assert!(cfg.max_batch > 0, "batches must hold at least one op");
         assert!(cfg.window > 0, "a zero window can never commit");
-        let acks = SubSpace::new(Arc::clone(&space), REGION_ACKS, REGIONS);
-        let arena = SubSpace::new(Arc::clone(&space), REGION_ARENA, REGIONS);
-        let slots = (0..cfg.heights)
-            .map(|h| {
-                let region = SubSpace::new(Arc::clone(&space), REGION_SLOTS, REGIONS);
-                let height_space = SubSpace::new(region, h as u64, cfg.heights as u64);
-                MultiConsensus::on(Arc::new(height_space), cfg.n, DECIDE_WIDTH, cfg.delta)
+        let slots = (0..cfg.heights as u64)
+            .map(|height| {
+                let (parent, map) = (Arc::clone(&space), layout.election_map(height));
+                let height_space = Arc::new(HeightSpace { parent, map });
+                MultiConsensus::on(height_space, cfg.n, DECIDE_WIDTH, cfg.delta)
             })
             .collect();
         ReplicatedLog {
             object,
             cfg,
-            acks,
-            arena,
+            layout,
+            space,
             slots,
             trace: Trace::default(),
         }
@@ -215,6 +352,11 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     /// The log's shape.
     pub fn config(&self) -> &LogConfig {
         &self.cfg
+    }
+
+    /// Where the log's registers sit in its space.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// The replicated object's sequential specification.
@@ -243,13 +385,14 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
             !ops.is_empty() && ops.len() <= self.cfg.max_batch,
             "batch size out of range"
         );
-        let base = height * self.cfg.hstride() + (pid.0 * self.cfg.max_batch) as u64;
+        let base = self
+            .layout
+            .arena(height, (pid.0 * self.cfg.max_batch) as u64);
         for (j, &op) in ops.iter().enumerate() {
-            self.arena.write(base + j as u64, op + 1);
+            self.space.write(base + j as u64, op + 1);
         }
-        let size_idx =
-            height * self.cfg.hstride() + (self.cfg.n * self.cfg.max_batch + pid.0) as u64;
-        self.arena.write(size_idx, ops.len() as u64);
+        self.space
+            .write(self.size_cell(height, pid.0), ops.len() as u64);
     }
 
     /// Probes `height`'s consensus ([`MultiConsensus::probe`]): whether
@@ -275,49 +418,54 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
         self.slots[height as usize].propose_probed(pid, pid.0 as u64, probe, false) as usize
     }
 
+    /// Where `pid`'s batch size at `height` sits.
+    fn size_cell(&self, height: u64, pid: usize) -> u64 {
+        let i = self.cfg.n * self.cfg.max_batch + pid;
+        self.layout.arena(height, i as u64)
+    }
+
     /// The size cell of `pid`'s arena block at `height`: the batch size
     /// once published, 0 before. One register read.
     fn published_size(&self, pid: ProcId, height: u64) -> u64 {
-        self.arena
-            .read(height * self.cfg.hstride() + (self.cfg.n * self.cfg.max_batch + pid.0) as u64)
+        self.space.read(self.size_cell(height, pid.0))
     }
 
     /// Reads the committed batch at a *decided* height.
     pub fn batch(&self, height: u64, winner: usize) -> Vec<u64> {
-        let size_idx =
-            height * self.cfg.hstride() + (self.cfg.n * self.cfg.max_batch + winner) as u64;
-        let size = self.arena.read(size_idx);
+        let size = self.space.read(self.size_cell(height, winner));
         assert!(
             size > 0 && size as usize <= self.cfg.max_batch,
             "decided height {height} has no published batch — publish-before-propose violated"
         );
-        let base = height * self.cfg.hstride() + (winner * self.cfg.max_batch) as u64;
-        (0..size).map(|j| self.arena.read(base + j) - 1).collect()
+        let base = self
+            .layout
+            .arena(height, (winner * self.cfg.max_batch) as u64);
+        (0..size).map(|j| self.space.read(base + j) - 1).collect()
     }
 
     /// Records applier `lane`'s applied-prefix length in its ack register.
     pub(crate) fn set_applied(&self, lane: usize, count: u64) {
         debug_assert!(lane < self.cfg.lanes());
-        self.acks.write(lane as u64, count);
+        self.space.write(self.layout.ack(lane), count);
     }
 
     /// Records whether worker `pid` has batches pending (its busy flag,
     /// read by workers that wait on one of its heights).
     fn set_busy(&self, pid: ProcId, busy: bool) {
-        self.acks
-            .write((self.cfg.lanes() + pid.0) as u64, u64::from(busy));
+        self.space
+            .write(self.layout.ack(self.cfg.lanes() + pid.0), u64::from(busy));
     }
 
     /// Whether worker `pid` has nothing pending, as its busy flag says.
     /// A worker that never enqueued is idle.
     fn idle(&self, pid: usize) -> bool {
-        self.acks.read((self.cfg.lanes() + pid) as u64) == 0
+        self.space.read(self.layout.ack(self.cfg.lanes() + pid)) == 0
     }
 
     /// The cluster-wide applied floor: min over every applier lane.
     pub fn applied_floor(&self) -> u64 {
-        (0..self.cfg.lanes() as u64)
-            .map(|a| self.acks.read(a))
+        (0..self.cfg.lanes())
+            .map(|lane| self.space.read(self.layout.ack(lane)))
             .min()
             .expect("at least one lane")
     }
@@ -726,6 +874,7 @@ impl<T: Sequential, S: RegisterSpace> LogReplica<T, S> {
 mod tests {
     use super::*;
     use tfr_core::universal::{Counter, FifoQueue};
+    use tfr_registers::space::WriteKind;
 
     fn cfg(n: usize) -> LogConfig {
         LogConfig {
@@ -736,6 +885,84 @@ mod tests {
             window: 2,
             delta: Duration::from_micros(10),
         }
+    }
+
+    /// Shared memory that tapes every group it is handed, as its
+    /// accesses' cells; `read` and `write` go untaped.
+    #[derive(Default)]
+    struct Tape {
+        cells: NativeSpace,
+        groups: std::sync::Mutex<Vec<Vec<Vec<u64>>>>,
+    }
+
+    impl RegisterSpace for Tape {
+        fn read(&self, index: u64) -> u64 {
+            self.cells.read(index)
+        }
+        fn write(&self, index: u64, value: u64) {
+            self.cells.write(index, value)
+        }
+        fn access_all(&self, group: &mut [Access<'_>]) {
+            let taped = group.iter().map(|a| a.cells().collect()).collect();
+            self.groups.lock().unwrap().push(taped);
+            self.cells.access_all(group)
+        }
+    }
+
+    /// A height's space maps cell `i` to [`Layout::election`]: its block's
+    /// consecutive cells below `hot`, the stride-`heights` overflow from
+    /// there. A group reaches the parent as one group, each run as one
+    /// parent run, and comes back in local coordinates; a run that
+    /// straddles the two regions is served cell by cell in its place.
+    #[test]
+    fn a_height_space_maps_cells_and_lifts_a_group_whole() {
+        let layout = Layout::new(&cfg(2));
+        let parent = Arc::new(Tape::default());
+        let (height, hot) = (5, layout.hot);
+        let space = HeightSpace {
+            parent: Arc::clone(&parent),
+            map: layout.election_map(height),
+        };
+        let at = |i| layout.election(height, i);
+        assert_eq!((at(1) - at(0), at(hot + 1) - at(hot)), (1, 32));
+        space.write(0, 6);
+        space.write(hot + 2, 8);
+        assert_eq!([at(0), at(hot + 2)].map(|i| parent.read(i)), [6, 8]);
+        let (mut out, mut nothing) = ([0; 2], || ());
+        let mut group = [
+            Access::read_run(0, 3, &mut out),
+            Access::write_run(hot, 1, &[5, 6], WriteKind::Owned),
+            Access::write_if_unset(hot + 2, 9, &mut nothing),
+        ];
+        space.access_all(&mut group);
+        assert!(matches!(group[2], Access::WriteIfUnset { seen: 8, .. }));
+        let cells: Vec<Vec<u64>> = group.iter().map(|a| a.cells().collect()).collect();
+        assert_eq!(cells, [vec![0, 3], vec![hot, hot + 1], vec![hot + 2]]);
+        assert_eq!(out, [6, 0]);
+        let lifted = [
+            vec![at(0), at(3)],
+            vec![at(hot), at(hot + 1)],
+            vec![at(hot + 2)],
+        ];
+        assert_eq!(
+            parent.groups.lock().unwrap().drain(..).collect::<Vec<_>>(),
+            [lifted]
+        );
+
+        let mut out = [0; 3];
+        let mut group = [
+            Access::write_run(1, 1, &[4], WriteKind::Agreed),
+            Access::read_run(hot - 1, 1, &mut out),
+            Access::read_run(hot + 4, 1, &mut []),
+        ];
+        space.access_all(&mut group);
+        assert!(matches!(group[2], Access::ReadRun { base, .. } if base == hot + 4));
+        assert_eq!(out, [0, 5, 6], "the straddling run read cell by cell");
+        assert_eq!(
+            parent.groups.lock().unwrap().drain(..).collect::<Vec<_>>(),
+            [vec![vec![at(1)]], vec![vec![]]],
+            "the accesses around it went out as groups, in order"
+        );
     }
 
     #[test]

@@ -92,12 +92,24 @@ const CHUNK_LEN: usize = 1024;
 /// Number of buckets: enough for every chunk id a `usize` index can name.
 const BUCKETS: usize = (usize::MAX / CHUNK_LEN).ilog2() as usize + 2;
 
-type Chunk = Box<[AtomicU64; CHUNK_LEN]>;
+/// A chunk's cells, 7 more than it backs: its cell 0 is the first cell
+/// that starts a 64-byte cache line, so a cell index that is a multiple
+/// of 8 starts a line, and a layout that keeps each writer to its own
+/// 8-cell blocks shares no line between writers.
+type Chunk = Box<[AtomicU64; CHUNK_LEN + 7]>;
 type Bucket = Box<[Published<Chunk>]>;
 
 fn new_chunk() -> Chunk {
-    let cells: Box<[AtomicU64]> = (0..CHUNK_LEN).map(|_| AtomicU64::new(0)).collect();
-    cells.try_into().expect("collected CHUNK_LEN cells")
+    let cells: Box<[AtomicU64]> = (0..CHUNK_LEN + 7).map(|_| AtomicU64::new(0)).collect();
+    cells.try_into().expect("collected CHUNK_LEN + 7 cells")
+}
+
+/// The cell of `chunk` that backs `index`, counted from the chunk's first
+/// line boundary (its allocation is 8-byte aligned).
+#[inline(always)]
+fn cell(chunk: &[AtomicU64; CHUNK_LEN + 7], index: usize) -> &AtomicU64 {
+    let skip = (chunk.as_ptr() as usize).wrapping_neg() % 64 / 8;
+    &chunk[skip + index % CHUNK_LEN]
 }
 
 /// The slots of bucket `b`, all unpublished.
@@ -209,13 +221,13 @@ impl UnboundedAtomicArray {
     }
 
     /// The chunk backing `index`, if published.
-    fn chunk_of(&self, index: usize) -> Option<&[AtomicU64; CHUNK_LEN]> {
+    fn chunk_of(&self, index: usize) -> Option<&[AtomicU64; CHUNK_LEN + 7]> {
         let (b, slot) = locate(index);
         Some(self.buckets[b].get()?[slot].get()?)
     }
 
     /// The chunk backing `index`, published now if it was not.
-    fn chunk_or_publish(&self, index: usize) -> &[AtomicU64; CHUNK_LEN] {
+    fn chunk_or_publish(&self, index: usize) -> &[AtomicU64; CHUNK_LEN + 7] {
         let (b, slot) = locate(index);
         let bucket = self.buckets[b].get_or_publish(|| new_bucket(b));
         bucket[slot].get_or_publish(new_chunk)
@@ -242,7 +254,7 @@ impl UnboundedAtomicArray {
     /// [`crate::space::NativeSpace`] therefore uses the quiet accessors.
     pub fn load_quiet(&self, index: usize) -> u64 {
         match self.chunk_of(index) {
-            Some(chunk) => chunk[index % CHUNK_LEN].load(Ordering::SeqCst),
+            Some(chunk) => cell(chunk, index).load(Ordering::SeqCst),
             None => 0,
         }
     }
@@ -250,7 +262,7 @@ impl UnboundedAtomicArray {
     /// [`UnboundedAtomicArray::store`] without the chaos injection point
     /// (see [`UnboundedAtomicArray::load_quiet`]).
     pub fn store_quiet(&self, index: usize, value: u64) {
-        self.chunk_or_publish(index)[index % CHUNK_LEN].store(value, Ordering::SeqCst);
+        cell(self.chunk_or_publish(index), index).store(value, Ordering::SeqCst);
     }
 
     /// Number of registers currently backed by allocated chunks
@@ -272,7 +284,7 @@ impl UnboundedAtomicArray {
     /// stress tests pin it down.
     pub fn cell_addr(&self, index: usize) -> Option<*const AtomicU64> {
         self.chunk_of(index)
-            .map(|chunk| &chunk[index % CHUNK_LEN] as *const AtomicU64)
+            .map(|chunk| cell(chunk, index) as *const AtomicU64)
     }
 }
 
@@ -379,6 +391,31 @@ mod tests {
         assert_eq!(arr.load(5), 42);
         assert_eq!(arr.load(5000), 43);
         assert_eq!(arr.load(4), 0);
+    }
+
+    /// A chunk starts a cache line, whether a store or `with_capacity`
+    /// published it, so cell `8k` does too and cells `8k..8k + 8` share
+    /// one line: the unit a layout keeps to one writer.
+    #[test]
+    fn a_fresh_chunks_first_cell_starts_a_cache_line() {
+        let arr = UnboundedAtomicArray::with_capacity(CHUNK_LEN);
+        for chunk in [1, 2, 7, 39_062] {
+            arr.store(chunk * CHUNK_LEN + 5, 1);
+        }
+        for chunk in [0, 1, 2, 7, 39_062] {
+            let first = chunk * CHUNK_LEN;
+            let addr = |i: usize| arr.cell_addr(i).expect("published") as usize;
+            assert_eq!(addr(first) % 64, 0, "chunk {chunk}");
+            assert_eq!(
+                addr(first + 8) - addr(first),
+                64,
+                "chunk {chunk}: 8 cells a line"
+            );
+            assert_eq!(
+                addr(first + CHUNK_LEN - 1) - addr(first),
+                8 * (CHUNK_LEN - 1)
+            );
+        }
     }
 
     #[test]

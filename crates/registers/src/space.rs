@@ -291,7 +291,7 @@ impl<'a> Access<'a> {
     /// divisor cannot be zero, so nothing is left of the call when the
     /// caller drops the access unread.
     #[inline(always)]
-    fn unlift(&mut self, base: u64, stride: NonZeroU64) {
+    pub fn unlift(&mut self, base: u64, stride: NonZeroU64) {
         match self {
             Access::ReadRun {
                 base: b, stride: s, ..

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use tfr::chaos::{random_schedule, ScheduleConfig};
 use tfr::core::universal::{Counter, FifoQueue, Sequential};
@@ -25,6 +25,7 @@ use tfr::net::{NetConfig, Network};
 use tfr::obs::MonitorBank;
 use tfr::registers::chaos::{points, run_as, ChaosSession, Fault, FaultAction, ThreadOutcome};
 use tfr::registers::rng::SplitMix64;
+use tfr::registers::space::{Access, NativeSpace, RegisterSpace};
 use tfr::registers::ProcId;
 use tfr::telemetry::{with_pid, DrainCursor, Trace, Tracer};
 
@@ -434,6 +435,128 @@ fn ownership_a_recovered_worker_commits_its_predecessors_block() {
         .collect();
     assert_eq!(fours, vec![1], "[4] commits exactly once, later");
     assert_eq!(*w.state(), 13);
+}
+
+// ---------------------------------------------------------------------
+// Register accesses
+// ---------------------------------------------------------------------
+
+/// Shared memory that counts its reads and writes; a group reaches them
+/// through the default lowering, so every cell of it counts.
+#[derive(Default)]
+struct CountingSpace {
+    cells: NativeSpace,
+    reads: AtomicU64,
+    writes: AtomicU64,
+}
+
+impl RegisterSpace for CountingSpace {
+    fn read(&self, index: u64) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.cells.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.cells.write(index, value)
+    }
+}
+
+/// Shared memory that tapes every group it is handed, as its accesses'
+/// cells; `read` and `write` go untaped.
+#[derive(Default)]
+struct GroupTape {
+    cells: NativeSpace,
+    groups: Mutex<Vec<Vec<Vec<u64>>>>,
+}
+
+impl RegisterSpace for GroupTape {
+    fn read(&self, index: u64) -> u64 {
+        self.cells.read(index)
+    }
+    fn write(&self, index: u64, value: u64) {
+        self.cells.write(index, value)
+    }
+    fn access_all(&self, group: &mut [Access<'_>]) {
+        let taped = group.iter().map(|a| a.cells().collect()).collect();
+        self.groups.lock().unwrap().push(taped);
+        self.cells.access_all(group)
+    }
+}
+
+/// Tier-1's copy of `tfr-log`'s height-space test, through the public
+/// API: two workers commit heights 0 and 1 in turn, and every group of
+/// each height's decision reaches the parent space whole, in the cells
+/// [`tfr::log::Layout::election`] names and in the height's own
+/// lines, the probe of `result` and the top pid bit's `decide` as one
+/// parent run.
+#[test]
+fn a_height_election_reaches_the_parent_in_its_own_lines() {
+    let tape = Arc::new(GroupTape::default());
+    let cfg = LogConfig {
+        n: 2,
+        replicas: 0,
+        heights: 8,
+        max_batch: 8,
+        window: 4,
+        delta: Duration::from_secs(60),
+    };
+    let log = Arc::new(ReplicatedLog::on(Counter, cfg, Arc::clone(&tape)));
+    let layout = log.layout();
+    for height in [0, 1] {
+        let mut worker = LogWorker::new(Arc::clone(&log), ProcId(height as usize));
+        worker.enqueue(&[height + 1]);
+        worker.drive();
+        let groups = std::mem::take(&mut *tape.groups.lock().unwrap());
+        let probe = vec![layout.election(height, 0), layout.election(height, 3)];
+        assert!(groups.contains(&vec![probe]), "height {height}: {groups:?}");
+        let lines = layout.election(height, 0) / 8..=layout.arena(height, 17) / 8;
+        assert!(
+            groups
+                .iter()
+                .flatten()
+                .flatten()
+                .all(|c| lines.contains(&(c / 8))),
+            "height {height}: {groups:?} leaves lines {lines:?}"
+        );
+    }
+}
+
+/// The register accesses of 16 heights, pinned: two workers with 8
+/// batches of 1–8 ops each take turns on one thread, each topping its
+/// queue up to 4 pending batches and pumping once per turn, as the
+/// benchmark's history builder does. Δ is far above the run's length,
+/// so no height is taken over and the count is exact. A change of the
+/// log's register layout moves indices, never counts.
+#[test]
+fn log_register_accesses_are_pinned() {
+    let space = Arc::new(CountingSpace::default());
+    let cfg = LogConfig {
+        n: 2,
+        replicas: 0,
+        heights: 17,
+        max_batch: 8,
+        window: 4,
+        delta: Duration::from_secs(60),
+    };
+    let log = Arc::new(ReplicatedLog::on(Counter, cfg, Arc::clone(&space)));
+    let mut workers: Vec<_> = (0..2)
+        .map(|w| LogWorker::new(Arc::clone(&log), ProcId(w)))
+        .collect();
+    let mut next = [0u64; 2];
+    while workers.iter().any(|w| w.applied_len() < 16) {
+        for (w, worker) in workers.iter_mut().enumerate() {
+            while next[w] < 8 && worker.pending() < 4 {
+                let size = 1 + (w as u64 * 3 + next[w] * 5) % 8;
+                worker.enqueue(&vec![next[w] + 1; size as usize]);
+                next[w] += 1;
+            }
+            worker.pump();
+        }
+    }
+    let owners: Vec<usize> = log.truth().0.iter().map(|e| e.winner).collect();
+    assert_eq!(owners, [0, 1].repeat(8), "every height won by its owner");
+    let counts = [&space.reads, &space.writes].map(|c| c.load(Ordering::Relaxed));
+    assert_eq!(counts, [431, 204], "reads and writes");
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ use tfr::core::mutex::resilient::ResilientMutex;
 use tfr::core::universal::{Counter, Universal};
 use tfr::linearize::register::{RecordingSpace, RegisterModel};
 use tfr::linearize::{check_history, Recorder};
+use tfr::log::{LogConfig, LogWorker, ReplicatedLog};
 use tfr::net::{NetConfig, Network, QuorumSpace};
 use tfr::registers::space::{Access, RegisterSpace, RegisterSpaceExt, SubSpace, WriteKind};
 use tfr::registers::ProcId;
@@ -198,6 +199,43 @@ fn a_solo_universal_decision_costs_6_quorum_rounds_at_any_batch_size() {
         assert_eq!(control.quorum_rounds() - before, 6, "k={k}");
         assert_eq!(session.take_responses().len(), k);
     }
+}
+
+/// The quorum rounds of a log commit over [`lockstep_net`]: a lone
+/// worker's first commit of 8 ops, and one 8-op commit by each of two
+/// workers that take turns (worker 1's commit first applies worker 0's
+/// height). A commit is the busy flag, the probe, the publish (one write
+/// per cell: 8 ops and the size), the election and the flag again, with
+/// the floor and the applies around it. The count pins the log's
+/// register groups: a layout that split one of them into several parent
+/// groups would add rounds.
+#[test]
+fn a_lone_log_height_costs_k_quorum_rounds() {
+    let commit_rounds = |n: usize| {
+        let net = lockstep_net();
+        let control = net.control();
+        let cfg = LogConfig {
+            n,
+            replicas: 0,
+            heights: 8,
+            max_batch: 8,
+            window: 4,
+            delta: Duration::from_secs(60),
+        };
+        let log = Arc::new(ReplicatedLog::on(Counter, cfg, Arc::new(net.space())));
+        (0..n)
+            .map(|w| {
+                let mut worker = LogWorker::new(Arc::clone(&log), ProcId(w));
+                let before = control.quorum_rounds();
+                worker.enqueue(&[w as u64 + 1; 8]);
+                worker.drive();
+                assert_eq!(worker.applied_len(), w as u64 + 1);
+                control.quorum_rounds() - before
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(commit_rounds(1), [40], "a lone worker");
+    assert_eq!(commit_rounds(2), [40, 53], "two workers, in turn");
 }
 
 /// Tier-1's copy of `tfr-core`'s standing-read pin: a session that opens

@@ -504,55 +504,117 @@ fn service_cross_shard_totals_equal_sequential_sums() {
     }
 }
 
-/// The replicated log's register layout — three stride-3 regions
-/// (acks / arena / slots), per-height arena blocks of `n·max_batch + n`
-/// cells, and per-height consensus subspaces at stride `heights` —
-/// never aliases two logical cells onto one parent register, for
-/// arbitrary shapes. An overlap would let one height's publish clobber
-/// another's decided batch, so this is the layout's load-bearing fact.
+/// Tier-1's copy of `tfr-registers`' chunk-alignment test: a native
+/// space's chunk starts a 64-byte cache line, whether a store or the
+/// capacity published it, so cell `8k` starts a line and cells
+/// `8k..8k + 8` share one. That makes the log layout's line rule below a
+/// statement about the hardware.
 #[test]
-fn log_register_tiling_is_disjoint_across_heights_and_regions() {
-    use std::collections::HashSet;
-    use std::sync::Arc;
-    use tfr::registers::space::{NativeSpace, SubSpace};
+fn a_fresh_chunks_first_cell_starts_a_cache_line() {
+    use tfr::registers::native::UnboundedAtomicArray;
+
+    const CHUNK: usize = 1024;
+    let arr = UnboundedAtomicArray::with_capacity(CHUNK);
+    for chunk in [1, 2, 7, 39_062] {
+        arr.store(chunk * CHUNK + 5, 1);
+    }
+    let addr = |i: usize| arr.cell_addr(i).expect("published") as usize;
+    for chunk in [0, 1, 2, 7, 39_062] {
+        let first = chunk * CHUNK;
+        assert_eq!(addr(first) % 64, 0, "chunk {chunk}");
+        assert_eq!(addr(first + 8) - addr(first), 64, "chunk {chunk}");
+        assert_eq!(addr(first + CHUNK - 1) - addr(first), 8 * (CHUNK - 1));
+    }
+}
+
+/// The replicated log's register layout, as the log itself places its
+/// cells (`ReplicatedLog::layout`), for random shapes: no two logical
+/// cells alias — an overlap would let one height's publish clobber
+/// another's decided batch — and no 8-cell line, one cache line of a
+/// native space, holds the cells of two heights, or an ack or a busy flag
+/// together with anything else. A height's line holds only its arena and
+/// its consensus cells; of those, the ones a lone decision touches
+/// (`result`, the announcements and round 1 of every pid-bit instance)
+/// are in the height's own lines. Later rounds, which only proposers that
+/// meet reach, may sit in the overflow region, whose lines the heights
+/// share by design, but never in another height's block or with an ack
+/// or a flag.
+#[test]
+fn log_register_layout_keeps_each_height_and_lane_to_its_own_lines() {
+    use std::collections::HashMap;
+    use std::time::Duration;
+    use tfr::core::universal::Counter;
+    use tfr::log::{LogConfig, ReplicatedLog};
+
+    /// Who a cell belongs to; `Later` marks a height's consensus cells
+    /// past round 1.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Owner {
+        Ack(usize),
+        Busy(usize),
+        Height(u64),
+        Later(u64),
+    }
 
     let mut rng = SplitMix64::new(0x7113_1135);
     for case in 0..64 {
-        let n = rng.random_range(1..=8);
-        let replicas = rng.random_range(0..=3);
-        let heights = rng.random_range(1..=24);
-        let max_batch = rng.random_range(1..=8);
-        let slot_cells = rng.random_range(1..=32); // consensus registers probed per height
-        let hstride = n * max_batch + n;
-
-        let parent = Arc::new(NativeSpace::new());
-        let acks = SubSpace::new(Arc::clone(&parent), 0, 3);
-        let arena = SubSpace::new(Arc::clone(&parent), 1, 3);
-        let mut seen = HashSet::new();
-        for lane in 0..n + replicas {
-            assert!(
-                seen.insert(acks.parent_index(lane)),
-                "case {case}: ack lane {lane} aliases another cell"
-            );
+        let cfg = LogConfig {
+            n: rng.random_range(1..=8) as usize,
+            replicas: rng.random_range(0..=3) as usize,
+            heights: rng.random_range(1..=24) as usize,
+            max_batch: rng.random_range(1..=8) as usize,
+            window: 1,
+            delta: Duration::ZERO,
+        };
+        let log = ReplicatedLog::new(Counter, cfg);
+        let layout = log.layout();
+        let n = cfg.n as u64;
+        // `result`, `announce[·]`, then `W` interleaved Algorithm 1
+        // instances of 3 cells a round after their `decide`.
+        let bits = u64::from((usize::BITS - (cfg.n - 1).leading_zeros()).max(1));
+        let round_1 = 1 + n + 6 * bits;
+        let mut cells: Vec<(u64, Owner)> = Vec::new();
+        cells.extend((0..cfg.lanes()).map(|a| (layout.ack(a), Owner::Ack(a))));
+        cells.extend((0..cfg.n).map(|p| (layout.ack(cfg.lanes() + p), Owner::Busy(p))));
+        for h in 0..cfg.heights as u64 {
+            let arena = (0..n * cfg.max_batch as u64 + n).map(|i| layout.arena(h, i));
+            cells.extend(arena.map(|c| (c, Owner::Height(h))));
+            for i in 0..round_1 + 3 * bits * 6 {
+                let owner = if i < round_1 {
+                    Owner::Height(h)
+                } else {
+                    Owner::Later(h)
+                };
+                cells.push((layout.election(h, i), owner));
+            }
         }
-        for h in 0..heights {
-            for c in 0..hstride {
-                assert!(
-                    seen.insert(arena.parent_index(h * hstride + c)),
-                    "case {case}: height {h} arena cell {c} aliases another cell"
-                );
+        let mut by_cell = HashMap::new();
+        let mut by_line: HashMap<u64, Vec<Owner>> = HashMap::new();
+        for (cell, owner) in cells {
+            if let Some(other) = by_cell.insert(cell, owner) {
+                panic!("case {case} {cfg:?}: {owner:?} and {other:?} alias cell {cell}");
             }
-            let region = SubSpace::new(Arc::clone(&parent), 2, 3);
-            let slots = SubSpace::new(region.clone(), h, heights);
-            for i in 0..slot_cells {
-                // `parent_index` maps one nesting level at a time:
-                // height-local → region-local → root.
-                let root = region.parent_index(slots.parent_index(i));
-                assert!(
-                    seen.insert(root),
-                    "case {case}: height {h} slot register {i} aliases another cell"
-                );
-            }
+            by_line.entry(cell / 8).or_default().push(owner);
+        }
+        for (line, owners) in by_line {
+            let heights: Vec<u64> = owners
+                .iter()
+                .filter_map(|o| match o {
+                    Owner::Height(h) => Some(*h),
+                    _ => None,
+                })
+                .collect();
+            let lone = |o: &Owner| matches!(o, Owner::Ack(_) | Owner::Busy(_));
+            let ok = if owners.iter().any(lone) {
+                owners.len() == 1
+            } else if let Some(&h) = heights.first() {
+                owners
+                    .iter()
+                    .all(|o| matches!(o, Owner::Height(g) | Owner::Later(g) if *g == h))
+            } else {
+                true
+            };
+            assert!(ok, "case {case} {cfg:?}: line {line} holds {owners:?}");
         }
     }
 }
