@@ -169,7 +169,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "service",
-            "sharded object service: throughput at scale, flat-combining speedup, under-load sampling verdicts (E22)",
+            "sharded object service: throughput at scale, flat-combining speedup, under-load sampling verdicts, keyed apply cost (E22)",
             service::service,
             service::gates,
         ),

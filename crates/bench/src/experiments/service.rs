@@ -3,19 +3,23 @@
 //! the flat-combining speedup over the per-op baseline, the committed
 //! batch-size distribution, and the under-load linearizability sampler's
 //! verdicts (the real batcher passes; both seeded combiner mutants are
-//! rejected by the same check that certifies it), and on the quorum
-//! backend one worker's busy shards sharing quorum rounds.
+//! rejected by the same check that certifies it), on the quorum
+//! backend one worker's busy shards sharing quorum rounds, and the cost
+//! of one keyed apply against a B-tree reference.
 
 use crate::table::{by_id, gate, GateResult};
 use crate::Table;
+use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tfr_core::universal::Counter;
+use tfr_core::universal::{Counter, Sequential};
 use tfr_net::{NetConfig, Network};
+use tfr_registers::rng::SplitMix64;
 use tfr_registers::ProcId;
 use tfr_service::{
-    run_load, run_load_native, CombinerKind, LoadConfig, LoadReport, ObjectService, SamplingConfig,
-    ServiceConfig,
+    decode_op, encode_op, run_load, run_load_native, CombinerKind, Keyed, LoadConfig, LoadReport,
+    ObjectService, SamplingConfig, ServiceConfig,
 };
 use tfr_telemetry::Trace;
 
@@ -226,7 +230,84 @@ pub fn service() -> Vec<Table> {
     t4.note("clean and only the history check catches it; the lost-op mutant announces one");
     t4.note("op as a no-op, answers it plausibly, and the state diverges by its amount.");
 
-    vec![t1, t2, t3, t4, overlap()]
+    vec![t1, t2, t3, t4, overlap(), apply_cost()]
+}
+
+/// [`Keyed`] as it was before its hashed table: per-key state in a
+/// B-tree. E22f's same-run reference, as the heap is the wheel's.
+struct TreeKeyed<T>(T);
+
+impl<T: Sequential> Sequential for TreeKeyed<T> {
+    type State = BTreeMap<u64, T::State>;
+
+    fn initial(&self) -> Self::State {
+        BTreeMap::new()
+    }
+
+    fn apply(&self, state: &mut Self::State, op: u64) -> u64 {
+        let (key, inner_op) = decode_op(op);
+        let instance = state.entry(key).or_insert_with(|| self.0.initial());
+        self.0.apply(instance, inner_op)
+    }
+}
+
+/// ns per apply of `ops` on a state that already holds every key.
+fn apply_ns<O: Sequential>(obj: &O, keys: u64, ops: &[u64]) -> f64 {
+    let mut state = obj.initial();
+    for key in 0..keys {
+        obj.apply(&mut state, encode_op(key, 0));
+    }
+    let t0 = Instant::now();
+    for &op in ops {
+        black_box(obj.apply(&mut state, op));
+    }
+    t0.elapsed().as_nanos() as f64 / ops.len() as f64
+}
+
+/// E22f: what one committed op's apply costs, the hashed [`Keyed`]
+/// table against the B-tree it replaced. Every worker replays every
+/// committed op through it, so it is paid once per op per worker. Keys
+/// are drawn uniformly from `0..keys`, with every 16th op on key 0 (a
+/// hot key); each side takes the minimum of alternated repetitions.
+fn apply_cost() -> Table {
+    const OPS: usize = 1 << 18;
+    const REPS: usize = 7;
+    let mut t = Table::new(
+        "E22f",
+        "apply cost per committed op: hashed per-key table vs B-tree (Counter, 1 thread)",
+        &["keys", "ops", "hashed ns/op", "B-tree ns/op", "ratio"],
+    );
+    for keys in [64u64, 65_536] {
+        let mut rng = SplitMix64::new(0xE22F ^ keys);
+        let ops: Vec<u64> = (0..OPS)
+            .map(|i| {
+                let key = if i % 16 == 0 {
+                    0
+                } else {
+                    rng.next_u64() % keys
+                };
+                encode_op(key, 1)
+            })
+            .collect();
+        let (hashed, tree) = (Keyed::new(Counter), TreeKeyed(Counter));
+        let (mut best_hashed, mut best_tree) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..REPS {
+            best_hashed = best_hashed.min(apply_ns(&hashed, keys, &ops));
+            best_tree = best_tree.min(apply_ns(&tree, keys, &ops));
+        }
+        t.row(vec![
+            keys.to_string(),
+            OPS.to_string(),
+            format!("{best_hashed:.1}"),
+            format!("{best_tree:.1}"),
+            format!("{:.2}", best_tree / best_hashed),
+        ]);
+    }
+    t.note(format!(
+        "ratio = B-tree ns/op over hashed ns/op; each side the minimum of {REPS} alternated \
+         repetitions, on a state that already holds every key."
+    ));
+    t
 }
 
 /// E22e: one worker multiplexes its busy shards, sending every busy
@@ -439,6 +520,12 @@ pub fn gates(tables: &[Table]) -> Vec<GateResult> {
             )?;
             two.expect(two.num("ratio")? <= 1.2, "ratio <= 1.2")
         }),
+        // The hashed table must beat the B-tree it replaced by 3x at 64
+        // keys on the same machine (5.9-8.6x measured).
+        gate("E22f.hashed_apply_speedup", || {
+            let row = by_id(tables, "E22f")?.row_where(&[("keys", "64")])?;
+            row.expect(row.num("ratio")? >= 3.0, "ratio >= 3.0")
+        }),
     ]
 }
 
@@ -486,6 +573,7 @@ mod tests {
                 "busy shards | rounds/burst | ratio",
                 &["1 | 5.0 | 1.00", "2 | 5.0 | 1.09"],
             ),
+            table("E22f", "keys | ratio", &["64 | 7.10", "65536 | 9.40"]),
         ];
         assert_gates_reject(
             gates,
@@ -533,6 +621,10 @@ mod tests {
                         Set(1, "rounds/burst", "10.0"),
                         DropRow(1),
                     ],
+                ),
+                (
+                    "E22f.hashed_apply_speedup",
+                    &[Set(0, "ratio", "2.99"), DropRow(0)],
                 ),
             ],
         );

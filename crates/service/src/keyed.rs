@@ -7,8 +7,19 @@
 //! keys never share state, a keyed object is linearizable **per key**
 //! (P-compositionality), which is exactly the granularity the under-load
 //! sampler checks at.
+//!
+//! The state is a [`HashMap`], not a B-tree: every worker replays every
+//! committed op through [`Keyed::apply`] (§1.4), and one hash is cheaper
+//! than a tree walk. [`KeyHash`] is SplitMix64 over `key ^ seed`, which
+//! spreads strided keys over the low bits; the seed, drawn per [`Keyed`]
+//! from [`RandomState`], keeps clients from aiming keys at one bucket,
+//! and is not the router's, whose per-shard residues it would carry.
+//! Iteration order is never observed: `apply` touches one key, and
+//! [`snapshot`](crate::ObjectService::snapshot) returns a key-ordered map.
 
-use std::collections::BTreeMap;
+use crate::router::splitmix64;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use tfr_core::universal::Sequential;
 
 /// Keys occupy the top bits of an op payload…
@@ -41,27 +52,55 @@ pub fn decode_op(op: u64) -> (u64, u64) {
 #[derive(Debug, Clone)]
 pub struct Keyed<T> {
     inner: T,
+    hash: KeyHash,
 }
 
 impl<T> Keyed<T> {
     /// Hosts per-key instances of `inner` (`inner` is the prototype each
-    /// key's fresh instance is initialised from).
+    /// key's fresh instance is initialised from), hashed with a fresh seed.
     pub fn new(inner: T) -> Keyed<T> {
-        Keyed { inner }
+        let hash = KeyHash(RandomState::new().build_hasher().finish());
+        Keyed { inner, hash }
     }
 }
 
 impl<T: Sequential> Sequential for Keyed<T> {
-    type State = BTreeMap<u64, T::State>;
+    type State = HashMap<u64, T::State, KeyHash>;
 
     fn initial(&self) -> Self::State {
-        BTreeMap::new()
+        HashMap::with_hasher(self.hash)
     }
 
     fn apply(&self, state: &mut Self::State, op: u64) -> u64 {
         let (key, inner_op) = decode_op(op);
         let instance = state.entry(key).or_insert_with(|| self.inner.initial());
         self.inner.apply(instance, inner_op)
+    }
+}
+
+/// A [`Keyed`] state's hasher and its builder: the seed, then a key's hash.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHash(u64);
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHash;
+
+    fn build_hasher(&self) -> KeyHash {
+        *self
+    }
+}
+
+impl Hasher for KeyHash {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = splitmix64(key ^ self.0);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

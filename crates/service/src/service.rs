@@ -219,9 +219,9 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     }
 
     /// The current committed state of shard `shard`, keyed by object key
-    /// (a fresh replay; intended for post-run verification).
+    /// in key order (a fresh replay; intended for post-run verification).
     pub fn snapshot(&self, shard: usize) -> std::collections::BTreeMap<u64, T::State> {
-        self.shards[shard].snapshot()
+        self.shards[shard].snapshot().into_iter().collect()
     }
 
     /// Spec-form audits of every shard's committed log, read straight

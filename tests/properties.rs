@@ -504,6 +504,129 @@ fn service_cross_shard_totals_equal_sequential_sums() {
     }
 }
 
+/// A named way of drawing a key.
+type KeyDraw = (&'static str, fn(&mut SplitMix64) -> u64);
+
+/// The three key draws of the keyed-table tests: dense keys, strided
+/// keys that share their low 20 bits, and keys just below `MAX_KEYS`.
+fn keyed_draws() -> [KeyDraw; 3] {
+    use tfr::service::keyed::MAX_KEYS;
+    [
+        ("dense", |rng| rng.random_range(0..=63)),
+        ("strided", |rng| rng.random_range(0..=15) << 20),
+        ("top", |rng| MAX_KEYS - 1 - rng.random_range(0..=63)),
+    ]
+}
+
+/// A keyed object's hashed per-key table against a `BTreeMap` model
+/// over seeded random op sequences: every response matches the model's,
+/// and so does the final map, for each of the three key draws. Strided
+/// keys also spread over the low bits of their hashes, which a table
+/// indexes by.
+#[test]
+fn keyed_table_matches_a_btree_model() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::hash::BuildHasher;
+    use tfr::core::universal::{Counter, Sequential};
+    use tfr::service::{encode_op, Keyed};
+    let mut rng = SplitMix64::new(0x5EED_0025);
+    for case in 0..48 {
+        let (draw, key_of) = keyed_draws()[case % 3];
+        let obj = Keyed::new(Counter);
+        let mut state = obj.initial();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for _ in 0..rng.random_range(1..=512) {
+            let key = key_of(&mut rng);
+            let amount = rng.random_range(0..=1_000);
+            let total = model.entry(key).or_insert(0);
+            *total += amount;
+            assert_eq!(
+                obj.apply(&mut state, encode_op(key, amount)),
+                *total,
+                "case {case} ({draw}): key {key}'s response"
+            );
+        }
+        let table: BTreeMap<u64, u64> = state.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(table, model, "case {case} ({draw}): final maps");
+        let low_bits: BTreeSet<u64> = (0..16u64)
+            .map(|j| state.hasher().hash_one(j << 20) & 63)
+            .collect();
+        assert!(
+            low_bits.len() >= 8,
+            "case {case}: 16 strided keys hash to {} of 64 low-bit buckets",
+            low_bits.len()
+        );
+    }
+}
+
+/// `ObjectService::snapshot` comes back in key order and equal to a
+/// `BTreeMap` model, whatever order the per-key table holds its keys in.
+#[test]
+fn service_snapshot_is_key_ordered() {
+    use std::collections::BTreeMap;
+    use tfr::core::universal::Counter;
+    use tfr::registers::ProcId;
+    use tfr::service::{ObjectService, ServiceConfig};
+    let mut rng = SplitMix64::new(0x5EED_0026);
+    for case in 0..6 {
+        let cfg = ServiceConfig {
+            capacity_per_shard: 256,
+            delta: std::time::Duration::from_micros(10),
+            ..ServiceConfig::new(1, 1)
+        };
+        let svc = ObjectService::new(|| Counter, &cfg);
+        let mut worker = svc.worker(ProcId(0));
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for (_, key_of) in keyed_draws() {
+            let burst: Vec<(u64, u64)> = (0..48)
+                .map(|_| {
+                    let (key, amount) = (key_of(&mut rng), rng.random_range(1..=9));
+                    *model.entry(key).or_insert(0) += amount;
+                    (key, amount)
+                })
+                .collect();
+            worker.enqueue_burst(&burst);
+            worker.drive();
+        }
+        let snapshot: Vec<(u64, u64)> = svc.snapshot(0).into_iter().collect();
+        assert!(
+            snapshot.windows(2).all(|w| w[0].0 < w[1].0),
+            "case {case}: snapshot out of key order"
+        );
+        assert_eq!(
+            snapshot,
+            model.into_iter().collect::<Vec<_>>(),
+            "case {case}: snapshot"
+        );
+    }
+}
+
+/// Tier-1's copy of `tfr-service`'s `keyed::tests::op_encoding_roundtrips`.
+#[test]
+fn keyed_op_encoding_roundtrips() {
+    use tfr::service::keyed::{INNER_BITS, MAX_KEYS};
+    use tfr::service::{decode_op, encode_op};
+    for &(key, inner) in &[(0, 0), (7, 123), (MAX_KEYS - 1, (1 << INNER_BITS) - 1)] {
+        assert_eq!(decode_op(encode_op(key, inner)), (key, inner));
+    }
+    assert!(encode_op(MAX_KEYS - 1, (1 << INNER_BITS) - 1) < u64::MAX);
+}
+
+/// Tier-1's copy of `tfr-service`'s
+/// `keyed::tests::keys_are_independent_instances`.
+#[test]
+fn keyed_keys_are_independent_instances() {
+    use tfr::core::universal::{Counter, Sequential};
+    use tfr::service::{encode_op, Keyed};
+    let obj = Keyed::new(Counter);
+    let mut state = obj.initial();
+    assert_eq!(obj.apply(&mut state, encode_op(3, 10)), 10);
+    assert_eq!(obj.apply(&mut state, encode_op(4, 1)), 1);
+    assert_eq!(obj.apply(&mut state, encode_op(3, 5)), 15);
+    assert_eq!(state.get(&3), Some(&15));
+    assert_eq!(state.get(&4), Some(&1));
+}
+
 /// Tier-1's copy of `tfr-registers`' chunk-alignment test: a native
 /// space's chunk starts a 64-byte cache line, whether a store or the
 /// capacity published it, so cell `8k` starts a line and cells
